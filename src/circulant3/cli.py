@@ -27,6 +27,7 @@ from .curvature import (
     closed_form_from_metric,
     is_flat,
     riemann_from_metric,
+    sampled_q_invariance_residual,
     sectional_curvature,
 )
 from .errors import (
@@ -64,34 +65,7 @@ class UsageError(Exception):
     """Bad command-line input (maps to exit code 2)."""
 
 
-POINT_COMMANDS = (
-    "validate",
-    "christoffel",
-    "riemann",
-    "closed-form",
-    "compare-curvature",
-    "sectional",
-    "angles",
-    "qbasis",
-    "orthobasis",
-    "check-identity",
-    "check-parallel",
-    "nabla-q",
-    "verify-theorems",
-    "example-m5",
-)
-SAMPLED_OK = {
-    "validate",
-    "riemann",
-    "closed-form",
-    "compare-curvature",
-    "orthobasis",
-    "check-identity",
-    "check-parallel",
-    "nabla-q",
-    "verify-theorems",
-    "example-m5",
-}
+NOT_SAMPLED = {"christoffel", "sectional", "angles", "qbasis"}  # --at only
 
 DEFAULT_TOL = {
     "compare-curvature": 1e-7,
@@ -104,9 +78,12 @@ def _parse_triple(text: str, what: str) -> np.ndarray:
     if len(parts) != 3:
         raise UsageError(f"{what} must be three comma-separated numbers, got {text!r}")
     try:
-        return np.array([float(v) for v in parts])
+        values = np.array([float(v) for v in parts])
     except ValueError as exc:
         raise UsageError(f"bad number in {what} {text!r}: {exc}") from exc
+    if not np.isfinite(values).all():
+        raise UsageError(f"{what} must be finite, got {text!r}")
+    return values
 
 
 def _parse_box(text: str):
@@ -122,6 +99,8 @@ def _parse_box(text: str):
             lo, hi = float(bounds[0]), float(bounds[1])
         except ValueError as exc:
             raise UsageError(f"bad bound in {part!r}: {exc}") from exc
+        if not np.isfinite([lo, hi]).all():
+            raise UsageError(f"--box bounds must be finite, got {part!r}")
         if not lo < hi:
             raise UsageError(f"empty interval {part!r}")
         box.append((lo, hi))
@@ -252,11 +231,10 @@ def _components(low):
 
 
 def _cmd_riemann(spec, p, args):
-    tol = args.tol or 1e-9
     M = _metric(spec, p, args)
     R = riemann_from_metric(M)
     results = {"components": _components(R.low)}
-    return results, _symmetry_verdicts(R.low, tol)
+    return results, _symmetry_verdicts(R.low, args.tol)
 
 
 def _cmd_closed_form(spec, p, args):
@@ -266,7 +244,6 @@ def _cmd_closed_form(spec, p, args):
 
 
 def _cmd_compare_curvature(spec, p, args):
-    tol = args.tol or DEFAULT_TOL["compare-curvature"]
     M = _metric(spec, p, args)
     R = riemann_from_metric(M)
     cf = closed_form_from_metric(M).as_dict()
@@ -277,7 +254,7 @@ def _cmd_compare_curvature(spec, p, args):
     }
     worst = max(rel.values())
     results = {"numeric": numeric, "closed_form": cf, "relative_difference": rel}
-    verdicts = {"closed_form_matches_numeric": _verdict(worst <= tol, worst, tol)}
+    verdicts = {"closed_form_matches_numeric": _verdict(worst <= args.tol, worst, args.tol)}
     return results, verdicts
 
 
@@ -326,7 +303,6 @@ def _cmd_qbasis(spec, p, args):
 
 
 def _cmd_orthobasis(spec, p, args):
-    tol = args.tol or 1e-9
     M = _metric(spec, p, args)
     x = construct_orthogonal_vector(M.A, M.B)
     qx = apply_q(x)
@@ -340,34 +316,34 @@ def _cmd_orthobasis(spec, p, args):
     worst = max(abs(v) for v in pairs.values())
     results = {"vector": x, "norm_sq": gxx, **pairs}
     verdicts = {
-        "orthogonal": _verdict(worst <= tol * gxx, worst, tol * gxx),
+        "orthogonal": _verdict(worst <= args.tol * gxx, worst, args.tol * gxx),
         "induces_q_basis": _verdict(induces_q_basis(x), abs(q_basis_defect(x)), 0.0),
     }
     return results, verdicts
 
 
 def _cmd_check_identity(spec, p, args):
-    tol = args.tol or 1e-9
     M = _metric(spec, p, args)
     R = riemann_from_metric(M)
-    chk = check_q_invariance(R, tol=tol, seed=args.seed or 0)
-    threshold = tol * (1.0 + chk.scale)
+    chk = check_q_invariance(R, tol=args.tol)
+    sampled = sampled_q_invariance_residual(R, args.seed or 0, 20)
+    sampled_passed = sampled <= chk.threshold
+    agree = chk.passed == sampled_passed
     results = {
         "diagonal_residual": chk.diagonal_residual,
         "cross_residual": chk.cross_residual,
-        "sampled_residual": chk.sampled_residual,
+        "sampled_residual": sampled,
         "scale": chk.scale,
     }
     verdicts = {
-        "identity": _verdict(chk.passed, max(chk.diagonal_residual, chk.cross_residual), threshold),
-        "sampled_identity": _verdict(chk.sampled_passed, chk.sampled_residual, threshold),
-        "routes_agree": _verdict(chk.passed == chk.sampled_passed, 0.0 if chk.passed == chk.sampled_passed else 1.0, 0.5),
+        "identity": _verdict(chk.passed, max(chk.diagonal_residual, chk.cross_residual), chk.threshold),
+        "sampled_identity": _verdict(sampled_passed, sampled, chk.threshold),
+        "routes_agree": _verdict(agree, 0.0 if agree else 1.0, 0.5),
     }
     return results, verdicts
 
 
 def _cmd_check_parallel(spec, p, args):
-    tol = args.tol or 1e-9
     M = _metric(spec, p, args)
     ct = christoffel_from_metric(M)
     grad_res = parallel_residual_from_metric(M)
@@ -380,9 +356,10 @@ def _cmd_check_parallel(spec, p, args):
         "christoffel_equalities_residual": gamma_res,
         "nabla_q_max": nq_max,
     }
-    agree = (grad_norm <= tol) == (nq_max <= tol)
+    worst = max(grad_norm, nq_max, gamma_res)
+    agree = (grad_norm <= args.tol) == (nq_max <= args.tol)
     verdicts = {
-        "parallel": _verdict(max(grad_norm, nq_max, gamma_res) <= tol, max(grad_norm, nq_max, gamma_res), tol),
+        "parallel": _verdict(worst <= args.tol, worst, args.tol),
         "routes_agree": _verdict(agree, 0.0 if agree else 1.0, 0.5),
     }
     return results, verdicts
@@ -395,6 +372,8 @@ def _cmd_nabla_q(spec, p, args):
 
 
 def _random_q_basis_vectors(rng, count):
+    if count < 1:
+        raise UsageError(f"--n-vectors must be at least 1, got {count}")
     out = []
     for _ in range(100 * count):
         v = rng.standard_normal(3)
@@ -406,41 +385,37 @@ def _random_q_basis_vectors(rng, count):
 
 
 def _cmd_verify_theorems(spec, p, args):
-    tol = args.tol or DEFAULT_TOL["verify-theorems"]
     if args.vector is not None:
         vectors = [_parse_triple(args.vector, "--vector")]
     else:
         rng = np.random.default_rng([args.seed or 0, 7])
         vectors = _random_q_basis_vectors(rng, args.n_vectors)
+    M = _metric(spec, p, args)
+    R = riemann_from_metric(M)
     worst = {"sectional_difference": 0.0, "sectional_combination": 0.0, "equal_sectional": 0.0}
     for u in vectors:
-        d = check_sectional_difference_formula(spec.metric, p, u)
-        worst["sectional_difference"] = max(
-            worst["sectional_difference"], d.residual / (1.0 + abs(d.lhs))
-        )
-        c = check_sectional_combination_formula(spec.metric, p, u)
-        worst["sectional_combination"] = max(
-            worst["sectional_combination"], c.residual / (1.0 + abs(c.lhs))
-        )
-        e = check_equal_sectional_curvatures(spec.metric, p, u)
-        r1, r2 = e.residuals
-        worst["equal_sectional"] = max(
-            worst["equal_sectional"], max(r1, r2) / (1.0 + abs(e.mu_u_qu))
-        )
+        d = check_sectional_difference_formula(M, R, u)
+        c = check_sectional_combination_formula(M, R, u)
+        e = check_equal_sectional_curvatures(M, R, u)
+        scaled = {
+            "sectional_difference": d.residual / (1.0 + abs(d.lhs)),
+            "sectional_combination": c.residual / (1.0 + abs(c.lhs)),
+            "equal_sectional": max(e.residuals) / (1.0 + abs(e.mu_u_qu)),
+        }
+        worst = {name: max(worst[name], val) for name, val in scaled.items()}
     results = {"n_vectors": len(vectors), "max_scaled_residuals": dict(worst)}
-    verdicts = {name: _verdict(val <= tol, val, tol) for name, val in worst.items()}
+    verdicts = {name: _verdict(val <= args.tol, val, args.tol) for name, val in worst.items()}
     return results, verdicts
 
 
 def _cmd_example_m5(spec, p, args):
-    tol = args.tol or 1e-9
     M = _metric(spec, p, args)
     R = riemann_from_metric(M)
     comps = _components(R.low)
     cf = closed_form_from_metric(M).as_dict()
     formula = example_diagonal_value(p)
-    nq_max = nabla_q_from_table(christoffel_from_metric(M)).max_abs
-    chk = check_q_invariance(R, tol=tol)
+    nq_max = nabla_q_from_table(R.christoffel).max_abs
+    chk = check_q_invariance(R, tol=args.tol)
 
     diag = [comps[n] for n in ("R1212", "R1313", "R2323")]
     diag_residual = max(abs(v - formula) / abs(formula) for v in diag)
@@ -458,13 +433,12 @@ def _cmd_example_m5(spec, p, args):
         "diagonal_formula_value": formula,
         "nabla_q_max": nq_max,
     }
-    identity_threshold = tol * (1.0 + chk.scale)
     verdicts = {
         "diagonal_matches_formula": _verdict(diag_residual <= 1e-8, diag_residual, 1e-8),
         "closed_form_diagonal_match": _verdict(closed_diag_residual <= 1e-7, closed_diag_residual, 1e-7),
         "cross_components_zero": _verdict(cross < 1e-10, cross, 1e-10),
         "identity_q_invariance": _verdict(
-            chk.passed, max(chk.diagonal_residual, chk.cross_residual), identity_threshold
+            chk.passed, max(chk.diagonal_residual, chk.cross_residual), chk.threshold
         ),
         "not_parallel": _verdict(nq_max > 1e-6, nq_max, 1e-6),
         "not_flat": _verdict(not is_flat(R, 1e-9), flat_scale, 1e-9),
@@ -505,7 +479,21 @@ def _load_spec(args):
     return load_spec(args.spec)
 
 
+def _run_at(core, spec, point, args):
+    try:
+        return core(spec, point, args)
+    except PositivityViolation as exc:
+        # the basis constructions see only A and B, not the point they refuse
+        if np.isnan(exc.point).all():
+            raise PositivityViolation(exc.A, exc.B, point) from None
+        raise
+
+
 def _run(args):
+    if args.tol is None:
+        args.tol = DEFAULT_TOL.get(args.command, 1e-9)
+    elif not (np.isfinite(args.tol) and args.tol >= 0.0):
+        raise UsageError(f"--tol must be a finite number >= 0, got {args.tol!r}")
     spec = _load_spec(args)
     core = _CORES[args.command]
 
@@ -513,10 +501,12 @@ def _run(args):
     sampled = args.sample is not None
 
     if sampled:
-        if args.command not in SAMPLED_OK:
+        if args.command in NOT_SAMPLED:
             raise UsageError(f"{args.command} does not support --sample")
         if args.at is not None:
             raise UsageError("give either --at or --sample, not both")
+        if args.sample < 1:
+            raise UsageError(f"--sample must be at least 1, got {args.sample}")
         box = _parse_box(args.box) if args.box else spec.sample_box
         if box is None:
             raise UsageError("sampling needs [sample] in the spec file or --box")
@@ -526,7 +516,7 @@ def _run(args):
         max_residuals: dict[str, float] = {}
         tols: dict[str, float] = {}
         for point in points:
-            _, verdicts = core(spec, point, args)
+            _, verdicts = _run_at(core, spec, point, args)
             for name, v in verdicts.items():
                 pass_counts[name] = pass_counts.get(name, 0) + (1 if v["pass"] else 0)
                 max_residuals[name] = max(max_residuals.get(name, 0.0), v["residual"])
@@ -546,7 +536,7 @@ def _run(args):
             raise UsageError(f"{args.command} needs --at X1,X2,X3 (or --sample N)")
         else:
             point = None
-        results, verdicts = core(spec, point, args)
+        results, verdicts = _run_at(core, spec, point, args)
         inputs = {
             "box": None,
             "point": None if point is None else list(point),
@@ -597,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in POINT_COMMANDS:
+    for name in _CORES:
         p = sub.add_parser(name, help=f"run {name}")
         p.add_argument("--spec", help="manifold spec file (TOML subset)")
         p.add_argument("--at", help="evaluation point X1,X2,X3")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import ChristoffelTable, christoffel_from_metric
+from .curvature import ChristoffelTable, _metric_derivatives, christoffel_from_metric
 from .metric import MetricFunctions, metric_at
 from .qstructure import Q_MATRIX
 
@@ -88,9 +88,7 @@ def metric_compatibility_residual(m: MetricFunctions, p) -> float:
     """Max component of nabla g (must vanish for the Levi-Civita connection)."""
     M = metric_at(m, p)
     ct = christoffel_from_metric(M)
-    dA, dB = M.A_jet.grad, M.B_jet.grad
-    eye = np.eye(3)
-    dg = dA[:, None, None] * eye + dB[:, None, None] * (np.ones((3, 3)) - eye)
+    dg, _ = _metric_derivatives(M)
     contraction = np.einsum("kit,tj->kij", ct.gamma, M.g)
     nabla_g = dg - contraction - np.einsum("kij->kji", contraction)
     return float(np.max(np.abs(nabla_g)))

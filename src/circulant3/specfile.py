@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from .errors import ExprSyntaxError, SpecFileError
 from .metric import MetricFunctions
-from .expressions import parse
+from .expressions import eval_value, parse
 
 Box = tuple[tuple[float, float], tuple[float, float], tuple[float, float]]
 
@@ -163,9 +163,8 @@ def builtin_example() -> ManifoldSpec:
 
 # closed-form value of the example's three equal diagonal curvature components
 EXAMPLE_DIAGONAL_FORMULA = "(2*x1 + x2 + x3) / ((x2 + x3) * (6*x1 + 2*x2 + 2*x3))"
+_EXAMPLE_DIAGONAL = parse(EXAMPLE_DIAGONAL_FORMULA)
 
 
 def example_diagonal_value(p) -> float:
-    from .expressions import eval_value
-
-    return eval_value(parse(EXAMPLE_DIAGONAL_FORMULA), p)
+    return eval_value(_EXAMPLE_DIAGONAL, p)

@@ -38,6 +38,7 @@ from circulant3 import (
     parse,
     q_basis_angles,
     riemann,
+    riemann_from_metric,
     sample_admissible_points,
 )
 from circulant3.cli import main
@@ -240,19 +241,21 @@ def test_ac6_sectional_relations_on_example():
     refusals = 0
     bypass_worst = 0.0
     for p in points:
+        M = metric_at(m, p)
+        R = riemann_from_metric(M)
         for _ in range(10):
             u = random_q_basis_vector(rng)
             try:
-                chk = check_sectional_difference_formula(m, p, u)
+                chk = check_sectional_difference_formula(M, R, u)
             except IdentityRNotSatisfied:
                 refusals += 1
-                diag = check_sectional_difference_formula(m, p, u, require_identity=False)
+                diag = check_sectional_difference_formula(M, R, u, require_identity=False)
                 bypass_worst = max(bypass_worst, diag.residual / (1.0 + abs(diag.lhs)))
                 continue
             assert chk.residual <= 1e-8 * (1.0 + abs(chk.lhs))
-            cmb = check_sectional_combination_formula(m, p, u)
+            cmb = check_sectional_combination_formula(M, R, u)
             assert cmb.residual <= 1e-8 * (1.0 + abs(cmb.lhs))
-            eq = check_equal_sectional_curvatures(m, p, u)
+            eq = check_equal_sectional_curvatures(M, R, u)
             assert max(eq.residuals) <= 1e-8 * (1.0 + abs(eq.mu_u_qu))
     if refusals == 0:
         print("AC-6 (sectional-curvature relations on the example): PASS")
@@ -277,13 +280,15 @@ def test_ac6_companion_relations_where_identity_holds():
     rng = np.random.default_rng(19)
     for _ in range(10):
         p = random_point(rng, box)
+        M = metric_at(m, p)
+        R = riemann_from_metric(M)
         for _ in range(10):
             u = random_q_basis_vector(rng)
-            chk = check_sectional_difference_formula(m, p, u)
+            chk = check_sectional_difference_formula(M, R, u)
             assert chk.residual <= 1e-8 * (1.0 + abs(chk.lhs))
-            cmb = check_sectional_combination_formula(m, p, u)
+            cmb = check_sectional_combination_formula(M, R, u)
             assert cmb.residual <= 1e-8 * (1.0 + abs(cmb.lhs))
-            eq = check_equal_sectional_curvatures(m, p, u)
+            eq = check_equal_sectional_curvatures(M, R, u)
             assert max(eq.residuals) <= 1e-8 * (1.0 + abs(eq.mu_u_qu))
     print("AC-6 companion (relations hold where the identity holds): PASS")
 

@@ -144,6 +144,50 @@ def test_exit_code_usage_errors(capsys, m5_spec):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "option, argv",
+    [
+        ("--tol", ["check-parallel", "--at", "2,-1,-1", "--tol", "nan"]),
+        ("--tol", ["check-parallel", "--at", "2,-1,-1", "--tol=-1e-9"]),
+        ("--sample", ["riemann", "--sample", "0"]),
+        ("--sample", ["riemann", "--sample", "-2"]),
+        ("--n-vectors", ["verify-theorems", "--at", "2,-1,-1", "--n-vectors", "0"]),
+        ("--at", ["riemann", "--at=nan,0,0"]),
+        ("--at", ["riemann", "--at=inf,-1,-1"]),
+        ("--box", ["riemann", "--sample", "2", "--box=1:inf,-2:-0.1,-2:-0.1"]),
+    ],
+    ids=["tol-nan", "tol-negative", "sample-zero", "sample-negative", "n-vectors-zero",
+         "at-nan", "at-inf", "box-inf"],
+)
+def test_bad_numeric_option_is_usage_error(capsys, m5_spec, option, argv):
+    assert main(argv + ["--spec", m5_spec]) == 2
+    assert f"{option} " in capsys.readouterr().err
+
+
+def test_tol_zero_is_not_replaced_by_default(capsys, m5_spec):
+    code, report = run_json(
+        capsys, ["check-parallel", "--spec", m5_spec, "--at", "2,-1,-1", "--tol", "0"]
+    )
+    assert report["verdicts"]["parallel"]["tol"] == 0.0
+    assert code == 1
+
+
+def test_verify_theorems_builds_one_christoffel_table_per_point(capsys, monkeypatch, parallel_spec):
+    import circulant3.curvature as curvature
+
+    original = curvature.christoffel_from_metric
+    built = []
+
+    def counting(M):
+        built.append(M)
+        return original(M)
+
+    monkeypatch.setattr(curvature, "christoffel_from_metric", counting)
+    assert main(["verify-theorems", "--spec", parallel_spec, "--at", "1,0.7,0.4"]) == 0
+    assert len(built) == 1
+    capsys.readouterr()
+
+
 def test_exit_code_domain_errors(capsys, m5_spec, tmp_path):
     assert main(["riemann", "--spec", m5_spec, "--at", "0,0,0"]) == 3
     free = tmp_path / "noconstraints.toml"
@@ -270,6 +314,19 @@ def test_allow_weak_metric(capsys, tmp_path):
         code = main(["riemann", "--spec", str(weak), "--at", "0,0,0", "--allow-weak-metric"])
     assert code == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["orthobasis", "verify-theorems"])
+def test_weak_metric_refusal_names_the_point(capsys, tmp_path, command):
+    # the metric is positive definite but B < 0, so no q-basis construction exists
+    weak = tmp_path / "weak.toml"
+    weak.write_text('[metric]\nA = "2"\nB = "-0.1 + 0*x1"\n', encoding="utf-8")
+    with pytest.warns(UserWarning):
+        code = main([command, "--spec", str(weak), "--at", "0.5,1,2", "--allow-weak-metric"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "at point (0.5, 1.0, 2.0)" in err
+    assert "nan" not in err
 
 
 def test_nabla_q_command(capsys, m5_spec):

@@ -22,9 +22,10 @@ from circulant3 import (
     metric_compatibility_residual,
     riemann,
     riemann_apply,
+    riemann_from_metric,
     sectional_curvature,
 )
-from circulant3.curvature import COMPONENT_INDEX
+from circulant3.curvature import COMPONENT_INDEX, sampled_q_invariance_residual
 from circulant3.errors import DegeneratePlane, IdentityRNotSatisfied, NotAQBasis
 from circulant3.specfile import builtin_example, example_diagonal_value
 
@@ -259,7 +260,7 @@ def test_example_fails_q_invariance_with_route_agreement():
     R = riemann(builtin_example().metric, P5)
     chk = check_q_invariance(R)
     assert not chk.passed
-    assert not chk.sampled_passed
+    assert not sampled_q_invariance_residual(R, 0, 20) <= chk.threshold
     assert chk.diagonal_residual <= 1e-12
     assert chk.cross_residual > 0.1
 
@@ -267,7 +268,7 @@ def test_example_fails_q_invariance_with_route_agreement():
 def test_flat_manifold_passes_q_invariance():
     R = riemann(MetricFunctions.from_sources("2", "1"), (0.0, 0.0, 0.0))
     chk = check_q_invariance(R)
-    assert chk.passed and chk.sampled_passed
+    assert chk.passed and sampled_q_invariance_residual(R, 0, 20) <= chk.threshold
 
 
 def test_nonflat_parallel_manifold_passes_q_invariance():
@@ -277,7 +278,7 @@ def test_nonflat_parallel_manifold_passes_q_invariance():
         R = riemann(m, random_point(rng, box))
         assert not is_flat(R, 1e-9)
         chk = check_q_invariance(R)
-        assert chk.passed and chk.sampled_passed
+        assert chk.passed and sampled_q_invariance_residual(R, 0, 20) <= chk.threshold
 
 
 def test_q_invariance_routes_agree_on_random_manifolds():
@@ -286,7 +287,7 @@ def test_q_invariance_routes_agree_on_random_manifolds():
         m = random_manifold(rng) if rng.integers(0, 2) else random_parallel_manifold(rng)
         R = riemann(m, random_point(rng))
         chk = check_q_invariance(R)
-        assert chk.passed == chk.sampled_passed
+        assert chk.passed == (sampled_q_invariance_residual(R, 0, 20) <= chk.threshold)
 
 
 def test_q_invariance_routes_agree_on_quadratic_manifold():
@@ -294,7 +295,7 @@ def test_q_invariance_routes_agree_on_quadratic_manifold():
     m = MetricFunctions.from_sources("2 + x1^2 / 10", "1")
     R = riemann(m, (1.0, 0.5, -0.2))
     chk = check_q_invariance(R)
-    assert chk.passed == chk.sampled_passed
+    assert chk.passed == (sampled_q_invariance_residual(R, 0, 20) <= chk.threshold)
 
 
 # -- sectional-curvature relations on q-invariant manifolds ---------------------
@@ -308,7 +309,8 @@ def test_sectional_difference_formula_machine_precision():
         u = rng.standard_normal(3)
         if not induces_q_basis(u):
             continue
-        chk = check_sectional_difference_formula(m, p, u)
+        M = metric_at(m, p)
+        chk = check_sectional_difference_formula(M, riemann_from_metric(M), u)
         assert chk.residual <= 1e-10 * (1.0 + abs(chk.lhs))
 
 
@@ -320,7 +322,8 @@ def test_sectional_combination_formula_machine_precision():
         u = rng.standard_normal(3)
         if not induces_q_basis(u):
             continue
-        chk = check_sectional_combination_formula(m, p, u)
+        M = metric_at(m, p)
+        chk = check_sectional_combination_formula(M, riemann_from_metric(M), u)
         assert chk.residual <= 1e-10 * (1.0 + abs(chk.lhs))
 
 
@@ -332,7 +335,8 @@ def test_equal_sectional_curvatures_on_invariant_manifold():
         u = rng.standard_normal(3)
         if not induces_q_basis(u):
             continue
-        chk = check_equal_sectional_curvatures(m, p, u)
+        M = metric_at(m, p)
+        chk = check_equal_sectional_curvatures(M, riemann_from_metric(M), u)
         r1, r2 = chk.residuals
         assert max(r1, r2) <= 1e-10 * (1.0 + abs(chk.mu_u_qu))
 
@@ -344,25 +348,27 @@ def test_difference_formula_orthonormal_generator_case():
     M = metric_at(m, p)
     x = construct_orthogonal_vector(M.A, M.B)
     x = x / np.sqrt(inner(M, x, x))
-    chk = check_sectional_difference_formula(m, p, x)
+    chk = check_sectional_difference_formula(M, riemann_from_metric(M), x)
     assert abs(chk.lhs) <= 1e-12
     assert abs(chk.rhs) <= 1e-12
 
 
 def test_relation_checks_refuse_without_invariance():
-    m = builtin_example().metric
+    M = metric_at(builtin_example().metric, P5)
+    R = riemann_from_metric(M)
     with pytest.raises(IdentityRNotSatisfied):
-        check_sectional_difference_formula(m, P5, [1.0, 0.0, 0.0])
+        check_sectional_difference_formula(M, R, [1.0, 0.0, 0.0])
     with pytest.raises(IdentityRNotSatisfied):
-        check_sectional_combination_formula(m, P5, [1.0, 0.0, 0.0])
+        check_sectional_combination_formula(M, R, [1.0, 0.0, 0.0])
     with pytest.raises(IdentityRNotSatisfied):
-        check_equal_sectional_curvatures(m, P5, [1.0, 0.0, 0.0])
+        check_equal_sectional_curvatures(M, R, [1.0, 0.0, 0.0])
 
 
 def test_relation_checks_reject_degenerate_vector():
     m, _ = nonflat_parallel()
+    M = metric_at(m, (1.0, 0.7, 0.4))
     with pytest.raises(NotAQBasis):
-        check_sectional_difference_formula(m, (1.0, 0.7, 0.4), [1.0, 1.0, 1.0])
+        check_sectional_difference_formula(M, riemann_from_metric(M), [1.0, 1.0, 1.0])
 
 
 def test_q_transformed_plane_has_equal_sectional_via_apply():
