@@ -25,7 +25,9 @@ from .curvature import (
     check_sectional_difference_formula,
     christoffel_from_metric,
     closed_form_from_metric,
+    components,
     is_flat,
+    max_abs,
     riemann_from_metric,
     sampled_q_invariance_residual,
     sectional_curvature,
@@ -44,7 +46,7 @@ from .errors import (
     SpecFileError,
 )
 from .expressions import eval_value
-from .metric import check_positive_definite, inner, metric_at
+from .metric import check_positive_definite, inner, inside_chart, metric_at, positive
 from .parallelism import (
     christoffel_equalities_from_table,
     nabla_q_from_table,
@@ -56,6 +58,7 @@ from .qstructure import (
     induces_q_basis,
     q_basis_angles,
     q_basis_defect,
+    q_basis_threshold,
 )
 from .sampling import sample_admissible_points
 from .specfile import builtin_example, example_diagonal_value, load_spec
@@ -114,7 +117,7 @@ def _py(obj):
     if isinstance(obj, (list, tuple)):
         return [_py(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [_py(v) for v in obj.tolist()]
+        return _py(obj.tolist())
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (np.floating, float)):
@@ -125,7 +128,7 @@ def _py(obj):
 
 
 def _verdict(passed, residual, tol):
-    return {"pass": bool(passed), "residual": float(residual), "tol": float(tol)}
+    return {"pass": passed, "residual": residual, "tol": tol}
 
 
 def _vector_echo(args):
@@ -138,24 +141,57 @@ def _all_pass(verdicts) -> bool:
     return all(v["pass"] for v in verdicts.values())
 
 
+def _max(values):
+    """Python's max of values, element by element over a batch."""
+    values = list(values)
+    if np.ndim(values[0]) == 0:  # one point
+        return max(values)
+    best = values[0]
+    for v in values[1:]:
+        best = np.where(v > best, v, best)
+    return best
+
+
 # -- command cores ------------------------------------------------------------
-# Each core maps (spec, point, args) to (results, verdicts).
+# Each core maps (spec, p, M, args) to (results, verdicts). p is one point (3,)
+# or a batch (N, 3); the verdicts' pass flags and residuals carry p's batch
+# shape. M is the metric batch at p when the caller has it (a sampled run),
+# else None, and the core builds it when it needs it.
 
 
-def _metric(spec, p, args):
+def _metric(spec, p, M, args):
+    if M is not None:
+        return M
     return metric_at(spec.metric, p, allow_weak=args.allow_weak_metric)
 
 
-def _cmd_validate(spec, p, args):
+def _per_point(point_core):
+    """A core whose logic is per point: runs point_core at each point of a batch."""
+
+    def core(spec, p, M, args):
+        if p.ndim == 1:
+            return point_core(spec, p, M, args)
+        rows = [point_core(spec, q, M[i], args)[1] for i, q in enumerate(p)]
+        verdicts = {
+            name: {key: np.array([row[name][key] for row in rows]) for key in rows[0][name]}
+            for name in rows[0]
+        }
+        return {}, verdicts
+
+    return core
+
+
+@_per_point
+def _cmd_validate(spec, p, M, args):
     A = eval_value(spec.metric.A, p)
     B = eval_value(spec.metric.B, p)
     violations = []
-    if not A > B > 0.0:
+    if not positive(A, B):
         violations.append(f"A > B > 0 fails (A={A!r}, B={B!r})")
     constraints_ok = True
     for c in spec.metric.domain_constraints:
         val = eval_value(c, p)
-        if not val > 0.0:
+        if not inside_chart(val):
             constraints_ok = False
             violations.append(f"constraint '{c.source}' is {val!r} <= 0")
     admissible = not violations
@@ -171,9 +207,10 @@ def _cmd_validate(spec, p, args):
     inv_residual = None
     usable = admissible or (constraints_ok and args.allow_weak_metric and pd.positive_definite)
     if usable:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            M = metric_at(spec.metric, p, allow_weak=True)
+        if M is None:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                M = metric_at(spec.metric, p, allow_weak=True)
         results["g"] = M.g
         inv_residual = float(np.max(np.abs(M.g @ M.g_inv - np.eye(3))))
     verdicts = {
@@ -188,9 +225,8 @@ def _cmd_validate(spec, p, args):
     return results, verdicts
 
 
-def _cmd_christoffel(spec, p, args):
-    M = _metric(spec, p, args)
-    ct = christoffel_from_metric(M)
+def _cmd_christoffel(spec, p, M, args):
+    ct = christoffel_from_metric(_metric(spec, p, M, args))
     results = {
         "gamma": ct.gamma,
         "dgamma_max_abs": float(np.max(np.abs(ct.dgamma))),
@@ -202,8 +238,8 @@ def _cmd_christoffel(spec, p, args):
         for k in range(3):
             e = np.zeros(3)
             e[k] = h
-            gp = christoffel_from_metric(_metric(spec, np.asarray(p) + e, args)).gamma
-            gm = christoffel_from_metric(_metric(spec, np.asarray(p) - e, args)).gamma
+            gp = christoffel_from_metric(_metric(spec, p + e, None, args)).gamma
+            gm = christoffel_from_metric(_metric(spec, p - e, None, args)).gamma
             fd[k] = (gp - gm) / (2 * h)
         residual = float(np.max(np.abs(fd - ct.dgamma)))
         verdicts["fd_consistent"] = _verdict(residual <= 1e-5, residual, 1e-5)
@@ -211,13 +247,11 @@ def _cmd_christoffel(spec, p, args):
 
 
 def _symmetry_verdicts(low, tol):
-    scale = tol * (1.0 + float(np.max(np.abs(low))))
-    anti_ij = float(np.max(np.abs(low + np.einsum("ijkh->jikh", low))))
-    anti_kh = float(np.max(np.abs(low + np.einsum("ijkh->ijhk", low))))
-    pair = float(np.max(np.abs(low - np.einsum("ijkh->khij", low))))
-    bianchi = float(
-        np.max(np.abs(low + np.einsum("ijkh->jkih", low) + np.einsum("ijkh->kijh", low)))
-    )
+    scale = tol * (1.0 + max_abs(low))
+    anti_ij = max_abs(low + np.einsum("...ijkh->...jikh", low))
+    anti_kh = max_abs(low + np.einsum("...ijkh->...ijhk", low))
+    pair = max_abs(low - np.einsum("...ijkh->...khij", low))
+    bianchi = max_abs(low + np.einsum("...ijkh->...jkih", low) + np.einsum("...ijkh->...kijh", low))
     return {
         "antisymmetry_first_pair": _verdict(anti_ij <= scale, anti_ij, scale),
         "antisymmetry_second_pair": _verdict(anti_kh <= scale, anti_kh, scale),
@@ -226,56 +260,49 @@ def _symmetry_verdicts(low, tol):
     }
 
 
-def _components(low):
-    return {name: float(low[i, j, k, h]) for name, (i, j, k, h) in COMPONENT_INDEX.items()}
-
-
-def _cmd_riemann(spec, p, args):
-    M = _metric(spec, p, args)
-    R = riemann_from_metric(M)
-    results = {"components": _components(R.low)}
+def _cmd_riemann(spec, p, M, args):
+    R = riemann_from_metric(_metric(spec, p, M, args))
+    results = {"components": components(R)}
     return results, _symmetry_verdicts(R.low, args.tol)
 
 
-def _cmd_closed_form(spec, p, args):
-    M = _metric(spec, p, args)
-    cf = closed_form_from_metric(M)
+def _cmd_closed_form(spec, p, M, args):
+    cf = closed_form_from_metric(_metric(spec, p, M, args))
     return {"components": cf.as_dict()}, {}
 
 
-def _cmd_compare_curvature(spec, p, args):
-    M = _metric(spec, p, args)
+def _cmd_compare_curvature(spec, p, M, args):
+    M = _metric(spec, p, M, args)
     R = riemann_from_metric(M)
     cf = closed_form_from_metric(M).as_dict()
-    numeric = _components(R.low)
-    scale = max(abs(v) for v in numeric.values())
+    numeric = components(R)
+    scale = _max(abs(v) for v in numeric.values())
     rel = {
         name: abs(cf[name] - numeric[name]) / (1.0 + scale) for name in COMPONENT_INDEX
     }
-    worst = max(rel.values())
+    worst = _max(rel.values())
     results = {"numeric": numeric, "closed_form": cf, "relative_difference": rel}
     verdicts = {"closed_form_matches_numeric": _verdict(worst <= args.tol, worst, args.tol)}
     return results, verdicts
 
 
-def _cmd_sectional(spec, p, args):
+def _cmd_sectional(spec, p, M, args):
     if args.x is None or args.y is None:
         raise UsageError("sectional needs --x and --y plane vectors")
     x = _parse_triple(args.x, "--x")
     y = _parse_triple(args.y, "--y")
-    M = _metric(spec, p, args)
+    M = _metric(spec, p, M, args)
     R = riemann_from_metric(M)
     mu = sectional_curvature(M, R, x, y)
     gram = inner(M, x, x) * inner(M, y, y) - inner(M, x, y) ** 2
     return {"mu": mu, "gram_determinant": gram}, {}
 
 
-def _cmd_angles(spec, p, args):
+def _cmd_angles(spec, p, M, args):
     if args.vector is None:
         raise UsageError("angles needs --vector")
     x = _parse_triple(args.vector, "--vector")
-    M = _metric(spec, p, args)
-    rep = q_basis_angles(M, x)
+    rep = q_basis_angles(_metric(spec, p, M, args), x)
     chain = max(
         abs(rep.cos_phi_x_qx - rep.cos_theta_qx_q2x),
         abs(rep.cos_phi_x_qx + rep.cos_phi_x_q2x),
@@ -291,19 +318,20 @@ def _cmd_angles(spec, p, args):
     return results, {"cosine_chain": _verdict(chain <= 1e-12, chain, 1e-12)}
 
 
-def _cmd_qbasis(spec, p, args):
+def _cmd_qbasis(spec, p, M, args):
     if args.vector is None:
         raise UsageError("qbasis needs --vector")
     x = _parse_triple(args.vector, "--vector")
     defect = q_basis_defect(x)
     ok = induces_q_basis(x)
-    scale = 1e-10 * max(1.0, float(np.linalg.norm(x)) ** 3)
+    scale = q_basis_threshold(x)
     results = {"cubic": defect, "threshold": scale}
     return results, {"induces_q_basis": _verdict(ok, abs(defect), scale)}
 
 
-def _cmd_orthobasis(spec, p, args):
-    M = _metric(spec, p, args)
+@_per_point
+def _cmd_orthobasis(spec, p, M, args):
+    M = _metric(spec, p, M, args)
     x = construct_orthogonal_vector(M.A, M.B)
     qx = apply_q(x)
     q2x = apply_q(qx)
@@ -322,9 +350,9 @@ def _cmd_orthobasis(spec, p, args):
     return results, verdicts
 
 
-def _cmd_check_identity(spec, p, args):
-    M = _metric(spec, p, args)
-    R = riemann_from_metric(M)
+@_per_point
+def _cmd_check_identity(spec, p, M, args):
+    R = riemann_from_metric(_metric(spec, p, M, args))
     chk = check_q_invariance(R, tol=args.tol)
     sampled = sampled_q_invariance_residual(R, args.seed or 0, 20)
     sampled_passed = sampled <= chk.threshold
@@ -343,11 +371,11 @@ def _cmd_check_identity(spec, p, args):
     return results, verdicts
 
 
-def _cmd_check_parallel(spec, p, args):
-    M = _metric(spec, p, args)
+def _cmd_check_parallel(spec, p, M, args):
+    M = _metric(spec, p, M, args)
     ct = christoffel_from_metric(M)
     grad_res = parallel_residual_from_metric(M)
-    grad_norm = float(np.max(np.abs(grad_res)))
+    grad_norm = np.abs(grad_res).max(axis=-1)
     gamma_res = christoffel_equalities_from_table(ct)
     nq_max = nabla_q_from_table(ct).max_abs
     results = {
@@ -356,18 +384,17 @@ def _cmd_check_parallel(spec, p, args):
         "christoffel_equalities_residual": gamma_res,
         "nabla_q_max": nq_max,
     }
-    worst = max(grad_norm, nq_max, gamma_res)
+    worst = _max((grad_norm, nq_max, gamma_res))
     agree = (grad_norm <= args.tol) == (nq_max <= args.tol)
     verdicts = {
         "parallel": _verdict(worst <= args.tol, worst, args.tol),
-        "routes_agree": _verdict(agree, 0.0 if agree else 1.0, 0.5),
+        "routes_agree": _verdict(agree, np.where(agree, 0.0, 1.0), 0.5),
     }
     return results, verdicts
 
 
-def _cmd_nabla_q(spec, p, args):
-    M = _metric(spec, p, args)
-    nq = nabla_q_from_table(christoffel_from_metric(M))
+def _cmd_nabla_q(spec, p, M, args):
+    nq = nabla_q_from_table(christoffel_from_metric(_metric(spec, p, M, args)))
     return {"nabla_q": nq.nq, "max_abs": nq.max_abs}, {}
 
 
@@ -384,13 +411,14 @@ def _random_q_basis_vectors(rng, count):
     raise ConstructionFailed("could not draw q-basis vectors")
 
 
-def _cmd_verify_theorems(spec, p, args):
+@_per_point
+def _cmd_verify_theorems(spec, p, M, args):
     if args.vector is not None:
         vectors = [_parse_triple(args.vector, "--vector")]
     else:
         rng = np.random.default_rng([args.seed or 0, 7])
         vectors = _random_q_basis_vectors(rng, args.n_vectors)
-    M = _metric(spec, p, args)
+    M = _metric(spec, p, M, args)
     R = riemann_from_metric(M)
     worst = {"sectional_difference": 0.0, "sectional_combination": 0.0, "equal_sectional": 0.0}
     for u in vectors:
@@ -408,22 +436,19 @@ def _cmd_verify_theorems(spec, p, args):
     return results, verdicts
 
 
-def _cmd_example_m5(spec, p, args):
-    M = _metric(spec, p, args)
+def _cmd_example_m5(spec, p, M, args):
+    M = _metric(spec, p, M, args)
     R = riemann_from_metric(M)
-    comps = _components(R.low)
+    comps = components(R)
     cf = closed_form_from_metric(M).as_dict()
     formula = example_diagonal_value(p)
     nq_max = nabla_q_from_table(R.christoffel).max_abs
     chk = check_q_invariance(R, tol=args.tol)
 
-    diag = [comps[n] for n in ("R1212", "R1313", "R2323")]
-    diag_residual = max(abs(v - formula) / abs(formula) for v in diag)
-    closed_diag_residual = max(
-        abs(cf[n] - comps[n]) / (1.0 + abs(comps[n])) for n in ("R1212", "R1313", "R2323")
-    )
-    cross = max(abs(comps[n]) for n in ("R1213", "R1323", "R1223"))
-    flat_scale = float(np.max(np.abs(R.low)))
+    diagonal = ("R1212", "R1313", "R2323")
+    diag_residual = _max(abs(comps[n] - formula) / abs(formula) for n in diagonal)
+    closed_diag_residual = _max(abs(cf[n] - comps[n]) / (1.0 + abs(comps[n])) for n in diagonal)
+    cross = _max(abs(comps[n]) for n in ("R1213", "R1323", "R1223"))
     results = {
         "A": M.A,
         "B": M.B,
@@ -438,10 +463,10 @@ def _cmd_example_m5(spec, p, args):
         "closed_form_diagonal_match": _verdict(closed_diag_residual <= 1e-7, closed_diag_residual, 1e-7),
         "cross_components_zero": _verdict(cross < 1e-10, cross, 1e-10),
         "identity_q_invariance": _verdict(
-            chk.passed, max(chk.diagonal_residual, chk.cross_residual), chk.threshold
+            chk.passed, _max((chk.diagonal_residual, chk.cross_residual)), chk.threshold
         ),
         "not_parallel": _verdict(nq_max > 1e-6, nq_max, 1e-6),
-        "not_flat": _verdict(not is_flat(R, 1e-9), flat_scale, 1e-9),
+        "not_flat": _verdict(np.logical_not(is_flat(R, 1e-9)), max_abs(R.low), 1e-9),
     }
     return results, verdicts
 
@@ -481,12 +506,28 @@ def _load_spec(args):
 
 def _run_at(core, spec, point, args):
     try:
-        return core(spec, point, args)
+        return core(spec, point, None, args)
     except PositivityViolation as exc:
         # the basis constructions see only A and B, not the point they refuse
         if np.isnan(exc.point).all():
             raise PositivityViolation(exc.A, exc.B, point) from None
         raise
+
+
+def _summarize(verdicts, n):
+    """Pass counts, worst residuals and tolerances of per-point verdicts over n points."""
+    pass_counts: dict[str, int] = {}
+    max_residuals: dict[str, float] = {}
+    tols: dict[str, float] = {}
+    for name, v in verdicts.items():
+        passed, residuals, tol = (
+            np.broadcast_to(v[key], (n,)).tolist() for key in ("pass", "residual", "tol")
+        )
+        pass_counts[name] = sum(passed)
+        # Python's max from 0.0 in point order: a NaN residual is never the maximum
+        max_residuals[name] = max([0.0, *residuals])
+        tols[name] = max([0.0, *tol])
+    return pass_counts, max_residuals, tols
 
 
 def _run(args):
@@ -511,17 +552,9 @@ def _run(args):
         if box is None:
             raise UsageError("sampling needs [sample] in the spec file or --box")
         seed = args.seed if args.seed is not None else 0
-        points = sample_admissible_points(spec.metric, box, args.sample, seed)
-        pass_counts: dict[str, int] = {}
-        max_residuals: dict[str, float] = {}
-        tols: dict[str, float] = {}
-        for point in points:
-            _, verdicts = _run_at(core, spec, point, args)
-            for name, v in verdicts.items():
-                pass_counts[name] = pass_counts.get(name, 0) + (1 if v["pass"] else 0)
-                max_residuals[name] = max(max_residuals.get(name, 0.0), v["residual"])
-                tols[name] = max(tols.get(name, 0.0), v["tol"])
+        points, M = sample_admissible_points(spec.metric, box, args.sample, seed)
         n = len(points)
+        pass_counts, max_residuals, tols = _summarize(core(spec, points, M, args)[1], n)
         results = {"points_accepted": n, "pass_counts": pass_counts, "max_residuals": max_residuals}
         verdicts = {
             name: _verdict(pass_counts[name] == n, max_residuals[name], tols[name])
@@ -537,6 +570,10 @@ def _run(args):
         else:
             point = None
         results, verdicts = _run_at(core, spec, point, args)
+        verdicts = {
+            name: _verdict(bool(v["pass"]), float(v["residual"]), float(v["tol"]))
+            for name, v in verdicts.items()
+        }
         inputs = {
             "box": None,
             "point": None if point is None else list(point),

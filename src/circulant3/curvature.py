@@ -13,6 +13,13 @@ order and sign being pinned by the built-in example manifold (its
 R_1212 at (2,-1,-1) equals -1/8). This route agrees with independent
 computer-algebra implementations of the Levi-Civita curvature.
 
+christoffel_from_metric, riemann_from_metric, closed_form_from_metric,
+check_q_invariance and is_flat take a metric (or tensor) batch and return
+results with its leading batch shape, () for one point or (N,) for N
+points; the einsums carry the batch as ``...``. The remaining functions
+(sectional curvature, the relation checks, riemann_apply) work at one
+point.
+
 closed_form_components evaluates a set of six reference component
 formulas verbatim. The two routes agree on the built-in example's
 diagonal components yet differ elsewhere (the reference formulas'
@@ -51,7 +58,7 @@ COMPONENT_INDEX = {
 
 @dataclass(frozen=True)
 class ChristoffelTable:
-    """gamma[i,j,h] = Gamma_ij^h and dgamma[k,i,j,h] = d_k Gamma_ij^h."""
+    """gamma[...,i,j,h] = Gamma_ij^h and dgamma[...,k,i,j,h] = d_k Gamma_ij^h."""
 
     gamma: np.ndarray
     dgamma: np.ndarray
@@ -59,7 +66,7 @@ class ChristoffelTable:
 
 @dataclass(frozen=True)
 class CurvatureTensor:
-    """up[i,j,k,h] = R_ijk^h (first slot transported); low = (0,4) tensor."""
+    """up[...,i,j,k,h] = R_ijk^h (first slot transported); low = (0,4) tensor."""
 
     up: np.ndarray
     low: np.ndarray
@@ -67,27 +74,42 @@ class CurvatureTensor:
 
     def component(self, i: int, j: int, k: int, h: int) -> float:
         """Lowered component by 1-based indices."""
-        return float(self.low[i - 1, j - 1, k - 1, h - 1])
+        return self.low[..., i - 1, j - 1, k - 1, h - 1]
 
 
 @dataclass(frozen=True)
 class ClosedFormComponents:
-    R1212: float
-    R1313: float
-    R2323: float
-    R1213: float
-    R1223: float
-    R1323: float
+    R1212: np.ndarray
+    R1313: np.ndarray
+    R2323: np.ndarray
+    R1213: np.ndarray
+    R1223: np.ndarray
+    R1323: np.ndarray
 
-    def as_dict(self) -> dict[str, float]:
+    def as_dict(self) -> dict[str, np.ndarray]:
         return {k: getattr(self, k) for k in COMPONENT_INDEX}
+
+
+def index_first(a: np.ndarray, rank: int) -> np.ndarray:
+    """a with its last rank (tensor index) axes moved in front of its batch axes.
+
+    Indexing the result by all rank indices gives a number for one point
+    and an (N,) array for a batch.
+    """
+    return a.transpose(tuple(range(a.ndim - rank, a.ndim)) + tuple(range(a.ndim - rank)))
+
+
+def components(R: "CurvatureTensor") -> dict[str, np.ndarray]:
+    """The lowered components named in COMPONENT_INDEX, with R's batch shape."""
+    low = index_first(R.low, 4)
+    return {name: low[i, j, k, h] for name, (i, j, k, h) in COMPONENT_INDEX.items()}
 
 
 def _metric_derivatives(M: MetricAtPoint):
     dA, dB = M.A_jet.grad, M.B_jet.grad
     HA, HB = M.A_jet.hess, M.B_jet.hess
-    dg = dA[:, None, None] * _EYE + dB[:, None, None] * (_ONES - _EYE)
-    ddg = HA[:, :, None, None] * _EYE + HB[:, :, None, None] * (_ONES - _EYE)
+    dg = dA[..., None, None] * _EYE + dB[..., None, None] * (_ONES - _EYE)
+    ddg = HA[..., None, None] * _EYE + HB[..., None, None] * (_ONES - _EYE)
     return dg, ddg
 
 
@@ -96,16 +118,20 @@ def christoffel_from_metric(M: MetricAtPoint) -> ChristoffelTable:
     dg, ddg = _metric_derivatives(M)
     ginv = M.g_inv
     # C[i,j,t] = d_i g_tj + d_j g_ti - d_t g_ij
-    C = np.einsum("itj->ijt", dg) + np.einsum("jti->ijt", dg) - np.einsum("tij->ijt", dg)
-    gamma = 0.5 * np.einsum("ijt,th->ijh", C, ginv)
-    dginv = -np.einsum("ab,kbc,cd->kad", ginv, dg, ginv)
+    C = (
+        np.einsum("...itj->...ijt", dg)
+        + np.einsum("...jti->...ijt", dg)
+        - np.einsum("...tij->...ijt", dg)
+    )
+    gamma = 0.5 * np.einsum("...ijt,...th->...ijh", C, ginv)
+    dginv = -np.einsum("...ab,...kbc,...cd->...kad", ginv, dg, ginv)
     dC = (
-        np.einsum("kitj->kijt", ddg)
-        + np.einsum("kjti->kijt", ddg)
-        - np.einsum("ktij->kijt", ddg)
+        np.einsum("...kitj->...kijt", ddg)
+        + np.einsum("...kjti->...kijt", ddg)
+        - np.einsum("...ktij->...kijt", ddg)
     )
     dgamma = 0.5 * (
-        np.einsum("kth,ijt->kijh", dginv, C) + np.einsum("th,kijt->kijh", ginv, dC)
+        np.einsum("...kth,...ijt->...kijh", dginv, C) + np.einsum("...th,...kijt->...kijh", ginv, dC)
     )
     return ChristoffelTable(gamma, dgamma)
 
@@ -118,12 +144,12 @@ def riemann_from_metric(M: MetricAtPoint) -> CurvatureTensor:
     ct = christoffel_from_metric(M)
     gamma, dgamma = ct.gamma, ct.dgamma
     up = (
-        np.einsum("jikh->ijkh", dgamma)
-        - np.einsum("kijh->ijkh", dgamma)
-        + np.einsum("ikt,tjh->ijkh", gamma, gamma)
-        - np.einsum("ijt,tkh->ijkh", gamma, gamma)
+        np.einsum("...jikh->...ijkh", dgamma)
+        - np.einsum("...kijh->...ijkh", dgamma)
+        + np.einsum("...ikt,...tjh->...ijkh", gamma, gamma)
+        - np.einsum("...ijt,...tkh->...ijkh", gamma, gamma)
     )
-    low = np.einsum("kijt,th->ijkh", up, M.g)
+    low = np.einsum("...kijt,...th->...ijkh", up, M.g)
     return CurvatureTensor(up, low, ct)
 
 
@@ -143,9 +169,9 @@ def closed_form_components(m: MetricFunctions, p) -> ClosedFormComponents:
 
 def closed_form_from_metric(M: MetricAtPoint) -> ClosedFormComponents:
     A, B = M.A, M.B
-    A1, A2, A3 = M.A_jet.grad
-    B1, B2, B3 = M.B_jet.grad
-    HA, HB = M.A_jet.hess, M.B_jet.hess
+    A1, A2, A3 = index_first(M.A_jet.grad, 1)
+    B1, B2, B3 = index_first(M.B_jet.grad, 1)
+    HA, HB = index_first(M.A_jet.hess, 2), index_first(M.B_jet.hess, 2)
     A11, A22, A33 = HA[0, 0], HA[1, 1], HA[2, 2]
     A12, A13, A23 = HA[0, 1], HA[0, 2], HA[1, 2]
     B11, B22, B33 = HB[0, 0], HB[1, 1], HB[2, 2]
@@ -195,9 +221,7 @@ def closed_form_from_metric(M: MetricAtPoint) -> ClosedFormComponents:
             + 2 * A3 * (B2 - B3) + (-B1 + B2 + B3) * (B1 - B2 + B3)
         )
     )
-    return ClosedFormComponents(
-        float(R1212), float(R1313), float(R2323), float(R1213), float(R1223), float(R1323)
-    )
+    return ClosedFormComponents(R1212, R1313, R2323, R1213, R1223, R1323)
 
 
 def riemann_apply(R: CurvatureTensor, x, y, z, u) -> float:
@@ -213,24 +237,30 @@ def sectional_curvature(M: MetricAtPoint, R: CurvatureTensor, x, y) -> float:
     gxy = inner(M, x, y)
     den = gxx * gyy - gxy * gxy
     if not den > 1e-12 * gxx * gyy:
-        raise DegeneratePlane(f"vectors {tuple(np.asarray(x, float))} and {tuple(np.asarray(y, float))} span no plane")
+        x, y = (tuple(np.asarray(v, float).tolist()) for v in (x, y))
+        raise DegeneratePlane(f"vectors {x} and {y} span no plane")
     return riemann_apply(R, x, y, x, y) / den
 
 
-def is_flat(R: CurvatureTensor, tol: float) -> bool:
-    """True iff every lowered component is below tol in magnitude."""
-    return bool(np.max(np.abs(R.low)) <= tol)
+def max_abs(low: np.ndarray) -> np.ndarray:
+    """max |low[...,i,j,k,h]| over the tensor indices of a batch of (0,4) tensors."""
+    return np.abs(low).max(axis=(-4, -3, -2, -1))
+
+
+def is_flat(R: CurvatureTensor, tol: float):
+    """Where every lowered component is below tol in magnitude."""
+    return max_abs(R.low) <= tol
 
 
 @dataclass(frozen=True)
 class QInvarianceCheck:
-    """Component verdict of R(qx,qy,qz,qu) = R(x,y,z,u)."""
+    """Component verdict of R(qx,qy,qz,qu) = R(x,y,z,u), with R's batch shape."""
 
-    passed: bool
-    diagonal_residual: float  # spread of R1212, R1313, R2323
-    cross_residual: float  # spread of R1213, R1323, -R1223
-    scale: float  # max |R_ijkh|
-    threshold: float  # tol * (1 + scale), the bound both spreads must meet
+    passed: np.ndarray
+    diagonal_residual: np.ndarray  # spread of R1212, R1313, R2323
+    cross_residual: np.ndarray  # spread of R1213, R1323, -R1223
+    scale: np.ndarray  # max |R_ijkh|
+    threshold: np.ndarray  # tol * (1 + scale), the bound both spreads must meet
 
 
 def check_q_invariance(R: CurvatureTensor, tol: float = 1e-9) -> QInvarianceCheck:
@@ -241,14 +271,14 @@ def check_q_invariance(R: CurvatureTensor, tol: float = 1e-9) -> QInvarianceChec
     signs cancelling; the minus on R_1223 follows from the tensor
     antisymmetries and is confirmed by sampled_q_invariance_residual.)
     """
-    lo = R.low
-    scale = float(np.max(np.abs(lo)))
+    c = components(R)
+    scale = max_abs(R.low)
     threshold = tol * (1.0 + scale)
-    diag = np.array([lo[0, 1, 0, 1], lo[0, 2, 0, 2], lo[1, 2, 1, 2]])
-    cross = np.array([lo[0, 1, 0, 2], lo[0, 2, 1, 2], -lo[0, 1, 1, 2]])
-    diag_res = float(diag.max() - diag.min())
-    cross_res = float(cross.max() - cross.min())
-    passed = diag_res <= threshold and cross_res <= threshold
+    diag = np.array([c["R1212"], c["R1313"], c["R2323"]])
+    cross = np.array([c["R1213"], c["R1323"], -c["R1223"]])
+    diag_res = diag.max(axis=0) - diag.min(axis=0)
+    cross_res = cross.max(axis=0) - cross.min(axis=0)
+    passed = (diag_res <= threshold) & (cross_res <= threshold)
     return QInvarianceCheck(passed, diag_res, cross_res, scale, threshold)
 
 
@@ -294,7 +324,7 @@ def _require_identity_and_basis(R, u, tol, require_identity):
             f"(diagonal spread {check.diagonal_residual:.3e}, cross spread {check.cross_residual:.3e})"
         )
     if not induces_q_basis(u):
-        raise NotAQBasis(f"vector {tuple(np.asarray(u, float))} does not induce a q-basis")
+        raise NotAQBasis(f"vector {tuple(np.asarray(u, float).tolist())} does not induce a q-basis")
 
 
 def check_sectional_difference_formula(

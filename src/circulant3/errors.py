@@ -38,8 +38,8 @@ class PositivityViolation(CirculantError):
     """The standing assumption A > B > 0 fails at the evaluation point."""
 
     def __init__(self, A: float, B: float, point):
-        self.A = A
-        self.B = B
+        self.A = A = float(A)
+        self.B = B = float(B)
         self.point = tuple(float(c) for c in point)
         super().__init__(f"metric positivity A > B > 0 violated: A={A!r}, B={B!r} at point {self.point}")
 

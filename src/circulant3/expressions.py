@@ -15,6 +15,15 @@ multiplication: ``2x1`` is a syntax error.
 Parsed expressions are immutable trees; evaluation over plain floats
 (:func:`eval_value`) and over jets (:func:`eval_jet`) walks the same tree
 with the same scalar primitives, so the value channels agree exactly.
+
+Both evaluators take one point of shape ``(3,)`` or a batch of shape
+``(N, 3)`` and return results with the matching batch shape: a float or
+an ``(N,)`` array of values, a jet of batch shape ``()`` or ``(N,)``. The
+value channel applies the Python ``math`` or float primitive to each
+element (see :mod:`circulant3.jets`), so a batch evaluates bit for bit as
+its points one at a time. A domain error anywhere in a batch raises
+EvalDomainError for the first failing element of the first subexpression
+that fails.
 """
 
 from __future__ import annotations
@@ -287,11 +296,11 @@ def to_source(node) -> str:
 
 
 def as_point(p) -> np.ndarray:
-    """Validate and convert a point to a float array of shape (3,)."""
+    """Validate and convert a point (3,) or a batch of points (N, 3) to a float array."""
     arr = np.asarray(p, dtype=float)
-    if arr.shape != (3,):
+    if arr.ndim not in (1, 2) or arr.shape[-1] != 3:
         raise ValueError(f"point must have 3 coordinates, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"point has non-finite coordinates: {arr!r}")
     return arr
 
@@ -333,25 +342,30 @@ def _eval(expr: ScalarFieldExpr, node: Node, coords):
                 return left - right
             if node.op == "*":
                 return left * right
-            return left / right
+            return jets.divide(left, right)
         raise TypeError(f"not an expression node: {node!r}")
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise EvalDomainError(str(exc), _node_source(expr, node)) from exc
 
 
-def eval_value(f: ScalarFieldExpr, p) -> float:
-    """Evaluate f at p with IEEE double semantics."""
-    coords = tuple(float(c) for c in as_point(p))
-    return float(_eval(f, f.root, coords))
+def eval_value(f: ScalarFieldExpr, p):
+    """Evaluate f at p with IEEE double semantics: a float, or an (N,) array for (N, 3) points."""
+    pt = as_point(p)
+    if pt.ndim == 1:
+        return float(_eval(f, f.root, tuple(pt.tolist())))
+    with np.errstate(all="ignore"):
+        out = _eval(f, f.root, tuple(pt.T))
+    return np.full(len(pt), out)
 
 
 def eval_jet(f: ScalarFieldExpr, p) -> Jet2:
-    """Evaluate f at p together with its exact gradient and Hessian."""
+    """Evaluate f at p, shape (3,) or (N, 3), together with its exact gradient and Hessian."""
     pt = as_point(p)
     coords = tuple(jets.variable(i, pt) for i in (1, 2, 3))
-    out = _eval(f, f.root, coords)
+    with np.errstate(all="ignore"):
+        out = _eval(f, f.root, coords)
     if not isinstance(out, Jet2):  # constant expression
-        out = jets.constant(out)
-    if not (np.isfinite(out.value) and np.all(np.isfinite(out.grad)) and np.all(np.isfinite(out.hess))):
+        out = jets.constant(out, pt.shape[:-1])
+    if not (np.isfinite(out.value).all() and np.isfinite(out.grad).all() and np.isfinite(out.hess).all()):
         raise EvalDomainError("jet evaluation produced non-finite entries", _node_source(f, f.root))
     return out

@@ -1,23 +1,68 @@
-"""Second-order forward-mode jets in three variables.
+"""Second-order forward-mode jets in three variables, over a batch of points.
 
 A :class:`Jet2` carries the value, gradient and Hessian of a scalar field
-at a point, i.e. its truncated second-order Taylor expansion. Arithmetic
-on jets propagates derivatives exactly (to rounding); no finite
-differencing is involved anywhere.
+at every point of a batch, i.e. its truncated second-order Taylor
+expansion (Taylor-mode forward propagation; Griewank & Walther,
+*Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13). The shapes are
+``value (...)``, ``grad (..., 3)`` and ``hess (..., 3, 3)``, where ``...``
+is the batch shape: ``()`` for one point, ``(N,)`` for N points. Every
+operation works element by element, so the jets of a batch equal, bit for
+bit, those of its points evaluated one at a time. No finite differencing
+is involved anywhere.
 
-The scalar (value) channel of every operation performs the *same*
-floating-point primitives as a plain-number evaluation would, so jet
-evaluation and plain evaluation of one expression agree bit-for-bit.
+The value channel performs the *same* floating-point primitives as a
+plain-number evaluation: IEEE arithmetic, and for sqrt, exp, log, sin, cos
+and ``**`` the Python ``math`` or float function applied to each element
+(numpy's exp and log differ from ``math`` in the last bit on some inputs).
+A domain error raises what that primitive raises at the first failing
+element (ValueError, ZeroDivisionError or OverflowError, with the same
+message), and a division by zero raises ZeroDivisionError as float
+division does. So jet evaluation and plain evaluation of one expression
+agree bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 Scalar = (int, float)
+
+
+def _apply(fn, x):
+    """fn on a float, or on each element of an array as a Python float."""
+    if not isinstance(x, np.ndarray):
+        return fn(x)
+    if x.ndim == 0:
+        return np.asarray(fn(x.item()), dtype=float)
+    return np.array([fn(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
+
+
+def _div(a, b):
+    """a / b, raising ZeroDivisionError where any divisor is zero."""
+    if (b == 0.0).any() if isinstance(b, np.ndarray) else b == 0.0:
+        raise ZeroDivisionError("float division by zero")
+    return a / b
+
+
+def _first(values: np.ndarray, bad: np.ndarray) -> float:
+    """The first element of values where bad holds."""
+    return values[bad].flat[0].item()
+
+
+def _g(v):
+    """A batch of scalars shaped to scale gradients (..., 3)."""
+    return v[..., None]
+
+
+def _h(v):
+    """A batch of scalars shaped to scale Hessians (..., 3, 3)."""
+    return v[..., None, None]
+
+
+def _outer(a, b):
+    return a[..., :, None] * b[..., None, :]
 
 
 def _pow_value(v: float, r: float) -> float:
@@ -28,23 +73,36 @@ def _pow_value(v: float, r: float) -> float:
     return math.exp(r * math.log(v))
 
 
-@dataclass(frozen=True)
+def _int_pow_taylor(v: float, n: int) -> tuple[float, float, float]:
+    """v**n and its first two derivatives in v, with float pow semantics."""
+    val = v ** n  # ZeroDivisionError for v == 0, n < 0
+    if v == 0.0:
+        return val, (1.0 if n == 1 else 0.0), (2.0 if n == 2 else 0.0)
+    return val, n * v ** (n - 1), n * (n - 1) * v ** (n - 2)
+
+
 class Jet2:
-    """Value, gradient and symmetric Hessian of a scalar field at a point."""
+    """Value, gradient and symmetric Hessian of a scalar field over a batch of points."""
 
-    value: float
-    grad: np.ndarray = field(repr=False)
-    hess: np.ndarray = field(repr=False)
+    __slots__ = ("value", "grad", "hess")
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", float(self.value))
-        g = np.asarray(self.grad, dtype=float)
-        h = np.asarray(self.hess, dtype=float)
-        if g.shape != (3,) or h.shape != (3, 3):
-            raise ValueError("Jet2 needs a 3-gradient and a 3x3 Hessian")
-        object.__setattr__(self, "grad", g)
+    def __init__(self, value, grad, hess):
+        v = np.asarray(value, dtype=float)
+        g = np.asarray(grad, dtype=float)
+        h = np.asarray(hess, dtype=float)
+        if g.shape != v.shape + (3,) or h.shape != v.shape + (3, 3):
+            raise ValueError(
+                "Jet2 needs value (...), grad (..., 3) and hess (..., 3, 3); "
+                f"got {v.shape}, {g.shape} and {h.shape}"
+            )
+        self.value = v
+        self.grad = g
         # exact when h is already symmetric: (x + x)/2 == x
-        object.__setattr__(self, "hess", (h + h.T) / 2.0)
+        self.hess = (h + h.swapaxes(-1, -2)) / 2.0
+
+    def __getitem__(self, index):
+        """The jets at part of the batch."""
+        return Jet2(self.value[index], self.grad[index], self.hess[index])
 
     # -- ring operations ---------------------------------------------------
 
@@ -76,11 +134,11 @@ class Jet2:
         if isinstance(other, Jet2):
             return Jet2(
                 self.value * other.value,
-                self.value * other.grad + other.value * self.grad,
-                self.value * other.hess
-                + other.value * self.hess
-                + np.outer(self.grad, other.grad)
-                + np.outer(other.grad, self.grad),
+                _g(self.value) * other.grad + _g(other.value) * self.grad,
+                _h(self.value) * other.hess
+                + _h(other.value) * self.hess
+                + _outer(self.grad, other.grad)
+                + _outer(other.grad, self.grad),
             )
         if isinstance(other, Scalar):
             return Jet2(self.value * other, self.grad * other, self.hess * other)
@@ -91,112 +149,121 @@ class Jet2:
     def __truediv__(self, other):
         if isinstance(other, Jet2):
             v = other.value
-            # float division raises ZeroDivisionError on its own for v == 0
-            val = self.value / v
-            grad = (self.grad * v - self.value * other.grad) / (v * v)
+            val = _div(self.value, v)
+            v2 = v * v
+            grad = (self.grad * _g(v) - _g(self.value) * other.grad) / _g(v2)
             hess = (
-                self.hess / v
-                - self.value * other.hess / (v * v)
-                - (np.outer(self.grad, other.grad) + np.outer(other.grad, self.grad)) / (v * v)
-                + 2.0 * self.value * np.outer(other.grad, other.grad) / (v * v * v)
+                self.hess / _h(v)
+                - _h(self.value) * other.hess / _h(v2)
+                - (_outer(self.grad, other.grad) + _outer(other.grad, self.grad)) / _h(v2)
+                + _h(2.0 * self.value) * _outer(other.grad, other.grad) / _h(v2 * v)
             )
             return Jet2(val, grad, hess)
         if isinstance(other, Scalar):
-            return Jet2(self.value / other, self.grad / other, self.hess / other)
+            return Jet2(_div(self.value, other), self.grad / other, self.hess / other)
         return NotImplemented
 
     def __rtruediv__(self, other):
         if isinstance(other, Scalar):
             v = self.value
-            val = other / v
-            return _lift(self, val, -other / (v * v), 2.0 * other / (v * v * v))
+            val = _div(other, v)
+            return _lift(self, val, _div(-other, v * v), _div(2.0 * other, v * v * v))
         return NotImplemented
 
     def __pow__(self, r):
         if not isinstance(r, Scalar):
             return NotImplemented
         r = float(r)
-        v = self.value
         if r.is_integer():
             n = int(r)
-            val = v ** n  # ZeroDivisionError for v == 0, n < 0
-            if v == 0.0:
-                d1 = 1.0 if n == 1 else 0.0
-                d2 = 2.0 if n == 2 else 0.0
-            else:
-                d1 = n * v ** (n - 1)
-                d2 = n * (n - 1) * v ** (n - 2)
-            return _lift(self, val, d1, d2)
+            taylor = [_int_pow_taylor(v, n) for v in self.value.ravel().tolist()]
+            f = np.array(taylor, dtype=float).reshape(self.value.shape + (3,))
+            return _lift(self, f[..., 0], f[..., 1], f[..., 2])
         # real exponent: compose exp(r * log(.)) so the value channel matches
         # _pow_value exactly
         return exp(r * log(self))
 
 
-def constant(c: float) -> Jet2:
-    """Jet of a constant field."""
-    return Jet2(float(c), np.zeros(3), np.zeros((3, 3)))
+def constant(c: float, shape: tuple[int, ...] = ()) -> Jet2:
+    """Jet of a constant field over a batch of the given shape."""
+    return Jet2(np.full(shape, float(c)), np.zeros(shape + (3,)), np.zeros(shape + (3, 3)))
 
 
 def variable(i: int, p) -> Jet2:
-    """Jet of the i-th coordinate function (i in 1..3) at point p."""
+    """Jet of the i-th coordinate function (i in 1..3) at p, shape (3,) or (N, 3)."""
     if i not in (1, 2, 3):
         raise ValueError(f"coordinate index {i} out of range 1..3")
     p = np.asarray(p, dtype=float)
-    grad = np.zeros(3)
-    grad[i - 1] = 1.0
-    return Jet2(p[i - 1], grad, np.zeros((3, 3)))
+    shape = p.shape[:-1]
+    grad = np.zeros(shape + (3,))
+    grad[..., i - 1] = 1.0
+    return Jet2(p[..., i - 1], grad, np.zeros(shape + (3, 3)))
 
 
-def _lift(j: Jet2, f0: float, f1: float, f2: float) -> Jet2:
+def concatenate(parts) -> Jet2:
+    """One jet over the joined 1-d batches of parts."""
+    return Jet2(*(np.concatenate([getattr(j, k) for j in parts]) for k in Jet2.__slots__))
+
+
+def _lift(j: Jet2, f0, f1, f2) -> Jet2:
     """Compose a scalar function (value f0, derivatives f1, f2 at j.value) with j."""
-    return Jet2(f0, f1 * j.grad, f1 * j.hess + f2 * np.outer(j.grad, j.grad))
+    return Jet2(f0, _g(f1) * j.grad, _h(f1) * j.hess + _h(f2) * _outer(j.grad, j.grad))
 
 
-# -- scalar functions usable on floats and jets alike ------------------------
+# -- scalar functions usable on floats, arrays and jets alike ----------------
+
+
+def divide(a, b):
+    """a / b; a zero divisor raises ZeroDivisionError, as float division does."""
+    if isinstance(a, Jet2) or isinstance(b, Jet2):
+        return a / b
+    return _div(a, b)
 
 
 def sqrt(x):
     if isinstance(x, Jet2):
         v = x.value
-        if v <= 0.0:
-            raise ValueError(f"sqrt of a jet requires a positive value, got {v!r}")
-        s = math.sqrt(v)
-        return _lift(x, s, 0.5 / s, -0.25 / (s * v))
-    return math.sqrt(x)
+        bad = v <= 0.0
+        if bad.any():
+            raise ValueError(f"sqrt of a jet requires a positive value, got {_first(v, bad)!r}")
+        s = _apply(math.sqrt, v)
+        return _lift(x, s, _div(0.5, s), _div(-0.25, s * v))
+    return _apply(math.sqrt, x)
 
 
 def exp(x):
     if isinstance(x, Jet2):
-        e = math.exp(x.value)
+        e = _apply(math.exp, x.value)
         return _lift(x, e, e, e)
-    return math.exp(x)
+    return _apply(math.exp, x)
 
 
 def log(x):
     if isinstance(x, Jet2):
         v = x.value
-        if v <= 0.0:
-            raise ValueError(f"log of a jet requires a positive value, got {v!r}")
-        return _lift(x, math.log(v), 1.0 / v, -1.0 / (v * v))
-    return math.log(x)
+        bad = v <= 0.0
+        if bad.any():
+            raise ValueError(f"log of a jet requires a positive value, got {_first(v, bad)!r}")
+        return _lift(x, _apply(math.log, v), _div(1.0, v), _div(-1.0, v * v))
+    return _apply(math.log, x)
 
 
 def sin(x):
     if isinstance(x, Jet2):
-        s, c = math.sin(x.value), math.cos(x.value)
+        s, c = _apply(math.sin, x.value), _apply(math.cos, x.value)
         return _lift(x, s, c, -s)
-    return math.sin(x)
+    return _apply(math.sin, x)
 
 
 def cos(x):
     if isinstance(x, Jet2):
-        s, c = math.sin(x.value), math.cos(x.value)
+        s, c = _apply(math.sin, x.value), _apply(math.cos, x.value)
         return _lift(x, c, -s, -c)
-    return math.cos(x)
+    return _apply(math.cos, x)
 
 
 def power(x, r: float):
-    """x**r for a float or jet x; integer r admits non-positive bases."""
+    """x**r for a float, array or jet x; integer r admits non-positive bases."""
     if isinstance(x, Jet2):
         return x ** r
-    return _pow_value(x, r)
+    return _apply(lambda v: _pow_value(v, r), x)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import ChristoffelTable, _metric_derivatives, christoffel_from_metric
+from .curvature import ChristoffelTable, _metric_derivatives, christoffel_from_metric, index_first
 from .metric import MetricFunctions, metric_at
 from .qstructure import Q_MATRIX
 
@@ -40,20 +40,20 @@ CHRISTOFFEL_EQUALITY_PAIRS = (
 
 @dataclass(frozen=True)
 class NablaQTensor:
-    """nq[i,j,h] = nabla_i q_j^h."""
+    """nq[...,i,j,h] = nabla_i q_j^h."""
 
     nq: np.ndarray
 
     @property
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.nq)))
+    def max_abs(self) -> np.ndarray:
+        return np.abs(self.nq).max(axis=(-3, -2, -1))
 
 
 def nabla_q_from_table(ct: ChristoffelTable) -> NablaQTensor:
     gamma = ct.gamma
     Q = Q_MATRIX.astype(float)
     # q components: (qx)^h = Q[h,t] x^t, so q_j^t = Q[t,j]
-    nq = np.einsum("ith,tj->ijh", gamma, Q) - np.einsum("ijt,ht->ijh", gamma, Q)
+    nq = np.einsum("...ith,tj->...ijh", gamma, Q) - np.einsum("...ijt,ht->...ijh", gamma, Q)
     return NablaQTensor(nq)
 
 
@@ -71,11 +71,12 @@ def parallel_condition_residual(m: MetricFunctions, p) -> np.ndarray:
     return parallel_residual_from_metric(metric_at(m, p))
 
 
-def christoffel_equalities_from_table(ct: ChristoffelTable) -> float:
-    gamma = ct.gamma
+def christoffel_equalities_from_table(ct: ChristoffelTable) -> np.ndarray:
+    gamma = index_first(ct.gamma, 3)
     worst = 0.0
     for (i1, j1, h1), (i2, j2, h2) in CHRISTOFFEL_EQUALITY_PAIRS:
-        worst = max(worst, abs(gamma[i1 - 1, j1 - 1, h1 - 1] - gamma[i2 - 1, j2 - 1, h2 - 1]))
+        # fmax, like max(worst, .), keeps worst where the deviation is NaN
+        worst = np.fmax(worst, abs(gamma[i1 - 1, j1 - 1, h1 - 1] - gamma[i2 - 1, j2 - 1, h2 - 1]))
     return worst
 
 

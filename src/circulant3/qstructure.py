@@ -38,17 +38,38 @@ def isometry_residual(M: MetricAtPoint, x, y) -> float:
     return abs(inner(M, apply_q(x), apply_q(y)) - inner(M, x, y))
 
 
+def _too_large(x) -> NotAQBasis:
+    return NotAQBasis(f"vector {tuple(x.tolist())} is too large for the q-basis test: its cubes overflow")
+
+
 def q_basis_defect(x) -> float:
-    """The cubic 3 x1 x2 x3 - (x1^3 + x2^3 + x3^3), whose vanishing kills the q-basis."""
-    x1, x2, x3 = (float(c) for c in np.asarray(x, dtype=float))
-    return 3.0 * x1 * x2 * x3 - (x1**3 + x2**3 + x3**3)
+    """The cubic 3 x1 x2 x3 - (x1^3 + x2^3 + x3^3), whose vanishing kills the q-basis.
+
+    Raises NotAQBasis when a cube overflows.
+    """
+    x = np.asarray(x, dtype=float)
+    x1, x2, x3 = x.tolist()
+    try:
+        return 3.0 * x1 * x2 * x3 - (x1**3 + x2**3 + x3**3)
+    except OverflowError:
+        raise _too_large(x) from None
+
+
+def q_basis_threshold(x) -> float:
+    """Q_BASIS_EPS * max(1, |x|^3), the bound |q_basis_defect(x)| must exceed.
+
+    Raises NotAQBasis when |x|^3 overflows.
+    """
+    x = np.asarray(x, dtype=float)
+    try:
+        return Q_BASIS_EPS * max(1.0, float(np.linalg.norm(x)) ** 3)
+    except OverflowError:
+        raise _too_large(x) from None
 
 
 def induces_q_basis(x) -> bool:
     """True iff {x, qx, q^2 x} spans the tangent space (cubic criterion)."""
-    x = np.asarray(x, dtype=float)
-    scale = max(1.0, float(np.linalg.norm(x)) ** 3)
-    return abs(q_basis_defect(x)) > Q_BASIS_EPS * scale
+    return abs(q_basis_defect(x)) > q_basis_threshold(x)
 
 
 def vector_invariants(x) -> tuple[float, float]:
@@ -96,7 +117,7 @@ def q_basis_angles(M: MetricAtPoint, x) -> AngleReport:
     """
     x = np.asarray(x, dtype=float)
     if not induces_q_basis(x):
-        raise NotAQBasis(f"vector {tuple(x)} does not induce a q-basis (cubic criterion)")
+        raise NotAQBasis(f"vector {tuple(x.tolist())} does not induce a q-basis (cubic criterion)")
     qx = apply_q(x)
     q2x = apply_q(qx)
     gxx = inner(M, x, x)

@@ -63,7 +63,8 @@ SPOT = np.array([2.0, -1.0, -1.0])
 
 def _example_points(n=25, seed=2024):
     spec = builtin_example()
-    return sample_admissible_points(spec.metric, spec.sample_box, n, seed)
+    points, _ = sample_admissible_points(spec.metric, spec.sample_box, n, seed)
+    return points
 
 
 # ---------------------------------------------------------------- AC-1 --

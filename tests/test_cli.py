@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -334,3 +335,75 @@ def test_nabla_q_command(capsys, m5_spec):
     assert code == 0
     assert report["results"]["max_abs"] == 0.625
     assert report["verdicts"] == {}
+
+
+# The benchmark's generic and q-parallel manifolds and boxes. The golden
+# files of their sampled runs are reference outputs: never regenerate them.
+GENERIC_SPEC = '''
+name = "generic"
+[metric]
+A = "3 + x1^2/5 + exp(x3)/7"
+B = "1 + sin(x2)/4 + x1*x3/9"
+'''
+
+PARALLEL_BENCH_SPEC = '''
+name = "parallel"
+[metric]
+A = "4*x1 + 2*x2 + 20"
+B = "x1 + 2*x2 + 3*x3 + 5"
+'''
+
+
+@pytest.mark.parametrize(
+    "spec_text, argv, golden",
+    [
+        (GENERIC_SPEC, ["riemann", "--sample", "40", "--seed", "3", "--box=-6:6,-1:1,-6:6"],
+         "riemann_generic_sample40_seed3.json"),
+        (PARALLEL_BENCH_SPEC, ["verify-theorems", "--sample", "4", "--seed", "3", "--box=-1:1,-1:1,-1:1"],
+         "verify_theorems_parallel_sample4_seed3.json"),
+    ],
+    ids=["riemann-generic", "verify-theorems-parallel"],
+)
+def test_sampled_golden_json(capsys, tmp_path, spec_text, argv, golden):
+    spec = tmp_path / "spec.toml"
+    spec.write_text(spec_text, encoding="utf-8")
+    code = main(argv[:1] + ["--spec", str(spec)] + argv[1:] + ["--json"])
+    assert capsys.readouterr().out == (DATA / golden).read_text(encoding="utf-8")
+    assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["qbasis", "--vector=1e200,0,1"],
+        ["angles", "--spec", "{generic}", "--at=0.1,0.2,0.3", "--vector=1e200,0,1"],
+    ],
+    ids=["qbasis", "angles"],
+)
+def test_overflowing_vector_is_usage_error(capsys, tmp_path, argv):
+    spec = tmp_path / "generic.toml"
+    spec.write_text(GENERIC_SPEC, encoding="utf-8")
+    assert main([a.format(generic=spec) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error ({argv[0]}): vector (1e+200, 0.0, 1.0) is too large for the q-basis test")
+
+
+def test_error_messages_print_plain_numbers(capsys, tmp_path):
+    spec = tmp_path / "generic.toml"
+    spec.write_text(GENERIC_SPEC, encoding="utf-8")
+    weak = tmp_path / "weak.toml"
+    weak.write_text('[metric]\nA = "2"\nB = "-0.1 + 0*x1"\n', encoding="utf-8")
+    at = ["--spec", str(spec), "--at=0.1,0.2,0.3"]
+    failing = [
+        ["angles", *at, "--vector=0,0,0"],  # NotAQBasis
+        ["verify-theorems", *at, "--vector=1,1,1"],  # NotAQBasis from the relation checks
+        ["sectional", *at, "--x=1,0,0", "--y=2,0,0"],  # DegeneratePlane
+        ["orthobasis", "--spec", str(weak), "--at=0.5,1,2", "--allow-weak-metric"],
+    ]
+    for argv in failing:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(argv) != 0
+        err = capsys.readouterr().err
+        assert err.startswith(f"error ({argv[0]}): ")
+        assert not [line for line in err.splitlines() if "np.float64" in line], err

@@ -25,8 +25,9 @@ from circulant3 import (
     riemann_from_metric,
     sectional_curvature,
 )
-from circulant3.curvature import COMPONENT_INDEX, sampled_q_invariance_residual
+from circulant3.curvature import COMPONENT_INDEX, closed_form_from_metric, sampled_q_invariance_residual
 from circulant3.errors import DegeneratePlane, IdentityRNotSatisfied, NotAQBasis
+from circulant3.parallelism import nabla_q_from_table, parallel_residual_from_metric
 from circulant3.specfile import builtin_example, example_diagonal_value
 
 from helpers import random_manifold, random_parallel_manifold, random_point
@@ -381,3 +382,33 @@ def test_q_transformed_plane_has_equal_sectional_via_apply():
     mu1 = sectional_curvature(M, R, u, apply_q(u))
     mu2 = sectional_curvature(M, R, apply_q(u), apply_q(apply_q(u)))
     assert abs(mu1 - mu2) <= 1e-12 * (1.0 + abs(mu1))
+
+
+def test_batch_curvature_equals_point_by_point_bit_for_bit():
+    rng = np.random.default_rng(47)
+    for m in [random_manifold(rng) for _ in range(6)] + [random_parallel_manifold(rng) for _ in range(2)]:
+        pts = np.array([random_point(rng) for _ in range(9)])
+        M = metric_at(m, pts)
+        R = riemann_from_metric(M)
+        chk = check_q_invariance(R)
+        cf = closed_form_from_metric(M).as_dict()
+        grad_res = parallel_residual_from_metric(M)
+        nq = nabla_q_from_table(R.christoffel).nq
+        for i, p in enumerate(pts):
+            Mi = metric_at(m, p)
+            Ri = riemann_from_metric(Mi)
+            for batch, single in [
+                (M.g, Mi.g), (M.g_inv, Mi.g_inv), (M.D, Mi.D),
+                (R.christoffel.gamma, Ri.christoffel.gamma),
+                (R.christoffel.dgamma, Ri.christoffel.dgamma),
+                (R.up, Ri.up), (R.low, Ri.low),
+                (grad_res, parallel_residual_from_metric(Mi)),
+                (nq, nabla_q_from_table(Ri.christoffel).nq),
+            ]:
+                assert batch[i].tobytes() == np.asarray(single).tobytes()
+            chk_i = check_q_invariance(Ri)
+            assert chk.passed[i] == chk_i.passed
+            assert chk.diagonal_residual[i] == chk_i.diagonal_residual
+            assert chk.cross_residual[i] == chk_i.cross_residual
+            for name, value in closed_form_from_metric(Mi).as_dict().items():
+                assert cf[name][i] == value

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -167,3 +169,68 @@ def test_non_finite_point_rejected():
         eval_value(parse("x1"), (float("nan"), 0.0, 0.0))
     with pytest.raises(ValueError):
         eval_value(parse("x1"), (1.0, 2.0))
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_batch_evaluation_equals_single_points_bit_for_bit():
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        expr = parse(random_expression(rng))
+        pts = rng.uniform(-1.0, 1.0, size=(17, 3))
+        batch = eval_jet(expr, pts)
+        values = eval_value(expr, pts)
+        assert batch.value.shape == (17,) and batch.grad.shape == (17, 3)
+        for i, p in enumerate(pts):
+            single = eval_jet(expr, p)
+            assert _same_bits(batch.value[i], single.value)
+            assert _same_bits(batch.grad[i], single.grad)
+            assert _same_bits(batch.hess[i], single.hess)
+            assert _same_bits(values[i], eval_value(expr, p))
+
+
+def test_batch_evaluation_of_every_primitive_and_constant_fields():
+    pts = np.array([[0.7, -1.3, 2.0], [3.1, 0.2, 0.5], [1e-3, 4.0, 1e-9]])
+    for src in ("sqrt(x1) * x2^3 - x3^-2.5 * 0 + exp(x2) / (2 + x3^2)",
+                "log(x1) / cos(x3) + sin(x1*x2) - x2^-1", "2.5", "sqrt(2) * 3"):
+        expr = parse(src)
+        batch = eval_jet(expr, pts)
+        values = eval_value(expr, pts)
+        for i, p in enumerate(pts):
+            single = eval_jet(expr, p)
+            assert _same_bits(batch.value[i], single.value), src
+            assert _same_bits(batch.grad[i], single.grad), src
+            assert _same_bits(batch.hess[i], single.hess), src
+            assert _same_bits(values[i], eval_value(expr, p)), src
+
+
+@pytest.mark.parametrize(
+    "src, x1",
+    [("sqrt(x1)", -1.0), ("log(x1)", 0.0), ("1 / x1", 0.0), ("x1^-1", 0.0), ("x1^-2.5", -1.0),
+     ("exp(x1 * 1000)", 1.0)],
+)
+def test_batch_domain_error_matches_the_failing_point(src, x1):
+    expr = parse(src)
+    good = np.array([0.5, 0.0, 0.0])
+    bad = np.array([x1, 0.0, 0.0])
+    for evaluate in (eval_jet, eval_value):
+        with pytest.raises(EvalDomainError) as single:
+            evaluate(expr, bad)
+        with pytest.raises(EvalDomainError) as batch:
+            evaluate(expr, np.array([good, bad, good]))
+        assert str(batch.value) == str(single.value)
+        assert type(batch.value.__cause__) is type(single.value.__cause__)
+
+
+def test_batch_evaluation_emits_no_numpy_warnings():
+    pts = np.array([[1e300, 1e-320, 1.0], [2.0, 3.0, 1e-200]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not np.isfinite(eval_value(parse("x1 * x1 - x1 * x1 / x2"), pts)).all()
+        with pytest.raises(EvalDomainError):
+            eval_jet(parse("x1 * x1"), pts)
+        with pytest.raises(EvalDomainError):
+            eval_jet(parse("x1 / x3"), pts)

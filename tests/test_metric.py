@@ -1,4 +1,4 @@
-"""Circulant metric assembly, positivity and inner products."""
+"""Circulant metric assembly, admissibility, positivity, inner products and sampling."""
 
 from __future__ import annotations
 
@@ -12,8 +12,10 @@ from circulant3 import (
     check_positive_definite,
     inner,
     metric_at,
+    sample_admissible_points,
 )
-from circulant3.errors import DomainViolation, PositivityViolation
+from circulant3.errors import CirculantError, DomainViolation, PositivityViolation, SamplingExhausted
+from circulant3.sampling import MAX_DRAW_FACTOR, is_admissible
 from circulant3.specfile import builtin_example
 
 from helpers import random_admissible_AB, random_manifold, random_point
@@ -124,3 +126,90 @@ def test_allow_weak_metric():
     bad = MetricFunctions.from_sources("1", "2")
     with pytest.raises(PositivityViolation):
         metric_at(bad, (0.0, 0.0, 0.0), allow_weak=True)
+
+
+def test_metric_at_batch_raises_like_its_first_failing_point():
+    # c1 guards the log in c2 and in A; B > 0 fails for x3 < -9
+    m = MetricFunctions.from_sources("5 + log(x1)", "1 + x3/9", ("x1", "log(x1) + 2"))
+    good = [1.0, 0.0, 0.0]
+    cases = [
+        [good, [1.0, 0.0, -10.0], [-1.0, 0.0, 0.0]],  # PositivityViolation before a DomainViolation
+        [good, [-1.0, 0.0, 0.0], [1.0, 0.0, -10.0]],  # DomainViolation of the guard, not a log error
+        [good, [0.01, 0.0, 0.0], [-1.0, 0.0, 0.0]],  # DomainViolation of the second constraint
+    ]
+    for pts in cases:
+        first_bad = np.array(pts[1])
+        with pytest.raises(CirculantError) as single:
+            metric_at(m, first_bad)
+        with pytest.raises(CirculantError) as batch:
+            metric_at(m, np.array(pts))
+        assert type(batch.value) is type(single.value)
+        assert str(batch.value) == str(single.value)
+    M = metric_at(m, np.array([good, [2.0, 1.0, 3.0]]))
+    assert M.g.shape == (2, 3, 3) and M.D.shape == (2,)
+
+
+def test_metric_at_batch_admits_weak_points_with_a_warning():
+    m = MetricFunctions.from_sources("2", "-0.5 + 0*x1")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        M = metric_at(m, np.zeros((2, 3)), allow_weak=True)
+        single = metric_at(m, np.zeros(3), allow_weak=True)
+    assert len(caught) == 3 and "positive definite" in str(caught[0].message)
+    assert np.array_equal(M.g[1], single.g)
+
+
+# -- rejection sampling: batched classification against a serial reference ---
+
+
+def serial_reference(m, box, n, seed):
+    """One draw at a time, each classified by is_admissible."""
+    rng = np.random.default_rng(seed)
+    lows = np.array([lo for lo, _ in box])
+    highs = np.array([hi for _, hi in box])
+    accepted = []
+    for _ in range(MAX_DRAW_FACTOR * n):
+        p = rng.uniform(lows, highs)
+        if is_admissible(m, p):
+            accepted.append(p)
+            if len(accepted) == n:
+                return np.array(accepted)
+    raise SamplingExhausted(
+        f"accepted only {len(accepted)} of {n} requested points after "
+        f"{MAX_DRAW_FACTOR * n} draws from box {box}"
+    )
+
+
+GENERIC = MetricFunctions.from_sources("3 + x1^2/5 + exp(x3)/7", "1 + sin(x2)/4 + x1*x3/9")
+LOG_X1 = MetricFunctions.from_sources("4 + log(x1)", "1 + x2/4")
+
+
+@pytest.mark.parametrize(
+    "m, box, n",
+    [
+        (GENERIC, ((-6.0, 6.0), (-1.0, 1.0), (-6.0, 6.0)), 40),
+        (LOG_X1, ((-1.0, 3.0), (-1.0, 1.0), (-1.0, 1.0)), 30),  # evaluation errors for x1 <= 0
+        (builtin_example().metric, builtin_example().sample_box, 25),  # [domain] constraints
+    ],
+    ids=["generic", "log-x1", "domain"],
+)
+def test_sampler_matches_serial_reference(m, box, n):
+    for seed in range(4):
+        points, M = sample_admissible_points(m, box, n, seed)
+        assert points.tobytes() == serial_reference(m, box, n, seed).tobytes()
+        reference = metric_at(m, points)
+        for got, want in [(M.g, reference.g), (M.g_inv, reference.g_inv), (M.D, reference.D),
+                          (M.A_jet.grad, reference.A_jet.grad), (M.B_jet.hess, reference.B_jet.hess)]:
+            assert got.tobytes() == want.tobytes()
+
+
+def test_sampler_exhaustion_matches_serial_reference():
+    # the box barely touches the chart: 1 of the 500 draws is admissible
+    m = builtin_example().metric
+    box = ((0.0, 0.2), (-2.0, -0.1), (-2.0, -0.1))
+    with pytest.raises(SamplingExhausted) as reference:
+        serial_reference(m, box, 5, 0)
+    with pytest.raises(SamplingExhausted) as batched:
+        sample_admissible_points(m, box, 5, 0)
+    assert str(batched.value) == str(reference.value)
+    assert "accepted only 1 of 5" in str(batched.value)
