@@ -14,12 +14,12 @@ R_1212 at (2,-1,-1) equals -1/8). The test suite checks this route
 against exact components of the Levi-Civita curvature (tests/oracle.py),
 which tests/test_oracle.py derives symbolically from the metric.
 
-christoffel_from_metric, riemann_from_metric, closed_form_from_metric,
-check_q_invariance and is_flat take a metric (or tensor) batch and return
-results with its leading batch shape, () for one point or (N,) for N
-points; the einsums carry the batch as ``...``. The remaining functions
-(sectional curvature, the relation checks, riemann_apply) work at one
-point.
+Every function takes a metric (or tensor) batch and returns results with
+its leading batch shape, () for one point or (N,) for N points; the
+einsums and matrix products carry the batch as ``...``, and each point's
+result is bit for bit the one a batch of that point alone gives. Vectors
+are one vector (3,) shared by all points or one per point (..., 3). A
+check that refuses a batch names its first failing point.
 
 closed_form_components evaluates a set of six reference component
 formulas verbatim. The two routes agree on the built-in example's
@@ -32,11 +32,12 @@ reported, never patched.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DegeneratePlane, IdentityRNotSatisfied, NotAQBasis
-from .metric import MetricAtPoint, MetricFunctions, inner, metric_at
+from .metric import MetricAtPoint, MetricFunctions, first_point, inner, inners, metric_at
 from .qstructure import (
     apply_q,
     construct_orthogonal_vector,
@@ -77,6 +78,13 @@ class CurvatureTensor:
     def component(self, i: int, j: int, k: int, h: int) -> float:
         """Lowered component by 1-based indices."""
         return self.low[..., i - 1, j - 1, k - 1, h - 1]
+
+    def __getitem__(self, index) -> "CurvatureTensor":
+        """The tensor at part of the batch, e.g. one point."""
+        ct = self.christoffel
+        return CurvatureTensor(
+            self.up[index], self.low[index], ChristoffelTable(ct.gamma[index], ct.dgamma[index])
+        )
 
 
 @dataclass(frozen=True)
@@ -226,20 +234,22 @@ def closed_form_from_metric(M: MetricAtPoint) -> ClosedFormComponents:
     return ClosedFormComponents(R1212, R1313, R2323, R1213, R1223, R1323)
 
 
-def riemann_apply(R: CurvatureTensor, x, y, z, u) -> float:
+def riemann_apply(R: CurvatureTensor, x, y, z, u):
     """Full contraction R(x, y, z, u) of the lowered tensor."""
     x, y, z, u = (np.asarray(v, dtype=float) for v in (x, y, z, u))
-    return float(np.einsum("ijkh,i,j,k,h->", R.low, x, y, z, u))
+    return np.einsum("...ijkh,...i,...j,...k,...h->...", R.low, x, y, z, u)
 
 
-def sectional_curvature(M: MetricAtPoint, R: CurvatureTensor, x, y) -> float:
+def sectional_curvature(M: MetricAtPoint, R: CurvatureTensor, x, y):
     """R(x,y,x,y) / (g(x,x) g(y,y) - g(x,y)^2) for a non-degenerate plane."""
-    gxx = inner(M, x, x)
+    gxx, gxy = inners(M, x, (x, y))
     gyy = inner(M, y, y)
-    gxy = inner(M, x, y)
     den = gxx * gyy - gxy * gxy
-    if not den > 1e-12 * gxx * gyy:
-        x, y = (tuple(np.asarray(v, float).tolist()) for v in (x, y))
+    degenerate = ~(den > 1e-12 * gxx * gyy)
+    if degenerate.any():
+        i = first_point(degenerate)
+        x, y = (np.broadcast_to(np.asarray(v, float), den.shape + (3,))[i] for v in (x, y))
+        x, y = tuple(x.tolist()), tuple(y.tolist())
         raise DegeneratePlane(f"vectors {x} and {y} span no plane")
     return riemann_apply(R, x, y, x, y) / den
 
@@ -284,108 +294,138 @@ def check_q_invariance(R: CurvatureTensor, tol: float = 1e-9) -> QInvarianceChec
     return QInvarianceCheck(passed, diag_res, cross_res, scale, threshold)
 
 
-def sampled_q_invariance_residual(R: CurvatureTensor, seed: int, samples: int) -> float:
+def sampled_q_invariance_residual(R: CurvatureTensor, seed: int, samples: int):
     """max |R(qx,qy,qz,qu) - R(x,y,z,u)| over random unit vector 4-tuples.
 
     An oracle for check_q_invariance that shares none of its index algebra.
+    The tuples depend on the seed only: they are drawn once and contracted
+    against the whole batch, each point keeping the first largest residual.
     """
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    worst = np.zeros(R.low.shape[:-4])
     for _ in range(samples):
         vecs = rng.standard_normal((4, 3))
         vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-        qvecs = [apply_q(v) for v in vecs]
-        lhs = riemann_apply(R, *qvecs)
-        rhs = riemann_apply(R, *vecs)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+        residual = abs(riemann_apply(R, *apply_q(vecs)) - riemann_apply(R, *vecs))
+        worst = np.where(residual > worst, residual, worst)
+    return worst[()]
 
 
 @dataclass(frozen=True)
 class RelationCheck:
     """Residual of one verified equality, with both sides kept for tolerances."""
 
-    lhs: float
-    rhs: float
+    lhs: np.ndarray
+    rhs: np.ndarray
 
     @property
-    def residual(self) -> float:
+    def residual(self) -> np.ndarray:
         return abs(self.lhs - self.rhs)
 
 
 def _orthonormal_generator(M: MetricAtPoint) -> np.ndarray:
     x = construct_orthogonal_vector(M.A, M.B)
-    return x / np.sqrt(inner(M, x, x))
+    return x / np.sqrt(inner(M, x, x))[..., None]
 
 
-def _require_identity_and_basis(R, u, tol, require_identity):
-    check = check_q_invariance(R, tol=tol)
-    if require_identity and not check.passed:
+@dataclass(frozen=True)
+class RelationFrame:
+    """A metric and curvature batch set up for the sectional-curvature relations.
+
+    R is riemann_from_metric(M). The relations hold where the curvature is
+    q-invariant; they refuse elsewhere unless require_identity=False
+    (diagnostic use). What they share across vectors is computed over the
+    whole batch on first use and kept: the q-invariance verdict, the
+    normalized orthogonal-basis generator x, the special-angle vector y
+    (angle(y, qy) = 2 pi / 3), mu(x, qx), mu(y, qy) and R(x, qx, x, q^2 x).
+    """
+
+    M: MetricAtPoint
+    R: CurvatureTensor
+    tol: float = 1e-9
+    require_identity: bool = True
+
+    @cached_property
+    def identity(self) -> QInvarianceCheck:
+        return check_q_invariance(self.R, tol=self.tol)
+
+    @cached_property
+    def x(self) -> np.ndarray:
+        return _orthonormal_generator(self.M)
+
+    @cached_property
+    def mu_x(self) -> np.ndarray:
+        return sectional_curvature(self.M, self.R, self.x, apply_q(self.x))
+
+    @cached_property
+    def mu_y(self) -> np.ndarray:
+        y = construct_special_angle_vector(self.M.A, self.M.B)
+        return sectional_curvature(self.M, self.R, y, apply_q(y))
+
+    @cached_property
+    def r_x(self) -> np.ndarray:
+        qx = apply_q(self.x)
+        return riemann_apply(self.R, self.x, qx, self.x, apply_q(qx))
+
+
+def _require_identity_and_basis(frame: RelationFrame, u):
+    check = frame.identity
+    if frame.require_identity and not check.passed.all():
+        i = first_point(~check.passed)
         raise IdentityRNotSatisfied(
             "curvature q-invariance fails at this point "
-            f"(diagonal spread {check.diagonal_residual:.3e}, cross spread {check.cross_residual:.3e})"
+            f"(diagonal spread {check.diagonal_residual[i]:.3e}, "
+            f"cross spread {check.cross_residual[i]:.3e})"
         )
     if not induces_q_basis(u):
         raise NotAQBasis(f"vector {tuple(np.asarray(u, float).tolist())} does not induce a q-basis")
 
 
-def check_sectional_difference_formula(
-    M: MetricAtPoint, R: CurvatureTensor, u, tol: float = 1e-9, require_identity: bool = True
-) -> RelationCheck:
+def check_sectional_difference_formula(frame: RelationFrame, u) -> RelationCheck:
     """mu(u,qu) - mu(x,qx) = (2 cos phi / (1 - cos phi)) R(x, qx, x, q^2 x).
 
-    M and R are the metric and curvature at one point (riemann_from_metric(M)).
-    x is the normalized orthogonal-basis generator, phi = angle(u, qu).
-    Valid on manifolds whose curvature is q-invariant; refuses elsewhere
-    unless require_identity=False (diagnostic use).
+    u is one vector; both sides have the frame's batch shape. x is the
+    normalized orthogonal-basis generator, phi = angle(u, qu).
     """
-    _require_identity_and_basis(R, u, tol, require_identity)
-    x = _orthonormal_generator(M)
-    qx = apply_q(x)
-    q2x = apply_q(qx)
-    cphi = q_basis_angles(M, u).cos_phi_x_qx
-    lhs = sectional_curvature(M, R, u, apply_q(u)) - sectional_curvature(M, R, x, qx)
-    rhs = (2.0 * cphi / (1.0 - cphi)) * riemann_apply(R, x, qx, x, q2x)
+    _require_identity_and_basis(frame, u)
+    mu_x = frame.mu_x
+    cphi = q_basis_angles(frame.M, u).cos_phi_x_qx
+    lhs = sectional_curvature(frame.M, frame.R, u, apply_q(u)) - mu_x
+    rhs = (2.0 * cphi / (1.0 - cphi)) * frame.r_x
     return RelationCheck(lhs, rhs)
 
 
-def check_sectional_combination_formula(
-    M: MetricAtPoint, R: CurvatureTensor, u, tol: float = 1e-9, require_identity: bool = True
-) -> RelationCheck:
+def check_sectional_combination_formula(frame: RelationFrame, u) -> RelationCheck:
     """mu(u,qu) = ((1+2cos phi) mu(x,qx) - 3 cos phi mu(y,qy)) / (1 - cos phi).
 
     y is a constructed vector with angle(y, qy) = 2 pi / 3.
     """
-    _require_identity_and_basis(R, u, tol, require_identity)
-    x = _orthonormal_generator(M)
-    y = construct_special_angle_vector(M.A, M.B)
-    cphi = q_basis_angles(M, u).cos_phi_x_qx
-    mu_x = sectional_curvature(M, R, x, apply_q(x))
-    mu_y = sectional_curvature(M, R, y, apply_q(y))
-    lhs = sectional_curvature(M, R, u, apply_q(u))
+    _require_identity_and_basis(frame, u)
+    mu_x, mu_y = frame.mu_x, frame.mu_y
+    cphi = q_basis_angles(frame.M, u).cos_phi_x_qx
+    lhs = sectional_curvature(frame.M, frame.R, u, apply_q(u))
     rhs = ((1.0 + 2.0 * cphi) * mu_x - 3.0 * cphi * mu_y) / (1.0 - cphi)
     return RelationCheck(lhs, rhs)
 
 
 @dataclass(frozen=True)
 class EqualSectionalCheck:
-    mu_u_qu: float
-    mu_qu_q2u: float
-    mu_q2u_u: float
+    mu_u_qu: np.ndarray
+    mu_qu_q2u: np.ndarray
+    mu_q2u_u: np.ndarray
 
     @property
-    def residuals(self) -> tuple[float, float]:
+    def residuals(self) -> tuple[np.ndarray, np.ndarray]:
         return (abs(self.mu_u_qu - self.mu_qu_q2u), abs(self.mu_u_qu - self.mu_q2u_u))
 
 
-def check_equal_sectional_curvatures(
-    M: MetricAtPoint, R: CurvatureTensor, u, tol: float = 1e-9, require_identity: bool = True
-) -> EqualSectionalCheck:
+def check_equal_sectional_curvatures(frame: RelationFrame, u) -> EqualSectionalCheck:
     """Sectional curvatures of the planes {u,qu}, {qu,q^2u}, {q^2u,u}.
 
     Equal on manifolds with q-invariant curvature.
     """
-    _require_identity_and_basis(R, u, tol, require_identity)
+    _require_identity_and_basis(frame, u)
+    M, R = frame.M, frame.R
     qu = apply_q(u)
     q2u = apply_q(qu)
     return EqualSectionalCheck(

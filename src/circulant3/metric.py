@@ -39,6 +39,11 @@ def _unbox(v: np.ndarray):
     return v.item() if v.ndim == 0 else v
 
 
+def first_point(mask) -> tuple[int, ...]:
+    """The batch index of the first point (in C order) where mask holds; () for one point."""
+    return tuple(np.argwhere(mask)[0])
+
+
 @dataclass(frozen=True)
 class MetricAtPoint:
     """Metric data over a batch of points: jets of A and B, g, its inverse, and D.
@@ -167,8 +172,16 @@ def metric_at(m: MetricFunctions, p, allow_weak: bool = False) -> MetricAtPoint:
     return metric_from_jets(A_jet, B_jet)
 
 
-def inner(M: MetricAtPoint, x, y) -> float:
-    """g(x, y) at the single point where M was evaluated."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return float(x @ M.g @ y)
+def inner(M: MetricAtPoint, x, y):
+    """g(x, y) at each point of M's batch, with M's batch shape.
+
+    x and y are one vector (3,) or one per point (..., 3). Each point's
+    value is the matrix product x @ g @ y, bit for bit as at that point alone.
+    """
+    return inners(M, x, (y,))[0]
+
+
+def inners(M: MetricAtPoint, x, ys) -> list:
+    """[inner(M, x, y) for y in ys], computing the product x @ g once."""
+    xg = np.asarray(x, dtype=float)[..., None, :] @ M.g
+    return [(xg @ np.asarray(y, dtype=float)[..., :, None])[..., 0, 0] for y in ys]

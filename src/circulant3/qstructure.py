@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionFailed, NotAQBasis, PositivityViolation
-from .metric import MetricAtPoint, inner
+from .metric import MetricAtPoint, first_point, inner, inners, positive
 
 Q_MATRIX = np.array([[0, -1, 0], [0, 0, -1], [-1, 0, 0]], dtype=int)
 
@@ -28,9 +28,9 @@ ANGLE_ROUTE_TOL = 1e-10
 
 
 def apply_q(x) -> np.ndarray:
-    """Apply q: (x1, x2, x3) -> (-x2, -x3, -x1)."""
+    """Apply q: (x1, x2, x3) -> (-x2, -x3, -x1), to one vector (3,) or a batch (..., 3)."""
     x = np.asarray(x, dtype=float)
-    return Q_MATRIX @ x
+    return (Q_MATRIX @ x[..., None])[..., 0]
 
 
 def isometry_residual(M: MetricAtPoint, x, y) -> float:
@@ -74,7 +74,7 @@ def induces_q_basis(x) -> bool:
 
 def vector_invariants(x) -> tuple[float, float]:
     """The quadratic invariants (a, b) of a vector."""
-    x1, x2, x3 = (float(c) for c in np.asarray(x, dtype=float))
+    x1, x2, x3 = np.asarray(x, dtype=float).tolist()
     a = x1 * x1 + x2 * x2 + x3 * x3
     b = x1 * x2 + x1 * x3 + x2 * x3
     return a, b
@@ -92,77 +92,107 @@ def orthogonality_defect(M: MetricAtPoint, x) -> float:
     return M.B * a + (M.A + M.B) * b
 
 
+def _clamped_acos(c):
+    """math.acos of c clipped to [-1, 1], element by element over a batch."""
+    if np.ndim(c) == 0:
+        return math.acos(min(1.0, max(-1.0, c)))
+    return np.array([_clamped_acos(v) for v in c.flat]).reshape(c.shape)
+
+
 @dataclass(frozen=True)
 class AngleReport:
-    """Angles inside the q-basis generated by one vector."""
+    """Angles inside the q-basis generated by one vector, with the metric's batch shape."""
 
     a: float
     b: float
-    cos_phi_x_qx: float
-    cos_phi_x_q2x: float
-    cos_theta_qx_q2x: float
-    angles: tuple[float, float, float]  # radians: (x,qx), (x,q^2x), (qx,q^2x)
+    cos_phi_x_qx: np.ndarray
+    cos_phi_x_q2x: np.ndarray
+    cos_theta_qx_q2x: np.ndarray
 
-
-def _clamped_acos(c: float) -> float:
-    return math.acos(min(1.0, max(-1.0, c)))
+    @property
+    def angles(self) -> tuple:
+        """Radians: (x,qx), (x,q^2x), (qx,q^2x)."""
+        return tuple(
+            _clamped_acos(c) for c in (self.cos_phi_x_qx, self.cos_phi_x_q2x, self.cos_theta_qx_q2x)
+        )
 
 
 def q_basis_angles(M: MetricAtPoint, x) -> AngleReport:
-    """Cosines and angles between x, qx and q^2 x, computed two ways.
+    """Cosines between x, qx and q^2 x at each point of M's batch, computed two ways.
 
     The inner-product route is the definition; the closed form in (a, b)
-    must agree with it to ANGLE_ROUTE_TOL or the call fails loudly.
-    Raises NotAQBasis when x does not generate a basis.
+    must agree with it to ANGLE_ROUTE_TOL or the call fails loudly (for
+    the first point where they disagree). Raises NotAQBasis when x does
+    not generate a basis.
     """
     x = np.asarray(x, dtype=float)
     if not induces_q_basis(x):
         raise NotAQBasis(f"vector {tuple(x.tolist())} does not induce a q-basis (cubic criterion)")
     qx = apply_q(x)
     q2x = apply_q(qx)
-    gxx = inner(M, x, x)
-    c_x_qx = inner(M, x, qx) / gxx
-    c_x_q2x = inner(M, x, q2x) / gxx
+    gxx, g_x_qx, g_x_q2x = inners(M, x, (x, qx, q2x))
+    c_x_qx = g_x_qx / gxx
+    c_x_q2x = g_x_q2x / gxx
     c_qx_q2x = inner(M, qx, q2x) / gxx
     a, b = vector_invariants(x)
     closed = cos_angle_closed_form(M.A, M.B, x)
     for route_cos, sign in ((c_x_qx, 1.0), (c_x_q2x, -1.0), (c_qx_q2x, 1.0)):
-        if abs(route_cos - sign * closed) > ANGLE_ROUTE_TOL:
+        off = abs(route_cos - sign * closed) > ANGLE_ROUTE_TOL
+        if off.any():
+            i = first_point(off)
             raise AssertionError(
                 f"angle routes disagree beyond {ANGLE_ROUTE_TOL}: inner-product "
-                f"{route_cos!r} vs closed form {sign * closed!r}"
+                f"{float(np.asarray(route_cos)[i])!r} vs closed form {float(sign * np.asarray(closed)[i])!r}"
             )
-    return AngleReport(
-        a=a,
-        b=b,
-        cos_phi_x_qx=c_x_qx,
-        cos_phi_x_q2x=c_x_q2x,
-        cos_theta_qx_q2x=c_qx_q2x,
-        angles=(_clamped_acos(c_x_qx), _clamped_acos(c_x_q2x), _clamped_acos(c_qx_q2x)),
-    )
+    return AngleReport(a=a, b=b, cos_phi_x_qx=c_x_qx, cos_phi_x_q2x=c_x_q2x, cos_theta_qx_q2x=c_qx_q2x)
 
 
-def construct_orthogonal_vector(A: float, B: float) -> np.ndarray:
-    """A vector whose q-basis is g-orthogonal: (0, -(A+B)+sqrt((A-B)(A+3B)), 2B)."""
-    if not (A > B > 0.0):
-        raise PositivityViolation(A, B, (float("nan"),) * 3)
-    return np.array([0.0, -(A + B) + math.sqrt((A - B) * (A + 3 * B)), 2.0 * B])
+def _require_positive(A, B):
+    """A and B as arrays; raises PositivityViolation for the first point where A > B > 0 fails.
+
+    The constructions see only A and B, so the error's point is NaN.
+    """
+    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
+    bad = ~positive(A, B)
+    if bad.any():
+        i = first_point(bad)
+        raise PositivityViolation(A[i], B[i], (float("nan"),) * 3)
+    return A, B
 
 
-def construct_special_angle_vector(A: float, B: float) -> np.ndarray:
-    """A vector y with angle(y, qy) = 2*pi/3, i.e. cos = -1/2.
+def construct_orthogonal_vector(A, B) -> np.ndarray:
+    """A vector whose q-basis is g-orthogonal: (0, -(A+B)+sqrt((A-B)(A+3B)), 2B).
+
+    A and B are numbers or arrays over a batch; the result is (..., 3).
+    """
+    A, B = _require_positive(A, B)
+    return np.stack([np.zeros_like(A), -(A + B) + np.sqrt((A - B) * (A + 3 * B)), 2.0 * B], axis=-1)
+
+
+def construct_special_angle_vector(A, B) -> np.ndarray:
+    """A vector y with angle(y, qy) = 2*pi/3, i.e. cos = -1/2, at each point of a batch.
 
     Seeks y = (1, 0, t); the cosine condition reduces to
     (A - 2B) t^2 - 2A t + (A - 2B) = 0 with discriminant 16 B (A - B) > 0.
     For A = 2B the equation degenerates and (1, 0, 0) already works.
+    Of the two roots, each point takes the first that passes the q-basis test.
     """
-    if not (A > B > 0.0):
-        raise PositivityViolation(A, B, (float("nan"),) * 3)
-    if abs(A - 2 * B) < 1e-12:
-        return np.array([1.0, 0.0, 0.0])
-    root = 2.0 * math.sqrt(B * (A - B))
-    for t in ((A + root) / (A - 2 * B), (A - root) / (A - 2 * B)):
-        y = np.array([1.0, 0.0, t])
-        if induces_q_basis(y):
-            return y
-    raise ConstructionFailed(f"no special-angle candidate passes the q-basis criterion for A={A}, B={B}")
+    A, B = _require_positive(A, B)
+    with np.errstate(all="ignore"):  # points with A = 2B take neither root
+        root = 2.0 * np.sqrt(B * (A - B))
+        roots = ((A + root) / (A - 2 * B), (A - root) / (A - 2 * B))
+    y = np.zeros(A.shape + (3,))
+    y[..., 0] = 1.0
+    for i in np.ndindex(A.shape):
+        if abs(A[i] - 2 * B[i]) < 1e-12:
+            continue
+        for t in roots:
+            if induces_q_basis((1.0, 0.0, t[i])):
+                y[i + (2,)] = t[i]
+                break
+        else:
+            raise ConstructionFailed(
+                "no special-angle candidate passes the q-basis criterion "
+                f"for A={float(A[i])}, B={float(B[i])}"
+            )
+    return y

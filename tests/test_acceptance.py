@@ -22,6 +22,7 @@ import pytest
 
 from circulant3 import (
     MetricFunctions,
+    RelationFrame,
     apply_q,
     check_equal_sectional_curvatures,
     check_q_invariance,
@@ -249,6 +250,8 @@ def test_ac6_sectional_relations_on_example():
     for p in points:
         M = metric_at(m, p)
         R = riemann_from_metric(M)
+        frame = RelationFrame(M, R)
+        diagnostic = RelationFrame(M, R, require_identity=False)
         for _ in range(10):
             u = random_q_basis_vector(rng)
             for check in (
@@ -257,13 +260,13 @@ def test_ac6_sectional_relations_on_example():
                 check_equal_sectional_curvatures,
             ):
                 with pytest.raises(IdentityRNotSatisfied):
-                    check(M, R, u)
+                    check(frame, u)
             refusals += 1
-            chk = check_sectional_difference_formula(M, R, u, require_identity=False)
+            chk = check_sectional_difference_formula(diagnostic, u)
             assert chk.residual > 1e-8 * (1.0 + abs(chk.lhs)), (p, u)
-            cmb = check_sectional_combination_formula(M, R, u, require_identity=False)
+            cmb = check_sectional_combination_formula(diagnostic, u)
             assert cmb.residual > 1e-8 * (1.0 + abs(cmb.lhs)), (p, u)
-            eq = check_equal_sectional_curvatures(M, R, u, require_identity=False)
+            eq = check_equal_sectional_curvatures(diagnostic, u)
             assert max(eq.residuals) > 1e-8 * (1.0 + abs(eq.mu_u_qu)), (p, u)
     assert refusals == 100
     print("AC-6 (sectional-curvature relations refused and failing on the example): PASS")
@@ -278,14 +281,14 @@ def test_ac6_companion_relations_where_identity_holds():
     for _ in range(10):
         p = random_point(rng, box)
         M = metric_at(m, p)
-        R = riemann_from_metric(M)
+        frame = RelationFrame(M, riemann_from_metric(M))
         for _ in range(10):
             u = random_q_basis_vector(rng)
-            chk = check_sectional_difference_formula(M, R, u)
+            chk = check_sectional_difference_formula(frame, u)
             assert chk.residual <= 1e-8 * (1.0 + abs(chk.lhs))
-            cmb = check_sectional_combination_formula(M, R, u)
+            cmb = check_sectional_combination_formula(frame, u)
             assert cmb.residual <= 1e-8 * (1.0 + abs(cmb.lhs))
-            eq = check_equal_sectional_curvatures(M, R, u)
+            eq = check_equal_sectional_curvatures(frame, u)
             assert max(eq.residuals) <= 1e-8 * (1.0 + abs(eq.mu_u_qu))
     print("AC-6 companion (relations hold where the identity holds): PASS")
 

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import json
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from circulant3 import sample_admissible_points
 from circulant3.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -391,19 +393,205 @@ def test_overflowing_vector_is_usage_error(capsys, tmp_path, argv):
 def test_error_messages_print_plain_numbers(capsys, tmp_path):
     spec = tmp_path / "generic.toml"
     spec.write_text(GENERIC_SPEC, encoding="utf-8")
+    parallel = tmp_path / "parallel.toml"
+    parallel.write_text(PARALLEL_BENCH_SPEC, encoding="utf-8")
     weak = tmp_path / "weak.toml"
     weak.write_text('[metric]\nA = "2"\nB = "-0.1 + 0*x1"\n', encoding="utf-8")
     at = ["--spec", str(spec), "--at=0.1,0.2,0.3"]
+    # NotAQBasis from the relation checks, at a point and over a sample
+    not_a_basis = ["verify-theorems", "--spec", str(parallel), "--vector=1,1,1"]
     failing = [
-        ["angles", *at, "--vector=0,0,0"],  # NotAQBasis
-        ["verify-theorems", *at, "--vector=1,1,1"],  # NotAQBasis from the relation checks
-        ["sectional", *at, "--x=1,0,0", "--y=2,0,0"],  # DegeneratePlane
-        ["orthobasis", "--spec", str(weak), "--at=0.5,1,2", "--allow-weak-metric"],
+        (["angles", *at, "--vector=0,0,0"], 2),  # NotAQBasis
+        ([*not_a_basis, "--at=0.1,0.2,0.3"], 2),
+        ([*not_a_basis, "--sample", "3", "--box=-1:1,-1:1,-1:1"], 2),
+        (["sectional", *at, "--x=1,0,0", "--y=2,0,0"], 2),  # DegeneratePlane
+        (["orthobasis", "--spec", str(weak), "--at=0.5,1,2", "--allow-weak-metric"], 3),
     ]
-    for argv in failing:
+    for argv, exit_code in failing:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            assert main(argv) != 0
+            assert main(argv) == exit_code
         err = capsys.readouterr().err
         assert err.startswith(f"error ({argv[0]}): ")
         assert not [line for line in err.splitlines() if "np.float64" in line], err
+        if argv[:len(not_a_basis)] == not_a_basis:
+            assert err == "error (verify-theorems): vector (1.0, 1.0, 1.0) does not induce a q-basis\n"
+
+
+# -- a sampled run against its points one by one ----------------------------------
+
+# Linear fields plus a term that is negligible at small x1 and not at large x1:
+# the curvature is q-invariant to the check's tolerance at some sampled points
+# and not at others.
+PARTLY_INVARIANT_SPEC = '''
+name = "partly-invariant"
+[metric]
+A = "4*x1 + 2*x2 + 20 + 1e-7*exp(12*x1)"
+B = "x1 + 2*x2 + 3*x3 + 5"
+'''
+
+CUBE = ((-1.0, 1.0),) * 3
+CUBE_ARG = "--box=-1:1,-1:1,-1:1"
+M5_BOX = ((1.0, 3.0), (-2.0, -0.1), (-2.0, -0.1))  # the [sample] box of M5_SPEC
+
+
+def _call(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _at(p):
+    return "--at=" + ",".join(repr(float(c)) for c in p)
+
+
+def _sampled(capsys, spec_path, head, box, n, seed):
+    """The sampled run of head and the same command at each of its points alone."""
+    from circulant3.specfile import load_spec
+
+    box_arg = "--box=" + ",".join(f"{lo:g}:{hi:g}" for lo, hi in box)
+    sampled = _call(capsys, [*head, "--sample", str(n), "--seed", str(seed), box_arg])
+    points = sample_admissible_points(load_spec(spec_path).metric, box, n, seed)[0]
+    return sampled, [_call(capsys, [*head, "--seed", str(seed), _at(p)]) for p in points]
+
+
+@pytest.mark.parametrize(
+    "spec_text, box, n, seed, extra, exit_code, first_failing",
+    [
+        # IdentityRNotSatisfied at a later point; the first point passes the identity
+        (PARTLY_INVARIANT_SPEC, CUBE, 5, 3, [], 1, 1),
+        (PARTLY_INVARIANT_SPEC, CUBE, 5, 11, [], 1, 3),
+        (M5_SPEC, M5_BOX, 3, 0, [], 1, 0),
+        # NotAQBasis: the first point passes the identity, so the vector is tested there
+        (PARTLY_INVARIANT_SPEC, CUBE, 5, 3, ["--vector=1,1,1"], 2, 0),
+        (PARALLEL_BENCH_SPEC, CUBE, 3, 0, ["--vector=1,1,1"], 2, 0),
+    ],
+    ids=["identity-later-point", "identity-fourth-point", "identity-first-point",
+         "not-a-basis-before-identity", "not-a-basis"],
+)
+def test_verify_theorems_sampled_refusal_is_the_first_failing_points(
+    capsys, tmp_path, spec_text, box, n, seed, extra, exit_code, first_failing
+):
+    spec = tmp_path / "spec.toml"
+    spec.write_text(spec_text, encoding="utf-8")
+    head = ["verify-theorems", "--spec", str(spec), *extra]
+    sampled, per_point = _sampled(capsys, str(spec), head, box, n, seed)
+    failing = [i for i, (code, _, _) in enumerate(per_point) if code != 0]
+    assert failing[0] == first_failing
+    assert sampled == per_point[first_failing]
+    assert sampled[0] == exit_code
+
+
+def test_verify_theorems_weak_metric_refusals(capsys, tmp_path):
+    # the metric is positive definite but B < 0: no q-basis construction exists
+    weak = tmp_path / "weak.toml"
+    weak.write_text('[metric]\nA = "2"\nB = "-0.1 + 0*x1"\n', encoding="utf-8")
+    head = ["verify-theorems", "--spec", str(weak), "--allow-weak-metric"]
+    code, _, err = _call(capsys, [*head, "--at=0.5,1,2"])
+    assert code == 3
+    assert err == (
+        "error (verify-theorems): metric positivity A > B > 0 violated: A=2.0, B=-0.1 "
+        "at point (0.5, 1.0, 2.0)\n"
+    )
+    # the curvature is flat, so the identity holds and the vector is tested first
+    code, _, err = _call(capsys, [*head, "--at=0.5,1,2", "--vector=1,1,1"])
+    assert code == 2
+    assert err == "error (verify-theorems): vector (1.0, 1.0, 1.0) does not induce a q-basis\n"
+    # the sampler admits only A > B > 0, so a sampled run never reaches the constructions
+    code, _, err = _call(capsys, [*head, "--sample", "3", CUBE_ARG])
+    assert code == 3
+    assert err.startswith("error (verify-theorems): accepted only 0 of 3 requested points")
+
+
+@pytest.mark.parametrize(
+    "command, spec_text, box, extra",
+    [
+        ("check-identity", M5_SPEC, M5_BOX, []),
+        ("check-identity", PARTLY_INVARIANT_SPEC, CUBE, []),
+        ("verify-theorems", PARALLEL_BENCH_SPEC, CUBE, []),
+        ("verify-theorems", PARALLEL_BENCH_SPEC, CUBE, ["--vector=0.3,-1.2,2"]),
+    ],
+    ids=["check-identity-m5", "check-identity-partly-invariant", "verify-theorems",
+         "verify-theorems-vector"],
+)
+def test_sampled_report_summarizes_its_points_bit_for_bit(capsys, tmp_path, command, spec_text, box, extra):
+    spec = tmp_path / "spec.toml"
+    spec.write_text(spec_text, encoding="utf-8")
+    (code, out, _), per_point = _sampled(capsys, str(spec), [command, "--spec", str(spec), *extra, "--json"],
+                                         box, 6, 7)
+    report = json.loads(out)
+    verdicts = [json.loads(row[1])["verdicts"] for row in per_point]
+    for name, v in report["verdicts"].items():
+        assert report["results"]["pass_counts"][name] == sum(row[name]["pass"] for row in verdicts)
+        assert v["residual"] == max([0.0, *(row[name]["residual"] for row in verdicts)])
+    assert code == (0 if all(v["pass"] for v in report["verdicts"].values()) else 1)
+
+
+def test_verify_theorems_sampled_calls_each_relation_check_once_per_vector(capsys, monkeypatch, tmp_path):
+    import circulant3.cli as cli
+    import circulant3.curvature as curvature
+
+    calls = Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    relations = ("check_sectional_difference_formula", "check_sectional_combination_formula",
+                 "check_equal_sectional_curvatures")
+    for name in (*relations, "_random_q_basis_vectors"):
+        count(cli, name)
+    shared = ("check_q_invariance", "construct_orthogonal_vector", "construct_special_angle_vector",
+              "christoffel_from_metric")
+    for name in shared:
+        count(curvature, name)
+    spec = tmp_path / "spec.toml"
+    spec.write_text(PARALLEL_BENCH_SPEC, encoding="utf-8")
+    argv = ["verify-theorems", "--spec", str(spec), "--sample", "4", "--seed", "3", CUBE_ARG]
+    assert main(argv) == 0
+    # 5 vectors: once per vector, not once per point and vector; the rest once per run
+    assert calls == {**dict.fromkeys(relations, 5), **dict.fromkeys(shared, 1), "_random_q_basis_vectors": 1}
+    capsys.readouterr()
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    import argparse
+
+    import circulant3.cli as cli
+
+    cli.build_parser.cache_clear()
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert main(["qbasis", "--vector=1,0,0"]) == 0
+    assert "circulant3" in built
+    first = len(built)
+    assert main(["qbasis", "--vector=1,1,1"]) == 1
+    assert len(built) == first
+    capsys.readouterr()
+
+
+def test_a_call_does_not_inherit_the_previous_calls_options(capsys, parallel_spec):
+    import circulant3.cli as cli
+
+    plain = ["verify-theorems", "--spec", parallel_spec, "--at", "1,0.7,0.4"]
+    cli.build_parser.cache_clear()
+    fresh = _call(capsys, plain)
+    _call(capsys, [*plain, "--tol", "0", "--json", "--vector=1,0,0", "--seed", "4"])
+    again = _call(capsys, plain)
+    assert again == fresh
+    code, out, _ = again
+    assert code == 0
+    assert "  n_vectors = 5\n" in out and "vector =" not in out and "tol=1.000e-08" in out

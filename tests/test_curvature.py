@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from circulant3 import (
     MetricFunctions,
+    Q_MATRIX,
+    RelationFrame,
     apply_q,
     induces_q_basis,
     check_equal_sectional_curvatures,
@@ -23,14 +27,17 @@ from circulant3 import (
     riemann,
     riemann_apply,
     riemann_from_metric,
+    sample_admissible_points,
     sectional_curvature,
 )
 from circulant3.curvature import COMPONENT_INDEX, closed_form_from_metric, sampled_q_invariance_residual
 from circulant3.errors import DegeneratePlane, IdentityRNotSatisfied, NotAQBasis
+from circulant3.jets import concatenate
+from circulant3.metric import metric_from_jets
 from circulant3.parallelism import nabla_q_from_table, parallel_residual_from_metric
 from circulant3.specfile import builtin_example, example_diagonal_value
 
-from helpers import random_manifold, random_parallel_manifold, random_point
+from helpers import random_manifold, random_parallel_manifold, random_point, random_q_basis_vector
 
 P5 = np.array([2.0, -1.0, -1.0])
 
@@ -53,7 +60,8 @@ def test_constant_metric_has_zero_connection():
 
 def test_example_christoffel_spot_values():
     # direct evaluation of the defining formula at the canonical point:
-    # Gamma_11^1 = -1/8 (cross-checked against computer algebra and nabla g = 0)
+    # Gamma_11^1 = -1/8; the whole table and its derivatives are checked against
+    # a symbolic derivation in test_oracle.py::test_example_christoffel_symbols_are_the_derived_ones
     ct = christoffel(builtin_example().metric, P5)
     g = ct.gamma
     assert g[0, 0, 0] == -0.125
@@ -311,7 +319,7 @@ def test_sectional_difference_formula_machine_precision():
         if not induces_q_basis(u):
             continue
         M = metric_at(m, p)
-        chk = check_sectional_difference_formula(M, riemann_from_metric(M), u)
+        chk = check_sectional_difference_formula(RelationFrame(M, riemann_from_metric(M)), u)
         assert chk.residual <= 1e-10 * (1.0 + abs(chk.lhs))
 
 
@@ -324,7 +332,7 @@ def test_sectional_combination_formula_machine_precision():
         if not induces_q_basis(u):
             continue
         M = metric_at(m, p)
-        chk = check_sectional_combination_formula(M, riemann_from_metric(M), u)
+        chk = check_sectional_combination_formula(RelationFrame(M, riemann_from_metric(M)), u)
         assert chk.residual <= 1e-10 * (1.0 + abs(chk.lhs))
 
 
@@ -337,7 +345,7 @@ def test_equal_sectional_curvatures_on_invariant_manifold():
         if not induces_q_basis(u):
             continue
         M = metric_at(m, p)
-        chk = check_equal_sectional_curvatures(M, riemann_from_metric(M), u)
+        chk = check_equal_sectional_curvatures(RelationFrame(M, riemann_from_metric(M)), u)
         r1, r2 = chk.residuals
         assert max(r1, r2) <= 1e-10 * (1.0 + abs(chk.mu_u_qu))
 
@@ -349,27 +357,27 @@ def test_difference_formula_orthonormal_generator_case():
     M = metric_at(m, p)
     x = construct_orthogonal_vector(M.A, M.B)
     x = x / np.sqrt(inner(M, x, x))
-    chk = check_sectional_difference_formula(M, riemann_from_metric(M), x)
+    chk = check_sectional_difference_formula(RelationFrame(M, riemann_from_metric(M)), x)
     assert abs(chk.lhs) <= 1e-12
     assert abs(chk.rhs) <= 1e-12
 
 
 def test_relation_checks_refuse_without_invariance():
     M = metric_at(builtin_example().metric, P5)
-    R = riemann_from_metric(M)
+    frame = RelationFrame(M, riemann_from_metric(M))
     with pytest.raises(IdentityRNotSatisfied):
-        check_sectional_difference_formula(M, R, [1.0, 0.0, 0.0])
+        check_sectional_difference_formula(frame, [1.0, 0.0, 0.0])
     with pytest.raises(IdentityRNotSatisfied):
-        check_sectional_combination_formula(M, R, [1.0, 0.0, 0.0])
+        check_sectional_combination_formula(frame, [1.0, 0.0, 0.0])
     with pytest.raises(IdentityRNotSatisfied):
-        check_equal_sectional_curvatures(M, R, [1.0, 0.0, 0.0])
+        check_equal_sectional_curvatures(frame, [1.0, 0.0, 0.0])
 
 
 def test_relation_checks_reject_degenerate_vector():
     m, _ = nonflat_parallel()
     M = metric_at(m, (1.0, 0.7, 0.4))
     with pytest.raises(NotAQBasis):
-        check_sectional_difference_formula(M, riemann_from_metric(M), [1.0, 1.0, 1.0])
+        check_sectional_difference_formula(RelationFrame(M, riemann_from_metric(M)), [1.0, 1.0, 1.0])
 
 
 def test_q_transformed_plane_has_equal_sectional_via_apply():
@@ -412,3 +420,131 @@ def test_batch_curvature_equals_point_by_point_bit_for_bit():
             assert chk.cross_residual[i] == chk_i.cross_residual
             for name, value in closed_form_from_metric(Mi).as_dict().items():
                 assert cf[name][i] == value
+
+
+# -- the relations over a batch against the point-by-point computation ----------
+# A serial reference: the relation checks as they were computed one point at a
+# time, with scalar inner products float(x @ g @ y), q as Q_MATRIX @ x and
+# the contraction np.einsum("ijkh,i,j,k,h->", ...). The batch must give the
+# same bits at every point.
+
+
+def _ref_inner(g, x, y):
+    return float(x @ g @ y)
+
+
+def _ref_apply(low, x, y, z, u):
+    return float(np.einsum("ijkh,i,j,k,h->", low, x, y, z, u))
+
+
+def _ref_mu(g, low, x, y):
+    gxx, gyy, gxy = _ref_inner(g, x, x), _ref_inner(g, y, y), _ref_inner(g, x, y)
+    den = gxx * gyy - gxy * gxy
+    assert den > 1e-12 * gxx * gyy
+    return _ref_apply(low, x, y, x, y) / den
+
+
+def _ref_relations(m, p, u):
+    """(difference lhs, rhs), (combination lhs, rhs), (mu_u_qu, mu_qu_q2u, mu_q2u_u) at p."""
+    M = metric_at(m, p)
+    g, low = M.g, riemann_from_metric(M).low
+    A, B = M.A, M.B
+    x = np.array([0.0, -(A + B) + math.sqrt((A - B) * (A + 3 * B)), 2.0 * B])
+    x = x / np.sqrt(_ref_inner(g, x, x))
+    qx = Q_MATRIX @ x
+    q2x = Q_MATRIX @ qx
+    qu = Q_MATRIX @ u
+    q2u = Q_MATRIX @ qu
+    cphi = _ref_inner(g, u, qu) / _ref_inner(g, u, u)
+    mu_u = _ref_mu(g, low, u, qu)
+    mu_x = _ref_mu(g, low, x, qx)
+    difference = (mu_u - mu_x, (2.0 * cphi / (1.0 - cphi)) * _ref_apply(low, x, qx, x, q2x))
+    y = np.array([1.0, 0.0, 0.0])
+    if abs(A - 2 * B) >= 1e-12:
+        root = 2.0 * math.sqrt(B * (A - B))
+        roots = ((A + root) / (A - 2 * B), (A - root) / (A - 2 * B))
+        y[2] = next(t for t in roots if induces_q_basis([1.0, 0.0, t]))
+    mu_y = _ref_mu(g, low, y, Q_MATRIX @ y)
+    combination = (mu_u, ((1.0 + 2.0 * cphi) * mu_x - 3.0 * cphi * mu_y) / (1.0 - cphi))
+    equal = (mu_u, _ref_mu(g, low, qu, q2u), _ref_mu(g, low, q2u, u))
+    return difference, combination, equal
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def test_relation_checks_over_a_batch_equal_the_serial_reference_bit_for_bit():
+    rng = np.random.default_rng(53)
+    m, box = nonflat_parallel()
+    manifolds = [  # (fields, box, whether the curvature is q-invariant there)
+        (m, box, True),
+        (MetricFunctions.from_sources("4*x1 + 2*x2 + 20", "x1 + 2*x2 + 3*x3 + 5"), None, True),
+        (MetricFunctions.from_sources("3", "1"), None, True),
+        (MetricFunctions.from_sources("2*x1 + 4", "x1 + 2"), None, False),  # A = 2B
+    ]
+    manifolds += [(random_manifold(rng), None, False) for _ in range(4)]
+    for m, box, invariant in manifolds:
+        pts = np.array([random_point(rng, box or ((-1.0, 1.0),) * 3) for _ in range(7)])
+        M = metric_at(m, pts)
+        batch = RelationFrame(M, riemann_from_metric(M), require_identity=invariant)
+        Mi = metric_at(m, pts[3])
+        single = RelationFrame(Mi, riemann_from_metric(Mi), require_identity=invariant)
+        for _ in range(4):
+            u = random_q_basis_vector(rng)
+            ref = np.array([[v for pair in _ref_relations(m, p, u) for v in pair] for p in pts]).T
+            for frame, want in ((batch, ref), (single, ref[:, 3])):
+                d = check_sectional_difference_formula(frame, u)
+                c = check_sectional_combination_formula(frame, u)
+                e = check_equal_sectional_curvatures(frame, u)
+                got = [d.lhs, d.rhs, c.lhs, c.rhs, e.mu_u_qu, e.mu_qu_q2u, e.mu_q2u_u]
+                assert _bits(got) == _bits(want)
+
+
+def _ref_sampled_residual(low, seed, samples):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(samples):
+        vecs = rng.standard_normal((4, 3))
+        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+        qvecs = [Q_MATRIX @ v for v in vecs]
+        worst = max(worst, abs(_ref_apply(low, *qvecs) - _ref_apply(low, *vecs)))
+    return worst
+
+
+def test_sampled_q_invariance_residual_over_a_batch_is_bit_identical_per_point():
+    rng = np.random.default_rng(54)
+    for m in [random_manifold(rng), random_parallel_manifold(rng), builtin_example().metric]:
+        box = ((1.0, 3.0), (-2.0, -0.1), (-2.0, -0.1)) if m.domain_constraints else ((-1.0, 1.0),) * 3
+        pts, M = sample_admissible_points(m, box, 6, 54)
+        R = riemann_from_metric(M)
+        for seed in (0, 7):
+            batch = sampled_q_invariance_residual(R, seed, 20)
+            assert batch.shape == (6,)
+            for i, p in enumerate(pts):
+                single = sampled_q_invariance_residual(riemann(m, p), seed, 20)
+                assert _bits(batch[i]) == _bits(single) == _bits(_ref_sampled_residual(R.low[i], seed, 20))
+
+
+def test_batch_refusals_name_their_first_failing_point():
+    # a batch that passes the identity at its first point and fails it at the others
+    example = metric_at(builtin_example().metric, np.array([[1.5, -0.3, -0.9], [2.0, -1.0, -1.0]]))
+    parallel = metric_at(nonflat_parallel()[0], np.array([[1.0, 0.7, 0.4]]))
+    mixed = metric_from_jets(
+        concatenate([parallel.A_jet, example.A_jet]), concatenate([parallel.B_jet, example.B_jet])
+    )
+    frame = RelationFrame(mixed, riemann_from_metric(mixed))
+    alone = RelationFrame(example[0], riemann_from_metric(example[0]))
+    for check in (
+        check_sectional_difference_formula,
+        check_sectional_combination_formula,
+        check_equal_sectional_curvatures,
+    ):
+        with pytest.raises(IdentityRNotSatisfied) as batch_error:
+            check(frame, [1.0, 0.0, 0.0])
+        with pytest.raises(IdentityRNotSatisfied) as point_error:
+            check(alone, [1.0, 0.0, 0.0])
+        assert str(batch_error.value) == str(point_error.value)
+    x = np.array([[1.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
+    with pytest.raises(DegeneratePlane, match=r"^vectors \(1\.0, 2\.0, 3\.0\) and \(2\.0, 4\.0, 6\.0\) "):
+        sectional_curvature(example, riemann_from_metric(example), x, [[0.0, 1.0, 0.0], [2.0, 4.0, 6.0]])

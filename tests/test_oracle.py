@@ -3,9 +3,10 @@
 sympy derives the Christoffel symbols and R_ijkh of g = circ(A, B, B) from
 their definitions, once per module: for generic fields A(x), B(x) and for
 the built-in example A = 2 x1, B = 2 x1 + x2 + x3. The tests assert that
-the oracle's formulas are exactly the derived ones, and pin term by term
-how the reference closed forms that closed_form_components evaluates
-differ from them. sympy is needed here only; the oracle itself is plain
+the oracle's formulas are exactly the derived ones, that the numeric
+Christoffel symbols and their derivatives are the derived ones on the
+example, and pin term by term how the reference closed forms that
+closed_form_components evaluates differ from them. sympy is needed here only; the oracle itself is plain
 arithmetic, so the acceptance tests that use it run without sympy.
 """
 
@@ -16,7 +17,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from circulant3.curvature import closed_form_from_metric
+from circulant3.curvature import christoffel_from_metric, closed_form_from_metric
+from circulant3.metric import metric_at
+from circulant3.specfile import builtin_example
 
 from oracle import example_components, generic_components
 
@@ -42,7 +45,7 @@ def _index(name):
 
 
 def _derive(g, inverse):
-    """The six named components g(R(e_i,e_j)e_k, e_h) of the metric matrix g(x).
+    """Gamma[i][j][h] = Gamma_ij^h and the six named components g(R(e_i,e_j)e_k, e_h) of g(x).
 
     R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z with
     nabla_{e_i} e_j = Gamma_ij^h e_h and
@@ -72,7 +75,7 @@ def _derive(g, inverse):
             for s in range(3)
         ]
         out[name] = sum(v[s] * g[s, h] for s in range(3))
-    return out
+    return gamma, out
 
 
 def _circulant(a, b):
@@ -93,7 +96,7 @@ def derived_generic():
             jets[sp.diff(f, X[i])] = grad[i]
             for j in range(3):
                 jets[sp.diff(f, X[i], X[j])] = hess[i][j]
-    R = _derive(*_circulant(fA, fB))
+    _, R = _derive(*_circulant(fA, fB))
     return {name: sp.expand(sp.cancel(4 * D * R[name].xreplace(jets))) for name in NAMES}
 
 
@@ -109,11 +112,32 @@ def test_generic_oracle_is_the_derived_curvature(derived_generic):
 
 
 def test_example_oracle_is_the_derived_curvature(derived_example):
+    _, derived = derived_example
     oracle = example_components(*X)
     for name in NAMES:
-        assert sp.cancel(derived_example[name] - oracle[name]) == 0, name
+        assert sp.cancel(derived[name] - oracle[name]) == 0, name
     # the convention's pin: R1212 = -1/8 at (2, -1, -1)
     assert oracle["R1212"].subs(dict(zip(X, (2, -1, -1)))) == sp.Rational(-1, 8)
+
+
+def test_example_christoffel_symbols_are_the_derived_ones(derived_example):
+    """christoffel_from_metric against the derived Gamma_ij^h and d_k Gamma_ij^h, to relative 1e-12.
+
+    Relative to the table's largest entry, so that the symbols which vanish
+    exactly are held to the same absolute bound.
+    """
+    gamma = [[[sp.cancel(e) for e in row] for row in plane] for plane in derived_example[0]]
+    R3 = range(3)
+    dgamma = [[[[sp.diff(gamma[i][j][h], X[k]) for h in R3] for j in R3] for i in R3] for k in R3]
+    example = builtin_example().metric
+    points = [(2, -1, -1), ("3/2", "-3/10", "-9/10"), ("11/5", "-1/2", "-11/10"), (1, "-1/5", "-3/5")]
+    for p in points:
+        at = dict(zip(X, (sp.Rational(c) for c in p)))
+        table = christoffel_from_metric(metric_at(example, [float(v) for v in at.values()]))
+        for numeric, symbolic in ((table.gamma, gamma), (table.dgamma, dgamma)):
+            exact = np.vectorize(lambda e: float(e.subs(at)), otypes=[float])(np.array(symbolic, dtype=object))
+            assert numeric.shape == exact.shape
+            assert np.max(np.abs(numeric - exact)) <= 1e-12 * np.max(np.abs(exact)), p
 
 
 def _reference(name):
