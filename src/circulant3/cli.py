@@ -35,6 +35,7 @@ from .curvature import (
     sectional_curvature,
 )
 from .errors import (
+    AngleRoutesDisagree,
     CirculantError,
     ConstructionFailed,
     DegeneratePlane,
@@ -63,7 +64,7 @@ from .qstructure import (
     q_basis_threshold,
 )
 from .sampling import sample_admissible_points
-from .specfile import builtin_example, example_diagonal_value, load_spec
+from .specfile import builtin_example, example_diagonal_value, interval_fault, load_spec
 
 
 class UsageError(Exception):
@@ -104,10 +105,9 @@ def _parse_box(text: str):
             lo, hi = float(bounds[0]), float(bounds[1])
         except ValueError as exc:
             raise UsageError(f"bad bound in {part!r}: {exc}") from exc
-        if not np.isfinite([lo, hi]).all():
-            raise UsageError(f"--box bounds must be finite, got {part!r}")
-        if not lo < hi:
-            raise UsageError(f"empty interval {part!r}")
+        fault = interval_fault(lo, hi, part)
+        if fault is not None:
+            raise UsageError(fault if fault.startswith("empty") else f"--box {fault}")
         box.append((lo, hi))
     return tuple(box)
 
@@ -157,8 +157,8 @@ def _max(values):
 # -- command cores ------------------------------------------------------------
 # Each core maps (spec, p, M, args) to (results, verdicts). p is one point (3,)
 # or a batch (N, 3); the verdicts' pass flags and residuals carry p's batch
-# shape. M is the metric batch at p when the caller has it (a sampled run),
-# else None, and the core builds it when it needs it.
+# shape. M is the metric batch at p when the caller has it (a sampled run, of
+# admissible points), else None, and the core builds it when it needs it.
 
 
 def _metric(spec, p, M, args):
@@ -167,36 +167,20 @@ def _metric(spec, p, M, args):
     return metric_at(spec.metric, p, allow_weak=args.allow_weak_metric)
 
 
-def _per_point(point_core):
-    """A core whose logic is per point: runs point_core at each point of a batch."""
-
-    def core(spec, p, M, args):
-        if p.ndim == 1:
-            return point_core(spec, p, M, args)
-        rows = [point_core(spec, q, M[i], args)[1] for i, q in enumerate(p)]
-        verdicts = {
-            name: {key: np.array([row[name][key] for row in rows]) for key in rows[0][name]}
-            for name in rows[0]
-        }
-        return {}, verdicts
-
-    return core
-
-
-@_per_point
+@np.errstate(all="ignore")  # as the float arithmetic of one point
 def _cmd_validate(spec, p, M, args):
     A = eval_value(spec.metric.A, p)
     B = eval_value(spec.metric.B, p)
-    violations = []
-    if not positive(A, B):
-        violations.append(f"A > B > 0 fails (A={A!r}, B={B!r})")
+    admissible = positive(A, B)
+    violations = [] if np.all(admissible) else [f"A > B > 0 fails (A={A!r}, B={B!r})"]
     constraints_ok = True
     for c in spec.metric.domain_constraints:
         val = eval_value(c, p)
-        if not inside_chart(val):
-            constraints_ok = False
+        inside = inside_chart(val)
+        constraints_ok = constraints_ok & inside
+        if not np.all(inside):
             violations.append(f"constraint '{c.source}' is {val!r} <= 0")
-    admissible = not violations
+    admissible = admissible & constraints_ok
     pd = check_positive_definite(A, B)
     results = {
         "A": A,
@@ -206,23 +190,20 @@ def _cmd_validate(spec, p, M, args):
         "minors": list(pd.minors),
         "violations": violations,
     }
-    inv_residual = None
-    usable = admissible or (constraints_ok and args.allow_weak_metric and pd.positive_definite)
-    if usable:
+    usable = admissible | (constraints_ok & args.allow_weak_metric & pd.positive_definite)
+    inv_residual = 1.0  # where g is not usable
+    if np.any(usable):
         if M is None:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 M = metric_at(spec.metric, p, allow_weak=True)
         results["g"] = M.g
-        inv_residual = float(np.max(np.abs(M.g @ M.g_inv - np.eye(3))))
+        inv_residual = np.where(usable, np.abs(M.g @ M.g_inv - np.eye(3)).max(axis=(-2, -1)), 1.0)
     verdicts = {
-        "admissible": _verdict(admissible, 0.0 if admissible else 1.0, 0.5),
-        "positive_definite": _verdict(pd.positive_definite, min(pd.minors), 0.0),
-        "inverse_consistent": _verdict(
-            inv_residual is not None and inv_residual <= 1e-12,
-            1.0 if inv_residual is None else inv_residual,
-            1e-12,
-        ),
+        "admissible": _verdict(admissible, np.where(admissible, 0.0, 1.0), 0.5),
+        # Python's min of the minors, as the negated _max of their negations
+        "positive_definite": _verdict(pd.positive_definite, -_max(-m for m in pd.minors), 0.0),
+        "inverse_consistent": _verdict(usable & (inv_residual <= 1e-12), inv_residual, 1e-12),
     }
     return results, verdicts
 
@@ -331,7 +312,6 @@ def _cmd_qbasis(spec, p, M, args):
     return results, {"induces_q_basis": _verdict(ok, abs(defect), scale)}
 
 
-@_per_point
 def _cmd_orthobasis(spec, p, M, args):
     M = _metric(spec, p, M, args)
     x = construct_orthogonal_vector(M.A, M.B)
@@ -343,7 +323,7 @@ def _cmd_orthobasis(spec, p, M, args):
         "g_x_q2x": inner(M, x, q2x),
         "g_qx_q2x": inner(M, qx, q2x),
     }
-    worst = max(abs(v) for v in pairs.values())
+    worst = _max(abs(v) for v in pairs.values())
     results = {"vector": x, "norm_sq": gxx, **pairs}
     verdicts = {
         "orthogonal": _verdict(worst <= args.tol * gxx, worst, args.tol * gxx),
@@ -414,9 +394,11 @@ def _random_q_basis_vectors(rng, count):
     raise ConstructionFailed("could not draw q-basis vectors")
 
 
-def _relation_residuals(M, R, vectors):
-    """Each relation's worst scaled residual over the vectors, at each point of M's batch."""
-    frame = RelationFrame(M, R)
+def _relation_residuals(M, R, vectors, tol):
+    """Each relation's worst scaled residual over the vectors, at each point of M's batch.
+
+    They refuse a point whose curvature fails q-invariance at tol."""
+    frame = RelationFrame(M, R, tol=tol)
     worst = {"sectional_difference": 0.0, "sectional_combination": 0.0, "equal_sectional": 0.0}
     for u in vectors:
         d = check_sectional_difference_formula(frame, u)
@@ -440,11 +422,11 @@ def _cmd_verify_theorems(spec, p, M, args):
     M = _metric(spec, p, M, args)
     R = riemann_from_metric(M)
     try:
-        worst = _relation_residuals(M, R, vectors)
-    except (CirculantError, AssertionError):
+        worst = _relation_residuals(M, R, vectors, args.tol)
+    except CirculantError:
         if M.D.ndim:  # raise what a point-by-point run raises first
             for i in range(len(M.D)):
-                _relation_residuals(M[i], R[i], vectors)
+                _relation_residuals(M[i], R[i], vectors, args.tol)
         raise
     results = {"n_vectors": len(vectors), "max_scaled_residuals": worst}
     verdicts = {name: _verdict(val <= args.tol, val, args.tol) for name, val in worst.items()}
@@ -648,7 +630,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--sample", type=int, help="sample N admissible points instead of --at")
         p.add_argument("--seed", type=int, help="PRNG seed for sampling (default 0)")
         p.add_argument("--box", help="sampling box lo:hi,lo:hi,lo:hi (overrides spec)")
-        p.add_argument("--tol", type=float, help="verdict tolerance override")
+        tol_help = "verdict tolerance override"
+        if name == "verify-theorems":
+            tol_help += " (default 1e-8), also of the refusal where q-invariance fails"
+        p.add_argument("--tol", type=float, help=tol_help)
         p.add_argument("--json", action="store_true", help="emit the JSON report")
         p.add_argument(
             "--allow-weak-metric",
@@ -678,7 +663,8 @@ def main(argv=None) -> int:
             ConstructionFailed, OSError) as exc:
         print(f"error ({args.command}): {exc}", file=sys.stderr)
         return 2
-    except (PositivityViolation, DomainViolation, EvalDomainError, SamplingExhausted) as exc:
+    except (PositivityViolation, DomainViolation, EvalDomainError, SamplingExhausted,
+            AngleRoutesDisagree) as exc:
         print(f"error ({args.command}): {exc}", file=sys.stderr)
         return 3
     except IdentityRNotSatisfied as exc:

@@ -21,7 +21,7 @@ result is bit for bit the one a batch of that point alone gives. Vectors
 are one vector (3,) shared by all points or one per point (..., 3). A
 check that refuses a batch names its first failing point.
 
-closed_form_components evaluates a set of six reference component
+closed_form_from_metric evaluates a set of six reference component
 formulas verbatim. The two routes agree on the built-in example's
 diagonal components yet differ elsewhere (against the derived components,
 the reference formulas' Hessian terms carry the opposite sign and their
@@ -37,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegeneratePlane, IdentityRNotSatisfied, NotAQBasis
-from .metric import MetricAtPoint, MetricFunctions, first_point, inner, inners, metric_at
+from .metric import MetricAtPoint, first_point, inner, inners
 from .qstructure import (
     apply_q,
     construct_orthogonal_vector,
@@ -146,11 +146,8 @@ def christoffel_from_metric(M: MetricAtPoint) -> ChristoffelTable:
     return ChristoffelTable(gamma, dgamma)
 
 
-def christoffel(m: MetricFunctions, p) -> ChristoffelTable:
-    return christoffel_from_metric(metric_at(m, p))
-
-
 def riemann_from_metric(M: MetricAtPoint) -> CurvatureTensor:
+    """The curvature tensor at M's points; low[...,i,j,k,h] = g(R(e_i,e_j)e_k, e_h)."""
     ct = christoffel_from_metric(M)
     gamma, dgamma = ct.gamma, ct.dgamma
     up = (
@@ -163,21 +160,12 @@ def riemann_from_metric(M: MetricAtPoint) -> CurvatureTensor:
     return CurvatureTensor(up, low, ct)
 
 
-def riemann(m: MetricFunctions, p) -> CurvatureTensor:
-    """The curvature tensor at p; low[i,j,k,h] = g(R(e_i,e_j)e_k, e_h)."""
-    return riemann_from_metric(metric_at(m, p))
-
-
-def closed_form_components(m: MetricFunctions, p) -> ClosedFormComponents:
+def closed_form_from_metric(M: MetricAtPoint) -> ClosedFormComponents:
     """Evaluate the six reference closed-form (0,4) components verbatim.
 
     D = (A - B)(A + 2B). See the module docstring for how these relate
     to the numeric tensor.
     """
-    return closed_form_from_metric(metric_at(m, p))
-
-
-def closed_form_from_metric(M: MetricAtPoint) -> ClosedFormComponents:
     A, B = M.A, M.B
     A1, A2, A3 = index_first(M.A_jet.grad, 1)
     B1, B2, B3 = index_first(M.B_jet.grad, 1)

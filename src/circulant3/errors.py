@@ -58,6 +58,10 @@ class NotAQBasis(CirculantError):
     """The vector does not generate a basis {x, qx, q^2 x}."""
 
 
+class AngleRoutesDisagree(CirculantError):
+    """The two routes to the q-basis angles disagree: the metric is too close to degenerate there."""
+
+
 class DegeneratePlane(CirculantError):
     """Sectional curvature requested for linearly dependent vectors."""
 

@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import jets
 from .errors import CirculantError, DomainViolation, PositivityViolation
 from .expressions import ScalarFieldExpr, as_point, eval_jet, eval_value, parse
 from .jets import Jet2
@@ -80,16 +81,18 @@ class PositivityReport(NamedTuple):
     minors: tuple[float, float, float]
 
 
-def check_positive_definite(A: float, B: float) -> PositivityReport:
+@np.errstate(all="ignore")  # float arithmetic on one point does not warn either
+def check_positive_definite(A, B) -> PositivityReport:
     """Leading principal minors of the circulant matrix and their positivity.
 
     The minors are A, (A-B)(A+B) and (A-B)^2 (A+2B); g is positive
     definite iff all three are positive. Note A > B > 0 is stricter.
+    Element by element over arrays, with float pow for the square.
     """
-    m1 = float(A)
-    m2 = float((A - B) * (A + B))
-    m3 = float((A - B) ** 2 * (A + 2 * B))
-    return PositivityReport(m1 > 0.0 and m2 > 0.0 and m3 > 0.0, (m1, m2, m3))
+    m1 = A
+    m2 = (A - B) * (A + B)
+    m3 = jets.power(A - B, 2) * (A + 2 * B)
+    return PositivityReport((m1 > 0.0) & (m2 > 0.0) & (m3 > 0.0), (m1, m2, m3))
 
 
 # -- the admissibility rule ---------------------------------------------------

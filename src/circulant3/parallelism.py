@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import ChristoffelTable, _metric_derivatives, christoffel_from_metric, index_first
-from .metric import MetricFunctions, metric_at
+from .metric import MetricAtPoint
 from .qstructure import Q_MATRIX
 
 MIRROR_MATRIX = np.array([[-1, 1, 1], [1, -1, 1], [1, 1, -1]], dtype=int)
@@ -50,6 +50,7 @@ class NablaQTensor:
 
 
 def nabla_q_from_table(ct: ChristoffelTable) -> NablaQTensor:
+    """nabla_i q_j^h from the table; q is constant so only Christoffel terms remain."""
     gamma = ct.gamma
     Q = Q_MATRIX.astype(float)
     # q components: (qx)^h = Q[h,t] x^t, so q_j^t = Q[t,j]
@@ -57,21 +58,13 @@ def nabla_q_from_table(ct: ChristoffelTable) -> NablaQTensor:
     return NablaQTensor(nq)
 
 
-def nabla_q(m: MetricFunctions, p) -> NablaQTensor:
-    """nabla_i q_j^h at p; q is constant so only Christoffel terms remain."""
-    return nabla_q_from_table(christoffel_from_metric(metric_at(m, p)))
-
-
-def parallel_residual_from_metric(M) -> np.ndarray:
+def parallel_residual_from_metric(M: MetricAtPoint) -> np.ndarray:
+    """grad A - grad B . MIRROR at M's points (zero iff q is parallel there)."""
     return M.A_jet.grad - M.B_jet.grad @ MIRROR_MATRIX
 
 
-def parallel_condition_residual(m: MetricFunctions, p) -> np.ndarray:
-    """grad A - grad B . MIRROR at p (zero iff q is parallel there)."""
-    return parallel_residual_from_metric(metric_at(m, p))
-
-
 def christoffel_equalities_from_table(ct: ChristoffelTable) -> np.ndarray:
+    """Max deviation over the nine Christoffel equalities implied by nabla q = 0."""
     gamma = index_first(ct.gamma, 3)
     worst = 0.0
     for (i1, j1, h1), (i2, j2, h2) in CHRISTOFFEL_EQUALITY_PAIRS:
@@ -80,16 +73,10 @@ def christoffel_equalities_from_table(ct: ChristoffelTable) -> np.ndarray:
     return worst
 
 
-def check_christoffel_equalities(m: MetricFunctions, p) -> float:
-    """Max deviation over the nine Christoffel equalities implied by nabla q = 0."""
-    return christoffel_equalities_from_table(christoffel_from_metric(metric_at(m, p)))
-
-
-def metric_compatibility_residual(m: MetricFunctions, p) -> float:
-    """Max component of nabla g (must vanish for the Levi-Civita connection)."""
-    M = metric_at(m, p)
+def metric_compatibility_residual(M: MetricAtPoint) -> np.ndarray:
+    """Max component of nabla g at M's points (must vanish for the Levi-Civita connection)."""
     ct = christoffel_from_metric(M)
     dg, _ = _metric_derivatives(M)
-    contraction = np.einsum("kit,tj->kij", ct.gamma, M.g)
-    nabla_g = dg - contraction - np.einsum("kij->kji", contraction)
-    return float(np.max(np.abs(nabla_g)))
+    contraction = np.einsum("...kit,...tj->...kij", ct.gamma, M.g)
+    nabla_g = dg - contraction - np.einsum("...kij->...kji", contraction)
+    return np.abs(nabla_g).max(axis=(-3, -2, -1))

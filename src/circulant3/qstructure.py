@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstructionFailed, NotAQBasis, PositivityViolation
+from .errors import AngleRoutesDisagree, ConstructionFailed, NotAQBasis, PositivityViolation
 from .metric import MetricAtPoint, first_point, inner, inners, positive
 
 Q_MATRIX = np.array([[0, -1, 0], [0, 0, -1], [-1, 0, 0]], dtype=int)
@@ -38,38 +38,54 @@ def isometry_residual(M: MetricAtPoint, x, y) -> float:
     return abs(inner(M, apply_q(x), apply_q(y)) - inner(M, x, y))
 
 
-def _too_large(x) -> NotAQBasis:
-    return NotAQBasis(f"vector {tuple(x.tolist())} is too large for the q-basis test: its cubes overflow")
+def _each_vector(test, x):
+    """test(v) for each vector v (3,) of x (..., 3), one vector at a time.
 
-
-def q_basis_defect(x) -> float:
-    """The cubic 3 x1 x2 x3 - (x1^3 + x2^3 + x3^3), whose vanishing kills the q-basis.
-
-    Raises NotAQBasis when a cube overflows.
+    A float for one vector, else an array of x's batch shape. The tests
+    keep float arithmetic, as jets._apply does: numpy's power differs from
+    float pow in the last bit. Raises NotAQBasis for the first vector where
+    a cube overflows.
     """
     x = np.asarray(x, dtype=float)
-    x1, x2, x3 = x.tolist()
-    try:
-        return 3.0 * x1 * x2 * x3 - (x1**3 + x2**3 + x3**3)
-    except OverflowError:
-        raise _too_large(x) from None
+    out = []
+    for v in x.reshape(-1, 3):
+        try:
+            out.append(test(v))
+        except OverflowError:
+            raise NotAQBasis(
+                f"vector {tuple(v.tolist())} is too large for the q-basis test: its cubes overflow"
+            ) from None
+    return out[0] if x.ndim == 1 else np.array(out).reshape(x.shape[:-1])
 
 
-def q_basis_threshold(x) -> float:
+def _defect(v):
+    x1, x2, x3 = v.tolist()
+    return 3.0 * x1 * x2 * x3 - (x1**3 + x2**3 + x3**3)
+
+
+def _threshold(v):
+    return Q_BASIS_EPS * max(1.0, math.sqrt(v.dot(v)) ** 3)  # the bits of np.linalg.norm(v)
+
+
+def q_basis_defect(x):
+    """The cubic 3 x1 x2 x3 - (x1^3 + x2^3 + x3^3), whose vanishing kills the q-basis.
+
+    x is one vector (3,) or a batch (..., 3). Raises NotAQBasis when a cube overflows.
+    """
+    return _each_vector(_defect, x)
+
+
+def q_basis_threshold(x):
     """Q_BASIS_EPS * max(1, |x|^3), the bound |q_basis_defect(x)| must exceed.
 
     Raises NotAQBasis when |x|^3 overflows.
     """
-    x = np.asarray(x, dtype=float)
-    try:
-        return Q_BASIS_EPS * max(1.0, float(np.linalg.norm(x)) ** 3)
-    except OverflowError:
-        raise _too_large(x) from None
+    return _each_vector(_threshold, x)
 
 
-def induces_q_basis(x) -> bool:
-    """True iff {x, qx, q^2 x} spans the tangent space (cubic criterion)."""
-    return abs(q_basis_defect(x)) > q_basis_threshold(x)
+def induces_q_basis(x):
+    """Where {x, qx, q^2 x} spans the tangent space (cubic criterion); one vector or a batch."""
+    return _each_vector(lambda v: abs(_defect(v)) > _threshold(v), x)
 
 
 def vector_invariants(x) -> tuple[float, float]:
@@ -121,9 +137,9 @@ def q_basis_angles(M: MetricAtPoint, x) -> AngleReport:
     """Cosines between x, qx and q^2 x at each point of M's batch, computed two ways.
 
     The inner-product route is the definition; the closed form in (a, b)
-    must agree with it to ANGLE_ROUTE_TOL or the call fails loudly (for
-    the first point where they disagree). Raises NotAQBasis when x does
-    not generate a basis.
+    must agree with it to ANGLE_ROUTE_TOL, or the call raises
+    AngleRoutesDisagree for the first point where they disagree. Raises
+    NotAQBasis when x does not generate a basis.
     """
     x = np.asarray(x, dtype=float)
     if not induces_q_basis(x):
@@ -140,7 +156,7 @@ def q_basis_angles(M: MetricAtPoint, x) -> AngleReport:
         off = abs(route_cos - sign * closed) > ANGLE_ROUTE_TOL
         if off.any():
             i = first_point(off)
-            raise AssertionError(
+            raise AngleRoutesDisagree(
                 f"angle routes disagree beyond {ANGLE_ROUTE_TOL}: inner-product "
                 f"{float(np.asarray(route_cos)[i])!r} vs closed form {float(sign * np.asarray(closed)[i])!r}"
             )
@@ -180,19 +196,16 @@ def construct_special_angle_vector(A, B) -> np.ndarray:
     A, B = _require_positive(A, B)
     with np.errstate(all="ignore"):  # points with A = 2B take neither root
         root = 2.0 * np.sqrt(B * (A - B))
-        roots = ((A + root) / (A - 2 * B), (A - root) / (A - 2 * B))
-    y = np.zeros(A.shape + (3,))
+        t = (A + np.multiply.outer((1.0, -1.0), root)) / (A - 2 * B)  # both roots; A + -root is A - root
+    y = np.zeros(t.shape + (3,))  # y[0] and y[1], the candidates of every point
     y[..., 0] = 1.0
-    for i in np.ndindex(A.shape):
-        if abs(A[i] - 2 * B[i]) < 1e-12:
-            continue
-        for t in roots:
-            if induces_q_basis((1.0, 0.0, t[i])):
-                y[i + (2,)] = t[i]
-                break
-        else:
-            raise ConstructionFailed(
-                "no special-angle candidate passes the q-basis criterion "
-                f"for A={float(A[i])}, B={float(B[i])}"
-            )
-    return y
+    y[..., 2] = np.where(abs(A - 2 * B) < 1e-12, 0.0, t)  # (1, 0, 0) where A = 2B
+    first, second = np.asarray(induces_q_basis(y))
+    failed = ~(first | second)
+    if failed.any():
+        i = first_point(failed)
+        raise ConstructionFailed(
+            "no special-angle candidate passes the q-basis criterion "
+            f"for A={float(A[i])}, B={float(B[i])}"
+        )
+    return np.where(first[..., None], y[0], y[1])

@@ -25,6 +25,7 @@ names for positivity constraints; [sample] needs all of x1, x2, x3 as
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -38,6 +39,21 @@ _SECTION_RE = re.compile(r"^\[([A-Za-z0-9_-]+)\]\s*(?:#.*)?$")
 _KEYVAL_RE = re.compile(r'^([A-Za-z0-9_-]+)\s*=\s*"([^"]*)"\s*(?:#.*)?$')
 
 _KNOWN_SECTIONS = ("metric", "domain", "sample")
+
+
+def interval_fault(lo: float, hi: float, text: str) -> str | None:
+    """Why the interval (lo, hi), written text, cannot be sampled, or None when it can.
+
+    The sampler draws lo + (hi - lo) u: the bounds must be finite, lo < hi,
+    and the width hi - lo finite.
+    """
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        return f"bounds must be finite, got {text!r}"
+    if not lo < hi:
+        return f"empty interval {text!r}"
+    if not math.isfinite(hi - lo):
+        return f"interval {text!r} is too wide (high - low overflows)"
+    return None
 
 
 @dataclass(frozen=True)
@@ -124,8 +140,9 @@ def parse_spec_text(text: str, default_name: str = "manifold") -> ManifoldSpec:
                 lo, hi = float(parts[0]), float(parts[1])
             except ValueError as exc:
                 raise SpecFileError(f"bad interval bound in {value!r}", lineno, col) from exc
-            if not lo < hi:
-                raise SpecFileError(f"empty interval {value!r} for {axis}", lineno, col)
+            fault = interval_fault(lo, hi, value)
+            if fault is not None:
+                raise SpecFileError(f"{fault} for {axis}", lineno, col)
             intervals.append((lo, hi))
         for key in sample:
             if key not in ("x1", "x2", "x3"):

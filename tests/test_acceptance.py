@@ -28,7 +28,7 @@ from circulant3 import (
     check_q_invariance,
     check_sectional_combination_formula,
     check_sectional_difference_formula,
-    christoffel,
+    christoffel_from_metric,
     construct_orthogonal_vector,
     cos_angle_closed_form,
     eval_jet,
@@ -36,11 +36,10 @@ from circulant3 import (
     inner,
     is_flat,
     metric_at,
-    nabla_q,
-    parallel_condition_residual,
+    nabla_q_from_table,
+    parallel_residual_from_metric,
     parse,
     q_basis_angles,
-    riemann,
     riemann_from_metric,
     sample_admissible_points,
 )
@@ -77,13 +76,13 @@ def _example_points(n=25, seed=2024):
 def test_ac1_diagonal_reproduction_and_spot_value():
     m = builtin_example().metric
     for p in _example_points():
-        R = riemann(m, p)
+        R = riemann_from_metric(metric_at(m, p))
         want = example_diagonal_value(p)
         for name in ("R1212", "R1313", "R2323"):
             i, j, k, h = COMPONENT_INDEX[name]
             got = R.low[i, j, k, h]
             assert abs(got - want) <= 1e-8 * abs(want), (p, name, got, want)
-    R = riemann(m, SPOT)
+    R = riemann_from_metric(metric_at(m, SPOT))
     assert abs(R.component(1, 2, 1, 2) - (-0.125)) <= 1e-10
     print("AC-1 (diagonal components match the closed formula; spot value -1/8): PASS")
 
@@ -98,13 +97,13 @@ def test_ac1_cross_components_zero():
     """
     m = builtin_example().metric
     for p in _example_points():
-        R = riemann(m, p)
+        R = riemann_from_metric(metric_at(m, p))
         exact = example_components(*p)
         for name in ("R1213", "R1323", "R1223"):
             i, j, k, h = COMPONENT_INDEX[name]
             got, want = R.low[i, j, k, h], exact[name]
             assert abs(got - want) <= 1e-8 * abs(want), (p, name, got, want)
-    R = riemann(m, SPOT)
+    R = riemann_from_metric(metric_at(m, SPOT))
     assert abs(R.component(1, 2, 1, 3) - (-0.5)) <= 1e-10
     assert abs(R.component(1, 2, 2, 3) - (-0.25)) <= 1e-10
     assert abs(R.component(1, 3, 2, 3) - 0.25) <= 1e-10
@@ -124,7 +123,7 @@ def test_ac2_identity_holds_on_example():
     """
     m = builtin_example().metric
     for p in _example_points():
-        R = riemann(m, p)
+        R = riemann_from_metric(metric_at(m, p))
         chk = check_q_invariance(R)
         x1, x2, x3 = p
         spread = 3 * abs(x1) / abs((x2 + x3) * (3 * x1 + x2 + x3))
@@ -138,8 +137,9 @@ def test_ac2_identity_holds_on_example():
 def test_ac2_not_parallel_and_not_flat():
     m = builtin_example().metric
     for p in _example_points():
-        assert nabla_q(m, p).max_abs > 1e-6
-        assert not is_flat(riemann(m, p), 1e-9)
+        M = metric_at(m, p)
+        assert nabla_q_from_table(christoffel_from_metric(M)).max_abs > 1e-6
+        assert not is_flat(riemann_from_metric(M), 1e-9)
     print("AC-2 (structure not parallel, manifold not flat): PASS")
 
 
@@ -157,7 +157,7 @@ def _ac3_sample(seed=7, manifolds=50, points=5):
 def test_ac3_closed_form_oracle_equivalence():
     """The numeric tensor matches the derived closed-form components.
 
-    The reference claims its six closed forms (closed_form_components) are
+    The reference claims its six closed forms (closed_form_from_metric) are
     the curvature of g = circ(A, B, B). The oracle refutes it: their Hessian
     terms are exactly minus the derived ones and their first-order terms
     differ by a nonzero polynomial (test_oracle.py pins both). So the
@@ -179,7 +179,7 @@ def test_ac3_closed_form_oracle_equivalence():
 
 def test_ac3_tensor_symmetries_and_bianchi():
     for m, p in _ac3_sample(seed=8, manifolds=50, points=5):
-        lo = riemann(m, p).low
+        lo = riemann_from_metric(metric_at(m, p)).low
         scale = 1e-9 * (1.0 + float(np.max(np.abs(lo))))
         assert np.max(np.abs(lo + np.einsum("ijkh->jikh", lo))) <= scale
         assert np.max(np.abs(lo + np.einsum("ijkh->ijhk", lo))) <= scale
@@ -300,21 +300,22 @@ def test_ac7_parallelism():
     derived = MetricFunctions.from_sources("x1 + x2 + x3 + 1", "x1 + x2 + x3")
     rng = np.random.default_rng(23)
     for _ in range(10):
-        p = rng.uniform(0.2, 1.5, size=3)  # keeps B > 0
-        assert nabla_q(derived, p).max_abs < 1e-10
-        assert np.max(np.abs(parallel_condition_residual(derived, p))) == 0.0
+        M = metric_at(derived, rng.uniform(0.2, 1.5, size=3))  # keeps B > 0
+        assert nabla_q_from_table(christoffel_from_metric(M)).max_abs < 1e-10
+        assert np.max(np.abs(parallel_residual_from_metric(M))) == 0.0
 
     m5 = builtin_example().metric
     for p in _example_points(5, seed=29):
-        assert nabla_q(m5, p).max_abs > 1e-6
-        assert np.max(np.abs(parallel_condition_residual(m5, p))) > 1e-6
+        M = metric_at(m5, p)
+        assert nabla_q_from_table(christoffel_from_metric(M)).max_abs > 1e-6
+        assert np.max(np.abs(parallel_residual_from_metric(M))) > 1e-6
 
     inconclusive = 0
     for k in range(50):
         m = random_parallel_manifold(rng) if k % 2 == 0 else random_manifold(rng)
-        p = random_point(rng)
-        nq = nabla_q(m, p).max_abs
-        grad = float(np.max(np.abs(parallel_condition_residual(m, p))))
+        M = metric_at(m, random_point(rng))
+        nq = nabla_q_from_table(christoffel_from_metric(M)).max_abs
+        grad = float(np.max(np.abs(parallel_residual_from_metric(M))))
         for first, second in ((nq, grad), (grad, nq)):
             if first <= 1e-9:
                 assert second <= 1e-8, f"equivalence violated: nabla={nq} grad={grad}"
@@ -339,12 +340,14 @@ def test_ac8_jet_and_connection_derivatives():
     for _ in range(10):
         m = random_manifold(rng)
         p = random_point(rng, ((-0.8, 0.8),) * 3)
-        ct = christoffel(m, p)
+        ct = christoffel_from_metric(metric_at(m, p))
         fd = np.empty((3, 3, 3, 3))
         for k in range(3):
             e = np.zeros(3)
             e[k] = h
-            fd[k] = (christoffel(m, p + e).gamma - christoffel(m, p - e).gamma) / (2 * h)
+            gp = christoffel_from_metric(metric_at(m, p + e)).gamma
+            gm = christoffel_from_metric(metric_at(m, p - e)).gamma
+            fd[k] = (gp - gm) / (2 * h)
         assert np.max(np.abs(fd - ct.dgamma)) < 1e-5
     print("AC-8 (jets vs finite differences; connection derivatives): PASS")
 

@@ -363,8 +363,12 @@ B = "x1 + 2*x2 + 3*x3 + 5"
          "riemann_generic_sample40_seed3.json"),
         (PARALLEL_BENCH_SPEC, ["verify-theorems", "--sample", "4", "--seed", "3", "--box=-1:1,-1:1,-1:1"],
          "verify_theorems_parallel_sample4_seed3.json"),
+        (GENERIC_SPEC, ["validate", "--sample", "40", "--seed", "3", "--box=-6:6,-1:1,-6:6"],
+         "validate_generic_sample40_seed3.json"),
+        (GENERIC_SPEC, ["orthobasis", "--sample", "40", "--seed", "3", "--box=-6:6,-1:1,-6:6"],
+         "orthobasis_generic_sample40_seed3.json"),
     ],
-    ids=["riemann-generic", "verify-theorems-parallel"],
+    ids=["riemann-generic", "verify-theorems-parallel", "validate-generic", "orthobasis-generic"],
 )
 def test_sampled_golden_json(capsys, tmp_path, spec_text, argv, golden):
     spec = tmp_path / "spec.toml"
@@ -388,6 +392,47 @@ def test_overflowing_vector_is_usage_error(capsys, tmp_path, argv):
     assert main([a.format(generic=spec) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error ({argv[0]}): vector (1e+200, 0.0, 1.0) is too large for the q-basis test")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["angles", "--at=0,0,0", "--vector=1,-1,0.001"],
+        ["verify-theorems", "--at=0,0,0", "--vector=1,-1,0.001"],
+    ],
+    ids=["angles", "verify-theorems"],
+)
+def test_angle_routes_that_disagree_are_a_metric_error(capsys, tmp_path, argv):
+    # A - B = 1e-10 and (x1 + x2 + x3)^2 = 1e-6, so g(x, x) is tiny against |x|^2
+    # and the two cosine routes part beyond ANGLE_ROUTE_TOL
+    spec = tmp_path / "near.toml"
+    spec.write_text('[metric]\nA = "1.0000000001"\nB = "1"\n', encoding="utf-8")
+    assert main([argv[0], "--spec", str(spec), *argv[1:]]) == 3
+    assert capsys.readouterr().err == (
+        f"error ({argv[0]}): angle routes disagree beyond 1e-10: "
+        "inner-product 0.999700059863156 vs closed form 0.9997000599632321\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "sample, box, message",
+    [
+        ("", "--box=-1e308:1e308,-1:1,-1:1",
+         "--box interval '-1e308:1e308' is too wide (high - low overflows)"),
+        ('x1 = "-1e308, 1e308"', None,
+         "interval '-1e308, 1e308' is too wide (high - low overflows) for x1 (line 5, column 7)"),
+        ('x1 = "-inf, 1"', None,
+         "bounds must be finite, got '-inf, 1' for x1 (line 5, column 7)"),
+    ],
+    ids=["box-option", "spec-too-wide", "spec-infinite"],
+)
+def test_box_with_an_infinite_or_overflowing_width_is_usage_error(capsys, tmp_path, sample, box, message):
+    spec = tmp_path / "wide.toml"
+    section = f'[sample]\n{sample}\nx2 = "-1, 1"\nx3 = "-1, 1"\n' if sample else ""
+    spec.write_text(f'[metric]\nA = "3"\nB = "1"\n{section}', encoding="utf-8")
+    argv = ["riemann", "--spec", str(spec), "--sample", "3"] + ([box] if box else [])
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error (riemann): {message}\n"
 
 
 def test_error_messages_print_plain_numbers(capsys, tmp_path):
@@ -595,3 +640,14 @@ def test_a_call_does_not_inherit_the_previous_calls_options(capsys, parallel_spe
     code, out, _ = again
     assert code == 0
     assert "  n_vectors = 5\n" in out and "vector =" not in out and "tol=1.000e-08" in out
+
+
+@pytest.mark.parametrize("tol, exit_code", [("1", 0), ("1e-3", 0), ("1e-5", 1)])
+def test_verify_theorems_refuses_where_check_identity_fails_at_the_same_tol(capsys, tmp_path, tol, exit_code):
+    spec = tmp_path / "partly.toml"
+    spec.write_text(PARTLY_INVARIANT_SPEC, encoding="utf-8")
+    run = ["--spec", str(spec), "--sample", "5", "--seed", "3", "--box=-1:1,-1:1,-1:1", "--tol", tol]
+    identity, _, _ = _call(capsys, ["check-identity", *run])
+    theorems, _, err = _call(capsys, ["verify-theorems", *run])
+    assert identity == theorems == exit_code
+    assert ("q-invariance fails" in err) == (exit_code == 1)

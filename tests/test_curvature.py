@@ -17,20 +17,19 @@ from circulant3 import (
     check_q_invariance,
     check_sectional_combination_formula,
     check_sectional_difference_formula,
-    christoffel,
-    closed_form_components,
+    christoffel_from_metric,
+    closed_form_from_metric,
     construct_orthogonal_vector,
     inner,
     is_flat,
     metric_at,
     metric_compatibility_residual,
-    riemann,
     riemann_apply,
     riemann_from_metric,
     sample_admissible_points,
     sectional_curvature,
 )
-from circulant3.curvature import COMPONENT_INDEX, closed_form_from_metric, sampled_q_invariance_residual
+from circulant3.curvature import COMPONENT_INDEX, sampled_q_invariance_residual
 from circulant3.errors import DegeneratePlane, IdentityRNotSatisfied, NotAQBasis
 from circulant3.jets import concatenate
 from circulant3.metric import metric_from_jets
@@ -53,7 +52,7 @@ def nonflat_parallel():
 
 
 def test_constant_metric_has_zero_connection():
-    ct = christoffel(MetricFunctions.from_sources("2", "1"), (5.0, -3.0, 0.1))
+    ct = christoffel_from_metric(metric_at(MetricFunctions.from_sources("2", "1"), (5.0, -3.0, 0.1)))
     assert np.array_equal(ct.gamma, np.zeros((3, 3, 3)))
     assert np.array_equal(ct.dgamma, np.zeros((3, 3, 3, 3)))
 
@@ -62,7 +61,7 @@ def test_example_christoffel_spot_values():
     # direct evaluation of the defining formula at the canonical point:
     # Gamma_11^1 = -1/8; the whole table and its derivatives are checked against
     # a symbolic derivation in test_oracle.py::test_example_christoffel_symbols_are_the_derived_ones
-    ct = christoffel(builtin_example().metric, P5)
+    ct = christoffel_from_metric(metric_at(builtin_example().metric, P5))
     g = ct.gamma
     assert g[0, 0, 0] == -0.125
     assert np.allclose(g[0, 0], [-0.125, 0.375, 0.375])
@@ -75,7 +74,7 @@ def test_example_christoffel_spot_values():
 def test_christoffel_lower_symmetry_random():
     rng = np.random.default_rng(41)
     for _ in range(10):
-        ct = christoffel(random_manifold(rng), random_point(rng))
+        ct = christoffel_from_metric(metric_at(random_manifold(rng), random_point(rng)))
         assert np.max(np.abs(ct.gamma - np.einsum("ijh->jih", ct.gamma))) < 1e-14
 
 
@@ -85,19 +84,21 @@ def test_dgamma_matches_finite_differences():
     for _ in range(8):
         m = random_manifold(rng)
         p = random_point(rng, ((-0.8, 0.8),) * 3)
-        ct = christoffel(m, p)
+        ct = christoffel_from_metric(metric_at(m, p))
         fd = np.empty((3, 3, 3, 3))
         for k in range(3):
             e = np.zeros(3)
             e[k] = h
-            fd[k] = (christoffel(m, p + e).gamma - christoffel(m, p - e).gamma) / (2 * h)
+            gp = christoffel_from_metric(metric_at(m, p + e)).gamma
+            gm = christoffel_from_metric(metric_at(m, p - e)).gamma
+            fd[k] = (gp - gm) / (2 * h)
         assert np.max(np.abs(fd - ct.dgamma)) < 1e-5
 
 
 def test_connection_is_metric_compatible():
     rng = np.random.default_rng(43)
     for _ in range(10):
-        assert metric_compatibility_residual(random_manifold(rng), random_point(rng)) < 1e-9
+        assert metric_compatibility_residual(metric_at(random_manifold(rng), random_point(rng))) < 1e-9
 
 
 def test_parallel_manifold_group_christoffels():
@@ -115,7 +116,7 @@ def test_parallel_manifold_group_christoffels():
         2: (A * A2 + B * (B3 - 3 * B2 + B1)) / (2 * D),
         3: (A * A3 + B * (B1 - 3 * B3 + B2)) / (2 * D),
     }
-    gamma = christoffel(m, p).gamma
+    gamma = christoffel_from_metric(M).gamma
     groups = {
         1: [(1, 1, 1), (1, 2, 2), (1, 3, 3), (2, 2, 3), (2, 3, 1), (3, 3, 2)],
         2: [(1, 1, 3), (1, 2, 1), (1, 3, 2), (2, 2, 2), (2, 3, 3), (3, 3, 1)],
@@ -130,13 +131,13 @@ def test_parallel_manifold_group_christoffels():
 
 
 def test_flat_for_constant_fields():
-    R = riemann(MetricFunctions.from_sources("2", "1"), (1.0, 2.0, 3.0))
+    R = riemann_from_metric(metric_at(MetricFunctions.from_sources("2", "1"), (1.0, 2.0, 3.0)))
     assert np.array_equal(R.low, np.zeros((3, 3, 3, 3)))
     assert is_flat(R, 0.0)
 
 
 def test_example_components_at_canonical_point():
-    R = riemann(builtin_example().metric, P5)
+    R = riemann_from_metric(metric_at(builtin_example().metric, P5))
     assert abs(R.component(1, 2, 1, 2) - (-0.125)) <= 1e-10
     assert abs(R.component(1, 3, 1, 3) - (-0.125)) <= 1e-10
     assert abs(R.component(2, 3, 2, 3) - (-0.125)) <= 1e-10
@@ -150,7 +151,7 @@ def test_example_components_at_canonical_point():
 def test_example_diagonal_matches_closed_formula_across_chart():
     m = builtin_example().metric
     for p in ([2.0, -1.0, -1.0], [1.5, -0.3, -0.9], [1.1, -1.7, -0.2], [2.7, -0.4, -1.3]):
-        R = riemann(m, p)
+        R = riemann_from_metric(metric_at(m, p))
         want = example_diagonal_value(p)
         for comp in ((1, 2, 1, 2), (1, 3, 1, 3), (2, 3, 2, 3)):
             assert abs(R.component(*comp) - want) <= 1e-10 * abs(want)
@@ -159,7 +160,7 @@ def test_example_diagonal_matches_closed_formula_across_chart():
 def test_tensor_symmetries_random():
     rng = np.random.default_rng(45)
     for _ in range(15):
-        R = riemann(random_manifold(rng), random_point(rng))
+        R = riemann_from_metric(metric_at(random_manifold(rng), random_point(rng)))
         lo = R.low
         scale = 1e-9 * (1.0 + float(np.max(np.abs(lo))))
         assert np.max(np.abs(lo + np.einsum("ijkh->jikh", lo))) <= scale
@@ -170,7 +171,7 @@ def test_tensor_symmetries_random():
 
 
 def test_closed_form_example_reproduces_reference_values():
-    cf = closed_form_components(builtin_example().metric, P5)
+    cf = closed_form_from_metric(metric_at(builtin_example().metric, P5))
     assert cf.R1212 == -0.125
     assert cf.R1313 == -0.125
     assert cf.R2323 == -0.125
@@ -180,7 +181,7 @@ def test_closed_form_example_reproduces_reference_values():
 
 
 def test_closed_form_constant_fields_vanish():
-    cf = closed_form_components(MetricFunctions.from_sources("2", "1"), (0.0, 0.0, 0.0))
+    cf = closed_form_from_metric(metric_at(MetricFunctions.from_sources("2", "1"), (0.0, 0.0, 0.0)))
     assert all(v == 0.0 for v in cf.as_dict().values())
 
 
@@ -189,8 +190,9 @@ def test_closed_form_diagonal_matches_numeric_on_example_chart():
     # everywhere; the cross components do not (see the acceptance analysis)
     m = builtin_example().metric
     for p in ([2.0, -1.0, -1.0], [1.5, -0.3, -0.9], [2.2, -0.5, -1.1]):
-        R = riemann(m, p)
-        cf = closed_form_components(m, p).as_dict()
+        M = metric_at(m, p)
+        R = riemann_from_metric(M)
+        cf = closed_form_from_metric(M).as_dict()
         for name in ("R1212", "R1313", "R2323"):
             i, j, k, h = COMPONENT_INDEX[name]
             assert abs(cf[name] - R.low[i, j, k, h]) <= 1e-10 * (1 + abs(cf[name]))
@@ -202,7 +204,7 @@ def test_closed_form_diagonal_matches_numeric_on_example_chart():
 def test_sectional_on_example_plane():
     m = builtin_example().metric
     M = metric_at(m, P5)
-    R = riemann(m, P5)
+    R = riemann_from_metric(M)
     mu = sectional_curvature(M, R, [1, 0, 0], [0, 1, 0])
     assert abs(mu - (-0.125 / 12.0)) <= 1e-12  # R1212 / (g11 g22 - g12^2) = -1/96
 
@@ -212,7 +214,7 @@ def test_sectional_scale_invariance():
     m = random_manifold(rng)
     p = random_point(rng)
     M = metric_at(m, p)
-    R = riemann(m, p)
+    R = riemann_from_metric(M)
     x = rng.standard_normal(3)
     y = rng.standard_normal(3)
     mu = sectional_curvature(M, R, x, y)
@@ -226,7 +228,7 @@ def test_sectional_scale_invariance():
 def test_sectional_degenerate_plane():
     m = builtin_example().metric
     M = metric_at(m, P5)
-    R = riemann(m, P5)
+    R = riemann_from_metric(M)
     with pytest.raises(DegeneratePlane):
         sectional_curvature(M, R, [1.0, 2.0, 3.0], [2.0, 4.0, 6.0])
 
@@ -235,12 +237,12 @@ def test_flat_manifold_zero_sectional():
     m = MetricFunctions.from_sources("3", "1")
     p = (0.0, 0.0, 0.0)
     M = metric_at(m, p)
-    R = riemann(m, p)
+    R = riemann_from_metric(M)
     assert sectional_curvature(M, R, [1, 0, 0], [0, 0, 1]) == 0.0
 
 
 def test_riemann_apply_extracts_components():
-    R = riemann(builtin_example().metric, P5)
+    R = riemann_from_metric(metric_at(builtin_example().metric, P5))
     e = np.eye(3)
     assert riemann_apply(R, e[0], e[1], e[0], e[1]) == R.low[0, 1, 0, 1]
     assert abs(riemann_apply(R, e[0], e[1], e[0], e[2]) - R.component(1, 2, 1, 3)) < 1e-15
@@ -248,7 +250,7 @@ def test_riemann_apply_extracts_components():
 
 def test_riemann_apply_antisymmetry():
     rng = np.random.default_rng(47)
-    R = riemann(random_manifold(rng), random_point(rng))
+    R = riemann_from_metric(metric_at(random_manifold(rng), random_point(rng)))
     for _ in range(20):
         x, y, z, u = rng.standard_normal((4, 3))
         v1 = riemann_apply(R, x, y, z, u)
@@ -257,7 +259,7 @@ def test_riemann_apply_antisymmetry():
 
 
 def test_is_flat_tolerance_semantics():
-    R = riemann(builtin_example().metric, P5)
+    R = riemann_from_metric(metric_at(builtin_example().metric, P5))
     assert not is_flat(R, 1e-9)
     assert is_flat(R, 1.0)
 
@@ -266,7 +268,7 @@ def test_is_flat_tolerance_semantics():
 
 
 def test_example_fails_q_invariance_with_route_agreement():
-    R = riemann(builtin_example().metric, P5)
+    R = riemann_from_metric(metric_at(builtin_example().metric, P5))
     chk = check_q_invariance(R)
     assert not chk.passed
     assert not sampled_q_invariance_residual(R, 0, 20) <= chk.threshold
@@ -275,7 +277,7 @@ def test_example_fails_q_invariance_with_route_agreement():
 
 
 def test_flat_manifold_passes_q_invariance():
-    R = riemann(MetricFunctions.from_sources("2", "1"), (0.0, 0.0, 0.0))
+    R = riemann_from_metric(metric_at(MetricFunctions.from_sources("2", "1"), (0.0, 0.0, 0.0)))
     chk = check_q_invariance(R)
     assert chk.passed and sampled_q_invariance_residual(R, 0, 20) <= chk.threshold
 
@@ -284,7 +286,7 @@ def test_nonflat_parallel_manifold_passes_q_invariance():
     m, box = nonflat_parallel()
     rng = np.random.default_rng(48)
     for _ in range(5):
-        R = riemann(m, random_point(rng, box))
+        R = riemann_from_metric(metric_at(m, random_point(rng, box)))
         assert not is_flat(R, 1e-9)
         chk = check_q_invariance(R)
         assert chk.passed and sampled_q_invariance_residual(R, 0, 20) <= chk.threshold
@@ -294,7 +296,7 @@ def test_q_invariance_routes_agree_on_random_manifolds():
     rng = np.random.default_rng(49)
     for _ in range(15):
         m = random_manifold(rng) if rng.integers(0, 2) else random_parallel_manifold(rng)
-        R = riemann(m, random_point(rng))
+        R = riemann_from_metric(metric_at(m, random_point(rng)))
         chk = check_q_invariance(R)
         assert chk.passed == (sampled_q_invariance_residual(R, 0, 20) <= chk.threshold)
 
@@ -302,7 +304,7 @@ def test_q_invariance_routes_agree_on_random_manifolds():
 def test_q_invariance_routes_agree_on_quadratic_manifold():
     # both routes must reach the same verdict, whichever it is
     m = MetricFunctions.from_sources("2 + x1^2 / 10", "1")
-    R = riemann(m, (1.0, 0.5, -0.2))
+    R = riemann_from_metric(metric_at(m, (1.0, 0.5, -0.2)))
     chk = check_q_invariance(R)
     assert chk.passed == (sampled_q_invariance_residual(R, 0, 20) <= chk.threshold)
 
@@ -385,7 +387,7 @@ def test_q_transformed_plane_has_equal_sectional_via_apply():
     m, box = nonflat_parallel()
     p = (1.0, 0.7, 0.4)
     M = metric_at(m, p)
-    R = riemann(m, p)
+    R = riemann_from_metric(M)
     u = np.array([0.4, -1.1, 0.2])
     mu1 = sectional_curvature(M, R, u, apply_q(u))
     mu2 = sectional_curvature(M, R, apply_q(u), apply_q(apply_q(u)))
@@ -522,7 +524,7 @@ def test_sampled_q_invariance_residual_over_a_batch_is_bit_identical_per_point()
             batch = sampled_q_invariance_residual(R, seed, 20)
             assert batch.shape == (6,)
             for i, p in enumerate(pts):
-                single = sampled_q_invariance_residual(riemann(m, p), seed, 20)
+                single = sampled_q_invariance_residual(riemann_from_metric(metric_at(m, p)), seed, 20)
                 assert _bits(batch[i]) == _bits(single) == _bits(_ref_sampled_residual(R.low[i], seed, 20))
 
 

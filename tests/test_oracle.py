@@ -6,7 +6,7 @@ the built-in example A = 2 x1, B = 2 x1 + x2 + x3. The tests assert that
 the oracle's formulas are exactly the derived ones, that the numeric
 Christoffel symbols and their derivatives are the derived ones on the
 example, and pin term by term how the reference closed forms that
-closed_form_components evaluates differ from them. sympy is needed here only; the oracle itself is plain
+closed_form_from_metric evaluates differ from them. sympy is needed here only; the oracle itself is plain
 arithmetic, so the acceptance tests that use it run without sympy.
 """
 

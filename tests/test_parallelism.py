@@ -6,10 +6,11 @@ import numpy as np
 
 from circulant3 import (
     MetricFunctions,
-    check_christoffel_equalities,
+    christoffel_equalities_from_table,
+    christoffel_from_metric,
     metric_at,
-    nabla_q,
-    parallel_condition_residual,
+    nabla_q_from_table,
+    parallel_residual_from_metric,
 )
 from circulant3.parallelism import MIRROR_MATRIX
 from circulant3.specfile import builtin_example
@@ -26,27 +27,31 @@ def test_mirror_matrix_shape():
 
 def test_constant_fields_trivially_parallel():
     m = MetricFunctions.from_sources("2", "1")
-    p = (3.0, 1.0, -2.0)
-    assert nabla_q(m, p).max_abs == 0.0
-    assert np.array_equal(parallel_condition_residual(m, p), np.zeros(3))
-    assert check_christoffel_equalities(m, p) == 0.0
+    M = metric_at(m, (3.0, 1.0, -2.0))
+    ct = christoffel_from_metric(M)
+    assert nabla_q_from_table(ct).max_abs == 0.0
+    assert np.array_equal(parallel_residual_from_metric(M), np.zeros(3))
+    assert christoffel_equalities_from_table(ct) == 0.0
 
 
 def test_shifted_pair_is_parallel():
     # grad B . MIRROR = (1,1,1) = grad A by construction
     m = MetricFunctions.from_sources("x1 + x2 + x3 + 1", "x1 + x2 + x3")
-    p = (0.9, 0.8, 0.7)
-    assert np.array_equal(parallel_condition_residual(m, p), np.zeros(3))
-    assert nabla_q(m, p).max_abs < 1e-10
-    assert check_christoffel_equalities(m, p) < 1e-10
+    M = metric_at(m, (0.9, 0.8, 0.7))
+    ct = christoffel_from_metric(M)
+    assert np.array_equal(parallel_residual_from_metric(M), np.zeros(3))
+    assert nabla_q_from_table(ct).max_abs < 1e-10
+    assert christoffel_equalities_from_table(ct) < 1e-10
 
 
 def test_example_manifold_not_parallel():
     m = builtin_example().metric
-    res = parallel_condition_residual(m, P5)
+    M = metric_at(m, P5)
+    ct = christoffel_from_metric(M)
+    res = parallel_residual_from_metric(M)
     assert np.array_equal(res, [2.0, -2.0, -2.0])  # grad A - grad B . MIRROR by hand
-    assert nabla_q(m, P5).max_abs > 1e-6
-    assert check_christoffel_equalities(m, P5) > 1e-6
+    assert nabla_q_from_table(ct).max_abs > 1e-6
+    assert christoffel_equalities_from_table(ct) > 1e-6
 
 
 def test_gradient_residual_componentwise():
@@ -60,7 +65,7 @@ def test_gradient_residual_componentwise():
         expected = np.array(
             [A1 - (-B1 + B2 + B3), A2 - (B1 - B2 + B3), A3 - (B1 + B2 - B3)]
         )
-        assert np.allclose(parallel_condition_residual(m, p), expected, atol=1e-14)
+        assert np.allclose(parallel_residual_from_metric(M), expected, atol=1e-14)
 
 
 def test_parallel_iff_gradient_criterion():
@@ -68,9 +73,9 @@ def test_parallel_iff_gradient_criterion():
     inconclusive = 0
     for k in range(24):
         m = random_parallel_manifold(rng) if k % 2 == 0 else random_manifold(rng)
-        p = random_point(rng)
-        nq = nabla_q(m, p).max_abs
-        grad = float(np.max(np.abs(parallel_condition_residual(m, p))))
+        M = metric_at(m, random_point(rng))
+        nq = nabla_q_from_table(christoffel_from_metric(M)).max_abs
+        grad = float(np.max(np.abs(parallel_residual_from_metric(M))))
         for first, second in ((nq, grad), (grad, nq)):
             if first <= 1e-9:
                 if second > 1e-8:
@@ -84,9 +89,9 @@ def test_christoffel_equalities_track_parallelism():
     rng = np.random.default_rng(63)
     for k in range(12):
         m = random_parallel_manifold(rng) if k % 2 == 0 else random_manifold(rng)
-        p = random_point(rng)
-        grad = float(np.max(np.abs(parallel_condition_residual(m, p))))
-        gamma_res = check_christoffel_equalities(m, p)
+        M = metric_at(m, random_point(rng))
+        grad = float(np.max(np.abs(parallel_residual_from_metric(M))))
+        gamma_res = christoffel_equalities_from_table(christoffel_from_metric(M))
         if grad <= 1e-9:
             assert gamma_res <= 1e-8
         if gamma_res <= 1e-9:
