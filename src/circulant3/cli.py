@@ -21,18 +21,17 @@ from . import __version__
 from .curvature import (
     COMPONENT_INDEX,
     RelationFrame,
-    check_equal_sectional_curvatures,
     check_q_invariance,
-    check_sectional_combination_formula,
-    check_sectional_difference_formula,
     christoffel_from_metric,
     closed_form_from_metric,
     components,
+    gram_determinant,
     is_flat,
     max_abs,
     riemann_from_metric,
     sampled_q_invariance_residual,
     sectional_curvature,
+    sectional_relations,
 )
 from .errors import (
     AngleRoutesDisagree,
@@ -277,8 +276,7 @@ def _cmd_sectional(spec, p, M, args):
     M = _metric(spec, p, M, args)
     R = riemann_from_metric(M)
     mu = sectional_curvature(M, R, x, y)
-    gram = inner(M, x, x) * inner(M, y, y) - inner(M, x, y) ** 2
-    return {"mu": mu, "gram_determinant": gram}, {}
+    return {"mu": mu, "gram_determinant": gram_determinant(M, x, y)}, {}
 
 
 def _cmd_angles(spec, p, M, args):
@@ -395,22 +393,18 @@ def _random_q_basis_vectors(rng, count):
 
 
 def _relation_residuals(M, R, vectors, tol):
-    """Each relation's worst scaled residual over the vectors, at each point of M's batch.
+    """Each relation's worst scaled residual over the vectors (V, 3), at each point of M's batch.
 
-    They refuse a point whose curvature fails q-invariance at tol."""
-    frame = RelationFrame(M, R, tol=tol)
-    worst = {"sectional_difference": 0.0, "sectional_combination": 0.0, "equal_sectional": 0.0}
-    for u in vectors:
-        d = check_sectional_difference_formula(frame, u)
-        c = check_sectional_combination_formula(frame, u)
-        e = check_equal_sectional_curvatures(frame, u)
-        scaled = {
-            "sectional_difference": d.residual / (1.0 + abs(d.lhs)),
-            "sectional_combination": c.residual / (1.0 + abs(c.lhs)),
-            "equal_sectional": _max(e.residuals) / (1.0 + abs(e.mu_u_qu)),
-        }
-        worst = {name: _max((worst[name], val)) for name, val in scaled.items()}
-    return worst
+    The vectors are reduced in order, the first largest kept, as a loop over
+    them would. They refuse a point whose curvature fails q-invariance at tol."""
+    rel = sectional_relations(RelationFrame(M, R, tol=tol), vectors)
+    d, c, e = rel.difference, rel.combination, rel.equal
+    scaled = {
+        "sectional_difference": d.residual / (1.0 + abs(d.lhs)),
+        "sectional_combination": c.residual / (1.0 + abs(c.lhs)),
+        "equal_sectional": _max(e.residuals) / (1.0 + abs(e.mu_u_qu)),
+    }
+    return {name: _max((0.0, *per_vector)) for name, per_vector in scaled.items()}
 
 
 def _cmd_verify_theorems(spec, p, M, args):
@@ -424,9 +418,10 @@ def _cmd_verify_theorems(spec, p, M, args):
     try:
         worst = _relation_residuals(M, R, vectors, args.tol)
     except CirculantError:
-        if M.D.ndim:  # raise what a point-by-point run raises first
-            for i in range(len(M.D)):
-                _relation_residuals(M[i], R[i], vectors, args.tol)
+        # raise what a run point by point, and vector by vector, raises first
+        for Mi, Ri in ([(M[i], R[i]) for i in range(len(M.D))] if M.D.ndim else [(M, R)]):
+            for u in vectors:
+                _relation_residuals(Mi, Ri, [u], args.tol)
         raise
     results = {"n_vectors": len(vectors), "max_scaled_residuals": worst}
     verdicts = {name: _verdict(val <= args.tol, val, args.tol) for name, val in worst.items()}

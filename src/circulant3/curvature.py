@@ -21,6 +21,14 @@ result is bit for bit the one a batch of that point alone gives. Vectors
 are one vector (3,) shared by all points or one per point (..., 3). A
 check that refuses a batch names its first failing point.
 
+The sectional-curvature relations also take a stack of V vectors (V, 3):
+sectional_relations evaluates all three over every vector and point at
+once, with results of shape (V, *batch), each element bit for bit that of
+its vector and point alone. The single-relation checks are views of it.
+sectional_curvature divides its vectors by powers of two before it tests
+the plane and forms the quotient, which is exact, so the result does not
+depend on the vectors' lengths and no term overflows or underflows.
+
 closed_form_from_metric evaluates a set of six reference component
 formulas verbatim. The two routes agree on the built-in example's
 diagonal components yet differ elsewhere (against the derived components,
@@ -43,7 +51,7 @@ from .qstructure import (
     construct_orthogonal_vector,
     construct_special_angle_vector,
     induces_q_basis,
-    q_basis_angles,
+    q_basis_cosines,
 )
 
 _EYE = np.eye(3)
@@ -228,18 +236,45 @@ def riemann_apply(R: CurvatureTensor, x, y, z, u):
     return np.einsum("...ijkh,...i,...j,...k,...h->...", R.low, x, y, z, u)
 
 
-def sectional_curvature(M: MetricAtPoint, R: CurvatureTensor, x, y):
-    """R(x,y,x,y) / (g(x,x) g(y,y) - g(x,y)^2) for a non-degenerate plane."""
+def _rescaled(v):
+    """v over a power of two, with max |v_i| in [0.5, 1) (a zero vector stays), and that exponent.
+
+    The division is exact, so a quotient of forms of equal degree in v keeps its bits.
+    """
+    v = np.asarray(v, dtype=float)
+    e = np.frexp(np.abs(v).max(axis=-1))[1]
+    return np.ldexp(v, -e[..., None]), e
+
+
+def _gram(M: MetricAtPoint, x, y):
     gxx, gxy = inners(M, x, (x, y))
     gyy = inner(M, y, y)
-    den = gxx * gyy - gxy * gxy
+    return gxx, gyy, gxx * gyy - gxy * gxy
+
+
+def sectional_curvature(M: MetricAtPoint, R: CurvatureTensor, x, y):
+    """R(x,y,x,y) / (g(x,x) g(y,y) - g(x,y)^2) for a non-degenerate plane.
+
+    x and y are one vector (3,) or a batch (..., 3) broadcasting against M's
+    batch. Both are rescaled by powers of two first (_rescaled), so neither the
+    degeneracy test nor the quotient depends on their lengths.
+    """
+    xs, ys = _rescaled(x)[0], _rescaled(y)[0]
+    gxx, gyy, den = _gram(M, xs, ys)
     degenerate = ~(den > 1e-12 * gxx * gyy)
     if degenerate.any():
         i = first_point(degenerate)
         x, y = (np.broadcast_to(np.asarray(v, float), den.shape + (3,))[i] for v in (x, y))
         x, y = tuple(x.tolist()), tuple(y.tolist())
         raise DegeneratePlane(f"vectors {x} and {y} span no plane")
-    return riemann_apply(R, x, y, x, y) / den
+    return riemann_apply(R, xs, ys, xs, ys) / den
+
+
+@np.errstate(over="ignore", under="ignore")
+def gram_determinant(M: MetricAtPoint, x, y):
+    """g(x,x) g(y,y) - g(x,y)^2; inf where it overflows and 0 where it underflows."""
+    (xs, ex), (ys, ey) = _rescaled(x), _rescaled(y)
+    return np.ldexp(_gram(M, xs, ys)[2], 2 * (ex + ey))
 
 
 def max_abs(low: np.ndarray) -> np.ndarray:
@@ -356,7 +391,7 @@ class RelationFrame:
         return riemann_apply(self.R, self.x, qx, self.x, apply_q(qx))
 
 
-def _require_identity_and_basis(frame: RelationFrame, u):
+def _require_identity_and_basis(frame: RelationFrame, U: np.ndarray):
     check = frame.identity
     if frame.require_identity and not check.passed.all():
         i = first_point(~check.passed)
@@ -365,35 +400,9 @@ def _require_identity_and_basis(frame: RelationFrame, u):
             f"(diagonal spread {check.diagonal_residual[i]:.3e}, "
             f"cross spread {check.cross_residual[i]:.3e})"
         )
-    if not induces_q_basis(u):
-        raise NotAQBasis(f"vector {tuple(np.asarray(u, float).tolist())} does not induce a q-basis")
-
-
-def check_sectional_difference_formula(frame: RelationFrame, u) -> RelationCheck:
-    """mu(u,qu) - mu(x,qx) = (2 cos phi / (1 - cos phi)) R(x, qx, x, q^2 x).
-
-    u is one vector; both sides have the frame's batch shape. x is the
-    normalized orthogonal-basis generator, phi = angle(u, qu).
-    """
-    _require_identity_and_basis(frame, u)
-    mu_x = frame.mu_x
-    cphi = q_basis_angles(frame.M, u).cos_phi_x_qx
-    lhs = sectional_curvature(frame.M, frame.R, u, apply_q(u)) - mu_x
-    rhs = (2.0 * cphi / (1.0 - cphi)) * frame.r_x
-    return RelationCheck(lhs, rhs)
-
-
-def check_sectional_combination_formula(frame: RelationFrame, u) -> RelationCheck:
-    """mu(u,qu) = ((1+2cos phi) mu(x,qx) - 3 cos phi mu(y,qy)) / (1 - cos phi).
-
-    y is a constructed vector with angle(y, qy) = 2 pi / 3.
-    """
-    _require_identity_and_basis(frame, u)
-    mu_x, mu_y = frame.mu_x, frame.mu_y
-    cphi = q_basis_angles(frame.M, u).cos_phi_x_qx
-    lhs = sectional_curvature(frame.M, frame.R, u, apply_q(u))
-    rhs = ((1.0 + 2.0 * cphi) * mu_x - 3.0 * cphi * mu_y) / (1.0 - cphi)
-    return RelationCheck(lhs, rhs)
+    ok = np.asarray(induces_q_basis(U))
+    if not ok.all():
+        raise NotAQBasis(f"vector {tuple(U[first_point(~ok)].tolist())} does not induce a q-basis")
 
 
 @dataclass(frozen=True)
@@ -407,17 +416,65 @@ class EqualSectionalCheck:
         return (abs(self.mu_u_qu - self.mu_qu_q2u), abs(self.mu_u_qu - self.mu_q2u_u))
 
 
-def check_equal_sectional_curvatures(frame: RelationFrame, u) -> EqualSectionalCheck:
-    """Sectional curvatures of the planes {u,qu}, {qu,q^2u}, {q^2u,u}.
+@dataclass(frozen=True)
+class SectionalRelations:
+    """The three relations for vectors U, each with shape U.shape[:-1] + the frame's batch shape."""
 
-    Equal on manifolds with q-invariant curvature.
+    difference: RelationCheck
+    combination: RelationCheck
+    equal: EqualSectionalCheck
+
+
+def sectional_relations(frame: RelationFrame, U) -> SectionalRelations:
+    """The sectional-curvature relations for each vector of U at each point of the frame.
+
+    U is one vector (3,) or V vectors (V, 3); element [v, *i] of a result is
+    vector v at point i. With x the normalized orthogonal-basis generator, y
+    the special-angle vector and phi = angle(u, qu):
+
+      difference:  mu(u,qu) - mu(x,qx) = (2 cos phi / (1 - cos phi)) R(x, qx, x, q^2 x)
+      combination: mu(u,qu) = ((1+2cos phi) mu(x,qx) - 3 cos phi mu(y,qy)) / (1 - cos phi)
+      equal:       mu(u,qu), mu(qu,q^2u), mu(q^2u,u), equal where R is q-invariant
+
+    Each quantity is computed once, over all vectors and points. The refusals
+    come in the order one point and one vector meet them: q-invariance, the
+    q-basis test of the vectors (the first failing one is named), the
+    orthogonal-basis generator and its plane, the angle routes, the plane
+    {u, qu}, the special-angle vector and its plane, the planes {qu, q^2u}
+    and {q^2u, u}.
     """
-    _require_identity_and_basis(frame, u)
+    U = np.asarray(U, dtype=float)
+    _require_identity_and_basis(frame, U)
     M, R = frame.M, frame.R
+    u = U[(slice(None),) + (None,) * M.D.ndim] if U.ndim == 2 else U  # vectors before points
+    mu_x = frame.mu_x
+    cphi = q_basis_cosines(M, u)[0]
     qu = apply_q(u)
     q2u = apply_q(qu)
-    return EqualSectionalCheck(
-        mu_u_qu=sectional_curvature(M, R, u, qu),
-        mu_qu_q2u=sectional_curvature(M, R, qu, q2u),
-        mu_q2u_u=sectional_curvature(M, R, q2u, u),
+    mu_u = sectional_curvature(M, R, u, qu)
+    mu_y = frame.mu_y
+    return SectionalRelations(
+        difference=RelationCheck(mu_u - mu_x, (2.0 * cphi / (1.0 - cphi)) * frame.r_x),
+        combination=RelationCheck(mu_u, ((1.0 + 2.0 * cphi) * mu_x - 3.0 * cphi * mu_y) / (1.0 - cphi)),
+        equal=EqualSectionalCheck(
+            mu_u, sectional_curvature(M, R, qu, q2u), sectional_curvature(M, R, q2u, u)
+        ),
     )
+
+
+# The single relations, as views of sectional_relations.
+
+
+def check_sectional_difference_formula(frame: RelationFrame, u) -> RelationCheck:
+    """mu(u,qu) - mu(x,qx) = (2 cos phi / (1 - cos phi)) R(x, qx, x, q^2 x); see sectional_relations."""
+    return sectional_relations(frame, u).difference
+
+
+def check_sectional_combination_formula(frame: RelationFrame, u) -> RelationCheck:
+    """mu(u,qu) = ((1+2cos phi) mu(x,qx) - 3 cos phi mu(y,qy)) / (1 - cos phi); see sectional_relations."""
+    return sectional_relations(frame, u).combination
+
+
+def check_equal_sectional_curvatures(frame: RelationFrame, u) -> EqualSectionalCheck:
+    """Sectional curvatures of the planes {u,qu}, {qu,q^2u}, {q^2u,u}; see sectional_relations."""
+    return sectional_relations(frame, u).equal

@@ -30,7 +30,7 @@ import numpy as np
 Scalar = (int, float)
 
 
-def _apply(fn, x):
+def elementwise(fn, x):
     """fn on a float, or on each element of an array as a Python float."""
     if not isinstance(x, np.ndarray):
         return fn(x)
@@ -226,16 +226,16 @@ def sqrt(x):
         bad = v <= 0.0
         if bad.any():
             raise ValueError(f"sqrt of a jet requires a positive value, got {_first(v, bad)!r}")
-        s = _apply(math.sqrt, v)
+        s = elementwise(math.sqrt, v)
         return _lift(x, s, _div(0.5, s), _div(-0.25, s * v))
-    return _apply(math.sqrt, x)
+    return elementwise(math.sqrt, x)
 
 
 def exp(x):
     if isinstance(x, Jet2):
-        e = _apply(math.exp, x.value)
+        e = elementwise(math.exp, x.value)
         return _lift(x, e, e, e)
-    return _apply(math.exp, x)
+    return elementwise(math.exp, x)
 
 
 def log(x):
@@ -244,26 +244,26 @@ def log(x):
         bad = v <= 0.0
         if bad.any():
             raise ValueError(f"log of a jet requires a positive value, got {_first(v, bad)!r}")
-        return _lift(x, _apply(math.log, v), _div(1.0, v), _div(-1.0, v * v))
-    return _apply(math.log, x)
+        return _lift(x, elementwise(math.log, v), _div(1.0, v), _div(-1.0, v * v))
+    return elementwise(math.log, x)
 
 
 def sin(x):
     if isinstance(x, Jet2):
-        s, c = _apply(math.sin, x.value), _apply(math.cos, x.value)
+        s, c = elementwise(math.sin, x.value), elementwise(math.cos, x.value)
         return _lift(x, s, c, -s)
-    return _apply(math.sin, x)
+    return elementwise(math.sin, x)
 
 
 def cos(x):
     if isinstance(x, Jet2):
-        s, c = _apply(math.sin, x.value), _apply(math.cos, x.value)
+        s, c = elementwise(math.sin, x.value), elementwise(math.cos, x.value)
         return _lift(x, c, -s, -c)
-    return _apply(math.cos, x)
+    return elementwise(math.cos, x)
 
 
 def power(x, r: float):
     """x**r for a float, array or jet x; integer r admits non-positive bases."""
     if isinstance(x, Jet2):
         return x ** r
-    return _apply(lambda v: _pow_value(v, r), x)
+    return elementwise(lambda v: _pow_value(v, r), x)

@@ -9,6 +9,7 @@ off-diagonal -B/D) and of the closed-form curvature components.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -81,17 +82,26 @@ class PositivityReport(NamedTuple):
     minors: tuple[float, float, float]
 
 
+def _square(v: float) -> float:
+    """v ** 2 by float pow, and +inf where that overflows."""
+    try:
+        return v**2
+    except OverflowError:
+        return math.inf
+
+
 @np.errstate(all="ignore")  # float arithmetic on one point does not warn either
 def check_positive_definite(A, B) -> PositivityReport:
     """Leading principal minors of the circulant matrix and their positivity.
 
     The minors are A, (A-B)(A+B) and (A-B)^2 (A+2B); g is positive
     definite iff all three are positive. Note A > B > 0 is stricter.
-    Element by element over arrays, with float pow for the square.
+    Element by element over arrays, with float pow for the square; a square
+    that overflows is +inf, so the last minor takes the sign of A + 2B.
     """
     m1 = A
     m2 = (A - B) * (A + B)
-    m3 = jets.power(A - B, 2) * (A + 2 * B)
+    m3 = jets.elementwise(_square, A - B) * (A + 2 * B)
     return PositivityReport((m1 > 0.0) & (m2 > 0.0) & (m3 > 0.0), (m1, m2, m3))
 
 

@@ -42,7 +42,7 @@ def _each_vector(test, x):
     """test(v) for each vector v (3,) of x (..., 3), one vector at a time.
 
     A float for one vector, else an array of x's batch shape. The tests
-    keep float arithmetic, as jets._apply does: numpy's power differs from
+    keep float arithmetic, as jets.elementwise does: numpy's power differs from
     float pow in the last bit. Raises NotAQBasis for the first vector where
     a cube overflows.
     """
@@ -88,15 +88,16 @@ def induces_q_basis(x):
     return _each_vector(lambda v: abs(_defect(v)) > _threshold(v), x)
 
 
-def vector_invariants(x) -> tuple[float, float]:
-    """The quadratic invariants (a, b) of a vector."""
-    x1, x2, x3 = np.asarray(x, dtype=float).tolist()
+def vector_invariants(x):
+    """The quadratic invariants (a, b) of one vector (3,) or of each vector of a batch (..., 3)."""
+    x = np.asarray(x, dtype=float)
+    x1, x2, x3 = (x.tolist() if x.ndim == 1 else np.moveaxis(x, -1, 0))
     a = x1 * x1 + x2 * x2 + x3 * x3
     b = x1 * x2 + x1 * x3 + x2 * x3
     return a, b
 
 
-def cos_angle_closed_form(A: float, B: float, x) -> float:
+def cos_angle_closed_form(A, B, x):
     """cos(angle(x, qx)) from the invariants a, b: -(Ba + (A+B)b)/(Aa + 2Bb)."""
     a, b = vector_invariants(x)
     return -(B * a + (A + B) * b) / (A * a + 2 * B * b)
@@ -117,10 +118,10 @@ def _clamped_acos(c):
 
 @dataclass(frozen=True)
 class AngleReport:
-    """Angles inside the q-basis generated by one vector, with the metric's batch shape."""
+    """Angles inside the q-basis generated by x, with the broadcast shape of x's and the metric's batch."""
 
-    a: float
-    b: float
+    a: np.ndarray
+    b: np.ndarray
     cos_phi_x_qx: np.ndarray
     cos_phi_x_q2x: np.ndarray
     cos_theta_qx_q2x: np.ndarray
@@ -133,26 +134,21 @@ class AngleReport:
         )
 
 
-def q_basis_angles(M: MetricAtPoint, x) -> AngleReport:
-    """Cosines between x, qx and q^2 x at each point of M's batch, computed two ways.
+def q_basis_cosines(M: MetricAtPoint, x) -> tuple:
+    """cos(x, qx), cos(x, q^2 x), cos(qx, q^2 x) at each point of M's batch, computed two ways.
 
-    The inner-product route is the definition; the closed form in (a, b)
-    must agree with it to ANGLE_ROUTE_TOL, or the call raises
-    AngleRoutesDisagree for the first point where they disagree. Raises
-    NotAQBasis when x does not generate a basis.
+    x is one vector (3,) or a batch (..., 3) broadcasting against M's batch;
+    it must generate a q-basis. The inner-product route is the definition; the
+    closed form in (a, b) must agree with it to ANGLE_ROUTE_TOL, or the call
+    raises AngleRoutesDisagree for the first element where they disagree.
     """
     x = np.asarray(x, dtype=float)
-    if not induces_q_basis(x):
-        raise NotAQBasis(f"vector {tuple(x.tolist())} does not induce a q-basis (cubic criterion)")
     qx = apply_q(x)
     q2x = apply_q(qx)
     gxx, g_x_qx, g_x_q2x = inners(M, x, (x, qx, q2x))
-    c_x_qx = g_x_qx / gxx
-    c_x_q2x = g_x_q2x / gxx
-    c_qx_q2x = inner(M, qx, q2x) / gxx
-    a, b = vector_invariants(x)
+    cosines = (g_x_qx / gxx, g_x_q2x / gxx, inner(M, qx, q2x) / gxx)
     closed = cos_angle_closed_form(M.A, M.B, x)
-    for route_cos, sign in ((c_x_qx, 1.0), (c_x_q2x, -1.0), (c_qx_q2x, 1.0)):
+    for route_cos, sign in zip(cosines, (1.0, -1.0, 1.0)):
         off = abs(route_cos - sign * closed) > ANGLE_ROUTE_TOL
         if off.any():
             i = first_point(off)
@@ -160,7 +156,21 @@ def q_basis_angles(M: MetricAtPoint, x) -> AngleReport:
                 f"angle routes disagree beyond {ANGLE_ROUTE_TOL}: inner-product "
                 f"{float(np.asarray(route_cos)[i])!r} vs closed form {float(sign * np.asarray(closed)[i])!r}"
             )
-    return AngleReport(a=a, b=b, cos_phi_x_qx=c_x_qx, cos_phi_x_q2x=c_x_q2x, cos_theta_qx_q2x=c_qx_q2x)
+    return cosines
+
+
+def q_basis_angles(M: MetricAtPoint, x) -> AngleReport:
+    """The invariants of x and its q_basis_cosines at each point of M's batch.
+
+    x is one vector (3,) or one per point (..., 3). Raises NotAQBasis for the
+    first vector that does not generate a basis.
+    """
+    x = np.asarray(x, dtype=float)
+    ok = np.asarray(induces_q_basis(x))
+    if not ok.all():
+        v = tuple(x[first_point(~ok)].tolist())
+        raise NotAQBasis(f"vector {v} does not induce a q-basis (cubic criterion)")
+    return AngleReport(*vector_invariants(x), *q_basis_cosines(M, x))
 
 
 def _require_positive(A, B):

@@ -165,6 +165,22 @@ def random_parallel_manifold(rng) -> MetricFunctions:
     return MetricFunctions.from_sources(A_src, B_src)
 
 
+def random_q_invariant_manifold(rng) -> MetricFunctions:
+    """A = a(s), B = b(s) with s = x1 + x2 + x3, admissible on BOX (the cyclic family).
+
+    The cyclic shift (x1, x2, x3) -> (x2, x3, x1) preserves s, so it is an
+    isometry with differential -q and the curvature is q-invariant; q is
+    parallel only where a' = b'. The coefficients vary around the pair
+    a = 3 + exp(s/3)/7 + s^2/10, b = 1 + sin(s)/4.
+    """
+    s = "(x1 + x2 + x3)"
+    ca, k, w = rng.uniform(2.5, 3.5), rng.uniform(2.5, 4.0), rng.uniform(0.05, 0.15)
+    cb, amp = rng.uniform(0.8, 1.2), rng.uniform(0.1, 0.3)
+    A_src = f"{ca:.4f} + exp({s} / {k:.4f}) / 7 + {w:.4f}*{s}^2"
+    B_src = f"{cb:.4f} + {amp:.4f}*sin({s})"
+    return MetricFunctions.from_sources(A_src, B_src)
+
+
 def random_point(rng, box=BOX) -> np.ndarray:
     return np.array([rng.uniform(lo, hi) for lo, hi in box])
 

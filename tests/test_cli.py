@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -415,6 +416,49 @@ def test_angle_routes_that_disagree_are_a_metric_error(capsys, tmp_path, argv):
 
 
 @pytest.mark.parametrize(
+    "B, argv, exit_code",
+    [
+        ("1", ["validate"], 1),  # admissible and positive definite; D overflows, so g_inv is not an inverse
+        ("-1", ["riemann", "--allow-weak-metric"], 0),  # weak but positive definite: admitted with a warning
+    ],
+    ids=["validate", "riemann-weak"],
+)
+def test_an_overflowing_positivity_minor_is_infinite_not_a_traceback(capsys, tmp_path, B, argv, exit_code):
+    spec = tmp_path / "huge.toml"
+    spec.write_text(f'[metric]\nA = "1e200"\nB = "{B}"\n', encoding="utf-8")
+    code, out, err = _call(capsys, [argv[0], "--spec", str(spec), "--at=0,0,0", *argv[1:], "--json"])
+    assert code == exit_code
+    assert err == ""
+    if argv[0] == "validate":
+        report = json.loads(out)
+        assert report["results"]["minors"] == [1e200, math.inf, math.inf]
+        assert report["verdicts"]["positive_definite"]["pass"]
+
+
+@pytest.mark.parametrize("x, y", [("1e-200,0,0", "0,1e-200,0"), ("1e200,0,0", "0,1,0")], ids=["tiny", "huge"])
+def test_sectional_curvature_does_not_depend_on_the_vectors_scale(capsys, tmp_path, x, y):
+    spec = tmp_path / "generic.toml"
+    spec.write_text(GENERIC_SPEC, encoding="utf-8")
+    head = ["sectional", "--spec", str(spec), "--at=0.1,0.2,0.3", "--json"]
+    code, out, _ = _call(capsys, [*head, "--x=1,0,0", "--y=0,1,0"])
+    assert code == 0
+    unit = json.loads(out)["results"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the call
+        assert main([*head, f"--x={x}", f"--y={y}"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    results = json.loads(captured.out)["results"]
+    assert math.isclose(results["mu"], unit["mu"], rel_tol=1e-14)
+    assert results["gram_determinant"] == (0.0 if x.startswith("1e-200") else math.inf)
+    # a degenerate plane still names the vectors as given
+    assert main([*head, "--x=1e-200,0,0", "--y=3e-200,0,0"]) == 2
+    assert capsys.readouterr().err == (
+        "error (sectional): vectors (1e-200, 0.0, 0.0) and (3e-200, 0.0, 0.0) span no plane\n"
+    )
+
+
+@pytest.mark.parametrize(
     "sample, box, message",
     [
         ("", "--box=-1e308:1e308,-1:1,-1:1",
@@ -574,7 +618,7 @@ def test_sampled_report_summarizes_its_points_bit_for_bit(capsys, tmp_path, comm
     assert code == (0 if all(v["pass"] for v in report["verdicts"].values()) else 1)
 
 
-def test_verify_theorems_sampled_calls_each_relation_check_once_per_vector(capsys, monkeypatch, tmp_path):
+def test_verify_theorems_sampled_computes_each_relation_quantity_once_per_run(capsys, monkeypatch, tmp_path):
     import circulant3.cli as cli
     import circulant3.curvature as curvature
 
@@ -589,21 +633,41 @@ def test_verify_theorems_sampled_calls_each_relation_check_once_per_vector(capsy
 
         monkeypatch.setattr(module, name, counting)
 
-    relations = ("check_sectional_difference_formula", "check_sectional_combination_formula",
-                 "check_equal_sectional_curvatures")
-    for name in (*relations, "_random_q_basis_vectors"):
-        count(cli, name)
-    shared = ("check_q_invariance", "construct_orthogonal_vector", "construct_special_angle_vector",
-              "christoffel_from_metric")
-    for name in shared:
+    count(cli, "_random_q_basis_vectors")
+    once = ("induces_q_basis", "check_q_invariance", "construct_orthogonal_vector",
+            "construct_special_angle_vector", "christoffel_from_metric")
+    for name in ("sectional_curvature", *once):
         count(curvature, name)
     spec = tmp_path / "spec.toml"
     spec.write_text(PARALLEL_BENCH_SPEC, encoding="utf-8")
     argv = ["verify-theorems", "--spec", str(spec), "--sample", "4", "--seed", "3", CUBE_ARG]
     assert main(argv) == 0
-    # 5 vectors: once per vector, not once per point and vector; the rest once per run
-    assert calls == {**dict.fromkeys(relations, 5), **dict.fromkeys(shared, 1), "_random_q_basis_vectors": 1}
+    # 4 points, 5 vectors: the planes {x, qx} and {y, qy}, then {u, qu}, {qu, q^2u} and
+    # {q^2u, u} over all vectors and points; the vectors' q-basis test and the rest once
+    assert calls == {"sectional_curvature": 5, **dict.fromkeys(once, 1), "_random_q_basis_vectors": 1}
     capsys.readouterr()
+
+
+# The cyclic family A = a(s), B = b(s), s = x1 + x2 + x3: q-invariant curvature, q not parallel.
+CYCLIC_SPEC = '''
+name = "cyclic"
+[metric]
+A = "3 + exp((x1 + x2 + x3)/3)/7 + (x1 + x2 + x3)^2/10"
+B = "1 + sin(x1 + x2 + x3)/4"
+'''
+
+
+def test_verify_theorems_passes_on_the_cyclic_family_where_q_is_not_parallel(capsys, tmp_path):
+    spec = tmp_path / "cyclic.toml"
+    spec.write_text(CYCLIC_SPEC, encoding="utf-8")
+    run = ["--spec", str(spec), "--sample", "6", "--seed", "3", CUBE_ARG, "--json"]
+    code, out, _ = _call(capsys, ["verify-theorems", *run])
+    assert code == 0
+    relations = ("sectional_difference", "sectional_combination", "equal_sectional")
+    assert json.loads(out)["results"]["pass_counts"] == dict.fromkeys(relations, 6)
+    code, out, _ = _call(capsys, ["check-parallel", *run])
+    assert code == 1
+    assert json.loads(out)["results"]["pass_counts"]["parallel"] == 0
 
 
 def test_main_builds_the_parser_once(capsys, monkeypatch):

@@ -28,6 +28,7 @@ from circulant3 import (
     riemann_from_metric,
     sample_admissible_points,
     sectional_curvature,
+    sectional_relations,
 )
 from circulant3.curvature import COMPONENT_INDEX, sampled_q_invariance_residual
 from circulant3.errors import DegeneratePlane, IdentityRNotSatisfied, NotAQBasis
@@ -36,7 +37,13 @@ from circulant3.metric import metric_from_jets
 from circulant3.parallelism import nabla_q_from_table, parallel_residual_from_metric
 from circulant3.specfile import builtin_example, example_diagonal_value
 
-from helpers import random_manifold, random_parallel_manifold, random_point, random_q_basis_vector
+from helpers import (
+    random_manifold,
+    random_parallel_manifold,
+    random_point,
+    random_q_basis_vector,
+    random_q_invariant_manifold,
+)
 
 P5 = np.array([2.0, -1.0, -1.0])
 
@@ -382,6 +389,40 @@ def test_relation_checks_reject_degenerate_vector():
         check_sectional_difference_formula(RelationFrame(M, riemann_from_metric(M)), [1.0, 1.0, 1.0])
 
 
+def test_relation_refusals_come_identity_first_then_the_first_vector_off_the_basis():
+    m, _ = nonflat_parallel()
+    M = metric_at(m, (1.0, 0.7, 0.4))
+    u_ok, u_bad = [0.4, -1.1, 0.2], [2.0, 2.0, 2.0]
+    with pytest.raises(NotAQBasis, match=r"^vector \(2\.0, 2\.0, 2\.0\) does not induce a q-basis$"):
+        sectional_relations(RelationFrame(M, riemann_from_metric(M)), [u_ok, u_bad])
+    example = metric_at(builtin_example().metric, P5)
+    with pytest.raises(IdentityRNotSatisfied):
+        sectional_relations(RelationFrame(example, riemann_from_metric(example)), [u_ok, u_bad])
+
+
+CYCLIC_PAIR = MetricFunctions.from_sources(
+    "3 + exp((x1 + x2 + x3)/3)/7 + (x1 + x2 + x3)^2/10", "1 + sin(x1 + x2 + x3)/4"
+)
+
+
+def test_relations_hold_on_the_cyclic_family_where_q_is_not_parallel():
+    rng = np.random.default_rng(56)
+    for m in [CYCLIC_PAIR] + [random_q_invariant_manifold(rng) for _ in range(3)]:
+        pts = np.array([random_point(rng) for _ in range(8)])
+        M = metric_at(m, pts)
+        R = riemann_from_metric(M)
+        assert check_q_invariance(R).passed.all()
+        assert (nabla_q_from_table(R.christoffel).max_abs > 1e-4).all()
+        U = [random_q_basis_vector(rng) for _ in range(5)]
+        rel = sectional_relations(RelationFrame(M, R), U)
+        d, c, e = rel.difference, rel.combination, rel.equal
+        assert d.lhs.shape == (5, 8)
+        assert (abs(e.mu_u_qu) > 1e-4).all()  # the planes are curved
+        assert (d.residual <= 1e-8 * (1.0 + abs(d.lhs))).all()
+        assert (c.residual <= 1e-8 * (1.0 + abs(c.lhs))).all()
+        assert (np.maximum(*e.residuals) <= 1e-8 * (1.0 + abs(e.mu_u_qu))).all()
+
+
 def test_q_transformed_plane_has_equal_sectional_via_apply():
     # directly: mu(qu, q^2 u) values used by the equal-curvature check
     m, box = nonflat_parallel()
@@ -484,6 +525,7 @@ def test_relation_checks_over_a_batch_equal_the_serial_reference_bit_for_bit():
         (MetricFunctions.from_sources("4*x1 + 2*x2 + 20", "x1 + 2*x2 + 3*x3 + 5"), None, True),
         (MetricFunctions.from_sources("3", "1"), None, True),
         (MetricFunctions.from_sources("2*x1 + 4", "x1 + 2"), None, False),  # A = 2B
+        (random_q_invariant_manifold(rng), None, True),
     ]
     manifolds += [(random_manifold(rng), None, False) for _ in range(4)]
     for m, box, invariant in manifolds:
@@ -492,15 +534,35 @@ def test_relation_checks_over_a_batch_equal_the_serial_reference_bit_for_bit():
         batch = RelationFrame(M, riemann_from_metric(M), require_identity=invariant)
         Mi = metric_at(m, pts[3])
         single = RelationFrame(Mi, riemann_from_metric(Mi), require_identity=invariant)
-        for _ in range(4):
-            u = random_q_basis_vector(rng)
-            ref = np.array([[v for pair in _ref_relations(m, p, u) for v in pair] for p in pts]).T
-            for frame, want in ((batch, ref), (single, ref[:, 3])):
-                d = check_sectional_difference_formula(frame, u)
-                c = check_sectional_combination_formula(frame, u)
-                e = check_equal_sectional_curvatures(frame, u)
+        U = np.array([random_q_basis_vector(rng) for _ in range(5)])
+        # ref[v, k, i]: vector v, quantity k, point i, one point and one vector at a time
+        ref = np.array([[[v for pair in _ref_relations(m, p, u) for v in pair] for p in pts] for u in U])
+        ref = ref.transpose(0, 2, 1)
+        for frame, want in ((batch, ref), (single, ref[:, :, 3])):
+            rel = sectional_relations(frame, U)  # (V, N) and one point with V vectors
+            d, c, e = rel.difference, rel.combination, rel.equal
+            got = [d.lhs, d.rhs, c.lhs, c.rhs, e.mu_u_qu, e.mu_qu_q2u, e.mu_q2u_u]
+            assert _bits(np.stack(got, axis=1)) == _bits(want)
+            for v in (0, 4):  # the single-relation views of one vector
+                d = check_sectional_difference_formula(frame, U[v])
+                c = check_sectional_combination_formula(frame, U[v])
+                e = check_equal_sectional_curvatures(frame, U[v])
                 got = [d.lhs, d.rhs, c.lhs, c.rhs, e.mu_u_qu, e.mu_qu_q2u, e.mu_q2u_u]
-                assert _bits(got) == _bits(want)
+                assert _bits(got) == _bits(want[v])
+
+
+def test_sectional_curvature_rescaling_keeps_the_bits_of_the_plain_quotient():
+    rng = np.random.default_rng(55)
+    pts = np.array([random_point(rng) for _ in range(6)])
+    M = metric_at(random_manifold(rng), pts)
+    R = riemann_from_metric(M)
+    for _ in range(100):
+        x, y = rng.standard_normal((2, 3)) * 10.0 ** rng.uniform(-5.0, 5.0, size=(2, 1))
+        want = [_ref_mu(M.g[i], R.low[i], x, y) for i in range(6)]
+        assert _bits(sectional_curvature(M, R, x, y)) == _bits(want)
+        xs = x * 10.0 ** rng.uniform(-5.0, 5.0, size=(6, 1))  # one vector per point
+        want = [_ref_mu(M.g[i], R.low[i], xs[i], y) for i in range(6)]
+        assert _bits(sectional_curvature(M, R, xs, y)) == _bits(want)
 
 
 def _ref_sampled_residual(low, seed, samples):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -61,6 +62,16 @@ def test_check_positive_definite_values():
     # positive definite yet outside the admissible cone A > B > 0
     ok, _ = check_positive_definite(2.0, -0.5)
     assert ok
+
+
+def test_check_positive_definite_counts_an_overflowing_square_as_infinite():
+    # (A - B)^2 overflows float pow; the last minor takes the sign of A + 2B
+    assert check_positive_definite(1e200, 1.0) == (True, (1e200, math.inf, math.inf))
+    ok, minors = check_positive_definite(1e200, -0.6e200)  # A + 2B < 0
+    assert not ok and minors[2] == -math.inf
+    ok, minors = check_positive_definite(np.array([1e200, 1e200, 4.0]), np.array([1.0, -0.6e200, 2.0]))
+    assert ok.tolist() == [True, False, True]
+    assert minors[2].tolist() == [math.inf, -math.inf, 32.0]
 
 
 def test_inner_products():
