@@ -13,14 +13,12 @@ import argparse
 import functools
 import json
 import sys
-import warnings
 
 import numpy as np
 
 from . import __version__
 from .curvature import (
     COMPONENT_INDEX,
-    RelationFrame,
     check_q_invariance,
     christoffel_from_metric,
     closed_form_from_metric,
@@ -47,8 +45,8 @@ from .errors import (
     SamplingExhausted,
     SpecFileError,
 )
-from .expressions import eval_value
-from .metric import check_positive_definite, inner, inside_chart, metric_at, positive
+from .expressions import eval_jet, eval_value
+from .metric import check_positive_definite, inner, inside_chart, metric_at, metric_from_jets, positive
 from .parallelism import (
     christoffel_equalities_from_table,
     nabla_q_from_table,
@@ -145,8 +143,6 @@ def _all_pass(verdicts) -> bool:
 def _max(values):
     """Python's max of values, element by element over a batch."""
     values = list(values)
-    if all(np.ndim(v) == 0 for v in values):  # one point
-        return max(values)
     best = values[0]
     for v in values[1:]:
         best = np.where(v > best, v, best)
@@ -192,10 +188,8 @@ def _cmd_validate(spec, p, M, args):
     usable = admissible | (constraints_ok & args.allow_weak_metric & pd.positive_definite)
     inv_residual = 1.0  # where g is not usable
     if np.any(usable):
-        if M is None:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                M = metric_at(spec.metric, p, allow_weak=True)
+        if M is None:  # p is one point, judged above
+            M = metric_from_jets(eval_jet(spec.metric.A, p), eval_jet(spec.metric.B, p))
         results["g"] = M.g
         inv_residual = np.where(usable, np.abs(M.g @ M.g_inv - np.eye(3)).max(axis=(-2, -1)), 1.0)
     verdicts = {
@@ -274,8 +268,7 @@ def _cmd_sectional(spec, p, M, args):
     x = _parse_triple(args.x, "--x")
     y = _parse_triple(args.y, "--y")
     M = _metric(spec, p, M, args)
-    R = riemann_from_metric(M)
-    mu = sectional_curvature(M, R, x, y)
+    mu = sectional_curvature(riemann_from_metric(M), x, y)
     return {"mu": mu, "gram_determinant": gram_determinant(M, x, y)}, {}
 
 
@@ -392,12 +385,12 @@ def _random_q_basis_vectors(rng, count):
     raise ConstructionFailed("could not draw q-basis vectors")
 
 
-def _relation_residuals(M, R, vectors, tol):
-    """Each relation's worst scaled residual over the vectors (V, 3), at each point of M's batch.
+def _relation_residuals(R, vectors, tol):
+    """Each relation's worst scaled residual over the vectors (V, 3), at each point of R's batch.
 
     The vectors are reduced in order, the first largest kept, as a loop over
     them would. They refuse a point whose curvature fails q-invariance at tol."""
-    rel = sectional_relations(RelationFrame(M, R, tol=tol), vectors)
+    rel = sectional_relations(R, vectors, tol=tol)
     d, c, e = rel.difference, rel.combination, rel.equal
     scaled = {
         "sectional_difference": d.residual / (1.0 + abs(d.lhs)),
@@ -413,15 +406,14 @@ def _cmd_verify_theorems(spec, p, M, args):
     else:
         rng = np.random.default_rng([args.seed or 0, 7])
         vectors = _random_q_basis_vectors(rng, args.n_vectors)
-    M = _metric(spec, p, M, args)
-    R = riemann_from_metric(M)
+    R = riemann_from_metric(_metric(spec, p, M, args))
     try:
-        worst = _relation_residuals(M, R, vectors, args.tol)
+        worst = _relation_residuals(R, vectors, args.tol)
     except CirculantError:
         # raise what a run point by point, and vector by vector, raises first
-        for Mi, Ri in ([(M[i], R[i]) for i in range(len(M.D))] if M.D.ndim else [(M, R)]):
+        for i in np.ndindex(R.metric.D.shape):
             for u in vectors:
-                _relation_residuals(Mi, Ri, [u], args.tol)
+                _relation_residuals(R[i], [u], args.tol)
         raise
     results = {"n_vectors": len(vectors), "max_scaled_residuals": worst}
     verdicts = {name: _verdict(val <= args.tol, val, args.tol) for name, val in worst.items()}

@@ -21,13 +21,16 @@ result is bit for bit the one a batch of that point alone gives. Vectors
 are one vector (3,) shared by all points or one per point (..., 3). A
 check that refuses a batch names its first failing point.
 
-The sectional-curvature relations also take a stack of V vectors (V, 3):
+A CurvatureTensor carries its metric, so sectional curvature and the
+sectional-curvature relations take R alone. The relations also take a
+stack of V vectors (V, 3):
 sectional_relations evaluates all three over every vector and point at
 once, with results of shape (V, *batch), each element bit for bit that of
 its vector and point alone. The single-relation checks are views of it.
-sectional_curvature divides its vectors by powers of two before it tests
-the plane and forms the quotient, which is exact, so the result does not
-depend on the vectors' lengths and no term overflows or underflows.
+sectional_curvature divides its vectors and the metric by powers of two
+before it tests the plane and forms the quotient, which is exact, so the
+result does not depend on the vectors' lengths or the metric's magnitude,
+and no Gram term overflows or underflows.
 
 closed_form_from_metric evaluates a set of six reference component
 formulas verbatim. The two routes agree on the built-in example's
@@ -40,7 +43,6 @@ reported, never patched.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -82,6 +84,7 @@ class CurvatureTensor:
     up: np.ndarray
     low: np.ndarray
     christoffel: ChristoffelTable  # the table up was built from
+    metric: MetricAtPoint  # the metric the table was built from, which lowers up
 
     def component(self, i: int, j: int, k: int, h: int) -> float:
         """Lowered component by 1-based indices."""
@@ -90,9 +93,8 @@ class CurvatureTensor:
     def __getitem__(self, index) -> "CurvatureTensor":
         """The tensor at part of the batch, e.g. one point."""
         ct = self.christoffel
-        return CurvatureTensor(
-            self.up[index], self.low[index], ChristoffelTable(ct.gamma[index], ct.dgamma[index])
-        )
+        table = ChristoffelTable(ct.gamma[index], ct.dgamma[index])
+        return CurvatureTensor(self.up[index], self.low[index], table, self.metric[index])
 
 
 @dataclass(frozen=True)
@@ -165,7 +167,7 @@ def riemann_from_metric(M: MetricAtPoint) -> CurvatureTensor:
         - np.einsum("...ijt,...tkh->...ijkh", gamma, gamma)
     )
     low = np.einsum("...kijt,...th->...ijkh", up, M.g)
-    return CurvatureTensor(up, low, ct)
+    return CurvatureTensor(up, low, ct, M)
 
 
 def closed_form_from_metric(M: MetricAtPoint) -> ClosedFormComponents:
@@ -247,34 +249,41 @@ def _rescaled(v):
 
 
 def _gram(M: MetricAtPoint, x, y):
-    gxx, gxy = inners(M, x, (x, y))
-    gyy = inner(M, y, y)
-    return gxx, gyy, gxx * gyy - gxy * gxy
+    """g(x,x), g(y,y) and the Gram determinant of g / 2^e, with max |g_ij| / 2^e in [0.5, 1), and e.
+
+    The division is exact, and with x and y _rescaled no term overflows.
+    """
+    e = np.frexp(np.abs(M.g).max(axis=(-2, -1)))[1]
+    g = np.ldexp(M.g, -e[..., None, None])
+    gxx, gxy = inners(g, x, (x, y))
+    gyy = inners(g, y, (y,))[0]
+    return gxx, gyy, gxx * gyy - gxy * gxy, e
 
 
-def sectional_curvature(M: MetricAtPoint, R: CurvatureTensor, x, y):
-    """R(x,y,x,y) / (g(x,x) g(y,y) - g(x,y)^2) for a non-degenerate plane.
+def sectional_curvature(R: CurvatureTensor, x, y):
+    """R(x,y,x,y) / (g(x,x) g(y,y) - g(x,y)^2) for a non-degenerate plane, g = R.metric.g.
 
-    x and y are one vector (3,) or a batch (..., 3) broadcasting against M's
-    batch. Both are rescaled by powers of two first (_rescaled), so neither the
-    degeneracy test nor the quotient depends on their lengths.
+    x and y are one vector (3,) or a batch (..., 3) broadcasting against R's
+    batch. Both, and g, are rescaled by powers of two first (_rescaled, _gram),
+    so neither the degeneracy test nor the quotient depends on their magnitudes.
     """
     xs, ys = _rescaled(x)[0], _rescaled(y)[0]
-    gxx, gyy, den = _gram(M, xs, ys)
+    gxx, gyy, den, e = _gram(R.metric, xs, ys)
     degenerate = ~(den > 1e-12 * gxx * gyy)
     if degenerate.any():
         i = first_point(degenerate)
         x, y = (np.broadcast_to(np.asarray(v, float), den.shape + (3,))[i] for v in (x, y))
         x, y = tuple(x.tolist()), tuple(y.tolist())
         raise DegeneratePlane(f"vectors {x} and {y} span no plane")
-    return riemann_apply(R, xs, ys, xs, ys) / den
+    return np.ldexp(riemann_apply(R, xs, ys, xs, ys) / den, -2 * e)
 
 
 @np.errstate(over="ignore", under="ignore")
 def gram_determinant(M: MetricAtPoint, x, y):
     """g(x,x) g(y,y) - g(x,y)^2; inf where it overflows and 0 where it underflows."""
     (xs, ex), (ys, ey) = _rescaled(x), _rescaled(y)
-    return np.ldexp(_gram(M, xs, ys)[2], 2 * (ex + ey))
+    _, _, den, e = _gram(M, xs, ys)
+    return np.ldexp(den, 2 * (ex + ey + e))
 
 
 def max_abs(low: np.ndarray) -> np.ndarray:
@@ -304,7 +313,9 @@ def check_q_invariance(R: CurvatureTensor, tol: float = 1e-9) -> QInvarianceChec
     R_1212 = R_1313 = R_2323 and R_1213 = R_1323 = -R_1223. (Transporting
     each slot through q permutes coordinate indices by 1->3->2->1 with
     signs cancelling; the minus on R_1223 follows from the tensor
-    antisymmetries and is confirmed by sampled_q_invariance_residual.)
+    antisymmetries. tests/test_oracle.py derives both chains exactly for
+    the q-invariant family A = a(s), B = b(s), s = x1 + x2 + x3, on which
+    R_1223 does not vanish.)
     """
     c = components(R)
     scale = max_abs(R.low)
@@ -346,65 +357,6 @@ class RelationCheck:
         return abs(self.lhs - self.rhs)
 
 
-def _orthonormal_generator(M: MetricAtPoint) -> np.ndarray:
-    x = construct_orthogonal_vector(M.A, M.B)
-    return x / np.sqrt(inner(M, x, x))[..., None]
-
-
-@dataclass(frozen=True)
-class RelationFrame:
-    """A metric and curvature batch set up for the sectional-curvature relations.
-
-    R is riemann_from_metric(M). The relations hold where the curvature is
-    q-invariant; they refuse elsewhere unless require_identity=False
-    (diagnostic use). What they share across vectors is computed over the
-    whole batch on first use and kept: the q-invariance verdict, the
-    normalized orthogonal-basis generator x, the special-angle vector y
-    (angle(y, qy) = 2 pi / 3), mu(x, qx), mu(y, qy) and R(x, qx, x, q^2 x).
-    """
-
-    M: MetricAtPoint
-    R: CurvatureTensor
-    tol: float = 1e-9
-    require_identity: bool = True
-
-    @cached_property
-    def identity(self) -> QInvarianceCheck:
-        return check_q_invariance(self.R, tol=self.tol)
-
-    @cached_property
-    def x(self) -> np.ndarray:
-        return _orthonormal_generator(self.M)
-
-    @cached_property
-    def mu_x(self) -> np.ndarray:
-        return sectional_curvature(self.M, self.R, self.x, apply_q(self.x))
-
-    @cached_property
-    def mu_y(self) -> np.ndarray:
-        y = construct_special_angle_vector(self.M.A, self.M.B)
-        return sectional_curvature(self.M, self.R, y, apply_q(y))
-
-    @cached_property
-    def r_x(self) -> np.ndarray:
-        qx = apply_q(self.x)
-        return riemann_apply(self.R, self.x, qx, self.x, apply_q(qx))
-
-
-def _require_identity_and_basis(frame: RelationFrame, U: np.ndarray):
-    check = frame.identity
-    if frame.require_identity and not check.passed.all():
-        i = first_point(~check.passed)
-        raise IdentityRNotSatisfied(
-            "curvature q-invariance fails at this point "
-            f"(diagonal spread {check.diagonal_residual[i]:.3e}, "
-            f"cross spread {check.cross_residual[i]:.3e})"
-        )
-    ok = np.asarray(induces_q_basis(U))
-    if not ok.all():
-        raise NotAQBasis(f"vector {tuple(U[first_point(~ok)].tolist())} does not induce a q-basis")
-
-
 @dataclass(frozen=True)
 class EqualSectionalCheck:
     mu_u_qu: np.ndarray
@@ -418,63 +370,78 @@ class EqualSectionalCheck:
 
 @dataclass(frozen=True)
 class SectionalRelations:
-    """The three relations for vectors U, each with shape U.shape[:-1] + the frame's batch shape."""
+    """The three relations for vectors U, each with shape U.shape[:-1] + R's batch shape."""
 
     difference: RelationCheck
     combination: RelationCheck
     equal: EqualSectionalCheck
 
 
-def sectional_relations(frame: RelationFrame, U) -> SectionalRelations:
-    """The sectional-curvature relations for each vector of U at each point of the frame.
+def sectional_relations(R: CurvatureTensor, U, tol=1e-9, require_identity=True) -> SectionalRelations:
+    """The sectional-curvature relations for each vector of U at each point of R's batch.
 
     U is one vector (3,) or V vectors (V, 3); element [v, *i] of a result is
     vector v at point i. With x the normalized orthogonal-basis generator, y
-    the special-angle vector and phi = angle(u, qu):
+    the special-angle vector (angle(y, qy) = 2 pi / 3) and phi = angle(u, qu):
 
       difference:  mu(u,qu) - mu(x,qx) = (2 cos phi / (1 - cos phi)) R(x, qx, x, q^2 x)
       combination: mu(u,qu) = ((1+2cos phi) mu(x,qx) - 3 cos phi mu(y,qy)) / (1 - cos phi)
       equal:       mu(u,qu), mu(qu,q^2u), mu(q^2u,u), equal where R is q-invariant
 
-    Each quantity is computed once, over all vectors and points. The refusals
-    come in the order one point and one vector meet them: q-invariance, the
-    q-basis test of the vectors (the first failing one is named), the
-    orthogonal-basis generator and its plane, the angle routes, the plane
-    {u, qu}, the special-angle vector and its plane, the planes {qu, q^2u}
-    and {q^2u, u}.
+    The relations hold where the curvature is q-invariant (check_q_invariance
+    at tol); they refuse elsewhere unless require_identity=False (diagnostic
+    use). Each quantity is computed once, over all vectors and points. The
+    refusals come in the order one point and one vector meet them:
+    q-invariance, the q-basis test of the vectors (the first failing one is
+    named), the orthogonal-basis generator and its plane, the angle routes,
+    the plane {u, qu}, the special-angle vector and its plane, the planes
+    {qu, q^2u} and {q^2u, u}.
     """
+    M = R.metric
+    identity = check_q_invariance(R, tol=tol)
+    if require_identity and not identity.passed.all():
+        i = first_point(~identity.passed)
+        raise IdentityRNotSatisfied(
+            "curvature q-invariance fails at this point "
+            f"(diagonal spread {identity.diagonal_residual[i]:.3e}, "
+            f"cross spread {identity.cross_residual[i]:.3e})"
+        )
     U = np.asarray(U, dtype=float)
-    _require_identity_and_basis(frame, U)
-    M, R = frame.M, frame.R
+    ok = np.asarray(induces_q_basis(U))
+    if not ok.all():
+        raise NotAQBasis(f"vector {tuple(U[first_point(~ok)].tolist())} does not induce a q-basis")
     u = U[(slice(None),) + (None,) * M.D.ndim] if U.ndim == 2 else U  # vectors before points
-    mu_x = frame.mu_x
+    x = construct_orthogonal_vector(M.A, M.B)
+    x = x / np.sqrt(inner(M, x, x))[..., None]
+    qx = apply_q(x)
+    mu_x = sectional_curvature(R, x, qx)
     cphi = q_basis_cosines(M, u)[0]
     qu = apply_q(u)
     q2u = apply_q(qu)
-    mu_u = sectional_curvature(M, R, u, qu)
-    mu_y = frame.mu_y
+    mu_u = sectional_curvature(R, u, qu)
+    y = construct_special_angle_vector(M.A, M.B)
+    mu_y = sectional_curvature(R, y, apply_q(y))
+    r_x = riemann_apply(R, x, qx, x, apply_q(qx))
     return SectionalRelations(
-        difference=RelationCheck(mu_u - mu_x, (2.0 * cphi / (1.0 - cphi)) * frame.r_x),
+        difference=RelationCheck(mu_u - mu_x, (2.0 * cphi / (1.0 - cphi)) * r_x),
         combination=RelationCheck(mu_u, ((1.0 + 2.0 * cphi) * mu_x - 3.0 * cphi * mu_y) / (1.0 - cphi)),
-        equal=EqualSectionalCheck(
-            mu_u, sectional_curvature(M, R, qu, q2u), sectional_curvature(M, R, q2u, u)
-        ),
+        equal=EqualSectionalCheck(mu_u, sectional_curvature(R, qu, q2u), sectional_curvature(R, q2u, u)),
     )
 
 
 # The single relations, as views of sectional_relations.
 
 
-def check_sectional_difference_formula(frame: RelationFrame, u) -> RelationCheck:
+def check_sectional_difference_formula(R: CurvatureTensor, u, tol=1e-9, require_identity=True) -> RelationCheck:
     """mu(u,qu) - mu(x,qx) = (2 cos phi / (1 - cos phi)) R(x, qx, x, q^2 x); see sectional_relations."""
-    return sectional_relations(frame, u).difference
+    return sectional_relations(R, u, tol, require_identity).difference
 
 
-def check_sectional_combination_formula(frame: RelationFrame, u) -> RelationCheck:
+def check_sectional_combination_formula(R: CurvatureTensor, u, tol=1e-9, require_identity=True) -> RelationCheck:
     """mu(u,qu) = ((1+2cos phi) mu(x,qx) - 3 cos phi mu(y,qy)) / (1 - cos phi); see sectional_relations."""
-    return sectional_relations(frame, u).combination
+    return sectional_relations(R, u, tol, require_identity).combination
 
 
-def check_equal_sectional_curvatures(frame: RelationFrame, u) -> EqualSectionalCheck:
+def check_equal_sectional_curvatures(R: CurvatureTensor, u, tol=1e-9, require_identity=True) -> EqualSectionalCheck:
     """Sectional curvatures of the planes {u,qu}, {qu,q^2u}, {q^2u,u}; see sectional_relations."""
-    return sectional_relations(frame, u).equal
+    return sectional_relations(R, u, tol, require_identity).equal

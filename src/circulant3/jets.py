@@ -34,8 +34,6 @@ def elementwise(fn, x):
     """fn on a float, or on each element of an array as a Python float."""
     if not isinstance(x, np.ndarray):
         return fn(x)
-    if x.ndim == 0:
-        return np.asarray(fn(x.item()), dtype=float)
     return np.array([fn(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
 
 

@@ -37,10 +37,6 @@ class MetricFunctions:
         return cls(parse(A), parse(B), tuple(parse(c) for c in domain_constraints))
 
 
-def _unbox(v: np.ndarray):
-    return v.item() if v.ndim == 0 else v
-
-
 def first_point(mask) -> tuple[int, ...]:
     """The batch index of the first point (in C order) where mask holds; () for one point."""
     return tuple(np.argwhere(mask)[0])
@@ -61,14 +57,14 @@ class MetricAtPoint:
     D: np.ndarray
 
     @property
-    def A(self):
-        """A at the points: a float for one point, an array for a batch."""
-        return _unbox(self.A_jet.value)
+    def A(self) -> np.ndarray:
+        """A at the points, an array of the batch shape (0-d for one point)."""
+        return self.A_jet.value
 
     @property
-    def B(self):
-        """B at the points: a float for one point, an array for a batch."""
-        return _unbox(self.B_jet.value)
+    def B(self) -> np.ndarray:
+        """B at the points, an array of the batch shape (0-d for one point)."""
+        return self.B_jet.value
 
     def __getitem__(self, index) -> "MetricAtPoint":
         """The metric at part of the batch, e.g. one point."""
@@ -191,10 +187,10 @@ def inner(M: MetricAtPoint, x, y):
     x and y are one vector (3,) or one per point (..., 3). Each point's
     value is the matrix product x @ g @ y, bit for bit as at that point alone.
     """
-    return inners(M, x, (y,))[0]
+    return inners(M.g, x, (y,))[0]
 
 
-def inners(M: MetricAtPoint, x, ys) -> list:
-    """[inner(M, x, y) for y in ys], computing the product x @ g once."""
-    xg = np.asarray(x, dtype=float)[..., None, :] @ M.g
+def inners(g: np.ndarray, x, ys) -> list:
+    """[x @ g @ y for y in ys] over a batch of matrices g (..., 3, 3), computing x @ g once."""
+    xg = np.asarray(x, dtype=float)[..., None, :] @ g
     return [(xg @ np.asarray(y, dtype=float)[..., :, None])[..., 0, 0] for y in ys]

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import jets
 from .errors import AngleRoutesDisagree, ConstructionFailed, NotAQBasis, PositivityViolation
 from .metric import MetricAtPoint, first_point, inner, inners, positive
 
@@ -90,8 +91,7 @@ def induces_q_basis(x):
 
 def vector_invariants(x):
     """The quadratic invariants (a, b) of one vector (3,) or of each vector of a batch (..., 3)."""
-    x = np.asarray(x, dtype=float)
-    x1, x2, x3 = (x.tolist() if x.ndim == 1 else np.moveaxis(x, -1, 0))
+    x1, x2, x3 = np.moveaxis(np.asarray(x, dtype=float), -1, 0)
     a = x1 * x1 + x2 * x2 + x3 * x3
     b = x1 * x2 + x1 * x3 + x2 * x3
     return a, b
@@ -111,9 +111,7 @@ def orthogonality_defect(M: MetricAtPoint, x) -> float:
 
 def _clamped_acos(c):
     """math.acos of c clipped to [-1, 1], element by element over a batch."""
-    if np.ndim(c) == 0:
-        return math.acos(min(1.0, max(-1.0, c)))
-    return np.array([_clamped_acos(v) for v in c.flat]).reshape(c.shape)
+    return jets.elementwise(lambda v: math.acos(min(1.0, max(-1.0, v))), c)
 
 
 @dataclass(frozen=True)
@@ -145,7 +143,7 @@ def q_basis_cosines(M: MetricAtPoint, x) -> tuple:
     x = np.asarray(x, dtype=float)
     qx = apply_q(x)
     q2x = apply_q(qx)
-    gxx, g_x_qx, g_x_q2x = inners(M, x, (x, qx, q2x))
+    gxx, g_x_qx, g_x_q2x = inners(M.g, x, (x, qx, q2x))
     cosines = (g_x_qx / gxx, g_x_q2x / gxx, inner(M, qx, q2x) / gxx)
     closed = cos_angle_closed_form(M.A, M.B, x)
     for route_cos, sign in zip(cosines, (1.0, -1.0, 1.0)):
@@ -189,10 +187,15 @@ def _require_positive(A, B):
 def construct_orthogonal_vector(A, B) -> np.ndarray:
     """A vector whose q-basis is g-orthogonal: (0, -(A+B)+sqrt((A-B)(A+3B)), 2B).
 
-    A and B are numbers or arrays over a batch; the result is (..., 3).
+    A and B are numbers or arrays over a batch; the result is (..., 3). The
+    middle entry is formed from A and B over a power of two that brings A
+    into [0.5, 1), then scaled back: exact, and no product overflows.
     """
     A, B = _require_positive(A, B)
-    return np.stack([np.zeros_like(A), -(A + B) + np.sqrt((A - B) * (A + 3 * B)), 2.0 * B], axis=-1)
+    e = np.frexp(A)[1]
+    As, Bs = np.ldexp(A, -e), np.ldexp(B, -e)
+    x2 = np.ldexp(-(As + Bs) + np.sqrt((As - Bs) * (As + 3 * Bs)), e)
+    return np.stack([np.zeros_like(A), x2, 2.0 * B], axis=-1)
 
 
 def construct_special_angle_vector(A, B) -> np.ndarray:

@@ -300,6 +300,20 @@ def test_compare_curvature_command(capsys, m5_spec, parallel_spec):
     assert rel["R1213"] > 0.1
 
 
+def test_closed_form_command(capsys, m5_spec):
+    from circulant3 import closed_form_from_metric, load_spec, metric_at
+
+    code, report = run_json(capsys, ["closed-form", "--spec", m5_spec, "--at", "2,-1,-1"])
+    assert code == 0
+    want = closed_form_from_metric(metric_at(load_spec(m5_spec).metric, (2.0, -1.0, -1.0))).as_dict()
+    assert report["results"]["components"] == {name: float(v) for name, v in want.items()}
+    assert report["verdicts"] == {}
+    code, report = run_json(capsys, ["closed-form", "--spec", m5_spec, "--sample", "4", "--seed", "2"])
+    assert code == 0
+    assert report["results"] == {"points_accepted": 4, "pass_counts": {}, "max_residuals": {}}
+    assert report["verdicts"] == {}
+
+
 def test_christoffel_fd_check(capsys, m5_spec):
     code, report = run_json(
         capsys, ["christoffel", "--spec", m5_spec, "--at", "2,-1,-1", "--fd-check"]
@@ -456,6 +470,37 @@ def test_sectional_curvature_does_not_depend_on_the_vectors_scale(capsys, tmp_pa
     assert capsys.readouterr().err == (
         "error (sectional): vectors (1e-200, 0.0, 0.0) and (3e-200, 0.0, 0.0) span no plane\n"
     )
+
+
+def _finite(value):
+    if isinstance(value, dict):
+        return all(_finite(v) for v in value.values())
+    if isinstance(value, list):
+        return all(_finite(v) for v in value)
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sectional", "--x=1,0,0", "--y=0,1,0"], ["orthobasis"], ["verify-theorems"]],
+    ids=["sectional", "orthobasis", "verify-theorems"],
+)
+def test_a_huge_metric_gives_finite_results_without_a_warning(capsys, tmp_path, argv):
+    # g(x,x) g(y,y) and (A - B)(A + 3B) overflow unless the metric is rescaled first
+    spec = tmp_path / "huge.toml"
+    spec.write_text('[metric]\nA = "1e200"\nB = "1"\n', encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the call
+        code = main([argv[0], "--spec", str(spec), "--at=0,0,0", *argv[1:], "--json"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    results = json.loads(captured.out)["results"]
+    if argv[0] == "sectional":
+        assert results["mu"] == 0.0
+    else:
+        assert _finite(results), results
+    if argv[0] == "orthobasis":
+        assert results["vector"] == [0.0, 0.0, 2.0]
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,6 @@ import pytest
 from circulant3 import (
     MetricFunctions,
     Q_MATRIX,
-    RelationFrame,
     apply_q,
     induces_q_basis,
     check_equal_sectional_curvatures,
@@ -210,9 +209,8 @@ def test_closed_form_diagonal_matches_numeric_on_example_chart():
 
 def test_sectional_on_example_plane():
     m = builtin_example().metric
-    M = metric_at(m, P5)
-    R = riemann_from_metric(M)
-    mu = sectional_curvature(M, R, [1, 0, 0], [0, 1, 0])
+    R = riemann_from_metric(metric_at(m, P5))
+    mu = sectional_curvature(R, [1, 0, 0], [0, 1, 0])
     assert abs(mu - (-0.125 / 12.0)) <= 1e-12  # R1212 / (g11 g22 - g12^2) = -1/96
 
 
@@ -220,32 +218,29 @@ def test_sectional_scale_invariance():
     rng = np.random.default_rng(46)
     m = random_manifold(rng)
     p = random_point(rng)
-    M = metric_at(m, p)
-    R = riemann_from_metric(M)
+    R = riemann_from_metric(metric_at(m, p))
     x = rng.standard_normal(3)
     y = rng.standard_normal(3)
-    mu = sectional_curvature(M, R, x, y)
+    mu = sectional_curvature(R, x, y)
     for _ in range(20):
         lam = rng.uniform(0.1, 5.0) * rng.choice([-1.0, 1.0])
         kap = rng.uniform(0.1, 5.0) * rng.choice([-1.0, 1.0])
-        mu2 = sectional_curvature(M, R, lam * x, kap * y)
+        mu2 = sectional_curvature(R, lam * x, kap * y)
         assert abs(mu - mu2) <= 1e-10 * (1.0 + abs(mu))
 
 
 def test_sectional_degenerate_plane():
     m = builtin_example().metric
-    M = metric_at(m, P5)
-    R = riemann_from_metric(M)
+    R = riemann_from_metric(metric_at(m, P5))
     with pytest.raises(DegeneratePlane):
-        sectional_curvature(M, R, [1.0, 2.0, 3.0], [2.0, 4.0, 6.0])
+        sectional_curvature(R, [1.0, 2.0, 3.0], [2.0, 4.0, 6.0])
 
 
 def test_flat_manifold_zero_sectional():
     m = MetricFunctions.from_sources("3", "1")
     p = (0.0, 0.0, 0.0)
-    M = metric_at(m, p)
-    R = riemann_from_metric(M)
-    assert sectional_curvature(M, R, [1, 0, 0], [0, 0, 1]) == 0.0
+    R = riemann_from_metric(metric_at(m, p))
+    assert sectional_curvature(R, [1, 0, 0], [0, 0, 1]) == 0.0
 
 
 def test_riemann_apply_extracts_components():
@@ -327,8 +322,7 @@ def test_sectional_difference_formula_machine_precision():
         u = rng.standard_normal(3)
         if not induces_q_basis(u):
             continue
-        M = metric_at(m, p)
-        chk = check_sectional_difference_formula(RelationFrame(M, riemann_from_metric(M)), u)
+        chk = check_sectional_difference_formula(riemann_from_metric(metric_at(m, p)), u)
         assert chk.residual <= 1e-10 * (1.0 + abs(chk.lhs))
 
 
@@ -340,8 +334,7 @@ def test_sectional_combination_formula_machine_precision():
         u = rng.standard_normal(3)
         if not induces_q_basis(u):
             continue
-        M = metric_at(m, p)
-        chk = check_sectional_combination_formula(RelationFrame(M, riemann_from_metric(M)), u)
+        chk = check_sectional_combination_formula(riemann_from_metric(metric_at(m, p)), u)
         assert chk.residual <= 1e-10 * (1.0 + abs(chk.lhs))
 
 
@@ -353,8 +346,7 @@ def test_equal_sectional_curvatures_on_invariant_manifold():
         u = rng.standard_normal(3)
         if not induces_q_basis(u):
             continue
-        M = metric_at(m, p)
-        chk = check_equal_sectional_curvatures(RelationFrame(M, riemann_from_metric(M)), u)
+        chk = check_equal_sectional_curvatures(riemann_from_metric(metric_at(m, p)), u)
         r1, r2 = chk.residuals
         assert max(r1, r2) <= 1e-10 * (1.0 + abs(chk.mu_u_qu))
 
@@ -366,38 +358,37 @@ def test_difference_formula_orthonormal_generator_case():
     M = metric_at(m, p)
     x = construct_orthogonal_vector(M.A, M.B)
     x = x / np.sqrt(inner(M, x, x))
-    chk = check_sectional_difference_formula(RelationFrame(M, riemann_from_metric(M)), x)
+    chk = check_sectional_difference_formula(riemann_from_metric(M), x)
     assert abs(chk.lhs) <= 1e-12
     assert abs(chk.rhs) <= 1e-12
 
 
 def test_relation_checks_refuse_without_invariance():
-    M = metric_at(builtin_example().metric, P5)
-    frame = RelationFrame(M, riemann_from_metric(M))
+    R = riemann_from_metric(metric_at(builtin_example().metric, P5))
     with pytest.raises(IdentityRNotSatisfied):
-        check_sectional_difference_formula(frame, [1.0, 0.0, 0.0])
+        check_sectional_difference_formula(R, [1.0, 0.0, 0.0])
     with pytest.raises(IdentityRNotSatisfied):
-        check_sectional_combination_formula(frame, [1.0, 0.0, 0.0])
+        check_sectional_combination_formula(R, [1.0, 0.0, 0.0])
     with pytest.raises(IdentityRNotSatisfied):
-        check_equal_sectional_curvatures(frame, [1.0, 0.0, 0.0])
+        check_equal_sectional_curvatures(R, [1.0, 0.0, 0.0])
 
 
 def test_relation_checks_reject_degenerate_vector():
     m, _ = nonflat_parallel()
-    M = metric_at(m, (1.0, 0.7, 0.4))
+    R = riemann_from_metric(metric_at(m, (1.0, 0.7, 0.4)))
     with pytest.raises(NotAQBasis):
-        check_sectional_difference_formula(RelationFrame(M, riemann_from_metric(M)), [1.0, 1.0, 1.0])
+        check_sectional_difference_formula(R, [1.0, 1.0, 1.0])
 
 
 def test_relation_refusals_come_identity_first_then_the_first_vector_off_the_basis():
     m, _ = nonflat_parallel()
-    M = metric_at(m, (1.0, 0.7, 0.4))
+    R = riemann_from_metric(metric_at(m, (1.0, 0.7, 0.4)))
     u_ok, u_bad = [0.4, -1.1, 0.2], [2.0, 2.0, 2.0]
     with pytest.raises(NotAQBasis, match=r"^vector \(2\.0, 2\.0, 2\.0\) does not induce a q-basis$"):
-        sectional_relations(RelationFrame(M, riemann_from_metric(M)), [u_ok, u_bad])
-    example = metric_at(builtin_example().metric, P5)
+        sectional_relations(R, [u_ok, u_bad])
+    example = riemann_from_metric(metric_at(builtin_example().metric, P5))
     with pytest.raises(IdentityRNotSatisfied):
-        sectional_relations(RelationFrame(example, riemann_from_metric(example)), [u_ok, u_bad])
+        sectional_relations(example, [u_ok, u_bad])
 
 
 CYCLIC_PAIR = MetricFunctions.from_sources(
@@ -414,7 +405,7 @@ def test_relations_hold_on_the_cyclic_family_where_q_is_not_parallel():
         assert check_q_invariance(R).passed.all()
         assert (nabla_q_from_table(R.christoffel).max_abs > 1e-4).all()
         U = [random_q_basis_vector(rng) for _ in range(5)]
-        rel = sectional_relations(RelationFrame(M, R), U)
+        rel = sectional_relations(R, U)
         d, c, e = rel.difference, rel.combination, rel.equal
         assert d.lhs.shape == (5, 8)
         assert (abs(e.mu_u_qu) > 1e-4).all()  # the planes are curved
@@ -427,11 +418,10 @@ def test_q_transformed_plane_has_equal_sectional_via_apply():
     # directly: mu(qu, q^2 u) values used by the equal-curvature check
     m, box = nonflat_parallel()
     p = (1.0, 0.7, 0.4)
-    M = metric_at(m, p)
-    R = riemann_from_metric(M)
+    R = riemann_from_metric(metric_at(m, p))
     u = np.array([0.4, -1.1, 0.2])
-    mu1 = sectional_curvature(M, R, u, apply_q(u))
-    mu2 = sectional_curvature(M, R, apply_q(u), apply_q(apply_q(u)))
+    mu1 = sectional_curvature(R, u, apply_q(u))
+    mu2 = sectional_curvature(R, apply_q(u), apply_q(apply_q(u)))
     assert abs(mu1 - mu2) <= 1e-12 * (1.0 + abs(mu1))
 
 
@@ -530,23 +520,21 @@ def test_relation_checks_over_a_batch_equal_the_serial_reference_bit_for_bit():
     manifolds += [(random_manifold(rng), None, False) for _ in range(4)]
     for m, box, invariant in manifolds:
         pts = np.array([random_point(rng, box or ((-1.0, 1.0),) * 3) for _ in range(7)])
-        M = metric_at(m, pts)
-        batch = RelationFrame(M, riemann_from_metric(M), require_identity=invariant)
-        Mi = metric_at(m, pts[3])
-        single = RelationFrame(Mi, riemann_from_metric(Mi), require_identity=invariant)
+        batch = riemann_from_metric(metric_at(m, pts))
+        single = riemann_from_metric(metric_at(m, pts[3]))
         U = np.array([random_q_basis_vector(rng) for _ in range(5)])
         # ref[v, k, i]: vector v, quantity k, point i, one point and one vector at a time
         ref = np.array([[[v for pair in _ref_relations(m, p, u) for v in pair] for p in pts] for u in U])
         ref = ref.transpose(0, 2, 1)
-        for frame, want in ((batch, ref), (single, ref[:, :, 3])):
-            rel = sectional_relations(frame, U)  # (V, N) and one point with V vectors
+        for R, want in ((batch, ref), (single, ref[:, :, 3])):
+            rel = sectional_relations(R, U, require_identity=invariant)  # (V, N) and one point with V vectors
             d, c, e = rel.difference, rel.combination, rel.equal
             got = [d.lhs, d.rhs, c.lhs, c.rhs, e.mu_u_qu, e.mu_qu_q2u, e.mu_q2u_u]
             assert _bits(np.stack(got, axis=1)) == _bits(want)
             for v in (0, 4):  # the single-relation views of one vector
-                d = check_sectional_difference_formula(frame, U[v])
-                c = check_sectional_combination_formula(frame, U[v])
-                e = check_equal_sectional_curvatures(frame, U[v])
+                d = check_sectional_difference_formula(R, U[v], require_identity=invariant)
+                c = check_sectional_combination_formula(R, U[v], require_identity=invariant)
+                e = check_equal_sectional_curvatures(R, U[v], require_identity=invariant)
                 got = [d.lhs, d.rhs, c.lhs, c.rhs, e.mu_u_qu, e.mu_qu_q2u, e.mu_q2u_u]
                 assert _bits(got) == _bits(want[v])
 
@@ -559,10 +547,10 @@ def test_sectional_curvature_rescaling_keeps_the_bits_of_the_plain_quotient():
     for _ in range(100):
         x, y = rng.standard_normal((2, 3)) * 10.0 ** rng.uniform(-5.0, 5.0, size=(2, 1))
         want = [_ref_mu(M.g[i], R.low[i], x, y) for i in range(6)]
-        assert _bits(sectional_curvature(M, R, x, y)) == _bits(want)
+        assert _bits(sectional_curvature(R, x, y)) == _bits(want)
         xs = x * 10.0 ** rng.uniform(-5.0, 5.0, size=(6, 1))  # one vector per point
         want = [_ref_mu(M.g[i], R.low[i], xs[i], y) for i in range(6)]
-        assert _bits(sectional_curvature(M, R, xs, y)) == _bits(want)
+        assert _bits(sectional_curvature(R, xs, y)) == _bits(want)
 
 
 def _ref_sampled_residual(low, seed, samples):
@@ -597,18 +585,18 @@ def test_batch_refusals_name_their_first_failing_point():
     mixed = metric_from_jets(
         concatenate([parallel.A_jet, example.A_jet]), concatenate([parallel.B_jet, example.B_jet])
     )
-    frame = RelationFrame(mixed, riemann_from_metric(mixed))
-    alone = RelationFrame(example[0], riemann_from_metric(example[0]))
+    batch = riemann_from_metric(mixed)
+    alone = riemann_from_metric(example[0])
     for check in (
         check_sectional_difference_formula,
         check_sectional_combination_formula,
         check_equal_sectional_curvatures,
     ):
         with pytest.raises(IdentityRNotSatisfied) as batch_error:
-            check(frame, [1.0, 0.0, 0.0])
+            check(batch, [1.0, 0.0, 0.0])
         with pytest.raises(IdentityRNotSatisfied) as point_error:
             check(alone, [1.0, 0.0, 0.0])
         assert str(batch_error.value) == str(point_error.value)
     x = np.array([[1.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
     with pytest.raises(DegeneratePlane, match=r"^vectors \(1\.0, 2\.0, 3\.0\) and \(2\.0, 4\.0, 6\.0\) "):
-        sectional_curvature(example, riemann_from_metric(example), x, [[0.0, 1.0, 0.0], [2.0, 4.0, 6.0]])
+        sectional_curvature(riemann_from_metric(example), x, [[0.0, 1.0, 0.0], [2.0, 4.0, 6.0]])

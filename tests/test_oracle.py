@@ -120,6 +120,27 @@ def test_example_oracle_is_the_derived_curvature(derived_example):
     assert oracle["R1212"].subs(dict(zip(X, (2, -1, -1)))) == sp.Rational(-1, 8)
 
 
+def test_the_cyclic_family_satisfies_the_q_invariance_chains_exactly():
+    """R1212 = R1313 = R2323 and R1213 = R1323 = -R1223 for A = a(s), B = b(s), s = x1 + x2 + x3.
+
+    The cyclic shift (x1, x2, x3) -> (x2, x3, x1) preserves s, so it is an
+    isometry whose differential is -q, and the curvature is q-invariant.
+    R1223 does not vanish there, which pins the sign check_q_invariance
+    puts on it.
+    """
+    s = sum(X)
+    a, b = sp.Function("a")(s), sp.Function("b")(s)
+    R = generic_components(
+        a, b,
+        [sp.diff(a, x) for x in X], [sp.diff(b, x) for x in X],
+        [[sp.diff(a, x, y) for y in X] for x in X], [[sp.diff(b, x, y) for y in X] for x in X],
+    )
+    for lhs, rhs in [("R1212", R["R1313"]), ("R1212", R["R2323"]),
+                     ("R1213", R["R1323"]), ("R1213", -R["R1223"])]:
+        assert sp.cancel(R[lhs] - rhs) == 0, lhs
+    assert sp.cancel(R["R1223"]) != 0
+
+
 def test_example_christoffel_symbols_are_the_derived_ones(derived_example):
     """christoffel_from_metric against the derived Gamma_ij^h and d_k Gamma_ij^h, to relative 1e-12.
 
