@@ -21,6 +21,18 @@ result is bit for bit the one a batch of that point alone gives. Vectors
 are one vector (3,) shared by all points or one per point (..., 3). A
 check that refuses a batch names its first failing point.
 
+Layout. christoffel_from_metric and riemann_from_metric contract
+C-contiguous arrays whose tensor indices come first and whose batch axes
+come last (``"ijt...,th...->ijh..."``), so that each einsum's inner loop
+runs over the batch rather than over an index of length 3; the API stays
+batch-first. Strides matter beyond speed: an einsum may sum in an order
+that follows its operands' strides (riemann_apply sums over all four
+indices of R.low; nabla_q_from_table reads gamma). So gamma, dgamma and
+up are C-contiguous batch-first arrays, and low has the memory order
+(batch..., k, i, j, h) in which a batch-first einsum over up leaves it,
+viewed as (batch..., i, j, k, h). tests/test_kernel_layout.py pins every
+element and every stride against the same contractions run batch-first.
+
 A CurvatureTensor carries its metric, so sectional curvature and the
 sectional-curvature relations take R alone. The relations also take a
 stack of V vectors (V, 3):
@@ -42,6 +54,7 @@ reported, never patched.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,19 +123,34 @@ class ClosedFormComponents:
         return {k: getattr(self, k) for k in COMPONENT_INDEX}
 
 
+@functools.cache
+def _index_first_axes(ndim: int, rank: int) -> tuple[int, ...]:
+    return (*range(ndim - rank, ndim), *range(ndim - rank))
+
+
 def index_first(a: np.ndarray, rank: int) -> np.ndarray:
     """a with its last rank (tensor index) axes moved in front of its batch axes.
 
     Indexing the result by all rank indices gives a number for one point
     and an (N,) array for a batch.
     """
-    return a.transpose(tuple(range(a.ndim - rank, a.ndim)) + tuple(range(a.ndim - rank)))
+    return a.transpose(_index_first_axes(a.ndim, rank))
 
 
 def components(R: "CurvatureTensor") -> dict[str, np.ndarray]:
     """The lowered components named in COMPONENT_INDEX, with R's batch shape."""
     low = index_first(R.low, 4)
     return {name: low[i, j, k, h] for name, (i, j, k, h) in COMPONENT_INDEX.items()}
+
+
+def _tensor_first(a: np.ndarray, rank: int) -> np.ndarray:
+    """index_first(a, rank) as a C-contiguous array: tensor indices first, batch axes last."""
+    return np.ascontiguousarray(index_first(a, rank))
+
+
+def _batch_first(a: np.ndarray, rank: int) -> np.ndarray:
+    """A C-contiguous copy of a with its first rank (tensor index) axes moved last."""
+    return np.array(index_first(a, a.ndim - rank), order="C")
 
 
 def _metric_derivatives(M: MetricAtPoint):
@@ -136,38 +164,36 @@ def _metric_derivatives(M: MetricAtPoint):
 def christoffel_from_metric(M: MetricAtPoint) -> ChristoffelTable:
     """Christoffel symbols and their first derivatives from metric jets."""
     dg, ddg = _metric_derivatives(M)
-    ginv = M.g_inv
+    dg, ddg, ginv = _tensor_first(dg, 3), _tensor_first(ddg, 4), _tensor_first(M.g_inv, 2)
     # C[i,j,t] = d_i g_tj + d_j g_ti - d_t g_ij
-    C = (
-        np.einsum("...itj->...ijt", dg)
-        + np.einsum("...jti->...ijt", dg)
-        - np.einsum("...tij->...ijt", dg)
-    )
-    gamma = 0.5 * np.einsum("...ijt,...th->...ijh", C, ginv)
-    dginv = -np.einsum("...ab,...kbc,...cd->...kad", ginv, dg, ginv)
+    C = np.einsum("itj...->ijt...", dg) + np.einsum("jti...->ijt...", dg) - np.einsum("tij...->ijt...", dg)
+    gamma = 0.5 * np.einsum("ijt...,th...->ijh...", C, ginv)
+    dginv = -np.einsum("ab...,kbc...,cd...->kad...", ginv, dg, ginv)
     dC = (
-        np.einsum("...kitj->...kijt", ddg)
-        + np.einsum("...kjti->...kijt", ddg)
-        - np.einsum("...ktij->...kijt", ddg)
+        np.einsum("kitj...->kijt...", ddg)
+        + np.einsum("kjti...->kijt...", ddg)
+        - np.einsum("ktij...->kijt...", ddg)
     )
     dgamma = 0.5 * (
-        np.einsum("...kth,...ijt->...kijh", dginv, C) + np.einsum("...th,...kijt->...kijh", ginv, dC)
+        np.einsum("kth...,ijt...->kijh...", dginv, C) + np.einsum("th...,kijt...->kijh...", ginv, dC)
     )
-    return ChristoffelTable(gamma, dgamma)
+    return ChristoffelTable(_batch_first(gamma, 3), _batch_first(dgamma, 4))
 
 
 def riemann_from_metric(M: MetricAtPoint) -> CurvatureTensor:
     """The curvature tensor at M's points; low[...,i,j,k,h] = g(R(e_i,e_j)e_k, e_h)."""
     ct = christoffel_from_metric(M)
-    gamma, dgamma = ct.gamma, ct.dgamma
+    gamma, dgamma = _tensor_first(ct.gamma, 3), _tensor_first(ct.dgamma, 4)
     up = (
-        np.einsum("...jikh->...ijkh", dgamma)
-        - np.einsum("...kijh->...ijkh", dgamma)
-        + np.einsum("...ikt,...tjh->...ijkh", gamma, gamma)
-        - np.einsum("...ijt,...tkh->...ijkh", gamma, gamma)
+        np.einsum("jikh...->ijkh...", dgamma)
+        - np.einsum("kijh...->ijkh...", dgamma)
+        + np.einsum("ikt...,tjh...->ijkh...", gamma, gamma)
+        - np.einsum("ijt...,tkh...->ijkh...", gamma, gamma)
     )
-    low = np.einsum("...kijt,...th->...ijkh", up, M.g)
-    return CurvatureTensor(up, low, ct, M)
+    # low in memory order (batch..., k, i, j, h), viewed as (batch..., i, j, k, h)
+    low = _batch_first(np.einsum("kijt...,th...->kijh...", up, _tensor_first(M.g, 2)), 4)
+    low = low.swapaxes(-4, -3).swapaxes(-3, -2)
+    return CurvatureTensor(_batch_first(up, 4), low, ct, M)
 
 
 def closed_form_from_metric(M: MetricAtPoint) -> ClosedFormComponents:

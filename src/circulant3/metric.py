@@ -135,11 +135,20 @@ def admissibility(m: MetricFunctions, pts):
 
 @np.errstate(all="ignore")
 def metric_from_jets(A_jet: Jet2, B_jet: Jet2) -> MetricAtPoint:
-    """Assemble g, its closed-form inverse and D from the jets of A and B."""
+    """Assemble g, its closed-form inverse and D from the jets of A and B.
+
+    The inverse is that of g / 2^e, with max(|A|, |B|) / 2^e in [0.5, 1),
+    scaled back by 2^-e. The scaling is exact, so where D is a normal float
+    g_inv keeps the bits of the plain closed form, and a metric whose D
+    underflows or overflows still gets its inverse. D is the unscaled product.
+    """
     A, B = A_jet.value, B_jet.value
     D = (A - B) * (A + 2 * B)
     g = np.where(_EYE, A[..., None, None], B[..., None, None])
-    g_inv = np.where(_EYE, ((A + B) / D)[..., None, None], (-B / D)[..., None, None])
+    e = np.frexp(np.maximum(abs(A), abs(B)))[1]
+    a, b = np.ldexp(A, -e), np.ldexp(B, -e)
+    d = (a - b) * (a + 2 * b)
+    g_inv = np.where(_EYE, np.ldexp((a + b) / d, -e)[..., None, None], np.ldexp(-b / d, -e)[..., None, None])
     return MetricAtPoint(A_jet, B_jet, g, g_inv, D)
 
 

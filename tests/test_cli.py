@@ -370,6 +370,15 @@ A = "4*x1 + 2*x2 + 20"
 B = "x1 + 2*x2 + 3*x3 + 5"
 '''
 
+# The cyclic family A = a(s), B = b(s), s = x1 + x2 + x3: q-invariant curvature, q not parallel.
+# Its Hessians do not vanish, so its golden file pins the second-derivative terms of Gamma.
+CYCLIC_SPEC = '''
+name = "cyclic"
+[metric]
+A = "3 + exp((x1 + x2 + x3)/3)/7 + (x1 + x2 + x3)^2/10"
+B = "1 + sin(x1 + x2 + x3)/4"
+'''
+
 
 @pytest.mark.parametrize(
     "spec_text, argv, golden",
@@ -382,8 +391,11 @@ B = "x1 + 2*x2 + 3*x3 + 5"
          "validate_generic_sample40_seed3.json"),
         (GENERIC_SPEC, ["orthobasis", "--sample", "40", "--seed", "3", "--box=-6:6,-1:1,-6:6"],
          "orthobasis_generic_sample40_seed3.json"),
+        (CYCLIC_SPEC, ["verify-theorems", "--sample", "8", "--seed", "3", "--box=-1:1,-1:1,-1:1"],
+         "verify_theorems_cyclic_sample8_seed3.json"),
     ],
-    ids=["riemann-generic", "verify-theorems-parallel", "validate-generic", "orthobasis-generic"],
+    ids=["riemann-generic", "verify-theorems-parallel", "validate-generic", "orthobasis-generic",
+         "verify-theorems-cyclic"],
 )
 def test_sampled_golden_json(capsys, tmp_path, spec_text, argv, golden):
     spec = tmp_path / "spec.toml"
@@ -432,7 +444,7 @@ def test_angle_routes_that_disagree_are_a_metric_error(capsys, tmp_path, argv):
 @pytest.mark.parametrize(
     "B, argv, exit_code",
     [
-        ("1", ["validate"], 1),  # admissible and positive definite; D overflows, so g_inv is not an inverse
+        ("1", ["validate"], 0),  # admissible and positive definite; D overflows, g_inv is still the inverse
         ("-1", ["riemann", "--allow-weak-metric"], 0),  # weak but positive definite: admitted with a warning
     ],
     ids=["validate", "riemann-weak"],
@@ -446,7 +458,30 @@ def test_an_overflowing_positivity_minor_is_infinite_not_a_traceback(capsys, tmp
     if argv[0] == "validate":
         report = json.loads(out)
         assert report["results"]["minors"] == [1e200, math.inf, math.inf]
+        assert report["results"]["D"] == math.inf  # reported unscaled
         assert report["verdicts"]["positive_definite"]["pass"]
+        inverse = report["verdicts"]["inverse_consistent"]
+        assert inverse["pass"] and inverse["residual"] <= 1e-12
+
+
+TINY_SPEC = '[metric]\nA = "3e-200"\nB = "1e-200"\n'
+
+
+def test_a_tiny_metric_whose_D_underflows_has_flat_curvature_not_nan(capsys, tmp_path):
+    # D = (A - B)(A + 2B) underflows to 0, yet g_inv is finite and the constant metric is flat
+    spec = tmp_path / "tiny.toml"
+    spec.write_text(TINY_SPEC, encoding="utf-8")
+    head = ["--spec", str(spec), "--at=0,0,0", "--json"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the call
+        assert main(["sectional", *head, "--x=1,0,0", "--y=0,1,0"]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["mu"] == 0.0
+        assert main(["riemann", *head]) == 0
+        assert set(json.loads(capsys.readouterr().out)["results"]["components"].values()) == {0.0}
+        assert main(["check-parallel", *head]) == 0
+        report = json.loads(capsys.readouterr().out)
+    assert report["results"]["nabla_q_max"] == 0.0
+    assert all(verdict["pass"] for verdict in report["verdicts"].values())
 
 
 @pytest.mark.parametrize("x, y", [("1e-200,0,0", "0,1e-200,0"), ("1e200,0,0", "0,1,0")], ids=["tiny", "huge"])
@@ -691,15 +726,6 @@ def test_verify_theorems_sampled_computes_each_relation_quantity_once_per_run(ca
     # {q^2u, u} over all vectors and points; the vectors' q-basis test and the rest once
     assert calls == {"sectional_curvature": 5, **dict.fromkeys(once, 1), "_random_q_basis_vectors": 1}
     capsys.readouterr()
-
-
-# The cyclic family A = a(s), B = b(s), s = x1 + x2 + x3: q-invariant curvature, q not parallel.
-CYCLIC_SPEC = '''
-name = "cyclic"
-[metric]
-A = "3 + exp((x1 + x2 + x3)/3)/7 + (x1 + x2 + x3)^2/10"
-B = "1 + sin(x1 + x2 + x3)/4"
-'''
 
 
 def test_verify_theorems_passes_on_the_cyclic_family_where_q_is_not_parallel(capsys, tmp_path):

@@ -5,7 +5,7 @@ their definitions, once per module: for generic fields A(x), B(x) and for
 the built-in example A = 2 x1, B = 2 x1 + x2 + x3. The tests assert that
 the oracle's formulas are exactly the derived ones, that the numeric
 Christoffel symbols and their derivatives are the derived ones on the
-example, and pin term by term how the reference closed forms that
+example and on seeded generic fields, and pin term by term how the reference closed forms that
 closed_form_from_metric evaluates differ from them. sympy is needed here only; the oracle itself is plain
 arithmetic, so the acceptance tests that use it run without sympy.
 """
@@ -21,9 +21,11 @@ from circulant3.curvature import christoffel_from_metric, closed_form_from_metri
 from circulant3.metric import metric_at
 from circulant3.specfile import builtin_example
 
+from helpers import random_manifold, random_parallel_manifold, random_point, random_q_invariant_manifold
 from oracle import example_components, generic_components
 
 sp = pytest.importorskip("sympy")
+from sympy.printing.pycode import PythonCodePrinter  # noqa: E402
 
 X = sp.symbols("x1:4")
 NAMES = ("R1212", "R1313", "R2323", "R1213", "R1223", "R1323")
@@ -44,16 +46,11 @@ def _index(name):
     return tuple(int(c) - 1 for c in name[1:])
 
 
-def _derive(g, inverse):
-    """Gamma[i][j][h] = Gamma_ij^h and the six named components g(R(e_i,e_j)e_k, e_h) of g(x).
-
-    R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z with
-    nabla_{e_i} e_j = Gamma_ij^h e_h and
-    Gamma_ij^h = 1/2 g^{ht} (d_i g_tj + d_j g_ti - d_t g_ij).
-    """
+def _christoffel(g, inverse):
+    """Gamma[i][j][h] = Gamma_ij^h = 1/2 g^{ht} (d_i g_tj + d_j g_ti - d_t g_ij) of g(x)."""
     assert (inverse * g - sp.eye(3)).applyfunc(sp.cancel) == sp.zeros(3, 3)
     d = sp.diff
-    gamma = [
+    return [
         [
             [
                 sum(inverse[h, t] * (d(g[t, j], X[i]) + d(g[t, i], X[j]) - d(g[i, j], X[t]))
@@ -64,6 +61,16 @@ def _derive(g, inverse):
         ]
         for i in range(3)
     ]
+
+
+def _derive(g, inverse):
+    """Gamma[i][j][h] = Gamma_ij^h and the six named components g(R(e_i,e_j)e_k, e_h) of g(x).
+
+    R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z with
+    nabla_{e_i} e_j = Gamma_ij^h e_h.
+    """
+    d = sp.diff
+    gamma = _christoffel(g, inverse)
     out = {}
     for name in NAMES:
         i, j, k, h = _index(name)
@@ -86,9 +93,8 @@ def _circulant(a, b):
     return g, inverse
 
 
-@pytest.fixture(scope="module")
-def derived_generic():
-    """4 D R_name as a polynomial in the jet symbols, for generic A(x), B(x)."""
+def _generic_fields():
+    """The fields A(x), B(x) as sympy functions, and the map of their derivatives to the jet symbols."""
     fA, fB = sp.Function("A")(*X), sp.Function("B")(*X)
     jets = {fA: A, fB: B}
     for f, grad, hess in ((fA, dA, HA), (fB, dB, HB)):
@@ -96,6 +102,13 @@ def derived_generic():
             jets[sp.diff(f, X[i])] = grad[i]
             for j in range(3):
                 jets[sp.diff(f, X[i], X[j])] = hess[i][j]
+    return fA, fB, jets
+
+
+@pytest.fixture(scope="module")
+def derived_generic():
+    """4 D R_name as a polynomial in the jet symbols, for generic A(x), B(x)."""
+    fA, fB, jets = _generic_fields()
     _, R = _derive(*_circulant(fA, fB))
     return {name: sp.expand(sp.cancel(4 * D * R[name].xreplace(jets))) for name in NAMES}
 
@@ -199,3 +212,35 @@ def test_reference_closed_forms_against_the_derivation(derived_generic):
             assert at_example == 0, name
         else:
             assert at_example != 0, name
+
+
+def test_generic_christoffel_symbols_are_the_derived_ones():
+    """christoffel_from_metric against Gamma_ij^h and d_k Gamma_ij^h derived for generic A(x), B(x).
+
+    Gamma is derived as a function of the 1-jets J = (A, B, A_1..3, B_1..3)
+    of the fields, and d_k Gamma follows by the chain rule,
+    sum over J of (d Gamma / d J) d_k J, where d_k A = A_k and d_k A_i = A_ik
+    (and so for B). Both are evaluated on the jets of seeded generic, cyclic
+    and q-parallel manifolds at seeded points, to relative 1e-12 of the
+    table's largest entry.
+    """
+    fA, fB, jets = _generic_fields()
+    gamma = [e.xreplace(jets) for e in sp.flatten(_christoffel(*_circulant(fA, fB)))]
+    J = [A, B, *dA, *dB]
+    partials = [[sp.diff(e, s) for e in gamma] for s in J]
+    # printed as built, not term-sorted: the sorting would dominate the time
+    printer = PythonCodePrinter({"order": "none"})
+    derived = sp.lambdify(J, [gamma, partials], modules="math", printer=printer, cse=True)
+    for make in (random_manifold, random_q_invariant_manifold, random_parallel_manifold):
+        for seed in (1, 2):
+            rng = np.random.default_rng(seed)
+            m = make(rng)
+            for _ in range(2):
+                M = metric_at(m, random_point(rng))
+                values, dvalues = derived(float(M.A), float(M.B), *M.A_jet.grad, *M.B_jet.grad)
+                # dJ[J, k] = d_k J
+                dJ = np.vstack([M.A_jet.grad, M.B_jet.grad, M.A_jet.hess, M.B_jet.hess])
+                table = christoffel_from_metric(M)
+                for numeric, exact in ((table.gamma, values), (table.dgamma, dJ.T @ np.array(dvalues))):
+                    exact = np.reshape(exact, numeric.shape)
+                    assert np.max(np.abs(numeric - exact)) <= 1e-12 * np.max(np.abs(exact)), make.__name__

@@ -2,8 +2,10 @@
 
 The references are the computations of one vector or one point as they ran
 before these functions took batches: Python floats, float pow and
-np.linalg.norm. hypothesis is needed here only (the test extra); the budget
-is small and derandomized so that every run checks the same examples.
+np.linalg.norm. The curvature kernel is checked against its batch-first
+reference (test_kernel_layout.py) at random batch sizes. hypothesis is
+needed here only (the test extra); the budget is small and derandomized so
+that every run checks the same examples.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from circulant3 import check_positive_definite, construct_special_angle_vector, induces_q_basis  # noqa: E402
 from circulant3.errors import NotAQBasis  # noqa: E402
 from circulant3.qstructure import Q_BASIS_EPS, q_basis_defect, q_basis_threshold  # noqa: E402
+
+from test_kernel_layout import MANIFOLDS, assert_kernel_is_the_reference, metric_batch  # noqa: E402
 
 SMALL = settings(max_examples=150, deadline=None, database=None, derandomize=True)
 
@@ -135,3 +139,9 @@ def test_positive_definite_check_over_a_batch_equals_each_point_bit_for_bit(pair
         assert batch.positive_definite[i] == ok
         for batch_minor, minor in zip(batch.minors, minors):
             assert math.isnan(minor) or batch_minor[i].tobytes() == np.float64(minor).tobytes()
+
+
+@settings(max_examples=12, deadline=None, database=None, derandomize=True)
+@given(name=st.sampled_from(sorted(MANIFOLDS)), n=st.integers(1, 64), seed=st.integers(0, 2**16))
+def test_curvature_kernel_is_the_batch_first_reference_at_any_batch_size(name, n, seed):
+    assert_kernel_is_the_reference(metric_batch(name, seed, (n,)))
