@@ -42,7 +42,8 @@ its vector and point alone. The single-relation checks are views of it.
 sectional_curvature divides its vectors and the metric by powers of two
 before it tests the plane and forms the quotient, which is exact, so the
 result does not depend on the vectors' lengths or the metric's magnitude,
-and no Gram term overflows or underflows.
+and no Gram term overflows or underflows. sectional_relations normalizes
+the orthogonal-basis generator in the same way.
 
 closed_form_from_metric evaluates a set of six reference component
 formulas verbatim. The two routes agree on the built-in example's
@@ -60,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneratePlane, IdentityRNotSatisfied, NotAQBasis
-from .metric import MetricAtPoint, first_point, inner, inners
+from .metric import MetricAtPoint, first_point, inners
 from .qstructure import (
     apply_q,
     construct_orthogonal_vector,
@@ -403,7 +404,21 @@ class SectionalRelations:
     equal: EqualSectionalCheck
 
 
-def sectional_relations(R: CurvatureTensor, U, tol=1e-9, require_identity=True) -> SectionalRelations:
+def _unit(M: MetricAtPoint, x):
+    """x / sqrt(g(x, x)), formed from x and g over powers of two and scaled back.
+
+    g's exponent is even, so the square root scales exactly: where g(x, x) is
+    a normal float the result keeps the bits of the plain quotient, and where
+    it under- or overflows the result is still the unit vector.
+    """
+    xs = _rescaled(x)[0]
+    e = np.frexp(np.abs(M.g).max(axis=(-2, -1)))[1]
+    e += e % 2
+    gs = np.ldexp(M.g, -e[..., None, None])
+    return np.ldexp(xs / np.sqrt(inners(gs, xs, (xs,))[0])[..., None], -(e // 2)[..., None])
+
+
+def sectional_relations(R: CurvatureTensor, U, tol=1e-9) -> SectionalRelations:
     """The sectional-curvature relations for each vector of U at each point of R's batch.
 
     U is one vector (3,) or V vectors (V, 3); element [v, *i] of a result is
@@ -415,9 +430,9 @@ def sectional_relations(R: CurvatureTensor, U, tol=1e-9, require_identity=True) 
       equal:       mu(u,qu), mu(qu,q^2u), mu(q^2u,u), equal where R is q-invariant
 
     The relations hold where the curvature is q-invariant (check_q_invariance
-    at tol); they refuse elsewhere unless require_identity=False (diagnostic
-    use). Each quantity is computed once, over all vectors and points. The
-    refusals come in the order one point and one vector meet them:
+    at tol) and refuse elsewhere; tol=math.inf computes them anyway. Each
+    quantity is computed once, over all vectors and points. The refusals
+    come in the order one point and one vector meet them:
     q-invariance, the q-basis test of the vectors (the first failing one is
     named), the orthogonal-basis generator and its plane, the angle routes,
     the plane {u, qu}, the special-angle vector and its plane, the planes
@@ -425,7 +440,7 @@ def sectional_relations(R: CurvatureTensor, U, tol=1e-9, require_identity=True) 
     """
     M = R.metric
     identity = check_q_invariance(R, tol=tol)
-    if require_identity and not identity.passed.all():
+    if not identity.passed.all():
         i = first_point(~identity.passed)
         raise IdentityRNotSatisfied(
             "curvature q-invariance fails at this point "
@@ -437,8 +452,7 @@ def sectional_relations(R: CurvatureTensor, U, tol=1e-9, require_identity=True) 
     if not ok.all():
         raise NotAQBasis(f"vector {tuple(U[first_point(~ok)].tolist())} does not induce a q-basis")
     u = U[(slice(None),) + (None,) * M.D.ndim] if U.ndim == 2 else U  # vectors before points
-    x = construct_orthogonal_vector(M.A, M.B)
-    x = x / np.sqrt(inner(M, x, x))[..., None]
+    x = _unit(M, construct_orthogonal_vector(M.A, M.B))
     qx = apply_q(x)
     mu_x = sectional_curvature(R, x, qx)
     cphi = q_basis_cosines(M, u)[0]
@@ -458,16 +472,16 @@ def sectional_relations(R: CurvatureTensor, U, tol=1e-9, require_identity=True) 
 # The single relations, as views of sectional_relations.
 
 
-def check_sectional_difference_formula(R: CurvatureTensor, u, tol=1e-9, require_identity=True) -> RelationCheck:
+def check_sectional_difference_formula(R: CurvatureTensor, u, tol=1e-9) -> RelationCheck:
     """mu(u,qu) - mu(x,qx) = (2 cos phi / (1 - cos phi)) R(x, qx, x, q^2 x); see sectional_relations."""
-    return sectional_relations(R, u, tol, require_identity).difference
+    return sectional_relations(R, u, tol).difference
 
 
-def check_sectional_combination_formula(R: CurvatureTensor, u, tol=1e-9, require_identity=True) -> RelationCheck:
+def check_sectional_combination_formula(R: CurvatureTensor, u, tol=1e-9) -> RelationCheck:
     """mu(u,qu) = ((1+2cos phi) mu(x,qx) - 3 cos phi mu(y,qy)) / (1 - cos phi); see sectional_relations."""
-    return sectional_relations(R, u, tol, require_identity).combination
+    return sectional_relations(R, u, tol).combination
 
 
-def check_equal_sectional_curvatures(R: CurvatureTensor, u, tol=1e-9, require_identity=True) -> EqualSectionalCheck:
+def check_equal_sectional_curvatures(R: CurvatureTensor, u, tol=1e-9) -> EqualSectionalCheck:
     """Sectional curvatures of the planes {u,qu}, {qu,q^2u}, {q^2u,u}; see sectional_relations."""
-    return sectional_relations(R, u, tol, require_identity).equal
+    return sectional_relations(R, u, tol).equal

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import jets
-from .errors import CirculantError, DomainViolation, PositivityViolation
+from .errors import DomainViolation, EvalDomainError, PositivityViolation
 from .expressions import ScalarFieldExpr, as_point, eval_jet, eval_value, parse
 from .jets import Jet2
 
@@ -93,19 +93,25 @@ def check_positive_definite(A, B) -> PositivityReport:
     The minors are A, (A-B)(A+B) and (A-B)^2 (A+2B); g is positive
     definite iff all three are positive. Note A > B > 0 is stricter.
     Element by element over arrays, with float pow for the square; a square
-    that overflows is +inf, so the last minor takes the sign of A + 2B.
+    that overflows is +inf, so the last minor takes the sign of A + 2B. The
+    signs are judged from A and B over a power of two that brings
+    max(|A|, |B|) into [0.5, 1), where no minor under- or overflows; the
+    minors reported are those of A and B themselves.
     """
     m1 = A
     m2 = (A - B) * (A + B)
     m3 = jets.elementwise(_square, A - B) * (A + 2 * B)
-    return PositivityReport((m1 > 0.0) & (m2 > 0.0) & (m3 > 0.0), (m1, m2, m3))
+    e = np.frexp(np.maximum(abs(A), abs(B)))[1]
+    a, b = np.ldexp(A, -e), np.ldexp(B, -e)
+    positive_definite = (a > 0.0) & ((a - b) * (a + b) > 0.0) & ((a - b) * (a - b) * (a + 2 * b) > 0.0)
+    return PositivityReport(positive_definite, (m1, m2, m3))
 
 
 # -- the admissibility rule ---------------------------------------------------
-# A point is admissible where every chart constraint is > 0 and A > B > 0.
-# Both tests work element by element over a batch, and NaN fails them.
-# metric_at raises where they fail, the sampler rejects there, and the
-# validate command reports them.
+# A point is admissible where A, B and the chart constraints evaluate, every
+# constraint is > 0 and A > B > 0; NaN fails the tests. admissibility alone
+# classifies points, one or a batch. metric_at raises (or warns) at the points
+# it rejects through _point_rule, the sampler drops them, validate reports them.
 
 
 def inside_chart(value):
@@ -118,19 +124,50 @@ def positive(A, B):
     return (A > B) & (B > 0.0)
 
 
-def admissibility(m: MetricFunctions, pts):
-    """Classify (N, 3) points by the admissibility rule, as metric_at would.
+def admissibility(m: MetricFunctions, p):
+    """Classify p, one point (3,) or a batch (N, 3), by the admissibility rule.
 
-    Returns the admissible mask and the jets of A and B at every point.
-    Raises CirculantError when the evaluation fails at some point.
+    Returns the admissible mask and the jets of A and B, with p's batch shape.
+    A batch whose evaluation fails is split in halves until each failure sits
+    at one point, which is inadmissible and has NaN jets; evaluation works
+    element by element, so every other point keeps its bits.
     """
-    pts = as_point(pts)
-    ok = np.ones(len(pts), dtype=bool)
+    pt = as_point(p)
+    try:
+        A_jet, B_jet = eval_jet(m.A, pt), eval_jet(m.B, pt)
+        ok = positive(A_jet.value, B_jet.value)
+        for c in m.domain_constraints:
+            ok = ok & inside_chart(eval_value(c, pt))
+    except EvalDomainError:
+        if pt.size == 3:  # one point, or a batch of one
+            nan = Jet2(*(np.full(pt.shape[:-1] + tail, np.nan) for tail in ((), (3,), (3, 3))))
+            return np.zeros(pt.shape[:-1], dtype=bool), nan, nan
+        ok, A_jets, B_jets = zip(*(admissibility(m, half) for half in np.array_split(pt, 2)))
+        return np.concatenate(ok), jets.concatenate(A_jets), jets.concatenate(B_jets)
+    return ok, A_jet, B_jet
+
+
+def _point_rule(m: MetricFunctions, p: np.ndarray, allow_weak: bool) -> None:
+    """The definition of a refusal: raise what the one point p (3,) violates first.
+
+    Tests the chart constraints in order, evaluates A and B, then tests
+    A > B > 0; with allow_weak, a point where only A > B > 0 fails but g is
+    still positive definite warns instead. Returns at an admissible point.
+    """
     for c in m.domain_constraints:
-        ok &= inside_chart(eval_value(c, pts))
-    A_jet = eval_jet(m.A, pts)
-    B_jet = eval_jet(m.B, pts)
-    return ok & positive(A_jet.value, B_jet.value), A_jet, B_jet
+        val = eval_value(c, p)
+        if not inside_chart(val):
+            raise DomainViolation(c.source or str(c), val, p)
+    A, B = (float(eval_jet(f, p).value) for f in (m.A, m.B))
+    if not positive(A, B):
+        if allow_weak and check_positive_definite(A, B).positive_definite:
+            warnings.warn(
+                f"A > B > 0 fails at {tuple(p.tolist())} (A={A!r}, B={B!r}) but g is "
+                "still positive definite; continuing",
+                stacklevel=3,  # metric_at's caller
+            )
+        else:
+            raise PositivityViolation(A, B, p)
 
 
 @np.errstate(all="ignore")
@@ -160,33 +197,10 @@ def metric_at(m: MetricFunctions, p, allow_weak: bool = False) -> MetricAtPoint:
     batch raises for its first point that fails, with the exception a
     call at that point alone raises.
     """
-    pt = as_point(p)
-    if pt.ndim == 2:
-        try:
-            ok, A_jet, B_jet = admissibility(m, pt)
-        except CirculantError:
-            for q in pt:
-                metric_at(m, q, allow_weak)  # raises at the first point that fails
-            raise
-        for q in pt[~ok]:
-            metric_at(m, q, allow_weak)  # raises, or warns at a weak point
-        return metric_from_jets(A_jet, B_jet)
-    for c in m.domain_constraints:
-        val = eval_value(c, pt)
-        if not inside_chart(val):
-            raise DomainViolation(c.source or str(c), val, pt)
-    A_jet = eval_jet(m.A, pt)
-    B_jet = eval_jet(m.B, pt)
-    A, B = float(A_jet.value), float(B_jet.value)
-    if not positive(A, B):
-        if allow_weak and check_positive_definite(A, B).positive_definite:
-            warnings.warn(
-                f"A > B > 0 fails at {tuple(pt.tolist())} (A={A!r}, B={B!r}) but g is "
-                "still positive definite; continuing",
-                stacklevel=2,
-            )
-        else:
-            raise PositivityViolation(A, B, pt)
+    ok, A_jet, B_jet = admissibility(m, p)
+    if not ok.all():
+        for q in as_point(p)[~ok]:  # a 0-d mask indexes one point as a batch of one
+            _point_rule(m, q, allow_weak)
     return metric_from_jets(A_jet, B_jet)
 
 

@@ -205,14 +205,19 @@ def construct_special_angle_vector(A, B) -> np.ndarray:
     (A - 2B) t^2 - 2A t + (A - 2B) = 0 with discriminant 16 B (A - B) > 0.
     For A = 2B the equation degenerates and (1, 0, 0) already works.
     Of the two roots, each point takes the first that passes the q-basis test.
+    The roots and the test of A = 2B are formed from A and B over the power of
+    two of construct_orthogonal_vector: the roots keep their bits, no product
+    underflows, and the test is relative to the magnitude of A.
     """
     A, B = _require_positive(A, B)
+    e = np.frexp(A)[1]
+    As, Bs = np.ldexp(A, -e), np.ldexp(B, -e)
     with np.errstate(all="ignore"):  # points with A = 2B take neither root
-        root = 2.0 * np.sqrt(B * (A - B))
-        t = (A + np.multiply.outer((1.0, -1.0), root)) / (A - 2 * B)  # both roots; A + -root is A - root
+        root = 2.0 * np.sqrt(Bs * (As - Bs))
+        t = (As + np.multiply.outer((1.0, -1.0), root)) / (As - 2 * Bs)  # both roots; As + -root is As - root
     y = np.zeros(t.shape + (3,))  # y[0] and y[1], the candidates of every point
     y[..., 0] = 1.0
-    y[..., 2] = np.where(abs(A - 2 * B) < 1e-12, 0.0, t)  # (1, 0, 0) where A = 2B
+    y[..., 2] = np.where(abs(As - 2 * Bs) < 1e-12, 0.0, t)  # (1, 0, 0) where A = 2B
     first, second = np.asarray(induces_q_basis(y))
     failed = ~(first | second)
     if failed.any():

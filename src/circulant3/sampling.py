@@ -6,16 +6,18 @@ import numpy as np
 
 from . import jets
 from .errors import CirculantError, SamplingExhausted
-from .metric import MetricAtPoint, MetricFunctions, admissibility, metric_at, metric_from_jets
+from .expressions import as_point
+from .metric import MetricAtPoint, MetricFunctions, _point_rule, admissibility, metric_from_jets
+from .metric import metric_at  # noqa: F401 -- unused here; perfbench's smoke test looks it up in this module
 from .specfile import Box
 
 MAX_DRAW_FACTOR = 100
 
 
 def is_admissible(m: MetricFunctions, p) -> bool:
-    """True when the metric evaluates cleanly at p (A > B > 0, constraints hold)."""
+    """True when p passes the one-point rule, a definition independent of admissibility."""
     try:
-        metric_at(m, p)
+        _point_rule(m, as_point(p), allow_weak=False)
     except CirculantError:
         return False
     return True
@@ -29,10 +31,9 @@ def sample_admissible_points(
     Returns the points (n, 3) and the metric batch at them. Deterministic
     for a given seed: the draws are one PRNG stream, taken in chunks, and
     the points are its first n admissible draws. Each chunk is classified
-    as one batch; a chunk whose evaluation fails at some draw is classified
-    draw by draw with is_admissible instead. Raises SamplingExhausted when
-    fewer than n points are accepted within 100*n draws (acceptance rate
-    below 1 percent).
+    as one batch by admissibility, which also rejects a draw where the
+    fields do not evaluate. Raises SamplingExhausted when fewer than n
+    points are accepted within 100*n draws (acceptance rate below 1 percent).
     """
     if n < 1:
         raise ValueError("need n >= 1 sample points")
@@ -49,17 +50,7 @@ def sample_admissible_points(
         # stream exactly as k draws of 3 would
         chunk = rng.uniform(lows, highs, size=(min(budget - drawn, max(2 * need, drawn)), 3))
         drawn += len(chunk)
-        try:
-            ok, A_jet, B_jet = admissibility(m, chunk)
-        except CirculantError:
-            keep = []
-            for i, p in enumerate(chunk):
-                if len(keep) == need:
-                    break
-                if is_admissible(m, p):
-                    keep.append(i)
-            chunk = chunk[keep]
-            ok, A_jet, B_jet = admissibility(m, chunk)
+        ok, A_jet, B_jet = admissibility(m, chunk)
         take = np.flatnonzero(ok)[:need]
         parts.append((chunk[take], A_jet[take], B_jet[take]))
         accepted += len(take)

@@ -484,6 +484,40 @@ def test_a_tiny_metric_whose_D_underflows_has_flat_curvature_not_nan(capsys, tmp
     assert all(verdict["pass"] for verdict in report["verdicts"].values())
 
 
+def test_a_tiny_metric_passes_validate(capsys, tmp_path):
+    # g = 1e-200 circ(3, 1, 1) is positive definite, though its minors underflow to 0
+    spec = tmp_path / "tiny.toml"
+    spec.write_text(TINY_SPEC, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the call
+        code = main(["validate", "--spec", str(spec), "--at=0,0,0", "--json"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    report = json.loads(captured.out)
+    assert report["results"]["minors"] == [3e-200, 0.0, 0.0]  # reported unscaled
+    assert report["verdicts"]["positive_definite"]["pass"]
+
+
+def test_verify_theorems_on_a_tiny_metric_holds_as_on_the_metric_it_scales(capsys, tmp_path):
+    # the cyclic pair times 1e-200: g(x, x) of the orthogonal generator and B (A - B) underflow
+    # unless the metric is rescaled first
+    spec = tmp_path / "tiny-cyclic.toml"
+    spec.write_text(
+        '[metric]\nA = "1e-200*(3 + exp((x1 + x2 + x3)/3)/7 + (x1 + x2 + x3)^2/10)"\n'
+        'B = "1e-200*(1 + sin(x1 + x2 + x3)/4)"\n',
+        encoding="utf-8",
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the call
+        code = main(["verify-theorems", "--spec", str(spec), "--sample", "8", "--seed", "3",
+                     "--box=-1:1,-1:1,-1:1", "--json"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    results = json.loads(captured.out)["results"]
+    assert results["pass_counts"] == dict.fromkeys(results["max_residuals"], 8)
+    assert all(residual <= 1e-12 for residual in results["max_residuals"].values()), results
+
+
 @pytest.mark.parametrize("x, y", [("1e-200,0,0", "0,1e-200,0"), ("1e200,0,0", "0,1,0")], ids=["tiny", "huge"])
 def test_sectional_curvature_does_not_depend_on_the_vectors_scale(capsys, tmp_path, x, y):
     spec = tmp_path / "generic.toml"

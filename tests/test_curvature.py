@@ -526,15 +526,16 @@ def test_relation_checks_over_a_batch_equal_the_serial_reference_bit_for_bit():
         # ref[v, k, i]: vector v, quantity k, point i, one point and one vector at a time
         ref = np.array([[[v for pair in _ref_relations(m, p, u) for v in pair] for p in pts] for u in U])
         ref = ref.transpose(0, 2, 1)
+        tol = 1e-9 if invariant else math.inf  # computed anyway where the identity fails
         for R, want in ((batch, ref), (single, ref[:, :, 3])):
-            rel = sectional_relations(R, U, require_identity=invariant)  # (V, N) and one point with V vectors
+            rel = sectional_relations(R, U, tol=tol)  # (V, N) and one point with V vectors
             d, c, e = rel.difference, rel.combination, rel.equal
             got = [d.lhs, d.rhs, c.lhs, c.rhs, e.mu_u_qu, e.mu_qu_q2u, e.mu_q2u_u]
             assert _bits(np.stack(got, axis=1)) == _bits(want)
             for v in (0, 4):  # the single-relation views of one vector
-                d = check_sectional_difference_formula(R, U[v], require_identity=invariant)
-                c = check_sectional_combination_formula(R, U[v], require_identity=invariant)
-                e = check_equal_sectional_curvatures(R, U[v], require_identity=invariant)
+                d = check_sectional_difference_formula(R, U[v], tol=tol)
+                c = check_sectional_combination_formula(R, U[v], tol=tol)
+                e = check_equal_sectional_curvatures(R, U[v], tol=tol)
                 got = [d.lhs, d.rhs, c.lhs, c.rhs, e.mu_u_qu, e.mu_qu_q2u, e.mu_q2u_u]
                 assert _bits(got) == _bits(want[v])
 

@@ -16,6 +16,7 @@ from circulant3 import (
     sample_admissible_points,
 )
 from circulant3.errors import CirculantError, DomainViolation, PositivityViolation, SamplingExhausted
+from circulant3.metric import admissibility
 from circulant3.sampling import MAX_DRAW_FACTOR, is_admissible
 from circulant3.specfile import builtin_example
 
@@ -72,6 +73,13 @@ def test_check_positive_definite_counts_an_overflowing_square_as_infinite():
     ok, minors = check_positive_definite(np.array([1e200, 1e200, 4.0]), np.array([1.0, -0.6e200, 2.0]))
     assert ok.tolist() == [True, False, True]
     assert minors[2].tolist() == [math.inf, -math.inf, 32.0]
+
+
+def test_check_positive_definite_judges_underflowing_minors_by_their_signs():
+    # g = 1e-200 circ(3, 1, 1) is positive definite, yet its last two minors underflow to 0
+    assert check_positive_definite(3e-200, 1e-200) == (True, (3e-200, 0.0, 0.0))
+    ok, minors = check_positive_definite(np.array([3e-200, 1e-200]), np.array([1e-200, 3e-200]))
+    assert ok.tolist() == [True, False] and minors[1].tolist() == [0.0, -0.0]
 
 
 def test_inner_products():
@@ -212,6 +220,20 @@ def test_sampler_matches_serial_reference(m, box, n):
         for got, want in [(M.g, reference.g), (M.g_inv, reference.g_inv), (M.D, reference.D),
                           (M.A_jet.grad, reference.A_jet.grad), (M.B_jet.hess, reference.B_jet.hess)]:
             assert got.tobytes() == want.tobytes()
+
+
+def test_admissibility_marks_a_point_that_fails_to_evaluate_and_never_raises():
+    m = MetricFunctions.from_sources("5 + log(x1)", "1 + x3/9", ("x1", "log(x1) + 2"))
+    pts = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [2.0, 1.0, 3.0], [0.01, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    ok, A_jet, B_jet = admissibility(m, pts)
+    assert ok.tolist() == [is_admissible(m, p) for p in pts] == [True, False, True, False, False]
+    for i in (1, 4):  # log(x1) fails to evaluate there
+        assert np.isnan(A_jet[i].hess).all() and np.isnan(B_jet[i].grad).all()
+        one_ok, one_A, _ = admissibility(m, pts[i])
+        assert one_ok.shape == () and not one_ok and np.isnan(one_A.value)
+    for i in (0, 2, 3):  # evaluated points keep the bits they have alone
+        alone = admissibility(m, pts[i])[1]
+        assert A_jet[i].hess.tobytes() == alone.hess.tobytes()
 
 
 def test_sampler_exhaustion_matches_serial_reference():

@@ -3,7 +3,9 @@
 The references are the computations of one vector or one point as they ran
 before these functions took batches: Python floats, float pow and
 np.linalg.norm. The curvature kernel is checked against its batch-first
-reference (test_kernel_layout.py) at random batch sizes. hypothesis is
+reference (test_kernel_layout.py) at random batch sizes, and the jets of
+generated expressions over a batch against those of each point; printing a
+generated expression and parsing it back gives the same tree. hypothesis is
 needed here only (the test extra); the budget is small and derandomized so
 that every run checks the same examples.
 """
@@ -19,7 +21,19 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from circulant3 import check_positive_definite, construct_special_angle_vector, induces_q_basis  # noqa: E402
-from circulant3.errors import NotAQBasis  # noqa: E402
+from circulant3.errors import EvalDomainError, NotAQBasis  # noqa: E402
+from circulant3.expressions import (  # noqa: E402
+    FUNCTIONS,
+    Binary,
+    Const,
+    Coord,
+    Power,
+    ScalarFieldExpr,
+    Unary,
+    eval_jet,
+    parse,
+    to_source,
+)
 from circulant3.qstructure import Q_BASIS_EPS, q_basis_defect, q_basis_threshold  # noqa: E402
 
 from test_kernel_layout import MANIFOLDS, assert_kernel_is_the_reference, metric_batch  # noqa: E402
@@ -109,7 +123,9 @@ admissible_batches = st.lists(st.tuples(st.floats(1e-6, 1e6), ratio), min_size=1
 
 
 def _special_angle_reference(A, B):
-    """The special-angle vector of one point, as the loop over points chose it."""
+    """The special-angle vector of one point, as the loop over points chose it, from A and B over 2^e."""
+    e = math.frexp(A)[1]
+    A, B = math.ldexp(A, -e), math.ldexp(B, -e)
     y = np.array([1.0, 0.0, 0.0])
     if abs(A - 2 * B) >= 1e-12:
         root = 2.0 * math.sqrt(B * (A - B))
@@ -145,3 +161,53 @@ def test_positive_definite_check_over_a_batch_equals_each_point_bit_for_bit(pair
 @given(name=st.sampled_from(sorted(MANIFOLDS)), n=st.integers(1, 64), seed=st.integers(0, 2**16))
 def test_curvature_kernel_is_the_batch_first_reference_at_any_batch_size(name, n, seed):
     assert_kernel_is_the_reference(metric_batch(name, seed, (n,)))
+
+
+# Expression trees over every node kind. Constants are non-negative, as the
+# grammar's numbers are: a negative one is a unary minus of its magnitude.
+leaves = st.one_of(
+    st.builds(Coord, st.integers(1, 3)),
+    st.builds(Const, st.one_of(st.floats(0.0, 10.0), st.sampled_from([0.5, 1e-300, 1e300]))),
+)
+trees = st.recursive(
+    leaves,
+    lambda children: st.one_of(
+        st.builds(Unary, st.sampled_from(("neg", *FUNCTIONS)), children),
+        st.builds(Binary, st.sampled_from("+-*/"), children, children),
+        st.builds(Power, children, st.sampled_from([2.0, 3.0, -1.0, -2.0, 0.5, -2.5])),
+    ),
+    max_leaves=8,
+)
+TREES = settings(max_examples=60, deadline=None, database=None, derandomize=True)
+
+
+@TREES
+@given(trees)
+def test_printing_a_tree_and_parsing_it_back_gives_the_same_tree(tree):
+    assert parse(to_source(tree)).root == tree
+
+
+def _bits(jet):
+    return jet.value.tobytes() + jet.grad.tobytes() + jet.hess.tobytes()
+
+
+def _bits_or_error(expr, p):
+    try:
+        return _bits(eval_jet(expr, p))
+    except EvalDomainError as exc:
+        return str(exc)
+
+
+@TREES
+@given(trees, st.floats(0.0, 3.0), st.lists(st.tuples(*[st.floats(-3.0, 3.0)] * 3), min_size=1, max_size=5))
+def test_batch_jets_of_a_tree_equal_each_points_bit_for_bit(tree, c, points):
+    # -tree - c: the jets' negation and their difference with a number, on every example
+    expr = ScalarFieldExpr(Binary("-", Unary("neg", tree), Const(c)))
+    pts = np.array(points)
+    singles = [_bits_or_error(expr, p) for p in pts]
+    errors = [s for s in singles if isinstance(s, str)]
+    if errors:  # the batch raises what one of its points raises
+        assert _bits_or_error(expr, pts) in errors
+        return
+    batch = eval_jet(expr, pts)
+    assert [_bits(batch[i]) for i in range(len(pts))] == singles
