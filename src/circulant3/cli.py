@@ -45,8 +45,7 @@ from .errors import (
     SamplingExhausted,
     SpecFileError,
 )
-from .expressions import eval_jet, eval_value
-from .metric import check_positive_definite, inner, inside_chart, metric_at, metric_from_jets, positive
+from .metric import admissibility, check_positive_definite, inner, inside_chart, metric_at, metric_from_jets, positive
 from .parallelism import (
     christoffel_equalities_from_table,
     nabla_q_from_table,
@@ -164,36 +163,31 @@ def _metric(spec, p, M, args):
 
 @np.errstate(all="ignore")  # as the float arithmetic of one point
 def _cmd_validate(spec, p, M, args):
-    A = eval_value(spec.metric.A, p)
-    B = eval_value(spec.metric.B, p)
-    admissible = positive(A, B)
-    violations = [] if np.all(admissible) else [f"A > B > 0 fails (A={A!r}, B={B!r})"]
+    ok, A_jet, B_jet, values = admissibility(spec.metric, p)
+    if np.isnan(A_jet.value).any():  # A, B or a constraint does not evaluate: refuse as riemann does
+        metric_at(spec.metric, p, allow_weak=args.allow_weak_metric)
+    M = metric_from_jets(A_jet, B_jet)
+    A, B = M.A, M.B
+    violations = [] if np.all(positive(A, B)) else [f"A > B > 0 fails (A={A.tolist()!r}, B={B.tolist()!r})"]
     constraints_ok = True
-    for c in spec.metric.domain_constraints:
-        val = eval_value(c, p)
+    for c, val in zip(spec.metric.domain_constraints, values):
         inside = inside_chart(val)
         constraints_ok = constraints_ok & inside
         if not np.all(inside):
             violations.append(f"constraint '{c.source}' is {val!r} <= 0")
-    admissible = admissible & constraints_ok
     pd = check_positive_definite(A, B)
+    usable = ok | (constraints_ok & args.allow_weak_metric & pd.positive_definite)
+    inv_residual = np.where(usable, np.abs(M.g @ M.g_inv - np.eye(3)).max(axis=(-2, -1)), 1.0)
     results = {
         "A": A,
         "B": B,
-        "D": (A - B) * (A + 2 * B),
-        "g": None,
+        "D": M.D,
+        "g": M.g if np.any(usable) else None,
         "minors": list(pd.minors),
         "violations": violations,
     }
-    usable = admissible | (constraints_ok & args.allow_weak_metric & pd.positive_definite)
-    inv_residual = 1.0  # where g is not usable
-    if np.any(usable):
-        if M is None:  # p is one point, judged above
-            M = metric_from_jets(eval_jet(spec.metric.A, p), eval_jet(spec.metric.B, p))
-        results["g"] = M.g
-        inv_residual = np.where(usable, np.abs(M.g @ M.g_inv - np.eye(3)).max(axis=(-2, -1)), 1.0)
     verdicts = {
-        "admissible": _verdict(admissible, np.where(admissible, 0.0, 1.0), 0.5),
+        "admissible": _verdict(ok, np.where(ok, 0.0, 1.0), 0.5),
         # Python's min of the minors, as the negated _max of their negations
         "positive_definite": _verdict(pd.positive_definite, -_max(-m for m in pd.minors), 0.0),
         "inverse_consistent": _verdict(usable & (inv_residual <= 1e-12), inv_residual, 1e-12),

@@ -45,9 +45,10 @@ result does not depend on the vectors' lengths or the metric's magnitude,
 and no Gram term overflows or underflows. sectional_relations normalizes
 the orthogonal-basis generator in the same way.
 
-closed_form_from_metric evaluates a set of six reference component
-formulas verbatim. The two routes agree on the built-in example's
-diagonal components yet differ elsewhere (against the derived components,
+closed_form holds a set of six reference component formulas verbatim,
+and closed_form_from_metric evaluates them over a power of two. The two
+routes agree on the built-in example's diagonal components yet differ
+elsewhere (against the derived components,
 the reference formulas' Hessian terms carry the opposite sign and their
 first-order terms differ by a nonzero polynomial); the comparison is
 reported, never patched.
@@ -200,19 +201,36 @@ def riemann_from_metric(M: MetricAtPoint) -> CurvatureTensor:
 def closed_form_from_metric(M: MetricAtPoint) -> ClosedFormComponents:
     """Evaluate the six reference closed-form (0,4) components verbatim.
 
-    D = (A - B)(A + 2B). See the module docstring for how these relate
-    to the numeric tensor.
+    The formulas run on A, B and their derivatives over the power of two 2^e
+    of metric_from_jets, where max(|A|, |B|) / 2^e is in [0.5, 1), and each
+    component, homogeneous of degree one in them, is scaled back by 2^e. The
+    scaling is exact: components in the normal range keep their bits, and a
+    metric whose D would under- or overflow still gets its components. See
+    the module docstring for how these relate to the numeric tensor.
     """
-    A, B = M.A, M.B
-    A1, A2, A3 = index_first(M.A_jet.grad, 1)
-    B1, B2, B3 = index_first(M.B_jet.grad, 1)
-    HA, HB = index_first(M.A_jet.hess, 2), index_first(M.B_jet.hess, 2)
-    A11, A22, A33 = HA[0, 0], HA[1, 1], HA[2, 2]
-    A12, A13, A23 = HA[0, 1], HA[0, 2], HA[1, 2]
-    B11, B22, B33 = HB[0, 0], HB[1, 1], HB[2, 2]
-    B12, B13, B23 = HB[0, 1], HB[0, 2], HB[1, 2]
+    e = np.frexp(np.maximum(abs(M.A), abs(M.B)))[1]
+    A, B = np.ldexp(M.A, -e), np.ldexp(M.B, -e)
+    dA, dB = (index_first(np.ldexp(j.grad, -e[..., None]), 1) for j in (M.A_jet, M.B_jet))
+    HA, HB = (index_first(np.ldexp(j.hess, -e[..., None, None]), 2) for j in (M.A_jet, M.B_jet))
+    return ClosedFormComponents(*(np.ldexp(c, e) for c in closed_form(A, B, dA, dB, HA, HB)))
+
+
+def closed_form(A, B, dA, dB, HA, HB) -> tuple:
+    """The six reference components R1212, R1313, R2323, R1213, R1223, R1323, verbatim.
+
+    A, B are the field values, dA, dB their gradients (dA[i] = d_i A) and
+    HA, HB their Hessians (HA[i][j] = d_i d_j A), indices 0-based. Only
+    ``+ - * / **`` appear, so floats, arrays or sympy symbols evaluate them.
+    D = (A - B)(A + 2B).
+    """
+    A1, A2, A3 = dA[0], dA[1], dA[2]
+    B1, B2, B3 = dB[0], dB[1], dB[2]
+    A11, A22, A33 = HA[0][0], HA[1][1], HA[2][2]
+    A12, A13, A23 = HA[0][1], HA[0][2], HA[1][2]
+    B11, B22, B33 = HB[0][0], HB[1][1], HB[2][2]
+    B12, B13, B23 = HB[0][1], HB[0][2], HB[1][2]
     B21, B31 = B12, B13
-    D = M.D
+    D = (A - B) * (A + 2 * B)
     cAB = (A + B) / (4.0 * D)
     cB = B / (4.0 * D)
     R1212 = (
@@ -256,7 +274,7 @@ def closed_form_from_metric(M: MetricAtPoint) -> ClosedFormComponents:
             + 2 * A3 * (B2 - B3) + (-B1 + B2 + B3) * (B1 - B2 + B3)
         )
     )
-    return ClosedFormComponents(R1212, R1313, R2323, R1213, R1223, R1323)
+    return R1212, R1313, R2323, R1213, R1223, R1323
 
 
 def riemann_apply(R: CurvatureTensor, x, y, z, u):

@@ -111,7 +111,8 @@ def check_positive_definite(A, B) -> PositivityReport:
 # A point is admissible where A, B and the chart constraints evaluate, every
 # constraint is > 0 and A > B > 0; NaN fails the tests. admissibility alone
 # classifies points, one or a batch. metric_at raises (or warns) at the points
-# it rejects through _point_rule, the sampler drops them, validate reports them.
+# it rejects through _point_rule, the sampler drops them, and validate reports
+# them from admissibility's values, refusing through metric_at where they do not evaluate.
 
 
 def inside_chart(value):
@@ -127,24 +128,27 @@ def positive(A, B):
 def admissibility(m: MetricFunctions, p):
     """Classify p, one point (3,) or a batch (N, 3), by the admissibility rule.
 
-    Returns the admissible mask and the jets of A and B, with p's batch shape.
-    A batch whose evaluation fails is split in halves until each failure sits
-    at one point, which is inadmissible and has NaN jets; evaluation works
-    element by element, so every other point keeps its bits.
+    Returns the admissible mask, the jets of A and B, and the constraints'
+    values as eval_value gives them, with p's batch shape. A batch whose
+    evaluation fails is split in halves until each failure sits at one point,
+    which is inadmissible and has NaN jets and values (jets are otherwise
+    finite); evaluation works element by element, so every other point keeps its bits.
     """
     pt = as_point(p)
     try:
         A_jet, B_jet = eval_jet(m.A, pt), eval_jet(m.B, pt)
+        values = tuple(eval_value(c, pt) for c in m.domain_constraints)
         ok = positive(A_jet.value, B_jet.value)
-        for c in m.domain_constraints:
-            ok = ok & inside_chart(eval_value(c, pt))
+        for value in values:
+            ok = ok & inside_chart(value)
     except EvalDomainError:
         if pt.size == 3:  # one point, or a batch of one
             nan = Jet2(*(np.full(pt.shape[:-1] + tail, np.nan) for tail in ((), (3,), (3, 3))))
-            return np.zeros(pt.shape[:-1], dtype=bool), nan, nan
-        ok, A_jets, B_jets = zip(*(admissibility(m, half) for half in np.array_split(pt, 2)))
-        return np.concatenate(ok), jets.concatenate(A_jets), jets.concatenate(B_jets)
-    return ok, A_jet, B_jet
+            return np.zeros(pt.shape[:-1], dtype=bool), nan, nan, (nan.value,) * len(m.domain_constraints)
+        ok, A_jets, B_jets, values = zip(*(admissibility(m, half) for half in np.array_split(pt, 2)))
+        return (np.concatenate(ok), jets.concatenate(A_jets), jets.concatenate(B_jets),
+                tuple(map(np.concatenate, zip(*values))))
+    return ok, A_jet, B_jet, values
 
 
 def _point_rule(m: MetricFunctions, p: np.ndarray, allow_weak: bool) -> None:
@@ -197,7 +201,7 @@ def metric_at(m: MetricFunctions, p, allow_weak: bool = False) -> MetricAtPoint:
     batch raises for its first point that fails, with the exception a
     call at that point alone raises.
     """
-    ok, A_jet, B_jet = admissibility(m, p)
+    ok, A_jet, B_jet, _ = admissibility(m, p)
     if not ok.all():
         for q in as_point(p)[~ok]:  # a 0-d mask indexes one point as a batch of one
             _point_rule(m, q, allow_weak)

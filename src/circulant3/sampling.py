@@ -50,7 +50,7 @@ def sample_admissible_points(
         # stream exactly as k draws of 3 would
         chunk = rng.uniform(lows, highs, size=(min(budget - drawn, max(2 * need, drawn)), 3))
         drawn += len(chunk)
-        ok, A_jet, B_jet = admissibility(m, chunk)
+        ok, A_jet, B_jet, _ = admissibility(m, chunk)
         take = np.flatnonzero(ok)[:need]
         parts.append((chunk[take], A_jet[take], B_jet[take]))
         accepted += len(take)

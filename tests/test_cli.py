@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import warnings
@@ -243,10 +244,39 @@ def test_validate_exit_codes(capsys, m5_spec):
     capsys.readouterr()
 
 
-def test_check_parallel_verdicts(capsys, m5_spec, parallel_spec):
+LOG_DOMAIN_SPEC = '[metric]\nA = "4 + log(x1)"\nB = "1 + x2/4"\n[domain]\nc1 = "x1 + 2"\nc2 = "log(x2 + 5)"\n'
+
+
+@pytest.mark.parametrize("extra", [[], ["--json"], ["--allow-weak-metric"]], ids=["text", "json", "weak"])
+def test_validate_refuses_a_point_that_does_not_evaluate_as_riemann_does(capsys, tmp_path, extra):
+    # log(x1) fails to evaluate at each point; a constraint fails first at x1 = -3 and at x2 = -6
+    spec = tmp_path / "log-domain.toml"
+    spec.write_text(LOG_DOMAIN_SPEC, encoding="utf-8")
+    for x1, x2 in itertools.product((-3, -1, 0), (-6, 0)):
+        head = ["--spec", str(spec), f"--at={x1},{x2},0", *extra]
+        validate, riemann = (_call(capsys, [command, *head]) for command in ("validate", "riemann"))
+        assert validate[:2] == riemann[:2] == (3, "")
+        assert riemann[2].startswith("error (riemann): ")
+        assert validate[2] == riemann[2].replace("error (riemann): ", "error (validate): ", 1)
+
+
+# q is parallel (lambda = A + 2B depends on x1 + x2 + x3 alone, nu = A - B on x1 - x2 and
+# x2 - x3 alone) and the Hessians are not 0, so the metric is curved
+CURVED_PARALLEL_SPEC = '[metric]\nA = "30 - 2*(x1 - x2)^2 + 4*x1 + 2*x2"\nB = "5 + (x1 - x2)^2 + x1 + 2*x2 + 3*x3"\n'
+
+
+def test_check_parallel_verdicts(capsys, tmp_path, m5_spec, parallel_spec):
     code, report = run_json(capsys, ["check-parallel", "--spec", parallel_spec, "--at", "1,0.7,0.4"])
     assert code == 0
     assert report["verdicts"]["parallel"]["pass"]
+    curved = tmp_path / "curved-parallel.toml"
+    curved.write_text(CURVED_PARALLEL_SPEC, encoding="utf-8")
+    sampled = ["--spec", str(curved), "--sample", "50", "--seed", "3", "--box=-1:1,-1:1,-1:1"]
+    for command in ("check-parallel", "check-identity"):
+        code, report = run_json(capsys, [command, *sampled])
+        assert code == 0 and report["results"]["points_accepted"] == 50, report
+    code, report = run_json(capsys, ["riemann", "--spec", str(curved), "--at=0.3,-0.2,0.1"])
+    assert code == 0 and report["results"]["components"]["R1212"] < -2.0
     code, report = run_json(capsys, ["check-parallel", "--spec", m5_spec, "--at", "2,-1,-1"])
     assert code == 1
     assert not report["verdicts"]["parallel"]["pass"]
@@ -476,12 +506,27 @@ def test_a_tiny_metric_whose_D_underflows_has_flat_curvature_not_nan(capsys, tmp
         warnings.simplefilter("error")  # a numpy RuntimeWarning fails the call
         assert main(["sectional", *head, "--x=1,0,0", "--y=0,1,0"]) == 0
         assert json.loads(capsys.readouterr().out)["results"]["mu"] == 0.0
-        assert main(["riemann", *head]) == 0
-        assert set(json.loads(capsys.readouterr().out)["results"]["components"].values()) == {0.0}
+        for command in ("riemann", "closed-form"):
+            assert main([command, *head]) == 0
+            assert set(json.loads(capsys.readouterr().out)["results"]["components"].values()) == {0.0}
+        assert main(["compare-curvature", *head]) == 0
+        capsys.readouterr()
         assert main(["check-parallel", *head]) == 0
         report = json.loads(capsys.readouterr().out)
     assert report["results"]["nabla_q_max"] == 0.0
     assert all(verdict["pass"] for verdict in report["verdicts"].values())
+
+
+def test_closed_form_on_a_huge_metric_is_finite(capsys, tmp_path):
+    # D = (A - B)(A + 2B) overflows unless A, B and their derivatives are rescaled first
+    spec = tmp_path / "huge.toml"
+    spec.write_text('[metric]\nA = "3e200 + 1e199*x1^2"\nB = "1e200 + 1e198*sin(x2)"\n', encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the call
+        assert main(["compare-curvature", "--spec", str(spec), "--at=0.3,-0.2,0.1", "--json"]) == 1
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert _finite(results["closed_form"]) and _finite(results["numeric"]), results
+    assert results["closed_form"]["R2323"] != 0.0
 
 
 def test_a_tiny_metric_passes_validate(capsys, tmp_path):

@@ -16,6 +16,7 @@ from circulant3 import (
     sample_admissible_points,
 )
 from circulant3.errors import CirculantError, DomainViolation, PositivityViolation, SamplingExhausted
+from circulant3.expressions import eval_value
 from circulant3.metric import admissibility
 from circulant3.sampling import MAX_DRAW_FACTOR, is_admissible
 from circulant3.specfile import builtin_example
@@ -225,15 +226,20 @@ def test_sampler_matches_serial_reference(m, box, n):
 def test_admissibility_marks_a_point_that_fails_to_evaluate_and_never_raises():
     m = MetricFunctions.from_sources("5 + log(x1)", "1 + x3/9", ("x1", "log(x1) + 2"))
     pts = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [2.0, 1.0, 3.0], [0.01, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    ok, A_jet, B_jet = admissibility(m, pts)
+    ok, A_jet, B_jet, values = admissibility(m, pts)
     assert ok.tolist() == [is_admissible(m, p) for p in pts] == [True, False, True, False, False]
+    assert len(values) == 2 and all(v.shape == (5,) for v in values)
     for i in (1, 4):  # log(x1) fails to evaluate there
         assert np.isnan(A_jet[i].hess).all() and np.isnan(B_jet[i].grad).all()
-        one_ok, one_A, _ = admissibility(m, pts[i])
+        assert all(np.isnan(v[i]) for v in values)
+        one_ok, one_A, _, one_values = admissibility(m, pts[i])
         assert one_ok.shape == () and not one_ok and np.isnan(one_A.value)
+        assert len(one_values) == 2 and all(np.isnan(v) for v in one_values)
     for i in (0, 2, 3):  # evaluated points keep the bits they have alone
         alone = admissibility(m, pts[i])[1]
         assert A_jet[i].hess.tobytes() == alone.hess.tobytes()
+        for c, v in zip(m.domain_constraints, values):
+            assert np.float64(v[i]).tobytes() == np.float64(eval_value(c, pts[i])).tobytes()
 
 
 def test_sampler_exhaustion_matches_serial_reference():

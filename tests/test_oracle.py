@@ -6,18 +6,16 @@ the built-in example A = 2 x1, B = 2 x1 + x2 + x3. The tests assert that
 the oracle's formulas are exactly the derived ones, that the numeric
 Christoffel symbols and their derivatives are the derived ones on the
 example and on seeded generic fields, and pin term by term how the reference closed forms that
-closed_form_from_metric evaluates differ from them. sympy is needed here only; the oracle itself is plain
+curvature.closed_form evaluates differ from them. sympy is needed here only; the oracle itself is plain
 arithmetic, so the acceptance tests that use it run without sympy.
 """
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
-from circulant3.curvature import christoffel_from_metric, closed_form_from_metric
+from circulant3.curvature import christoffel_from_metric, closed_form
 from circulant3.metric import metric_at
 from circulant3.specfile import builtin_example
 
@@ -176,11 +174,7 @@ def test_example_christoffel_symbols_are_the_derived_ones(derived_example):
 
 def _reference(name):
     """4 D times the reference closed form, evaluated on the jet symbols."""
-    def jet(grad, hess):
-        return SimpleNamespace(grad=np.array(grad, dtype=object), hess=np.array(hess, dtype=object))
-
-    M = SimpleNamespace(A=A, B=B, A_jet=jet(dA, HA), B_jet=jet(dB, HB), D=D)
-    value = getattr(closed_form_from_metric(M), name)
+    value = closed_form(A, B, dA, dB, HA, HB)[NAMES.index(name)]
     value = value.xreplace({f: sp.Rational(f) for f in value.atoms(sp.Float)})
     return sp.expand(sp.cancel(4 * D * value))
 
