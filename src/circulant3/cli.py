@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
@@ -123,6 +123,64 @@ def _py(obj):
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     return obj
+
+
+_JSON_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_scalar(obj) -> str:
+    if isinstance(obj, (bool, np.bool_)):  # before int: bool is an int
+        return "true" if obj else "false"
+    if isinstance(obj, (float, np.floating)):
+        text = float.__repr__(float(obj))
+        return _JSON_SPECIAL.get(text, text)
+    if isinstance(obj, (int, np.integer)):
+        return int.__repr__(int(obj))
+    if obj is None:
+        return "null"
+    raise TypeError(f"cannot write {type(obj).__name__} as JSON")
+
+
+def _write_json(obj, indent: str, out: list) -> None:
+    """Append to out the text of json.dumps(_py(obj), indent=2), nested at indent."""
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, float):  # most leaves
+        text = float.__repr__(obj)
+        out.append(_JSON_SPECIAL.get(text, text))
+    elif isinstance(obj, str):
+        out.append(_json_str(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key, value in obj.items():
+            out.append(sep + _json_str(key) + ": ")
+            _write_json(value, inner, out)
+            sep = "," + inner
+        out.append(indent + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[" + inner
+        for value in obj:
+            out.append(sep)
+            _write_json(value, inner, out)
+            sep = "," + inner
+        out.append(indent + "]")
+    else:
+        out.append(_json_scalar(obj))
+
+
+def _json(obj) -> str:
+    """json.dumps(_py(obj), indent=2), byte for byte, in one walk over obj."""
+    out: list[str] = []
+    _write_json(obj, "\n", out)
+    return "".join(out)
 
 
 def _verdict(passed, residual, tol):
@@ -563,13 +621,14 @@ def _run(args):
         "verdicts": verdicts,
         "meta": meta,
     }
-    return _py(report)
+    return report
 
 
 def _print_report(report, as_json: bool):
     if as_json:
-        sys.stdout.write(json.dumps(report, indent=2) + "\n")
+        sys.stdout.write(_json(report) + "\n")
         return
+    report = _py(report)
     print(f"command: {report['command']}   spec: {report['spec_name']}")
     for key, value in report["inputs"].items():
         if value is not None:

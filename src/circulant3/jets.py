@@ -18,7 +18,16 @@ A domain error raises what that primitive raises at the first failing
 element (ValueError, ZeroDivisionError or OverflowError, with the same
 message), and a division by zero raises ZeroDivisionError as float
 division does. So jet evaluation and plain evaluation of one expression
-agree bit for bit.
+agree bit for bit. Where a derivative divides by a power of a nonzero value
+that underflows to zero (``1/x`` at ``x = 1e-120``), the derivative overflows,
+and an OverflowError says so.
+
+Every operation's Hessian is symmetric by construction, bit for bit: each
+entry is built from symmetric Hessians and outer products ``g h^T + h g^T``
+whose entries add the same two products in either order. The product of two
+jets is the exception: its entry ``(i, j)`` sums ``(s + p) + q`` and ``(j, i)``
+sums ``(s + q) + p``, which round differently, so it symmetrises its own sum.
+The constructor takes the Hessian as given.
 """
 
 from __future__ import annotations
@@ -41,6 +50,16 @@ def _div(a, b):
     """a / b, raising ZeroDivisionError where any divisor is zero."""
     if (b == 0.0).any() if isinstance(b, np.ndarray) else b == 0.0:
         raise ZeroDivisionError("float division by zero")
+    return a / b
+
+
+def _div_derivative(what: str, v, a, b):
+    """a / b, a derivative of what at v, where b is a power of the nonzero v.
+
+    Where b underflowed to zero, the derivative overflows: raise OverflowError."""
+    bad = b == 0.0
+    if bad.any():
+        raise OverflowError(f"{what} overflows in a derivative at {_first(v, bad)!r}")
     return a / b
 
 
@@ -95,8 +114,7 @@ class Jet2:
             )
         self.value = v
         self.grad = g
-        # exact when h is already symmetric: (x + x)/2 == x
-        self.hess = (h + h.swapaxes(-1, -2)) / 2.0
+        self.hess = h
 
     def __getitem__(self, index):
         """The jets at part of the batch."""
@@ -130,14 +148,15 @@ class Jet2:
 
     def __mul__(self, other):
         if isinstance(other, Jet2):
-            return Jet2(
-                self.value * other.value,
-                _g(self.value) * other.grad + _g(other.value) * self.grad,
+            h = (
                 _h(self.value) * other.hess
                 + _h(other.value) * self.hess
                 + _outer(self.grad, other.grad)
-                + _outer(other.grad, self.grad),
+                + _outer(other.grad, self.grad)
             )
+            # h[j, i] adds the two outer products in the other order from h[i, j], which rounds differently
+            h = (h + h.swapaxes(-1, -2)) / 2.0
+            return Jet2(self.value * other.value, _g(self.value) * other.grad + _g(other.value) * self.grad, h)
         if isinstance(other, Scalar):
             return Jet2(self.value * other, self.grad * other, self.hess * other)
         return NotImplemented
@@ -165,7 +184,9 @@ class Jet2:
         if isinstance(other, Scalar):
             v = self.value
             val = _div(other, v)
-            return _lift(self, val, _div(-other, v * v), _div(2.0 * other, v * v * v))
+            f1 = _div_derivative("division by a jet", v, -other, v * v)
+            f2 = _div_derivative("division by a jet", v, 2.0 * other, v * v * v)
+            return _lift(self, val, f1, f2)
         return NotImplemented
 
     def __pow__(self, r):
@@ -225,7 +246,7 @@ def sqrt(x):
         if bad.any():
             raise ValueError(f"sqrt of a jet requires a positive value, got {_first(v, bad)!r}")
         s = elementwise(math.sqrt, v)
-        return _lift(x, s, _div(0.5, s), _div(-0.25, s * v))
+        return _lift(x, s, _div(0.5, s), _div_derivative("sqrt of a jet", v, -0.25, s * v))
     return elementwise(math.sqrt, x)
 
 
@@ -242,7 +263,7 @@ def log(x):
         bad = v <= 0.0
         if bad.any():
             raise ValueError(f"log of a jet requires a positive value, got {_first(v, bad)!r}")
-        return _lift(x, elementwise(math.log, v), _div(1.0, v), _div(-1.0, v * v))
+        return _lift(x, elementwise(math.log, v), _div(1.0, v), _div_derivative("log of a jet", v, -1.0, v * v))
     return elementwise(math.log, x)
 
 

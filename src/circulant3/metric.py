@@ -217,6 +217,7 @@ def inner(M: MetricAtPoint, x, y):
     return inners(M.g, x, (y,))[0]
 
 
+@np.errstate(all="ignore")
 def inners(g: np.ndarray, x, ys) -> list:
     """[x @ g @ y for y in ys] over a batch of matrices g (..., 3, 3), computing x @ g once."""
     xg = np.asarray(x, dtype=float)[..., None, :] @ g

@@ -9,9 +9,10 @@ import warnings
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from circulant3 import sample_admissible_points
+from circulant3 import cli, sample_admissible_points
 from circulant3.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -260,6 +261,24 @@ def test_validate_refuses_a_point_that_does_not_evaluate_as_riemann_does(capsys,
         assert validate[2] == riemann[2].replace("error (riemann): ", "error (validate): ", 1)
 
 
+@pytest.mark.parametrize(
+    "A, at, message",
+    [
+        ("4 + log(x1)", "1e-300,0,0", "log of a jet overflows in a derivative at 1e-300 in subexpression 'log(x1)'"),
+        ("3 + 1/x1", "1e-120,0,0", "division by a jet overflows in a derivative at 1e-120 in subexpression '1/x1'"),
+        ("3 + sqrt(x1)", "1e-300,0,0", "sqrt of a jet overflows in a derivative at 1e-300 in subexpression 'sqrt(x1)'"),
+    ],
+    ids=["log", "reciprocal", "sqrt"],
+)
+def test_a_derivative_that_overflows_at_a_tiny_value_is_named(capsys, tmp_path, A, at, message):
+    # x1 is not 0, but a power of it that a derivative divides by underflows to 0
+    spec = tmp_path / "tiny-x1.toml"
+    spec.write_text(f'[metric]\nA = "{A}"\nB = "1 + x2/4"\n', encoding="utf-8")
+    for command in ("riemann", "validate"):
+        assert main([command, "--spec", str(spec), f"--at={at}"]) == 3
+        assert capsys.readouterr().err == f"error ({command}): {message}\n"
+
+
 # q is parallel (lambda = A + 2B depends on x1 + x2 + x3 alone, nu = A - B on x1 - x2 and
 # x2 - x3 alone) and the Hessians are not 0, so the metric is curved
 CURVED_PARALLEL_SPEC = '[metric]\nA = "30 - 2*(x1 - x2)^2 + 4*x1 + 2*x2"\nB = "5 + (x1 - x2)^2 + x1 + 2*x2 + 3*x3"\n'
@@ -435,20 +454,56 @@ def test_sampled_golden_json(capsys, tmp_path, spec_text, argv, golden):
     assert code == 0
 
 
+def test_json_writer_is_json_dumps_of_the_builtin_tree():
+    tree = {
+        "floats": [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308, 0.1],
+        "numpy": [np.float64(0.1), np.float32(0.1), np.int64(-7), np.bool_(True), np.bool_(False), True, 3],
+        "arrays": {"0-d": np.array(2.5), "2-d": np.array([[1.0, -0.0], [math.nan, math.inf]]),
+                   "bool": np.array([True, False]), "tuple": (1, (2.0, None))},
+        "empty": {"dict": {}, "list": [], "tuple": (), "array": np.zeros(0), "none": None},
+        "spec_name": 'a "name"\nwith é',
+        'key "é"\n': "",
+    }
+    assert cli._json(tree) == json.dumps(cli._py(tree), indent=2)
+    for leaf in (None, math.nan, np.array(1.0), "é", [], {}):
+        assert cli._json(leaf) == json.dumps(cli._py(leaf), indent=2)
+
+
+def test_json_writer_is_json_dumps_on_every_report_of_a_point_query_cycle(tmp_path):
+    # the 14 commands at one point each, as the benchmark's point-queries cycle calls them, and two sampled runs
+    generic, parallel = tmp_path / "generic.toml", tmp_path / "parallel.toml"
+    generic.write_text(GENERIC_SPEC, encoding="utf-8")
+    parallel.write_text(PARALLEL_BENCH_SPEC, encoding="utf-8")
+    extra = {"sectional": ["--x=1,0,0", "--y=0.2,1,0.5"], "angles": ["--vector=1,0.2,-0.4"],
+             "qbasis": ["--vector=1,0.2,-0.4"], "verify-theorems": ["--seed=5"], "check-identity": ["--seed=5"]}
+    argvs = [["example-m5", "--at=2,-1,-1"]]
+    for command in (c for c in cli._CORES if c != "example-m5"):
+        spec = parallel if command == "verify-theorems" else generic
+        argvs.append([command, "--spec", str(spec), "--at=0.5,0.2,-0.3", *extra.get(command, [])])
+    for command in ("riemann", "validate"):
+        argvs.append([command, "--spec", str(generic), "--sample=3", "--box=-6:6,-1:1,-6:6"])
+    for argv in argvs:
+        report = cli._run(cli.build_parser().parse_args(argv))
+        assert cli._json(report) == json.dumps(cli._py(report), indent=2), argv
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, vector",
     [
-        ["qbasis", "--vector=1e200,0,1"],
-        ["angles", "--spec", "{generic}", "--at=0.1,0.2,0.3", "--vector=1e200,0,1"],
+        (["qbasis", "--vector=1e200,0,1"], "(1e+200, 0.0, 1.0)"),
+        (["angles", "--spec", "{generic}", "--at=0.1,0.2,0.3", "--vector=1e200,0,1"], "(1e+200, 0.0, 1.0)"),
+        # x @ g @ x overflows in the orthogonality test before the q-basis test refuses x
+        (["orthobasis", "--spec", "{huge}", "--at=0,0,0"], "(0.0, -5.358983848622453e+199, 2e+200)"),
     ],
-    ids=["qbasis", "angles"],
+    ids=["qbasis", "angles", "orthobasis"],
 )
-def test_overflowing_vector_is_usage_error(capsys, tmp_path, argv):
-    spec = tmp_path / "generic.toml"
-    spec.write_text(GENERIC_SPEC, encoding="utf-8")
-    assert main([a.format(generic=spec) for a in argv]) == 2
+def test_overflowing_vector_is_usage_error(capsys, tmp_path, argv, vector):
+    specs = {"generic": tmp_path / "generic.toml", "huge": tmp_path / "huge.toml"}
+    specs["generic"].write_text(GENERIC_SPEC, encoding="utf-8")
+    specs["huge"].write_text('[metric]\nA = "3e200"\nB = "1e200"\n', encoding="utf-8")
+    assert main([a.format(**specs) for a in argv]) == 2  # a numpy RuntimeWarning fails the call
     err = capsys.readouterr().err
-    assert err.startswith(f"error ({argv[0]}): vector (1e+200, 0.0, 1.0) is too large for the q-basis test")
+    assert err.startswith(f"error ({argv[0]}): vector {vector} is too large for the q-basis test")
 
 
 @pytest.mark.parametrize(

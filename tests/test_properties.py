@@ -5,7 +5,8 @@ before these functions took batches: Python floats, float pow and
 np.linalg.norm. The curvature kernel is checked against its batch-first
 reference (test_kernel_layout.py) at random batch sizes, and the jets of
 generated expressions over a batch against those of each point; printing a
-generated expression and parsing it back gives the same tree. hypothesis is
+generated expression and parsing it back gives the same tree; every jet
+operation returns a Hessian equal to its transpose bit for bit. hypothesis is
 needed here only (the test extra); the budget is small and derandomized so
 that every run checks the same examples.
 """
@@ -20,7 +21,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from circulant3 import check_positive_definite, construct_special_angle_vector, induces_q_basis  # noqa: E402
+from circulant3 import check_positive_definite, construct_special_angle_vector, induces_q_basis, jets  # noqa: E402
 from circulant3.errors import EvalDomainError, NotAQBasis  # noqa: E402
 from circulant3.expressions import (  # noqa: E402
     FUNCTIONS,
@@ -211,3 +212,55 @@ def test_batch_jets_of_a_tree_equal_each_points_bit_for_bit(tree, c, points):
         return
     batch = eval_jet(expr, pts)
     assert [_bits(batch[i]) for i in range(len(pts))] == singles
+
+
+# Jets over a batch of 1 to 3 points with symmetric Hessians, and numbers: most
+# of magnitude 1/12 to 10 with full mantissas (x / 3), so that sums round, and
+# some zeros of either sign
+entry = st.one_of(
+    st.builds(lambda x, sign: sign * x / 3, st.floats(0.25, 30.0), st.sampled_from([1.0, -1.0])),
+    st.sampled_from([0.0, -0.0, 1e-3]),
+)
+jet_batches = st.integers(1, 3).flatmap(
+    lambda n: st.builds(
+        lambda v, g, h: jets.Jet2(np.array(v), np.array(g), np.array(h)[:, [[0, 1, 2], [1, 3, 4], [2, 4, 5]]]),
+        st.lists(entry, min_size=n, max_size=n),
+        st.lists(st.lists(entry, min_size=3, max_size=3), min_size=n, max_size=n),
+        st.lists(st.lists(entry, min_size=6, max_size=6), min_size=n, max_size=n),
+    )
+)
+JET_OPS = {
+    "jet + jet": lambda a, b, c: a + b,
+    "jet - jet": lambda a, b, c: a - b,
+    "jet * jet": lambda a, b, c: a * b,
+    "jet / jet": lambda a, b, c: a / b,
+    "jet + c": lambda a, b, c: a + c,
+    "jet - c": lambda a, b, c: a - c,
+    "c - jet": lambda a, b, c: c - a,
+    "jet * c": lambda a, b, c: a * c,
+    "jet / c": lambda a, b, c: a / c,
+    "c / jet": lambda a, b, c: c / a,
+    "neg": lambda a, b, c: -a,
+    "jet ** -2": lambda a, b, c: a ** -2,
+    "jet ** 3": lambda a, b, c: a ** 3,
+    "jet ** 2.5": lambda a, b, c: a ** 2.5,
+    "sqrt": lambda a, b, c: jets.sqrt(a),
+    "exp": lambda a, b, c: jets.exp(a),
+    "log": lambda a, b, c: jets.log(a),
+    "sin": lambda a, b, c: jets.sin(a),
+    "cos": lambda a, b, c: jets.cos(a),
+    "getitem": lambda a, b, c: a[-1:],
+    "concatenate": lambda a, b, c: jets.concatenate([a, b]),
+}
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(jet_batches, jet_batches, entry)
+def test_every_jet_operation_returns_a_hessian_that_is_its_transpose_bit_for_bit(a, b, c):
+    b = b[np.arange(len(a.value)) % len(b.value)]  # a batch of a's size
+    for name, op in JET_OPS.items():
+        try:
+            h = op(a, b, c).hess
+        except (ValueError, ZeroDivisionError, OverflowError):  # outside the operation's domain
+            continue
+        assert h.tobytes() == h.swapaxes(-1, -2).tobytes(), name
