@@ -27,11 +27,16 @@ come last (``"ijt...,th...->ijh..."``), so that each einsum's inner loop
 runs over the batch rather than over an index of length 3; the API stays
 batch-first. Strides matter beyond speed: an einsum may sum in an order
 that follows its operands' strides (riemann_apply sums over all four
-indices of R.low; nabla_q_from_table reads gamma). So gamma, dgamma and
-up are C-contiguous batch-first arrays, and low has the memory order
-(batch..., k, i, j, h) in which a batch-first einsum over up leaves it,
-viewed as (batch..., i, j, k, h). tests/test_kernel_layout.py pins every
-element and every stride against the same contractions run batch-first.
+indices of R.low; nabla_q_from_table reads gamma). So gamma and dgamma
+are C-contiguous batch-first arrays, and low has the memory order
+(batch..., k, i, j, h) in which a batch-first einsum over R_ijk^h leaves
+it, viewed as (batch..., i, j, k, h). tests/test_kernel_layout.py pins
+every element and every stride against the same contractions run
+batch-first.
+
+Overflow. The three curvature kernels silence numpy's float warnings and
+raise EvalDomainError where Gamma, its derivatives, low or a closed-form
+component is not finite, naming A and B at the first such point.
 
 A CurvatureTensor carries its metric, so sectional curvature and the
 sectional-curvature relations take R alone. The relations also take a
@@ -61,7 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePlane, IdentityRNotSatisfied, NotAQBasis
+from .errors import DegeneratePlane, EvalDomainError, IdentityRNotSatisfied, NotAQBasis
 from .metric import MetricAtPoint, first_point, inners
 from .qstructure import (
     apply_q,
@@ -94,12 +99,11 @@ class ChristoffelTable:
 
 @dataclass(frozen=True)
 class CurvatureTensor:
-    """up[...,i,j,k,h] = R_ijk^h (first slot transported); low = (0,4) tensor."""
+    """low[...,i,j,k,h] = g(R(e_i, e_j) e_k, e_h), the (0,4) tensor."""
 
-    up: np.ndarray
     low: np.ndarray
-    christoffel: ChristoffelTable  # the table up was built from
-    metric: MetricAtPoint  # the metric the table was built from, which lowers up
+    christoffel: ChristoffelTable  # the table low was built from
+    metric: MetricAtPoint  # the metric the table was built from, which lowers R_ijk^h
 
     def component(self, i: int, j: int, k: int, h: int) -> float:
         """Lowered component by 1-based indices."""
@@ -109,20 +113,7 @@ class CurvatureTensor:
         """The tensor at part of the batch, e.g. one point."""
         ct = self.christoffel
         table = ChristoffelTable(ct.gamma[index], ct.dgamma[index])
-        return CurvatureTensor(self.up[index], self.low[index], table, self.metric[index])
-
-
-@dataclass(frozen=True)
-class ClosedFormComponents:
-    R1212: np.ndarray
-    R1313: np.ndarray
-    R2323: np.ndarray
-    R1213: np.ndarray
-    R1223: np.ndarray
-    R1323: np.ndarray
-
-    def as_dict(self) -> dict[str, np.ndarray]:
-        return {k: getattr(self, k) for k in COMPONENT_INDEX}
+        return CurvatureTensor(self.low[index], table, self.metric[index])
 
 
 @functools.cache
@@ -163,6 +154,15 @@ def _metric_derivatives(M: MetricAtPoint):
     return dg, ddg
 
 
+def _require_finite(M: MetricAtPoint, what: str, *arrays) -> None:
+    """Raise EvalDomainError, naming A and B at the first point of M's batch where an array is not finite."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        finite = [np.isfinite(a).reshape(M.D.shape + (-1,)).all(axis=-1) for a in arrays]
+        i = first_point(~np.all(finite, axis=0))
+        raise EvalDomainError(f"{what} are not finite where A={float(M.A[i])!r}, B={float(M.B[i])!r}")
+
+
+@np.errstate(all="ignore")
 def christoffel_from_metric(M: MetricAtPoint) -> ChristoffelTable:
     """Christoffel symbols and their first derivatives from metric jets."""
     dg, ddg = _metric_derivatives(M)
@@ -179,9 +179,12 @@ def christoffel_from_metric(M: MetricAtPoint) -> ChristoffelTable:
     dgamma = 0.5 * (
         np.einsum("kth...,ijt...->kijh...", dginv, C) + np.einsum("th...,kijt...->kijh...", ginv, dC)
     )
-    return ChristoffelTable(_batch_first(gamma, 3), _batch_first(dgamma, 4))
+    gamma, dgamma = _batch_first(gamma, 3), _batch_first(dgamma, 4)
+    _require_finite(M, "Christoffel symbols or their derivatives", gamma, dgamma)
+    return ChristoffelTable(gamma, dgamma)
 
 
+@np.errstate(all="ignore")
 def riemann_from_metric(M: MetricAtPoint) -> CurvatureTensor:
     """The curvature tensor at M's points; low[...,i,j,k,h] = g(R(e_i,e_j)e_k, e_h)."""
     ct = christoffel_from_metric(M)
@@ -195,24 +198,28 @@ def riemann_from_metric(M: MetricAtPoint) -> CurvatureTensor:
     # low in memory order (batch..., k, i, j, h), viewed as (batch..., i, j, k, h)
     low = _batch_first(np.einsum("kijt...,th...->kijh...", up, _tensor_first(M.g, 2)), 4)
     low = low.swapaxes(-4, -3).swapaxes(-3, -2)
-    return CurvatureTensor(_batch_first(up, 4), low, ct, M)
+    _require_finite(M, "curvature components", low)
+    return CurvatureTensor(low, ct, M)
 
 
-def closed_form_from_metric(M: MetricAtPoint) -> ClosedFormComponents:
-    """Evaluate the six reference closed-form (0,4) components verbatim.
+@np.errstate(all="ignore")
+def closed_form_from_metric(M: MetricAtPoint) -> dict[str, np.ndarray]:
+    """The six reference closed-form (0,4) components, verbatim, by the names of COMPONENT_INDEX.
 
     The formulas run on A, B and their derivatives over the power of two 2^e
-    of metric_from_jets, where max(|A|, |B|) / 2^e is in [0.5, 1), and each
-    component, homogeneous of degree one in them, is scaled back by 2^e. The
-    scaling is exact: components in the normal range keep their bits, and a
-    metric whose D would under- or overflow still gets its components. See
+    of metric_from_jets (M.e), where max(|A|, |B|) / 2^e is in [0.5, 1), and
+    each component, homogeneous of degree one in them, is scaled back by 2^e.
+    The scaling is exact: components in the normal range keep their bits, and
+    a metric whose D would under- or overflow still gets its components. See
     the module docstring for how these relate to the numeric tensor.
     """
-    e = np.frexp(np.maximum(abs(M.A), abs(M.B)))[1]
+    e = M.e
     A, B = np.ldexp(M.A, -e), np.ldexp(M.B, -e)
     dA, dB = (index_first(np.ldexp(j.grad, -e[..., None]), 1) for j in (M.A_jet, M.B_jet))
     HA, HB = (index_first(np.ldexp(j.hess, -e[..., None, None]), 2) for j in (M.A_jet, M.B_jet))
-    return ClosedFormComponents(*(np.ldexp(c, e) for c in closed_form(A, B, dA, dB, HA, HB)))
+    cf = {name: np.ldexp(c, e) for name, c in zip(COMPONENT_INDEX, closed_form(A, B, dA, dB, HA, HB))}
+    _require_finite(M, "closed-form components", *cf.values())
+    return cf
 
 
 def closed_form(A, B, dA, dB, HA, HB) -> tuple:
@@ -294,15 +301,14 @@ def _rescaled(v):
 
 
 def _gram(M: MetricAtPoint, x, y):
-    """g(x,x), g(y,y) and the Gram determinant of g / 2^e, with max |g_ij| / 2^e in [0.5, 1), and e.
+    """g(x,x), g(y,y) and the Gram determinant of g / 2^M.e.
 
     The division is exact, and with x and y _rescaled no term overflows.
     """
-    e = np.frexp(np.abs(M.g).max(axis=(-2, -1)))[1]
-    g = np.ldexp(M.g, -e[..., None, None])
+    g = np.ldexp(M.g, -M.e[..., None, None])
     gxx, gxy = inners(g, x, (x, y))
     gyy = inners(g, y, (y,))[0]
-    return gxx, gyy, gxx * gyy - gxy * gxy, e
+    return gxx, gyy, gxx * gyy - gxy * gxy
 
 
 def sectional_curvature(R: CurvatureTensor, x, y):
@@ -313,22 +319,22 @@ def sectional_curvature(R: CurvatureTensor, x, y):
     so neither the degeneracy test nor the quotient depends on their magnitudes.
     """
     xs, ys = _rescaled(x)[0], _rescaled(y)[0]
-    gxx, gyy, den, e = _gram(R.metric, xs, ys)
+    gxx, gyy, den = _gram(R.metric, xs, ys)
     degenerate = ~(den > 1e-12 * gxx * gyy)
     if degenerate.any():
         i = first_point(degenerate)
         x, y = (np.broadcast_to(np.asarray(v, float), den.shape + (3,))[i] for v in (x, y))
         x, y = tuple(x.tolist()), tuple(y.tolist())
         raise DegeneratePlane(f"vectors {x} and {y} span no plane")
-    return np.ldexp(riemann_apply(R, xs, ys, xs, ys) / den, -2 * e)
+    return np.ldexp(riemann_apply(R, xs, ys, xs, ys) / den, -2 * R.metric.e)
 
 
 @np.errstate(over="ignore", under="ignore")
 def gram_determinant(M: MetricAtPoint, x, y):
     """g(x,x) g(y,y) - g(x,y)^2; inf where it overflows and 0 where it underflows."""
     (xs, ex), (ys, ey) = _rescaled(x), _rescaled(y)
-    _, _, den, e = _gram(M, xs, ys)
-    return np.ldexp(den, 2 * (ex + ey + e))
+    den = _gram(M, xs, ys)[2]
+    return np.ldexp(den, 2 * (ex + ey + M.e))
 
 
 def max_abs(low: np.ndarray) -> np.ndarray:
@@ -425,13 +431,12 @@ class SectionalRelations:
 def _unit(M: MetricAtPoint, x):
     """x / sqrt(g(x, x)), formed from x and g over powers of two and scaled back.
 
-    g's exponent is even, so the square root scales exactly: where g(x, x) is
-    a normal float the result keeps the bits of the plain quotient, and where
-    it under- or overflows the result is still the unit vector.
+    g's exponent is M.e rounded up to even, so the square root scales exactly:
+    where g(x, x) is a normal float the result keeps the bits of the plain
+    quotient, and where it under- or overflows the result is still the unit vector.
     """
     xs = _rescaled(x)[0]
-    e = np.frexp(np.abs(M.g).max(axis=(-2, -1)))[1]
-    e += e % 2
+    e = M.e + M.e % 2
     gs = np.ldexp(M.g, -e[..., None, None])
     return np.ldexp(xs / np.sqrt(inners(gs, xs, (xs,))[0])[..., None], -(e // 2)[..., None])
 

@@ -44,10 +44,12 @@ def first_point(mask) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class MetricAtPoint:
-    """Metric data over a batch of points: jets of A and B, g, its inverse, and D.
+    """Metric data over a batch of points: jets of A and B, g, its inverse, D, and e.
 
     The batch shape is that of the jets' values: ``()`` for one point,
-    ``(N,)`` for N points; g and g_inv append ``(3, 3)``.
+    ``(N,)`` for N points; g and g_inv append ``(3, 3)``. e is the exponent
+    with max(|A|, |B|) / 2^e = max |g_ij| / 2^e in [0.5, 1) over which g_inv
+    is formed; the kernels that scale g or the jets by a power of two read it.
     """
 
     A_jet: Jet2
@@ -55,6 +57,7 @@ class MetricAtPoint:
     g: np.ndarray
     g_inv: np.ndarray
     D: np.ndarray
+    e: np.ndarray
 
     @property
     def A(self) -> np.ndarray:
@@ -69,7 +72,7 @@ class MetricAtPoint:
     def __getitem__(self, index) -> "MetricAtPoint":
         """The metric at part of the batch, e.g. one point."""
         return MetricAtPoint(
-            self.A_jet[index], self.B_jet[index], self.g[index], self.g_inv[index], self.D[index]
+            self.A_jet[index], self.B_jet[index], self.g[index], self.g_inv[index], self.D[index], self.e[index]
         )
 
 
@@ -181,7 +184,8 @@ def metric_from_jets(A_jet: Jet2, B_jet: Jet2) -> MetricAtPoint:
     The inverse is that of g / 2^e, with max(|A|, |B|) / 2^e in [0.5, 1),
     scaled back by 2^-e. The scaling is exact, so where D is a normal float
     g_inv keeps the bits of the plain closed form, and a metric whose D
-    underflows or overflows still gets its inverse. D is the unscaled product.
+    underflows or overflows still gets its inverse. D is the unscaled product;
+    the metric keeps e.
     """
     A, B = A_jet.value, B_jet.value
     D = (A - B) * (A + 2 * B)
@@ -190,7 +194,7 @@ def metric_from_jets(A_jet: Jet2, B_jet: Jet2) -> MetricAtPoint:
     a, b = np.ldexp(A, -e), np.ldexp(B, -e)
     d = (a - b) * (a + 2 * b)
     g_inv = np.where(_EYE, np.ldexp((a + b) / d, -e)[..., None, None], np.ldexp(-b / d, -e)[..., None, None])
-    return MetricAtPoint(A_jet, B_jet, g, g_inv, D)
+    return MetricAtPoint(A_jet, B_jet, g, g_inv, D, e)
 
 
 def metric_at(m: MetricFunctions, p, allow_weak: bool = False) -> MetricAtPoint:

@@ -34,6 +34,7 @@ def apply_q(x) -> np.ndarray:
     return (Q_MATRIX @ x[..., None])[..., 0]
 
 
+@np.errstate(all="ignore")  # NaN where the inner products overflow, as inners computes them
 def isometry_residual(M: MetricAtPoint, x, y) -> float:
     """|g(qx, qy) - g(x, y)|; zero up to rounding for every circulant g."""
     return abs(inner(M, apply_q(x), apply_q(y)) - inner(M, x, y))
@@ -139,13 +140,16 @@ def q_basis_cosines(M: MetricAtPoint, x) -> tuple:
     it must generate a q-basis. The inner-product route is the definition; the
     closed form in (a, b) must agree with it to ANGLE_ROUTE_TOL, or the call
     raises AngleRoutesDisagree for the first element where they disagree.
+    Both routes run on g / 2^e (e = M.e): the cosines are of degree 0 in g,
+    so this is exact, and no inner product of a large metric overflows.
     """
     x = np.asarray(x, dtype=float)
     qx = apply_q(x)
     q2x = apply_q(qx)
-    gxx, g_x_qx, g_x_q2x = inners(M.g, x, (x, qx, q2x))
-    cosines = (g_x_qx / gxx, g_x_q2x / gxx, inner(M, qx, q2x) / gxx)
-    closed = cos_angle_closed_form(M.A, M.B, x)
+    g = np.ldexp(M.g, -M.e[..., None, None])
+    gxx, g_x_qx, g_x_q2x = inners(g, x, (x, qx, q2x))
+    cosines = (g_x_qx / gxx, g_x_q2x / gxx, inners(g, qx, (q2x,))[0] / gxx)
+    closed = cos_angle_closed_form(np.ldexp(M.A, -M.e), np.ldexp(M.B, -M.e), x)
     for route_cos, sign in zip(cosines, (1.0, -1.0, 1.0)):
         off = abs(route_cos - sign * closed) > ANGLE_ROUTE_TOL
         if off.any():

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from circulant3 import cli, sample_admissible_points
+from circulant3 import cli, load_spec, sample_admissible_points
 from circulant3.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -354,7 +354,7 @@ def test_closed_form_command(capsys, m5_spec):
 
     code, report = run_json(capsys, ["closed-form", "--spec", m5_spec, "--at", "2,-1,-1"])
     assert code == 0
-    want = closed_form_from_metric(metric_at(load_spec(m5_spec).metric, (2.0, -1.0, -1.0))).as_dict()
+    want = closed_form_from_metric(metric_at(load_spec(m5_spec).metric, (2.0, -1.0, -1.0)))
     assert report["results"]["components"] == {name: float(v) for name, v in want.items()}
     assert report["verdicts"] == {}
     code, report = run_json(capsys, ["closed-form", "--spec", m5_spec, "--sample", "4", "--seed", "2"])
@@ -454,6 +454,23 @@ def test_sampled_golden_json(capsys, tmp_path, spec_text, argv, golden):
     assert code == 0
 
 
+def _builtin(obj):
+    """The default hook of the reference json.dumps: numpy values as the builtins they hold."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    raise TypeError(f"cannot write {type(obj).__name__} as JSON")
+
+
+def reference_json(obj) -> str:
+    return json.dumps(obj, indent=2, default=_builtin)
+
+
 def test_json_writer_is_json_dumps_of_the_builtin_tree():
     tree = {
         "floats": [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308, 0.1],
@@ -464,9 +481,9 @@ def test_json_writer_is_json_dumps_of_the_builtin_tree():
         "spec_name": 'a "name"\nwith é',
         'key "é"\n': "",
     }
-    assert cli._json(tree) == json.dumps(cli._py(tree), indent=2)
+    assert cli._json(tree) == reference_json(tree)
     for leaf in (None, math.nan, np.array(1.0), "é", [], {}):
-        assert cli._json(leaf) == json.dumps(cli._py(leaf), indent=2)
+        assert cli._json(leaf) == reference_json(leaf)
 
 
 def test_json_writer_is_json_dumps_on_every_report_of_a_point_query_cycle(tmp_path):
@@ -484,7 +501,7 @@ def test_json_writer_is_json_dumps_on_every_report_of_a_point_query_cycle(tmp_pa
         argvs.append([command, "--spec", str(generic), "--sample=3", "--box=-6:6,-1:1,-6:6"])
     for argv in argvs:
         report = cli._run(cli.build_parser().parse_args(argv))
-        assert cli._json(report) == json.dumps(cli._py(report), indent=2), argv
+        assert cli._json(report) == reference_json(report), argv
 
 
 @pytest.mark.parametrize(
@@ -920,3 +937,70 @@ def test_verify_theorems_refuses_where_check_identity_fails_at_the_same_tol(caps
     theorems, _, err = _call(capsys, ["verify-theorems", *run])
     assert identity == theorems == exit_code
     assert ("q-invariance fails" in err) == (exit_code == 1)
+
+
+# Specs whose curvature is not finite at the point: a huge first or second
+# derivative of A (the sums in Gamma overflow), or a tiny metric with ordinary
+# derivatives (g^-1 is about 1e200, so d Gamma overflows).
+OVERFLOW_CASES = {
+    "huge-gradient": ('A = "1.5e308*x1 + 3"\nB = "1"', "1e-300,0,0", "A=150000003.0, B=1.0"),
+    "huge-hessian": ('A = "5e307*x1^2 + 3"\nB = "1"', "1e-200,0,0", "A=3.0, B=1.0"),
+    "tiny-metric": ('A = "3e-200 + x1"\nB = "1e-200"', "1e-300,0,0", "A=3e-200, B=1e-200"),
+}
+CURVATURE_COMMANDS = {
+    "christoffel": [], "riemann": [], "closed-form": [], "compare-curvature": [],
+    "sectional": ["--x=1,0,0", "--y=0,1,0"], "check-identity": [], "check-parallel": [], "nabla-q": [],
+    "verify-theorems": [],
+}
+
+
+@pytest.mark.parametrize("command", CURVATURE_COMMANDS)
+@pytest.mark.parametrize("case", OVERFLOW_CASES)
+def test_curvature_that_is_not_finite_is_a_domain_error(capsys, tmp_path, case, command):
+    fields, point, where = OVERFLOW_CASES[case]
+    spec = tmp_path / "spec.toml"
+    spec.write_text(f"[metric]\n{fields}\n", encoding="utf-8")
+    argv = [command, "--spec", str(spec), f"--at={point}", *CURVATURE_COMMANDS[command]]
+    what = "closed-form components" if command == "closed-form" else "Christoffel symbols or their derivatives"
+    for flags in ([], ["--json"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(argv + flags)
+        out, err = capsys.readouterr()
+        if (case, command) == ("huge-hessian", "closed-form"):  # formed over 2^e, where no term overflows
+            assert code == 0 and "nan" not in out.lower() and "inf" not in out.lower()
+            continue
+        assert code == 3
+        assert (out, err) == ("", f"error ({command}): {what} are not finite where {where}\n")
+
+
+def test_a_sample_with_a_point_whose_curvature_is_not_finite_is_refused_whole(capsys, tmp_path):
+    # every point of the box has A'(x1) = 1.5e308; the first accepted one is named
+    spec = tmp_path / "spec.toml"
+    spec.write_text('[metric]\nA = "1.5e308*x1 + 3"\nB = "1"\n', encoding="utf-8")
+    box = ((1e-300, 2e-300), (-1.0, 1.0), (-1.0, 1.0))
+    _, M = sample_admissible_points(load_spec(str(spec)).metric, box, 3, 0)
+    code = main(["riemann", "--spec", str(spec), "--sample=3", "--box=1e-300:2e-300,-1:1,-1:1", "--json"])
+    assert code == 3
+    assert capsys.readouterr() == (
+        "", f"error (riemann): Christoffel symbols or their derivatives are not finite "
+        f"where A={float(M.A[0])!r}, B=1.0\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "spec_text, argv, code, golden",
+    [
+        (None, ["example-m5", "--at", "2,-1,-1"], 1, "example_m5_at.txt"),
+        (PARALLEL_BENCH_SPEC, ["verify-theorems", "--sample", "4", "--seed", "3", "--box=-1:1,-1:1,-1:1"], 0,
+         "verify_theorems_parallel_sample4_seed3.txt"),
+    ],
+    ids=["example-m5", "verify-theorems-parallel"],
+)
+def test_text_report_golden(capsys, tmp_path, spec_text, argv, code, golden):
+    if spec_text is not None:
+        spec = tmp_path / "spec.toml"
+        spec.write_text(spec_text, encoding="utf-8")
+        argv = argv[:1] + ["--spec", str(spec)] + argv[1:]
+    assert main(argv) == code
+    assert capsys.readouterr().out == (DATA / golden).read_text(encoding="utf-8")

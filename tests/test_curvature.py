@@ -30,7 +30,7 @@ from circulant3 import (
     sectional_relations,
 )
 from circulant3.curvature import COMPONENT_INDEX, sampled_q_invariance_residual
-from circulant3.errors import DegeneratePlane, IdentityRNotSatisfied, NotAQBasis
+from circulant3.errors import DegeneratePlane, EvalDomainError, IdentityRNotSatisfied, NotAQBasis
 from circulant3.jets import concatenate
 from circulant3.metric import metric_from_jets
 from circulant3.parallelism import nabla_q_from_table, parallel_residual_from_metric
@@ -178,17 +178,12 @@ def test_tensor_symmetries_random():
 
 def test_closed_form_example_reproduces_reference_values():
     cf = closed_form_from_metric(metric_at(builtin_example().metric, P5))
-    assert cf.R1212 == -0.125
-    assert cf.R1313 == -0.125
-    assert cf.R2323 == -0.125
-    assert cf.R1213 == 0.0
-    assert cf.R1223 == 0.0
-    assert cf.R1323 == 0.0
+    assert cf == {"R1212": -0.125, "R1313": -0.125, "R2323": -0.125, "R1213": 0.0, "R1223": 0.0, "R1323": 0.0}
 
 
 def test_closed_form_constant_fields_vanish():
     cf = closed_form_from_metric(metric_at(MetricFunctions.from_sources("2", "1"), (0.0, 0.0, 0.0)))
-    assert all(v == 0.0 for v in cf.as_dict().values())
+    assert all(v == 0.0 for v in cf.values())
 
 
 def test_closed_form_diagonal_matches_numeric_on_example_chart():
@@ -198,7 +193,7 @@ def test_closed_form_diagonal_matches_numeric_on_example_chart():
     for p in ([2.0, -1.0, -1.0], [1.5, -0.3, -0.9], [2.2, -0.5, -1.1]):
         M = metric_at(m, p)
         R = riemann_from_metric(M)
-        cf = closed_form_from_metric(M).as_dict()
+        cf = closed_form_from_metric(M)
         for name in ("R1212", "R1313", "R2323"):
             i, j, k, h = COMPONENT_INDEX[name]
             assert abs(cf[name] - R.low[i, j, k, h]) <= 1e-10 * (1 + abs(cf[name]))
@@ -432,7 +427,7 @@ def test_batch_curvature_equals_point_by_point_bit_for_bit():
         M = metric_at(m, pts)
         R = riemann_from_metric(M)
         chk = check_q_invariance(R)
-        cf = closed_form_from_metric(M).as_dict()
+        cf = closed_form_from_metric(M)
         grad_res = parallel_residual_from_metric(M)
         nq = nabla_q_from_table(R.christoffel).nq
         for i, p in enumerate(pts):
@@ -442,7 +437,7 @@ def test_batch_curvature_equals_point_by_point_bit_for_bit():
                 (M.g, Mi.g), (M.g_inv, Mi.g_inv), (M.D, Mi.D),
                 (R.christoffel.gamma, Ri.christoffel.gamma),
                 (R.christoffel.dgamma, Ri.christoffel.dgamma),
-                (R.up, Ri.up), (R.low, Ri.low),
+                (R.low, Ri.low),
                 (grad_res, parallel_residual_from_metric(Mi)),
                 (nq, nabla_q_from_table(Ri.christoffel).nq),
             ]:
@@ -451,7 +446,7 @@ def test_batch_curvature_equals_point_by_point_bit_for_bit():
             assert chk.passed[i] == chk_i.passed
             assert chk.diagonal_residual[i] == chk_i.diagonal_residual
             assert chk.cross_residual[i] == chk_i.cross_residual
-            for name, value in closed_form_from_metric(Mi).as_dict().items():
+            for name, value in closed_form_from_metric(Mi).items():
                 assert cf[name][i] == value
 
 
@@ -601,3 +596,29 @@ def test_batch_refusals_name_their_first_failing_point():
     x = np.array([[1.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
     with pytest.raises(DegeneratePlane, match=r"^vectors \(1\.0, 2\.0, 3\.0\) and \(2\.0, 4\.0, 6\.0\) "):
         sectional_curvature(riemann_from_metric(example), x, [[0.0, 1.0, 0.0], [2.0, 4.0, 6.0]])
+
+
+def test_curvature_that_is_not_finite_is_refused_at_the_first_such_point_of_a_batch():
+    # A = 3e-200 + x1, B = 1e-200: at x1 = 0.5 an ordinary metric; at x1 = 1e-200 and 1e-300
+    # g^-1 is about 1e200 and the derivatives are ordinary, so d Gamma overflows
+    m = MetricFunctions.from_sources("3e-200 + x1", "1e-200")
+    M = metric_at(m, np.array([[0.5, 0.0, 0.0], [1e-200, 0.0, 0.0], [1e-300, 0.0, 0.0]]))
+    for kernel, what in (
+        (christoffel_from_metric, "Christoffel symbols or their derivatives"),
+        (riemann_from_metric, "Christoffel symbols or their derivatives"),
+        (closed_form_from_metric, "closed-form components"),
+    ):
+        with np.errstate(all="raise"), pytest.raises(EvalDomainError) as error:  # and no FloatingPointError
+            kernel(M)
+        assert str(error.value) == f"{what} are not finite where A=4e-200, B=1e-200"
+        kernel(M[0])  # the ordinary point alone
+    # a huge first derivative: the sums of d_i g_tj in Gamma overflow
+    M = metric_at(MetricFunctions.from_sources("1.5e308*x1 + 3", "1"), (1e-300, 0.0, 0.0))
+    with pytest.raises(EvalDomainError, match=r"^Christoffel symbols .* where A=150000003\.0, B=1\.0$"):
+        riemann_from_metric(M)
+    # Gamma and d Gamma finite, the curvature not: R_ijk^h is about 1e107 and g about 1e201
+    m = MetricFunctions.from_sources("3e200 + 4e307*x1^2", "1e200 - 4e307*x1^2/3 + 4e307*x2^2")
+    M = metric_at(m, (1e-53, 1e-53, 1e-53))
+    christoffel_from_metric(M)
+    with pytest.raises(EvalDomainError, match=r"^curvature components are not finite where A=4\.3e\+201, B=2\.7"):
+        riemann_from_metric(M)

@@ -6,14 +6,21 @@ np.linalg.norm. The curvature kernel is checked against its batch-first
 reference (test_kernel_layout.py) at random batch sizes, and the jets of
 generated expressions over a batch against those of each point; printing a
 generated expression and parsing it back gives the same tree; every jet
-operation returns a Hessian equal to its transpose bit for bit. hypothesis is
-needed here only (the test extra); the budget is small and derandomized so
-that every run checks the same examples.
+operation returns a Hessian equal to its transpose bit for bit. Beyond bits:
+the curvature of generated fields has the tensor symmetries and the first
+Bianchi identity, q is an isometry of every circulant metric, and the
+command line, fuzzed over commands, specs, points and samples, exits 0-3
+without raising or letting a RuntimeWarning through. hypothesis is needed
+here only (the test extra); the budgets are small and derandomized so that
+every run checks the same examples.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,8 +28,18 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from circulant3 import check_positive_definite, construct_special_angle_vector, induces_q_basis, jets  # noqa: E402
-from circulant3.errors import EvalDomainError, NotAQBasis  # noqa: E402
+from circulant3 import (  # noqa: E402
+    MetricFunctions,
+    check_positive_definite,
+    construct_special_angle_vector,
+    induces_q_basis,
+    isometry_residual,
+    jets,
+    metric_at,
+    riemann_from_metric,
+)
+from circulant3.cli import _CORES, main  # noqa: E402
+from circulant3.errors import CirculantError, EvalDomainError, NotAQBasis  # noqa: E402
 from circulant3.expressions import (  # noqa: E402
     FUNCTIONS,
     Binary,
@@ -35,6 +52,7 @@ from circulant3.expressions import (  # noqa: E402
     parse,
     to_source,
 )
+from circulant3.metric import metric_from_jets  # noqa: E402
 from circulant3.qstructure import Q_BASIS_EPS, q_basis_defect, q_basis_threshold  # noqa: E402
 
 from test_kernel_layout import MANIFOLDS, assert_kernel_is_the_reference, metric_batch  # noqa: E402
@@ -264,3 +282,130 @@ def test_every_jet_operation_returns_a_hessian_that_is_its_transpose_bit_for_bit
         except (ValueError, ZeroDivisionError, OverflowError):  # outside the operation's domain
             continue
         assert h.tobytes() == h.swapaxes(-1, -2).tobytes(), name
+
+
+# -- the curvature tensor over generated fields ---------------------------------
+# A = 2 + a^2 + b^2 and B = 1 + b^2 for generated trees a and b: A > B > 0
+# wherever both evaluate, with Hessians of every node kind.
+
+
+def _generated_metric(a, b, p):
+    """The metric of the fields built from trees a and b at p; None where they do not evaluate."""
+    a, b = to_source(a), to_source(b)
+    m = MetricFunctions.from_sources(f"2 + ({a})^2 + ({b})^2", f"1 + ({b})^2")
+    try:
+        return metric_at(m, p)
+    except CirculantError:  # a subexpression outside its domain, or A = B after rounding
+        return None
+
+
+@TREES
+@given(trees, trees, st.tuples(*[st.floats(-3.0, 3.0)] * 3))
+def test_curvature_of_generated_fields_has_the_tensor_symmetries_and_first_bianchi(a, b, p):
+    M = _generated_metric(a, b, np.array(p))
+    if M is None:
+        return
+    try:
+        R = riemann_from_metric(M)
+    except EvalDomainError as exc:  # the curvature overflows: refused, never returned
+        assert "are not finite where" in str(exc)
+        return
+    low = R.low
+    # every term the kernel sums is bounded by |g| (|g^-1| |d^2 g| + |g^-1|^2 |dg|^2), in Python floats
+    g, g_inv = float(np.abs(M.g).max()), float(np.abs(M.g_inv).max())
+    d1 = max(float(np.abs(j.grad).max()) for j in (M.A_jet, M.B_jet))
+    d2 = max(float(np.abs(j.hess).max()) for j in (M.A_jet, M.B_jet))
+    tol = 1e-12 * g * (g_inv * d2 + g_inv * g_inv * d1 * d1)
+    for name, residual in (
+        ("antisymmetry_first_pair", low + np.einsum("ijkh->jikh", low)),
+        ("antisymmetry_second_pair", low + np.einsum("ijkh->ijhk", low)),
+        ("pair_symmetry", low - np.einsum("ijkh->khij", low)),
+        ("first_bianchi", low + np.einsum("ijkh->jkih", low) + np.einsum("ijkh->kijh", low)),
+    ):
+        assert float(np.abs(residual).max()) <= tol, name
+
+
+triples = st.tuples(coordinate, coordinate, coordinate).map(np.array)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(admissible_batches, triples, triples)
+def test_q_is_an_isometry_of_every_circulant_metric(AB, x, y):
+    A, B = AB
+    M = metric_from_jets(*(jets.Jet2(v, np.zeros(v.shape + (3,)), np.zeros(v.shape + (3, 3))) for v in (A, B)))
+    # x @ g @ y sums nine products, each bounded by max(A, B) |x_i| |y_j|, in some order;
+    # where that bound overflows, so may the inner products, and the residual is NaN
+    with np.errstate(over="ignore"):
+        bound = np.maximum(A, B) * np.abs(x).sum() * np.abs(y).sum()
+    residual = isometry_residual(M, x, y)
+    assert residual.shape == A.shape
+    assert np.all((residual <= 1e-14 * bound) | np.isinf(bound))
+
+
+# -- the command line never raises ------------------------------------------------
+# Every command at a point or over a sample, text or JSON, on a pool of specs
+# that includes metrics whose curvature overflows (a huge gradient, a huge
+# Hessian, a tiny metric with ordinary derivatives) at x1 = 1e-300 or 1e-200,
+# and one whose Gamma is finite and whose curvature is not, over its box.
+FUZZ_SPECS = {
+    "generic": ('A = "3 + x1^2/5 + exp(x3)/7"', 'B = "1 + sin(x2)/4 + x1*x3/9"', "-6, 6", "-1, 1", "-6, 6"),
+    "parallel": ('A = "4*x1 + 2*x2 + 20"', 'B = "x1 + 2*x2 + 3*x3 + 5"', "-1, 1", "-1, 1", "-1, 1"),
+    "cyclic": ('A = "3 + exp((x1 + x2 + x3)/3)/7 + (x1 + x2 + x3)^2/10"', 'B = "1 + sin(x1 + x2 + x3)/4"',
+               "-1, 1", "-1, 1", "-1, 1"),
+    "domain": ('A = "4 + log(x1)"', 'B = "1 + x2/4"\n[domain]\nc1 = "x1"', "0.5, 3", "-1, 1", "-1, 1"),
+    "weak": ('A = "2 + 0*x1"', 'B = "-0.5 + x2/10"', "-1, 1", "-1, 1", "-1, 1"),
+    "tiny": ('A = "3e-200"', 'B = "1e-200"', "-1, 1", "-1, 1", "-1, 1"),
+    "huge": ('A = "3e200"', 'B = "1e200"', "-1, 1", "-1, 1", "-1, 1"),
+    "huge-gradient": ('A = "1.5e308*x1 + 3"', 'B = "1"', "1e-300, 2e-300", "-1, 1", "-1, 1"),
+    "huge-hessian": ('A = "5e307*x1^2 + 3"', 'B = "1"', "1e-200, 2e-200", "-1, 1", "-1, 1"),
+    "tiny-metric": ('A = "3e-200 + x1"', 'B = "1e-200"', "1e-300, 2e-300", "-1, 1", "-1, 1"),
+    "huge-curvature": ('A = "3e200 + 4e307*x1^2"', 'B = "1e200 - 4e307*x1^2/3 + 4e307*x2^2"',
+                       "1e-53, 2e-53", "1e-53, 2e-53", "1e-53, 2e-53"),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_specs(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("fuzz")
+    paths = {}
+    for name, (A, B, *box) in FUZZ_SPECS.items():
+        sample = "".join(f'x{i} = "{interval}"\n' for i, interval in enumerate(box, 1))
+        (directory / f"{name}.toml").write_text(f"[metric]\n{A}\n{B}\n[sample]\n{sample}", encoding="utf-8")
+        paths[name] = str(directory / f"{name}.toml")
+    return paths
+
+
+VECTOR_OPTIONS = {"sectional": ("--x", "--y"), "angles": ("--vector",), "qbasis": ("--vector",),
+                  "verify-theorems": ("--vector",)}
+
+
+@st.composite
+def argvs(draw, paths):
+    command = draw(st.sampled_from(tuple(_CORES)))
+    argv = [command]
+    if command != "example-m5":
+        argv += ["--spec", paths[draw(st.sampled_from(sorted(paths)))]]
+    if draw(st.booleans()):
+        argv += [f"--sample={draw(st.integers(1, 3))}", f"--seed={draw(st.integers(0, 3))}"]
+    else:
+        x1 = draw(st.sampled_from([1e-300, 1e-200, 0.5, 1.0, -1.0]))
+        x2, x3 = (draw(st.sampled_from([0.0, 0.3, -0.5, 1.0])) for _ in range(2))
+        argv.append(f"--at={x1!r},{x2!r},{x3!r}")
+    numbers = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, 1e-300, 1e200]))
+    for option in VECTOR_OPTIONS.get(command, ()):
+        if draw(st.integers(0, 4)):  # now and then left out
+            argv.append(f"{option}=" + ",".join(repr(draw(numbers)) for _ in range(3)))
+    argv += draw(st.lists(st.sampled_from(["--json", "--allow-weak-metric"]), unique=True))
+    return argv
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_the_command_line_exits_0_to_3_and_lets_no_runtime_warning_through(fuzz_specs, data):
+    argv = data.draw(argvs(fuzz_specs))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], argv

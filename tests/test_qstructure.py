@@ -91,6 +91,18 @@ def test_angles_rejects_degenerate_vector():
         q_basis_angles(M, [1.0, 1.0, 1.0])
 
 
+def test_angles_do_not_depend_on_the_metric_magnitude_bit_for_bit():
+    # A = 3 * 2^1022 makes x @ g @ x overflow unscaled; each metric over its
+    # power of two is g(3, 1), so every cosine keeps the bits of the plain metric
+    x = [1.0, 0.2, -0.4]
+    plain = q_basis_angles(_metric(3.0, 1.0), x)
+    for scale in (2.0**1022, 2.0**-1000):
+        with np.errstate(all="raise"):
+            rep = q_basis_angles(_metric(3.0 * scale, scale), x)
+        for name in ("cos_phi_x_qx", "cos_phi_x_q2x", "cos_theta_qx_q2x"):
+            assert getattr(rep, name) == getattr(plain, name), (scale, name)
+
+
 def test_angle_routes_and_ranges():
     rng = np.random.default_rng(32)
     for _ in range(200):
