@@ -46,7 +46,16 @@ from .errors import (
     SamplingExhausted,
     SpecFileError,
 )
-from .metric import admissibility, check_positive_definite, inner, inside_chart, metric_at, metric_from_jets, positive
+from .metric import (
+    admissibility,
+    check_positive_definite,
+    inner,
+    inside_chart,
+    metric_at,
+    metric_from_jets,
+    positive,
+    require_finite,
+)
 from .parallelism import (
     christoffel_equalities_from_table,
     nabla_q_from_table,
@@ -351,6 +360,8 @@ def _cmd_orthobasis(spec, p, M, args):
         "orthogonal": _verdict(worst <= args.tol * gxx, worst, args.tol * gxx),
         "induces_q_basis": _verdict(induces_q_basis(x), abs(q_basis_defect(x)), 0.0),
     }
+    # after the q-basis test, which refuses an x whose cubes overflow first
+    require_finite(M, "orthogonal-basis inner products", gxx, *pairs.values())
     return results, verdicts
 
 
@@ -419,8 +430,9 @@ def _random_q_basis_vectors(rng, count):
 def _relation_residuals(R, vectors, tol):
     """Each relation's worst scaled residual over the vectors (V, 3), at each point of R's batch.
 
-    The vectors are reduced in order, the first largest kept, as a loop over
-    them would. They refuse a point whose curvature fails q-invariance at tol."""
+    The residuals are >= +0, so fmax from 0.0 keeps the first largest, NaN
+    never the maximum, as a loop over the vectors would. They refuse a point
+    whose curvature fails q-invariance at tol."""
     rel = sectional_relations(R, vectors, tol=tol)
     d, c, e = rel.difference, rel.combination, rel.equal
     scaled = {
@@ -428,7 +440,7 @@ def _relation_residuals(R, vectors, tol):
         "sectional_combination": c.residual / (1.0 + abs(c.lhs)),
         "equal_sectional": _max(e.residuals) / (1.0 + abs(e.mu_u_qu)),
     }
-    return {name: _max((0.0, *per_vector)) for name, per_vector in scaled.items()}
+    return {name: np.fmax.reduce(per_vector, axis=0, initial=0.0) for name, per_vector in scaled.items()}
 
 
 def _cmd_verify_theorems(spec, p, M, args):
@@ -529,15 +541,19 @@ def _run_at(core, spec, point, args):
         raise
 
 
+def _per_point(a, n):
+    """A verdict's value at each of n points as a list of Python scalars; a scalar holds at every point."""
+    a = np.asarray(a)
+    return a.tolist() if a.ndim else [a.item()] * n
+
+
 def _summarize(verdicts, n):
     """Pass counts, worst residuals and tolerances of per-point verdicts over n points."""
     pass_counts: dict[str, int] = {}
     max_residuals: dict[str, float] = {}
     tols: dict[str, float] = {}
     for name, v in verdicts.items():
-        passed, residuals, tol = (
-            np.broadcast_to(v[key], (n,)).tolist() for key in ("pass", "residual", "tol")
-        )
+        passed, residuals, tol = (_per_point(v[key], n) for key in ("pass", "residual", "tol"))
         pass_counts[name] = sum(passed)
         # Python's max from 0.0 in point order: a NaN residual is never the maximum
         max_residuals[name] = max([0.0, *residuals])

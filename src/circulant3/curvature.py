@@ -50,6 +50,17 @@ result does not depend on the vectors' lengths or the metric's magnitude,
 and no Gram term overflows or underflows. sectional_relations normalizes
 the orthogonal-basis generator in the same way.
 
+sectional_relations gives each of its five sectional curvatures the bits
+sectional_curvature gives, but builds each quantity once. It forms
+g / 2^e once (shared scaled metric) and rescales u once; qu and q^2u are
+q-images of the rescaled u, which is exact because q only permutes and
+negates entries. Each Gram entry g(u,u), g(qu,qu), g(q^2u,q^2u) is formed
+once and shared by the two planes that use it (shared Gram entries). Two
+einsums over a stacked leading axis contract the planes {u,qu}, {qu,q^2u},
+{q^2u,u}, and then {x,qx}, {y,qy} with R(x,qx,x,q^2x) (stacked
+contractions). Both functions test a plane with one helper,
+_plane_determinant.
+
 closed_form holds a set of six reference component formulas verbatim,
 and closed_form_from_metric evaluates them over a power of two. The two
 routes agree on the built-in example's diagonal components yet differ
@@ -66,8 +77,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePlane, EvalDomainError, IdentityRNotSatisfied, NotAQBasis
-from .metric import MetricAtPoint, first_point, inners
+from .errors import DegeneratePlane, IdentityRNotSatisfied, NotAQBasis
+from .metric import MetricAtPoint, first_point, inners, require_finite
 from .qstructure import (
     apply_q,
     construct_orthogonal_vector,
@@ -154,14 +165,6 @@ def _metric_derivatives(M: MetricAtPoint):
     return dg, ddg
 
 
-def _require_finite(M: MetricAtPoint, what: str, *arrays) -> None:
-    """Raise EvalDomainError, naming A and B at the first point of M's batch where an array is not finite."""
-    if not all(np.isfinite(a).all() for a in arrays):
-        finite = [np.isfinite(a).reshape(M.D.shape + (-1,)).all(axis=-1) for a in arrays]
-        i = first_point(~np.all(finite, axis=0))
-        raise EvalDomainError(f"{what} are not finite where A={float(M.A[i])!r}, B={float(M.B[i])!r}")
-
-
 @np.errstate(all="ignore")
 def christoffel_from_metric(M: MetricAtPoint) -> ChristoffelTable:
     """Christoffel symbols and their first derivatives from metric jets."""
@@ -180,7 +183,7 @@ def christoffel_from_metric(M: MetricAtPoint) -> ChristoffelTable:
         np.einsum("kth...,ijt...->kijh...", dginv, C) + np.einsum("th...,kijt...->kijh...", ginv, dC)
     )
     gamma, dgamma = _batch_first(gamma, 3), _batch_first(dgamma, 4)
-    _require_finite(M, "Christoffel symbols or their derivatives", gamma, dgamma)
+    require_finite(M, "Christoffel symbols or their derivatives", gamma, dgamma)
     return ChristoffelTable(gamma, dgamma)
 
 
@@ -198,7 +201,7 @@ def riemann_from_metric(M: MetricAtPoint) -> CurvatureTensor:
     # low in memory order (batch..., k, i, j, h), viewed as (batch..., i, j, k, h)
     low = _batch_first(np.einsum("kijt...,th...->kijh...", up, _tensor_first(M.g, 2)), 4)
     low = low.swapaxes(-4, -3).swapaxes(-3, -2)
-    _require_finite(M, "curvature components", low)
+    require_finite(M, "curvature components", low)
     return CurvatureTensor(low, ct, M)
 
 
@@ -218,7 +221,7 @@ def closed_form_from_metric(M: MetricAtPoint) -> dict[str, np.ndarray]:
     dA, dB = (index_first(np.ldexp(j.grad, -e[..., None]), 1) for j in (M.A_jet, M.B_jet))
     HA, HB = (index_first(np.ldexp(j.hess, -e[..., None, None]), 2) for j in (M.A_jet, M.B_jet))
     cf = {name: np.ldexp(c, e) for name, c in zip(COMPONENT_INDEX, closed_form(A, B, dA, dB, HA, HB))}
-    _require_finite(M, "closed-form components", *cf.values())
+    require_finite(M, "closed-form components", *cf.values())
     return cf
 
 
@@ -300,32 +303,38 @@ def _rescaled(v):
     return np.ldexp(v, -e[..., None]), e
 
 
-def _gram(M: MetricAtPoint, x, y):
-    """g(x,x), g(y,y) and the Gram determinant of g / 2^M.e.
-
-    The division is exact, and with x and y _rescaled no term overflows.
-    """
-    g = np.ldexp(M.g, -M.e[..., None, None])
+def _gram(g, x, y):
+    """g(x,x), g(y,y) and g(x,y), x @ g formed once."""
     gxx, gxy = inners(g, x, (x, y))
-    gyy = inners(g, y, (y,))[0]
-    return gxx, gyy, gxx * gyy - gxy * gxy
+    return gxx, inners(g, y, (y,))[0], gxy
+
+
+def _plane_determinant(gxx, gyy, gxy, planes):
+    """The Gram determinant gxx gyy - gxy^2 of a batch of planes, their sectional curvature's denominator.
+
+    Raises DegeneratePlane at the first element where it is not above
+    1e-12 gxx gyy, naming the vectors (x, y) that planes() returns: those
+    the caller was given, before any rescaling.
+    """
+    den = gxx * gyy - gxy * gxy
+    degenerate = ~(den > 1e-12 * gxx * gyy)
+    if degenerate.any():
+        i = first_point(degenerate)
+        x, y = (tuple(np.broadcast_to(np.asarray(v, float), den.shape + (3,))[i].tolist()) for v in planes())
+        raise DegeneratePlane(f"vectors {x} and {y} span no plane")
+    return den
 
 
 def sectional_curvature(R: CurvatureTensor, x, y):
     """R(x,y,x,y) / (g(x,x) g(y,y) - g(x,y)^2) for a non-degenerate plane, g = R.metric.g.
 
     x and y are one vector (3,) or a batch (..., 3) broadcasting against R's
-    batch. Both, and g, are rescaled by powers of two first (_rescaled, _gram),
-    so neither the degeneracy test nor the quotient depends on their magnitudes.
+    batch. Both, and g, are rescaled by powers of two first (_rescaled,
+    R.metric.g_scaled), so neither the degeneracy test nor the quotient
+    depends on their magnitudes.
     """
     xs, ys = _rescaled(x)[0], _rescaled(y)[0]
-    gxx, gyy, den = _gram(R.metric, xs, ys)
-    degenerate = ~(den > 1e-12 * gxx * gyy)
-    if degenerate.any():
-        i = first_point(degenerate)
-        x, y = (np.broadcast_to(np.asarray(v, float), den.shape + (3,))[i] for v in (x, y))
-        x, y = tuple(x.tolist()), tuple(y.tolist())
-        raise DegeneratePlane(f"vectors {x} and {y} span no plane")
+    den = _plane_determinant(*_gram(R.metric.g_scaled, xs, ys), lambda: (x, y))
     return np.ldexp(riemann_apply(R, xs, ys, xs, ys) / den, -2 * R.metric.e)
 
 
@@ -333,8 +342,8 @@ def sectional_curvature(R: CurvatureTensor, x, y):
 def gram_determinant(M: MetricAtPoint, x, y):
     """g(x,x) g(y,y) - g(x,y)^2; inf where it overflows and 0 where it underflows."""
     (xs, ex), (ys, ey) = _rescaled(x), _rescaled(y)
-    den = _gram(M, xs, ys)[2]
-    return np.ldexp(den, 2 * (ex + ey + M.e))
+    gxx, gyy, gxy = _gram(M.g_scaled, xs, ys)
+    return np.ldexp(gxx * gyy - gxy * gxy, 2 * (ex + ey + M.e))
 
 
 def max_abs(low: np.ndarray) -> np.ndarray:
@@ -474,22 +483,47 @@ def sectional_relations(R: CurvatureTensor, U, tol=1e-9) -> SectionalRelations:
     ok = np.asarray(induces_q_basis(U))
     if not ok.all():
         raise NotAQBasis(f"vector {tuple(U[first_point(~ok)].tolist())} does not induce a q-basis")
-    u = U[(slice(None),) + (None,) * M.D.ndim] if U.ndim == 2 else U  # vectors before points
+    u = U.reshape(U.shape[:-1] + (1,) * M.D.ndim + (3,))  # vectors before points
+    g, e = M.g_scaled, M.e
+    # q permutes and negates entries, so the q-image of a _rescaled vector is the
+    # _rescaled q-image. One contraction R(P, QP, P, Q4) gives mu(x, qx) and
+    # mu(y, qy) (rows 0 and 1, over powers of two) and R(x, qx, x, q^2x) (row 2)
     x = _unit(M, construct_orthogonal_vector(M.A, M.B))
-    qx = apply_q(x)
-    mu_x = sectional_curvature(R, x, qx)
+    P = np.empty((3,) + x.shape)
+    P[0], P[2] = _rescaled(x)[0], x
+    den_x = _plane_determinant(*_gram(g, P[0], apply_q(P[0])), lambda: (x, apply_q(x)))
     cphi = q_basis_cosines(M, u)[0]
-    qu = apply_q(u)
-    q2u = apply_q(qu)
-    mu_u = sectional_curvature(R, u, qu)
+    # the other contraction, of the planes {S[k], S[k+1]} of u's orbit over a power of two
+    S = _q_orbit(_rescaled(u)[0])
+    Sg = S[..., None, :] @ g
+    gss = (Sg @ S[..., :, None])[..., 0, 0]  # g(S[k], S[k])
+    gst = (Sg[:3] @ S[1:, ..., :, None])[..., 0, 0]  # g(S[k], S[k+1])
+    den = np.empty(gst.shape)
+    den[0] = _plane_determinant(gss[0], gss[1], gst[0], lambda: tuple(_q_orbit(u)[:2]))
     y = construct_special_angle_vector(M.A, M.B)
-    mu_y = sectional_curvature(R, y, apply_q(y))
-    r_x = riemann_apply(R, x, qx, x, apply_q(qx))
+    P[1] = _rescaled(y)[0]
+    QP = apply_q(P)
+    den_y = _plane_determinant(*_gram(g, P[1], QP[1]), lambda: (y, apply_q(y)))
+    den[1:] = _plane_determinant(gss[1:3], gss[2:], gst[1:], lambda: (_q_orbit(u)[1:3], _q_orbit(u)[2:]))
+    mu = np.ldexp(riemann_apply(R, S[:3], S[1:], S[:3], S[1:]) / den, -2 * e)
+    Q4 = QP.copy()
+    Q4[2] = apply_q(QP[2])
+    r = riemann_apply(R, P, QP, P, Q4)
+    mu_x, mu_y = np.ldexp(r[0] / den_x, -2 * e), np.ldexp(r[1] / den_y, -2 * e)
     return SectionalRelations(
-        difference=RelationCheck(mu_u - mu_x, (2.0 * cphi / (1.0 - cphi)) * r_x),
-        combination=RelationCheck(mu_u, ((1.0 + 2.0 * cphi) * mu_x - 3.0 * cphi * mu_y) / (1.0 - cphi)),
-        equal=EqualSectionalCheck(mu_u, sectional_curvature(R, qu, q2u), sectional_curvature(R, q2u, u)),
+        difference=RelationCheck(mu[0] - mu_x, (2.0 * cphi / (1.0 - cphi)) * r[2]),
+        combination=RelationCheck(mu[0], ((1.0 + 2.0 * cphi) * mu_x - 3.0 * cphi * mu_y) / (1.0 - cphi)),
+        equal=EqualSectionalCheck(mu[0], mu[1], mu[2]),
     )
+
+
+def _q_orbit(v) -> np.ndarray:
+    """v, qv, q^2 v and v again, stacked (4, ...): plane k of the orbit is {orbit[k], orbit[k + 1]}."""
+    orbit = np.empty((4,) + v.shape)
+    orbit[0] = orbit[3] = v
+    orbit[1] = apply_q(v)
+    orbit[2] = apply_q(orbit[1])
+    return orbit
 
 
 # The single relations, as views of sectional_relations.

@@ -69,6 +69,11 @@ class MetricAtPoint:
         """B at the points, an array of the batch shape (0-d for one point)."""
         return self.B_jet.value
 
+    @property
+    def g_scaled(self) -> np.ndarray:
+        """g / 2^e, exact; inner products of vectors of moderate size over it do not overflow."""
+        return np.ldexp(self.g, -self.e[..., None, None])
+
     def __getitem__(self, index) -> "MetricAtPoint":
         """The metric at part of the batch, e.g. one point."""
         return MetricAtPoint(
@@ -210,6 +215,14 @@ def metric_at(m: MetricFunctions, p, allow_weak: bool = False) -> MetricAtPoint:
         for q in as_point(p)[~ok]:  # a 0-d mask indexes one point as a batch of one
             _point_rule(m, q, allow_weak)
     return metric_from_jets(A_jet, B_jet)
+
+
+def require_finite(M: MetricAtPoint, what: str, *arrays) -> None:
+    """Raise EvalDomainError, naming A and B at the first point of M's batch where an array is not finite."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        finite = [np.isfinite(a).reshape(M.D.shape + (-1,)).all(axis=-1) for a in arrays]
+        i = first_point(~np.all(finite, axis=0))
+        raise EvalDomainError(f"{what} are not finite where A={float(M.A[i])!r}, B={float(M.B[i])!r}")
 
 
 def inner(M: MetricAtPoint, x, y):

@@ -146,7 +146,7 @@ def q_basis_cosines(M: MetricAtPoint, x) -> tuple:
     x = np.asarray(x, dtype=float)
     qx = apply_q(x)
     q2x = apply_q(qx)
-    g = np.ldexp(M.g, -M.e[..., None, None])
+    g = M.g_scaled
     gxx, g_x_qx, g_x_q2x = inners(g, x, (x, qx, q2x))
     cosines = (g_x_qx / gxx, g_x_q2x / gxx, inners(g, qx, (q2x,))[0] / gxx)
     closed = cos_angle_closed_form(np.ldexp(M.A, -M.e), np.ldexp(M.B, -M.e), x)

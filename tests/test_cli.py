@@ -867,15 +867,16 @@ def test_verify_theorems_sampled_computes_each_relation_quantity_once_per_run(ca
     count(cli, "_random_q_basis_vectors")
     once = ("induces_q_basis", "check_q_invariance", "construct_orthogonal_vector",
             "construct_special_angle_vector", "christoffel_from_metric")
-    for name in ("sectional_curvature", *once):
+    for name in ("sectional_curvature", "riemann_apply", *once):
         count(curvature, name)
     spec = tmp_path / "spec.toml"
     spec.write_text(PARALLEL_BENCH_SPEC, encoding="utf-8")
     argv = ["verify-theorems", "--spec", str(spec), "--sample", "4", "--seed", "3", CUBE_ARG]
     assert main(argv) == 0
-    # 4 points, 5 vectors: the planes {x, qx} and {y, qy}, then {u, qu}, {qu, q^2u} and
-    # {q^2u, u} over all vectors and points; the vectors' q-basis test and the rest once
-    assert calls == {"sectional_curvature": 5, **dict.fromkeys(once, 1), "_random_q_basis_vectors": 1}
+    # 4 points, 5 vectors: one contraction of the planes {u, qu}, {qu, q^2u} and {q^2u, u}
+    # stacked over all vectors and points, one of {x, qx}, {y, qy} and R(x, qx, x, q^2x);
+    # no call of sectional_curvature; the vectors' q-basis test and the rest once
+    assert calls == {"riemann_apply": 2, **dict.fromkeys(once, 1), "_random_q_basis_vectors": 1}
     capsys.readouterr()
 
 
@@ -972,6 +973,22 @@ def test_curvature_that_is_not_finite_is_a_domain_error(capsys, tmp_path, case, 
             continue
         assert code == 3
         assert (out, err) == ("", f"error ({command}): {what} are not finite where {where}\n")
+
+
+def test_orthogonal_basis_products_that_are_not_finite_are_a_domain_error(capsys, tmp_path):
+    # g(x, x) of the orthogonal-basis generator (0, ~0, 2) is about 4 A = 6e308
+    spec = tmp_path / "spec.toml"
+    spec.write_text('[metric]\nA = "1.5e308*x1 + 3"\nB = "1"\n', encoding="utf-8")
+    _, M = sample_admissible_points(load_spec(str(spec)).metric, ((1.0, 1.1), (0.0, 1.0), (0.0, 1.0)), 3, 0)
+    for where, flags in (("1.5e+308", ["--at=1,1,1"]), ("1.5e+308", ["--at=1,1,1", "--json"]),
+                         (repr(float(M.A[0])), ["--sample=3", "--box=1:1.1,0:1,0:1"])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["orthobasis", "--spec", str(spec), *flags])
+        assert code == 3
+        assert capsys.readouterr() == (
+            "", f"error (orthobasis): orthogonal-basis inner products are not finite where A={where}, B=1.0\n"
+        )
 
 
 def test_a_sample_with_a_point_whose_curvature_is_not_finite_is_refused_whole(capsys, tmp_path):

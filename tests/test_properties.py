@@ -20,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import io
 import math
+import re
 import warnings
 
 import numpy as np
@@ -30,13 +31,17 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from circulant3 import (  # noqa: E402
     MetricFunctions,
+    check_equal_sectional_curvatures,
     check_positive_definite,
+    check_sectional_combination_formula,
+    check_sectional_difference_formula,
     construct_special_angle_vector,
     induces_q_basis,
     isometry_residual,
     jets,
     metric_at,
     riemann_from_metric,
+    sectional_relations,
 )
 from circulant3.cli import _CORES, main  # noqa: E402
 from circulant3.errors import CirculantError, EvalDomainError, NotAQBasis  # noqa: E402
@@ -55,6 +60,8 @@ from circulant3.expressions import (  # noqa: E402
 from circulant3.metric import metric_from_jets  # noqa: E402
 from circulant3.qstructure import Q_BASIS_EPS, q_basis_defect, q_basis_threshold  # noqa: E402
 
+from helpers import random_manifold, random_point, random_q_basis_vector, random_q_invariant_manifold  # noqa: E402
+from test_curvature import _ref_relations, nonflat_parallel  # noqa: E402
 from test_kernel_layout import MANIFOLDS, assert_kernel_is_the_reference, metric_batch  # noqa: E402
 
 SMALL = settings(max_examples=150, deadline=None, database=None, derandomize=True)
@@ -340,6 +347,56 @@ def test_q_is_an_isometry_of_every_circulant_metric(AB, x, y):
     residual = isometry_residual(M, x, y)
     assert residual.shape == A.shape
     assert np.all((residual <= 1e-14 * bound) | np.isinf(bound))
+
+
+# The relations of q-basis vectors of any magnitude: sectional_relations divides
+# each vector and the metric by powers of two and shares them between the planes;
+# over a batch of points and vectors, and in the single-relation views of one
+# vector, it gives the bits of the serial reference. A vector below about 2^-11
+# fails the q-basis test (its threshold is absolute below |x| = 1) and is refused.
+_rng = np.random.default_rng(1400)
+RELATION_CASES = [  # (fields, box, tol): tol = inf computes the relations where the identity fails
+    (*nonflat_parallel(), 1e-9),
+    (MetricFunctions.from_sources("4*x1 + 2*x2 + 20", "x1 + 2*x2 + 3*x3 + 5"), ((-1.0, 1.0),) * 3, 1e-9),
+    (random_q_invariant_manifold(_rng), ((-1.0, 1.0),) * 3, 1e-9),
+    (random_manifold(_rng), ((-1.0, 1.0),) * 3, math.inf),
+]
+
+
+def _relation_values(rel):
+    d, c, e = rel.difference, rel.combination, rel.equal
+    return np.stack([d.lhs, d.rhs, c.lhs, c.rhs, e.mu_u_qu, e.mu_qu_q2u, e.mu_q2u_u], axis=-1)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(
+    case=st.sampled_from(range(len(RELATION_CASES))),
+    seed=st.integers(0, 2**16),
+    n=st.integers(1, 3),
+    exponents=st.lists(st.integers(-60, 60), min_size=1, max_size=3),
+)
+def test_relations_of_vectors_scaled_by_powers_of_two_are_the_serial_reference_bit_for_bit(
+    case, seed, n, exponents
+):
+    m, box, tol = RELATION_CASES[case]
+    rng = np.random.default_rng(seed)
+    pts = np.array([random_point(rng, box) for _ in range(n)])
+    U = np.array([np.ldexp(random_q_basis_vector(rng), k) for k in exponents])
+    R = riemann_from_metric(metric_at(m, pts))
+    ok = np.asarray(induces_q_basis(U))
+    if not ok.all():
+        with pytest.raises(NotAQBasis, match=re.escape(f"vector {tuple(U[np.argmin(ok)].tolist())} ")):
+            sectional_relations(R, U, tol=tol)
+        U = U[ok]
+    # want[v, i]: vector v at point i, one point and one vector at a time
+    want = np.array([[[v for pair in _ref_relations(m, p, u) for v in pair] for p in pts] for u in U])
+    assert _relation_values(sectional_relations(R, U, tol=tol)).tobytes() == want.reshape(len(U), n, 7).tobytes()
+    for u, want_u in zip(U, want):
+        views = (check_sectional_difference_formula(R, u, tol), check_sectional_combination_formula(R, u, tol))
+        got = [views[0].lhs, views[0].rhs, views[1].lhs, views[1].rhs]
+        e = check_equal_sectional_curvatures(R, u, tol)
+        got += [e.mu_u_qu, e.mu_qu_q2u, e.mu_q2u_u]
+        assert np.stack(got, axis=-1).tobytes() == want_u.tobytes()
 
 
 # -- the command line never raises ------------------------------------------------
