@@ -50,6 +50,7 @@ from .metric import (
     admissibility,
     check_positive_definite,
     inner,
+    inners,
     inside_chart,
     metric_at,
     metric_from_jets,
@@ -66,8 +67,7 @@ from .qstructure import (
     construct_orthogonal_vector,
     induces_q_basis,
     q_basis_angles,
-    q_basis_defect,
-    q_basis_threshold,
+    q_basis_test,
 )
 from .sampling import sample_admissible_points
 from .specfile import builtin_example, example_diagonal_value, interval_fault, load_spec
@@ -336,11 +336,10 @@ def _cmd_qbasis(spec, p, M, args):
     if args.vector is None:
         raise UsageError("qbasis needs --vector")
     x = _parse_triple(args.vector, "--vector")
-    defect = q_basis_defect(x)
-    scale = q_basis_threshold(x)
-    results = {"cubic": defect, "threshold": scale}
+    cubic, bound = q_basis_test(x)
+    results = {"cubic": cubic, "threshold": bound}
     # the test of induces_q_basis, from the two values reported
-    return results, {"induces_q_basis": _verdict(abs(defect) > scale, abs(defect), scale)}
+    return results, {"induces_q_basis": _verdict(abs(cubic) > bound, abs(cubic), bound)}
 
 
 def _cmd_orthobasis(spec, p, M, args):
@@ -348,17 +347,14 @@ def _cmd_orthobasis(spec, p, M, args):
     x = construct_orthogonal_vector(M.A, M.B)
     qx = apply_q(x)
     q2x = apply_q(qx)
-    gxx = inner(M, x, x)
-    pairs = {
-        "g_x_qx": inner(M, x, qx),
-        "g_x_q2x": inner(M, x, q2x),
-        "g_qx_q2x": inner(M, qx, q2x),
-    }
+    gxx, g_x_qx, g_x_q2x = inners(M.g, x, (x, qx, q2x))
+    pairs = {"g_x_qx": g_x_qx, "g_x_q2x": g_x_q2x, "g_qx_q2x": inner(M, qx, q2x)}
     worst = _max(abs(v) for v in pairs.values())
     results = {"vector": x, "norm_sq": gxx, **pairs}
+    cubic, bound = q_basis_test(x)
     verdicts = {
         "orthogonal": _verdict(worst <= args.tol * gxx, worst, args.tol * gxx),
-        "induces_q_basis": _verdict(induces_q_basis(x), abs(q_basis_defect(x)), 0.0),
+        "induces_q_basis": _verdict(abs(cubic) > bound, abs(cubic), 0.0),
     }
     # after the q-basis test, which refuses an x whose cubes overflow first
     require_finite(M, "orthogonal-basis inner products", gxx, *pairs.values())

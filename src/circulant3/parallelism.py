@@ -36,6 +36,8 @@ CHRISTOFFEL_EQUALITY_PAIRS = (
     ((2, 2, 2), (1, 3, 2)),
     ((2, 2, 3), (1, 3, 3)),
 )
+# (i, j, h), each (2, 9) and 0-based: one index of Gamma gathers both sides of every pair
+_EQUALITY_SIDES = tuple(np.array(CHRISTOFFEL_EQUALITY_PAIRS).T - 1)
 
 
 @dataclass(frozen=True)
@@ -65,12 +67,9 @@ def parallel_residual_from_metric(M: MetricAtPoint) -> np.ndarray:
 
 def christoffel_equalities_from_table(ct: ChristoffelTable) -> np.ndarray:
     """Max deviation over the nine Christoffel equalities implied by nabla q = 0."""
-    gamma = index_first(ct.gamma, 3)
-    worst = 0.0
-    for (i1, j1, h1), (i2, j2, h2) in CHRISTOFFEL_EQUALITY_PAIRS:
-        # fmax, like max(worst, .), keeps worst where the deviation is NaN
-        worst = np.fmax(worst, abs(gamma[i1 - 1, j1 - 1, h1 - 1] - gamma[i2 - 1, j2 - 1, h2 - 1]))
-    return worst
+    lhs, rhs = index_first(ct.gamma, 3)[_EQUALITY_SIDES]
+    # fmax from 0.0, like a running max(worst, .), keeps worst where a deviation is NaN
+    return np.fmax.reduce(abs(lhs - rhs), axis=0, initial=0.0)
 
 
 def metric_compatibility_residual(M: MetricAtPoint) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
-from .errors import AngleRoutesDisagree, ConstructionFailed, NotAQBasis, PositivityViolation
+from .errors import AngleRoutesDisagree, NotAQBasis, PositivityViolation
 from .metric import MetricAtPoint, first_point, inner, inners, positive
 
 Q_MATRIX = np.array([[0, -1, 0], [0, 0, -1], [-1, 0, 0]], dtype=int)
@@ -40,54 +40,38 @@ def isometry_residual(M: MetricAtPoint, x, y) -> float:
     return abs(inner(M, apply_q(x), apply_q(y)) - inner(M, x, y))
 
 
-def _each_vector(test, x):
-    """test(v) for each vector v (3,) of x (..., 3), one vector at a time.
+def q_basis_test(x):
+    """(cubic, bound): x induces a q-basis iff |cubic| > bound.
 
-    A float for one vector, else an array of x's batch shape. The tests
-    keep float arithmetic, as jets.elementwise does: numpy's power differs from
-    float pow in the last bit. Raises NotAQBasis for the first vector where
-    a cube overflows.
+    cubic is 3 x1 x2 x3 - (x1^3 + x2^3 + x3^3), whose vanishing kills the
+    q-basis, and bound is Q_BASIS_EPS * max(1, |x|^3). x is one vector (3,),
+    giving two floats, or a batch (..., 3), giving two arrays of its batch
+    shape. The test walks the vectors one at a time in float arithmetic, as
+    jets.elementwise does: numpy's power differs from float pow in the last
+    bit. Raises NotAQBasis for the first vector where a cube overflows.
     """
     x = np.asarray(x, dtype=float)
     out = []
     for v in x.reshape(-1, 3):
+        x1, x2, x3 = v.tolist()
         try:
-            out.append(test(v))
+            out.append((
+                3.0 * x1 * x2 * x3 - (x1**3 + x2**3 + x3**3),
+                Q_BASIS_EPS * max(1.0, math.sqrt(v.dot(v)) ** 3),  # the bits of np.linalg.norm(v)
+            ))
         except OverflowError:
             raise NotAQBasis(
                 f"vector {tuple(v.tolist())} is too large for the q-basis test: its cubes overflow"
             ) from None
-    return out[0] if x.ndim == 1 else np.array(out).reshape(x.shape[:-1])
-
-
-def _defect(v):
-    x1, x2, x3 = v.tolist()
-    return 3.0 * x1 * x2 * x3 - (x1**3 + x2**3 + x3**3)
-
-
-def _threshold(v):
-    return Q_BASIS_EPS * max(1.0, math.sqrt(v.dot(v)) ** 3)  # the bits of np.linalg.norm(v)
-
-
-def q_basis_defect(x):
-    """The cubic 3 x1 x2 x3 - (x1^3 + x2^3 + x3^3), whose vanishing kills the q-basis.
-
-    x is one vector (3,) or a batch (..., 3). Raises NotAQBasis when a cube overflows.
-    """
-    return _each_vector(_defect, x)
-
-
-def q_basis_threshold(x):
-    """Q_BASIS_EPS * max(1, |x|^3), the bound |q_basis_defect(x)| must exceed.
-
-    Raises NotAQBasis when |x|^3 overflows.
-    """
-    return _each_vector(_threshold, x)
+    if x.ndim == 1:
+        return out[0]
+    return tuple(np.moveaxis(np.array(out).reshape(x.shape[:-1] + (2,)), -1, 0))
 
 
 def induces_q_basis(x):
     """Where {x, qx, q^2 x} spans the tangent space (cubic criterion); one vector or a batch."""
-    return _each_vector(lambda v: abs(_defect(v)) > _threshold(v), x)
+    cubic, bound = q_basis_test(x)
+    return abs(cubic) > bound
 
 
 def vector_invariants(x):
@@ -207,27 +191,23 @@ def construct_special_angle_vector(A, B) -> np.ndarray:
 
     Seeks y = (1, 0, t); the cosine condition reduces to
     (A - 2B) t^2 - 2A t + (A - 2B) = 0 with discriminant 16 B (A - B) > 0.
-    For A = 2B the equation degenerates and (1, 0, 0) already works.
-    Of the two roots, each point takes the first that passes the q-basis test.
-    The roots and the test of A = 2B are formed from A and B over the power of
-    two of construct_orthogonal_vector: the roots keep their bits, no product
+    For A = 2B the equation degenerates and (1, 0, 0) already works; else y
+    takes the root t = (A + 2 sqrt(B (A - B))) / (A - 2B). That root always
+    induces a q-basis, whose cubic criterion for y is |1 + t^3| > bound: for
+    A > 2B, t > 0; for B < A < 2B,
+    t + 1 = 2 sqrt(A - B) (sqrt(A - B) + sqrt(B)) / (A - 2B) < 0, and
+    |t + 1| stays above 2e-8 even where A is the double next above B, so
+    |1 + t^3| stays far above the bound.
+    The root and the test of A = 2B are formed from A and B over the power of
+    two of construct_orthogonal_vector: the root keeps its bits, no product
     underflows, and the test is relative to the magnitude of A.
     """
     A, B = _require_positive(A, B)
     e = np.frexp(A)[1]
     As, Bs = np.ldexp(A, -e), np.ldexp(B, -e)
-    with np.errstate(all="ignore"):  # points with A = 2B take neither root
-        root = 2.0 * np.sqrt(Bs * (As - Bs))
-        t = (As + np.multiply.outer((1.0, -1.0), root)) / (As - 2 * Bs)  # both roots; As + -root is As - root
-    y = np.zeros(t.shape + (3,))  # y[0] and y[1], the candidates of every point
+    with np.errstate(all="ignore"):  # points with A = 2B take no root
+        t = (As + 2.0 * np.sqrt(Bs * (As - Bs))) / (As - 2 * Bs)
+    y = np.zeros(t.shape + (3,))
     y[..., 0] = 1.0
     y[..., 2] = np.where(abs(As - 2 * Bs) < 1e-12, 0.0, t)  # (1, 0, 0) where A = 2B
-    first, second = np.asarray(induces_q_basis(y))
-    failed = ~(first | second)
-    if failed.any():
-        i = first_point(failed)
-        raise ConstructionFailed(
-            "no special-angle candidate passes the q-basis criterion "
-            f"for A={float(A[i])}, B={float(B[i])}"
-        )
-    return np.where(first[..., None], y[0], y[1])
+    return y

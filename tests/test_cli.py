@@ -151,23 +151,29 @@ def test_exit_code_usage_errors(capsys, m5_spec):
 
 
 @pytest.mark.parametrize(
-    "option, argv",
+    "message, argv",
     [
-        ("--tol", ["check-parallel", "--at", "2,-1,-1", "--tol", "nan"]),
-        ("--tol", ["check-parallel", "--at", "2,-1,-1", "--tol=-1e-9"]),
-        ("--sample", ["riemann", "--sample", "0"]),
-        ("--sample", ["riemann", "--sample", "-2"]),
-        ("--n-vectors", ["verify-theorems", "--at", "2,-1,-1", "--n-vectors", "0"]),
-        ("--at", ["riemann", "--at=nan,0,0"]),
-        ("--at", ["riemann", "--at=inf,-1,-1"]),
-        ("--box", ["riemann", "--sample", "2", "--box=1:inf,-2:-0.1,-2:-0.1"]),
+        ("--tol ", ["check-parallel", "--at", "2,-1,-1", "--tol", "nan"]),
+        ("--tol ", ["check-parallel", "--at", "2,-1,-1", "--tol=-1e-9"]),
+        ("--sample ", ["riemann", "--sample", "0"]),
+        ("--sample ", ["riemann", "--sample", "-2"]),
+        ("--n-vectors ", ["verify-theorems", "--at", "2,-1,-1", "--n-vectors", "0"]),
+        ("--at ", ["riemann", "--at=nan,0,0"]),
+        ("--at ", ["riemann", "--at=inf,-1,-1"]),
+        ("--box ", ["riemann", "--sample", "2", "--box=1:inf,-2:-0.1,-2:-0.1"]),
+        ("bad number in --at '1,x,3'", ["riemann", "--at=1,x,3"]),
+        ("--box needs three low:high intervals, got '1:2,1:2'", ["riemann", "--sample", "2", "--box=1:2,1:2"]),
+        ("interval must be low:high, got '1-2'", ["riemann", "--sample", "2", "--box=1-2,1:2,1:2"]),
+        ("bad bound in 'a:2'", ["riemann", "--sample", "2", "--box=1:2,a:2,1:2"]),
+        ("give either --at or --sample, not both", ["riemann", "--at=2,-1,-1", "--sample", "2"]),
     ],
     ids=["tol-nan", "tol-negative", "sample-zero", "sample-negative", "n-vectors-zero",
-         "at-nan", "at-inf", "box-inf"],
+         "at-nan", "at-inf", "box-inf", "at-not-a-number", "box-two-intervals", "box-no-colon",
+         "box-bad-bound", "at-and-sample"],
 )
-def test_bad_numeric_option_is_usage_error(capsys, m5_spec, option, argv):
+def test_bad_numeric_option_is_usage_error(capsys, m5_spec, message, argv):
     assert main(argv + ["--spec", m5_spec]) == 2
-    assert f"{option} " in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_tol_zero_is_not_replaced_by_default(capsys, m5_spec):
@@ -210,12 +216,30 @@ def test_exit_code_domain_errors(capsys, m5_spec, tmp_path):
     capsys.readouterr()
 
 
+METRIC = '[metric]\nA = "3"\nB = "1"\n'
+SAMPLE = '[sample]\nx1 = "0, 1"\nx2 = "0, 1"\n'
+
+# (spec text, where the point comes from, the message)
+BAD_SPECS = (
+    (METRIC + METRIC, "--at=0,0,0", "duplicate section [metric] (line 4)"),
+    ('title = "m"\n' + METRIC, "--at=0,0,0", "unknown top-level key 'title'"),
+    (METRIC + SAMPLE + 'x3 = "1"\n', "--at=0,0,0", "interval must be 'low, high', got '1' (line 7, column 7)"),
+    (METRIC + SAMPLE + 'x3 = "0, a"\n', "--at=0,0,0", "bad interval bound in '0, a' (line 7, column 7)"),
+    (METRIC + SAMPLE + 'x3 = "0, 1"\nx4 = "0, 1"\n', "--at=0,0,0", "unknown key 'x4' in [sample]"),
+    (METRIC, "--sample=2", "sampling needs [sample] in the spec file or --box"),
+)
+
+
 def test_exit_code_spec_file_errors(capsys, tmp_path):
     bad = tmp_path / "bad.toml"
     bad.write_text('[metric]\nA = "2**x1"\nB = "1"\n', encoding="utf-8")
     assert main(["riemann", "--spec", str(bad), "--at", "0,0,0"]) == 2
     assert main(["riemann", "--spec", str(tmp_path / "absent.toml"), "--at", "0,0,0"]) == 2
     capsys.readouterr()
+    for text, where, message in BAD_SPECS:
+        bad.write_text(text, encoding="utf-8")
+        assert main(["riemann", "--spec", str(bad), where]) == 2, message
+        assert message in capsys.readouterr().err
 
 
 def test_verify_theorems_refusal_and_success(capsys, m5_spec, parallel_spec):

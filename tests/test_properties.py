@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from circulant3 import (  # noqa: E402
     MetricFunctions,
@@ -58,7 +58,7 @@ from circulant3.expressions import (  # noqa: E402
     to_source,
 )
 from circulant3.metric import metric_from_jets  # noqa: E402
-from circulant3.qstructure import Q_BASIS_EPS, q_basis_defect, q_basis_threshold  # noqa: E402
+from circulant3.qstructure import Q_BASIS_EPS, q_basis_test  # noqa: E402
 
 from helpers import random_manifold, random_point, random_q_basis_vector, random_q_invariant_manifold  # noqa: E402
 from test_curvature import _ref_relations, nonflat_parallel  # noqa: E402
@@ -121,28 +121,33 @@ def _same(got, want):
 @SMALL
 @given(vectors)
 def test_q_basis_criterion_over_a_batch_equals_each_vector_bit_for_bit(xs):
-    refs = [_reference(x) for x in xs]
-    defects = [d for d, _ in refs]
-    thresholds = [t for _, t in refs]
-    passes = [OVERFLOW if OVERFLOW in (d, t) else abs(d) > t for d, t in refs]
-    for fn, values in (
-        (q_basis_defect, defects),
-        (q_basis_threshold, thresholds),
-        (induces_q_basis, passes),
-    ):
-        assert _same(_outcome(fn, xs), _expected(xs, values)), fn.__name__
-        for x, value in zip(xs, values):
-            single = _outcome(fn, x)
-            if value is OVERFLOW:
-                assert single == _too_large(x)
-            else:
-                assert type(single) is type(value)
-                assert np.array(single).tobytes() == np.array(value).tobytes(), fn.__name__
+    # one refusal for a vector where either value overflows, as induces_q_basis refuses
+    tests = [OVERFLOW if OVERFLOW in ref else ref for ref in map(_reference, xs)]
+    passes = [OVERFLOW if t is OVERFLOW else abs(t[0]) > t[1] for t in tests]
+    want = _expected(xs, tests)
+    got = _outcome(q_basis_test, xs)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert _same(got[0], [c for c, _ in want]) and _same(got[1], [b for _, b in want])
+    assert _same(_outcome(induces_q_basis, xs), _expected(xs, passes))
+    for x, test, passed in zip(xs, tests, passes):
+        if test is OVERFLOW:
+            assert _outcome(q_basis_test, x) == _outcome(induces_q_basis, x) == _too_large(x)
+        else:
+            single = q_basis_test(x)
+            assert [type(v) for v in single] == [float, float]
+            assert np.array(single).tobytes() == np.array(test).tobytes()
+            verdict = induces_q_basis(x)
+            assert type(verdict) is bool and verdict == passed
 
 
 # A > B > 0 as B and A / B, some at or near A = 2B, where the special-angle
-# equation degenerates
-ratio = st.one_of(st.floats(1.001, 1e6), st.sampled_from([2.0, 2.0 + 1e-12, 2.0 - 4e-16]))
+# equation degenerates, and some just above A = B, where its root is nearest -1
+ratio = st.one_of(
+    st.floats(1.001, 1e6),
+    st.sampled_from([2.0, 2.0 + 1e-12, 2.0 - 4e-16, 1.0 + 2**-52, 1.0 + 1e-9]),
+)
 admissible_batches = st.lists(st.tuples(st.floats(1e-6, 1e6), ratio), min_size=1, max_size=8).map(
     lambda rows: (np.array([b * r for b, r in rows]), np.array([b for b, _ in rows]))
 )
@@ -160,8 +165,12 @@ def _special_angle_reference(A, B):
     return y
 
 
+EDGE_B = np.array([1e-300, 1.0, 1e300])
+
+
 @SMALL
 @given(admissible_batches)
+@example((np.nextafter(EDGE_B, np.inf), EDGE_B))  # A the double next above B
 def test_special_angle_vector_over_a_batch_equals_each_point_bit_for_bit(AB):
     A, B = AB
     y = construct_special_angle_vector(A, B)
