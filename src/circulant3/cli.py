@@ -78,6 +78,7 @@ class UsageError(Exception):
 
 
 NOT_SAMPLED = {"christoffel", "sectional", "angles", "qbasis"}  # --at only
+NO_METRIC = {"validate", "qbasis"}  # validate classifies its points itself; qbasis needs no metric
 
 DEFAULT_TOL = {
     "compare-curvature": 1e-7,
@@ -85,17 +86,34 @@ DEFAULT_TOL = {
 }
 
 
-def _parse_triple(text: str, what: str) -> np.ndarray:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise UsageError(f"{what} must be three comma-separated numbers, got {text!r}")
-    try:
-        values = np.array([float(v) for v in parts])
-    except ValueError as exc:
-        raise UsageError(f"bad number in {what} {text!r}: {exc}") from exc
-    if not np.isfinite(values).all():
-        raise UsageError(f"{what} must be finite, got {text!r}")
-    return values
+def _triple(what: str):
+    """The argparse type of option `what`: three comma-separated finite numbers, as an array."""
+
+    def triple(text: str) -> np.ndarray:
+        parts = text.split(",")
+        if len(parts) != 3:
+            raise argparse.ArgumentTypeError(f"{what} must be three comma-separated numbers, got {text!r}")
+        try:
+            values = np.array([float(v) for v in parts])
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad number in {what} {text!r}: {exc}") from exc
+        if not np.isfinite(values).all():
+            raise argparse.ArgumentTypeError(f"{what} must be finite, got {text!r}")
+        return values
+
+    return triple
+
+
+def _count(what: str):
+    """The argparse type of option `what`: an integer of at least 1."""
+
+    def count(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as "invalid count value"
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"{what} must be at least 1, got {value}")
+        return value
+
+    return count
 
 
 def _parse_box(text: str):
@@ -180,12 +198,6 @@ def _verdict(passed, residual, tol):
     return {"pass": passed, "residual": residual, "tol": tol}
 
 
-def _vector_echo(args):
-    if args.vector is None:
-        return None
-    return list(_parse_triple(args.vector, "--vector"))
-
-
 def _all_pass(verdicts) -> bool:
     return all(v["pass"] for v in verdicts.values())
 
@@ -202,14 +214,9 @@ def _max(values):
 # -- command cores ------------------------------------------------------------
 # Each core maps (spec, p, M, args) to (results, verdicts). p is one point (3,)
 # or a batch (N, 3); the verdicts' pass flags and residuals carry p's batch
-# shape. M is the metric batch at p when the caller has it (a sampled run, of
-# admissible points), else None, and the core builds it when it needs it.
-
-
-def _metric(spec, p, M, args):
-    if M is not None:
-        return M
-    return metric_at(spec.metric, p, allow_weak=args.allow_weak_metric)
+# shape. M is the metric batch at p, built once by the caller for --at as for
+# --sample, except for validate, which classifies its points itself, and
+# qbasis, which uses no metric: those two get None.
 
 
 @np.errstate(all="ignore")  # as the float arithmetic of one point
@@ -247,7 +254,7 @@ def _cmd_validate(spec, p, M, args):
 
 
 def _cmd_christoffel(spec, p, M, args):
-    ct = christoffel_from_metric(_metric(spec, p, M, args))
+    ct = christoffel_from_metric(M)
     results = {
         "gamma": ct.gamma,
         "dgamma_max_abs": float(np.max(np.abs(ct.dgamma))),
@@ -256,7 +263,8 @@ def _cmd_christoffel(spec, p, M, args):
     if args.fd_check:
         h = 1e-5
         steps = np.kron(np.eye(3), [[h], [-h]])  # +h e0, -h e0, +h e1, ..., refused in this order
-        gamma = christoffel_from_metric(_metric(spec, p + steps, None, args)).gamma
+        stencil = metric_at(spec.metric, p + steps, allow_weak=args.allow_weak_metric)
+        gamma = christoffel_from_metric(stencil).gamma
         fd = (gamma[0::2] - gamma[1::2]) / (2 * h)
         residual = float(np.max(np.abs(fd - ct.dgamma)))
         verdicts["fd_consistent"] = _verdict(residual <= 1e-5, residual, 1e-5)
@@ -278,17 +286,16 @@ def _symmetry_verdicts(low, tol):
 
 
 def _cmd_riemann(spec, p, M, args):
-    R = riemann_from_metric(_metric(spec, p, M, args))
+    R = riemann_from_metric(M)
     results = {"components": components(R)}
     return results, _symmetry_verdicts(R.low, args.tol)
 
 
 def _cmd_closed_form(spec, p, M, args):
-    return {"components": closed_form_from_metric(_metric(spec, p, M, args))}, {}
+    return {"components": closed_form_from_metric(M)}, {}
 
 
 def _cmd_compare_curvature(spec, p, M, args):
-    M = _metric(spec, p, M, args)
     R = riemann_from_metric(M)
     cf = closed_form_from_metric(M)
     numeric = components(R)
@@ -303,20 +310,12 @@ def _cmd_compare_curvature(spec, p, M, args):
 
 
 def _cmd_sectional(spec, p, M, args):
-    if args.x is None or args.y is None:
-        raise UsageError("sectional needs --x and --y plane vectors")
-    x = _parse_triple(args.x, "--x")
-    y = _parse_triple(args.y, "--y")
-    M = _metric(spec, p, M, args)
-    mu = sectional_curvature(riemann_from_metric(M), x, y)
-    return {"mu": mu, "gram_determinant": gram_determinant(M, x, y)}, {}
+    mu = sectional_curvature(riemann_from_metric(M), args.x, args.y)
+    return {"mu": mu, "gram_determinant": gram_determinant(M, args.x, args.y)}, {}
 
 
 def _cmd_angles(spec, p, M, args):
-    if args.vector is None:
-        raise UsageError("angles needs --vector")
-    x = _parse_triple(args.vector, "--vector")
-    rep = q_basis_angles(_metric(spec, p, M, args), x)
+    rep = q_basis_angles(M, args.vector)
     chain = max(
         abs(rep.cos_phi_x_qx - rep.cos_theta_qx_q2x),
         abs(rep.cos_phi_x_qx + rep.cos_phi_x_q2x),
@@ -333,17 +332,13 @@ def _cmd_angles(spec, p, M, args):
 
 
 def _cmd_qbasis(spec, p, M, args):
-    if args.vector is None:
-        raise UsageError("qbasis needs --vector")
-    x = _parse_triple(args.vector, "--vector")
-    cubic, bound = q_basis_test(x)
+    cubic, bound = q_basis_test(args.vector)
     results = {"cubic": cubic, "threshold": bound}
     # the test of induces_q_basis, from the two values reported
     return results, {"induces_q_basis": _verdict(abs(cubic) > bound, abs(cubic), bound)}
 
 
 def _cmd_orthobasis(spec, p, M, args):
-    M = _metric(spec, p, M, args)
     x = construct_orthogonal_vector(M.A, M.B)
     qx = apply_q(x)
     q2x = apply_q(qx)
@@ -354,7 +349,7 @@ def _cmd_orthobasis(spec, p, M, args):
     cubic, bound = q_basis_test(x)
     verdicts = {
         "orthogonal": _verdict(worst <= args.tol * gxx, worst, args.tol * gxx),
-        "induces_q_basis": _verdict(abs(cubic) > bound, abs(cubic), 0.0),
+        "induces_q_basis": _verdict(abs(cubic) > bound, abs(cubic), bound),
     }
     # after the q-basis test, which refuses an x whose cubes overflow first
     require_finite(M, "orthogonal-basis inner products", gxx, *pairs.values())
@@ -362,7 +357,7 @@ def _cmd_orthobasis(spec, p, M, args):
 
 
 def _cmd_check_identity(spec, p, M, args):
-    R = riemann_from_metric(_metric(spec, p, M, args))
+    R = riemann_from_metric(M)
     chk = check_q_invariance(R, tol=args.tol)
     sampled = sampled_q_invariance_residual(R, args.seed or 0, 20)
     sampled_passed = sampled <= chk.threshold
@@ -384,7 +379,6 @@ def _cmd_check_identity(spec, p, M, args):
 
 
 def _cmd_check_parallel(spec, p, M, args):
-    M = _metric(spec, p, M, args)
     ct = christoffel_from_metric(M)
     grad_res = parallel_residual_from_metric(M)
     grad_norm = np.abs(grad_res).max(axis=-1)
@@ -406,13 +400,11 @@ def _cmd_check_parallel(spec, p, M, args):
 
 
 def _cmd_nabla_q(spec, p, M, args):
-    nq = nabla_q_from_table(christoffel_from_metric(_metric(spec, p, M, args)))
+    nq = nabla_q_from_table(christoffel_from_metric(M))
     return {"nabla_q": nq.nq, "max_abs": nq.max_abs}, {}
 
 
 def _random_q_basis_vectors(rng, count):
-    if count < 1:
-        raise UsageError(f"--n-vectors must be at least 1, got {count}")
     out = []
     for _ in range(100 * count):
         v = rng.standard_normal(3)
@@ -441,11 +433,11 @@ def _relation_residuals(R, vectors, tol):
 
 def _cmd_verify_theorems(spec, p, M, args):
     if args.vector is not None:
-        vectors = [_parse_triple(args.vector, "--vector")]
+        vectors = [args.vector]
     else:
         rng = np.random.default_rng([args.seed or 0, 7])
         vectors = _random_q_basis_vectors(rng, args.n_vectors)
-    R = riemann_from_metric(_metric(spec, p, M, args))
+    R = riemann_from_metric(M)
     try:
         worst = _relation_residuals(R, vectors, args.tol)
     except CirculantError:
@@ -460,7 +452,6 @@ def _cmd_verify_theorems(spec, p, M, args):
 
 
 def _cmd_example_m5(spec, p, M, args):
-    M = _metric(spec, p, M, args)
     R = riemann_from_metric(M)
     comps = components(R)
     cf = closed_form_from_metric(M)
@@ -527,16 +518,6 @@ def _load_spec(args):
     return load_spec(args.spec)
 
 
-def _run_at(core, spec, point, args):
-    try:
-        return core(spec, point, None, args)
-    except PositivityViolation as exc:
-        # the basis constructions see only A and B, not the point they refuse
-        if np.isnan(exc.point).all():
-            raise PositivityViolation(exc.A, exc.B, point) from None
-        raise
-
-
 def _per_point(a, n):
     """A verdict's value at each of n points as a list of Python scalars; a scalar holds at every point."""
     a = np.asarray(a)
@@ -564,17 +545,13 @@ def _run(args):
         raise UsageError(f"--tol must be a finite number >= 0, got {args.tol!r}")
     spec = _load_spec(args)
     core = _CORES[args.command]
+    vector = None if args.vector is None else list(args.vector)
 
-    needs_point = args.command not in ("qbasis",)
-    sampled = args.sample is not None
-
-    if sampled:
+    if args.sample is not None:
         if args.command in NOT_SAMPLED:
             raise UsageError(f"{args.command} does not support --sample")
         if args.at is not None:
             raise UsageError("give either --at or --sample, not both")
-        if args.sample < 1:
-            raise UsageError(f"--sample must be at least 1, got {args.sample}")
         box = _parse_box(args.box) if args.box else spec.sample_box
         if box is None:
             raise UsageError("sampling needs [sample] in the spec file or --box")
@@ -587,21 +564,23 @@ def _run(args):
             name: _verdict(pass_counts[name] == n, max_residuals[name], tols[name])
             for name in pass_counts
         }
-        inputs = {"box": [list(b) for b in box], "point": None, "vector": _vector_echo(args)}
+        inputs = {"box": [list(b) for b in box], "point": None, "vector": vector}
         meta = {"seed": seed, "n": n}
     else:
-        if args.at is not None:
-            point = _parse_triple(args.at, "--at")
-        elif needs_point:
+        point = args.at
+        if point is None and args.command != "qbasis":
             raise UsageError(f"{args.command} needs --at X1,X2,X3 (or --sample N)")
-        else:
-            point = None
-        results, verdicts = _run_at(core, spec, point, args)
-        inputs = {
-            "box": None,
-            "point": None if point is None else list(point),
-            "vector": _vector_echo(args),
-        }
+        M = None
+        try:
+            if args.command not in NO_METRIC:
+                M = metric_at(spec.metric, point, allow_weak=args.allow_weak_metric)
+            results, verdicts = core(spec, point, M, args)
+        except PositivityViolation as exc:
+            # the basis constructions see only A and B, not the point they refuse
+            if np.isnan(exc.point).all():
+                raise PositivityViolation(exc.A, exc.B, point) from None
+            raise
+        inputs = {"box": None, "point": None if point is None else list(point), "vector": vector}
         meta = {"seed": args.seed, "n": 1}
 
     report = {
@@ -653,8 +632,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _CORES:
         p = sub.add_parser(name, help=f"run {name}")
         p.add_argument("--spec", help="manifold spec file (TOML subset)")
-        p.add_argument("--at", help="evaluation point X1,X2,X3")
-        p.add_argument("--sample", type=int, help="sample N admissible points instead of --at")
+        p.add_argument("--at", type=_triple("--at"), help="evaluation point X1,X2,X3")
+        p.add_argument("--sample", type=_count("--sample"), help="sample N admissible points instead of --at")
         p.add_argument("--seed", type=int, help="PRNG seed for sampling (default 0)")
         p.add_argument("--box", help="sampling box lo:hi,lo:hi,lo:hi (overrides spec)")
         tol_help = "verdict tolerance override"
@@ -667,14 +646,21 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="warn instead of failing when A > B > 0 fails but g is positive definite",
         )
-        p.add_argument("--vector", help="vector X1,X2,X3 (angles, qbasis, verify-theorems)")
+        p.add_argument(
+            "--vector",
+            type=_triple("--vector"),
+            required=name in ("angles", "qbasis"),
+            help="vector X1,X2,X3 (angles, qbasis, verify-theorems)",
+        )
         if name == "sectional":
-            p.add_argument("--x", help="first plane vector")
-            p.add_argument("--y", help="second plane vector")
+            p.add_argument("--x", type=_triple("--x"), required=True, help="first plane vector")
+            p.add_argument("--y", type=_triple("--y"), required=True, help="second plane vector")
         if name == "christoffel":
             p.add_argument("--fd-check", action="store_true", help="cross-check dGamma by finite differences")
         if name == "verify-theorems":
-            p.add_argument("--n-vectors", type=int, default=5, help="random q-basis vectors per point")
+            p.add_argument(
+                "--n-vectors", type=_count("--n-vectors"), default=5, help="random q-basis vectors per point"
+            )
     return parser
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from circulant3 import cli, load_spec, sample_admissible_points
+from circulant3 import cli, load_spec, metric_at, sample_admissible_points
 from circulant3.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -166,10 +166,23 @@ def test_exit_code_usage_errors(capsys, m5_spec):
         ("interval must be low:high, got '1-2'", ["riemann", "--sample", "2", "--box=1-2,1:2,1:2"]),
         ("bad bound in 'a:2'", ["riemann", "--sample", "2", "--box=1:2,a:2,1:2"]),
         ("give either --at or --sample, not both", ["riemann", "--at=2,-1,-1", "--sample", "2"]),
+        # a bad option is refused before the point is evaluated, so an inadmissible point does not exit 3
+        ("required: --x", ["sectional", "--at=0,0,0", "--y=0,1,0"]),
+        ("argument --vector: bad number in --vector '1,a,0'", ["riemann", "--at=0,0,0", "--vector=1,a,0"]),
+        ("argument --vector: --vector must be finite", ["angles", "--at=0,0,0", "--vector=1,0,inf"]),
+        ("--n-vectors must be at least 1, got 0", ["verify-theorems", "--at=0,0,0", "--n-vectors=0"]),
+        ("--n-vectors must be at least 1, got 0",
+         ["verify-theorems", "--sample=3", "--box=-3:-2,-1:1,-1:1", "--n-vectors=0"]),
+        # --n-vectors is checked even where --vector makes it unused
+        ("--n-vectors must be at least 1, got 0",
+         ["verify-theorems", "--at=2,-1,-1", "--vector=1,0,0", "--n-vectors=0"]),
     ],
     ids=["tol-nan", "tol-negative", "sample-zero", "sample-negative", "n-vectors-zero",
          "at-nan", "at-inf", "box-inf", "at-not-a-number", "box-two-intervals", "box-no-colon",
-         "box-bad-bound", "at-and-sample"],
+         "box-bad-bound", "at-and-sample", "x-missing-at-inadmissible-point",
+         "vector-not-a-number-at-inadmissible-point", "vector-inf-at-inadmissible-point",
+         "n-vectors-zero-at-inadmissible-point", "n-vectors-zero-on-an-exhausting-box",
+         "n-vectors-zero-with-vector"],
 )
 def test_bad_numeric_option_is_usage_error(capsys, m5_spec, message, argv):
     assert main(argv + ["--spec", m5_spec]) == 2
@@ -510,17 +523,37 @@ def test_json_writer_is_json_dumps_of_the_builtin_tree():
         assert cli._json(leaf) == reference_json(leaf)
 
 
-def test_json_writer_is_json_dumps_on_every_report_of_a_point_query_cycle(tmp_path):
-    # the 14 commands at one point each, as the benchmark's point-queries cycle calls them, and two sampled runs
-    generic, parallel = tmp_path / "generic.toml", tmp_path / "parallel.toml"
-    generic.write_text(GENERIC_SPEC, encoding="utf-8")
-    parallel.write_text(PARALLEL_BENCH_SPEC, encoding="utf-8")
+def _point_query(tmp_path, command):
+    """command at one point, as the benchmark's point-queries cycle calls it."""
+    if command == "example-m5":
+        return ["example-m5", "--at=2,-1,-1"]
+    spec = tmp_path / f"{command}.toml"
+    spec.write_text(PARALLEL_BENCH_SPEC if command == "verify-theorems" else GENERIC_SPEC, encoding="utf-8")
     extra = {"sectional": ["--x=1,0,0", "--y=0.2,1,0.5"], "angles": ["--vector=1,0.2,-0.4"],
              "qbasis": ["--vector=1,0.2,-0.4"], "verify-theorems": ["--seed=5"], "check-identity": ["--seed=5"]}
-    argvs = [["example-m5", "--at=2,-1,-1"]]
-    for command in (c for c in cli._CORES if c != "example-m5"):
-        spec = parallel if command == "verify-theorems" else generic
-        argvs.append([command, "--spec", str(spec), "--at=0.5,0.2,-0.3", *extra.get(command, [])])
+    return [command, "--spec", str(spec), "--at=0.5,0.2,-0.3", *extra.get(command, [])]
+
+
+@pytest.mark.parametrize("command", cli._CORES)
+def test_a_point_query_builds_its_metric_once(capsys, monkeypatch, tmp_path, command):
+    built = []
+
+    def counting(m, p, **kwargs):
+        built.append(p)
+        return metric_at(m, p, **kwargs)
+
+    monkeypatch.setattr(cli, "metric_at", counting)
+    assert main(_point_query(tmp_path, command)) in (0, 1)
+    # validate classifies its point itself, and qbasis needs no metric
+    assert len(built) == (0 if command in ("validate", "qbasis") else 1)
+    capsys.readouterr()
+
+
+def test_json_writer_is_json_dumps_on_every_report_of_a_point_query_cycle(tmp_path):
+    # the 14 commands at one point each, and two sampled runs
+    generic = tmp_path / "generic.toml"
+    generic.write_text(GENERIC_SPEC, encoding="utf-8")
+    argvs = [_point_query(tmp_path, command) for command in cli._CORES]
     for command in ("riemann", "validate"):
         argvs.append([command, "--spec", str(generic), "--sample=3", "--box=-6:6,-1:1,-6:6"])
     for argv in argvs:

@@ -420,6 +420,79 @@ def test_q_transformed_plane_has_equal_sectional_via_apply():
     assert abs(mu1 - mu2) <= 1e-12 * (1.0 + abs(mu1))
 
 
+# -- exact 3D oracles from the Ricci tensor ------------------------------------
+# In dimension 3 the curvature tensor is a function of rho_jk = g^ih R_ijkh and
+# g. q is a g-isometry, so R is q-invariant exactly where Q^T rho Q = rho, and
+# the sectional curvature of a plane with g-unit normal n is rho(n, n) - tau / 2,
+# tau = g^jk rho_jk. Neither shares code with the component chains of
+# check_q_invariance, riemann_apply or the Gram route.
+
+WARPED_LAMBDA = "(12 + (x1 + x2 + x3)^2/10)"  # the eigenvalue of g on (1, 1, 1)
+WARPED_NU = "((2 + sin(x1 + x2 + x3)/4)*(1 + (x1 - x2)^2/5))"  # on the plane orthogonal to it
+# (fields, box, whether R is q-invariant on it)
+RICCI_ORACLE_FAMILIES = {
+    "generic": (
+        MetricFunctions.from_sources("3 + x1^2/5 + exp(x3)/7", "1 + sin(x2)/4 + x1*x3/9"),
+        ((-1.0, 1.0),) * 3,
+        False,
+    ),
+    "cyclic": (CYCLIC_PAIR, ((-1.0, 1.0),) * 3, True),
+    "nonflat-parallel": (*nonflat_parallel(), True),
+    "example": (builtin_example().metric, ((1.0, 3.0), (-2.0, -0.1), (-2.0, -0.1)), False),
+    "warped": (
+        MetricFunctions.from_sources(f"({WARPED_LAMBDA} + 2*{WARPED_NU})/3", f"({WARPED_LAMBDA} - {WARPED_NU})/3"),
+        ((-2.0, 2.0),) * 3,
+        True,
+    ),
+}
+
+
+def _ricci(R):
+    rho = np.einsum("...ih,...ijkh->...jk", R.metric.g_inv, R.low)
+    return rho, np.einsum("...jk,...jk->...", R.metric.g_inv, rho)
+
+
+def _normal_sectional(M, rho, tau, x, y):
+    """rho(n, n) - tau / 2, with n the g-unit normal g^-1 (x cross y) of the plane {x, y}."""
+    c = np.cross(x, y)
+    n = np.einsum("...ij,...j->...i", M.g_inv, c)
+    n = n / np.sqrt(np.einsum("...i,...i->...", n, c))[..., None]
+    return np.einsum("...i,...ij,...j->...", n, rho, n) - tau / 2
+
+
+@pytest.mark.parametrize("family", RICCI_ORACLE_FAMILIES)
+def test_q_invariance_is_the_ricci_commutator_test(family):
+    m, box, invariant = RICCI_ORACLE_FAMILIES[family]
+    R = riemann_from_metric(sample_admissible_points(m, box, 20, 1)[1])
+    rho = _ricci(R)[0]
+    Q = Q_MATRIX.astype(float)
+    commutator = abs(Q.T @ rho @ Q - rho).max(axis=(-2, -1))
+    chk = check_q_invariance(R)
+    assert np.array_equal(commutator <= 1e-9 * (1.0 + abs(rho).max(axis=(-2, -1))), chk.passed)
+    assert (chk.passed == invariant).all()
+
+
+@pytest.mark.parametrize("family", RICCI_ORACLE_FAMILIES)
+def test_sectional_curvatures_are_the_ricci_normal_formula(family):
+    m, box, _ = RICCI_ORACLE_FAMILIES[family]
+    rng = np.random.default_rng(62)
+    M = sample_admissible_points(m, box, 100, 2)[1]
+    R = riemann_from_metric(M)
+    rho, tau = _ricci(R)
+    bound = 1e-13 * abs(rho).max(axis=(-2, -1))
+    x, y = rng.standard_normal((2, 100, 3))
+    assert (abs(sectional_curvature(R, x, y) - _normal_sectional(M, rho, tau, x, y)) <= bound).all()
+    U = np.array([random_q_basis_vector(rng) for _ in range(4)])
+    rel = sectional_relations(R, U, tol=math.inf)
+    orbit = np.stack([U, apply_q(U), apply_q(apply_q(U)), U])[:, :, None, :]  # vectors before points
+    for k, mu in enumerate((rel.equal.mu_u_qu, rel.equal.mu_qu_q2u, rel.equal.mu_q2u_u)):
+        assert (abs(mu - _normal_sectional(M, rho, tau, orbit[k], orbit[k + 1])) <= bound).all()
+    # mu(x, qx) of the orthogonal-basis generator, from the difference relation's left side
+    gen = construct_orthogonal_vector(M.A, M.B)
+    mu_x = rel.equal.mu_u_qu - rel.difference.lhs
+    assert (abs(mu_x - _normal_sectional(M, rho, tau, gen, apply_q(gen))) <= bound).all()
+
+
 def test_batch_curvature_equals_point_by_point_bit_for_bit():
     rng = np.random.default_rng(47)
     for m in [random_manifold(rng) for _ in range(6)] + [random_parallel_manifold(rng) for _ in range(2)]:
