@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import sys
+import warnings
 from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
@@ -25,6 +26,7 @@ from .curvature import (
     closed_form_from_metric,
     components,
     gram_determinant,
+    index_first,
     is_flat,
     max_abs,
     riemann_from_metric,
@@ -263,7 +265,9 @@ def _cmd_christoffel(spec, p, M, args):
     if args.fd_check:
         h = 1e-5
         steps = np.kron(np.eye(3), [[h], [-h]])  # +h e0, -h e0, +h e1, ..., refused in this order
-        stencil = metric_at(spec.metric, p + steps, allow_weak=args.allow_weak_metric)
+        with warnings.catch_warnings():  # warn for the point asked, not for the stencil around it
+            warnings.filterwarnings("ignore", message="A > B > 0 fails")
+            stencil = metric_at(spec.metric, p + steps, allow_weak=args.allow_weak_metric)
         gamma = christoffel_from_metric(stencil).gamma
         fd = (gamma[0::2] - gamma[1::2]) / (2 * h)
         residual = float(np.max(np.abs(fd - ct.dgamma)))
@@ -272,11 +276,21 @@ def _cmd_christoffel(spec, p, M, args):
 
 
 def _symmetry_verdicts(low, tol):
-    scale = tol * (1.0 + max_abs(low))
-    anti_ij = max_abs(low + np.einsum("...ijkh->...jikh", low))
-    anti_kh = max_abs(low + np.einsum("...ijkh->...ijhk", low))
-    pair = max_abs(low - np.einsum("...ijkh->...khij", low))
-    bianchi = max_abs(low + np.einsum("...ijkh->...jkih", low) + np.einsum("...ijkh->...kijh", low))
+    """The tensor symmetries of low, from one tensor-first copy t[i, j, k, h, *batch] and views of it."""
+    t = np.ascontiguousarray(index_first(low, 4))
+    batch = tuple(range(4, t.ndim))
+
+    def view(*axes):  # view(1, 0, 2, 3)[i, j, k, h] = t[j, i, k, h]: the einsum "ijkh->jikh"
+        return t.transpose(axes + batch)
+
+    def worst(a):
+        return np.abs(a).max(axis=(0, 1, 2, 3))
+
+    scale = tol * (1.0 + worst(t))
+    anti_ij = worst(t + view(1, 0, 2, 3))
+    anti_kh = worst(t + view(0, 1, 3, 2))
+    pair = worst(t - view(2, 3, 0, 1))
+    bianchi = worst(t + view(1, 2, 0, 3) + view(2, 0, 1, 3))
     return {
         "antisymmetry_first_pair": _verdict(anti_ij <= scale, anti_ij, scale),
         "antisymmetry_second_pair": _verdict(anti_kh <= scale, anti_kh, scale),
@@ -545,7 +559,8 @@ def _run(args):
         raise UsageError(f"--tol must be a finite number >= 0, got {args.tol!r}")
     spec = _load_spec(args)
     core = _CORES[args.command]
-    vector = None if args.vector is None else list(args.vector)
+    vector = getattr(args, "vector", None)  # only angles, qbasis and verify-theorems take --vector
+    vector = None if vector is None else list(vector)
 
     if args.sample is not None:
         if args.command in NOT_SAMPLED:
@@ -646,12 +661,10 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="warn instead of failing when A > B > 0 fails but g is positive definite",
         )
-        p.add_argument(
-            "--vector",
-            type=_triple("--vector"),
-            required=name in ("angles", "qbasis"),
-            help="vector X1,X2,X3 (angles, qbasis, verify-theorems)",
-        )
+        if name in ("angles", "qbasis", "verify-theorems"):
+            p.add_argument(
+                "--vector", type=_triple("--vector"), required=name != "verify-theorems", help="vector X1,X2,X3"
+            )
         if name == "sectional":
             p.add_argument("--x", type=_triple("--x"), required=True, help="first plane vector")
             p.add_argument("--y", type=_triple("--y"), required=True, help="second plane vector")

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from circulant3 import cli, load_spec, metric_at, sample_admissible_points
+from circulant3 import builtin_example, cli, load_spec, metric_at, riemann_from_metric, sample_admissible_points
 from circulant3.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -168,7 +168,9 @@ def test_exit_code_usage_errors(capsys, m5_spec):
         ("give either --at or --sample, not both", ["riemann", "--at=2,-1,-1", "--sample", "2"]),
         # a bad option is refused before the point is evaluated, so an inadmissible point does not exit 3
         ("required: --x", ["sectional", "--at=0,0,0", "--y=0,1,0"]),
-        ("argument --vector: bad number in --vector '1,a,0'", ["riemann", "--at=0,0,0", "--vector=1,a,0"]),
+        ("argument --vector: bad number in --vector '1,a,0'", ["verify-theorems", "--at=0,0,0", "--vector=1,a,0"]),
+        # only angles, qbasis and verify-theorems read --vector; the other commands refuse it
+        ("unrecognized arguments: --vector=2,0,1", ["riemann", "--at=0.5,0.2,-0.3", "--vector=2,0,1"]),
         ("argument --vector: --vector must be finite", ["angles", "--at=0,0,0", "--vector=1,0,inf"]),
         ("--n-vectors must be at least 1, got 0", ["verify-theorems", "--at=0,0,0", "--n-vectors=0"]),
         ("--n-vectors must be at least 1, got 0",
@@ -182,7 +184,7 @@ def test_exit_code_usage_errors(capsys, m5_spec):
          "box-bad-bound", "at-and-sample", "x-missing-at-inadmissible-point",
          "vector-not-a-number-at-inadmissible-point", "vector-inf-at-inadmissible-point",
          "n-vectors-zero-at-inadmissible-point", "n-vectors-zero-on-an-exhausting-box",
-         "n-vectors-zero-with-vector"],
+         "n-vectors-zero-with-vector", "vector-on-a-command-that-does-not-read-it"],
 )
 def test_bad_numeric_option_is_usage_error(capsys, m5_spec, message, argv):
     assert main(argv + ["--spec", m5_spec]) == 2
@@ -400,6 +402,33 @@ def test_closed_form_command(capsys, m5_spec):
     assert report["verdicts"] == {}
 
 
+def _ref_symmetry_residuals(low, tol):
+    """The four symmetry residuals of one point's tensor and their bound, from einsum-transposed copies."""
+    return [
+        abs(low + np.einsum("ijkh->jikh", low)).max(),
+        abs(low + np.einsum("ijkh->ijhk", low)).max(),
+        abs(low - np.einsum("ijkh->khij", low)).max(),
+        abs(low + np.einsum("ijkh->jkih", low) + np.einsum("ijkh->kijh", low)).max(),
+        tol * (1.0 + abs(low).max()),
+    ]
+
+
+@pytest.mark.parametrize("n", [None, 1, 40])
+def test_symmetry_verdicts_are_the_per_point_reference_bit_for_bit(n):
+    # curvature, whose residuals are rounding, and arbitrary tensors, whose residuals are not
+    example = builtin_example().metric
+    if n is None:
+        M = metric_at(example, (2.0, -1.0, -1.0))
+    else:
+        M = sample_admissible_points(example, ((1.0, 3.0), (-2.0, -0.1), (-2.0, -0.1)), n, 71)[1]
+    arbitrary = np.random.default_rng(71).standard_normal(M.D.shape + (3,) * 4)
+    for low in (riemann_from_metric(M).low, arbitrary):
+        verdicts = cli._symmetry_verdicts(low, 1e-9)
+        got = [v["residual"] for v in verdicts.values()] + [verdicts["first_bianchi"]["tol"]]
+        want = [_ref_symmetry_residuals(point, 1e-9) for point in low.reshape((-1,) + (3,) * 4)]
+        assert np.stack(got, axis=-1).tobytes() == np.array(want).tobytes()
+
+
 def test_christoffel_fd_check(capsys, m5_spec):
     code, report = run_json(
         capsys, ["christoffel", "--spec", m5_spec, "--at", "2,-1,-1", "--fd-check"]
@@ -407,6 +436,20 @@ def test_christoffel_fd_check(capsys, m5_spec):
     assert code == 0
     assert report["verdicts"]["fd_consistent"]["pass"]
     assert report["results"]["gamma"][0][0][0] == -0.125
+
+
+def test_christoffel_fd_check_warns_only_for_the_point_asked(capsys, tmp_path):
+    # A > B > 0 fails at the point (B = 0) and at five of its six stencil points; g is the identity
+    weak = tmp_path / "weak.toml"
+    weak.write_text('[metric]\nA = "1 + x1"\nB = "2*x1"\n', encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["christoffel", "--spec", str(weak), "--at=0,0,0", "--fd-check", "--allow-weak-metric"])
+    assert code == 0
+    assert [str(w.message) for w in caught] == [
+        "A > B > 0 fails at (0.0, 0.0, 0.0) (A=1.0, B=0.0) but g is still positive definite; continuing"
+    ]
+    capsys.readouterr()
 
 
 def test_allow_weak_metric(capsys, tmp_path):
@@ -934,6 +977,27 @@ def test_verify_theorems_sampled_computes_each_relation_quantity_once_per_run(ca
     # stacked over all vectors and points, one of {x, qx}, {y, qy} and R(x, qx, x, q^2x);
     # no call of sectional_curvature; the vectors' q-basis test and the rest once
     assert calls == {"riemann_apply": 2, **dict.fromkeys(once, 1), "_random_q_basis_vectors": 1}
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("where", [["--at=0.2,-0.4,0.6"], ["--sample", "5", CUBE_ARG]], ids=["at", "sample"])
+def test_check_identity_contracts_its_sampled_tuples_once_per_run(capsys, monkeypatch, tmp_path, where):
+    import circulant3.curvature as curvature
+
+    calls = []
+    original = curvature.riemann_apply
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(curvature, "riemann_apply", counting)
+    spec = tmp_path / "spec.toml"
+    spec.write_text(PARALLEL_BENCH_SPEC, encoding="utf-8")
+    assert main(["check-identity", "--spec", str(spec), *where, "--seed", "3"]) == 0
+    # the 20 tuples' q-images and originals, stacked over (40, *batch)
+    assert len(calls) == 1
+    assert calls[0][1].shape[0] == 40
     capsys.readouterr()
 
 

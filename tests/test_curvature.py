@@ -647,6 +647,21 @@ def test_sampled_q_invariance_residual_over_a_batch_is_bit_identical_per_point()
                 assert _bits(batch[i]) == _bits(single) == _bits(_ref_sampled_residual(R.low[i], seed, 20))
 
 
+@pytest.mark.parametrize("shape", [(), (1,), (6,), (40,)])
+def test_sampled_q_invariance_residual_is_the_per_tuple_reference_bit_for_bit(shape):
+    # one draw, one q-map and one stacked contraction give each tuple's and point's bits
+    rng = np.random.default_rng(57)
+    for m in (random_manifold(rng), random_q_invariant_manifold(rng)):
+        M = sample_admissible_points(m, ((-1.0, 1.0),) * 3, math.prod(shape), 57)[1]
+        R = riemann_from_metric(M if shape else M[0])
+        lows = R.low.reshape((-1,) + R.low.shape[-4:])
+        for samples in (1, 20, 64):
+            for seed in (0, 7, 2024):
+                got = sampled_q_invariance_residual(R, seed, samples)
+                assert np.shape(got) == shape
+                assert _bits(got) == _bits([_ref_sampled_residual(low, seed, samples) for low in lows])
+
+
 def test_batch_refusals_name_their_first_failing_point():
     # a batch that passes the identity at its first point and fails it at the others
     example = metric_at(builtin_example().metric, np.array([[1.5, -0.3, -0.9], [2.0, -1.0, -1.0]]))

@@ -30,9 +30,11 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from circulant3 import (  # noqa: E402
+    Q_MATRIX,
     MetricFunctions,
     check_equal_sectional_curvatures,
     check_positive_definite,
+    check_q_invariance,
     check_sectional_combination_formula,
     check_sectional_difference_formula,
     construct_special_angle_vector,
@@ -61,7 +63,7 @@ from circulant3.metric import metric_from_jets  # noqa: E402
 from circulant3.qstructure import Q_BASIS_EPS, q_basis_test  # noqa: E402
 
 from helpers import random_manifold, random_point, random_q_basis_vector, random_q_invariant_manifold  # noqa: E402
-from test_curvature import _ref_relations, nonflat_parallel  # noqa: E402
+from test_curvature import _ref_relations, _ricci, nonflat_parallel  # noqa: E402
 from test_kernel_layout import MANIFOLDS, assert_kernel_is_the_reference, metric_batch  # noqa: E402
 
 SMALL = settings(max_examples=150, deadline=None, database=None, derandomize=True)
@@ -356,6 +358,23 @@ def test_q_is_an_isometry_of_every_circulant_metric(AB, x, y):
     residual = isometry_residual(M, x, y)
     assert residual.shape == A.shape
     assert np.all((residual <= 1e-14 * bound) | np.isinf(bound))
+
+
+# In 3D the curvature is a function of the Ricci tensor rho and g, and q is a
+# g-isometry, so R is q-invariant exactly where Q^T rho Q = rho: an exact test
+# that shares no index algebra with check_q_invariance's component chains.
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(seed=st.integers(0, 2**16), invariant=st.booleans(), n=st.integers(1, 6))
+def test_q_invariance_verdict_is_the_ricci_commutator_test_on_generated_fields(seed, invariant, n):
+    rng = np.random.default_rng(seed)
+    m = random_q_invariant_manifold(rng) if invariant else random_manifold(rng)
+    R = riemann_from_metric(metric_at(m, np.array([random_point(rng) for _ in range(n)])))
+    rho = _ricci(R)[0]
+    Q = Q_MATRIX.astype(float)
+    commutator = abs(Q.T @ rho @ Q - rho).max(axis=(-2, -1))
+    passed = check_q_invariance(R).passed
+    assert np.array_equal(passed, commutator <= 1e-9 * (1.0 + abs(rho).max(axis=(-2, -1))))
+    assert (passed == invariant).all()
 
 
 # The relations of q-basis vectors of any magnitude: sectional_relations divides
