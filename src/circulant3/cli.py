@@ -3,8 +3,10 @@
 Every subcommand loads a manifold spec (or the built-in example), runs a
 computation or verification at a point (--at) or over a seeded sample of
 admissible points (--sample/--seed), and emits a human-readable or JSON
-report. Exit codes: 0 all verdicts pass, 1 a verification verdict
-failed, 2 usage or parse error, 3 metric positivity or domain violation.
+report. Only build_parser knows which options a subcommand takes and
+which values they accept. Exit codes: 0 all verdicts pass, 1 a verification
+verdict failed, 2 usage, parse or out-of-memory error, 3 metric positivity
+or domain violation.
 """
 
 from __future__ import annotations
@@ -75,10 +77,6 @@ from .sampling import sample_admissible_points
 from .specfile import builtin_example, example_diagonal_value, interval_fault, load_spec
 
 
-class UsageError(Exception):
-    """Bad command-line input (maps to exit code 2)."""
-
-
 NOT_SAMPLED = {"christoffel", "sectional", "angles", "qbasis"}  # --at only
 NO_METRIC = {"validate", "qbasis"}  # validate classifies its points itself; qbasis needs no metric
 
@@ -106,34 +104,46 @@ def _triple(what: str):
     return triple
 
 
-def _count(what: str):
-    """The argparse type of option `what`: an integer of at least 1."""
+def _at_least(what: str, low: int):
+    """The argparse type of option `what`: an integer of at least low."""
 
-    def count(text: str) -> int:
-        value = int(text)  # argparse reports a ValueError as "invalid count value"
-        if value < 1:
-            raise argparse.ArgumentTypeError(f"{what} must be at least 1, got {value}")
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as "invalid integer value"
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{what} must be at least {low}, got {value}")
         return value
 
-    return count
+    return integer
 
 
-def _parse_box(text: str):
+def _tol(text: str) -> float:
+    """The argparse type of --tol: a finite number >= 0."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad number in --tol {text!r}: {exc}") from exc
+    if not (np.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"--tol must be a finite number >= 0, got {value!r}")
+    return value
+
+
+def _box(text: str):
+    """The argparse type of --box: three low:high intervals of finite bounds, low < high."""
     parts = text.split(",")
     if len(parts) != 3:
-        raise UsageError(f"--box needs three low:high intervals, got {text!r}")
+        raise argparse.ArgumentTypeError(f"--box needs three low:high intervals, got {text!r}")
     box = []
     for part in parts:
         bounds = part.split(":")
         if len(bounds) != 2:
-            raise UsageError(f"interval must be low:high, got {part!r}")
+            raise argparse.ArgumentTypeError(f"interval must be low:high, got {part!r}")
         try:
             lo, hi = float(bounds[0]), float(bounds[1])
         except ValueError as exc:
-            raise UsageError(f"bad bound in {part!r}: {exc}") from exc
+            raise argparse.ArgumentTypeError(f"bad bound in {part!r}: {exc}") from exc
         fault = interval_fault(lo, hi, part)
         if fault is not None:
-            raise UsageError(fault if fault.startswith("empty") else f"--box {fault}")
+            raise argparse.ArgumentTypeError(fault if fault.startswith("empty") else f"--box {fault}")
         box.append((lo, hi))
     return tuple(box)
 
@@ -520,18 +530,6 @@ _CORES = {
 # -- dispatch -----------------------------------------------------------------
 
 
-def _load_spec(args):
-    if args.command == "example-m5":
-        if args.spec is not None:
-            raise UsageError("example-m5 uses the built-in manifold; drop --spec")
-        return builtin_example()
-    if args.command == "qbasis" and args.spec is None:
-        return builtin_example()  # metric is irrelevant for the cubic criterion
-    if args.spec is None:
-        raise UsageError(f"{args.command} needs --spec FILE")
-    return load_spec(args.spec)
-
-
 def _per_point(a, n):
     """A verdict's value at each of n points as a list of Python scalars; a scalar holds at every point."""
     a = np.asarray(a)
@@ -553,23 +551,15 @@ def _summarize(verdicts, n):
 
 
 def _run(args):
-    if args.tol is None:
-        args.tol = DEFAULT_TOL.get(args.command, 1e-9)
-    elif not (np.isfinite(args.tol) and args.tol >= 0.0):
-        raise UsageError(f"--tol must be a finite number >= 0, got {args.tol!r}")
-    spec = _load_spec(args)
+    spec = builtin_example() if getattr(args, "spec", None) is None else load_spec(args.spec)  # example-m5, qbasis
     core = _CORES[args.command]
     vector = getattr(args, "vector", None)  # only angles, qbasis and verify-theorems take --vector
     vector = None if vector is None else list(vector)
 
-    if args.sample is not None:
-        if args.command in NOT_SAMPLED:
-            raise UsageError(f"{args.command} does not support --sample")
-        if args.at is not None:
-            raise UsageError("give either --at or --sample, not both")
-        box = _parse_box(args.box) if args.box else spec.sample_box
+    if getattr(args, "sample", None) is not None:  # the commands in NOT_SAMPLED take no --sample
+        box = args.box or spec.sample_box
         if box is None:
-            raise UsageError("sampling needs [sample] in the spec file or --box")
+            raise SpecFileError("sampling needs [sample] in the spec file or --box")
         seed = args.seed if args.seed is not None else 0
         points, M = sample_admissible_points(spec.metric, box, args.sample, seed)
         n = len(points)
@@ -582,9 +572,7 @@ def _run(args):
         inputs = {"box": [list(b) for b in box], "point": None, "vector": vector}
         meta = {"seed": seed, "n": n}
     else:
-        point = args.at
-        if point is None and args.command != "qbasis":
-            raise UsageError(f"{args.command} needs --at X1,X2,X3 (or --sample N)")
+        point = args.at  # None only on qbasis
         M = None
         try:
             if args.command not in NO_METRIC:
@@ -646,15 +634,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _CORES:
         p = sub.add_parser(name, help=f"run {name}")
-        p.add_argument("--spec", help="manifold spec file (TOML subset)")
-        p.add_argument("--at", type=_triple("--at"), help="evaluation point X1,X2,X3")
-        p.add_argument("--sample", type=_count("--sample"), help="sample N admissible points instead of --at")
-        p.add_argument("--seed", type=int, help="PRNG seed for sampling (default 0)")
-        p.add_argument("--box", help="sampling box lo:hi,lo:hi,lo:hi (overrides spec)")
+        if name != "example-m5":  # example-m5 runs on the built-in manifold
+            p.add_argument("--spec", required=name != "qbasis", help="manifold spec file (TOML subset)")
+        where = p.add_mutually_exclusive_group(required=name != "qbasis")  # qbasis needs no point
+        where.add_argument("--at", type=_triple("--at"), help="evaluation point X1,X2,X3")
+        if name not in NOT_SAMPLED:
+            where.add_argument("--sample", type=_at_least("--sample", 1), help="sample N admissible points")
+            p.add_argument("--box", type=_box, help="sampling box lo:hi,lo:hi,lo:hi (overrides spec)")
+        p.add_argument("--seed", type=_at_least("--seed", 0), help="PRNG seed for sampling (default 0)")
         tol_help = "verdict tolerance override"
         if name == "verify-theorems":
             tol_help += " (default 1e-8), also of the refusal where q-invariance fails"
-        p.add_argument("--tol", type=float, help=tol_help)
+        p.add_argument("--tol", type=_tol, default=DEFAULT_TOL.get(name, 1e-9), help=tol_help)
         p.add_argument("--json", action="store_true", help="emit the JSON report")
         p.add_argument(
             "--allow-weak-metric",
@@ -672,7 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--fd-check", action="store_true", help="cross-check dGamma by finite differences")
         if name == "verify-theorems":
             p.add_argument(
-                "--n-vectors", type=_count("--n-vectors"), default=5, help="random q-basis vectors per point"
+                "--n-vectors", type=_at_least("--n-vectors", 1), default=5, help="random q-basis vectors per point"
             )
     return parser
 
@@ -685,9 +676,11 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         report = _run(args)
-    except (UsageError, SpecFileError, ExprSyntaxError, NotAQBasis, DegeneratePlane,
-            ConstructionFailed, OSError) as exc:
+    except (SpecFileError, ExprSyntaxError, NotAQBasis, DegeneratePlane, ConstructionFailed, OSError) as exc:
         print(f"error ({args.command}): {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy says how much it could not allocate
+        print(f"error ({args.command}): out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 2
     except (PositivityViolation, DomainViolation, EvalDomainError, SamplingExhausted,
             AngleRoutesDisagree) as exc:

@@ -345,7 +345,9 @@ def _eval(expr: ScalarFieldExpr, node: Node, coords):
             return jets.divide(left, right)
         raise TypeError(f"not an expression node: {node!r}")
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise EvalDomainError(str(exc), _node_source(expr, node)) from exc
+        # float pow raises OverflowError(errno, text): report the text, not the pair
+        detail = exc.args[1] if isinstance(exc, OverflowError) and len(exc.args) == 2 else str(exc)
+        raise EvalDomainError(detail, _node_source(expr, node)) from exc
 
 
 def eval_value(f: ScalarFieldExpr, p):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import json
 import math
@@ -150,6 +151,40 @@ def test_exit_code_usage_errors(capsys, m5_spec):
     capsys.readouterr()
 
 
+def _subparsers():
+    """The parser of each subcommand, by name, from the shared command-line parser."""
+    (commands,) = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return commands.choices
+
+
+POINT_OPTIONS = ("-h", "--help", "--at", "--seed", "--tol", "--json", "--allow-weak-metric")
+SAMPLED_OPTIONS = ("--sample", "--box")
+OPTIONS = {  # beside POINT_OPTIONS
+    "validate": ("--spec", *SAMPLED_OPTIONS),
+    "christoffel": ("--spec", "--fd-check"),
+    "riemann": ("--spec", *SAMPLED_OPTIONS),
+    "closed-form": ("--spec", *SAMPLED_OPTIONS),
+    "compare-curvature": ("--spec", *SAMPLED_OPTIONS),
+    "sectional": ("--spec", "--x", "--y"),
+    "angles": ("--spec", "--vector"),
+    "qbasis": ("--spec", "--vector"),
+    "orthobasis": ("--spec", *SAMPLED_OPTIONS),
+    "check-identity": ("--spec", *SAMPLED_OPTIONS),
+    "check-parallel": ("--spec", *SAMPLED_OPTIONS),
+    "nabla-q": ("--spec", *SAMPLED_OPTIONS),
+    "verify-theorems": ("--spec", *SAMPLED_OPTIONS, "--vector", "--n-vectors"),
+    "example-m5": SAMPLED_OPTIONS,
+}
+
+
+def test_each_command_accepts_exactly_its_options():
+    accepted = {
+        command: sorted(s for action in parser._actions for s in action.option_strings)
+        for command, parser in _subparsers().items()
+    }
+    assert accepted == {command: sorted(POINT_OPTIONS + options) for command, options in OPTIONS.items()}
+
+
 @pytest.mark.parametrize(
     "message, argv",
     [
@@ -165,12 +200,10 @@ def test_exit_code_usage_errors(capsys, m5_spec):
         ("--box needs three low:high intervals, got '1:2,1:2'", ["riemann", "--sample", "2", "--box=1:2,1:2"]),
         ("interval must be low:high, got '1-2'", ["riemann", "--sample", "2", "--box=1-2,1:2,1:2"]),
         ("bad bound in 'a:2'", ["riemann", "--sample", "2", "--box=1:2,a:2,1:2"]),
-        ("give either --at or --sample, not both", ["riemann", "--at=2,-1,-1", "--sample", "2"]),
+        ("argument --sample: not allowed with argument --at", ["riemann", "--at=2,-1,-1", "--sample", "2"]),
         # a bad option is refused before the point is evaluated, so an inadmissible point does not exit 3
         ("required: --x", ["sectional", "--at=0,0,0", "--y=0,1,0"]),
         ("argument --vector: bad number in --vector '1,a,0'", ["verify-theorems", "--at=0,0,0", "--vector=1,a,0"]),
-        # only angles, qbasis and verify-theorems read --vector; the other commands refuse it
-        ("unrecognized arguments: --vector=2,0,1", ["riemann", "--at=0.5,0.2,-0.3", "--vector=2,0,1"]),
         ("argument --vector: --vector must be finite", ["angles", "--at=0,0,0", "--vector=1,0,inf"]),
         ("--n-vectors must be at least 1, got 0", ["verify-theorems", "--at=0,0,0", "--n-vectors=0"]),
         ("--n-vectors must be at least 1, got 0",
@@ -178,13 +211,25 @@ def test_exit_code_usage_errors(capsys, m5_spec):
         # --n-vectors is checked even where --vector makes it unused
         ("--n-vectors must be at least 1, got 0",
          ["verify-theorems", "--at=2,-1,-1", "--vector=1,0,0", "--n-vectors=0"]),
+        # only angles, qbasis and verify-theorems read --vector; the other commands refuse it
+        ("unrecognized arguments: --vector=2,0,1", ["riemann", "--at=0.5,0.2,-0.3", "--vector=2,0,1"]),
+        ("--seed must be at least 0, got -1", ["riemann", "--sample", "3", "--seed=-1"]),
+        ("--seed must be at least 0, got -1", ["check-identity", "--at=0,0,0", "--seed=-1"]),
+        ("--seed must be at least 0, got -1", ["verify-theorems", "--at=0,0,0", "--seed=-1"]),
+        # the commands in cli.NOT_SAMPLED take no --sample, and example-m5 no --spec
+        ("unrecognized arguments: --sample 2", ["christoffel", "--at=2,-1,-1", "--sample", "2"]),
+        ("unrecognized arguments: --spec", ["example-m5", "--at=2,-1,-1"]),
+        # --box is checked beside --at too, where it is unused
+        ("--box needs three low:high intervals, got '1:2'", ["riemann", "--at=2,-1,-1", "--box=1:2"]),
     ],
     ids=["tol-nan", "tol-negative", "sample-zero", "sample-negative", "n-vectors-zero",
          "at-nan", "at-inf", "box-inf", "at-not-a-number", "box-two-intervals", "box-no-colon",
          "box-bad-bound", "at-and-sample", "x-missing-at-inadmissible-point",
          "vector-not-a-number-at-inadmissible-point", "vector-inf-at-inadmissible-point",
          "n-vectors-zero-at-inadmissible-point", "n-vectors-zero-on-an-exhausting-box",
-         "n-vectors-zero-with-vector", "vector-on-a-command-that-does-not-read-it"],
+         "n-vectors-zero-with-vector", "vector-on-a-command-that-does-not-read-it",
+         "seed-negative-sampled", "seed-negative-check-identity", "seed-negative-verify-theorems",
+         "sample-on-a-command-that-is-not-sampled", "spec-on-example-m5", "box-malformed-beside-at"],
 )
 def test_bad_numeric_option_is_usage_error(capsys, m5_spec, message, argv):
     assert main(argv + ["--spec", m5_spec]) == 2
@@ -316,6 +361,36 @@ def test_a_derivative_that_overflows_at_a_tiny_value_is_named(capsys, tmp_path, 
     for command in ("riemann", "validate"):
         assert main([command, "--spec", str(spec), f"--at={at}"]) == 3
         assert capsys.readouterr().err == f"error ({command}): {message}\n"
+
+
+def test_a_power_that_overflows_is_named_with_the_error_text(capsys, tmp_path):
+    # float pow raises OverflowError(ERANGE, its C library text); the message shows the text alone
+    spec = tmp_path / "power.toml"
+    spec.write_text('[metric]\nA = "3 + x1^2/5"\nB = "1"\n', encoding="utf-8")
+    for command in ("riemann", "validate"):
+        assert main([command, "--spec", str(spec), "--at=1e308,1e308,1e308"]) == 3
+        assert capsys.readouterr().err == (
+            f"error ({command}): Numerical result out of range in subexpression 'x1^2'\n"
+        )
+
+
+@pytest.mark.parametrize(
+    "error, message",
+    [
+        (MemoryError("Unable to allocate 4.37 TiB for an array with shape (200000000000, 3) and data type float64"),
+         "out of memory: Unable to allocate 4.37 TiB for an array with shape (200000000000, 3) and data type float64"),
+        (MemoryError(), "out of memory"),
+    ],
+    ids=["numpy", "bare"],
+)
+def test_running_out_of_memory_is_usage_error(capsys, monkeypatch, m5_spec, error, message):
+    # never a real allocation: a request that is granted may exhaust the machine
+    def exhausted(*args):
+        raise error
+
+    monkeypatch.setattr(cli, "sample_admissible_points", exhausted)
+    assert main(["riemann", "--spec", m5_spec, "--sample", "100000000000"]) == 2
+    assert capsys.readouterr().err == f"error (riemann): {message}\n"
 
 
 # q is parallel (lambda = A + 2B depends on x1 + x2 + x3 alone, nu = A - B on x1 - x2 and
@@ -807,7 +882,11 @@ def test_box_with_an_infinite_or_overflowing_width_is_usage_error(capsys, tmp_pa
     spec.write_text(f'[metric]\nA = "3"\nB = "1"\n{section}', encoding="utf-8")
     argv = ["riemann", "--spec", str(spec), "--sample", "3"] + ([box] if box else [])
     assert main(argv) == 2
-    assert capsys.readouterr().err == f"error (riemann): {message}\n"
+    if box:  # refused by the parser: its usage line, then the message
+        expected = _subparsers()["riemann"].format_usage() + f"circulant3 riemann: error: argument --box: {message}\n"
+    else:
+        expected = f"error (riemann): {message}\n"
+    assert capsys.readouterr().err == expected
 
 
 def test_error_messages_print_plain_numbers(capsys, tmp_path):
