@@ -80,10 +80,16 @@ from .specfile import builtin_example, example_diagonal_value, interval_fault, l
 NOT_SAMPLED = {"christoffel", "sectional", "angles", "qbasis"}  # --at only
 NO_METRIC = {"validate", "qbasis"}  # validate classifies its points itself; qbasis needs no metric
 
-DEFAULT_TOL = {
+DEFAULT_TOL = {  # the commands whose verdicts read --tol, and its default there
+    "riemann": 1e-9,
     "compare-curvature": 1e-7,
+    "orthobasis": 1e-9,
+    "check-identity": 1e-9,
+    "check-parallel": 1e-9,
     "verify-theorems": 1e-8,
+    "example-m5": 1e-9,
 }
+FD_STEPS = (1e-5, 1e-6, 1e-7, 1e-8)  # christoffel --fd-check's steps, each tried where the ones before are refused
 
 
 def _triple(what: str):
@@ -273,16 +279,30 @@ def _cmd_christoffel(spec, p, M, args):
     }
     verdicts = {}
     if args.fd_check:
-        h = 1e-5
-        steps = np.kron(np.eye(3), [[h], [-h]])  # +h e0, -h e0, +h e1, ..., refused in this order
-        with warnings.catch_warnings():  # warn for the point asked, not for the stencil around it
-            warnings.filterwarnings("ignore", message="A > B > 0 fails")
-            stencil = metric_at(spec.metric, p + steps, allow_weak=args.allow_weak_metric)
+        h, stencil = _fd_stencil(spec, p, args.allow_weak_metric)
         gamma = christoffel_from_metric(stencil).gamma
         fd = (gamma[0::2] - gamma[1::2]) / (2 * h)
         residual = float(np.max(np.abs(fd - ct.dgamma)))
         verdicts["fd_consistent"] = _verdict(residual <= 1e-5, residual, 1e-5)
     return results, verdicts
+
+
+def _fd_stencil(spec, p, allow_weak):
+    """The first step h of FD_STEPS whose centred stencil around p is admissible, and the metric there.
+
+    A point nearer the chart's edge than 1e-5 gets a smaller step. Where every
+    stencil is refused, raises what the first one raised.
+    """
+    refusal = None
+    for h in FD_STEPS:
+        steps = np.kron(np.eye(3), [[h], [-h]])  # +h e0, -h e0, +h e1, ..., refused in this order
+        try:
+            with warnings.catch_warnings():  # warn for the point asked, not for the stencil around it
+                warnings.filterwarnings("ignore", message="A > B > 0 fails")
+                return h, metric_at(spec.metric, p + steps, allow_weak=allow_weak)
+        except (PositivityViolation, DomainViolation, EvalDomainError) as exc:
+            refusal = refusal or exc
+    raise refusal
 
 
 def _symmetry_verdicts(low, tol):
@@ -642,16 +662,18 @@ def build_parser() -> argparse.ArgumentParser:
             where.add_argument("--sample", type=_at_least("--sample", 1), help="sample N admissible points")
             p.add_argument("--box", type=_box, help="sampling box lo:hi,lo:hi,lo:hi (overrides spec)")
         p.add_argument("--seed", type=_at_least("--seed", 0), help="PRNG seed for sampling (default 0)")
-        tol_help = "verdict tolerance override"
-        if name == "verify-theorems":
-            tol_help += " (default 1e-8), also of the refusal where q-invariance fails"
-        p.add_argument("--tol", type=_tol, default=DEFAULT_TOL.get(name, 1e-9), help=tol_help)
+        if name in DEFAULT_TOL:
+            tol_help = f"verdict tolerance (default {DEFAULT_TOL[name]:g})"
+            if name == "verify-theorems":
+                tol_help += ", also of the refusal where q-invariance fails"
+            p.add_argument("--tol", type=_tol, default=DEFAULT_TOL[name], help=tol_help)
         p.add_argument("--json", action="store_true", help="emit the JSON report")
-        p.add_argument(
-            "--allow-weak-metric",
-            action="store_true",
-            help="warn instead of failing when A > B > 0 fails but g is positive definite",
-        )
+        if name != "qbasis":  # qbasis builds no metric
+            p.add_argument(
+                "--allow-weak-metric",
+                action="store_true",
+                help="warn instead of failing when A > B > 0 fails but g is positive definite",
+            )
         if name in ("angles", "qbasis", "verify-theorems"):
             p.add_argument(
                 "--vector", type=_triple("--vector"), required=name != "verify-theorems", help="vector X1,X2,X3"

@@ -25,14 +25,18 @@ Layout. christoffel_from_metric and riemann_from_metric contract
 C-contiguous arrays whose tensor indices come first and whose batch axes
 come last (``"ijt...,th...->ijh..."``), so that each einsum's inner loop
 runs over the batch rather than over an index of length 3; the API stays
-batch-first. Strides matter beyond speed: an einsum may sum in an order
-that follows its operands' strides (riemann_apply sums over all four
-indices of R.low; nabla_q_from_table reads gamma). So gamma and dgamma
-are C-contiguous batch-first arrays, and low has the memory order
-(batch..., k, i, j, h) in which a batch-first einsum over R_ijk^h leaves
-it, viewed as (batch..., i, j, k, h). tests/test_kernel_layout.py pins
-every element and every stride against the same contractions run
-batch-first.
+batch-first. A pure permutation of indices (C and dC from dg and ddg, the
+two dGamma terms of R_ijk^h) is a transposed view (_permuted), the view a
+one-operand einsum would return. Strides matter beyond speed: an einsum may
+sum in an order that follows its operands' strides (riemann_apply sums
+over all four indices of R.low; nabla_q_from_table reads gamma). So gamma
+and dgamma are C-contiguous batch-first arrays; the ChristoffelTable that
+christoffel_from_metric returns also keeps them C-contiguous tensor-first,
+as it formed them, and riemann_from_metric contracts those, so neither is
+copied back. low has the memory order (batch..., k, i, j, h) in which a
+batch-first einsum over R_ijk^h leaves it, viewed as (batch..., i, j, k, h).
+tests/test_kernel_layout.py pins every element and every stride against
+the same contractions run batch-first.
 
 Overflow. The three curvature kernels silence numpy's float warnings and
 raise EvalDomainError where Gamma, its derivatives, low or a closed-form
@@ -55,11 +59,20 @@ sectional_curvature gives, but builds each quantity once. It forms
 g / 2^e once (shared scaled metric) and rescales u once; qu and q^2u are
 q-images of the rescaled u, which is exact because q only permutes and
 negates entries. Each Gram entry g(u,u), g(qu,qu), g(q^2u,q^2u) is formed
-once and shared by the two planes that use it (shared Gram entries). Two
-einsums over a stacked leading axis contract the planes {u,qu}, {qu,q^2u},
-{q^2u,u}, and then {x,qx}, {y,qy} with R(x,qx,x,q^2x) (stacked
-contractions). Both functions test a plane with one helper,
-_plane_determinant.
+once and shared by the two planes that use it (shared Gram entries,
+_orbit_gram). cos phi and the check of the angle routes read the same
+entries: cos(u,qu) = g(u,qu)/g(u,u) and cos(qu,q^2u) = g(qu,q^2u)/g(u,u),
+with one more product for g(u,q^2u), formed as (u g) q^2u as
+q_basis_cosines forms it. Each cosine is a quotient of forms of degree two
+in u and one in g, so over the rescaled u and g / 2^e it keeps the bits
+q_basis_cosines gives (tests/test_curvature.py checks this for vectors of
+magnitude 1e-3 to 1e99). The Gram entries of the planes {x,qx} and {y,qy}
+come from one pass over both. Two einsums over a stacked leading axis
+contract the planes {u,qu}, {qu,q^2u}, {q^2u,u}, and then {x,qx}, {y,qy}
+with R(x,qx,x,q^2x) (stacked contractions). Both functions form a plane's
+determinant with one helper, _plane_determinant, over all the planes that
+share a Gram pass, and refuse a degenerate one with _refuse_degenerate, in
+the order sectional_relations' docstring gives.
 
 closed_form holds a set of six reference component formulas verbatim,
 and closed_form_from_metric evaluates them over a power of two. The two
@@ -73,7 +86,7 @@ reported, never patched.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -84,7 +97,7 @@ from .qstructure import (
     construct_orthogonal_vector,
     construct_special_angle_vector,
     induces_q_basis,
-    q_basis_cosines,
+    require_angle_routes_agree,
 )
 
 _EYE = np.eye(3)
@@ -106,6 +119,10 @@ class ChristoffelTable:
 
     gamma: np.ndarray
     dgamma: np.ndarray
+    # the same tensors as christoffel_from_metric formed them, C-contiguous with the tensor
+    # indices first, for riemann_from_metric; None on a table taken from part of a batch
+    _gamma_t: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _dgamma_t: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -165,36 +182,41 @@ def _metric_derivatives(M: MetricAtPoint):
     return dg, ddg
 
 
+def _permuted(a: np.ndarray, *axes: int) -> np.ndarray:
+    """A view of a tensor-first a with its leading len(axes) tensor axes in the order axes, batch axes kept.
+
+    _permuted(dg, 0, 2, 1)[i, j, t] = dg[i, t, j], the view the einsum "itj...->ijt..." returns.
+    """
+    return a.transpose(axes + tuple(range(len(axes), a.ndim)))
+
+
 @np.errstate(all="ignore")
 def christoffel_from_metric(M: MetricAtPoint) -> ChristoffelTable:
     """Christoffel symbols and their first derivatives from metric jets."""
     dg, ddg = _metric_derivatives(M)
     dg, ddg, ginv = _tensor_first(dg, 3), _tensor_first(ddg, 4), _tensor_first(M.g_inv, 2)
     # C[i,j,t] = d_i g_tj + d_j g_ti - d_t g_ij
-    C = np.einsum("itj...->ijt...", dg) + np.einsum("jti...->ijt...", dg) - np.einsum("tij...->ijt...", dg)
+    C = _permuted(dg, 0, 2, 1) + _permuted(dg, 2, 0, 1) - _permuted(dg, 1, 2, 0)
     gamma = 0.5 * np.einsum("ijt...,th...->ijh...", C, ginv)
     dginv = -np.einsum("ab...,kbc...,cd...->kad...", ginv, dg, ginv)
-    dC = (
-        np.einsum("kitj...->kijt...", ddg)
-        + np.einsum("kjti...->kijt...", ddg)
-        - np.einsum("ktij...->kijt...", ddg)
-    )
+    dC = _permuted(ddg, 0, 1, 3, 2) + _permuted(ddg, 0, 3, 1, 2) - _permuted(ddg, 0, 2, 3, 1)
     dgamma = 0.5 * (
         np.einsum("kth...,ijt...->kijh...", dginv, C) + np.einsum("th...,kijt...->kijh...", ginv, dC)
     )
+    gamma_t, dgamma_t = np.ascontiguousarray(gamma), np.ascontiguousarray(dgamma)
     gamma, dgamma = _batch_first(gamma, 3), _batch_first(dgamma, 4)
     require_finite(M, "Christoffel symbols or their derivatives", gamma, dgamma)
-    return ChristoffelTable(gamma, dgamma)
+    return ChristoffelTable(gamma, dgamma, gamma_t, dgamma_t)
 
 
 @np.errstate(all="ignore")
 def riemann_from_metric(M: MetricAtPoint) -> CurvatureTensor:
     """The curvature tensor at M's points; low[...,i,j,k,h] = g(R(e_i,e_j)e_k, e_h)."""
     ct = christoffel_from_metric(M)
-    gamma, dgamma = _tensor_first(ct.gamma, 3), _tensor_first(ct.dgamma, 4)
+    gamma, dgamma = ct._gamma_t, ct._dgamma_t
     up = (
-        np.einsum("jikh...->ijkh...", dgamma)
-        - np.einsum("kijh...->ijkh...", dgamma)
+        _permuted(dgamma, 1, 0, 2, 3)
+        - _permuted(dgamma, 1, 2, 0, 3)
         + np.einsum("ikt...,tjh...->ijkh...", gamma, gamma)
         - np.einsum("ijt...,tkh...->ijkh...", gamma, gamma)
     )
@@ -309,20 +331,20 @@ def _gram(g, x, y):
     return gxx, inners(g, y, (y,))[0], gxy
 
 
-def _plane_determinant(gxx, gyy, gxy, planes):
-    """The Gram determinant gxx gyy - gxy^2 of a batch of planes, their sectional curvature's denominator.
-
-    Raises DegeneratePlane at the first element where it is not above
-    1e-12 gxx gyy, naming the vectors (x, y) that planes() returns: those
-    the caller was given, before any rescaling.
-    """
+def _plane_determinant(gxx, gyy, gxy):
+    """The Gram determinant gxx gyy - gxy^2 of a batch of planes, their sectional curvature's denominator,
+    and where it is degenerate: not above 1e-12 gxx gyy."""
     den = gxx * gyy - gxy * gxy
-    degenerate = ~(den > 1e-12 * gxx * gyy)
+    return den, ~(den > 1e-12 * gxx * gyy)
+
+
+def _refuse_degenerate(degenerate, planes) -> None:
+    """Raise DegeneratePlane at the first degenerate element, naming the vectors (x, y) that planes() returns:
+    those the caller was given, before any rescaling."""
     if degenerate.any():
         i = first_point(degenerate)
-        x, y = (tuple(np.broadcast_to(np.asarray(v, float), den.shape + (3,))[i].tolist()) for v in planes())
+        x, y = (tuple(np.broadcast_to(np.asarray(v, float), degenerate.shape + (3,))[i].tolist()) for v in planes())
         raise DegeneratePlane(f"vectors {x} and {y} span no plane")
-    return den
 
 
 def sectional_curvature(R: CurvatureTensor, x, y):
@@ -334,7 +356,8 @@ def sectional_curvature(R: CurvatureTensor, x, y):
     depends on their magnitudes.
     """
     xs, ys = _rescaled(x)[0], _rescaled(y)[0]
-    den = _plane_determinant(*_gram(R.metric.g_scaled, xs, ys), lambda: (x, y))
+    den, degenerate = _plane_determinant(*_gram(R.metric.g_scaled, xs, ys))
+    _refuse_degenerate(degenerate, lambda: (x, y))
     return np.ldexp(riemann_apply(R, xs, ys, xs, ys) / den, -2 * R.metric.e)
 
 
@@ -488,36 +511,52 @@ def sectional_relations(R: CurvatureTensor, U, tol=1e-9) -> SectionalRelations:
         raise NotAQBasis(f"vector {tuple(U[first_point(~ok)].tolist())} does not induce a q-basis")
     u = U.reshape(U.shape[:-1] + (1,) * M.D.ndim + (3,))  # vectors before points
     g, e = M.g_scaled, M.e
-    # q permutes and negates entries, so the q-image of a _rescaled vector is the
-    # _rescaled q-image. One contraction R(P, QP, P, Q4) gives mu(x, qx) and
-    # mu(y, qy) (rows 0 and 1, over powers of two) and R(x, qx, x, q^2x) (row 2)
     x = _unit(M, construct_orthogonal_vector(M.A, M.B))
-    P = np.empty((3,) + x.shape)
-    P[0], P[2] = _rescaled(x)[0], x
-    den_x = _plane_determinant(*_gram(g, P[0], apply_q(P[0])), lambda: (x, apply_q(x)))
-    cphi = q_basis_cosines(M, u)[0]
-    # the other contraction, of the planes {S[k], S[k+1]} of u's orbit over a power of two
-    S = _q_orbit(_rescaled(u)[0])
-    Sg = S[..., None, :] @ g
-    gss = (Sg @ S[..., :, None])[..., 0, 0]  # g(S[k], S[k])
-    gst = (Sg[:3] @ S[1:, ..., :, None])[..., 0, 0]  # g(S[k], S[k+1])
-    den = np.empty(gst.shape)
-    den[0] = _plane_determinant(gss[0], gss[1], gst[0], lambda: tuple(_q_orbit(u)[:2]))
     y = construct_special_angle_vector(M.A, M.B)
-    P[1] = _rescaled(y)[0]
+    # q permutes and negates entries, so the q-image of a _rescaled vector is the
+    # _rescaled q-image. P holds x and y over powers of two and x itself: one contraction
+    # R(P, QP, P, Q4) gives mu(x, qx) and mu(y, qy) (rows 0 and 1, over powers of two) and
+    # R(x, qx, x, q^2x) (row 2), and one Gram pass the planes {x, qx} and {y, qy}
+    P = np.empty((3,) + x.shape)
+    P[0], P[1], P[2] = x, y, x
+    P[:2] = _rescaled(P[:2])[0]
     QP = apply_q(P)
-    den_y = _plane_determinant(*_gram(g, P[1], QP[1]), lambda: (y, apply_q(y)))
-    den[1:] = _plane_determinant(gss[1:3], gss[2:], gst[1:], lambda: (_q_orbit(u)[1:3], _q_orbit(u)[2:]))
+    den_xy, degenerate_xy = _plane_determinant(*_gram(g, P[:2], QP[:2]))
+    _refuse_degenerate(degenerate_xy[0], lambda: (x, apply_q(x)))
+    # the other contraction, of the planes {S[k], S[k+1]} of u's orbit over a power of two
+    S, gss, gst, cosines = _orbit_gram(g, u)
+    require_angle_routes_agree(cosines, np.ldexp(M.A, -e), np.ldexp(M.B, -e), S[0])
+    cphi = cosines[0]
+    den, degenerate = _plane_determinant(gss[:3], gss[1:], gst)
+    _refuse_degenerate(degenerate[0], lambda: tuple(_q_orbit(u)[:2]))
+    _refuse_degenerate(degenerate_xy[1], lambda: (y, apply_q(y)))
+    _refuse_degenerate(degenerate[1:], lambda: (_q_orbit(u)[1:3], _q_orbit(u)[2:]))
     mu = np.ldexp(riemann_apply(R, S[:3], S[1:], S[:3], S[1:]) / den, -2 * e)
     Q4 = QP.copy()
     Q4[2] = apply_q(QP[2])
     r = riemann_apply(R, P, QP, P, Q4)
-    mu_x, mu_y = np.ldexp(r[0] / den_x, -2 * e), np.ldexp(r[1] / den_y, -2 * e)
+    mu_x, mu_y = np.ldexp(r[:2] / den_xy, -2 * e)
     return SectionalRelations(
         difference=RelationCheck(mu[0] - mu_x, (2.0 * cphi / (1.0 - cphi)) * r[2]),
         combination=RelationCheck(mu[0], ((1.0 + 2.0 * cphi) * mu_x - 3.0 * cphi * mu_y) / (1.0 - cphi)),
         equal=EqualSectionalCheck(mu[0], mu[1], mu[2]),
     )
+
+
+def _orbit_gram(g, u):
+    """The Gram entries of u's q-orbit over a power of two, and the cosines of u's q-basis from them.
+
+    Returns S = _q_orbit(_rescaled(u)), g(S[k], S[k]) for k < 4, g(S[k], S[k+1]) for
+    k < 3, and cos(u, qu), cos(u, q^2 u), cos(qu, q^2 u): the quotients
+    q_basis_cosines forms, bit for bit, as the scaling is exact. g(u, q^2 u) is
+    formed as (u g) q^2 u, as there, beside g(q^2 u, u) = (q^2 u g) u of the plane {q^2 u, u}.
+    """
+    S = _q_orbit(_rescaled(u)[0])
+    Sg = S[..., None, :] @ g
+    gss = (Sg @ S[..., :, None])[..., 0, 0]  # g(S[k], S[k])
+    gst = (Sg[:3] @ S[1:, ..., :, None])[..., 0, 0]  # g(S[k], S[k+1])
+    g02 = (Sg[0] @ S[2, ..., :, None])[..., 0, 0]
+    return S, gss, gst, (gst[0] / gss[0], g02 / gss[0], gst[1] / gss[0])
 
 
 def _q_orbit(v) -> np.ndarray:

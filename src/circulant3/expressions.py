@@ -368,6 +368,6 @@ def eval_jet(f: ScalarFieldExpr, p) -> Jet2:
         out = _eval(f, f.root, coords)
     if not isinstance(out, Jet2):  # constant expression
         out = jets.constant(out, pt.shape[:-1])
-    if not (np.isfinite(out.value).all() and np.isfinite(out.grad).all() and np.isfinite(out.hess).all()):
+    if not np.isfinite(out.data).all():
         raise EvalDomainError("jet evaluation produced non-finite entries", _node_source(f, f.root))
     return out

@@ -151,7 +151,7 @@ def admissibility(m: MetricFunctions, p):
             ok = ok & inside_chart(value)
     except EvalDomainError:
         if pt.size == 3:  # one point, or a batch of one
-            nan = Jet2(*(np.full(pt.shape[:-1] + tail, np.nan) for tail in ((), (3,), (3, 3))))
+            nan = Jet2(np.full(pt.shape[:-1] + (13,), np.nan))
             return np.zeros(pt.shape[:-1], dtype=bool), nan, nan, (nan.value,) * len(m.domain_constraints)
         ok, A_jets, B_jets, values = zip(*(admissibility(m, half) for half in np.array_split(pt, 2)))
         return (np.concatenate(ok), jets.concatenate(A_jets), jets.concatenate(B_jets),

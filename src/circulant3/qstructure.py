@@ -26,6 +26,7 @@ Q_MATRIX = np.array([[0, -1, 0], [0, 0, -1], [-1, 0, 0]], dtype=int)
 
 Q_BASIS_EPS = 1e-10
 ANGLE_ROUTE_TOL = 1e-10
+_ROUTE_SIGNS = np.array([1.0, -1.0, 1.0])  # cos(x, qx), cos(x, q^2 x), cos(qx, q^2 x) against the closed form
 
 
 def apply_q(x) -> np.ndarray:
@@ -133,16 +134,24 @@ def q_basis_cosines(M: MetricAtPoint, x) -> tuple:
     g = M.g_scaled
     gxx, g_x_qx, g_x_q2x = inners(g, x, (x, qx, q2x))
     cosines = (g_x_qx / gxx, g_x_q2x / gxx, inners(g, qx, (q2x,))[0] / gxx)
-    closed = cos_angle_closed_form(np.ldexp(M.A, -M.e), np.ldexp(M.B, -M.e), x)
-    for route_cos, sign in zip(cosines, (1.0, -1.0, 1.0)):
-        off = abs(route_cos - sign * closed) > ANGLE_ROUTE_TOL
-        if off.any():
-            i = first_point(off)
-            raise AngleRoutesDisagree(
-                f"angle routes disagree beyond {ANGLE_ROUTE_TOL}: inner-product "
-                f"{float(np.asarray(route_cos)[i])!r} vs closed form {float(sign * np.asarray(closed)[i])!r}"
-            )
+    require_angle_routes_agree(cosines, np.ldexp(M.A, -M.e), np.ldexp(M.B, -M.e), x)
     return cosines
+
+
+def require_angle_routes_agree(cosines, A, B, x) -> None:
+    """Raise AngleRoutesDisagree for the first element where the inner-product cosines
+    (x, qx), (x, q^2 x), (qx, q^2 x) part from the closed form in A, B and x beyond ANGLE_ROUTE_TOL.
+    """
+    closed = cos_angle_closed_form(A, B, x)
+    routes = np.array(cosines)
+    signed = _ROUTE_SIGNS.reshape((3,) + (1,) * (routes.ndim - 1)) * closed  # closed, -closed, closed
+    off = abs(routes - signed) > ANGLE_ROUTE_TOL
+    if off.any():
+        i = first_point(off)  # the first cosine that disagrees, at its first element
+        raise AngleRoutesDisagree(
+            f"angle routes disagree beyond {ANGLE_ROUTE_TOL}: inner-product "
+            f"{float(routes[i])!r} vs closed form {float(signed[i])!r}"
+        )
 
 
 def q_basis_angles(M: MetricAtPoint, x) -> AngleReport:

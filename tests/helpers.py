@@ -196,3 +196,54 @@ def random_admissible_AB(rng) -> tuple[float, float]:
     B = rng.uniform(0.2, 4.0)
     A = B + rng.uniform(0.1, 4.0)
     return A, B
+
+
+# -- jet operations over either jet module --------------------------------------
+# Each takes the module whose functions it calls (circulant3.jets, or the
+# three-array reference tests/jets_reference.py), two jets a, b of that module's
+# Jet2 with equal batch shapes, and a number c.
+
+JET_OPS = {
+    "jet + jet": lambda m, a, b, c: a + b,
+    "jet - jet": lambda m, a, b, c: a - b,
+    "jet * jet": lambda m, a, b, c: a * b,
+    "jet / jet": lambda m, a, b, c: a / b,
+    "jet + c": lambda m, a, b, c: a + c,
+    "c + jet": lambda m, a, b, c: c + a,
+    "jet - c": lambda m, a, b, c: a - c,
+    "c - jet": lambda m, a, b, c: c - a,
+    "jet * c": lambda m, a, b, c: a * c,
+    "c * jet": lambda m, a, b, c: c * a,
+    "jet / c": lambda m, a, b, c: a / c,
+    "c / jet": lambda m, a, b, c: c / a,
+    "neg": lambda m, a, b, c: -a,
+    "jet ** -2": lambda m, a, b, c: a ** -2,
+    "jet ** -1": lambda m, a, b, c: a ** -1,
+    "jet ** 0": lambda m, a, b, c: a ** 0,
+    "jet ** 1": lambda m, a, b, c: a ** 1,
+    "jet ** 2": lambda m, a, b, c: a ** 2,
+    "jet ** 3": lambda m, a, b, c: a ** 3,
+    "jet ** 2.5": lambda m, a, b, c: a ** 2.5,
+    "sqrt": lambda m, a, b, c: m.sqrt(a),
+    "exp": lambda m, a, b, c: m.exp(a),
+    "log": lambda m, a, b, c: m.log(a),
+    "sin": lambda m, a, b, c: m.sin(a),
+    "cos": lambda m, a, b, c: m.cos(a),
+    "power": lambda m, a, b, c: m.power(a, -0.5),
+    "divide": lambda m, a, b, c: m.divide(a, b),
+    "getitem": lambda m, a, b, c: a[-1:] if a.value.ndim else a[()],
+    "concatenate": lambda m, a, b, c: m.concatenate([a, b]) if a.value.ndim else a,
+    "constant": lambda m, a, b, c: m.constant(c, a.value.shape),
+    "variable": lambda m, a, b, c: m.variable(2, a.grad),
+    "chain": lambda m, a, b, c: m.sin(a * b) + m.exp(b / 4) * m.sqrt(2.5 + a) - c * m.cos(b) / (3.0 - a) ** 3,
+}
+
+
+def jet_outcome(op, m, a, b, c):
+    """The bits of op's jet (value, gradient, Hessian), or the type and message of what it raises."""
+    try:
+        with np.errstate(all="ignore"):  # as eval_jet evaluates
+            j = op(m, a, b, c)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        return type(exc).__name__, str(exc)
+    return tuple((np.asarray(x).shape, np.asarray(x).tobytes()) for x in (j.value, j.grad, j.hess))

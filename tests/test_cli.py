@@ -157,23 +157,24 @@ def _subparsers():
     return commands.choices
 
 
-POINT_OPTIONS = ("-h", "--help", "--at", "--seed", "--tol", "--json", "--allow-weak-metric")
+POINT_OPTIONS = ("-h", "--help", "--at", "--seed", "--json")
 SAMPLED_OPTIONS = ("--sample", "--box")
-OPTIONS = {  # beside POINT_OPTIONS
-    "validate": ("--spec", *SAMPLED_OPTIONS),
-    "christoffel": ("--spec", "--fd-check"),
-    "riemann": ("--spec", *SAMPLED_OPTIONS),
-    "closed-form": ("--spec", *SAMPLED_OPTIONS),
-    "compare-curvature": ("--spec", *SAMPLED_OPTIONS),
-    "sectional": ("--spec", "--x", "--y"),
-    "angles": ("--spec", "--vector"),
+WEAK = "--allow-weak-metric"  # every command that builds a metric
+OPTIONS = {  # beside POINT_OPTIONS; --tol only where a verdict reads it
+    "validate": ("--spec", *SAMPLED_OPTIONS, WEAK),
+    "christoffel": ("--spec", "--fd-check", WEAK),
+    "riemann": ("--spec", *SAMPLED_OPTIONS, "--tol", WEAK),
+    "closed-form": ("--spec", *SAMPLED_OPTIONS, WEAK),
+    "compare-curvature": ("--spec", *SAMPLED_OPTIONS, "--tol", WEAK),
+    "sectional": ("--spec", "--x", "--y", WEAK),
+    "angles": ("--spec", "--vector", WEAK),
     "qbasis": ("--spec", "--vector"),
-    "orthobasis": ("--spec", *SAMPLED_OPTIONS),
-    "check-identity": ("--spec", *SAMPLED_OPTIONS),
-    "check-parallel": ("--spec", *SAMPLED_OPTIONS),
-    "nabla-q": ("--spec", *SAMPLED_OPTIONS),
-    "verify-theorems": ("--spec", *SAMPLED_OPTIONS, "--vector", "--n-vectors"),
-    "example-m5": SAMPLED_OPTIONS,
+    "orthobasis": ("--spec", *SAMPLED_OPTIONS, "--tol", WEAK),
+    "check-identity": ("--spec", *SAMPLED_OPTIONS, "--tol", WEAK),
+    "check-parallel": ("--spec", *SAMPLED_OPTIONS, "--tol", WEAK),
+    "nabla-q": ("--spec", *SAMPLED_OPTIONS, WEAK),
+    "verify-theorems": ("--spec", *SAMPLED_OPTIONS, "--vector", "--n-vectors", "--tol", WEAK),
+    "example-m5": (*SAMPLED_OPTIONS, "--tol", WEAK),
 }
 
 
@@ -221,6 +222,10 @@ def test_each_command_accepts_exactly_its_options():
         ("unrecognized arguments: --spec", ["example-m5", "--at=2,-1,-1"]),
         # --box is checked beside --at too, where it is unused
         ("--box needs three low:high intervals, got '1:2'", ["riemann", "--at=2,-1,-1", "--box=1:2"]),
+        # only the commands whose verdicts read --tol take it, and qbasis builds no metric
+        ("unrecognized arguments: --tol=0", ["closed-form", "--at=2,-1,-1", "--tol=0"]),
+        ("unrecognized arguments: --tol=0", ["angles", "--at=2,-1,-1", "--vector=1,0,0", "--tol=0"]),
+        ("unrecognized arguments: --allow-weak-metric", ["qbasis", "--vector=1,0,0", "--allow-weak-metric"]),
     ],
     ids=["tol-nan", "tol-negative", "sample-zero", "sample-negative", "n-vectors-zero",
          "at-nan", "at-inf", "box-inf", "at-not-a-number", "box-two-intervals", "box-no-colon",
@@ -229,7 +234,8 @@ def test_each_command_accepts_exactly_its_options():
          "n-vectors-zero-at-inadmissible-point", "n-vectors-zero-on-an-exhausting-box",
          "n-vectors-zero-with-vector", "vector-on-a-command-that-does-not-read-it",
          "seed-negative-sampled", "seed-negative-check-identity", "seed-negative-verify-theorems",
-         "sample-on-a-command-that-is-not-sampled", "spec-on-example-m5", "box-malformed-beside-at"],
+         "sample-on-a-command-that-is-not-sampled", "spec-on-example-m5", "box-malformed-beside-at",
+         "tol-on-closed-form", "tol-on-angles", "allow-weak-metric-on-qbasis"],
 )
 def test_bad_numeric_option_is_usage_error(capsys, m5_spec, message, argv):
     assert main(argv + ["--spec", m5_spec]) == 2
@@ -525,6 +531,35 @@ def test_christoffel_fd_check_warns_only_for_the_point_asked(capsys, tmp_path):
         "A > B > 0 fails at (0.0, 0.0, 0.0) (A=1.0, B=0.0) but g is still positive definite; continuing"
     ]
     capsys.readouterr()
+
+
+EDGE_SPEC = '[metric]\nA = "3 + x1"\nB = "1"\n[domain]\nc1 = "x1"\n'
+
+
+def test_christoffel_fd_check_steps_down_near_the_chart_edge(capsys, tmp_path):
+    # the 1e-5 and 1e-6 stencils around x1 = 1e-6 leave the chart (x1 > 0); the 1e-7 one does not
+    spec = tmp_path / "edge.toml"
+    spec.write_text(EDGE_SPEC, encoding="utf-8")
+    code, report = run_json(capsys, ["christoffel", "--spec", str(spec), "--at=1e-6,0,0", "--fd-check"])
+    assert code == 0
+    assert report["verdicts"]["fd_consistent"]["pass"]
+    # where every step leaves the chart, the 1e-5 stencil's refusal stands
+    code, out, err = _call(capsys, ["christoffel", "--spec", str(spec), "--at=1e-9,0,0", "--fd-check"])
+    assert (code, out) == (3, "")
+    assert err == "error (christoffel): domain constraint 'x1' is -9.999e-06 <= 0 at point (-9.999e-06, 0.0, 0.0)\n"
+
+
+def test_christoffel_fd_check_keeps_the_1e_5_step_where_its_stencil_is_admissible(capsys, tmp_path):
+    spec = tmp_path / "edge.toml"
+    spec.write_text(EDGE_SPEC, encoding="utf-8")
+    p = np.array([0.5, 0.25, -0.125])
+    _, report = run_json(capsys, ["christoffel", "--spec", str(spec), "--at=0.5,0.25,-0.125", "--fd-check"])
+    m = load_spec(str(spec)).metric
+    h = 1e-5
+    gamma = cli.christoffel_from_metric(metric_at(m, p + np.kron(np.eye(3), [[h], [-h]]))).gamma
+    fd = (gamma[0::2] - gamma[1::2]) / (2 * h)
+    want = float(np.max(np.abs(fd - cli.christoffel_from_metric(metric_at(m, p)).dgamma)))
+    assert report["verdicts"]["fd_consistent"]["residual"] == want
 
 
 def test_allow_weak_metric(capsys, tmp_path):

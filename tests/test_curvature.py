@@ -29,14 +29,16 @@ from circulant3 import (
     sectional_curvature,
     sectional_relations,
 )
-from circulant3.curvature import COMPONENT_INDEX, sampled_q_invariance_residual
+from circulant3.curvature import COMPONENT_INDEX, _orbit_gram, sampled_q_invariance_residual
 from circulant3.errors import DegeneratePlane, EvalDomainError, IdentityRNotSatisfied, NotAQBasis
 from circulant3.jets import concatenate
 from circulant3.metric import metric_from_jets
 from circulant3.parallelism import nabla_q_from_table, parallel_residual_from_metric
+from circulant3.qstructure import q_basis_cosines
 from circulant3.specfile import builtin_example, example_diagonal_value
 
 from helpers import (
+    BOX,
     random_manifold,
     random_parallel_manifold,
     random_point,
@@ -710,3 +712,27 @@ def test_curvature_that_is_not_finite_is_refused_at_the_first_such_point_of_a_ba
     christoffel_from_metric(M)
     with pytest.raises(EvalDomainError, match=r"^curvature components are not finite where A=4\.3e\+201, B=2\.7"):
         riemann_from_metric(M)
+
+
+# -- the cosines of a q-basis from the relations' shared Gram entries -------------
+
+
+@pytest.mark.parametrize(
+    "make",
+    [random_manifold, random_q_invariant_manifold, random_parallel_manifold],
+    ids=["generic", "cyclic", "parallel"],
+)
+def test_shared_gram_cosines_are_q_basis_cosines_bit_for_bit(make):
+    # sectional_relations reads cos(u, qu) and the angle-route check from the Gram
+    # entries of u's orbit over a power of two; q_basis_cosines forms them from u itself
+    rng = np.random.default_rng(19)
+    for seed in range(3):
+        _, M = sample_admissible_points(make(rng), BOX, 12, seed)
+        for exponent in range(-3, 101, 3):
+            U = rng.standard_normal((6, 3)) * 10.0**exponent
+            U = U[induces_q_basis(U)]
+            for metric, u in ((M, U.reshape(len(U), 1, 3)), (M[0], U)):  # vectors by points, and one point
+                shared = _orbit_gram(metric.g_scaled, u)[3]
+                want = q_basis_cosines(metric, u)
+                assert [c.shape for c in shared] == [c.shape for c in want]
+                assert b"".join(c.tobytes() for c in shared) == b"".join(c.tobytes() for c in want), exponent

@@ -10,6 +10,9 @@ import pytest
 from circulant3 import Jet2, constant, variable
 from circulant3 import jets
 
+import jets_reference
+from helpers import JET_OPS, jet_outcome
+
 
 def test_variable_jet_definition():
     j = variable(1, (2.0, -1.0, -1.0))
@@ -171,3 +174,89 @@ def test_scalar_mixing():
     assert (1 - x).value == -1.0
     assert (6 / x).value == 3.0
     assert (6 / x).grad[0] == -1.5
+
+
+# -- the packed layout against the three-array reference ----------------------
+# tests/jets_reference.py is the Jet2 that kept value, gradient and Hessian in
+# three arrays. Every operation must give the same bits, signed zeros included,
+# and raise the same error with the same message.
+
+SHAPES = [(), (1,), (7,), (80,)]
+_SYM = np.triu(np.ones((3, 3), dtype=bool))
+
+
+def _parts(rng, shape, values):
+    """Value, gradient and symmetric Hessian of a batch, with exact zeros of either sign among them."""
+    g = rng.normal(size=shape + (3,)) / 3
+    h = rng.normal(size=shape + (3, 3)) / 3
+    h = h + h.swapaxes(-1, -2)
+    g[rng.random(g.shape) < 0.2] = 0.0
+    g[rng.random(g.shape) < 0.2] = -0.0
+    h[(rng.random(h.shape) < 0.2) & _SYM] = 0.0
+    h[(rng.random(h.shape) < 0.2) & _SYM] = -0.0
+    return values, g, np.where(_SYM, h, h.swapaxes(-1, -2))
+
+
+def _value_cases(rng, shape):
+    """Values of a batch: generic of either sign, positive, and ones that put operations outside their domains."""
+    generic = np.asarray(rng.uniform(-10.0, 10.0, size=shape) / 3)
+    positive = np.asarray(rng.uniform(0.1, 10.0, size=shape) / 3)
+    cases = {"generic": generic, "positive": positive}
+    for name, special in (("zero", 0.0), ("negative zero", -0.0), ("tiny", 1e-120), ("tinier", 1e-300),
+                          ("huge", 800.0), ("huger", 1e160)):
+        v = positive.copy()
+        v[(0,) * len(shape)] = special  # the first point
+        cases[name] = v
+    return cases
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+def test_every_jet_operation_is_the_three_array_reference_bit_for_bit(shape):
+    rng = np.random.default_rng(19)
+    for case, values in _value_cases(rng, shape).items():
+        a = _parts(rng, shape, values)
+        b = _parts(rng, shape, _value_cases(rng, shape)["positive"])
+        for c in (2.5, -7, 0.0, -0.0, 1e-300):
+            for name, op in JET_OPS.items():
+                got = jet_outcome(op, jets, Jet2(*a), Jet2(*b), c)
+                want = jet_outcome(op, jets_reference, jets_reference.Jet2(*a), jets_reference.Jet2(*b), c)
+                assert got == want, (case, c, name)
+                # the second operand outside the domains too
+                got = jet_outcome(op, jets, Jet2(*b), Jet2(*a), c)
+                want = jet_outcome(op, jets_reference, jets_reference.Jet2(*b), jets_reference.Jet2(*a), c)
+                assert got == want, (case, c, name, "swapped")
+
+
+def test_the_reference_comparison_covers_the_errors():
+    # the cases above reach each error the jets raise, so their messages are compared
+    rng = np.random.default_rng(19)
+    seen = set()
+    for values in _value_cases(rng, (7,)).values():
+        a, b = _parts(rng, (7,), values), _parts(rng, (7,), values)
+        for c in (2.5, 0.0):
+            for op in JET_OPS.values():
+                out = jet_outcome(op, jets, Jet2(*a), Jet2(*b), c)
+                if isinstance(out[0], str):
+                    seen.add((out[0], out[1].split(" at ")[0].split(",")[0]))
+    assert seen >= {
+        ("ZeroDivisionError", "float division by zero"),
+        ("ZeroDivisionError", "0.0 cannot be raised to a negative power"),
+        ("OverflowError", "division by a jet overflows in a derivative"),
+        ("OverflowError", "sqrt of a jet overflows in a derivative"),
+        ("OverflowError", "log of a jet overflows in a derivative"),
+        ("OverflowError", "math range error"),
+        ("ValueError", "sqrt of a jet requires a positive value"),
+        ("ValueError", "log of a jet requires a positive value"),
+        ("OverflowError", "(34"),  # float pow: (34, 'Numerical result out of range')
+    }, seen
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+def test_value_gradient_and_hessian_are_views_of_one_array(shape):
+    rng = np.random.default_rng(20)
+    j = jets.sin(Jet2(*_parts(rng, shape, np.asarray(rng.normal(size=shape)))))
+    assert j.data.shape == shape + (13,)
+    assert (j.value.shape, j.grad.shape, j.hess.shape) == (shape, shape + (3,), shape + (3, 3))
+    for part in (j.value, j.grad, j.hess):
+        assert part.base is not None and np.shares_memory(part, j.data)
+    assert np.array_equal(j.data[..., 4:], j.hess.reshape(shape + (9,)))

@@ -6,7 +6,8 @@ np.linalg.norm. The curvature kernel is checked against its batch-first
 reference (test_kernel_layout.py) at random batch sizes, and the jets of
 generated expressions over a batch against those of each point; printing a
 generated expression and parsing it back gives the same tree; every jet
-operation returns a Hessian equal to its transpose bit for bit. Beyond bits:
+operation returns a Hessian equal to its transpose bit for bit, and the bits
+and errors of the three-array reference (jets_reference.py). Beyond bits:
 the curvature of generated fields has the tensor symmetries and the first
 Bianchi identity, q is an isometry of every circulant metric, and the
 command line, fuzzed over commands, specs, points and samples, exits 0-3
@@ -62,7 +63,15 @@ from circulant3.expressions import (  # noqa: E402
 from circulant3.metric import metric_from_jets  # noqa: E402
 from circulant3.qstructure import Q_BASIS_EPS, q_basis_test  # noqa: E402
 
-from helpers import random_manifold, random_point, random_q_basis_vector, random_q_invariant_manifold  # noqa: E402
+import jets_reference  # noqa: E402
+from helpers import (  # noqa: E402
+    JET_OPS,
+    jet_outcome,
+    random_manifold,
+    random_point,
+    random_q_basis_vector,
+    random_q_invariant_manifold,
+)
 from test_curvature import _ref_relations, _ricci, nonflat_parallel  # noqa: E402
 from test_kernel_layout import MANIFOLDS, assert_kernel_is_the_reference, metric_batch  # noqa: E402
 
@@ -257,49 +266,40 @@ entry = st.one_of(
     st.builds(lambda x, sign: sign * x / 3, st.floats(0.25, 30.0), st.sampled_from([1.0, -1.0])),
     st.sampled_from([0.0, -0.0, 1e-3]),
 )
-jet_batches = st.integers(1, 3).flatmap(
+jet_parts = st.integers(1, 3).flatmap(
     lambda n: st.builds(
-        lambda v, g, h: jets.Jet2(np.array(v), np.array(g), np.array(h)[:, [[0, 1, 2], [1, 3, 4], [2, 4, 5]]]),
+        lambda v, g, h: (np.array(v), np.array(g), np.array(h)[:, [[0, 1, 2], [1, 3, 4], [2, 4, 5]]]),
         st.lists(entry, min_size=n, max_size=n),
         st.lists(st.lists(entry, min_size=3, max_size=3), min_size=n, max_size=n),
         st.lists(st.lists(entry, min_size=6, max_size=6), min_size=n, max_size=n),
     )
 )
-JET_OPS = {
-    "jet + jet": lambda a, b, c: a + b,
-    "jet - jet": lambda a, b, c: a - b,
-    "jet * jet": lambda a, b, c: a * b,
-    "jet / jet": lambda a, b, c: a / b,
-    "jet + c": lambda a, b, c: a + c,
-    "jet - c": lambda a, b, c: a - c,
-    "c - jet": lambda a, b, c: c - a,
-    "jet * c": lambda a, b, c: a * c,
-    "jet / c": lambda a, b, c: a / c,
-    "c / jet": lambda a, b, c: c / a,
-    "neg": lambda a, b, c: -a,
-    "jet ** -2": lambda a, b, c: a ** -2,
-    "jet ** 3": lambda a, b, c: a ** 3,
-    "jet ** 2.5": lambda a, b, c: a ** 2.5,
-    "sqrt": lambda a, b, c: jets.sqrt(a),
-    "exp": lambda a, b, c: jets.exp(a),
-    "log": lambda a, b, c: jets.log(a),
-    "sin": lambda a, b, c: jets.sin(a),
-    "cos": lambda a, b, c: jets.cos(a),
-    "getitem": lambda a, b, c: a[-1:],
-    "concatenate": lambda a, b, c: jets.concatenate([a, b]),
-}
+
+
+def _same_size(a, b):
+    """b's parts cycled to a batch of a's size."""
+    return tuple(x[np.arange(len(a[0])) % len(b[0])] for x in b)
 
 
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
-@given(jet_batches, jet_batches, entry)
+@given(jet_parts, jet_parts, entry)
 def test_every_jet_operation_returns_a_hessian_that_is_its_transpose_bit_for_bit(a, b, c):
-    b = b[np.arange(len(a.value)) % len(b.value)]  # a batch of a's size
+    a, b = jets.Jet2(*a), jets.Jet2(*_same_size(a, b))
     for name, op in JET_OPS.items():
         try:
-            h = op(a, b, c).hess
+            h = op(jets, a, b, c).hess
         except (ValueError, ZeroDivisionError, OverflowError):  # outside the operation's domain
             continue
         assert h.tobytes() == h.swapaxes(-1, -2).tobytes(), name
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(jet_parts, jet_parts, entry)
+def test_every_jet_operation_is_the_three_array_reference_bit_for_bit(a, b, c):
+    b = _same_size(a, b)
+    for name, op in JET_OPS.items():
+        got = jet_outcome(op, jets, jets.Jet2(*a), jets.Jet2(*b), c)
+        assert got == jet_outcome(op, jets_reference, jets_reference.Jet2(*a), jets_reference.Jet2(*b), c), name
 
 
 # -- the curvature tensor over generated fields ---------------------------------

@@ -21,7 +21,8 @@ from circulant3 import (
     orthogonality_defect,
     q_basis_angles,
 )
-from circulant3.errors import NotAQBasis, PositivityViolation
+from circulant3.errors import AngleRoutesDisagree, NotAQBasis, PositivityViolation
+from circulant3.qstructure import require_angle_routes_agree
 
 from helpers import random_admissible_AB, random_q_basis_vector
 
@@ -175,3 +176,20 @@ def test_construct_special_angle_vector():
         rep = q_basis_angles(M, y)
         assert abs(rep.cos_phi_x_qx + 0.5) <= 1e-10
         assert abs(rep.angles[0] - 2 * math.pi / 3) <= 1e-9
+
+
+def test_the_angle_routes_refuse_the_first_cosine_that_disagrees_at_its_first_element():
+    # cos(x, qx) agrees everywhere; cos(x, q^2 x) disagrees at element 2, and cos(qx, q^2 x) at 0 and 1
+    A, B = np.array([3.0, 3.0, 3.0]), np.array([1.0, 1.0, 1.0])
+    x = np.array([[1.0, 0.5, -0.25]] * 3)
+    closed = cos_angle_closed_form(A, B, x)
+    cosines = (closed.copy(), -closed, closed.copy())
+    cosines[1][2] += 1e-6
+    cosines[2][:2] -= 1e-3
+    require_angle_routes_agree((closed, -closed, closed), A, B, x)
+    with pytest.raises(AngleRoutesDisagree) as info:
+        require_angle_routes_agree(cosines, A, B, x)
+    assert str(info.value) == (
+        f"angle routes disagree beyond 1e-10: inner-product {float(cosines[1][2])!r} "
+        f"vs closed form {float(-closed[2])!r}"
+    )
