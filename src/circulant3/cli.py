@@ -53,8 +53,6 @@ from .errors import (
 from .metric import (
     admissibility,
     check_positive_definite,
-    inner,
-    inners,
     inside_chart,
     metric_at,
     metric_from_jets,
@@ -67,11 +65,11 @@ from .parallelism import (
     parallel_residual_from_metric,
 )
 from .qstructure import (
-    apply_q,
     construct_orthogonal_vector,
     induces_q_basis,
     q_basis_angles,
     q_basis_test,
+    q_orbit_gram,
 )
 from .sampling import sample_admissible_points
 from .specfile import builtin_example, example_diagonal_value, interval_fault, load_spec
@@ -384,10 +382,9 @@ def _cmd_qbasis(spec, p, M, args):
 
 def _cmd_orthobasis(spec, p, M, args):
     x = construct_orthogonal_vector(M.A, M.B)
-    qx = apply_q(x)
-    q2x = apply_q(qx)
-    gxx, g_x_qx, g_x_q2x = inners(M.g, x, (x, qx, q2x))
-    pairs = {"g_x_qx": g_x_qx, "g_x_q2x": g_x_q2x, "g_qx_q2x": inner(M, qx, q2x)}
+    _, gss, gst, g_x_q2x = q_orbit_gram(M.g, x)
+    gxx = gss[0]
+    pairs = {"g_x_qx": gst[0], "g_x_q2x": g_x_q2x, "g_qx_q2x": gst[1]}
     worst = _max(abs(v) for v in pairs.values())
     results = {"vector": x, "norm_sq": gxx, **pairs}
     cubic, bound = q_basis_test(x)

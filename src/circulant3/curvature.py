@@ -55,24 +55,8 @@ and no Gram term overflows or underflows. sectional_relations normalizes
 the orthogonal-basis generator in the same way.
 
 sectional_relations gives each of its five sectional curvatures the bits
-sectional_curvature gives, but builds each quantity once. It forms
-g / 2^e once (shared scaled metric) and rescales u once; qu and q^2u are
-q-images of the rescaled u, which is exact because q only permutes and
-negates entries. Each Gram entry g(u,u), g(qu,qu), g(q^2u,q^2u) is formed
-once and shared by the two planes that use it (shared Gram entries,
-_orbit_gram). cos phi and the check of the angle routes read the same
-entries: cos(u,qu) = g(u,qu)/g(u,u) and cos(qu,q^2u) = g(qu,q^2u)/g(u,u),
-with one more product for g(u,q^2u), formed as (u g) q^2u as
-q_basis_cosines forms it. Each cosine is a quotient of forms of degree two
-in u and one in g, so over the rescaled u and g / 2^e it keeps the bits
-q_basis_cosines gives (tests/test_curvature.py checks this for vectors of
-magnitude 1e-3 to 1e99). The Gram entries of the planes {x,qx} and {y,qy}
-come from one pass over both. Two einsums over a stacked leading axis
-contract the planes {u,qu}, {qu,q^2u}, {q^2u,u}, and then {x,qx}, {y,qy}
-with R(x,qx,x,q^2x) (stacked contractions). Both functions form a plane's
-determinant with one helper, _plane_determinant, over all the planes that
-share a Gram pass, and refuse a degenerate one with _refuse_degenerate, in
-the order sectional_relations' docstring gives.
+sectional_curvature gives but forms each quantity once, and reads the Gram
+entries of u's q-orbit and cos phi from qstructure.q_orbit_cosines.
 
 closed_form holds a set of six reference component formulas verbatim,
 and closed_form_from_metric evaluates them over a power of two. The two
@@ -97,7 +81,8 @@ from .qstructure import (
     construct_orthogonal_vector,
     construct_special_angle_vector,
     induces_q_basis,
-    require_angle_routes_agree,
+    q_orbit_cosines,
+    q_orbit_gram,
 )
 
 _EYE = np.eye(3)
@@ -524,13 +509,16 @@ def sectional_relations(R: CurvatureTensor, U, tol=1e-9) -> SectionalRelations:
     den_xy, degenerate_xy = _plane_determinant(*_gram(g, P[:2], QP[:2]))
     _refuse_degenerate(degenerate_xy[0], lambda: (x, apply_q(x)))
     # the other contraction, of the planes {S[k], S[k+1]} of u's orbit over a power of two
-    S, gss, gst, cosines = _orbit_gram(g, u)
-    require_angle_routes_agree(cosines, np.ldexp(M.A, -e), np.ldexp(M.B, -e), S[0])
+    S, gss, gst, cosines = q_orbit_cosines(M, _rescaled(u)[0])
     cphi = cosines[0]
     den, degenerate = _plane_determinant(gss[:3], gss[1:], gst)
-    _refuse_degenerate(degenerate[0], lambda: tuple(_q_orbit(u)[:2]))
+
+    def orbit():  # u's q-orbit as given, to name a degenerate plane
+        return q_orbit_gram(M.g, u)[0]
+
+    _refuse_degenerate(degenerate[0], lambda: tuple(orbit()[:2]))
     _refuse_degenerate(degenerate_xy[1], lambda: (y, apply_q(y)))
-    _refuse_degenerate(degenerate[1:], lambda: (_q_orbit(u)[1:3], _q_orbit(u)[2:]))
+    _refuse_degenerate(degenerate[1:], lambda: (orbit()[1:3], orbit()[2:]))
     mu = np.ldexp(riemann_apply(R, S[:3], S[1:], S[:3], S[1:]) / den, -2 * e)
     Q4 = QP.copy()
     Q4[2] = apply_q(QP[2])
@@ -541,31 +529,6 @@ def sectional_relations(R: CurvatureTensor, U, tol=1e-9) -> SectionalRelations:
         combination=RelationCheck(mu[0], ((1.0 + 2.0 * cphi) * mu_x - 3.0 * cphi * mu_y) / (1.0 - cphi)),
         equal=EqualSectionalCheck(mu[0], mu[1], mu[2]),
     )
-
-
-def _orbit_gram(g, u):
-    """The Gram entries of u's q-orbit over a power of two, and the cosines of u's q-basis from them.
-
-    Returns S = _q_orbit(_rescaled(u)), g(S[k], S[k]) for k < 4, g(S[k], S[k+1]) for
-    k < 3, and cos(u, qu), cos(u, q^2 u), cos(qu, q^2 u): the quotients
-    q_basis_cosines forms, bit for bit, as the scaling is exact. g(u, q^2 u) is
-    formed as (u g) q^2 u, as there, beside g(q^2 u, u) = (q^2 u g) u of the plane {q^2 u, u}.
-    """
-    S = _q_orbit(_rescaled(u)[0])
-    Sg = S[..., None, :] @ g
-    gss = (Sg @ S[..., :, None])[..., 0, 0]  # g(S[k], S[k])
-    gst = (Sg[:3] @ S[1:, ..., :, None])[..., 0, 0]  # g(S[k], S[k+1])
-    g02 = (Sg[0] @ S[2, ..., :, None])[..., 0, 0]
-    return S, gss, gst, (gst[0] / gss[0], g02 / gss[0], gst[1] / gss[0])
-
-
-def _q_orbit(v) -> np.ndarray:
-    """v, qv, q^2 v and v again, stacked (4, ...): plane k of the orbit is {orbit[k], orbit[k + 1]}."""
-    orbit = np.empty((4,) + v.shape)
-    orbit[0] = orbit[3] = v
-    orbit[1] = apply_q(v)
-    orbit[2] = apply_q(orbit[1])
-    return orbit
 
 
 # The single relations, as views of sectional_relations.

@@ -122,13 +122,22 @@ def _tokenize(source: str):
     return tokens
 
 
+# The deepest tree parse accepts, a pair of parentheses counting as a level. The parser recurses five
+# calls per pair, the evaluators and to_source one per level: within half of Python's default limit.
+MAX_DEPTH = 100
+
+
 class _Parser:
+    """Recursive descent; each rule returns its tree and the tree's depth. A tree deeper than
+    MAX_DEPTH is refused at the token that deepens it, a nested one before the parser descends."""
+
     _ATOM_EXPECTED = ("number", "x1", "x2", "x3", "function", "'('", "'-'")
 
     def __init__(self, source: str):
         self.source = source
         self.tokens = _tokenize(source)
         self.pos = 0
+        self.open = 1  # the least depth of the tree around the current token
 
     def peek(self):
         return self.tokens[self.pos]
@@ -144,46 +153,60 @@ class _Parser:
             return self.advance()
         raise ExprSyntaxError(f"unexpected {text!r}" if text else "unexpected end of input", off, (f"'{op}'",))
 
+    def deeper(self, depth: int, off: int) -> int:
+        if depth > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels", off)
+        return depth
+
+    def nested(self, rule, off: int):
+        """rule()'s tree one level down (parentheses, a function, unary minus) and its depth."""
+        self.open = self.deeper(self.open + 1, off)
+        node, depth = rule()
+        self.open -= 1
+        return node, self.deeper(depth + 1, off)
+
     def parse(self) -> Node:
         kind, _, off = self.peek()
         if kind == "end":
             raise ExprSyntaxError("empty input", off, self._ATOM_EXPECTED)
-        node = self.expr()
+        node = self.expr()[0]
         kind, text, off = self.peek()
         if kind != "end":
             raise ExprSyntaxError(f"unexpected trailing {text!r}", off, ("operator", "end of input"))
         return node
 
-    def expr(self) -> Node:
-        node = self.term()
+    def expr(self):
+        node, depth = self.term()
         while True:
             kind, text, off = self.peek()
             if kind == "op" and text in "+-":
                 self.advance()
-                rhs = self.term()
+                rhs, rhs_depth = self.term()
                 node = Binary(text, node, rhs, (node.span[0], rhs.span[1]))
+                depth = self.deeper((depth if depth > rhs_depth else rhs_depth) + 1, off)
             else:
-                return node
+                return node, depth
 
-    def term(self) -> Node:
-        node = self.factor()
+    def term(self):
+        node, depth = self.factor()
         while True:
             kind, text, off = self.peek()
             if kind == "op" and text in "*/":
                 self.advance()
-                rhs = self.factor()
+                rhs, rhs_depth = self.factor()
                 node = Binary(text, node, rhs, (node.span[0], rhs.span[1]))
+                depth = self.deeper((depth if depth > rhs_depth else rhs_depth) + 1, off)
             else:
-                return node
+                return node, depth
 
-    def factor(self) -> Node:
+    def factor(self):
         kind, text, off = self.peek()
         if kind == "op" and text == "-":
             self.advance()
-            inner = self.factor()
-            return Unary("neg", inner, (off, inner.span[1]))
-        node = self.atom()
-        kind, text, _ = self.peek()
+            inner, depth = self.nested(self.factor, off)
+            return Unary("neg", inner, (off, inner.span[1])), depth
+        node, depth = self.atom()
+        kind, text, caret = self.peek()
         if kind == "op" and text == "^":
             self.advance()
             sign = 1.0
@@ -196,29 +219,29 @@ class _Parser:
                 raise ExprSyntaxError(f"unexpected {text!r}" if text else "unexpected end of input", off, ("number",))
             self.advance()
             end = off + len(text)
-            return Power(node, sign * float(text), (node.span[0], end))
-        return node
+            return Power(node, sign * float(text), (node.span[0], end)), self.deeper(depth + 1, caret)
+        return node, depth
 
-    def atom(self) -> Node:
+    def atom(self):
         kind, text, off = self.peek()
         if kind == "number":
             self.advance()
-            return Const(float(text), (off, off + len(text)))
+            return Const(float(text), (off, off + len(text))), 1
         if kind == "ident":
             self.advance()
             if text in COORDS:
-                return Coord(int(text[1]), (off, off + len(text)))
+                return Coord(int(text[1]), (off, off + len(text))), 1
             if text in FUNCTIONS:
                 self.expect_op("(")
-                arg = self.expr()
+                arg, depth = self.nested(self.expr, off)
                 close = self.expect_op(")")
-                return Unary(text, arg, (off, close[2] + 1))
+                return Unary(text, arg, (off, close[2] + 1)), depth
             raise ExprSyntaxError(f"unknown identifier {text!r}", off, self._ATOM_EXPECTED)
         if kind == "op" and text == "(":
             self.advance()
-            node = self.expr()
+            node, depth = self.nested(self.expr, off)
             close = self.expect_op(")")
-            return _respan(node, (off, close[2] + 1))
+            return _respan(node, (off, close[2] + 1)), depth
         msg = f"unexpected {text!r}" if kind != "end" else "unexpected end of input"
         raise ExprSyntaxError(msg, off, self._ATOM_EXPECTED)
 
@@ -234,7 +257,8 @@ def parse(source: str) -> ScalarFieldExpr:
     """Parse source text into a :class:`ScalarFieldExpr`.
 
     Raises :class:`ExprSyntaxError` with the character offset and the
-    expected-token set on malformed input.
+    expected-token set on malformed input, and with the offset where the
+    expression grows deeper than MAX_DEPTH levels.
     """
     if not isinstance(source, str):
         raise TypeError("expression source must be a string")

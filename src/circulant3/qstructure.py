@@ -20,7 +20,7 @@ import numpy as np
 
 from . import jets
 from .errors import AngleRoutesDisagree, NotAQBasis, PositivityViolation
-from .metric import MetricAtPoint, first_point, inner, inners, positive
+from .metric import MetricAtPoint, first_point, inner, positive
 
 Q_MATRIX = np.array([[0, -1, 0], [0, 0, -1], [-1, 0, 0]], dtype=int)
 
@@ -118,24 +118,35 @@ class AngleReport:
         )
 
 
-def q_basis_cosines(M: MetricAtPoint, x) -> tuple:
-    """cos(x, qx), cos(x, q^2 x), cos(qx, q^2 x) at each point of M's batch, computed two ways.
+@np.errstate(all="ignore")  # inf or NaN where a product over a large unscaled g overflows, as metric.inners
+def q_orbit_gram(g, x) -> tuple:
+    """S = (x, qx, q^2 x, x) stacked (4, ...), plane k being {S[k], S[k+1]}, and its Gram entries over g:
+    g(S[k], S[k]) for k < 4, g(S[k], S[k+1]) for k < 3 and g(x, q^2 x), formed as (x g) q^2 x to keep
+    the bits of metric.inners.
 
-    x is one vector (3,) or a batch (..., 3) broadcasting against M's batch;
-    it must generate a q-basis. The inner-product route is the definition; the
-    closed form in (a, b) must agree with it to ANGLE_ROUTE_TOL, or the call
-    raises AngleRoutesDisagree for the first element where they disagree.
-    Both routes run on g / 2^e (e = M.e): the cosines are of degree 0 in g,
-    so this is exact, and no inner product of a large metric overflows.
+    x's batch must broadcast against g's behind S's leading axis (a single vector
+    meeting a batch of metrics is broadcast to it first).
     """
-    x = np.asarray(x, dtype=float)
-    qx = apply_q(x)
-    q2x = apply_q(qx)
-    g = M.g_scaled
-    gxx, g_x_qx, g_x_q2x = inners(g, x, (x, qx, q2x))
-    cosines = (g_x_qx / gxx, g_x_q2x / gxx, inners(g, qx, (q2x,))[0] / gxx)
+    S = np.empty((4,) + x.shape)
+    S[0] = S[3] = x
+    S[1] = apply_q(x)
+    S[2] = apply_q(S[1])
+    Sg = S[..., None, :] @ g
+    gss = (Sg @ S[..., :, None])[..., 0, 0]
+    gst = (Sg[:3] @ S[1:, ..., :, None])[..., 0, 0]
+    return S, gss, gst, (Sg[0] @ S[2, ..., :, None])[..., 0, 0]
+
+
+def q_orbit_cosines(M: MetricAtPoint, x) -> tuple:
+    """q_orbit_gram of x over g / 2^e, with cos(x, qx), cos(x, q^2 x), cos(qx, q^2 x) in place of g(x, q^2 x).
+
+    The cosines, of degree 0 in g and in x, keep their bits over g / 2^e and over
+    x divided by any power of two, and are checked against the closed form.
+    """
+    S, gss, gst, g02 = q_orbit_gram(M.g_scaled, x)
+    cosines = (gst[0] / gss[0], g02 / gss[0], gst[1] / gss[0])
     require_angle_routes_agree(cosines, np.ldexp(M.A, -M.e), np.ldexp(M.B, -M.e), x)
-    return cosines
+    return S, gss, gst, cosines
 
 
 def require_angle_routes_agree(cosines, A, B, x) -> None:
@@ -155,7 +166,7 @@ def require_angle_routes_agree(cosines, A, B, x) -> None:
 
 
 def q_basis_angles(M: MetricAtPoint, x) -> AngleReport:
-    """The invariants of x and its q_basis_cosines at each point of M's batch.
+    """The invariants of x and its q_orbit_cosines at each point of M's batch.
 
     x is one vector (3,) or one per point (..., 3). Raises NotAQBasis for the
     first vector that does not generate a basis.
@@ -165,20 +176,23 @@ def q_basis_angles(M: MetricAtPoint, x) -> AngleReport:
     if not ok.all():
         v = tuple(x[first_point(~ok)].tolist())
         raise NotAQBasis(f"vector {v} does not induce a q-basis (cubic criterion)")
-    return AngleReport(*vector_invariants(x), *q_basis_cosines(M, x))
+    batch = np.broadcast_to(x, np.broadcast_shapes(x.shape, M.D.shape + (3,)))
+    return AngleReport(*vector_invariants(x), *q_orbit_cosines(M, batch)[3])
 
 
 def _require_positive(A, B):
-    """A and B as arrays; raises PositivityViolation for the first point where A > B > 0 fails.
+    """A and B over the power of two that brings A into [0.5, 1), and its exponent e.
 
-    The constructions see only A and B, so the error's point is NaN.
+    Raises PositivityViolation for the first point where A > B > 0 fails; the
+    constructions see only A and B, so the error's point is NaN.
     """
     A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
     bad = ~positive(A, B)
     if bad.any():
         i = first_point(bad)
         raise PositivityViolation(A[i], B[i], (float("nan"),) * 3)
-    return A, B
+    e = np.frexp(A)[1]
+    return np.ldexp(A, -e), np.ldexp(B, -e), e
 
 
 def construct_orthogonal_vector(A, B) -> np.ndarray:
@@ -186,13 +200,11 @@ def construct_orthogonal_vector(A, B) -> np.ndarray:
 
     A and B are numbers or arrays over a batch; the result is (..., 3). The
     middle entry is formed from A and B over a power of two that brings A
-    into [0.5, 1), then scaled back: exact, and no product overflows.
+    into [0.5, 1) (_require_positive), then scaled back: exact, and no product overflows.
     """
-    A, B = _require_positive(A, B)
-    e = np.frexp(A)[1]
-    As, Bs = np.ldexp(A, -e), np.ldexp(B, -e)
+    As, Bs, e = _require_positive(A, B)
     x2 = np.ldexp(-(As + Bs) + np.sqrt((As - Bs) * (As + 3 * Bs)), e)
-    return np.stack([np.zeros_like(A), x2, 2.0 * B], axis=-1)
+    return np.stack([np.zeros_like(As), x2, 2.0 * np.asarray(B, dtype=float)], axis=-1)
 
 
 def construct_special_angle_vector(A, B) -> np.ndarray:
@@ -211,9 +223,7 @@ def construct_special_angle_vector(A, B) -> np.ndarray:
     two of construct_orthogonal_vector: the root keeps its bits, no product
     underflows, and the test is relative to the magnitude of A.
     """
-    A, B = _require_positive(A, B)
-    e = np.frexp(A)[1]
-    As, Bs = np.ldexp(A, -e), np.ldexp(B, -e)
+    As, Bs, _ = _require_positive(A, B)
     with np.errstate(all="ignore"):  # points with A = 2B take no root
         t = (As + 2.0 * np.sqrt(Bs * (As - Bs))) / (As - 2 * Bs)
     y = np.zeros(t.shape + (3,))

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from circulant3 import MetricFunctions, eval_jet, eval_value, induces_q_basis, parse
+from circulant3 import MetricFunctions, apply_q, eval_jet, eval_value, induces_q_basis, parse
 from circulant3.errors import CirculantError
+from circulant3.metric import inners
 from circulant3.parallelism import MIRROR_MATRIX
 
 BOX = ((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0))
@@ -181,6 +182,24 @@ def random_q_invariant_manifold(rng) -> MetricFunctions:
     return MetricFunctions.from_sources(A_src, B_src)
 
 
+def random_warped_manifold(rng) -> MetricFunctions:
+    """The warped family on BOX: g has eigenvalue lambda = L(s) on (1, 1, 1) and nu = phi(s) psi(u, v)
+    on the plane orthogonal to it, s = x1 + x2 + x3, u = x1 - x2, v = x2 - x3.
+
+    A = (lambda + 2 nu) / 3 and B = (lambda - nu) / 3, admissible where lambda > nu > 0. The
+    curvature is q-invariant; psi constant gives the cyclic family and phi constant a parallel q.
+    The coefficients vary around L = 12 + s^2/10, phi = 2 + sin(s/4), psi = 1 + u^2/5, so that on
+    BOX nu stays in [1, 7.8] and lambda at or above 10.
+    """
+    s, u, v = "(x1 + x2 + x3)", "(x1 - x2)", "(x2 - x3)"
+    cl, w = rng.uniform(10.0, 14.0), rng.uniform(0.05, 0.15)
+    cp, amp, k = rng.uniform(1.8, 2.2), rng.uniform(0.3, 0.8), rng.uniform(3.0, 5.0)
+    cu, cv = rng.uniform(0.1, 0.25), rng.uniform(0.0, 0.15)
+    lam = f"({cl:.4f} + {w:.4f}*{s}^2)"
+    nu = f"(({cp:.4f} + {amp:.4f}*sin({s} / {k:.4f}))*(1 + {cu:.4f}*{u}^2 + {cv:.4f}*{v}^2))"
+    return MetricFunctions.from_sources(f"({lam} + 2*{nu}) / 3", f"({lam} - {nu}) / 3")
+
+
 def random_point(rng, box=BOX) -> np.ndarray:
     return np.array([rng.uniform(lo, hi) for lo, hi in box])
 
@@ -196,6 +215,20 @@ def random_admissible_AB(rng) -> tuple[float, float]:
     B = rng.uniform(0.2, 4.0)
     A = B + rng.uniform(0.1, 4.0)
     return A, B
+
+
+def q_basis_cosines_reference(M, x) -> tuple:
+    """cos(x, qx), cos(x, q^2 x), cos(qx, q^2 x) from plain inner products of x itself over g / 2^e.
+
+    The reference for the cosines qstructure.q_orbit_cosines forms from the Gram
+    entries of x's q-orbit; x broadcasts against M's batch.
+    """
+    x = np.asarray(x, dtype=float)
+    qx = apply_q(x)
+    q2x = apply_q(qx)
+    g = M.g_scaled
+    gxx, g_x_qx, g_x_q2x = inners(g, x, (x, qx, q2x))
+    return g_x_qx / gxx, g_x_q2x / gxx, inners(g, qx, (q2x,))[0] / gxx
 
 
 # -- jet operations over either jet module --------------------------------------

@@ -308,6 +308,22 @@ def test_exit_code_spec_file_errors(capsys, tmp_path):
         assert message in capsys.readouterr().err
 
 
+def test_spec_file_that_is_not_utf8_or_too_deep_exits_2(capsys, tmp_path):
+    bad = tmp_path / "bad.toml"
+    bad.write_bytes(b'[metric]\nA = "3\xff"\nB = "1"\n')
+    assert main(["riemann", "--spec", str(bad), "--at", "0,0,0"]) == 2
+    assert capsys.readouterr().err == (
+        f"error (riemann): spec file {str(bad)!r} is not UTF-8 text: invalid start byte (line 2)\n"
+    )
+    for A, offset in (("(" * 3000 + "x1" + ")" * 3000, 99), ("3" + " + x1" * 3000, 497)):
+        bad.write_text(f'[metric]\nA = "{A}"\nB = "1"\n', encoding="utf-8")
+        assert main(["riemann", "--spec", str(bad), "--at", "0,0,0"]) == 2
+        assert capsys.readouterr().err == (
+            f"error (riemann): invalid expression: expression nested deeper than 100 levels "
+            f"at offset {offset} (line 2, column {6 + offset})\n"
+        )
+
+
 def test_verify_theorems_refusal_and_success(capsys, m5_spec, parallel_spec):
     assert main(["verify-theorems", "--spec", m5_spec, "--at", "2,-1,-1"]) == 1
     err = capsys.readouterr().err
@@ -618,6 +634,17 @@ A = "3 + exp((x1 + x2 + x3)/3)/7 + (x1 + x2 + x3)^2/10"
 B = "1 + sin(x1 + x2 + x3)/4"
 '''
 
+# The warped family: g has eigenvalue lambda = 12 + s^2/10 on (1, 1, 1) and
+# nu = (2 + sin(s/4))(1 + (x1 - x2)^2/5) on the plane orthogonal to it, with
+# A = (lambda + 2 nu)/3 and B = (lambda - nu)/3. R is q-invariant and q is not
+# parallel, and the relations run over a metric that is not a function of s alone.
+WARPED_SPEC = '''
+name = "warped"
+[metric]
+A = "(12 + (x1 + x2 + x3)^2/10 + 2*(2 + sin((x1 + x2 + x3)/4))*(1 + (x1 - x2)^2/5))/3"
+B = "(12 + (x1 + x2 + x3)^2/10 - (2 + sin((x1 + x2 + x3)/4))*(1 + (x1 - x2)^2/5))/3"
+'''
+
 
 @pytest.mark.parametrize(
     "spec_text, argv, golden",
@@ -632,9 +659,11 @@ B = "1 + sin(x1 + x2 + x3)/4"
          "orthobasis_generic_sample40_seed3.json"),
         (CYCLIC_SPEC, ["verify-theorems", "--sample", "8", "--seed", "3", "--box=-1:1,-1:1,-1:1"],
          "verify_theorems_cyclic_sample8_seed3.json"),
+        (WARPED_SPEC, ["verify-theorems", "--sample", "8", "--seed", "3", "--box=-1:1,-1:1,-1:1"],
+         "verify_theorems_warped_sample8_seed3.json"),
     ],
     ids=["riemann-generic", "verify-theorems-parallel", "validate-generic", "orthobasis-generic",
-         "verify-theorems-cyclic"],
+         "verify-theorems-cyclic", "verify-theorems-warped"],
 )
 def test_sampled_golden_json(capsys, tmp_path, spec_text, argv, golden):
     spec = tmp_path / "spec.toml"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import math
 
 import numpy as np
@@ -29,21 +30,24 @@ from circulant3 import (
     sectional_curvature,
     sectional_relations,
 )
-from circulant3.curvature import COMPONENT_INDEX, _orbit_gram, sampled_q_invariance_residual
+from circulant3.cli import _cmd_orthobasis
+from circulant3.curvature import COMPONENT_INDEX, _rescaled, sampled_q_invariance_residual
 from circulant3.errors import DegeneratePlane, EvalDomainError, IdentityRNotSatisfied, NotAQBasis
 from circulant3.jets import concatenate
-from circulant3.metric import metric_from_jets
+from circulant3.metric import inners, metric_from_jets
 from circulant3.parallelism import nabla_q_from_table, parallel_residual_from_metric
-from circulant3.qstructure import q_basis_cosines
+from circulant3.qstructure import q_basis_angles, q_orbit_cosines
 from circulant3.specfile import builtin_example, example_diagonal_value
 
 from helpers import (
     BOX,
+    q_basis_cosines_reference,
     random_manifold,
     random_parallel_manifold,
     random_point,
     random_q_basis_vector,
     random_q_invariant_manifold,
+    random_warped_manifold,
 )
 
 P5 = np.array([2.0, -1.0, -1.0])
@@ -714,17 +718,21 @@ def test_curvature_that_is_not_finite_is_refused_at_the_first_such_point_of_a_ba
         riemann_from_metric(M)
 
 
-# -- the cosines of a q-basis from the relations' shared Gram entries -------------
+# -- the q-orbit Gram entries against plain inner products -------------------------
+
+
+def _all_bits(arrays):
+    return [np.asarray(a).shape for a in arrays], b"".join(np.asarray(a).tobytes() for a in arrays)
 
 
 @pytest.mark.parametrize(
     "make",
-    [random_manifold, random_q_invariant_manifold, random_parallel_manifold],
-    ids=["generic", "cyclic", "parallel"],
+    [random_manifold, random_q_invariant_manifold, random_parallel_manifold, random_warped_manifold],
+    ids=["generic", "cyclic", "parallel", "warped"],
 )
 def test_shared_gram_cosines_are_q_basis_cosines_bit_for_bit(make):
-    # sectional_relations reads cos(u, qu) and the angle-route check from the Gram
-    # entries of u's orbit over a power of two; q_basis_cosines forms them from u itself
+    # angles reads the cosines from the Gram entries of u's q-orbit, and sectional_relations
+    # from those of u over a power of two; the reference forms plain inner products of u itself
     rng = np.random.default_rng(19)
     for seed in range(3):
         _, M = sample_admissible_points(make(rng), BOX, 12, seed)
@@ -732,7 +740,14 @@ def test_shared_gram_cosines_are_q_basis_cosines_bit_for_bit(make):
             U = rng.standard_normal((6, 3)) * 10.0**exponent
             U = U[induces_q_basis(U)]
             for metric, u in ((M, U.reshape(len(U), 1, 3)), (M[0], U)):  # vectors by points, and one point
-                shared = _orbit_gram(metric.g_scaled, u)[3]
-                want = q_basis_cosines(metric, u)
-                assert [c.shape for c in shared] == [c.shape for c in want]
-                assert b"".join(c.tobytes() for c in shared) == b"".join(c.tobytes() for c in want), exponent
+                want = _all_bits(q_basis_cosines_reference(metric, u))
+                rep = q_basis_angles(metric, u)
+                assert _all_bits((rep.cos_phi_x_qx, rep.cos_phi_x_q2x, rep.cos_theta_qx_q2x)) == want, exponent
+                assert _all_bits(q_orbit_cosines(metric, _rescaled(u)[0])[3]) == want, exponent
+        # orthobasis's four products of the unscaled generator over the unscaled g
+        x = construct_orthogonal_vector(M.A, M.B)
+        qx = apply_q(x)
+        q2x = apply_q(qx)
+        results = _cmd_orthobasis(None, None, M, argparse.Namespace(tol=1e-9))[0]
+        reported = [results[k] for k in ("norm_sq", "g_x_qx", "g_x_q2x", "g_qx_q2x")]
+        assert _all_bits(reported) == _all_bits([*inners(M.g, x, (x, qx, q2x)), *inners(M.g, qx, (q2x,))])

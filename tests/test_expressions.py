@@ -9,7 +9,7 @@ import pytest
 
 from circulant3 import eval_jet, eval_value, parse, to_source
 from circulant3.errors import EvalDomainError, ExprSyntaxError
-from circulant3.expressions import Binary, Const, Coord, Power, Unary
+from circulant3.expressions import MAX_DEPTH, Binary, Const, Coord, Power, Unary
 
 from helpers import fd_gradient, fd_hessian, random_expression
 
@@ -78,6 +78,36 @@ def test_unary_minus_binds_tighter_than_product():
 
 def test_negative_exponent_literal():
     assert eval_value(parse("x1^-2"), (2.0, 0.0, 0.0)) == 0.25
+
+
+def test_parse_refuses_an_expression_deeper_than_max_depth():
+    # the parser recurses through parentheses, the evaluators and to_source through the tree
+    for source, offset in (
+        ("(" * 3000 + "x1" + ")" * 3000, MAX_DEPTH - 1),  # the parenthesis that opens level MAX_DEPTH
+        ("3" + " + x1" * 3000, 5 * MAX_DEPTH - 3),  # the '+' that makes the tree MAX_DEPTH + 1 deep
+        ("-" * 3000 + "x1", MAX_DEPTH - 1),
+        ("sin(" * 3000 + "x1" + ")" * 3000, 4 * (MAX_DEPTH - 1)),
+        ("(" * (MAX_DEPTH - 2) + "x1^2" + ")" * (MAX_DEPTH - 2) + "^2", 2 * MAX_DEPTH),
+    ):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse(source)
+        assert str(err.value) == f"expression nested deeper than {MAX_DEPTH} levels at offset {offset}"
+
+
+def test_an_expression_at_max_depth_evaluates():
+    p = (0.5, 0.25, 2.0)
+    for source, value in (
+        ("(" * (MAX_DEPTH - 1) + "x1" + ")" * (MAX_DEPTH - 1), 0.5),
+        ("x3" + " + x3" * (MAX_DEPTH - 1), 2.0 * MAX_DEPTH),
+        ("-" * (MAX_DEPTH - 1) + "x2", -0.25),  # an odd number of minuses
+        ("sin(" * (MAX_DEPTH - 1) + "x1" + ")" * (MAX_DEPTH - 1), None),
+    ):
+        f = parse(source)
+        assert parse(to_source(f)) == f
+        jet = eval_jet(f, p)
+        assert jet.value == eval_value(f, p)
+        if value is not None:
+            assert eval_value(f, p) == value
 
 
 def test_eval_value_examples():

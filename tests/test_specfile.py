@@ -106,6 +106,15 @@ def test_load_spec_missing_file(tmp_path):
         load_spec(tmp_path / "absent.toml")
 
 
+def test_load_spec_refuses_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "bad.toml"
+    path.write_bytes(b'name = "bad"\n[metric]\nA = "3\xff"\nB = "1"\n')
+    with pytest.raises(SpecFileError) as err:
+        load_spec(path)
+    assert str(err.value) == f"spec file {str(path)!r} is not UTF-8 text: invalid start byte (line 3)"
+    assert err.value.line == 3
+
+
 def test_builtin_example_definition():
     spec = builtin_example()
     assert spec.name == "example-m5"
