@@ -21,22 +21,17 @@ result is bit for bit the one a batch of that point alone gives. Vectors
 are one vector (3,) shared by all points or one per point (..., 3). A
 check that refuses a batch names its first failing point.
 
-Layout. christoffel_from_metric and riemann_from_metric contract
-C-contiguous arrays whose tensor indices come first and whose batch axes
-come last (``"ijt...,th...->ijh..."``), so that each einsum's inner loop
-runs over the batch rather than over an index of length 3; the API stays
-batch-first. A pure permutation of indices (C and dC from dg and ddg, the
-two dGamma terms of R_ijk^h) is a transposed view (_permuted), the view a
-one-operand einsum would return. Strides matter beyond speed: an einsum may
-sum in an order that follows its operands' strides (riemann_apply sums
-over all four indices of R.low; nabla_q_from_table reads gamma). So gamma
-and dgamma are C-contiguous batch-first arrays; the ChristoffelTable that
-christoffel_from_metric returns also keeps them C-contiguous tensor-first,
-as it formed them, and riemann_from_metric contracts those, so neither is
-copied back. low has the memory order (batch..., k, i, j, h) in which a
-batch-first einsum over R_ijk^h leaves it, viewed as (batch..., i, j, k, h).
-tests/test_kernel_layout.py pins every element and every stride against
-the same contractions run batch-first.
+Layout. Gamma, dGamma and R are each stored once, as the C-contiguous
+output of the einsum that forms them, tensor indices first and batch axes
+last (ChristoffelTable.t[i,j,h,*batch] and .dt[k,i,j,h,*batch],
+CurvatureTensor.t[k,i,j,h,*batch]), so that each einsum's inner loop runs
+over the batch rather than over an index of length 3. The API's batch-first
+gamma, dgamma and low are views of them. A pure permutation of indices (C
+and dC from dg and ddg, the two dGamma terms of R_ijk^h) is a transposed
+view (_permuted). An einsum may sum in an order that follows its operands'
+strides, so tests/test_kernel_layout.py pins every element, and the bits of
+each contraction that reads these arrays, against the same einsums run
+batch-first.
 
 Overflow. The three curvature kernels silence numpy's float warnings and
 raise EvalDomainError where Gamma, its derivatives, low or a closed-form
@@ -70,7 +65,7 @@ reported, never patched.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,33 +95,38 @@ COMPONENT_INDEX = {
 
 @dataclass(frozen=True)
 class ChristoffelTable:
-    """gamma[...,i,j,h] = Gamma_ij^h and dgamma[...,k,i,j,h] = d_k Gamma_ij^h."""
+    """Gamma_ij^h and d_k Gamma_ij^h as t[i,j,h,*batch] and dt[k,i,j,h,*batch], C-contiguous."""
 
-    gamma: np.ndarray
-    dgamma: np.ndarray
-    # the same tensors as christoffel_from_metric formed them, C-contiguous with the tensor
-    # indices first, for riemann_from_metric; None on a table taken from part of a batch
-    _gamma_t: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _dgamma_t: np.ndarray | None = field(default=None, repr=False, compare=False)
+    t: np.ndarray
+    dt: np.ndarray
+
+    @property
+    def gamma(self) -> np.ndarray:
+        """gamma[...,i,j,h] = Gamma_ij^h, a view of t."""
+        return index_first(self.t, self.t.ndim - 3)
+
+    @property
+    def dgamma(self) -> np.ndarray:
+        """dgamma[...,k,i,j,h] = d_k Gamma_ij^h, a view of dt."""
+        return index_first(self.dt, self.dt.ndim - 4)
 
 
 @dataclass(frozen=True)
 class CurvatureTensor:
-    """low[...,i,j,k,h] = g(R(e_i, e_j) e_k, e_h), the (0,4) tensor."""
+    """g(R(e_i, e_j) e_k, e_h), the (0,4) tensor, as t[k,i,j,h,*batch], C-contiguous."""
 
-    low: np.ndarray
-    christoffel: ChristoffelTable  # the table low was built from
+    t: np.ndarray
+    christoffel: ChristoffelTable  # the table t was built from
     metric: MetricAtPoint  # the metric the table was built from, which lowers R_ijk^h
 
-    def component(self, i: int, j: int, k: int, h: int) -> float:
-        """Lowered component by 1-based indices."""
-        return self.low[..., i - 1, j - 1, k - 1, h - 1]
+    @property
+    def low(self) -> np.ndarray:
+        """low[...,i,j,k,h] = t[k,i,j,h,...], a writable view of t."""
+        return self.t.transpose(*range(4, self.t.ndim), 1, 2, 0, 3)
 
-    def __getitem__(self, index) -> "CurvatureTensor":
-        """The tensor at part of the batch, e.g. one point."""
-        ct = self.christoffel
-        table = ChristoffelTable(ct.gamma[index], ct.dgamma[index])
-        return CurvatureTensor(self.low[index], table, self.metric[index])
+    def component(self, i: int, j: int, k: int, h: int) -> np.ndarray:
+        """Lowered component by 1-based indices, with the batch shape."""
+        return self.t[k - 1, i - 1, j - 1, h - 1]
 
 
 @functools.cache
@@ -145,18 +145,12 @@ def index_first(a: np.ndarray, rank: int) -> np.ndarray:
 
 def components(R: "CurvatureTensor") -> dict[str, np.ndarray]:
     """The lowered components named in COMPONENT_INDEX, with R's batch shape."""
-    low = index_first(R.low, 4)
-    return {name: low[i, j, k, h] for name, (i, j, k, h) in COMPONENT_INDEX.items()}
+    return {name: R.t[k, i, j, h] for name, (i, j, k, h) in COMPONENT_INDEX.items()}
 
 
 def _tensor_first(a: np.ndarray, rank: int) -> np.ndarray:
     """index_first(a, rank) as a C-contiguous array: tensor indices first, batch axes last."""
     return np.ascontiguousarray(index_first(a, rank))
-
-
-def _batch_first(a: np.ndarray, rank: int) -> np.ndarray:
-    """A C-contiguous copy of a with its first rank (tensor index) axes moved last."""
-    return np.array(index_first(a, a.ndim - rank), order="C")
 
 
 def _metric_derivatives(M: MetricAtPoint):
@@ -188,28 +182,26 @@ def christoffel_from_metric(M: MetricAtPoint) -> ChristoffelTable:
     dgamma = 0.5 * (
         np.einsum("kth...,ijt...->kijh...", dginv, C) + np.einsum("th...,kijt...->kijh...", ginv, dC)
     )
-    gamma_t, dgamma_t = np.ascontiguousarray(gamma), np.ascontiguousarray(dgamma)
-    gamma, dgamma = _batch_first(gamma, 3), _batch_first(dgamma, 4)
-    require_finite(M, "Christoffel symbols or their derivatives", gamma, dgamma)
-    return ChristoffelTable(gamma, dgamma, gamma_t, dgamma_t)
+    ct = ChristoffelTable(np.ascontiguousarray(gamma), np.ascontiguousarray(dgamma))
+    require_finite(M, "Christoffel symbols or their derivatives", ct.gamma, ct.dgamma)
+    return ct
 
 
 @np.errstate(all="ignore")
 def riemann_from_metric(M: MetricAtPoint) -> CurvatureTensor:
     """The curvature tensor at M's points; low[...,i,j,k,h] = g(R(e_i,e_j)e_k, e_h)."""
     ct = christoffel_from_metric(M)
-    gamma, dgamma = ct._gamma_t, ct._dgamma_t
+    gamma, dgamma = ct.t, ct.dt
     up = (
         _permuted(dgamma, 1, 0, 2, 3)
         - _permuted(dgamma, 1, 2, 0, 3)
         + np.einsum("ikt...,tjh...->ijkh...", gamma, gamma)
         - np.einsum("ijt...,tkh...->ijkh...", gamma, gamma)
     )
-    # low in memory order (batch..., k, i, j, h), viewed as (batch..., i, j, k, h)
-    low = _batch_first(np.einsum("kijt...,th...->kijh...", up, _tensor_first(M.g, 2)), 4)
-    low = low.swapaxes(-4, -3).swapaxes(-3, -2)
-    require_finite(M, "curvature components", low)
-    return CurvatureTensor(low, ct, M)
+    t = np.ascontiguousarray(np.einsum("kijt...,th...->kijh...", up, _tensor_first(M.g, 2)))
+    R = CurvatureTensor(t, ct, M)
+    require_finite(M, "curvature components", R.low)
+    return R
 
 
 @np.errstate(all="ignore")
@@ -295,9 +287,13 @@ def closed_form(A, B, dA, dB, HA, HB) -> tuple:
 
 
 def riemann_apply(R: CurvatureTensor, x, y, z, u):
-    """Full contraction R(x, y, z, u) of the lowered tensor."""
-    x, y, z, u = (np.asarray(v, dtype=float) for v in (x, y, z, u))
-    return np.einsum("...ijkh,...i,...j,...k,...h->...", R.low, x, y, z, u)
+    """Full contraction R(x, y, z, u) of the lowered tensor, over t in its memory order.
+
+    The vectors are made C-contiguous tensor-first too, so that the inner loop
+    runs over the batch in every operand.
+    """
+    x, y, z, u = (_tensor_first(np.asarray(v, dtype=float), 1) for v in (x, y, z, u))
+    return np.einsum("kijh...,i...,j...,k...,h...->...", R.t, x, y, z, u)
 
 
 def _rescaled(v):
@@ -354,14 +350,14 @@ def gram_determinant(M: MetricAtPoint, x, y):
     return np.ldexp(gxx * gyy - gxy * gxy, 2 * (ex + ey + M.e))
 
 
-def max_abs(low: np.ndarray) -> np.ndarray:
-    """max |low[...,i,j,k,h]| over the tensor indices of a batch of (0,4) tensors."""
-    return np.abs(low).max(axis=(-4, -3, -2, -1))
+def max_abs(R: CurvatureTensor) -> np.ndarray:
+    """max |R_ijkh| over the tensor indices, with R's batch shape."""
+    return np.abs(R.t).max(axis=(0, 1, 2, 3))
 
 
 def is_flat(R: CurvatureTensor, tol: float):
     """Where every lowered component is below tol in magnitude."""
-    return max_abs(R.low) <= tol
+    return max_abs(R) <= tol
 
 
 @dataclass(frozen=True)
@@ -386,7 +382,7 @@ def check_q_invariance(R: CurvatureTensor, tol: float = 1e-9) -> QInvarianceChec
     R_1223 does not vanish.)
     """
     c = components(R)
-    scale = max_abs(R.low)
+    scale = max_abs(R)
     threshold = tol * (1.0 + scale)
     diag = np.array([c["R1212"], c["R1313"], c["R2323"]])
     cross = np.array([c["R1213"], c["R1323"], -c["R1223"]])
@@ -412,7 +408,7 @@ def sampled_q_invariance_residual(R: CurvatureTensor, seed: int, samples: int):
     vecs /= np.linalg.norm(vecs, axis=-1, keepdims=True)
     # stacked[s, t]: slot s of the q-image of tuple t for t < samples, of tuple t - samples after
     stacked = np.concatenate((apply_q(vecs), vecs)).swapaxes(0, 1)
-    r = riemann_apply(R, *stacked.reshape((4, 2 * samples) + (1,) * (R.low.ndim - 4) + (3,)))
+    r = riemann_apply(R, *stacked.reshape((4, 2 * samples) + (1,) * (R.t.ndim - 4) + (3,)))
     return np.fmax.reduce(abs(r[:samples] - r[samples:]), axis=0, initial=0.0)[()]
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import ChristoffelTable, _metric_derivatives, christoffel_from_metric, index_first
+from .curvature import ChristoffelTable
 from .metric import MetricAtPoint
 from .qstructure import Q_MATRIX
 
@@ -67,15 +67,7 @@ def parallel_residual_from_metric(M: MetricAtPoint) -> np.ndarray:
 
 def christoffel_equalities_from_table(ct: ChristoffelTable) -> np.ndarray:
     """Max deviation over the nine Christoffel equalities implied by nabla q = 0."""
-    lhs, rhs = index_first(ct.gamma, 3)[_EQUALITY_SIDES]
+    lhs, rhs = ct.t[_EQUALITY_SIDES]
     # fmax from 0.0, like a running max(worst, .), keeps worst where a deviation is NaN
     return np.fmax.reduce(abs(lhs - rhs), axis=0, initial=0.0)
 
-
-def metric_compatibility_residual(M: MetricAtPoint) -> np.ndarray:
-    """Max component of nabla g at M's points (must vanish for the Levi-Civita connection)."""
-    ct = christoffel_from_metric(M)
-    dg, _ = _metric_derivatives(M)
-    contraction = np.einsum("...kit,...tj->...kij", ct.gamma, M.g)
-    nabla_g = dg - contraction - np.einsum("...kij->...kji", contraction)
-    return np.abs(nabla_g).max(axis=(-3, -2, -1))

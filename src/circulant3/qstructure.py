@@ -20,7 +20,7 @@ import numpy as np
 
 from . import jets
 from .errors import AngleRoutesDisagree, NotAQBasis, PositivityViolation
-from .metric import MetricAtPoint, first_point, inner, positive
+from .metric import MetricAtPoint, first_point, positive
 
 Q_MATRIX = np.array([[0, -1, 0], [0, 0, -1], [-1, 0, 0]], dtype=int)
 
@@ -33,12 +33,6 @@ def apply_q(x) -> np.ndarray:
     """Apply q: (x1, x2, x3) -> (-x2, -x3, -x1), to one vector (3,) or a batch (..., 3)."""
     x = np.asarray(x, dtype=float)
     return (Q_MATRIX @ x[..., None])[..., 0]
-
-
-@np.errstate(all="ignore")  # NaN where the inner products overflow, as inners computes them
-def isometry_residual(M: MetricAtPoint, x, y) -> float:
-    """|g(qx, qy) - g(x, y)|; zero up to rounding for every circulant g."""
-    return abs(inner(M, apply_q(x), apply_q(y)) - inner(M, x, y))
 
 
 def q_basis_test(x):
@@ -87,12 +81,6 @@ def cos_angle_closed_form(A, B, x):
     """cos(angle(x, qx)) from the invariants a, b: -(Ba + (A+B)b)/(Aa + 2Bb)."""
     a, b = vector_invariants(x)
     return -(B * a + (A + B) * b) / (A * a + 2 * B * b)
-
-
-def orthogonality_defect(M: MetricAtPoint, x) -> float:
-    """B a + (A+B) b; vanishes iff {x, qx, q^2 x} is g-orthogonal."""
-    a, b = vector_invariants(x)
-    return M.B * a + (M.A + M.B) * b
 
 
 def _clamped_acos(c):

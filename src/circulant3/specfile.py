@@ -158,8 +158,8 @@ def load_spec(path) -> ManifoldSpec:
 
     p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:  # exc.object is the whole file, decoded in one call
+        text = p.read_text(encoding="utf-8-sig")  # a leading byte-order mark is dropped
+    except UnicodeDecodeError as exc:  # exc.object is the whole file after any mark, decoded in one call
         line = exc.object.count(b"\n", 0, exc.start) + 1
         raise SpecFileError(f"spec file {str(p)!r} is not UTF-8 text: {exc.reason}", line) from None
     return parse_spec_text(text, default_name=p.stem)

@@ -1,13 +1,24 @@
-"""Shared test utilities: finite-difference oracles and seeded generators."""
+"""Shared test utilities: finite-difference and other oracles, and seeded generators."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from circulant3 import MetricFunctions, apply_q, eval_jet, eval_value, induces_q_basis, parse
+from circulant3 import (
+    MetricFunctions,
+    apply_q,
+    christoffel_from_metric,
+    eval_jet,
+    eval_value,
+    induces_q_basis,
+    inner,
+    parse,
+)
+from circulant3.curvature import _metric_derivatives
 from circulant3.errors import CirculantError
 from circulant3.metric import inners
 from circulant3.parallelism import MIRROR_MATRIX
+from circulant3.qstructure import vector_invariants
 
 BOX = ((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0))
 
@@ -44,6 +55,30 @@ def fd_hessian(f, p, h=1e-5):
             ) / (4 * h * h)
             H[i, j] = H[j, i] = val
     return H
+
+
+# -- identities the library's routes must satisfy -------------------------------
+
+
+@np.errstate(all="ignore")  # NaN where the inner products overflow, as inners computes them
+def isometry_residual(M, x, y):
+    """|g(qx, qy) - g(x, y)|; zero up to rounding for every circulant g."""
+    return abs(inner(M, apply_q(x), apply_q(y)) - inner(M, x, y))
+
+
+def orthogonality_defect(M, x):
+    """B a + (A+B) b; vanishes iff {x, qx, q^2 x} is g-orthogonal."""
+    a, b = vector_invariants(x)
+    return M.B * a + (M.A + M.B) * b
+
+
+def metric_compatibility_residual(M):
+    """Max component of nabla g at M's points (must vanish for the Levi-Civita connection)."""
+    ct = christoffel_from_metric(M)
+    dg, _ = _metric_derivatives(M)
+    contraction = np.einsum("...kit,...tj->...kij", ct.gamma, M.g)
+    nabla_g = dg - contraction - np.einsum("...kij->...kji", contraction)
+    return np.abs(nabla_g).max(axis=(-3, -2, -1))
 
 
 # -- random expressions --------------------------------------------------------

@@ -23,7 +23,6 @@ from circulant3 import (
     inner,
     is_flat,
     metric_at,
-    metric_compatibility_residual,
     riemann_apply,
     riemann_from_metric,
     sample_admissible_points,
@@ -41,6 +40,7 @@ from circulant3.specfile import builtin_example, example_diagonal_value
 
 from helpers import (
     BOX,
+    metric_compatibility_residual,
     q_basis_cosines_reference,
     random_manifold,
     random_parallel_manifold,

@@ -2,10 +2,13 @@
 
 In the reference below every einsum carries the batch as a leading
 ``...``, the plainest way to write them. The kernel must give every element of
-Gamma, dGamma and low bit for bit, and every array the same strides,
-because later einsums over these arrays sum in an order that follows their
-operands' strides. tests/test_properties.py runs the same check at random
-batch sizes.
+Gamma, dGamma and low bit for bit. It stores them tensor-first (t and dt,
+C-contiguous) and hands out batch-first views, so their strides differ from
+the reference's; what the strides could change is the order in which a later
+einsum sums. So every reader of these arrays that contracts them
+(riemann_apply, nabla_q_from_table, the CLI's symmetry verdicts) must give the
+bits of the same batch-first einsum over the reference's arrays.
+tests/test_properties.py runs the same check at random batch sizes.
 """
 
 from __future__ import annotations
@@ -13,8 +16,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from circulant3 import sample_admissible_points
-from circulant3.curvature import riemann_from_metric
+from circulant3 import Q_MATRIX, sample_admissible_points
+from circulant3.cli import _symmetry_verdicts
+from circulant3.curvature import riemann_apply, riemann_from_metric
+from circulant3.parallelism import nabla_q_from_table
 from circulant3.specfile import builtin_example
 
 from helpers import BOX, random_manifold, random_parallel_manifold, random_q_invariant_manifold
@@ -81,12 +86,37 @@ def metric_batch(name, seed, shape):
     return M[0] if shape == () else M
 
 
+def _bits(a):
+    a = np.asarray(a)
+    return a.shape, a.tobytes()
+
+
 def assert_kernel_is_the_reference(M):
     R = riemann_from_metric(M)
-    got = (R.christoffel.gamma, R.christoffel.dgamma, R.low)
-    for name, a, b in zip(("gamma", "dgamma", "low"), got, reference_riemann(M)):
-        assert a.shape == b.shape and a.strides == b.strides, name
-        assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
+    ct = R.christoffel
+    gamma, dgamma, low = reference_riemann(M)
+    for name, got, want in zip(("gamma", "dgamma", "low"), (ct.gamma, ct.dgamma, R.low), (gamma, dgamma, low)):
+        assert got.shape == want.shape, name
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
+    # stored once, tensor first; the batch-first arrays are views
+    batch = M.D.shape
+    stores = (("R", R.t, 4, R.low), ("Gamma", ct.t, 3, ct.gamma), ("dGamma", ct.dt, 4, ct.dgamma))
+    for name, stored, rank, view in stores:
+        assert stored.flags.c_contiguous and stored.shape == (3,) * rank + batch, name
+        assert np.shares_memory(stored, view), name
+    # the readers give the bits of the batch-first einsums over the reference's arrays
+    rng = np.random.default_rng(5)
+    for shape in ((3,), batch + (3,), (5, 1, 3)):
+        x, y, z, u = rng.standard_normal((4,) + shape)
+        want = np.einsum("...ijkh,...i,...j,...k,...h->...", low, x, y, z, u)
+        assert _bits(riemann_apply(R, x, y, z, u)) == _bits(want), shape
+    Q = Q_MATRIX.astype(float)
+    want = np.einsum("...ith,tj->...ijh", gamma, Q) - np.einsum("...ijt,ht->...ijh", gamma, Q)
+    assert _bits(nabla_q_from_table(ct).nq) == _bits(want)
+    got, want = _symmetry_verdicts(R.low, 1e-9), _symmetry_verdicts(low, 1e-9)
+    assert [_bits(v[key]) for v in got.values() for key in sorted(v)] == [
+        _bits(v[key]) for v in want.values() for key in sorted(v)
+    ]
 
 
 @pytest.mark.parametrize("shape", SHAPES, ids=str)

@@ -40,7 +40,6 @@ from circulant3 import (  # noqa: E402
     check_sectional_difference_formula,
     construct_special_angle_vector,
     induces_q_basis,
-    isometry_residual,
     jets,
     metric_at,
     riemann_from_metric,
@@ -66,6 +65,7 @@ from circulant3.qstructure import Q_BASIS_EPS, q_basis_test  # noqa: E402
 import jets_reference  # noqa: E402
 from helpers import (  # noqa: E402
     JET_OPS,
+    isometry_residual,
     jet_outcome,
     random_manifold,
     random_point,

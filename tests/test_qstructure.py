@@ -16,15 +16,13 @@ from circulant3 import (
     cos_angle_closed_form,
     induces_q_basis,
     inner,
-    isometry_residual,
     metric_at,
-    orthogonality_defect,
     q_basis_angles,
 )
 from circulant3.errors import AngleRoutesDisagree, NotAQBasis, PositivityViolation
 from circulant3.qstructure import require_angle_routes_agree
 
-from helpers import random_admissible_AB, random_q_basis_vector
+from helpers import isometry_residual, orthogonality_defect, random_admissible_AB, random_q_basis_vector
 
 
 def _metric(A: float, B: float):

@@ -96,9 +96,11 @@ def test_inline_comments_allowed():
 
 def test_load_spec_roundtrip(tmp_path):
     path = tmp_path / "demo.toml"
-    path.write_text(GOOD, encoding="utf-8")
-    spec = load_spec(path)
-    assert spec.name == "demo"
+    for encoding in ("utf-8", "utf-8-sig"):  # without and with a byte-order mark
+        path.write_text(GOOD, encoding=encoding)
+        spec = load_spec(path)
+        assert spec.name == "demo"
+        assert spec == parse_spec_text(GOOD)
 
 
 def test_load_spec_missing_file(tmp_path):
@@ -108,11 +110,12 @@ def test_load_spec_missing_file(tmp_path):
 
 def test_load_spec_refuses_a_file_that_is_not_utf8(tmp_path):
     path = tmp_path / "bad.toml"
-    path.write_bytes(b'name = "bad"\n[metric]\nA = "3\xff"\nB = "1"\n')
-    with pytest.raises(SpecFileError) as err:
-        load_spec(path)
-    assert str(err.value) == f"spec file {str(path)!r} is not UTF-8 text: invalid start byte (line 3)"
-    assert err.value.line == 3
+    for mark in (b"", b"\xef\xbb\xbf"):  # without and with a byte-order mark
+        path.write_bytes(mark + b'name = "bad"\n[metric]\nA = "3\xff"\nB = "1"\n')
+        with pytest.raises(SpecFileError) as err:
+            load_spec(path)
+        assert str(err.value) == f"spec file {str(path)!r} is not UTF-8 text: invalid start byte (line 3)"
+        assert err.value.line == 3
 
 
 def test_builtin_example_definition():
