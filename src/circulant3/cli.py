@@ -231,16 +231,19 @@ def _max(values):
 # Each core maps (spec, p, M, args) to (results, verdicts). p is one point (3,)
 # or a batch (N, 3); the verdicts' pass flags and residuals carry p's batch
 # shape. M is the metric batch at p, built once by the caller for --at as for
-# --sample, except for validate, which classifies its points itself, and
+# --sample, except for validate at --at, which classifies its point itself, and
 # qbasis, which uses no metric: those two get None.
 
 
 @np.errstate(all="ignore")  # as the float arithmetic of one point
 def _cmd_validate(spec, p, M, args):
-    ok, A_jet, B_jet, values = admissibility(spec.metric, p)
-    if np.isnan(A_jet.value).any():  # A, B or a constraint does not evaluate: refuse as riemann does
-        metric_at(spec.metric, p, allow_weak=args.allow_weak_metric)
-    M = metric_from_jets(A_jet, B_jet)
+    if M is None:  # --at
+        ok, A_jet, B_jet, values = admissibility(spec.metric, p)
+        if np.isnan(A_jet.value).any():  # A, B or a constraint does not evaluate: refuse as riemann does
+            metric_at(spec.metric, p, allow_weak=args.allow_weak_metric)
+        M = metric_from_jets(A_jet, B_jet)
+    else:  # --sample: the sampler admitted every point, so each is inside every chart constraint
+        ok, values = np.ones(M.D.shape, dtype=bool), ()
     A, B = M.A, M.B
     violations = [] if np.all(positive(A, B)) else [f"A > B > 0 fails (A={A.tolist()!r}, B={B.tolist()!r})"]
     constraints_ok = True

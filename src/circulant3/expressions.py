@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -384,14 +385,33 @@ def eval_value(f: ScalarFieldExpr, p):
     return np.full(len(pt), out)
 
 
+class CoordinateJets(NamedTuple):
+    """The jets of x1, x2 and x3 at points as_point has checked; eval_jet takes them in place of the points."""
+
+    x1: Jet2
+    x2: Jet2
+    x3: Jet2
+
+
+def coordinate_jets(pt: np.ndarray) -> CoordinateJets:
+    """The coordinate jets at pt, a point (3,) or a batch (N, 3) already checked by as_point.
+
+    Fields evaluated at the same points share them, so the points are checked and the
+    jets built once.
+    """
+    return CoordinateJets(*(jets.variable(i, pt) for i in (1, 2, 3)))
+
+
 def eval_jet(f: ScalarFieldExpr, p) -> Jet2:
-    """Evaluate f at p, shape (3,) or (N, 3), together with its exact gradient and Hessian."""
-    pt = as_point(p)
-    coords = tuple(jets.variable(i, pt) for i in (1, 2, 3))
+    """Evaluate f at p, shape (3,) or (N, 3), together with its exact gradient and Hessian.
+
+    p may also be the coordinate_jets of checked points.
+    """
+    coords = p if isinstance(p, CoordinateJets) else coordinate_jets(as_point(p))
     with np.errstate(all="ignore"):
         out = _eval(f, f.root, coords)
     if not isinstance(out, Jet2):  # constant expression
-        out = jets.constant(out, pt.shape[:-1])
+        out = jets.constant(out, coords.x1.value.shape)
     if not np.isfinite(out.data).all():
         raise EvalDomainError("jet evaluation produced non-finite entries", _node_source(f, f.root))
     return out

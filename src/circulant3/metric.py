@@ -18,7 +18,7 @@ import numpy as np
 
 from . import jets
 from .errors import DomainViolation, EvalDomainError, PositivityViolation
-from .expressions import ScalarFieldExpr, as_point, eval_jet, eval_value, parse
+from .expressions import ScalarFieldExpr, as_point, coordinate_jets, eval_jet, eval_value, parse
 from .jets import Jet2
 
 _EYE = np.eye(3, dtype=bool)
@@ -144,7 +144,8 @@ def admissibility(m: MetricFunctions, p):
     """
     pt = as_point(p)
     try:
-        A_jet, B_jet = eval_jet(m.A, pt), eval_jet(m.B, pt)
+        xs = coordinate_jets(pt)
+        A_jet, B_jet = eval_jet(m.A, xs), eval_jet(m.B, xs)
         values = tuple(eval_value(c, pt) for c in m.domain_constraints)
         ok = positive(A_jet.value, B_jet.value)
         for value in values:
@@ -170,7 +171,8 @@ def _point_rule(m: MetricFunctions, p: np.ndarray, allow_weak: bool) -> None:
         val = eval_value(c, p)
         if not inside_chart(val):
             raise DomainViolation(c.source or str(c), val, p)
-    A, B = (float(eval_jet(f, p).value) for f in (m.A, m.B))
+    xs = coordinate_jets(p)
+    A, B = (float(eval_jet(f, xs).value) for f in (m.A, m.B))
     if not positive(A, B):
         if allow_weak and check_positive_definite(A, B).positive_definite:
             warnings.warn(

@@ -170,16 +170,16 @@ def builtin_example() -> ManifoldSpec:
 
     Chart constraints: 2 x1 + x2 + x3 > 0 and x2 + x3 < 0 (these are
     exactly A > B > 0). The default sampling box keeps both satisfiable.
+    The spec is parsed once, at import; every call returns that frozen object.
     """
-    return ManifoldSpec(
-        metric=MetricFunctions.from_sources(
-            "2*x1",
-            "2*x1 + x2 + x3",
-            ("2*x1 + x2 + x3", "-x2 - x3"),
-        ),
-        name="example-m5",
-        sample_box=((1.0, 3.0), (-2.0, -0.1), (-2.0, -0.1)),
-    )
+    return _EXAMPLE
+
+
+_EXAMPLE = ManifoldSpec(
+    metric=MetricFunctions.from_sources("2*x1", "2*x1 + x2 + x3", ("2*x1 + x2 + x3", "-x2 - x3")),
+    name="example-m5",
+    sample_box=((1.0, 3.0), (-2.0, -0.1), (-2.0, -0.1)),
+)
 
 
 # closed-form value of the example's three equal diagonal curvature components

@@ -291,6 +291,9 @@ JET_OPS = {
     "jet ** 1": lambda m, a, b, c: a ** 1,
     "jet ** 2": lambda m, a, b, c: a ** 2,
     "jet ** 3": lambda m, a, b, c: a ** 3,
+    "jet ** 4": lambda m, a, b, c: a ** 4,
+    "jet ** 5": lambda m, a, b, c: a ** 5,
+    "jet ** -3": lambda m, a, b, c: a ** -3,
     "jet ** 2.5": lambda m, a, b, c: a ** 2.5,
     "sqrt": lambda m, a, b, c: m.sqrt(a),
     "exp": lambda m, a, b, c: m.exp(a),

@@ -255,6 +255,20 @@ def test_batch_domain_error_matches_the_failing_point(src, x1):
         assert type(batch.value.__cause__) is type(single.value.__cause__)
 
 
+def test_mixed_batch_domain_error_is_that_of_its_first_failing_point():
+    # x1^-3 at 1e-70 overflows only a derivative (1e-70^-5), at 0.0 its value: the jets fail at the
+    # first of the two, the values at the second, each with the error that point raises alone
+    expr = parse("x1^-3")
+    pts = np.array([[0.5, 0.0, 0.0], [1e-70, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    for evaluate, first, cause in ((eval_jet, 1, OverflowError), (eval_value, 2, ZeroDivisionError)):
+        with pytest.raises(EvalDomainError) as single:
+            evaluate(expr, pts[first])
+        with pytest.raises(EvalDomainError) as batch:
+            evaluate(expr, pts)
+        assert str(batch.value) == str(single.value)
+        assert type(batch.value.__cause__) is type(single.value.__cause__) is cause
+
+
 def test_batch_evaluation_emits_no_numpy_warnings():
     pts = np.array([[1e300, 1e-320, 1.0], [2.0, 3.0, 1e-200]])
     with warnings.catch_warnings():

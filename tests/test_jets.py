@@ -251,6 +251,25 @@ def test_the_reference_comparison_covers_the_errors():
     }, seen
 
 
+@pytest.mark.parametrize(
+    "values, raised",
+    [([0.5, 1e-70, 0.0], "OverflowError"), ([0.5, 0.0, 1e-70], "ZeroDivisionError"),
+     ([1e-70, -0.0, 1e-300], "OverflowError"), ([2.0, 1e62, -0.0, 1e-70], "ZeroDivisionError")],
+    ids=["overflow-then-zero", "zero-then-overflow", "overflow-then-negative-zero", "value-overflow-then-zero"],
+)
+def test_integer_power_of_a_mixed_batch_raises_what_the_reference_raises(values, raised):
+    # x ** -3 at 1e-70 overflows only its second derivative (1e-70 ** -5), at 0.0 its value: the
+    # channels are formed one after another, yet the first failing element decides, as element by
+    # element; x ** 5 at 1e62 overflows its value
+    rng = np.random.default_rng(21)
+    a = _parts(rng, (len(values),), np.array(values))
+    for name in ("jet ** -3", "jet ** -1", "jet ** 0", "jet ** 5"):
+        got = jet_outcome(JET_OPS[name], jets, Jet2(*a), Jet2(*a), 0.0)
+        want = jet_outcome(JET_OPS[name], jets_reference, jets_reference.Jet2(*a), jets_reference.Jet2(*a), 0.0)
+        assert got == want, name
+    assert jet_outcome(JET_OPS["jet ** -3"], jets, Jet2(*a), Jet2(*a), 0.0)[0] == raised
+
+
 @pytest.mark.parametrize("shape", SHAPES, ids=str)
 def test_value_gradient_and_hessian_are_views_of_one_array(shape):
     rng = np.random.default_rng(20)

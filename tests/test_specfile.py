@@ -126,3 +126,4 @@ def test_builtin_example_definition():
     assert eval_value(spec.metric.B, p) == 2.0
     assert len(spec.metric.domain_constraints) == 2
     assert spec.sample_box == ((1.0, 3.0), (-2.0, -0.1), (-2.0, -0.1))
+    assert builtin_example() is spec  # parsed once, at import: the spec is frozen, so calls share it
