@@ -70,10 +70,6 @@ class IdentityRNotSatisfied(CirculantError):
     """A check assuming the q-invariance of the curvature tensor was run where it fails."""
 
 
-class ConstructionFailed(CirculantError):
-    """No constructed candidate vector passed the q-basis criterion."""
-
-
 class SamplingExhausted(CirculantError):
     """Rejection sampling did not reach the requested acceptance rate."""
 

@@ -41,8 +41,10 @@ by ``_int_power``, which also serves plain numbers. A derivative channel
 ``c v^k`` (``c = n``, ``k = n - 1``, and ``c = n (n - 1)``, ``k = n - 2``)
 is one array operation where k is 0 or 1, and exact: float pow gives
 ``v ** 0 = 1.0`` and ``v ** 1 = v``, so the channel is the constant c or
-``c v``, with the ``v == 0`` limit of ``_int_pow_taylor``. Any other k
-takes a flat list of ``c * v ** k``, a float pow and a product per element.
+``c v``, with the ``v == 0`` limit of ``_int_pow_taylor``. A zero c (the
+channels of ``v ** 0`` and the second of ``v ** 1``) is a signed zero,
+with no pow that could overflow at a tiny v. Any other k takes a flat
+list of ``c * v ** k``, a float pow and a product per element.
 Where a channel raises, the elements run again one at a time through
 ``_int_pow_taylor``, so the first failing element raises, its value before
 its derivatives.
@@ -128,15 +130,25 @@ def _int_pow_taylor(v: float, n: int) -> tuple[float, float, float]:
     val = v ** n  # ZeroDivisionError for v == 0, n < 0
     if v == 0.0:
         return val, (1.0 if n == 1 else 0.0), (2.0 if n == 2 else 0.0)
-    return val, n * v ** (n - 1), n * (n - 1) * v ** (n - 2)
+    return val, _pow_channel(v, n, n - 1), _pow_channel(v, n * (n - 1), n - 2)
+
+
+def _pow_channel(v: float, c: int, k: int) -> float:
+    """c * v ** k for a nonzero v; for c == 0 the zero that product has, without the pow, which may overflow."""
+    if c == 0:
+        return -0.0 if k % 2 and v < 0 else 0.0
+    return c * v ** k
 
 
 def _int_pow_derivative(v: np.ndarray, c: int, k: int) -> np.ndarray:
     """c * v ** k at each element of v, a derivative channel of v ** n, as _int_pow_taylor forms it.
 
     Where v == 0 (either sign) the channel is its limit: c if k == 0, else 0.0. For k of 0 or 1
-    it is one exact array operation; c * v is nonzero where v is.
+    it is one exact array operation; c * v is nonzero where v is. A zero c (n of 0 or 1, so k < 0)
+    gives the zero c * v ** k has, -0.0 for odd k and v < 0, without forming v ** k.
     """
+    if c == 0:
+        return np.where(v < 0, -0.0, 0.0) if k % 2 else np.zeros(v.shape)
     if k == 0:
         return np.full(v.shape, float(c))
     if k == 1:

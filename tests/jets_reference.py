@@ -1,5 +1,8 @@
 """The three-array Jet2 of circulant3.jets before it packed value, gradient and
-Hessian into one (..., 13) array, kept verbatim as a reference.
+Hessian into one (..., 13) array, kept verbatim as a reference, except that
+an integer power's zero-coefficient derivative channels (of ``v ** 0``, and
+the second of ``v ** 1``) are signed zeros formed without a pow that could
+overflow at a tiny v.
 
 tests/test_jets.py checks every operation and scalar function of the packed
 jets against this module bit for bit, error messages included.
@@ -70,7 +73,14 @@ def _int_pow_taylor(v: float, n: int) -> tuple[float, float, float]:
     val = v ** n  # ZeroDivisionError for v == 0, n < 0
     if v == 0.0:
         return val, (1.0 if n == 1 else 0.0), (2.0 if n == 2 else 0.0)
-    return val, n * v ** (n - 1), n * (n - 1) * v ** (n - 2)
+    return val, _pow_channel(v, n, n - 1), _pow_channel(v, n * (n - 1), n - 2)
+
+
+def _pow_channel(v: float, c: int, k: int) -> float:
+    """c * v ** k; a zero c gives the signed zero of that product without the pow, which may overflow."""
+    if c == 0:
+        return -0.0 if k % 2 and v < 0 else 0.0
+    return c * v ** k
 
 
 class Jet2:

@@ -157,8 +157,8 @@ def _subparsers():
     return commands.choices
 
 
-POINT_OPTIONS = ("-h", "--help", "--at", "--seed", "--json")
-SAMPLED_OPTIONS = ("--sample", "--box")
+POINT_OPTIONS = ("-h", "--help", "--at", "--json")
+SAMPLED_OPTIONS = ("--sample", "--box", "--seed")
 WEAK = "--allow-weak-metric"  # every command that builds a metric
 OPTIONS = {  # beside POINT_OPTIONS; --tol only where a verdict reads it
     "validate": ("--spec", *SAMPLED_OPTIONS, WEAK),
@@ -394,6 +394,23 @@ def test_a_power_that_overflows_is_named_with_the_error_text(capsys, tmp_path):
         assert capsys.readouterr().err == (
             f"error ({command}): Numerical result out of range in subexpression 'x1^2'\n"
         )
+
+
+@pytest.mark.parametrize(
+    "A, same, at",
+    [("3 + x1^1", "3 + x1", "1e-310,0,0"), ("3 + x1^0", "4", "1e-160,0,0")],
+    ids=["x1^1", "x1^0"],
+)
+def test_a_power_with_a_vanishing_derivative_evaluates_at_a_tiny_value(capsys, tmp_path, A, same, at):
+    # the derivatives of x1^1 and x1^0 with a zero coefficient form no x1^-1 or x1^-2, which overflow here
+    results = []
+    for name, field in (("power", A), ("same", same)):
+        spec = tmp_path / f"{name}.toml"
+        spec.write_text(f'[metric]\nA = "{field}"\nB = "1"\n', encoding="utf-8")
+        code, report = run_json(capsys, ["riemann", "--spec", str(spec), f"--at={at}"])
+        assert code == 0
+        results.append(report["results"])
+    assert results[0] == results[1]
 
 
 @pytest.mark.parametrize(
@@ -1107,7 +1124,6 @@ def test_verify_theorems_sampled_computes_each_relation_quantity_once_per_run(ca
 
         monkeypatch.setattr(module, name, counting)
 
-    count(cli, "_random_q_basis_vectors")
     once = ("induces_q_basis", "check_q_invariance", "construct_orthogonal_vector",
             "construct_special_angle_vector", "christoffel_from_metric")
     for name in ("sectional_curvature", "riemann_apply", *once):
@@ -1119,8 +1135,22 @@ def test_verify_theorems_sampled_computes_each_relation_quantity_once_per_run(ca
     # 4 points, 5 vectors: one contraction of the planes {u, qu}, {qu, q^2u} and {q^2u, u}
     # stacked over all vectors and points, one of {x, qx}, {y, qy} and R(x, qx, x, q^2x);
     # no call of sectional_curvature; the vectors' q-basis test and the rest once
-    assert calls == {"riemann_apply": 2, **dict.fromkeys(once, 1), "_random_q_basis_vectors": 1}
+    assert calls == {"riemann_apply": 2, **dict.fromkeys(once, 1)}
     capsys.readouterr()
+
+
+def test_verify_theorems_refuses_a_drawn_vector_that_induces_no_q_basis(capsys, monkeypatch, tmp_path):
+    # the vectors are drawn in one call and tested once, by the relation checks, which name the first bad one
+    class Ones:
+        def standard_normal(self, shape):
+            return np.ones(shape)
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: Ones())
+    spec = tmp_path / "spec.toml"
+    spec.write_text(PARALLEL_BENCH_SPEC, encoding="utf-8")
+    code, out, err = _call(capsys, ["verify-theorems", "--spec", str(spec), "--at=0.5,0.2,-0.3"])
+    assert (code, out) == (2, "")
+    assert err == "error (verify-theorems): vector (1.0, 1.0, 1.0) does not induce a q-basis\n"
 
 
 @pytest.mark.parametrize("where", [["--at=0.2,-0.4,0.6"], ["--sample", "5", CUBE_ARG]], ids=["at", "sample"])
