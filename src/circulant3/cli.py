@@ -5,8 +5,8 @@ computation or verification at a point (--at) or over a seeded sample of
 admissible points (--sample/--seed), and emits a human-readable or JSON
 report. Only build_parser knows which options a subcommand takes and
 which values they accept. Exit codes: 0 all verdicts pass, 1 a verification
-verdict failed, 2 usage, parse or out-of-memory error, 3 metric positivity
-or domain violation.
+verdict failed, 2 usage, parse or out-of-memory error; a refusal exits with
+the code its error class declares (errors.py).
 """
 
 from __future__ import annotations
@@ -36,16 +36,7 @@ from .curvature import (
     sectional_curvature,
     sectional_relations,
 )
-from .errors import (
-    AngleRoutesDisagree,
-    CirculantError,
-    DomainViolation,
-    EvalDomainError,
-    IdentityRNotSatisfied,
-    PositivityViolation,
-    SamplingExhausted,
-    SpecFileError,
-)
+from .errors import CirculantError, DomainViolation, EvalDomainError, PositivityViolation, SpecFileError
 from .metric import (
     admissibility,
     check_positive_definite,
@@ -72,6 +63,9 @@ from .specfile import builtin_example, example_diagonal_value, interval_fault, l
 
 NOT_SAMPLED = {"christoffel", "sectional", "angles", "qbasis"}  # --at only
 NO_METRIC = {"validate", "qbasis"}  # validate classifies its points itself; qbasis needs no metric
+# --allow-weak-metric could change no result: qbasis builds no metric, the basis constructions of
+# orthobasis and verify-theorems need A > B > 0, and example-m5's chart constraints are A > B > 0
+NO_WEAK = {"qbasis", "orthobasis", "verify-theorems", "example-m5"}
 
 DEFAULT_TOL = {  # the commands whose verdicts read --tol, and its default there
     "riemann": 1e-9,
@@ -578,15 +572,9 @@ def _run(args):
     else:
         point = args.at  # None only on qbasis
         M = None
-        try:
-            if args.command not in NO_METRIC:
-                M = metric_at(spec.metric, point, allow_weak=args.allow_weak_metric)
-            results, verdicts = core(spec, point, M, args)
-        except PositivityViolation as exc:
-            # the basis constructions see only A and B, not the point they refuse
-            if np.isnan(exc.point).all():
-                raise PositivityViolation(exc.A, exc.B, point) from None
-            raise
+        if args.command not in NO_METRIC:  # the commands in NO_WEAK take no --allow-weak-metric
+            M = metric_at(spec.metric, point, allow_weak=getattr(args, "allow_weak_metric", False))
+        results, verdicts = core(spec, point, M, args)
         inputs = {"box": None, "point": None if point is None else list(point), "vector": vector}
         meta = {"seed": getattr(args, "seed", None), "n": 1}  # the commands in NOT_SAMPLED take no --seed
 
@@ -652,7 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
                 tol_help += ", also of the refusal where q-invariance fails"
             p.add_argument("--tol", type=_tol, default=DEFAULT_TOL[name], help=tol_help)
         p.add_argument("--json", action="store_true", help="emit the JSON report")
-        if name != "qbasis":  # qbasis builds no metric
+        if name not in NO_WEAK:
             p.add_argument(
                 "--allow-weak-metric",
                 action="store_true",
@@ -685,21 +673,9 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # numpy says how much it could not allocate
         print(f"error ({args.command}): out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 2
-    except (PositivityViolation, DomainViolation, EvalDomainError, SamplingExhausted,
-            AngleRoutesDisagree) as exc:
+    except (CirculantError, OSError) as exc:  # each error class declares its exit code
         print(f"error ({args.command}): {exc}", file=sys.stderr)
-        return 3
-    except IdentityRNotSatisfied as exc:
-        print(
-            f"error ({args.command}): {exc}\n"
-            "the requested check assumes the curvature q-invariance identity; "
-            "it does not hold at this point, so the verification is refused",
-            file=sys.stderr,
-        )
-        return 1
-    except (CirculantError, OSError) as exc:
-        print(f"error ({args.command}): {exc}", file=sys.stderr)
-        return 2
+        return getattr(exc, "exit_code", 2)
     _print_report(report, args.json)
     if _all_pass(report["verdicts"]):
         return 0

@@ -69,15 +69,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePlane, IdentityRNotSatisfied, NotAQBasis
+from .errors import DegeneratePlane, IdentityRNotSatisfied
 from .metric import MetricAtPoint, first_point, inners, require_finite
 from .qstructure import (
     apply_q,
     construct_orthogonal_vector,
     construct_special_angle_vector,
-    induces_q_basis,
     q_orbit_cosines,
     q_orbit_gram,
+    require_q_basis,
 )
 
 _EYE = np.eye(3)
@@ -484,12 +484,11 @@ def sectional_relations(R: CurvatureTensor, U, tol=1e-9) -> SectionalRelations:
         raise IdentityRNotSatisfied(
             "curvature q-invariance fails at this point "
             f"(diagonal spread {identity.diagonal_residual[i]:.3e}, "
-            f"cross spread {identity.cross_residual[i]:.3e})"
+            f"cross spread {identity.cross_residual[i]:.3e})\n"
+            "the requested check assumes the curvature q-invariance identity; "
+            "it does not hold at this point, so the verification is refused"
         )
-    U = np.asarray(U, dtype=float)
-    ok = np.asarray(induces_q_basis(U))
-    if not ok.all():
-        raise NotAQBasis(f"vector {tuple(U[first_point(~ok)].tolist())} does not induce a q-basis")
+    U = require_q_basis(U)
     u = U.reshape(U.shape[:-1] + (1,) * M.D.ndim + (3,))  # vectors before points
     g, e = M.g_scaled, M.e
     x = _unit(M, construct_orthogonal_vector(M.A, M.B))

@@ -1,8 +1,11 @@
 """Exception types shared across the package.
 
 Every failure mode a caller may want to distinguish gets its own class;
-all inherit from :class:`CirculantError` so the CLI can map them to exit
-codes in one place.
+all inherit from :class:`CirculantError`. Each class declares the CLI's
+exit code for it as ``exit_code``: 2 (usage, parse or construction error)
+unless it says otherwise, 3 where a point lies outside the metric's domain
+or the numbers there cannot be trusted, 1 where a verification is refused
+because its hypothesis fails.
 """
 
 from __future__ import annotations
@@ -10,6 +13,8 @@ from __future__ import annotations
 
 class CirculantError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code = 2
 
 
 class ExprSyntaxError(CirculantError):
@@ -27,6 +32,8 @@ class ExprSyntaxError(CirculantError):
 class EvalDomainError(CirculantError):
     """A subexpression was evaluated outside its mathematical domain."""
 
+    exit_code = 3
+
     def __init__(self, message: str, subexpression: str = ""):
         self.subexpression = subexpression
         if subexpression:
@@ -37,6 +44,8 @@ class EvalDomainError(CirculantError):
 class PositivityViolation(CirculantError):
     """The standing assumption A > B > 0 fails at the evaluation point."""
 
+    exit_code = 3
+
     def __init__(self, A: float, B: float, point):
         self.A = A = float(A)
         self.B = B = float(B)
@@ -46,6 +55,8 @@ class PositivityViolation(CirculantError):
 
 class DomainViolation(CirculantError):
     """A chart domain constraint evaluated to a non-positive value."""
+
+    exit_code = 3
 
     def __init__(self, constraint: str, value: float, point):
         self.constraint = constraint
@@ -61,6 +72,8 @@ class NotAQBasis(CirculantError):
 class AngleRoutesDisagree(CirculantError):
     """The two routes to the q-basis angles disagree: the metric is too close to degenerate there."""
 
+    exit_code = 3
+
 
 class DegeneratePlane(CirculantError):
     """Sectional curvature requested for linearly dependent vectors."""
@@ -69,9 +82,13 @@ class DegeneratePlane(CirculantError):
 class IdentityRNotSatisfied(CirculantError):
     """A check assuming the q-invariance of the curvature tensor was run where it fails."""
 
+    exit_code = 1
+
 
 class SamplingExhausted(CirculantError):
     """Rejection sampling did not reach the requested acceptance rate."""
+
+    exit_code = 3
 
 
 class SpecFileError(CirculantError):

@@ -69,6 +69,16 @@ def induces_q_basis(x):
     return abs(cubic) > bound
 
 
+def require_q_basis(x) -> np.ndarray:
+    """x as a float array, one vector (3,) or a batch (..., 3); raises NotAQBasis for the first
+    vector that does not induce a q-basis."""
+    x = np.asarray(x, dtype=float)
+    ok = np.asarray(induces_q_basis(x))
+    if not ok.all():
+        raise NotAQBasis(f"vector {tuple(x[first_point(~ok)].tolist())} does not induce a q-basis")
+    return x
+
+
 def vector_invariants(x):
     """The quadratic invariants (a, b) of one vector (3,) or of each vector of a batch (..., 3)."""
     x1, x2, x3 = np.moveaxis(np.asarray(x, dtype=float), -1, 0)
@@ -159,11 +169,7 @@ def q_basis_angles(M: MetricAtPoint, x) -> AngleReport:
     x is one vector (3,) or one per point (..., 3). Raises NotAQBasis for the
     first vector that does not generate a basis.
     """
-    x = np.asarray(x, dtype=float)
-    ok = np.asarray(induces_q_basis(x))
-    if not ok.all():
-        v = tuple(x[first_point(~ok)].tolist())
-        raise NotAQBasis(f"vector {v} does not induce a q-basis (cubic criterion)")
+    x = require_q_basis(x)
     batch = np.broadcast_to(x, np.broadcast_shapes(x.shape, M.D.shape + (3,)))
     return AngleReport(*vector_invariants(x), *q_orbit_cosines(M, batch)[3])
 

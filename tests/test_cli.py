@@ -13,7 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from circulant3 import builtin_example, cli, load_spec, metric_at, riemann_from_metric, sample_admissible_points
+from circulant3 import (
+    builtin_example, cli, errors, load_spec, metric_at, riemann_from_metric, sample_admissible_points,
+)
 from circulant3.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -159,7 +161,7 @@ def _subparsers():
 
 POINT_OPTIONS = ("-h", "--help", "--at", "--json")
 SAMPLED_OPTIONS = ("--sample", "--box", "--seed")
-WEAK = "--allow-weak-metric"  # every command that builds a metric
+WEAK = "--allow-weak-metric"  # every command that builds a metric and whose result it can change
 OPTIONS = {  # beside POINT_OPTIONS; --tol only where a verdict reads it
     "validate": ("--spec", *SAMPLED_OPTIONS, WEAK),
     "christoffel": ("--spec", "--fd-check", WEAK),
@@ -169,12 +171,12 @@ OPTIONS = {  # beside POINT_OPTIONS; --tol only where a verdict reads it
     "sectional": ("--spec", "--x", "--y", WEAK),
     "angles": ("--spec", "--vector", WEAK),
     "qbasis": ("--spec", "--vector"),
-    "orthobasis": ("--spec", *SAMPLED_OPTIONS, "--tol", WEAK),
+    "orthobasis": ("--spec", *SAMPLED_OPTIONS, "--tol"),
     "check-identity": ("--spec", *SAMPLED_OPTIONS, "--tol", WEAK),
     "check-parallel": ("--spec", *SAMPLED_OPTIONS, "--tol", WEAK),
     "nabla-q": ("--spec", *SAMPLED_OPTIONS, WEAK),
-    "verify-theorems": ("--spec", *SAMPLED_OPTIONS, "--vector", "--n-vectors", "--tol", WEAK),
-    "example-m5": (*SAMPLED_OPTIONS, "--tol", WEAK),
+    "verify-theorems": ("--spec", *SAMPLED_OPTIONS, "--vector", "--n-vectors", "--tol"),
+    "example-m5": (*SAMPLED_OPTIONS, "--tol"),
 }
 
 
@@ -226,6 +228,11 @@ def test_each_command_accepts_exactly_its_options():
         ("unrecognized arguments: --tol=0", ["closed-form", "--at=2,-1,-1", "--tol=0"]),
         ("unrecognized arguments: --tol=0", ["angles", "--at=2,-1,-1", "--vector=1,0,0", "--tol=0"]),
         ("unrecognized arguments: --allow-weak-metric", ["qbasis", "--vector=1,0,0", "--allow-weak-metric"]),
+        # nor do the commands that need A > B > 0 at every point they run on
+        ("unrecognized arguments: --allow-weak-metric", ["orthobasis", "--at=2,-1,-1", "--allow-weak-metric"]),
+        ("unrecognized arguments: --allow-weak-metric",
+         ["verify-theorems", "--at=2,-1,-1", "--allow-weak-metric"]),
+        ("unrecognized arguments: --allow-weak-metric", ["example-m5", "--at=2,-1,-1", "--allow-weak-metric"]),
     ],
     ids=["tol-nan", "tol-negative", "sample-zero", "sample-negative", "n-vectors-zero",
          "at-nan", "at-inf", "box-inf", "at-not-a-number", "box-two-intervals", "box-no-colon",
@@ -235,7 +242,9 @@ def test_each_command_accepts_exactly_its_options():
          "n-vectors-zero-with-vector", "vector-on-a-command-that-does-not-read-it",
          "seed-negative-sampled", "seed-negative-check-identity", "seed-negative-verify-theorems",
          "sample-on-a-command-that-is-not-sampled", "spec-on-example-m5", "box-malformed-beside-at",
-         "tol-on-closed-form", "tol-on-angles", "allow-weak-metric-on-qbasis"],
+         "tol-on-closed-form", "tol-on-angles", "allow-weak-metric-on-qbasis",
+         "allow-weak-metric-on-orthobasis", "allow-weak-metric-on-verify-theorems",
+         "allow-weak-metric-on-example-m5"],
 )
 def test_bad_numeric_option_is_usage_error(capsys, m5_spec, message, argv):
     assert main(argv + ["--spec", m5_spec]) == 2
@@ -280,6 +289,42 @@ def test_exit_code_domain_errors(capsys, m5_spec, tmp_path):
         == 3
     )
     capsys.readouterr()
+
+
+# One instance of each error class the package raises, and of an OSError, with the exit
+# code and the one line main prints for it
+REFUSALS = (
+    (errors.CirculantError("any refusal"), 2, "any refusal"),
+    (errors.ExprSyntaxError("unexpected ')'", 3, ("number",)), 2,
+     "unexpected ')' at offset 3 (expected number)"),
+    (errors.EvalDomainError("math domain error", "log(x1)"), 3, "math domain error in subexpression 'log(x1)'"),
+    (errors.PositivityViolation(2.0, -0.1, (0.5, 1, 2)), 3,
+     "metric positivity A > B > 0 violated: A=2.0, B=-0.1 at point (0.5, 1.0, 2.0)"),
+    (errors.DomainViolation("x1", -1.0, (-1, 0, 0)), 3,
+     "domain constraint 'x1' is -1.0 <= 0 at point (-1.0, 0.0, 0.0)"),
+    (errors.NotAQBasis("vector (1.0, 1.0, 1.0) does not induce a q-basis"), 2,
+     "vector (1.0, 1.0, 1.0) does not induce a q-basis"),
+    (errors.AngleRoutesDisagree("angle routes disagree"), 3, "angle routes disagree"),
+    (errors.DegeneratePlane("span no plane"), 2, "span no plane"),
+    (errors.IdentityRNotSatisfied("q-invariance fails\nso the verification is refused"), 1,
+     "q-invariance fails\nso the verification is refused"),
+    (errors.SamplingExhausted("accepted only 0 of 3 requested points"), 3,
+     "accepted only 0 of 3 requested points"),
+    (errors.SpecFileError("unknown key 'x4'", 7, 1), 2, "unknown key 'x4' (line 7, column 1)"),
+    (FileNotFoundError(2, "No such file or directory", "absent.toml"), 2,
+     "[Errno 2] No such file or directory: 'absent.toml'"),
+)
+
+
+def test_each_refusal_exits_with_the_code_of_its_class(capsys, monkeypatch):
+    assert {type(exc) for exc, _, _ in REFUSALS} >= set(errors.CirculantError.__subclasses__())
+    for exc, exit_code, message in REFUSALS:
+        def refuse(args, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(cli, "_run", refuse)
+        assert main(["riemann", "--spec", "any.toml", "--at=0,0,0"]) == exit_code, exc
+        assert capsys.readouterr() == ("", f"error (riemann): {message}\n")
 
 
 METRIC = '[metric]\nA = "3"\nB = "1"\n'
@@ -608,11 +653,11 @@ def test_allow_weak_metric(capsys, tmp_path):
 
 @pytest.mark.parametrize("command", ["orthobasis", "verify-theorems"])
 def test_weak_metric_refusal_names_the_point(capsys, tmp_path, command):
-    # the metric is positive definite but B < 0, so no q-basis construction exists
+    # the metric is positive definite but B < 0, so no q-basis construction exists, and
+    # neither command takes --allow-weak-metric: the point is refused where its metric is built
     weak = tmp_path / "weak.toml"
     weak.write_text('[metric]\nA = "2"\nB = "-0.1 + 0*x1"\n', encoding="utf-8")
-    with pytest.warns(UserWarning):
-        code = main([command, "--spec", str(weak), "--at", "0.5,1,2", "--allow-weak-metric"])
+    code = main([command, "--spec", str(weak), "--at", "0.5,1,2"])
     assert code == 3
     err = capsys.readouterr().err
     assert "at point (0.5, 1.0, 2.0)" in err
@@ -985,7 +1030,7 @@ def test_error_messages_print_plain_numbers(capsys, tmp_path):
         ([*not_a_basis, "--at=0.1,0.2,0.3"], 2),
         ([*not_a_basis, "--sample", "3", "--box=-1:1,-1:1,-1:1"], 2),
         (["sectional", *at, "--x=1,0,0", "--y=2,0,0"], 2),  # DegeneratePlane
-        (["orthobasis", "--spec", str(weak), "--at=0.5,1,2", "--allow-weak-metric"], 3),
+        (["orthobasis", "--spec", str(weak), "--at=0.5,1,2"], 3),
     ]
     for argv, exit_code in failing:
         with warnings.catch_warnings():
@@ -996,6 +1041,15 @@ def test_error_messages_print_plain_numbers(capsys, tmp_path):
         assert not [line for line in err.splitlines() if "np.float64" in line], err
         if argv[:len(not_a_basis)] == not_a_basis:
             assert err == "error (verify-theorems): vector (1.0, 1.0, 1.0) does not induce a q-basis\n"
+
+
+def test_angles_refuses_a_vector_that_induces_no_q_basis(capsys, tmp_path):
+    # the refusal of sectional_relations, word for word
+    spec = tmp_path / "generic.toml"
+    spec.write_text(GENERIC_SPEC, encoding="utf-8")
+    code, out, err = _call(capsys, ["angles", "--spec", str(spec), "--at=0.1,0.2,0.3", "--vector=1,1,1"])
+    assert (code, out) == (2, "")
+    assert err == "error (angles): vector (1.0, 1.0, 1.0) does not induce a q-basis\n"
 
 
 # -- a sampled run against its points one by one ----------------------------------
@@ -1068,17 +1122,13 @@ def test_verify_theorems_weak_metric_refusals(capsys, tmp_path):
     # the metric is positive definite but B < 0: no q-basis construction exists
     weak = tmp_path / "weak.toml"
     weak.write_text('[metric]\nA = "2"\nB = "-0.1 + 0*x1"\n', encoding="utf-8")
-    head = ["verify-theorems", "--spec", str(weak), "--allow-weak-metric"]
+    head = ["verify-theorems", "--spec", str(weak)]
     code, _, err = _call(capsys, [*head, "--at=0.5,1,2"])
     assert code == 3
     assert err == (
         "error (verify-theorems): metric positivity A > B > 0 violated: A=2.0, B=-0.1 "
         "at point (0.5, 1.0, 2.0)\n"
     )
-    # the curvature is flat, so the identity holds and the vector is tested first
-    code, _, err = _call(capsys, [*head, "--at=0.5,1,2", "--vector=1,1,1"])
-    assert code == 2
-    assert err == "error (verify-theorems): vector (1.0, 1.0, 1.0) does not induce a q-basis\n"
     # the sampler admits only A > B > 0, so a sampled run never reaches the constructions
     code, _, err = _call(capsys, [*head, "--sample", "3", CUBE_ARG])
     assert code == 3
@@ -1110,8 +1160,8 @@ def test_sampled_report_summarizes_its_points_bit_for_bit(capsys, tmp_path, comm
 
 
 def test_verify_theorems_sampled_computes_each_relation_quantity_once_per_run(capsys, monkeypatch, tmp_path):
-    import circulant3.cli as cli
     import circulant3.curvature as curvature
+    import circulant3.qstructure as qstructure
 
     calls = Counter()
 
@@ -1124,10 +1174,11 @@ def test_verify_theorems_sampled_computes_each_relation_quantity_once_per_run(ca
 
         monkeypatch.setattr(module, name, counting)
 
-    once = ("induces_q_basis", "check_q_invariance", "construct_orthogonal_vector",
+    once = ("check_q_invariance", "construct_orthogonal_vector",
             "construct_special_angle_vector", "christoffel_from_metric")
     for name in ("sectional_curvature", "riemann_apply", *once):
         count(curvature, name)
+    count(qstructure, "induces_q_basis")  # through require_q_basis
     spec = tmp_path / "spec.toml"
     spec.write_text(PARALLEL_BENCH_SPEC, encoding="utf-8")
     argv = ["verify-theorems", "--spec", str(spec), "--sample", "4", "--seed", "3", CUBE_ARG]
@@ -1135,7 +1186,7 @@ def test_verify_theorems_sampled_computes_each_relation_quantity_once_per_run(ca
     # 4 points, 5 vectors: one contraction of the planes {u, qu}, {qu, q^2u} and {q^2u, u}
     # stacked over all vectors and points, one of {x, qx}, {y, qy} and R(x, qx, x, q^2x);
     # no call of sectional_curvature; the vectors' q-basis test and the rest once
-    assert calls == {"riemann_apply": 2, **dict.fromkeys(once, 1)}
+    assert calls == {"riemann_apply": 2, "induces_q_basis": 1, **dict.fromkeys(once, 1)}
     capsys.readouterr()
 
 
@@ -1232,6 +1283,13 @@ def test_verify_theorems_refuses_where_check_identity_fails_at_the_same_tol(caps
     theorems, _, err = _call(capsys, ["verify-theorems", *run])
     assert identity == theorems == exit_code
     assert ("q-invariance fails" in err) == (exit_code == 1)
+    if tol == "1e-5":
+        assert err == (
+            "error (verify-theorems): curvature q-invariance fails at this point "
+            "(diagonal spread 5.064e-05, cross spread 5.424e-07)\n"
+            "the requested check assumes the curvature q-invariance identity; "
+            "it does not hold at this point, so the verification is refused\n"
+        )
 
 
 # Specs whose curvature is not finite at the point: a huge first or second

@@ -45,7 +45,7 @@ from circulant3 import (  # noqa: E402
     riemann_from_metric,
     sectional_relations,
 )
-from circulant3.cli import _CORES, NOT_SAMPLED, main  # noqa: E402
+from circulant3.cli import _CORES, NO_WEAK, NOT_SAMPLED, main  # noqa: E402
 from circulant3.errors import CirculantError, EvalDomainError, NotAQBasis  # noqa: E402
 from circulant3.expressions import (  # noqa: E402
     FUNCTIONS,
@@ -482,7 +482,8 @@ def argvs(draw, paths):
     for option in VECTOR_OPTIONS.get(command, ()):
         if draw(st.integers(0, 4)):  # now and then left out
             argv.append(f"{option}=" + ",".join(repr(draw(numbers)) for _ in range(3)))
-    argv += draw(st.lists(st.sampled_from(["--json", "--allow-weak-metric"]), unique=True))
+    flags = ["--json"] if command in NO_WEAK else ["--json", "--allow-weak-metric"]  # where it is taken
+    argv += draw(st.lists(st.sampled_from(flags), unique=True))
     return argv
 
 
