@@ -662,10 +662,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _command_parsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    """Each command's own parser, by name: the choices of parser's subparsers action."""
+    (commands,) = (a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return commands
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    command_parser = _command_parsers(parser).get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        if command_parser is None:  # no command first: help, --version, an unknown command, an option before it
+            args = parser.parse_args(argv)
+        else:  # what parse_args does after the command, without classifying each argument twice
+            args, extras = command_parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

@@ -77,6 +77,17 @@ class Binary(Node):
     right: Node
     span: tuple[int, int] = field(default=(0, 0), compare=False)
 
+    def __eq__(self, other):
+        """Field by field, as the dataclass compares, walking down a chain of left operands in a loop."""
+        if type(other) is not Binary:
+            return NotImplemented
+        a, b = self, other
+        while type(a) is Binary and type(b) is Binary:
+            if a.op != b.op or a.right != b.right:
+                return False
+            a, b = a.left, b.left
+        return a == b
+
 
 @dataclass(frozen=True)
 class Power(Node):
@@ -104,147 +115,158 @@ _TOKEN_RE = re.compile(
   | (?P<number>(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?)
   | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<op>[-+*/^()])
+  | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
 def _tokenize(source: str):
     tokens = []
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise ExprSyntaxError(f"unexpected character {source[pos]!r}", pos)
-        if m.lastgroup != "ws":
-            tokens.append((m.lastgroup, m.group(), pos))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(source):
+        kind = m.lastgroup
+        if kind == "ws":
+            continue
+        if kind == "bad":
+            raise ExprSyntaxError(f"unexpected character {m.group()!r}", m.start())
+        tokens.append((kind, m.group(), m.start()))
     tokens.append(("end", "", len(source)))
     return tokens
 
 
-# The deepest tree parse accepts, a pair of parentheses counting as a level. The parser recurses five
-# calls per pair, the evaluators and to_source one per level: within half of Python's default limit.
+# The deepest tree parse accepts. A chain of one operator level (a + b - c, or a * b / c) is one level
+# above its deepest operand, and parentheses, a function, a unary minus and a power each add a level.
+# The parser recurses four calls per pair of parentheses, the evaluators and to_source one per level,
+# walking a chain in a loop: within half of Python's default limit.
 MAX_DEPTH = 100
 
 
+def _too_deep(off: int) -> ExprSyntaxError:
+    return ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels", off)
+
+
+def _unexpected(text: str, off: int, expected: tuple[str, ...]) -> ExprSyntaxError:
+    return ExprSyntaxError(f"unexpected {text!r}" if text else "unexpected end of input", off, expected)
+
+
 class _Parser:
-    """Recursive descent; each rule returns its tree and the tree's depth. A tree deeper than
-    MAX_DEPTH is refused at the token that deepens it, a nested one before the parser descends."""
+    """Recursive descent over the tokens, read by index; each rule returns its tree and the tree's depth.
+    A tree deeper than MAX_DEPTH is refused at the token that deepens it, a nested one before the parser
+    descends."""
 
     _ATOM_EXPECTED = ("number", "x1", "x2", "x3", "function", "'('", "'-'")
 
     def __init__(self, source: str):
-        self.source = source
         self.tokens = _tokenize(source)
         self.pos = 0
         self.open = 1  # the least depth of the tree around the current token
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, text, off = self.peek()
-        if kind == "op" and text == op:
-            return self.advance()
-        raise ExprSyntaxError(f"unexpected {text!r}" if text else "unexpected end of input", off, (f"'{op}'",))
-
-    def deeper(self, depth: int, off: int) -> int:
-        if depth > MAX_DEPTH:
-            raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels", off)
-        return depth
-
-    def nested(self, rule, off: int):
-        """rule()'s tree one level down (parentheses, a function, unary minus) and its depth."""
-        self.open = self.deeper(self.open + 1, off)
-        node, depth = rule()
-        self.open -= 1
-        return node, self.deeper(depth + 1, off)
-
     def parse(self) -> Node:
-        kind, _, off = self.peek()
+        kind, _, off = self.tokens[0]
         if kind == "end":
             raise ExprSyntaxError("empty input", off, self._ATOM_EXPECTED)
         node = self.expr()[0]
-        kind, text, off = self.peek()
+        kind, text, off = self.tokens[self.pos]
         if kind != "end":
             raise ExprSyntaxError(f"unexpected trailing {text!r}", off, ("operator", "end of input"))
         return node
 
     def expr(self):
+        """Terms joined by '+' and '-': a left-leaning chain, one level above its deepest term."""
         node, depth = self.term()
-        while True:
-            kind, text, off = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                rhs, rhs_depth = self.term()
-                node = Binary(text, node, rhs, (node.span[0], rhs.span[1]))
-                depth = self.deeper((depth if depth > rhs_depth else rhs_depth) + 1, off)
-            else:
-                return node, depth
+        tokens = self.tokens
+        kind, op, off = tokens[self.pos]
+        if kind != "op" or op not in "+-":
+            return node, depth
+        while kind == "op" and op in "+-":
+            self.pos += 1
+            rhs, rhs_depth = self.term()
+            if rhs_depth > depth:
+                depth = rhs_depth
+            if depth >= MAX_DEPTH:  # the chain would be deeper than MAX_DEPTH
+                raise _too_deep(off)
+            node = Binary(op, node, rhs, (node.span[0], rhs.span[1]))
+            kind, op, off = tokens[self.pos]
+        return node, depth + 1
 
     def term(self):
+        """Factors joined by '*' and '/': a left-leaning chain, one level above its deepest factor."""
         node, depth = self.factor()
-        while True:
-            kind, text, off = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                rhs, rhs_depth = self.factor()
-                node = Binary(text, node, rhs, (node.span[0], rhs.span[1]))
-                depth = self.deeper((depth if depth > rhs_depth else rhs_depth) + 1, off)
-            else:
-                return node, depth
+        tokens = self.tokens
+        kind, op, off = tokens[self.pos]
+        if kind != "op" or op not in "*/":
+            return node, depth
+        while kind == "op" and op in "*/":
+            self.pos += 1
+            rhs, rhs_depth = self.factor()
+            if rhs_depth > depth:
+                depth = rhs_depth
+            if depth >= MAX_DEPTH:  # the chain would be deeper than MAX_DEPTH
+                raise _too_deep(off)
+            node = Binary(op, node, rhs, (node.span[0], rhs.span[1]))
+            kind, op, off = tokens[self.pos]
+        return node, depth + 1
 
     def factor(self):
-        kind, text, off = self.peek()
+        """'-' factor, or an atom with an optional power."""
+        kind, text, off = self.tokens[self.pos]
         if kind == "op" and text == "-":
-            self.advance()
-            inner, depth = self.nested(self.factor, off)
-            return Unary("neg", inner, (off, inner.span[1])), depth
+            self.pos += 1
+            self.open += 1
+            if self.open > MAX_DEPTH:
+                raise _too_deep(off)
+            inner, depth = self.factor()
+            self.open -= 1
+            if depth >= MAX_DEPTH:
+                raise _too_deep(off)
+            return Unary("neg", inner, (off, inner.span[1])), depth + 1
         node, depth = self.atom()
-        kind, text, caret = self.peek()
-        if kind == "op" and text == "^":
-            self.advance()
-            sign = 1.0
-            kind, text, off = self.peek()
-            if kind == "op" and text == "-":
-                self.advance()
-                sign = -1.0
-                kind, text, off = self.peek()
-            if kind != "number":
-                raise ExprSyntaxError(f"unexpected {text!r}" if text else "unexpected end of input", off, ("number",))
-            self.advance()
-            end = off + len(text)
-            return Power(node, sign * float(text), (node.span[0], end)), self.deeper(depth + 1, caret)
-        return node, depth
+        kind, text, caret = self.tokens[self.pos]
+        if kind != "op" or text != "^":
+            return node, depth
+        sign = 1.0
+        kind, text, off = self.tokens[self.pos + 1]
+        if kind == "op" and text == "-":
+            self.pos += 1
+            sign = -1.0
+            kind, text, off = self.tokens[self.pos + 1]
+        if kind != "number":
+            raise _unexpected(text, off, ("number",))
+        self.pos += 2
+        if depth >= MAX_DEPTH:
+            raise _too_deep(caret)
+        return Power(node, sign * float(text), (node.span[0], off + len(text))), depth + 1
 
     def atom(self):
-        kind, text, off = self.peek()
+        """A number, a coordinate, or an expression in parentheses, a function's argument or not."""
+        kind, text, off = self.tokens[self.pos]
+        self.pos += 1
         if kind == "number":
-            self.advance()
             return Const(float(text), (off, off + len(text))), 1
         if kind == "ident":
-            self.advance()
             if text in COORDS:
                 return Coord(int(text[1]), (off, off + len(text))), 1
-            if text in FUNCTIONS:
-                self.expect_op("(")
-                arg, depth = self.nested(self.expr, off)
-                close = self.expect_op(")")
-                return Unary(text, arg, (off, close[2] + 1)), depth
-            raise ExprSyntaxError(f"unknown identifier {text!r}", off, self._ATOM_EXPECTED)
-        if kind == "op" and text == "(":
-            self.advance()
-            node, depth = self.nested(self.expr, off)
-            close = self.expect_op(")")
-            return _respan(node, (off, close[2] + 1)), depth
-        msg = f"unexpected {text!r}" if kind != "end" else "unexpected end of input"
-        raise ExprSyntaxError(msg, off, self._ATOM_EXPECTED)
+            if text not in FUNCTIONS:
+                raise ExprSyntaxError(f"unknown identifier {text!r}", off, self._ATOM_EXPECTED)
+            _, paren, paren_off = self.tokens[self.pos]
+            if paren != "(":
+                raise _unexpected(paren, paren_off, ("'('",))
+            self.pos += 1
+        elif kind != "op" or text != "(":
+            raise _unexpected(text, off, self._ATOM_EXPECTED)
+        self.open += 1
+        if self.open > MAX_DEPTH:
+            raise _too_deep(off)
+        node, depth = self.expr()
+        self.open -= 1
+        if depth >= MAX_DEPTH:
+            raise _too_deep(off)
+        _, close, close_off = self.tokens[self.pos]
+        if close != ")":
+            raise _unexpected(close, close_off, ("')'",))
+        self.pos += 1
+        span = (off, close_off + 1)
+        return (Unary(text, node, span) if kind == "ident" else _respan(node, span)), depth + 1
 
 
 def _respan(node: Node, span: tuple[int, int]) -> Node:
@@ -281,6 +303,20 @@ def _prec(node: Node) -> int:
     return _PREC["atom"]
 
 
+def _chain(node: Binary) -> list[Binary]:
+    """The Binary nodes of node's operator level down its left operands, innermost first.
+
+    a - b + c is Binary('+', Binary('-', a, b), c): its chain is [a - b, (a - b) + c].
+    """
+    prec = _PREC[node.op]
+    chain = []
+    while isinstance(node, Binary) and _PREC[node.op] == prec:
+        chain.append(node)
+        node = node.left
+    chain.reverse()
+    return chain
+
+
 def _fmt_number(v: float) -> str:
     return repr(float(v))
 
@@ -306,14 +342,19 @@ def to_source(node) -> str:
             base = f"({base})"
         return f"{base}^{_fmt_number(node.exponent)}"
     if isinstance(node, Binary):
-        left = to_source(node.left)
-        right = to_source(node.right)
-        if _prec(node.left) < _PREC[node.op]:
+        prec = _PREC[node.op]
+        chain = _chain(node)
+        left = to_source(chain[0].left)
+        if _prec(chain[0].left) < prec:
             left = f"({left})"
-        # left-associative grammar: parenthesize a right child of equal precedence
-        if _prec(node.right) <= _PREC[node.op]:
-            right = f"({right})"
-        return f"{left} {node.op} {right}"
+        parts = [left]
+        for link in chain:
+            right = to_source(link.right)
+            # left-associative grammar: parenthesize a right child of equal precedence
+            if _prec(link.right) <= prec:
+                right = f"({right})"
+            parts.append(f" {link.op} {right}")
+        return "".join(parts)
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -337,11 +378,35 @@ def _node_source(expr: ScalarFieldExpr, node: Node) -> str:
     return to_source(node)
 
 
+def _domain_error(expr: ScalarFieldExpr, node: Node, exc: Exception) -> EvalDomainError:
+    # float pow raises OverflowError(errno, text): report the text, not the pair
+    detail = exc.args[1] if isinstance(exc, OverflowError) and len(exc.args) == 2 else str(exc)
+    return EvalDomainError(detail, _node_source(expr, node))
+
+
 def _eval(expr: ScalarFieldExpr, node: Node, coords):
     if isinstance(node, Const):
         return node.value
     if isinstance(node, Coord):
         return coords[node.index - 1]
+    if isinstance(node, Binary):  # a chain of one operator level, folded from the left in a loop
+        chain = _chain(node)
+        acc = _eval(expr, chain[0].left, coords)
+        for link in chain:
+            right = _eval(expr, link.right, coords)
+            op = link.op
+            try:
+                if op == "+":
+                    acc = acc + right
+                elif op == "-":
+                    acc = acc - right
+                elif op == "*":
+                    acc = acc * right
+                else:
+                    acc = jets.divide(acc, right)
+            except (ValueError, ZeroDivisionError, OverflowError) as exc:
+                raise _domain_error(expr, link, exc) from exc
+        return acc
     try:
         if isinstance(node, Unary):
             arg = _eval(expr, node.arg, coords)
@@ -358,21 +423,9 @@ def _eval(expr: ScalarFieldExpr, node: Node, coords):
             return jets.cos(arg)
         if isinstance(node, Power):
             return jets.power(_eval(expr, node.base, coords), node.exponent)
-        if isinstance(node, Binary):
-            left = _eval(expr, node.left, coords)
-            right = _eval(expr, node.right, coords)
-            if node.op == "+":
-                return left + right
-            if node.op == "-":
-                return left - right
-            if node.op == "*":
-                return left * right
-            return jets.divide(left, right)
         raise TypeError(f"not an expression node: {node!r}")
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        # float pow raises OverflowError(errno, text): report the text, not the pair
-        detail = exc.args[1] if isinstance(exc, OverflowError) and len(exc.args) == 2 else str(exc)
-        raise EvalDomainError(detail, _node_source(expr, node)) from exc
+        raise _domain_error(expr, node, exc) from exc
 
 
 def eval_value(f: ScalarFieldExpr, p):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import json
 import math
@@ -155,8 +154,7 @@ def test_exit_code_usage_errors(capsys, m5_spec):
 
 def _subparsers():
     """The parser of each subcommand, by name, from the shared command-line parser."""
-    (commands,) = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return commands.choices
+    return cli._command_parsers(cli.build_parser())
 
 
 POINT_OPTIONS = ("-h", "--help", "--at", "--json")
@@ -186,6 +184,62 @@ def test_each_command_accepts_exactly_its_options():
         for command, parser in _subparsers().items()
     }
     assert accepted == {command: sorted(POINT_OPTIONS + options) for command, options in OPTIONS.items()}
+
+
+OPTION_VALUES = {  # an argument of each option that takes one; the spec file is never opened
+    "--spec": "m.toml",
+    "--at": "1,2,3",
+    "--sample": "3",
+    "--box": "0:1,0:1,0:1",
+    "--seed": "4",
+    "--tol": "1e-6",
+    "--vector": "1,0,0",
+    "--n-vectors": "2",
+    "--x": "1,0,0",
+    "--y": "0,1,0",
+}
+
+
+def _argvs_of(command, options):
+    """Argvs of command: every option it takes, with --at or with --sample, spaced, joined by '=' and
+    abbreviated; then only what it requires."""
+    names = [o for o in (*POINT_OPTIONS, *options) if o not in ("-h", "--help", "--at", "--sample")]
+    for where in ("--at", "--sample") if "--sample" in options else ("--at",):
+        pairs = [(o, OPTION_VALUES.get(o)) for o in (where, *names)]
+        spaced = [a for o, v in pairs for a in (o, v) if a is not None]
+        joined = [o if v is None else f"{o}={v}" for o, v in reversed(pairs)]
+        abbreviated = [a for o, v in pairs for a in (o[:-1] if len(o) > 4 else o, v) if a is not None]
+        yield from ([command, *spaced], [command, *joined], [command, *abbreviated])
+    required = {"qbasis": ["--vector=1,1,0"], "angles": ["--vector=1,1,0"], "sectional": ["--x=1,0,0", "--y=0,0,1"]}
+    spec = ["--spec", "m.toml"] if "--spec" in options and command != "qbasis" else []
+    yield [command, *spec, *required.get(command, []), *([] if command == "qbasis" else ["--at=0,0,0"])]
+
+
+def _plain(namespace):
+    return [(k, v.tolist() if isinstance(v, np.ndarray) else v) for k, v in vars(namespace).items()]
+
+
+def test_main_parses_every_argv_as_the_parser_does(capsys, monkeypatch):
+    parsed = []
+
+    def run(args):
+        parsed.append(args)
+        return {"command": args.command, "spec_name": "-", "inputs": {}, "results": {}, "verdicts": {}, "meta": {}}
+
+    monkeypatch.setattr(cli, "_run", run)
+    for command, options in OPTIONS.items():
+        for argv in _argvs_of(command, options):
+            assert main(argv) == 0, argv
+            assert _plain(parsed.pop()) == _plain(cli.build_parser().parse_args(argv)), argv
+    capsys.readouterr()
+
+
+def test_main_prints_what_the_parser_prints_where_it_refuses_an_argv(capsys, monkeypatch):
+    # recorded from main when it handed every argv to build_parser().parse_args, at 80 columns:
+    # help, --version, an unknown command, an option before the command, arguments left over, '--'
+    monkeypatch.setenv("COLUMNS", "80")
+    for case in json.loads((DATA / "main_argv_texts.json").read_text(encoding="utf-8")):
+        assert _call(capsys, case["argv"]) == (case["exit_code"], case["stdout"], case["stderr"]), case["argv"]
 
 
 @pytest.mark.parametrize(
@@ -360,13 +414,23 @@ def test_spec_file_that_is_not_utf8_or_too_deep_exits_2(capsys, tmp_path):
     assert capsys.readouterr().err == (
         f"error (riemann): spec file {str(bad)!r} is not UTF-8 text: invalid start byte (line 2)\n"
     )
-    for A, offset in (("(" * 3000 + "x1" + ")" * 3000, 99), ("3" + " + x1" * 3000, 497)):
-        bad.write_text(f'[metric]\nA = "{A}"\nB = "1"\n', encoding="utf-8")
-        assert main(["riemann", "--spec", str(bad), "--at", "0,0,0"]) == 2
-        assert capsys.readouterr().err == (
-            f"error (riemann): invalid expression: expression nested deeper than 100 levels "
-            f"at offset {offset} (line 2, column {6 + offset})\n"
-        )
+    bad.write_text(f'[metric]\nA = "{"(" * 3000 + "x1" + ")" * 3000}"\nB = "1"\n', encoding="utf-8")
+    assert main(["riemann", "--spec", str(bad), "--at", "0,0,0"]) == 2
+    assert capsys.readouterr().err == (
+        "error (riemann): invalid expression: expression nested deeper than 100 levels "
+        "at offset 99 (line 2, column 105)\n"
+    )
+
+
+def test_a_flat_sum_of_any_length_is_a_field(capsys, tmp_path):
+    # a chain of one operator is one level deep: 3 + x1 + ... + x1 is the field 3 + 3000 x1, bit for bit
+    outputs = []
+    for A in ("3" + " + x1" * 3000, "3 + 3000*x1"):
+        spec = tmp_path / "sum.toml"
+        spec.write_text(f'name = "sum"\n[metric]\nA = "{A}"\nB = "1"\n', encoding="utf-8")
+        outputs.append(_call(capsys, ["riemann", "--spec", str(spec), "--at", "0.25,0,0", "--json"]))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0
 
 
 def test_verify_theorems_refusal_and_success(capsys, m5_spec, parallel_spec):

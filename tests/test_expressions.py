@@ -84,10 +84,12 @@ def test_parse_refuses_an_expression_deeper_than_max_depth():
     # the parser recurses through parentheses, the evaluators and to_source through the tree
     for source, offset in (
         ("(" * 3000 + "x1" + ")" * 3000, MAX_DEPTH - 1),  # the parenthesis that opens level MAX_DEPTH
-        ("3" + " + x1" * 3000, 5 * MAX_DEPTH - 3),  # the '+' that makes the tree MAX_DEPTH + 1 deep
         ("-" * 3000 + "x1", MAX_DEPTH - 1),
         ("sin(" * 3000 + "x1" + ")" * 3000, 4 * (MAX_DEPTH - 1)),
         ("(" * (MAX_DEPTH - 2) + "x1^2" + ")" * (MAX_DEPTH - 2) + "^2", 2 * MAX_DEPTH),
+        # a chain is one level: inside MAX_DEPTH - 1 pairs, the outermost '(' makes the tree too deep
+        ("(" * (MAX_DEPTH - 1) + "x1 + x1 - x1" + ")" * (MAX_DEPTH - 1), 0),
+        ("x2 * " + "(" * (MAX_DEPTH - 1) + "x1" + ")" * (MAX_DEPTH - 1), 3),  # the '*' above them
     ):
         with pytest.raises(ExprSyntaxError) as err:
             parse(source)
@@ -108,6 +110,52 @@ def test_an_expression_at_max_depth_evaluates():
         assert jet.value == eval_value(f, p)
         if value is not None:
             assert eval_value(f, p) == value
+
+
+def test_a_flat_chain_is_one_level_at_any_length():
+    p = (0.5, 0.25, 2.0)
+    for source, value in (
+        ("3" + " + x1" * 3000, 3 + 3000 * 0.5),
+        ("(" * (MAX_DEPTH - 2) + "x1 + x1 - x1" + ")" * (MAX_DEPTH - 2), 0.5),
+        ("x3" + " * x3 / x3" * 1500 + " * x2", 0.5),
+    ):
+        f = parse(source)
+        assert parse(to_source(f)) == f
+        jet = eval_jet(f, p)
+        assert jet.value == eval_value(f, p) == value
+    sum_3000 = eval_jet(parse("3" + " + x1" * 3000), p)
+    assert np.array_equal(sum_3000.grad, [3000.0, 0.0, 0.0]) and not sum_3000.hess.any()
+    assert to_source(parse("3" + " + x1" * 3000)) == "3.0" + " + x1" * 3000
+    # trees compare down a chain without recursion, and every operator, operand and length counts
+    long_sum = parse("3" + " + x1" * 3000)
+    for other in ("3" + " + x1" * 2999, "3" + " + x1" * 2999 + " - x1", "3" + " + x1" * 2999 + " + x2",
+                  "2" + " + x1" * 3000, "3" + " + x1" * 2999 + " + x1 * 1"):
+        assert parse(other) != long_sum and long_sum != parse(other)
+    assert long_sum.root != Coord(1) and Coord(1) != long_sum.root
+
+
+def test_a_chain_folds_from_the_left_as_the_nested_tree_does():
+    rng = np.random.default_rng(5)
+    for level in ("+-", "*/"):
+        for _ in range(20):
+            values = rng.uniform(0.1, 3.0, size=40).tolist()
+            ops = rng.choice(list(level), size=39).tolist()
+            source = f"{values[0]!r}" + "".join(f" {op} {v!r}" for op, v in zip(ops, values[1:]))
+            expected = values[0]
+            for op, v in zip(ops, values[1:]):
+                expected = {"+": expected + v, "-": expected - v, "*": expected * v, "/": expected / v}[op]
+            f = parse(source)
+            assert eval_value(f, (0.0, 0.0, 0.0)) == expected
+            assert to_source(f) == source
+
+
+def test_a_domain_error_in_a_chain_names_the_link_that_fails():
+    with pytest.raises(EvalDomainError) as err:
+        eval_value(parse("x1 + 2 / x2 * 3 + x3"), (1.0, 0.0, 1.0))
+    assert str(err.value) == "float division by zero in subexpression '2 / x2'"
+    with pytest.raises(EvalDomainError) as err:
+        eval_value(parse("x1 * 2 / x2 * 3"), (1.0, 0.0, 1.0))
+    assert err.value.subexpression == "x1 * 2 / x2"
 
 
 def test_eval_value_examples():
