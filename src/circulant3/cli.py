@@ -478,7 +478,7 @@ def _cmd_example_m5(spec, p, M, args):
     comps = components(R)
     cf = closed_form_from_metric(M)
     formula = example_diagonal_value(p)
-    nq_max = nabla_q_from_table(R.christoffel).max_abs
+    nq_max = nabla_q_from_table(christoffel_from_metric(M)).max_abs
     chk = check_q_invariance(R, tol=args.tol)
 
     diagonal = ("R1212", "R1313", "R2323")

@@ -2,40 +2,80 @@
 q-invariance property of the curvature.
 
 All derivatives of the metric come from jets of A and B; nothing here is
-finite-differenced. The numeric route is
+finite-differenced. The curvature is formed in the eigenframe of g. The
+columns (1,1,1), (1,-1,0) and (1,1,-2) of the integer matrix U are
+eigenvectors of every circulant g: U^T g U = diag(3 lam, 2 nu, 6 nu), with
+lam = A + 2B and nu = A - B. In the coordinates y = U^-1 x the metric is
+diagonal, f = (3 lam, 2 nu, 6 nu), and its first-kind symbols
+[ab,c] = 1/2 (d_a g_bc + d_b g_ac - d_c g_ab) are halves of f's first
+derivatives. With them
+
+    R_abcd = 1/2 (g_ad,bc + g_bc,ad - g_ac,bd - g_bd,ac)
+             + sum_p ([bc,p][ad,p] - [bd,p][ac,p]) / f_p,
+
+which needs no inverse of g and no derivative of a Christoffel symbol: the
+only division is by an eigenvalue, so the kernel keeps its accuracy as g
+nears degeneracy (nu << lam). In 3D R is its symmetric 3x3 operator S on
+bivectors, S_PQ = R_abcd for e_a ^ e_b = e_P and e_c ^ e_d = e_Q. The six
+entries of S in the eigenframe are, for (a, b, c) a permutation of (1, 2, 3),
+
+    R_abab = -1/2 (f_a,bb + f_b,aa) + 1/4 (f_a,b^2 / f_a + f_b,a^2 / f_b
+             + f_b,a f_a,a / f_a + f_b,b f_a,b / f_b - f_b,c f_a,c / f_c)
+    R_abac = -1/2 f_a,bc + 1/4 (f_a,b f_a,c / f_a + f_b,c f_a,b / f_b + f_c,b f_a,c / f_c)
+
+(f_a,b = d f_a / d y_b); they are sums of the Hessians of lam and nu and of
+products of their gradients divided by lam or nu, with integer coefficients
+(_HESS_LAM, _HESS_NU, _PRODUCTS). Rotating back is S -> U S U^T / det(U)^2
+(_BACK), which is linear as well, so one integer matrix _KERNEL maps each
+point's features (the two Hessians in the coordinate frame and sixteen
+products) to 144 S. The features come from the jets of lam and nu, formed
+from the jets of A and B before anything is rotated (nu = A - B is then
+exact where B <= A <= 2B), after the jets of A and B are divided by the
+power of two that brings their largest entry into [0.5, 1), so that no
+entry of lam's jet exceeds 3 even where A + 2B exceeds the double range. R
+is homogeneous of degree one in the metric, so the result is scaled back
+exactly, and a Hessian or a metric near either end of the double range
+does not overflow the sums on the way. R.t is
+gathered from S with the signs of the Levi-Civita symbol, so every symmetry
+of the tensor holds bit for bit. The (0,4) tensor is
+low[i,j,k,h] = g(R(e_i, e_j) e_k, e_h), the negative of R_ijkh above; its
+index order and sign are pinned by the built-in example manifold (its
+R_1212 at (2,-1,-1) equals -1/8). The test suite checks the kernel against
+exact components of the Levi-Civita curvature (tests/oracle.py, derived
+symbolically in tests/test_oracle.py), in exact rational arithmetic of the
+same jets (tests/exact.py).
+
+The Christoffel symbols, read by christoffel, check-parallel and nabla-q,
+are formed in the coordinate frame:
 
     2 Gamma_ij^h = g^{th} (d_i g_tj + d_j g_ti - d_t g_ij)
-    R_ijk^h      = d_j Gamma_ik^h - d_k Gamma_ij^h
-                   + Gamma_ik^t Gamma_tj^h - Gamma_ij^t Gamma_tk^h
 
-with the (0,4) tensor low[i,j,k,h] = g(R(e_i, e_j) e_k, e_h), the index
-order and sign being pinned by the built-in example manifold (its
-R_1212 at (2,-1,-1) equals -1/8). The test suite checks this route
-against exact components of the Levi-Civita curvature (tests/oracle.py),
-which tests/test_oracle.py derives symbolically from the metric.
+with d_k Gamma_ij^h from d g^-1 = -g^-1 (d g) g^-1.
 
 Every function takes a metric (or tensor) batch and returns results with
 its leading batch shape, () for one point or (N,) for N points; the
 einsums and matrix products carry the batch as ``...``, and each point's
-result is bit for bit the one a batch of that point alone gives. Vectors
+result is bit for bit the one a batch of that point alone gives (the
+kernel's products are one small matrix product per point, never one
+product over the batch, whose summation order could depend on N). Vectors
 are one vector (3,) shared by all points or one per point (..., 3). A
 check that refuses a batch names its first failing point.
 
-Layout. Gamma, dGamma and R are each stored once, as the C-contiguous
-output of the einsum that forms them, tensor indices first and batch axes
-last (ChristoffelTable.t[i,j,h,*batch] and .dt[k,i,j,h,*batch],
-CurvatureTensor.t[k,i,j,h,*batch]), so that each einsum's inner loop runs
-over the batch rather than over an index of length 3. The API's batch-first
-gamma, dgamma and low are views of them. A pure permutation of indices (C
-and dC from dg and ddg, the two dGamma terms of R_ijk^h) is a transposed
-view (_permuted). An einsum may sum in an order that follows its operands'
-strides, so tests/test_kernel_layout.py pins every element, and the bits of
-each contraction that reads these arrays, against the same einsums run
-batch-first.
+Layout. Gamma, dGamma and R are each stored once, tensor indices first and
+batch axes last (ChristoffelTable.t[i,j,h,*batch] and .dt[k,i,j,h,*batch],
+CurvatureTensor.t[k,i,j,h,*batch]), C-contiguous, so that the contractions
+that read them run their inner loop over the batch rather than over an
+index of length 3. The API's batch-first gamma, dgamma and low are views of
+them. A pure permutation of indices (C and dC from dg and ddg) is a
+transposed view (_permuted). An einsum may sum in an order that follows its
+operands' strides, so tests/test_kernel_layout.py pins every element of
+Gamma and dGamma, and the bits of each contraction that reads these arrays,
+against the same einsums run batch-first.
 
-Overflow. The three curvature kernels silence numpy's float warnings and
-raise EvalDomainError where Gamma, its derivatives, low or a closed-form
-component is not finite, naming A and B at the first such point.
+Overflow. The kernels silence numpy's float warnings and raise
+EvalDomainError where Gamma, its derivatives, a curvature component, a
+closed-form component or a sectional curvature is not finite, naming A and B
+at the first such point.
 
 A CurvatureTensor carries its metric, so sectional curvature and the
 sectional-curvature relations take R alone. The relations also take a
@@ -116,8 +156,7 @@ class CurvatureTensor:
     """g(R(e_i, e_j) e_k, e_h), the (0,4) tensor, as t[k,i,j,h,*batch], C-contiguous."""
 
     t: np.ndarray
-    christoffel: ChristoffelTable  # the table t was built from
-    metric: MetricAtPoint  # the metric the table was built from, which lowers R_ijk^h
+    metric: MetricAtPoint  # the metric t was built from
 
     @property
     def low(self) -> np.ndarray:
@@ -187,21 +226,97 @@ def christoffel_from_metric(M: MetricAtPoint) -> ChristoffelTable:
     return ct
 
 
+# -- the eigenframe kernel (see the module docstring) ------------------------------
+# U's columns (1,1,1), (1,-1,0), (1,1,-2) are eigenvectors of every circulant g; det U = 6.
+_U = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 1.0], [1.0, 0.0, -2.0]])
+# _UU[3i + j, 3a + b] = U_ia U_jb: x @ _UU is U^T X U for a 3x3 matrix X flattened row by row
+# into x, and s @ _UU.T is U S U^T
+_UU = np.kron(_U, _U)
+# S's entries in the eigenframe, times 4, as six columns in the order _SYM numbers them: the
+# bivectors e2^e3, e3^e1, e1^e2 each with itself, then (e2^e3, e3^e1), (e2^e3, e1^e2) and
+# (e3^e1, e1^e2). l and n stand for lam and nu, L and N for their values, and a subscript for
+# a derivative along an eigenframe axis (1-based).
+_SYM = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
+_HESS_LAM = np.array([
+    [0, 0, -6, 0, 0, 0],  # l22
+    [0, 0, 0, 0, 0, 6],  # l23
+    [0, -6, 0, 0, 0, 0],  # l33
+])
+_HESS_NU = np.array([
+    [0, -12, -4, 0, 0, 0],  # n11
+    [0, 0, 0, 12, 0, 0],  # n12
+    [0, 0, 0, 0, 4, 0],  # n13
+    [-12, 0, 0, 0, 0, 0],  # n22
+    [-4, 0, 0, 0, 0, 0],  # n33
+])
+_PRODUCTS = np.array([
+    [0, 6, 2, 0, 0, 0],  # n1 n1 / N
+    [12, 0, 0, 0, 0, 0],  # n2 n2 / N
+    [4, 0, 0, 0, 0, 0],  # n3 n3 / N
+    [0, 0, 0, -12, 0, 0],  # n1 n2 / N
+    [0, 0, 0, 0, -4, 0],  # n1 n3 / N
+    [0, -9, 3, 0, 0, 0],  # l2 n2 / N
+    [0, 3, -1, 0, 0, 0],  # l3 n3 / N
+    [0, 0, 0, 0, 0, -3],  # l2 n3 / N
+    [0, 0, 0, 0, 0, -3],  # l3 n2 / N
+    [-4, 0, 0, 0, 0, 0],  # n1 n1 / L
+    [0, 6, 2, 0, 0, 0],  # n1 l1 / L
+    [0, 0, 0, -6, 0, 0],  # n1 l2 / L
+    [0, 0, 0, 0, -2, 0],  # n1 l3 / L
+    [0, 0, 3, 0, 0, 0],  # l2 l2 / L
+    [0, 3, 0, 0, 0, 0],  # l3 l3 / L
+    [0, 0, 0, 0, 0, -3],  # l2 l3 / L
+])
+# Each product of _PRODUCTS as an eigenframe gradient entry, grad[w, c] at 3w + c, times a
+# quotient grad[w, c] / value[v] at 6w + 3v + c (w, v = 0 for lam and 1 for nu; c 0-based).
+_FACTOR = np.array([3, 4, 5, 3, 3, 1, 2, 1, 2, 3, 3, 3, 3, 1, 2, 1])
+_QUOTIENT = np.array([9, 10, 11, 10, 11, 10, 11, 11, 10, 6, 0, 1, 2, 1, 2, 2])
+# The six entries of S to those of U S U^T: S spread to its nine entries, rotated, and the
+# entries that _SYM numbers picked out.
+_BACK = ((np.arange(6)[:, None] == _SYM.ravel()) @ _UU.T)[:, [0, 4, 8, 1, 2, 5]]
+# 144 S in the coordinate frame from each point's features: the Hessians of lam and nu, each in
+# the coordinate frame and flattened row by row, then the sixteen products.
+_KERNEL = np.concatenate((_UU[:, [4, 5, 8]] @ _HESS_LAM, _UU[:, [0, 1, 2, 4, 8]] @ _HESS_NU, _PRODUCTS)) @ _BACK
+# The Levi-Civita symbol, e_i ^ e_j = _EPS[i, j, P] e_P, and from it the entry of S and the sign
+# that each t[k, i, j, h] = low[i, j, k, h] takes.
+_EPS = np.zeros((3, 3, 3))
+_EPS[[0, 1, 2], [1, 2, 0], [2, 0, 1]] = 1.0
+_EPS[[1, 2, 0], [0, 1, 2], [2, 0, 1]] = -1.0
+_PAIR, _ORIENT = np.abs(_EPS).argmax(axis=-1), _EPS.sum(axis=-1)
+_GATHER = _SYM[_PAIR[None, :, :, None], _PAIR[:, None, None, :]].ravel()
+_SIGN = (_ORIENT[None, :, :, None] * _ORIENT[:, None, None, :]).ravel()
+
+
 @np.errstate(all="ignore")
 def riemann_from_metric(M: MetricAtPoint) -> CurvatureTensor:
-    """The curvature tensor at M's points; low[...,i,j,k,h] = g(R(e_i,e_j)e_k, e_h)."""
-    ct = christoffel_from_metric(M)
-    gamma, dgamma = ct.t, ct.dt
-    up = (
-        _permuted(dgamma, 1, 0, 2, 3)
-        - _permuted(dgamma, 1, 2, 0, 3)
-        + np.einsum("ikt...,tjh...->ijkh...", gamma, gamma)
-        - np.einsum("ijt...,tkh...->ijkh...", gamma, gamma)
+    """The curvature tensor at M's points; low[...,i,j,k,h] = g(R(e_i,e_j)e_k, e_h).
+
+    Formed in g's eigenframe with no inverse of g and no derivative of a
+    Christoffel symbol; see the module docstring. Each point's features
+    go through _KERNEL in a matrix product of its own, a stack over the
+    batch, so the point has the bits it has alone.
+    """
+    a, b = M.A_jet.data, M.B_jet.data
+    batch = a.shape[:-1]
+    e = np.frexp(np.maximum(np.abs(a).max(axis=-1), np.abs(b).max(axis=-1)))[1][..., None]
+    a, b = np.ldexp(a, -e), np.ldexp(b, -e)
+    jets = np.empty(batch + (2, 13))  # the jets of lam and nu, packed as Jet2.data
+    np.add(a, 2.0 * b, out=jets[..., 0, :])
+    np.subtract(a, b, out=jets[..., 1, :])
+    features = np.empty(batch + (1, 34))
+    features[..., 0, :18] = jets[..., 4:].reshape(batch + (18,))
+    grad = jets[..., 1:4] @ _U  # grad[..., w, c], in the eigenframe
+    quotients = grad[..., :, None, :] / jets[..., None, :, :1]
+    np.multiply(
+        grad.reshape(batch + (6,))[..., _FACTOR],
+        quotients.reshape(batch + (12,))[..., _QUOTIENT],
+        out=features[..., 0, 18:],
     )
-    t = np.ascontiguousarray(np.einsum("kijt...,th...->kijh...", up, _tensor_first(M.g, 2)))
-    R = CurvatureTensor(t, ct, M)
-    require_finite(M, "curvature components", R.low)
-    return R
+    s = np.ldexp((features @ _KERNEL)[..., 0, :] / -144.0, e)  # -S in the coordinate frame
+    require_finite(M, "curvature components", s)
+    t = np.empty((81,) + batch)
+    np.multiply(index_first(s, 1)[_GATHER], _SIGN.reshape((81,) + (1,) * len(batch)), out=t)
+    return CurvatureTensor(t.reshape((3, 3, 3, 3) + batch), M)
 
 
 @np.errstate(all="ignore")
@@ -339,7 +454,18 @@ def sectional_curvature(R: CurvatureTensor, x, y):
     xs, ys = _rescaled(x)[0], _rescaled(y)[0]
     den, degenerate = _plane_determinant(*_gram(R.metric.g_scaled, xs, ys))
     _refuse_degenerate(degenerate, lambda: (x, y))
-    return np.ldexp(riemann_apply(R, xs, ys, xs, ys) / den, -2 * R.metric.e)
+    return _scaled_back(R.metric, riemann_apply(R, xs, ys, xs, ys) / den)
+
+
+@np.errstate(over="ignore")
+def _scaled_back(M: MetricAtPoint, mu):
+    """Sectional curvatures formed over g / 2^e, scaled back: mu 2^-2e, refused where that overflows.
+
+    mu's last axes are M's batch axes."""
+    mu = np.ldexp(mu, -2 * M.e)
+    batch = range(mu.ndim - M.D.ndim, mu.ndim)
+    require_finite(M, "sectional curvatures", np.moveaxis(mu, batch, range(M.D.ndim)))
+    return mu
 
 
 @np.errstate(over="ignore", under="ignore")
@@ -475,7 +601,7 @@ def sectional_relations(R: CurvatureTensor, U, tol=1e-9) -> SectionalRelations:
     q-invariance, the q-basis test of the vectors (the first failing one is
     named), the orthogonal-basis generator and its plane, the angle routes,
     the plane {u, qu}, the special-angle vector and its plane, the planes
-    {qu, q^2u} and {q^2u, u}.
+    {qu, q^2u} and {q^2u, u}, then a sectional curvature that is not finite.
     """
     M = R.metric
     identity = check_q_invariance(R, tol=tol)
@@ -490,7 +616,7 @@ def sectional_relations(R: CurvatureTensor, U, tol=1e-9) -> SectionalRelations:
         )
     U = require_q_basis(U)
     u = U.reshape(U.shape[:-1] + (1,) * M.D.ndim + (3,))  # vectors before points
-    g, e = M.g_scaled, M.e
+    g = M.g_scaled
     x = _unit(M, construct_orthogonal_vector(M.A, M.B))
     y = construct_special_angle_vector(M.A, M.B)
     # q permutes and negates entries, so the q-image of a _rescaled vector is the
@@ -514,11 +640,11 @@ def sectional_relations(R: CurvatureTensor, U, tol=1e-9) -> SectionalRelations:
     _refuse_degenerate(degenerate[0], lambda: tuple(orbit()[:2]))
     _refuse_degenerate(degenerate_xy[1], lambda: (y, apply_q(y)))
     _refuse_degenerate(degenerate[1:], lambda: (orbit()[1:3], orbit()[2:]))
-    mu = np.ldexp(riemann_apply(R, S[:3], S[1:], S[:3], S[1:]) / den, -2 * e)
+    mu = _scaled_back(M, riemann_apply(R, S[:3], S[1:], S[:3], S[1:]) / den)
     Q4 = QP.copy()
     Q4[2] = apply_q(QP[2])
     r = riemann_apply(R, P, QP, P, Q4)
-    mu_x, mu_y = np.ldexp(r[:2] / den_xy, -2 * e)
+    mu_x, mu_y = _scaled_back(M, r[:2] / den_xy)
     return SectionalRelations(
         difference=RelationCheck(mu[0] - mu_x, (2.0 * cphi / (1.0 - cphi)) * r[2]),
         combination=RelationCheck(mu[0], ((1.0 + 2.0 * cphi) * mu_x - 3.0 * cphi * mu_y) / (1.0 - cphi)),

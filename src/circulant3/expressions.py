@@ -88,6 +88,23 @@ class Binary(Node):
             a, b = a.left, b.left
         return a == b
 
+    def __hash__(self):
+        """The hash of the fields __eq__ compares, walking down a chain of left operands in a loop."""
+        node, links = self, []
+        while type(node) is Binary:
+            links.append((node.op, node.right))
+            node = node.left
+        return hash((tuple(links), node))
+
+    def __repr__(self):
+        """The dataclass's text, walking down a chain of left operands in a loop."""
+        node, heads, tails = self, [], []
+        while type(node) is Binary:
+            heads.append(f"Binary(op={node.op!r}, left=")
+            tails.append(f", right={node.right!r}, span={node.span!r})")
+            node = node.left
+        return "".join(heads) + repr(node) + "".join(reversed(tails))
+
 
 @dataclass(frozen=True)
 class Power(Node):

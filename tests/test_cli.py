@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 import math
 import warnings
 from collections import Counter
@@ -313,7 +314,8 @@ def test_tol_zero_is_not_replaced_by_default(capsys, m5_spec):
     assert code == 1
 
 
-def test_verify_theorems_builds_one_christoffel_table_per_point(capsys, monkeypatch, parallel_spec):
+def test_verify_theorems_builds_no_christoffel_table(capsys, monkeypatch, parallel_spec):
+    # the curvature is formed in the eigenframe from the jets, with no Christoffel symbols
     import circulant3.curvature as curvature
 
     original = curvature.christoffel_from_metric
@@ -325,7 +327,7 @@ def test_verify_theorems_builds_one_christoffel_table_per_point(capsys, monkeypa
 
     monkeypatch.setattr(curvature, "christoffel_from_metric", counting)
     assert main(["verify-theorems", "--spec", parallel_spec, "--at", "1,0.7,0.4"]) == 0
-    assert len(built) == 1
+    assert built == []
     capsys.readouterr()
 
 
@@ -1238,9 +1240,8 @@ def test_verify_theorems_sampled_computes_each_relation_quantity_once_per_run(ca
 
         monkeypatch.setattr(module, name, counting)
 
-    once = ("check_q_invariance", "construct_orthogonal_vector",
-            "construct_special_angle_vector", "christoffel_from_metric")
-    for name in ("sectional_curvature", "riemann_apply", *once):
+    once = ("check_q_invariance", "construct_orthogonal_vector", "construct_special_angle_vector")
+    for name in ("sectional_curvature", "riemann_apply", "christoffel_from_metric", *once):
         count(curvature, name)
     count(qstructure, "induces_q_basis")  # through require_q_basis
     spec = tmp_path / "spec.toml"
@@ -1249,7 +1250,7 @@ def test_verify_theorems_sampled_computes_each_relation_quantity_once_per_run(ca
     assert main(argv) == 0
     # 4 points, 5 vectors: one contraction of the planes {u, qu}, {qu, q^2u} and {q^2u, u}
     # stacked over all vectors and points, one of {x, qx}, {y, qy} and R(x, qx, x, q^2x);
-    # no call of sectional_curvature; the vectors' q-basis test and the rest once
+    # no call of sectional_curvature and no Christoffel table; the vectors' q-basis test and the rest once
     assert calls == {"riemann_apply": 2, "induces_q_basis": 1, **dict.fromkeys(once, 1)}
     capsys.readouterr()
 
@@ -1356,9 +1357,11 @@ def test_verify_theorems_refuses_where_check_identity_fails_at_the_same_tol(caps
         )
 
 
-# Specs whose curvature is not finite at the point: a huge first or second
-# derivative of A (the sums in Gamma overflow), or a tiny metric with ordinary
-# derivatives (g^-1 is about 1e200, so d Gamma overflows).
+# Specs at the edge of the double range, and what each command does there, from the exact values
+# (tests/exact.py). huge-gradient: A_1 = 1.5e308, so the sums of d_i g_tj in Gamma overflow, and so
+# does every curvature component (about A_1^2 / A). huge-hessian: A_11 = 1e308, so the Hessian sums in
+# d Gamma overflow, while R1212 = 5e307 is finite. tiny-metric: g^-1 is about 1e200, so d Gamma
+# overflows, while R1212 is about -2e199; its sectional curvatures (about 1e599) are not finite.
 OVERFLOW_CASES = {
     "huge-gradient": ('A = "1.5e308*x1 + 3"\nB = "1"', "1e-300,0,0", "A=150000003.0, B=1.0"),
     "huge-hessian": ('A = "5e307*x1^2 + 3"\nB = "1"', "1e-200,0,0", "A=3.0, B=1.0"),
@@ -1369,6 +1372,19 @@ CURVATURE_COMMANDS = {
     "sectional": ["--x=1,0,0", "--y=0,1,0"], "check-identity": [], "check-parallel": [], "nabla-q": [],
     "verify-theorems": [],
 }
+GAMMA, CURVATURE, CLOSED_FORM = "Christoffel symbols or their derivatives", "curvature components", "closed-form components"
+# (exit code, the values refused as not finite): None where the command reports finite results, and
+# "q-invariance" where verify-theorems refuses a finite curvature that is not q-invariant
+OVERFLOW_OUTCOMES = {
+    "huge-gradient": {"closed-form": (3, CLOSED_FORM), "riemann": (3, CURVATURE),
+                      "compare-curvature": (3, CURVATURE), "sectional": (3, CURVATURE),
+                      "check-identity": (3, CURVATURE), "verify-theorems": (3, CURVATURE)},
+    "huge-hessian": {"closed-form": (0, None), "riemann": (0, None), "compare-curvature": (1, None),
+                     "sectional": (0, None), "check-identity": (1, None), "verify-theorems": (1, "q-invariance")},
+    "tiny-metric": {"closed-form": (3, CLOSED_FORM), "riemann": (0, None), "compare-curvature": (3, CLOSED_FORM),
+                    "sectional": (3, "sectional curvatures"), "check-identity": (1, None),
+                    "verify-theorems": (1, "q-invariance")},
+}
 
 
 @pytest.mark.parametrize("command", CURVATURE_COMMANDS)
@@ -1378,17 +1394,19 @@ def test_curvature_that_is_not_finite_is_a_domain_error(capsys, tmp_path, case, 
     spec = tmp_path / "spec.toml"
     spec.write_text(f"[metric]\n{fields}\n", encoding="utf-8")
     argv = [command, "--spec", str(spec), f"--at={point}", *CURVATURE_COMMANDS[command]]
-    what = "closed-form components" if command == "closed-form" else "Christoffel symbols or their derivatives"
+    want, what = OVERFLOW_OUTCOMES[case].get(command, (3, GAMMA))  # Gamma overflows in all three
     for flags in ([], ["--json"]):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             code = main(argv + flags)
         out, err = capsys.readouterr()
-        if (case, command) == ("huge-hessian", "closed-form"):  # formed over 2^e, where no term overflows
-            assert code == 0 and "nan" not in out.lower() and "inf" not in out.lower()
-            continue
-        assert code == 3
-        assert (out, err) == ("", f"error ({command}): {what} are not finite where {where}\n")
+        assert code == want
+        if what is None:
+            assert err == "" and not re.search(r"\b(nan|inf|infinity)\b", out.lower())
+        elif what == "q-invariance":
+            assert out == "" and err.startswith(f"error ({command}): curvature q-invariance fails at this point")
+        else:
+            assert (out, err) == ("", f"error ({command}): {what} are not finite where {where}\n")
 
 
 def test_orthogonal_basis_products_that_are_not_finite_are_a_domain_error(capsys, tmp_path):
@@ -1416,8 +1434,7 @@ def test_a_sample_with_a_point_whose_curvature_is_not_finite_is_refused_whole(ca
     code = main(["riemann", "--spec", str(spec), "--sample=3", "--box=1e-300:2e-300,-1:1,-1:1", "--json"])
     assert code == 3
     assert capsys.readouterr() == (
-        "", f"error (riemann): Christoffel symbols or their derivatives are not finite "
-        f"where A={float(M.A[0])!r}, B=1.0\n"
+        "", f"error (riemann): curvature components are not finite where A={float(M.A[0])!r}, B=1.0\n"
     )
 
 

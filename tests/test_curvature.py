@@ -404,7 +404,7 @@ def test_relations_hold_on_the_cyclic_family_where_q_is_not_parallel():
         M = metric_at(m, pts)
         R = riemann_from_metric(M)
         assert check_q_invariance(R).passed.all()
-        assert (nabla_q_from_table(R.christoffel).max_abs > 1e-4).all()
+        assert (nabla_q_from_table(christoffel_from_metric(M)).max_abs > 1e-4).all()
         U = [random_q_basis_vector(rng) for _ in range(5)]
         rel = sectional_relations(R, U)
         d, c, e = rel.difference, rel.combination, rel.equal
@@ -508,17 +508,19 @@ def test_batch_curvature_equals_point_by_point_bit_for_bit():
         chk = check_q_invariance(R)
         cf = closed_form_from_metric(M)
         grad_res = parallel_residual_from_metric(M)
-        nq = nabla_q_from_table(R.christoffel).nq
+        ct = christoffel_from_metric(M)
+        nq = nabla_q_from_table(ct).nq
         for i, p in enumerate(pts):
             Mi = metric_at(m, p)
             Ri = riemann_from_metric(Mi)
+            cti = christoffel_from_metric(Mi)
             for batch, single in [
                 (M.g, Mi.g), (M.g_inv, Mi.g_inv), (M.D, Mi.D),
-                (R.christoffel.gamma, Ri.christoffel.gamma),
-                (R.christoffel.dgamma, Ri.christoffel.dgamma),
+                (ct.gamma, cti.gamma),
+                (ct.dgamma, cti.dgamma),
                 (R.low, Ri.low),
                 (grad_res, parallel_residual_from_metric(Mi)),
-                (nq, nabla_q_from_table(Ri.christoffel).nq),
+                (nq, nabla_q_from_table(cti).nq),
             ]:
                 assert batch[i].tobytes() == np.asarray(single).tobytes()
             chk_i = check_q_invariance(Ri)
@@ -694,21 +696,33 @@ def test_batch_refusals_name_their_first_failing_point():
 
 def test_curvature_that_is_not_finite_is_refused_at_the_first_such_point_of_a_batch():
     # A = 3e-200 + x1, B = 1e-200: at x1 = 0.5 an ordinary metric; at x1 = 1e-200 and 1e-300
-    # g^-1 is about 1e200 and the derivatives are ordinary, so d Gamma overflows
+    # g^-1 is about 1e200 and the derivatives are ordinary, so d Gamma overflows. R, formed
+    # without g^-1, is about 1e199 there and finite (tests/test_exact.py checks its value)
     m = MetricFunctions.from_sources("3e-200 + x1", "1e-200")
     M = metric_at(m, np.array([[0.5, 0.0, 0.0], [1e-200, 0.0, 0.0], [1e-300, 0.0, 0.0]]))
     for kernel, what in (
         (christoffel_from_metric, "Christoffel symbols or their derivatives"),
-        (riemann_from_metric, "Christoffel symbols or their derivatives"),
         (closed_form_from_metric, "closed-form components"),
     ):
         with np.errstate(all="raise"), pytest.raises(EvalDomainError) as error:  # and no FloatingPointError
             kernel(M)
         assert str(error.value) == f"{what} are not finite where A=4e-200, B=1e-200"
         kernel(M[0])  # the ordinary point alone
-    # a huge first derivative: the sums of d_i g_tj in Gamma overflow
+    with np.errstate(all="raise"):
+        assert np.isfinite(riemann_from_metric(M).t).all()
+    # A_1 = 1e200: at x1 = 1, A = 1e200 and R is about A_1^2 / A = 1e200; at x1 = 1e-200 and 0,
+    # A is about 3 and R about 1e400
+    m = MetricFunctions.from_sources("3 + 1e200*x1", "1")
+    M = metric_at(m, np.array([[1.0, 0.0, 0.0], [1e-200, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+    with np.errstate(all="raise"), pytest.raises(EvalDomainError) as error:
+        riemann_from_metric(M)
+    assert str(error.value) == "curvature components are not finite where A=4.0, B=1.0"
+    riemann_from_metric(M[0])
+    # a huge first derivative: the sums of d_i g_tj in Gamma overflow, and so does R
     M = metric_at(MetricFunctions.from_sources("1.5e308*x1 + 3", "1"), (1e-300, 0.0, 0.0))
     with pytest.raises(EvalDomainError, match=r"^Christoffel symbols .* where A=150000003\.0, B=1\.0$"):
+        christoffel_from_metric(M)
+    with pytest.raises(EvalDomainError, match=r"^curvature components .* where A=150000003\.0, B=1\.0$"):
         riemann_from_metric(M)
     # Gamma and d Gamma finite, the curvature not: R_ijk^h is about 1e107 and g about 1e201
     m = MetricFunctions.from_sources("3e200 + 4e307*x1^2", "1e200 - 4e307*x1^2/3 + 4e307*x2^2")
@@ -716,6 +730,24 @@ def test_curvature_that_is_not_finite_is_refused_at_the_first_such_point_of_a_ba
     christoffel_from_metric(M)
     with pytest.raises(EvalDomainError, match=r"^curvature components are not finite where A=4\.3e\+201, B=2\.7"):
         riemann_from_metric(M)
+
+
+def test_sectional_curvature_that_is_not_finite_is_refused():
+    # A = 3e-200 + s, B = 1e-200 with s = x1 + x2 + x3: at s = 1e-300, R is about 1e199 and
+    # g about 1e-200, so a sectional curvature is about 1e599; at s = 0.5 all are ordinary.
+    # The metric is cyclic, so its curvature is q-invariant and the relations reach their quotients
+    m = MetricFunctions.from_sources("3e-200 + (x1 + x2 + x3)", "1e-200")
+    M = metric_at(m, np.array([[0.5, 0.0, 0.0], [1e-300, 0.0, 0.0]]))
+    R = riemann_from_metric(M)
+    u = [1.0, 2.0, 4.0]
+    for refused in (lambda: sectional_curvature(R, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]),
+                    lambda: sectional_relations(R, u)):
+        with np.errstate(over="raise", invalid="raise", divide="raise"), pytest.raises(EvalDomainError) as error:
+            refused()
+        assert str(error.value) == "sectional curvatures are not finite where A=3e-200, B=1e-200"
+    R0 = riemann_from_metric(M[0])
+    assert np.isfinite(sectional_curvature(R0, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]))
+    assert np.isfinite(sectional_relations(R0, u).equal.mu_u_qu).all()
 
 
 # -- the q-orbit Gram entries against plain inner products -------------------------

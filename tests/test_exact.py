@@ -1,0 +1,115 @@
+"""The numeric curvature against exact rational arithmetic (exact.py).
+
+The reference for the kernel is the exact curvature of the float jets it
+reads: generic_components over the Fractions of A's and B's jets. Rounding of
+the jets themselves then plays no part, so the bound measures the kernel
+alone. The jets have their own exact reference, the Fraction jet of the same
+expression tree, and where a field is evaluated without rounding the two
+routes meet: the built-in example gives R1212 = -1/8 exactly.
+
+The bound is C_EPS * eps * max|R| for every component, over random rational
+fields (test_properties.py, with hypothesis) and over a family whose metric
+nears degeneracy (A - B = G (1 + x3)
+with A about 1, G down to 1e-10), where the error of a route through g^-1
+grows like (A / (A - B))^2.
+"""
+
+from __future__ import annotations
+
+import json
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from circulant3 import MetricFunctions, metric_at, parse, riemann_from_metric
+from circulant3.cli import main
+from circulant3.curvature import COMPONENT_INDEX, components
+from circulant3.expressions import eval_jet
+from circulant3.specfile import builtin_example
+
+from exact import exact_components, exact_curvature, exact_jet, fraction_jet
+
+EPS = np.finfo(float).eps
+C_EPS = 8.0  # the largest error seen over these tests is about 2.4 eps; 8 leaves a margin
+
+
+def worst_error(R, M):
+    """max over points and components of |R - exact(float jets)| / max |exact|, in units of eps."""
+    numeric = components(R)
+    worst = 0.0
+    for i in np.ndindex(M.D.shape):
+        want = exact_components(fraction_jet(M.A_jet[i]), fraction_jet(M.B_jet[i]))
+        scale = max(abs(v) for v in want.values())
+        for name, value in want.items():
+            error = abs(Fraction(float(numeric[name][i])) - value)
+            worst = max(worst, float(error / scale) / EPS if scale else float(error))
+    return worst
+
+
+@pytest.mark.parametrize("G", ["1e-2", "1e-4", "1e-6", "1e-8", "1e-10"])
+def test_curvature_near_degeneracy_is_within_a_few_eps_of_the_exact_value(G):
+    # a valid metric, A > B > 0 on [0,1]^3, whose eigenvalue nu = A - B is G (1 + x3) against lam about 3
+    m = MetricFunctions.from_sources(f"1 + {G}*(1 + x3) + x1^2/100 + x2*x3/50", "1 + x1^2/100 + x2*x3/50")
+    M = metric_at(m, np.random.default_rng(11).uniform(0.0, 1.0, (100, 3)))
+    assert worst_error(riemann_from_metric(M), M) <= C_EPS
+
+
+def test_example_curvature_is_exact():
+    # the example's fields are linear and its point small integers: the jets are exact, and so is R
+    example = builtin_example().metric
+    p = (2.0, -1.0, -1.0)
+    want = exact_curvature(example, p)
+    assert want["R1212"] == Fraction(-1, 8)
+    got = components(riemann_from_metric(metric_at(example, p)))
+    assert {name: Fraction(float(v)) for name, v in got.items()} == want
+
+
+def _entries(jet):
+    return (jet.value, *jet.grad, *sum(jet.hess, ()))
+
+
+def assert_float_jet_is_exact_jet(f, p, jet):
+    """The float jet of f at p is the exact one up to a few roundings of its largest entry."""
+    want = _entries(exact_jet(f, p))
+    scale = max(1, *map(abs, want))
+    assert all(abs(a - b) <= 16 * EPS * scale for a, b in zip(_entries(fraction_jet(jet)), want))
+
+
+def test_exact_jets_are_the_float_jets_of_the_same_tree():
+    f = parse("(3 - x1/4)^2 * x2 + 1/(2 + x3^2) - -x1 * x2 * x3 + x1^0 + (x2 + 3)^-2")
+    for p in ((0.5, -0.25, 0.75), (0.1, 0.2, 0.3), (0.0, 1.0, -1.0)):
+        assert_float_jet_is_exact_jet(f, p, eval_jet(f, np.array(p)))
+
+
+@pytest.mark.parametrize("source", ["sqrt(x1)", "exp(x1)", "log(2 + x1)", "sin(x2)", "cos(x3)", "x1^0.5"])
+def test_exact_jets_refuse_what_is_not_rational(source):
+    with pytest.raises(ValueError, match="no exact jet"):
+        exact_jet(parse(source), (0.5, 0.5, 0.5))
+
+
+# Specs at the edge of the double range whose curvature is finite: riemann reports it, at the bound
+# against the exact curvature of the same fields at the same point. A Hessian of 1e307 to 1e308
+# (A_11 = 2c) puts R1212 near c; a tiny metric with ordinary derivatives puts R1212 near -2e199;
+# a metric whose eigenvalue A + 2B = 1.9e308 is beyond the double range has a finite R near 1e293.
+EDGE_SPECS = {
+    "hessian-1e307": ('5e306*x1^2 + 3', "1", (1e-200, 0.0, 0.0)),
+    "hessian-4e307": ('2e307*x1^2 + 3', "1", (1e-200, 0.0, 0.0)),
+    "hessian-1e308": ('5e307*x1^2 + 3', "1", (1e-200, 0.0, 0.0)),
+    "tiny-metric": ('3e-200 + x1', "1e-200", (1e-300, 0.0, 0.0)),
+    "metric-above-range": ('7e307 + 1e300*x1', "6e307", (0.0, 0.0, 0.0)),
+}
+
+
+@pytest.mark.parametrize("case", EDGE_SPECS)
+def test_riemann_reports_finite_curvature_at_the_edge_of_the_double_range(capsys, tmp_path, case):
+    A, B, p = EDGE_SPECS[case]
+    spec = tmp_path / "spec.toml"
+    spec.write_text(f'[metric]\nA = "{A}"\nB = "{B}"\n', encoding="utf-8")
+    assert main(["riemann", "--spec", str(spec), "--at=" + ",".join(map(repr, p)), "--json"]) == 0
+    got = json.loads(capsys.readouterr().out)["results"]["components"]
+    want = exact_curvature(MetricFunctions.from_sources(A, B), p)
+    scale = max(abs(v) for v in want.values())
+    assert set(got) == set(COMPONENT_INDEX)
+    for name, value in want.items():
+        assert abs(Fraction(got[name]) - value) <= Fraction(C_EPS * EPS) * scale, name

@@ -134,6 +134,20 @@ def test_a_flat_chain_is_one_level_at_any_length():
     assert long_sum.root != Coord(1) and Coord(1) != long_sum.root
 
 
+def test_a_long_chain_hashes_and_prints_without_recursion():
+    long_sum = parse("3" + " + x1" * 3000).root
+    assert hash(long_sum) == hash(parse("3" + " + x1" * 3000).root)
+    assert len({long_sum, parse("3" + " + x1" * 3000).root, parse("3" + " + x1" * 2999 + " + x2").root}) == 2
+    text = repr(long_sum)
+    assert text.count("Binary(op='+', left=") == 3000 and text.startswith("Binary(op='+', left=" * 3000 + "Const")
+    # as the dataclass prints it, spans included
+    assert repr(parse("3 + x1 - 2*x2").root) == (
+        "Binary(op='-', left=Binary(op='+', left=Const(value=3.0, span=(0, 1)), right=Coord(index=1, span=(4, 6)), "
+        "span=(0, 6)), right=Binary(op='*', left=Const(value=2.0, span=(9, 10)), right=Coord(index=2, "
+        "span=(11, 13)), span=(9, 13)), span=(0, 13))"
+    )
+
+
 def test_a_chain_folds_from_the_left_as_the_nested_tree_does():
     rng = np.random.default_rng(5)
     for level in ("+-", "*/"):

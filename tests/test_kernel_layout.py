@@ -1,13 +1,18 @@
-"""The tensor-first Christoffel and Riemann kernel against the same contractions run batch-first.
+"""The tensor-first Christoffel kernel against the same contractions run batch-first, and the
+readers of the stored tensors against batch-first einsums.
 
 In the reference below every einsum carries the batch as a leading
-``...``, the plainest way to write them. The kernel must give every element of
-Gamma, dGamma and low bit for bit. It stores them tensor-first (t and dt,
-C-contiguous) and hands out batch-first views, so their strides differ from
-the reference's; what the strides could change is the order in which a later
-einsum sums. So every reader of these arrays that contracts them
-(riemann_apply, nabla_q_from_table, the CLI's symmetry verdicts) must give the
-bits of the same batch-first einsum over the reference's arrays.
+``...``, the plainest way to write them. christoffel_from_metric must give
+every element of Gamma and dGamma bit for bit. It stores them tensor-first
+(t and dt, C-contiguous) and hands out batch-first views, and
+riemann_from_metric stores R the same way (R's own reference is the exact
+oracle, tests/exact.py, as it is formed in the eigenframe and not from
+Gamma; test_curvature.py checks that each point has the bits it has alone).
+The strides of these views differ from those of a batch-first array, and
+what the strides could change is the order in which a later einsum sums. So
+every reader that contracts them (riemann_apply, nabla_q_from_table, the
+CLI's symmetry verdicts) must give the bits of the same batch-first einsum
+over a batch-first copy: of the reference's Gamma, and of R.t.
 tests/test_properties.py runs the same check at random batch sizes.
 """
 
@@ -18,7 +23,7 @@ import pytest
 
 from circulant3 import Q_MATRIX, sample_admissible_points
 from circulant3.cli import _symmetry_verdicts
-from circulant3.curvature import riemann_apply, riemann_from_metric
+from circulant3.curvature import christoffel_from_metric, index_first, riemann_apply, riemann_from_metric
 from circulant3.parallelism import nabla_q_from_table
 from circulant3.specfile import builtin_example
 
@@ -58,18 +63,6 @@ def reference_christoffel(M):
     return gamma, dgamma
 
 
-def reference_riemann(M):
-    gamma, dgamma = reference_christoffel(M)
-    up = (
-        np.einsum("...jikh->...ijkh", dgamma)
-        - np.einsum("...kijh->...ijkh", dgamma)
-        + np.einsum("...ikt,...tjh->...ijkh", gamma, gamma)
-        - np.einsum("...ijt,...tkh->...ijkh", gamma, gamma)
-    )
-    low = np.einsum("...kijt,...th->...ijkh", up, M.g)
-    return gamma, dgamma, low
-
-
 MANIFOLDS = {
     "generic": (random_manifold, BOX),
     "cyclic": (random_q_invariant_manifold, BOX),
@@ -92,19 +85,21 @@ def _bits(a):
 
 
 def assert_kernel_is_the_reference(M):
-    R = riemann_from_metric(M)
-    ct = R.christoffel
-    gamma, dgamma, low = reference_riemann(M)
-    for name, got, want in zip(("gamma", "dgamma", "low"), (ct.gamma, ct.dgamma, R.low), (gamma, dgamma, low)):
+    ct = christoffel_from_metric(M)
+    gamma, dgamma = reference_christoffel(M)
+    for name, got, want in zip(("gamma", "dgamma"), (ct.gamma, ct.dgamma), (gamma, dgamma)):
         assert got.shape == want.shape, name
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
+    R = riemann_from_metric(M)
+    # a batch-first copy of R.t[k,i,j,h,*batch], and low[...,i,j,k,h] a view of it
+    low = np.moveaxis(np.ascontiguousarray(index_first(R.t, R.t.ndim - 4)), -4, -2)
     # stored once, tensor first; the batch-first arrays are views
     batch = M.D.shape
     stores = (("R", R.t, 4, R.low), ("Gamma", ct.t, 3, ct.gamma), ("dGamma", ct.dt, 4, ct.dgamma))
     for name, stored, rank, view in stores:
         assert stored.flags.c_contiguous and stored.shape == (3,) * rank + batch, name
         assert np.shares_memory(stored, view), name
-    # the readers give the bits of the batch-first einsums over the reference's arrays
+    # the readers give the bits of the batch-first einsums over batch-first arrays
     rng = np.random.default_rng(5)
     for shape in ((3,), batch + (3,), (5, 1, 3)):
         x, y, z, u = rng.standard_normal((4,) + shape)

@@ -9,8 +9,9 @@ generated expression and parsing it back gives the same tree; every jet
 operation returns a Hessian equal to its transpose bit for bit, and the bits
 and errors of the three-array reference (jets_reference.py). Beyond bits:
 the curvature of generated fields has the tensor symmetries and the first
-Bianchi identity, q is an isometry of every circulant metric, and the
-command line, fuzzed over commands, specs, points and samples, exits 0-3
+Bianchi identity, its components over random rational fields are within
+C_EPS eps of the exact oracle (test_exact.py), q is an isometry of every
+circulant metric, and the command line, fuzzed over commands, specs, points and samples, exits 0-3
 without raising or letting a RuntimeWarning through. hypothesis is needed
 here only (the test extra); the budgets are small and derandomized so that
 every run checks the same examples.
@@ -73,6 +74,7 @@ from helpers import (  # noqa: E402
     random_q_invariant_manifold,
 )
 from test_curvature import _ref_relations, _ricci, nonflat_parallel  # noqa: E402
+from test_exact import C_EPS, assert_float_jet_is_exact_jet, worst_error  # noqa: E402
 from test_kernel_layout import MANIFOLDS, assert_kernel_is_the_reference, metric_batch  # noqa: E402
 
 SMALL = settings(max_examples=150, deadline=None, database=None, derandomize=True)
@@ -429,9 +431,11 @@ def test_relations_of_vectors_scaled_by_powers_of_two_are_the_serial_reference_b
 
 # -- the command line never raises ------------------------------------------------
 # Every command at a point or over a sample, text or JSON, on a pool of specs
-# that includes metrics whose curvature overflows (a huge gradient, a huge
-# Hessian, a tiny metric with ordinary derivatives) at x1 = 1e-300 or 1e-200,
-# and one whose Gamma is finite and whose curvature is not, over its box.
+# that includes metrics at the edge of the double range (a huge gradient, a
+# huge Hessian, a tiny metric with ordinary derivatives) at x1 = 1e-300 or
+# 1e-200, where the Christoffel derivatives overflow and the curvature, its
+# sectional curvatures or neither do, and one whose Gamma is finite and whose
+# curvature is not, over its box.
 FUZZ_SPECS = {
     "generic": ('A = "3 + x1^2/5 + exp(x3)/7"', 'B = "1 + sin(x2)/4 + x1*x3/9"', "-6, 6", "-1, 1", "-6, 6"),
     "parallel": ('A = "4*x1 + 2*x2 + 20"', 'B = "x1 + 2*x2 + 3*x3 + 5"', "-1, 1", "-1, 1", "-1, 1"),
@@ -497,3 +501,27 @@ def test_the_command_line_exits_0_to_3_and_lets_no_runtime_warning_through(fuzz_
             code = main(argv)
     assert code in (0, 1, 2, 3)
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], argv
+
+
+# The exact oracle of test_exact.py over random rational fields: a field is a constant plus up to
+# three terms (k/16) x_a^i x_b^j, each perhaps over (1 + x_c^2), so |field - constant| <= 3/8 on
+# [-1, 1]^3. B = 2 + field and A = B + 1 + field keep A > B > 0 there.
+_term = st.builds(
+    lambda k, a, i, b, j, over: f"{k}/16*x{a}^{i}*x{b}^{j}" + (f"/(1 + x{over}^2)" if over else ""),
+    st.integers(-2, 2), st.integers(1, 3), st.integers(0, 3), st.integers(1, 3), st.integers(0, 2),
+    st.integers(0, 3),
+)
+_field = st.lists(_term, min_size=1, max_size=3).map(" + ".join)
+_points = st.tuples(*[st.floats(-1.0, 1.0, allow_subnormal=False)] * 3)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(fA=_field, fB=_field, points=st.lists(_points, min_size=1, max_size=4))
+def test_curvature_of_random_rational_fields_is_within_a_few_eps_of_the_exact_value(fA, fB, points):
+    B = f"2 + {fB}"
+    m = MetricFunctions.from_sources(f"{B} + 1 + {fA}", B)
+    M = metric_at(m, np.array(points))
+    assert worst_error(riemann_from_metric(M), M) <= C_EPS
+    for i, p in enumerate(points):
+        assert_float_jet_is_exact_jet(m.A, p, M.A_jet[i])
+        assert_float_jet_is_exact_jet(m.B, p, M.B_jet[i])
