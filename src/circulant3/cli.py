@@ -437,6 +437,9 @@ def _cmd_nabla_q(spec, p, M, args):
     return {"nabla_q": nq.nq, "max_abs": nq.max_abs}, {}
 
 
+_RELATIONS = ("sectional_difference", "sectional_combination", "equal_sectional")
+
+
 def _relation_residuals(R, vectors, tol):
     """Each relation's worst scaled residual over the vectors (V, 3), at each point of R's batch.
 
@@ -445,12 +448,12 @@ def _relation_residuals(R, vectors, tol):
     whose curvature fails q-invariance at tol."""
     rel = sectional_relations(R, vectors, tol=tol)
     d, c, e = rel.difference, rel.combination, rel.equal
-    scaled = {
-        "sectional_difference": d.residual / (1.0 + abs(d.lhs)),
-        "sectional_combination": c.residual / (1.0 + abs(c.lhs)),
-        "equal_sectional": _max(e.residuals) / (1.0 + abs(e.mu_u_qu)),
-    }
-    return {name: np.fmax.reduce(per_vector, axis=0, initial=0.0) for name, per_vector in scaled.items()}
+    scaled = np.stack((
+        d.residual / (1.0 + abs(d.lhs)),
+        c.residual / (1.0 + abs(c.lhs)),
+        _max(e.residuals) / (1.0 + abs(e.mu_u_qu)),
+    ))
+    return dict(zip(_RELATIONS, np.fmax.reduce(scaled, axis=1, initial=0.0)))
 
 
 def _cmd_verify_theorems(spec, p, M, args):

@@ -90,11 +90,18 @@ and no Gram term overflows or underflows. sectional_relations normalizes
 the orthogonal-basis generator in the same way.
 
 sectional_relations gives each of its five sectional curvatures the bits
-sectional_curvature gives but forms each quantity once, and reads the Gram
-entries of u's q-orbit and cos phi from qstructure.q_orbit_cosines.
+sectional_curvature gives, in one pass over one stack of rows: the V
+vectors u, the unit orthogonal-basis generator x and the special-angle
+vector y, each over a power of two, and x itself. qstructure.q_orbit_gram
+forms the q-orbit S of every row and its Gram entries once, one mask marks
+the degenerate planes, and one riemann_apply contracts the planes
+{S[k], S[k+1]} of every orbit, the row x with q^2 x in the fourth slot of
+its first plane, which gives R(x, qx, x, q^2 x). cos phi comes from the
+same Gram entries through qstructure.q_orbit_cosines.
 
 closed_form holds a set of six reference component formulas verbatim,
-and closed_form_from_metric evaluates them over a power of two. The two
+and closed_form_from_metric evaluates them over powers of two: one for the
+values, one for the gradients and one for the Hessians. The two
 routes agree on the built-in example's diagonal components yet differ
 elsewhere (against the derived components,
 the reference formulas' Hessian terms carry the opposite sign and their
@@ -113,8 +120,7 @@ from .errors import DegeneratePlane, IdentityRNotSatisfied
 from .metric import MetricAtPoint, first_point, inners, require_finite
 from .qstructure import (
     apply_q,
-    construct_orthogonal_vector,
-    construct_special_angle_vector,
+    construct_basis_vectors,
     q_orbit_cosines,
     q_orbit_gram,
     require_q_basis,
@@ -323,18 +329,31 @@ def riemann_from_metric(M: MetricAtPoint) -> CurvatureTensor:
 def closed_form_from_metric(M: MetricAtPoint) -> dict[str, np.ndarray]:
     """The six reference closed-form (0,4) components, verbatim, by the names of COMPONENT_INDEX.
 
-    The formulas run on A, B and their derivatives over the power of two 2^e
-    of metric_from_jets (M.e), where max(|A|, |B|) / 2^e is in [0.5, 1), and
-    each component, homogeneous of degree one in them, is scaled back by 2^e.
-    The scaling is exact: components in the normal range keep their bits, and
-    a metric whose D would under- or overflow still gets its components. See
-    the module docstring for how these relate to the numeric tensor.
+    The formulas run on A and B over the power of two 2^e of metric_from_jets
+    (M.e), where max(|A|, |B|) / 2^e is in [0.5, 1), on their gradients over
+    2^(e+c) and on their Hessians over 2^(e+2c). Each component is a sum of
+    Hessian terms and of gradient products over A or B, so it scales by
+    2^-(e+2c) and is scaled back by 2^(e+2c). 2^(e+c) is the power of two
+    just above the larger of the largest gradient entry and the square root
+    of 2^e times the largest Hessian entry, so that no gradient entry over
+    2^(e+c) and no Hessian entry over 2^(e+2c) exceeds 2, and the larger of the
+    two is at least 1/4. The scaling is exact: where no term under- or
+    overflows, the components keep the bits of the formulas on the plain
+    jets, and a metric whose D would under- or overflow, or whose derivatives
+    are far from its values (a tiny metric with ordinary derivatives), still
+    gets its components. See the module docstring for how these relate to
+    the numeric tensor.
     """
     e = M.e
+    jets = (M.A_jet, M.B_jet)
+    # the largest gradient and Hessian entries, from Jet2.data[..., 1:4] and [..., 4:]
+    top = np.maximum.reduceat(np.maximum(abs(jets[0].data), abs(jets[1].data)), [1, 4], axis=-1)
+    ec = np.frexp(np.maximum(top[..., 0], np.ldexp(np.sqrt(top[..., 1]), e // 2)))[1]  # e + c
+    back = 2 * ec - e  # e + 2c
     A, B = np.ldexp(M.A, -e), np.ldexp(M.B, -e)
-    dA, dB = (index_first(np.ldexp(j.grad, -e[..., None]), 1) for j in (M.A_jet, M.B_jet))
-    HA, HB = (index_first(np.ldexp(j.hess, -e[..., None, None]), 2) for j in (M.A_jet, M.B_jet))
-    cf = {name: np.ldexp(c, e) for name, c in zip(COMPONENT_INDEX, closed_form(A, B, dA, dB, HA, HB))}
+    dA, dB = (index_first(np.ldexp(j.grad, -ec[..., None]), 1) for j in jets)
+    HA, HB = (index_first(np.ldexp(j.hess, -back[..., None, None]), 2) for j in jets)
+    cf = {name: np.ldexp(v, back) for name, v in zip(COMPONENT_INDEX, closed_form(A, B, dA, dB, HA, HB))}
     require_finite(M, "closed-form components", *cf.values())
     return cf
 
@@ -497,6 +516,14 @@ class QInvarianceCheck:
     threshold: np.ndarray  # tol * (1 + scale), the bound both spreads must meet
 
 
+# The entries of R.t that check_q_invariance compares, in one gather: the chains R1212, R1313, R2323
+# and R1213, R1323, -R1223, the last read as low[1, 0, 1, 2], its exact negative.
+_Q_CHAINS = np.array([
+    [np.ravel_multi_index((k, i, j, h), (3, 3, 3, 3)) for i, j, k, h in chain]
+    for chain in (((0, 1, 0, 1), (0, 2, 0, 2), (1, 2, 1, 2)), ((0, 1, 0, 2), (0, 2, 1, 2), (1, 0, 1, 2)))
+])
+
+
 def check_q_invariance(R: CurvatureTensor, tol: float = 1e-9) -> QInvarianceCheck:
     """Check the curvature identity R(qx,qy,qz,qu) = R(x,y,z,u) by components.
 
@@ -507,13 +534,10 @@ def check_q_invariance(R: CurvatureTensor, tol: float = 1e-9) -> QInvarianceChec
     the q-invariant family A = a(s), B = b(s), s = x1 + x2 + x3, on which
     R_1223 does not vanish.)
     """
-    c = components(R)
+    chains = R.t.reshape((81,) + R.t.shape[4:])[_Q_CHAINS]
     scale = max_abs(R)
     threshold = tol * (1.0 + scale)
-    diag = np.array([c["R1212"], c["R1313"], c["R2323"]])
-    cross = np.array([c["R1213"], c["R1323"], -c["R1223"]])
-    diag_res = diag.max(axis=0) - diag.min(axis=0)
-    cross_res = cross.max(axis=0) - cross.min(axis=0)
+    diag_res, cross_res = chains.max(axis=1) - chains.min(axis=1)
     passed = (diag_res <= threshold) & (cross_res <= threshold)
     return QInvarianceCheck(passed, diag_res, cross_res, scale, threshold)
 
@@ -595,13 +619,22 @@ def sectional_relations(R: CurvatureTensor, U, tol=1e-9) -> SectionalRelations:
       equal:       mu(u,qu), mu(qu,q^2u), mu(q^2u,u), equal where R is q-invariant
 
     The relations hold where the curvature is q-invariant (check_q_invariance
-    at tol) and refuse elsewhere; tol=math.inf computes them anyway. Each
-    quantity is computed once, over all vectors and points. The refusals
-    come in the order one point and one vector meet them:
+    at tol) and refuse elsewhere; tol=math.inf computes them anyway.
+
+    Each quantity is computed once, in one pass over one stack of rows: the V
+    vectors u, x and y, each over a power of two (_rescaled), then x itself.
+    qstructure.q_orbit_gram forms every row's q-orbit S and its Gram entries
+    over g / 2^e at once, one mask marks the degenerate planes, and one
+    riemann_apply contracts the planes {S[k], S[k+1]} of every orbit, except
+    that the last row's first plane takes q^2 x in its fourth slot:
+    R(x, qx, x, q^2 x). The quotients are exact scalings of the plain ones
+    (see sectional_curvature) and are scaled back together.
+    The refusals come in the order one point and one vector meet them:
     q-invariance, the q-basis test of the vectors (the first failing one is
     named), the orthogonal-basis generator and its plane, the angle routes,
     the plane {u, qu}, the special-angle vector and its plane, the planes
-    {qu, q^2u} and {q^2u, u}, then a sectional curvature that is not finite.
+    {qu, q^2u} and {q^2u, u}, then a sectional curvature that is not finite
+    (at the first point where one is not).
     """
     M = R.metric
     identity = check_q_invariance(R, tol=tol)
@@ -615,40 +648,39 @@ def sectional_relations(R: CurvatureTensor, U, tol=1e-9) -> SectionalRelations:
             "it does not hold at this point, so the verification is refused"
         )
     U = require_q_basis(U)
-    u = U.reshape(U.shape[:-1] + (1,) * M.D.ndim + (3,))  # vectors before points
-    g = M.g_scaled
-    x = _unit(M, construct_orthogonal_vector(M.A, M.B))
-    y = construct_special_angle_vector(M.A, M.B)
-    # q permutes and negates entries, so the q-image of a _rescaled vector is the
-    # _rescaled q-image. P holds x and y over powers of two and x itself: one contraction
-    # R(P, QP, P, Q4) gives mu(x, qx) and mu(y, qy) (rows 0 and 1, over powers of two) and
-    # R(x, qx, x, q^2x) (row 2), and one Gram pass the planes {x, qx} and {y, qy}
-    P = np.empty((3,) + x.shape)
-    P[0], P[1], P[2] = x, y, x
-    P[:2] = _rescaled(P[:2])[0]
-    QP = apply_q(P)
-    den_xy, degenerate_xy = _plane_determinant(*_gram(g, P[:2], QP[:2]))
-    _refuse_degenerate(degenerate_xy[0], lambda: (x, apply_q(x)))
-    # the other contraction, of the planes {S[k], S[k+1]} of u's orbit over a power of two
-    S, gss, gst, cosines = q_orbit_cosines(M, _rescaled(u)[0])
-    cphi = cosines[0]
-    den, degenerate = _plane_determinant(gss[:3], gss[1:], gst)
+    batch = M.D.shape
+    u = U.reshape((-1,) + (1,) * len(batch) + (3,))  # vectors before points
+    V = len(u)
+    x, y = construct_basis_vectors(M.A, M.B)
+    x = _unit(M, x)
+    rows = np.empty((V + 3,) + batch + (3,))  # u, x and y over powers of two, then x itself
+    rows[:V], rows[V], rows[V + 1], rows[V + 2] = u, x, y, x
+    rows[:V + 2] = _rescaled(rows[:V + 2])[0]
+    S, gss, gst, g02 = q_orbit_gram(M.g_scaled, rows)
+    # the planes of the rows over powers of two; the row x itself is only contracted
+    den, degenerate = _plane_determinant(gss[:3, :V + 2], gss[1:, :V + 2], gst[:, :V + 2])
 
     def orbit():  # u's q-orbit as given, to name a degenerate plane
         return q_orbit_gram(M.g, u)[0]
 
-    _refuse_degenerate(degenerate[0], lambda: tuple(orbit()[:2]))
-    _refuse_degenerate(degenerate_xy[1], lambda: (y, apply_q(y)))
-    _refuse_degenerate(degenerate[1:], lambda: (orbit()[1:3], orbit()[2:]))
-    mu = _scaled_back(M, riemann_apply(R, S[:3], S[1:], S[:3], S[1:]) / den)
-    Q4 = QP.copy()
-    Q4[2] = apply_q(QP[2])
-    r = riemann_apply(R, P, QP, P, Q4)
-    mu_x, mu_y = _scaled_back(M, r[:2] / den_xy)
+    _refuse_degenerate(degenerate[0, V], lambda: (x, apply_q(x)))
+    cphi = q_orbit_cosines(M, rows[:V], (gss[:, :V], gst[:, :V], g02[:V]))[0]
+    _refuse_degenerate(degenerate[0, :V], lambda: tuple(orbit()[:2]))
+    _refuse_degenerate(degenerate[0, V + 1], lambda: (y, apply_q(y)))
+    _refuse_degenerate(degenerate[1:, :V], lambda: (orbit()[1:3], orbit()[2:]))
+    fourth = S[1:].copy()
+    fourth[0, V + 2] = S[2, V + 2]
+    r = riemann_apply(R, S[:3], S[1:], S[:3], fourth)
+    with np.errstate(all="ignore"):  # also over the planes {qx, q^2x}, ... that no relation reads
+        mu = np.ldexp(r[:, :V + 2] / den, -2 * M.e)
+    read = (mu[:, :V], mu[0, V:V + 2])
+    require_finite(M, "sectional curvatures", *(index_first(a, len(batch)) for a in read))
+    pick = 0 if U.ndim == 1 else slice(None, V)  # one vector gives results of the batch shape
+    mu_u, (mu_x, mu_y), cphi = mu[:, pick], mu[0, V:V + 2], cphi[pick]
     return SectionalRelations(
-        difference=RelationCheck(mu[0] - mu_x, (2.0 * cphi / (1.0 - cphi)) * r[2]),
-        combination=RelationCheck(mu[0], ((1.0 + 2.0 * cphi) * mu_x - 3.0 * cphi * mu_y) / (1.0 - cphi)),
-        equal=EqualSectionalCheck(mu[0], mu[1], mu[2]),
+        difference=RelationCheck(mu_u[0] - mu_x, (2.0 * cphi / (1.0 - cphi)) * r[0, V + 2]),
+        combination=RelationCheck(mu_u[0], ((1.0 + 2.0 * cphi) * mu_x - 3.0 * cphi * mu_y) / (1.0 - cphi)),
+        equal=EqualSectionalCheck(mu_u[0], mu_u[1], mu_u[2]),
     )
 
 

@@ -23,6 +23,7 @@ from .errors import AngleRoutesDisagree, NotAQBasis, PositivityViolation
 from .metric import MetricAtPoint, first_point, positive
 
 Q_MATRIX = np.array([[0, -1, 0], [0, 0, -1], [-1, 0, 0]], dtype=int)
+_Q = Q_MATRIX.astype(float)  # the product apply_q forms, without a cast per call
 
 Q_BASIS_EPS = 1e-10
 ANGLE_ROUTE_TOL = 1e-10
@@ -32,7 +33,7 @@ _ROUTE_SIGNS = np.array([1.0, -1.0, 1.0])  # cos(x, qx), cos(x, q^2 x), cos(qx, 
 def apply_q(x) -> np.ndarray:
     """Apply q: (x1, x2, x3) -> (-x2, -x3, -x1), to one vector (3,) or a batch (..., 3)."""
     x = np.asarray(x, dtype=float)
-    return (Q_MATRIX @ x[..., None])[..., 0]
+    return (_Q @ x[..., None])[..., 0]
 
 
 def q_basis_test(x):
@@ -60,7 +61,8 @@ def q_basis_test(x):
             ) from None
     if x.ndim == 1:
         return out[0]
-    return tuple(np.moveaxis(np.array(out).reshape(x.shape[:-1] + (2,)), -1, 0))
+    cubic, bound = np.array(out).reshape(-1, 2).T
+    return cubic.reshape(x.shape[:-1]), bound.reshape(x.shape[:-1])
 
 
 def induces_q_basis(x):
@@ -81,7 +83,8 @@ def require_q_basis(x) -> np.ndarray:
 
 def vector_invariants(x):
     """The quadratic invariants (a, b) of one vector (3,) or of each vector of a batch (..., 3)."""
-    x1, x2, x3 = np.moveaxis(np.asarray(x, dtype=float), -1, 0)
+    x = np.asarray(x, dtype=float)
+    x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
     a = x1 * x1 + x2 * x2 + x3 * x3
     b = x1 * x2 + x1 * x3 + x2 * x3
     return a, b
@@ -135,16 +138,18 @@ def q_orbit_gram(g, x) -> tuple:
     return S, gss, gst, (Sg[0] @ S[2, ..., :, None])[..., 0, 0]
 
 
-def q_orbit_cosines(M: MetricAtPoint, x) -> tuple:
-    """q_orbit_gram of x over g / 2^e, with cos(x, qx), cos(x, q^2 x), cos(qx, q^2 x) in place of g(x, q^2 x).
+def q_orbit_cosines(M: MetricAtPoint, x, gram=None) -> tuple:
+    """cos(x, qx), cos(x, q^2 x), cos(qx, q^2 x) from the q_orbit_gram of x over g / 2^e.
 
-    The cosines, of degree 0 in g and in x, keep their bits over g / 2^e and over
-    x divided by any power of two, and are checked against the closed form.
+    gram holds that Gram's entries gss, gst and g(x, q^2 x), where the caller has
+    formed them already. The cosines, of degree 0 in g and in x, keep their bits
+    over g / 2^e and over x divided by any power of two, and are checked against
+    the closed form.
     """
-    S, gss, gst, g02 = q_orbit_gram(M.g_scaled, x)
+    gss, gst, g02 = q_orbit_gram(M.g_scaled, x)[1:] if gram is None else gram
     cosines = (gst[0] / gss[0], g02 / gss[0], gst[1] / gss[0])
     require_angle_routes_agree(cosines, np.ldexp(M.A, -M.e), np.ldexp(M.B, -M.e), x)
-    return S, gss, gst, cosines
+    return cosines
 
 
 def require_angle_routes_agree(cosines, A, B, x) -> None:
@@ -171,7 +176,7 @@ def q_basis_angles(M: MetricAtPoint, x) -> AngleReport:
     """
     x = require_q_basis(x)
     batch = np.broadcast_to(x, np.broadcast_shapes(x.shape, M.D.shape + (3,)))
-    return AngleReport(*vector_invariants(x), *q_orbit_cosines(M, batch)[3])
+    return AngleReport(*vector_invariants(x), *q_orbit_cosines(M, batch))
 
 
 def _require_positive(A, B):
@@ -196,13 +201,19 @@ def construct_orthogonal_vector(A, B) -> np.ndarray:
     middle entry is formed from A and B over a power of two that brings A
     into [0.5, 1) (_require_positive), then scaled back: exact, and no product overflows.
     """
-    As, Bs, e = _require_positive(A, B)
-    x2 = np.ldexp(-(As + Bs) + np.sqrt((As - Bs) * (As + 3 * Bs)), e)
-    return np.stack([np.zeros_like(As), x2, 2.0 * np.asarray(B, dtype=float)], axis=-1)
+    return _orthogonal_vector(B, *_require_positive(A, B))
 
 
-def construct_special_angle_vector(A, B) -> np.ndarray:
-    """A vector y with angle(y, qy) = 2*pi/3, i.e. cos = -1/2, at each point of a batch.
+def _orthogonal_vector(B, As, Bs, e):
+    x = np.zeros(As.shape + (3,))
+    x[..., 1] = np.ldexp(-(As + Bs) + np.sqrt((As - Bs) * (As + 3 * Bs)), e)
+    x[..., 2] = 2.0 * np.asarray(B, dtype=float)
+    return x
+
+
+def construct_basis_vectors(A, B) -> tuple[np.ndarray, np.ndarray]:
+    """construct_orthogonal_vector(A, B), and a vector y with angle(y, qy) = 2*pi/3, i.e. cos = -1/2,
+    at each point of a batch: both from one _require_positive.
 
     Seeks y = (1, 0, t); the cosine condition reduces to
     (A - 2B) t^2 - 2A t + (A - 2B) = 0 with discriminant 16 B (A - B) > 0.
@@ -217,10 +228,10 @@ def construct_special_angle_vector(A, B) -> np.ndarray:
     two of construct_orthogonal_vector: the root keeps its bits, no product
     underflows, and the test is relative to the magnitude of A.
     """
-    As, Bs, _ = _require_positive(A, B)
+    As, Bs, e = _require_positive(A, B)
     with np.errstate(all="ignore"):  # points with A = 2B take no root
         t = (As + 2.0 * np.sqrt(Bs * (As - Bs))) / (As - 2 * Bs)
     y = np.zeros(t.shape + (3,))
     y[..., 0] = 1.0
     y[..., 2] = np.where(abs(As - 2 * Bs) < 1e-12, 0.0, t)  # (1, 0, 0) where A = 2B
-    return y
+    return _orthogonal_vector(B, As, Bs, e), y

@@ -1,7 +1,7 @@
 """Exact second-order jets of rational fields, and the exact curvature they give.
 
 An oracle for the whole numeric route (jets, kernel) that shares no code with
-``circulant3.jets`` or ``circulant3.curvature``: a 2-jet of
+``circulant3.jets`` or the kernels of ``circulant3.curvature``: a 2-jet of
 ``fractions.Fraction`` values is evaluated over a parsed expression tree, and
 ``oracle.generic_components`` turns the jets of A and B into the six
 curvature components in exact arithmetic.
@@ -14,13 +14,20 @@ transcendental functions have no rational jets and are refused.
 
 ``fraction_jet`` takes the Fractions of a float jet as it is: the exact
 curvature of the float jets measures the kernel alone, apart from the
-rounding of the jets themselves.
+rounding of the jets themselves. ``exact_sectional`` is the sectional
+curvature of rational vectors from those exact components.
+
+``closed_form_error`` measures ``curvature.closed_form_from_metric``, whose
+scaling is under test, against the formula text it evaluates,
+``curvature.closed_form``, in 50-digit mpmath arithmetic: its float literals
+would turn Fractions into floats, while an mpf stays an mpf.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from circulant3.curvature import COMPONENT_INDEX, closed_form
 from circulant3.expressions import Binary, Const, Coord, Power, ScalarFieldExpr, Unary, _chain
 
 from oracle import generic_components
@@ -143,3 +150,53 @@ def exact_components(A: ExactJet, B: ExactJet) -> dict:
 def exact_curvature(m, p) -> dict:
     """The exact components of the metric functions m at the point p (three doubles)."""
     return exact_components(exact_jet(m.A, p), exact_jet(m.B, p))
+
+
+_PAIRS = ((0, 1), (0, 2), (1, 2))
+
+
+def exact_plane(A, B, x, y) -> tuple[list, Fraction]:
+    """The pairs w_ij = x_i y_j - x_j y_i (i < j) of the plane {x, y} and its Gram determinant
+    g(x, x) g(y, y) - g(x, y)^2 for g = circ(A, B, B), exactly; A, B and the entries are doubles."""
+    A, B = Fraction(float(A)), Fraction(float(B))
+    x, y = [Fraction(float(v)) for v in x], [Fraction(float(v)) for v in y]
+
+    def g(u, v):
+        return sum((A if i == j else B) * u[i] * v[j] for i in range(3) for j in range(3))
+
+    return [x[i] * y[j] - x[j] * y[i] for i, j in _PAIRS], g(x, x) * g(y, y) - g(x, y) ** 2
+
+
+def exact_sectional(components: dict, A, B, x, y) -> Fraction:
+    """R(x, y, x, y) / (g(x, x) g(y, y) - g(x, y)^2) for g = circ(A, B, B), exactly.
+
+    components are exact ones by the names of COMPONENT_INDEX. R(x, y, x, y) is
+    the form S(w, w) of the plane's pairs w (exact_plane), with
+    S[ij, kh] = low[i, j, k, h] fixed by the six components.
+    """
+    w, det = exact_plane(A, B, x, y)
+    S = {(COMPONENT_INDEX[name][:2], COMPONENT_INDEX[name][2:]): value for name, value in components.items()}
+    S.update({(Q, P): value for (P, Q), value in list(S.items())})
+    return sum(S[P, Q] * w[a] * w[b] for a, P in enumerate(_PAIRS) for b, Q in enumerate(_PAIRS)) / det
+
+
+def closed_form_error(cf: dict, A_jet, B_jet, digits: int = 50) -> float:
+    """max |cf - reference| / max |reference| over the six components, in units of eps.
+
+    cf holds the float components of one point by name, and the reference is
+    curvature.closed_form on the float jets of that point (circulant3.jets.Jet2)
+    in mpmath arithmetic of the given digits; each double is an mpf exactly.
+    Where every reference component is 0, the error is max |cf|.
+    """
+    import mpmath  # installed with sympy; callers skip without it
+
+    with mpmath.workdps(digits):
+        def mp(values):
+            return [mpmath.mpf(float(v)) for v in values]
+
+        jets = [(mp([j.value])[0], mp(j.grad), [mp(row) for row in j.hess]) for j in (A_jet, B_jet)]
+        (A, dA, HA), (B, dB, HB) = jets
+        want = dict(zip(COMPONENT_INDEX, closed_form(A, B, dA, dB, HA, HB)))
+        error = max(abs(mpmath.mpf(float(cf[name])) - value) for name, value in want.items())
+        scale = max(abs(value) for value in want.values())
+        return float(error / scale) / 2.0**-52 if scale else float(error)

@@ -18,6 +18,9 @@ from circulant3 import (
 )
 from circulant3.cli import main
 
+from exact import closed_form_error
+from test_exact import C_EPS
+
 DATA = Path(__file__).parent / "data"
 
 M5_SPEC = '''
@@ -1230,28 +1233,33 @@ def test_verify_theorems_sampled_computes_each_relation_quantity_once_per_run(ca
     import circulant3.qstructure as qstructure
 
     calls = Counter()
+    contracted = []
 
     def count(module, name):
         original = getattr(module, name)
 
         def counting(*args, **kwargs):
             calls[name] += 1
+            if name == "riemann_apply":
+                contracted.append([np.shape(v) for v in args[1:]])
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counting)
 
-    once = ("check_q_invariance", "construct_orthogonal_vector", "construct_special_angle_vector")
+    once = ("check_q_invariance", "construct_basis_vectors")
     for name in ("sectional_curvature", "riemann_apply", "christoffel_from_metric", *once):
         count(curvature, name)
     count(qstructure, "induces_q_basis")  # through require_q_basis
+    count(qstructure, "_require_positive")  # the positivity test of both basis constructions
     spec = tmp_path / "spec.toml"
     spec.write_text(PARALLEL_BENCH_SPEC, encoding="utf-8")
     argv = ["verify-theorems", "--spec", str(spec), "--sample", "4", "--seed", "3", CUBE_ARG]
     assert main(argv) == 0
-    # 4 points, 5 vectors: one contraction of the planes {u, qu}, {qu, q^2u} and {q^2u, u}
-    # stacked over all vectors and points, one of {x, qx}, {y, qy} and R(x, qx, x, q^2x);
-    # no call of sectional_curvature and no Christoffel table; the vectors' q-basis test and the rest once
-    assert calls == {"riemann_apply": 2, "induces_q_basis": 1, **dict.fromkeys(once, 1)}
+    # 4 points, 5 vectors: one contraction of the planes {S[k], S[k+1]} of the q-orbits S of one stack
+    # of 8 rows (the 5 vectors u, x and y over powers of two, and the unit x) at every point; no call of
+    # sectional_curvature and no Christoffel table; the vectors' q-basis test and the rest once
+    assert calls == {"riemann_apply": 1, "induces_q_basis": 1, "_require_positive": 1, **dict.fromkeys(once, 1)}
+    assert contracted == [[(3, 8, 4, 3)] * 4]
     capsys.readouterr()
 
 
@@ -1361,7 +1369,9 @@ def test_verify_theorems_refuses_where_check_identity_fails_at_the_same_tol(caps
 # (tests/exact.py). huge-gradient: A_1 = 1.5e308, so the sums of d_i g_tj in Gamma overflow, and so
 # does every curvature component (about A_1^2 / A). huge-hessian: A_11 = 1e308, so the Hessian sums in
 # d Gamma overflow, while R1212 = 5e307 is finite. tiny-metric: g^-1 is about 1e200, so d Gamma
-# overflows, while R1212 is about -2e199; its sectional curvatures (about 1e599) are not finite.
+# overflows, while R1212 is about -2e199; its sectional curvatures (about 1e599) are not finite, and
+# its closed-form components (0, 0, -1e199, -2.5e198, 2.5e198, -2.5e198) are. Finite closed-form
+# components are checked against the reference formulas in 50-digit arithmetic (exact.closed_form_error).
 OVERFLOW_CASES = {
     "huge-gradient": ('A = "1.5e308*x1 + 3"\nB = "1"', "1e-300,0,0", "A=150000003.0, B=1.0"),
     "huge-hessian": ('A = "5e307*x1^2 + 3"\nB = "1"', "1e-200,0,0", "A=3.0, B=1.0"),
@@ -1381,7 +1391,7 @@ OVERFLOW_OUTCOMES = {
                       "check-identity": (3, CURVATURE), "verify-theorems": (3, CURVATURE)},
     "huge-hessian": {"closed-form": (0, None), "riemann": (0, None), "compare-curvature": (1, None),
                      "sectional": (0, None), "check-identity": (1, None), "verify-theorems": (1, "q-invariance")},
-    "tiny-metric": {"closed-form": (3, CLOSED_FORM), "riemann": (0, None), "compare-curvature": (3, CLOSED_FORM),
+    "tiny-metric": {"closed-form": (0, None), "riemann": (0, None), "compare-curvature": (1, None),
                     "sectional": (3, "sectional curvatures"), "check-identity": (1, None),
                     "verify-theorems": (1, "q-invariance")},
 }
@@ -1403,6 +1413,12 @@ def test_curvature_that_is_not_finite_is_a_domain_error(capsys, tmp_path, case, 
         assert code == want
         if what is None:
             assert err == "" and not re.search(r"\b(nan|inf|infinity)\b", out.lower())
+            if command in ("closed-form", "compare-curvature") and flags:
+                results = json.loads(out)["results"]
+                cf = results["components" if command == "closed-form" else "closed_form"]
+                M = metric_at(load_spec(str(spec)).metric, np.array(point.split(","), dtype=float))
+                pytest.importorskip("mpmath")
+                assert closed_form_error(cf, M.A_jet, M.B_jet) <= C_EPS
         elif what == "q-invariance":
             assert out == "" and err.startswith(f"error ({command}): curvature q-invariance fails at this point")
         else:

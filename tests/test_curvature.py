@@ -38,6 +38,7 @@ from circulant3.parallelism import nabla_q_from_table, parallel_residual_from_me
 from circulant3.qstructure import q_basis_angles, q_orbit_cosines
 from circulant3.specfile import builtin_example, example_diagonal_value
 
+from exact import closed_form_error
 from helpers import (
     BOX,
     metric_compatibility_residual,
@@ -49,6 +50,7 @@ from helpers import (
     random_q_invariant_manifold,
     random_warped_manifold,
 )
+from test_exact import C_EPS
 
 P5 = np.array([2.0, -1.0, -1.0])
 
@@ -697,19 +699,18 @@ def test_batch_refusals_name_their_first_failing_point():
 def test_curvature_that_is_not_finite_is_refused_at_the_first_such_point_of_a_batch():
     # A = 3e-200 + x1, B = 1e-200: at x1 = 0.5 an ordinary metric; at x1 = 1e-200 and 1e-300
     # g^-1 is about 1e200 and the derivatives are ordinary, so d Gamma overflows. R, formed
-    # without g^-1, is about 1e199 there and finite (tests/test_exact.py checks its value)
+    # without g^-1, is about 1e199 there and finite (tests/test_exact.py checks its value), and so
+    # are the closed-form components, formed with the derivatives over their own powers of two
     m = MetricFunctions.from_sources("3e-200 + x1", "1e-200")
-    M = metric_at(m, np.array([[0.5, 0.0, 0.0], [1e-200, 0.0, 0.0], [1e-300, 0.0, 0.0]]))
-    for kernel, what in (
-        (christoffel_from_metric, "Christoffel symbols or their derivatives"),
-        (closed_form_from_metric, "closed-form components"),
-    ):
-        with np.errstate(all="raise"), pytest.raises(EvalDomainError) as error:  # and no FloatingPointError
-            kernel(M)
-        assert str(error.value) == f"{what} are not finite where A=4e-200, B=1e-200"
-        kernel(M[0])  # the ordinary point alone
+    tiny = metric_at(m, np.array([[0.5, 0.0, 0.0], [1e-200, 0.0, 0.0], [1e-300, 0.0, 0.0]]))
+    with np.errstate(all="raise"), pytest.raises(EvalDomainError) as error:  # and no FloatingPointError
+        christoffel_from_metric(tiny)
+    assert str(error.value) == "Christoffel symbols or their derivatives are not finite where A=4e-200, B=1e-200"
+    christoffel_from_metric(tiny[0])  # the ordinary point alone
     with np.errstate(all="raise"):
-        assert np.isfinite(riemann_from_metric(M).t).all()
+        assert np.isfinite(riemann_from_metric(tiny).t).all()
+        cf = closed_form_from_metric(tiny)
+    assert [float(cf[name][2]) for name in COMPONENT_INDEX] == [0.0, 0.0, -1e199, -2.5e198, 2.5e198, -2.5e198]
     # A_1 = 1e200: at x1 = 1, A = 1e200 and R is about A_1^2 / A = 1e200; at x1 = 1e-200 and 0,
     # A is about 3 and R about 1e400
     m = MetricFunctions.from_sources("3 + 1e200*x1", "1")
@@ -724,12 +725,24 @@ def test_curvature_that_is_not_finite_is_refused_at_the_first_such_point_of_a_ba
         christoffel_from_metric(M)
     with pytest.raises(EvalDomainError, match=r"^curvature components .* where A=150000003\.0, B=1\.0$"):
         riemann_from_metric(M)
+    # the closed form's R2323 is about -A_1^2 / 4A: -7.5e307 where A = 7.5e307, and about -4e607
+    # where A = 1.5e8 + 3, the point that is refused
+    M = metric_at(MetricFunctions.from_sources("1.5e308*x1 + 3", "1"), np.array([[0.5, 0.0, 0.0], [1e-300, 0.0, 0.0]]))
+    with np.errstate(all="raise"), pytest.raises(EvalDomainError) as error:
+        closed_form_from_metric(M)
+    assert str(error.value) == "closed-form components are not finite where A=150000003.0, B=1.0"
+    assert closed_form_from_metric(M[0])["R2323"] == -7.5e307
     # Gamma and d Gamma finite, the curvature not: R_ijk^h is about 1e107 and g about 1e201
     m = MetricFunctions.from_sources("3e200 + 4e307*x1^2", "1e200 - 4e307*x1^2/3 + 4e307*x2^2")
     M = metric_at(m, (1e-53, 1e-53, 1e-53))
     christoffel_from_metric(M)
     with pytest.raises(EvalDomainError, match=r"^curvature components are not finite where A=4\.3e\+201, B=2\.7"):
         riemann_from_metric(M)
+    # the closed-form components of the tiny metric at every point, against the reference formulas
+    # evaluated in 50-digit arithmetic on the same jets
+    pytest.importorskip("mpmath")
+    for i in range(3):
+        assert closed_form_error({name: v[i] for name, v in cf.items()}, tiny.A_jet[i], tiny.B_jet[i]) <= C_EPS
 
 
 def test_sectional_curvature_that_is_not_finite_is_refused():
@@ -775,7 +788,7 @@ def test_shared_gram_cosines_are_q_basis_cosines_bit_for_bit(make):
                 want = _all_bits(q_basis_cosines_reference(metric, u))
                 rep = q_basis_angles(metric, u)
                 assert _all_bits((rep.cos_phi_x_qx, rep.cos_phi_x_q2x, rep.cos_theta_qx_q2x)) == want, exponent
-                assert _all_bits(q_orbit_cosines(metric, _rescaled(u)[0])[3]) == want, exponent
+                assert _all_bits(q_orbit_cosines(metric, _rescaled(u)[0])) == want, exponent
         # orthobasis's four products of the unscaled generator over the unscaled g
         x = construct_orthogonal_vector(M.A, M.B)
         qx = apply_q(x)

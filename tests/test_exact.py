@@ -12,6 +12,15 @@ fields (test_properties.py, with hypothesis) and over a family whose metric
 nears degeneracy (A - B = G (1 + x3)
 with A about 1, G down to 1e-10), where the error of a route through g^-1
 grows like (A / (A - B))^2.
+
+Sectional curvature has the exact reference R(x, y, x, y) / (g(x, x) g(y, y) -
+g(x, y)^2) of the same exact components and rational vectors. Its bound is
+C_SECTIONAL * eps * max|R| * |x|^2 |y|^2 / det, with det the exact Gram
+determinant, on well-conditioned specs: R(x, y, x, y) is contracted from x and
+y, so its error scales with |x|^2 |y|^2, not with |x ^ y|^2, which is smaller on
+a thin plane (a plane with |x|^2 |y|^2 = 198 |x ^ y|^2 gave 777 eps in units of
+the latter). Near degeneracy the determinant itself loses accuracy like
+lam / nu (ROADMAP item 11), so that family is not bounded here.
 """
 
 from __future__ import annotations
@@ -22,16 +31,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from circulant3 import MetricFunctions, metric_at, parse, riemann_from_metric
+from circulant3 import (
+    MetricFunctions, apply_q, metric_at, parse, riemann_from_metric, sectional_curvature, sectional_relations,
+)
 from circulant3.cli import main
 from circulant3.curvature import COMPONENT_INDEX, components
 from circulant3.expressions import eval_jet
 from circulant3.specfile import builtin_example
 
-from exact import exact_components, exact_curvature, exact_jet, fraction_jet
+from exact import exact_components, exact_curvature, exact_jet, exact_plane, exact_sectional, fraction_jet
+from helpers import random_q_basis_vector, random_q_invariant_manifold, random_warped_manifold
 
 EPS = np.finfo(float).eps
 C_EPS = 8.0  # the largest error seen over these tests is about 2.4 eps; 8 leaves a margin
+C_SECTIONAL = 64.0  # the largest error seen on these specs (16 seeds) is about 37 eps
 
 
 def worst_error(R, M):
@@ -113,3 +126,42 @@ def test_riemann_reports_finite_curvature_at_the_edge_of_the_double_range(capsys
     assert set(got) == set(COMPONENT_INDEX)
     for name, value in want.items():
         assert abs(Fraction(got[name]) - value) <= Fraction(C_EPS * EPS) * scale, name
+
+
+# q-invariant specs, so that sectional_relations computes its curvatures: the q-parallel benchmark
+# spec, and one of each of the cyclic and warped families
+SECTIONAL_SPECS = {
+    "parallel": lambda rng: MetricFunctions.from_sources("4*x1 + 2*x2 + 20", "x1 + 2*x2 + 3*x3 + 5"),
+    "cyclic": random_q_invariant_manifold,
+    "warped": random_warped_manifold,
+}
+
+
+def sectional_error(mu, want: dict, A, B, x, y) -> float:
+    """|mu - exact| in units of eps * max|R| * |x|^2 |y|^2 / det, for the exact components want."""
+    _, det = exact_plane(A, B, x, y)
+    norms = sum(Fraction(float(v)) ** 2 for v in x) * sum(Fraction(float(v)) ** 2 for v in y)
+    unit = max(abs(v) for v in want.values()) * norms / det
+    return float(abs(Fraction(float(mu)) - exact_sectional(want, A, B, x, y)) / unit) / EPS
+
+
+@pytest.mark.parametrize("spec", SECTIONAL_SPECS)
+def test_sectional_curvatures_are_within_c_eps_of_the_exact_value(spec):
+    rng = np.random.default_rng(29)
+    M = metric_at(SECTIONAL_SPECS[spec](rng), rng.uniform(-1.0, 1.0, (6, 3)))
+    R = riemann_from_metric(M)
+    pairs = rng.standard_normal((8, 2, 3))
+    U = np.array([random_q_basis_vector(rng) for _ in range(4)])
+    mu_pairs = [sectional_curvature(R, x, y) for x, y in pairs]
+    rel = sectional_relations(R, U).equal
+    orbit = [U, apply_q(U), apply_q(apply_q(U)), U]
+    worst = 0.0
+    for i in range(6):
+        want = exact_components(fraction_jet(M.A_jet[i]), fraction_jet(M.B_jet[i]))
+        A, B = float(M.A[i]), float(M.B[i])
+        for (x, y), mu in zip(pairs, mu_pairs):
+            worst = max(worst, sectional_error(mu[i], want, A, B, x, y))
+        for k, mu in enumerate((rel.mu_u_qu, rel.mu_qu_q2u, rel.mu_q2u_u)):
+            for v in range(len(U)):
+                worst = max(worst, sectional_error(mu[v, i], want, A, B, orbit[k][v], orbit[k + 1][v]))
+    assert worst <= C_SECTIONAL

@@ -11,8 +11,8 @@ from circulant3 import (
     MetricFunctions,
     Q_MATRIX,
     apply_q,
+    construct_basis_vectors,
     construct_orthogonal_vector,
-    construct_special_angle_vector,
     cos_angle_closed_form,
     induces_q_basis,
     inner,
@@ -160,15 +160,16 @@ def test_construct_orthogonal_vector():
 
 
 def test_construct_special_angle_vector():
-    assert np.array_equal(construct_special_angle_vector(4.0, 2.0), [1.0, 0.0, 0.0])
-    y = construct_special_angle_vector(6.0, 4.0)
+    assert np.array_equal(construct_basis_vectors(4.0, 2.0)[1], [1.0, 0.0, 0.0])
+    y = construct_basis_vectors(6.0, 4.0)[1]
     assert np.allclose(y, [1.0, 0.0, -3.0 - 2.0 * math.sqrt(2.0)])
     with pytest.raises(PositivityViolation):
-        construct_special_angle_vector(1.0, 2.0)
+        construct_basis_vectors(1.0, 2.0)
     rng = np.random.default_rng(35)
     for _ in range(100):
         A, B = random_admissible_AB(rng)
-        y = construct_special_angle_vector(A, B)
+        x, y = construct_basis_vectors(A, B)
+        assert x.tobytes() == construct_orthogonal_vector(A, B).tobytes()
         assert induces_q_basis(y)
         M = _metric(A, B)
         rep = q_basis_angles(M, y)
