@@ -232,7 +232,7 @@ def _cmd_validate(spec, p, M, args):
             metric_at(spec.metric, p, allow_weak=args.allow_weak_metric)
         M = metric_from_jets(A_jet, B_jet)
     else:  # --sample: the sampler admitted every point, so each is inside every chart constraint
-        ok, values = np.ones(M.D.shape, dtype=bool), ()
+        ok, values = np.ones(M.A.shape, dtype=bool), ()
     A, B = M.A, M.B
     violations = [] if np.all(positive(A, B)) else [f"A > B > 0 fails (A={A.tolist()!r}, B={B.tolist()!r})"]
     constraints_ok = True
@@ -466,7 +466,7 @@ def _cmd_verify_theorems(spec, p, M, args):
         worst = _relation_residuals(R, vectors, args.tol)
     except CirculantError:
         # raise what a run point by point, and vector by vector, raises first
-        for i in np.ndindex(M.D.shape):
+        for i in np.ndindex(M.A.shape):
             Ri = riemann_from_metric(M[i])  # each point has the bits it has in the batch
             for u in vectors:
                 _relation_residuals(Ri, [u], args.tol)

@@ -66,11 +66,17 @@ batch axes last (ChristoffelTable.t[i,j,h,*batch] and .dt[k,i,j,h,*batch],
 CurvatureTensor.t[k,i,j,h,*batch]), C-contiguous, so that the contractions
 that read them run their inner loop over the batch rather than over an
 index of length 3. The API's batch-first gamma, dgamma and low are views of
-them. A pure permutation of indices (C and dC from dg and ddg) is a
-transposed view (_permuted). An einsum may sum in an order that follows its
-operands' strides, so tests/test_kernel_layout.py pins every element of
-Gamma and dGamma, and the bits of each contraction that reads these arrays,
-against the same einsums run batch-first.
+them. The metric's derivatives dg[k,i,j,*batch] and ddg[k,l,i,j,*batch] and
+g^-1[t,h,*batch] are formed tensor-first from the rows of the jets (which are
+stored channel first, the batch last) and from g_inv_entries, with no
+copy between layouts. A pure permutation of indices (C and dC from dg and
+ddg) is a transposed view (_permuted). Every operand of an einsum or a
+matrix product here is C-contiguous (the kernel's features and gradients are
+one C-contiguous row per point): the order in which numpy sums can follow
+the strides, so a transposed operand could move the last bit.
+tests/test_kernel_layout.py pins every element of Gamma and dGamma, and the
+bits of each contraction that reads these arrays, against the same einsums
+run batch-first.
 
 Overflow. The kernels silence numpy's float warnings and raise
 EvalDomainError where Gamma, its derivatives, a curvature component, a
@@ -94,9 +100,10 @@ sectional_curvature gives, in one pass over one stack of rows: the V
 vectors u, the unit orthogonal-basis generator x and the special-angle
 vector y, each over a power of two, and x itself. qstructure.q_orbit_gram
 forms the q-orbit S of every row and its Gram entries once, one mask marks
-the degenerate planes, and one riemann_apply contracts the planes
-{S[k], S[k+1]} of every orbit, the row x with q^2 x in the fourth slot of
-its first plane, which gives R(x, qx, x, q^2 x). cos phi comes from the
+the degenerate planes, and one contraction covers only the planes a
+relation reads, as one flat stack of 3V + 3: the three planes
+{S[k], S[k+1]} of each u, then the first plane of x, y and the row x, whose
+fourth slot takes q^2 x for R(x, qx, x, q^2 x). cos phi comes from the
 same Gram entries through qstructure.q_orbit_cosines.
 
 closed_form holds a set of six reference component formulas verbatim,
@@ -117,6 +124,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneratePlane, IdentityRNotSatisfied
+from .jets import GRAD, HESS, VALUE, batch_first
 from .metric import MetricAtPoint, first_point, inners, require_finite
 from .qstructure import (
     apply_q,
@@ -126,8 +134,7 @@ from .qstructure import (
     require_q_basis,
 )
 
-_EYE = np.eye(3)
-_ONES = np.ones((3, 3))
+_DIAGONAL = [0, 1, 2]
 
 COMPONENT_INDEX = {
     "R1212": (0, 1, 0, 1),
@@ -198,12 +205,27 @@ def _tensor_first(a: np.ndarray, rank: int) -> np.ndarray:
     return np.ascontiguousarray(index_first(a, rank))
 
 
+def _circulant(diagonal, off, lead: int) -> np.ndarray:
+    """Matrices with the entries diagonal on their diagonal and off elsewhere, C-contiguous, tensor-first.
+
+    diagonal and off share a shape; its first lead axes come before the matrix indices and the rest
+    (the batch) after them."""
+    index = (slice(None),) * lead
+    m = np.empty(off.shape[:lead] + (3, 3) + off.shape[lead:])
+    m[...] = off[index + (None, None)]
+    m[index + (_DIAGONAL, _DIAGONAL)] = diagonal[index + (None,)]
+    return m
+
+
 def _metric_derivatives(M: MetricAtPoint):
-    dA, dB = M.A_jet.grad, M.B_jet.grad
-    HA, HB = M.A_jet.hess, M.B_jet.hess
-    dg = dA[..., None, None] * _EYE + dB[..., None, None] * (_ONES - _EYE)
-    ddg = HA[..., None, None] * _EYE + HB[..., None, None] * (_ONES - _EYE)
-    return dg, ddg
+    """dg[k,i,j,*batch] = d_k g_ij and ddg[k,l,i,j,*batch] = d_k d_l g_ij, C-contiguous, from the jets' rows.
+
+    Each entry is the sum of products the batch-first kernel formed, d A I_ij + d B (1 - I_ij), so it
+    has the same bits, formed once on the diagonal and once off it.
+    """
+    dA, dB = M.A_jet.grad_rows, M.B_jet.grad_rows
+    HA, HB = M.A_jet.hess_rows, M.B_jet.hess_rows
+    return _circulant(dA + dB * 0.0, dA * 0.0 + dB, 1), _circulant(HA + HB * 0.0, HA * 0.0 + HB, 2)
 
 
 def _permuted(a: np.ndarray, *axes: int) -> np.ndarray:
@@ -218,7 +240,7 @@ def _permuted(a: np.ndarray, *axes: int) -> np.ndarray:
 def christoffel_from_metric(M: MetricAtPoint) -> ChristoffelTable:
     """Christoffel symbols and their first derivatives from metric jets."""
     dg, ddg = _metric_derivatives(M)
-    dg, ddg, ginv = _tensor_first(dg, 3), _tensor_first(ddg, 4), _tensor_first(M.g_inv, 2)
+    ginv = _circulant(*M.g_inv_entries, 0)
     # C[i,j,t] = d_i g_tj + d_j g_ti - d_t g_ij
     C = _permuted(dg, 0, 2, 1) + _permuted(dg, 2, 0, 1) - _permuted(dg, 1, 2, 0)
     gamma = 0.5 * np.einsum("ijt...,th...->ijh...", C, ginv)
@@ -302,23 +324,25 @@ def riemann_from_metric(M: MetricAtPoint) -> CurvatureTensor:
     go through _KERNEL in a matrix product of its own, a stack over the
     batch, so the point has the bits it has alone.
     """
-    a, b = M.A_jet.data, M.B_jet.data
-    batch = a.shape[:-1]
-    e = np.frexp(np.maximum(np.abs(a).max(axis=-1), np.abs(b).max(axis=-1)))[1][..., None]
+    a, b = M.A_jet.data, M.B_jet.data  # packed channel first, (13, *batch)
+    batch = a.shape[1:]
+    e = np.frexp(np.maximum(np.abs(a), np.abs(b)).max(axis=0))[1]
     a, b = np.ldexp(a, -e), np.ldexp(b, -e)
-    jets = np.empty(batch + (2, 13))  # the jets of lam and nu, packed as Jet2.data
-    np.add(a, 2.0 * b, out=jets[..., 0, :])
-    np.subtract(a, b, out=jets[..., 1, :])
+    jets = np.empty((2, 13) + batch)  # the jets of lam and nu, packed as Jet2.data
+    np.add(a, 2.0 * b, out=jets[0])
+    np.subtract(a, b, out=jets[1])
+    # batch first, so that each point's features are one C-contiguous row for its matrix product
+    jets = np.ascontiguousarray(batch_first(jets, 2))
     features = np.empty(batch + (1, 34))
-    features[..., 0, :18] = jets[..., 4:].reshape(batch + (18,))
-    grad = jets[..., 1:4] @ _U  # grad[..., w, c], in the eigenframe
-    quotients = grad[..., :, None, :] / jets[..., None, :, :1]
+    features[..., 0, :18] = jets[..., HESS].reshape(batch + (18,))
+    grad = jets[..., GRAD] @ _U  # grad[..., w, c], in the eigenframe
+    quotients = grad[..., :, None, :] / jets[..., None, :, VALUE, None]
     np.multiply(
         grad.reshape(batch + (6,))[..., _FACTOR],
         quotients.reshape(batch + (12,))[..., _QUOTIENT],
         out=features[..., 0, 18:],
     )
-    s = np.ldexp((features @ _KERNEL)[..., 0, :] / -144.0, e)  # -S in the coordinate frame
+    s = np.ldexp((features @ _KERNEL)[..., 0, :] / -144.0, e[..., None])  # -S in the coordinate frame
     require_finite(M, "curvature components", s)
     t = np.empty((81,) + batch)
     np.multiply(index_first(s, 1)[_GATHER], _SIGN.reshape((81,) + (1,) * len(batch)), out=t)
@@ -346,13 +370,13 @@ def closed_form_from_metric(M: MetricAtPoint) -> dict[str, np.ndarray]:
     """
     e = M.e
     jets = (M.A_jet, M.B_jet)
-    # the largest gradient and Hessian entries, from Jet2.data[..., 1:4] and [..., 4:]
-    top = np.maximum.reduceat(np.maximum(abs(jets[0].data), abs(jets[1].data)), [1, 4], axis=-1)
-    ec = np.frexp(np.maximum(top[..., 0], np.ldexp(np.sqrt(top[..., 1]), e // 2)))[1]  # e + c
+    # the largest gradient and Hessian entries, over the packed rows
+    top = np.maximum.reduceat(np.maximum(abs(jets[0].data), abs(jets[1].data)), [GRAD.start, HESS.start])
+    ec = np.frexp(np.maximum(top[0], np.ldexp(np.sqrt(top[1]), e // 2)))[1]  # e + c
     back = 2 * ec - e  # e + 2c
     A, B = np.ldexp(M.A, -e), np.ldexp(M.B, -e)
-    dA, dB = (index_first(np.ldexp(j.grad, -ec[..., None]), 1) for j in jets)
-    HA, HB = (index_first(np.ldexp(j.hess, -back[..., None, None]), 2) for j in jets)
+    dA, dB = (np.ldexp(j.grad_rows, -ec) for j in jets)
+    HA, HB = (np.ldexp(j.hess_rows, -back) for j in jets)
     cf = {name: np.ldexp(v, back) for name, v in zip(COMPONENT_INDEX, closed_form(A, B, dA, dB, HA, HB))}
     require_finite(M, "closed-form components", *cf.values())
     return cf
@@ -426,7 +450,11 @@ def riemann_apply(R: CurvatureTensor, x, y, z, u):
     The vectors are made C-contiguous tensor-first too, so that the inner loop
     runs over the batch in every operand.
     """
-    x, y, z, u = (_tensor_first(np.asarray(v, dtype=float), 1) for v in (x, y, z, u))
+    return _contract(R, *(_tensor_first(np.asarray(v, dtype=float), 1) for v in (x, y, z, u)))
+
+
+def _contract(R: CurvatureTensor, x, y, z, u):
+    """riemann_apply over vectors that are tensor-first already, (3, ...) and C-contiguous."""
     return np.einsum("kijh...,i...,j...,k...,h...->...", R.t, x, y, z, u)
 
 
@@ -482,8 +510,8 @@ def _scaled_back(M: MetricAtPoint, mu):
 
     mu's last axes are M's batch axes."""
     mu = np.ldexp(mu, -2 * M.e)
-    batch = range(mu.ndim - M.D.ndim, mu.ndim)
-    require_finite(M, "sectional curvatures", np.moveaxis(mu, batch, range(M.D.ndim)))
+    batch = range(mu.ndim - M.A.ndim, mu.ndim)
+    require_finite(M, "sectional curvatures", np.moveaxis(mu, batch, range(M.A.ndim)))
     return mu
 
 
@@ -625,10 +653,11 @@ def sectional_relations(R: CurvatureTensor, U, tol=1e-9) -> SectionalRelations:
     vectors u, x and y, each over a power of two (_rescaled), then x itself.
     qstructure.q_orbit_gram forms every row's q-orbit S and its Gram entries
     over g / 2^e at once, one mask marks the degenerate planes, and one
-    riemann_apply contracts the planes {S[k], S[k+1]} of every orbit, except
-    that the last row's first plane takes q^2 x in its fourth slot:
-    R(x, qx, x, q^2 x). The quotients are exact scalings of the plain ones
-    (see sectional_curvature) and are scaled back together.
+    contraction covers the planes that are read, one flat stack: the three
+    planes {S[k], S[k+1]} of each u, then the first plane of x, y and the row
+    x, whose fourth slot takes q^2 x: R(x, qx, x, q^2 x). The quotients are
+    exact scalings of the plain ones (see sectional_curvature) and are scaled
+    back together.
     The refusals come in the order one point and one vector meet them:
     q-invariance, the q-basis test of the vectors (the first failing one is
     named), the orthogonal-basis generator and its plane, the angle routes,
@@ -648,7 +677,7 @@ def sectional_relations(R: CurvatureTensor, U, tol=1e-9) -> SectionalRelations:
             "it does not hold at this point, so the verification is refused"
         )
     U = require_q_basis(U)
-    batch = M.D.shape
+    batch = M.A.shape
     u = U.reshape((-1,) + (1,) * len(batch) + (3,))  # vectors before points
     V = len(u)
     x, y = construct_basis_vectors(M.A, M.B)
@@ -657,28 +686,34 @@ def sectional_relations(R: CurvatureTensor, U, tol=1e-9) -> SectionalRelations:
     rows[:V], rows[V], rows[V + 1], rows[V + 2] = u, x, y, x
     rows[:V + 2] = _rescaled(rows[:V + 2])[0]
     S, gss, gst, g02 = q_orbit_gram(M.g_scaled, rows)
+
+    def read(a):  # the planes the relations read, flat: the three of each u, then plane 0 of x, y and x
+        return np.concatenate((a[:, :V].reshape((3 * V,) + a.shape[2:]), a[0, V:]))
+
     # the planes of the rows over powers of two; the row x itself is only contracted
-    den, degenerate = _plane_determinant(gss[:3, :V + 2], gss[1:, :V + 2], gst[:, :V + 2])
+    den, degenerate = _plane_determinant(read(gss[:3])[:-1], read(gss[1:])[:-1], read(gst)[:-1])
+    u_degenerate = degenerate[:3 * V].reshape((3, V) + batch)
 
     def orbit():  # u's q-orbit as given, to name a degenerate plane
         return q_orbit_gram(M.g, u)[0]
 
-    _refuse_degenerate(degenerate[0, V], lambda: (x, apply_q(x)))
+    _refuse_degenerate(degenerate[3 * V], lambda: (x, apply_q(x)))
     cphi = q_orbit_cosines(M, rows[:V], (gss[:, :V], gst[:, :V], g02[:V]))[0]
-    _refuse_degenerate(degenerate[0, :V], lambda: tuple(orbit()[:2]))
-    _refuse_degenerate(degenerate[0, V + 1], lambda: (y, apply_q(y)))
-    _refuse_degenerate(degenerate[1:, :V], lambda: (orbit()[1:3], orbit()[2:]))
-    fourth = S[1:].copy()
-    fourth[0, V + 2] = S[2, V + 2]
-    r = riemann_apply(R, S[:3], S[1:], S[:3], fourth)
-    with np.errstate(all="ignore"):  # also over the planes {qx, q^2x}, ... that no relation reads
-        mu = np.ldexp(r[:, :V + 2] / den, -2 * M.e)
-    read = (mu[:, :V], mu[0, V:V + 2])
-    require_finite(M, "sectional curvatures", *(index_first(a, len(batch)) for a in read))
+    _refuse_degenerate(u_degenerate[0], lambda: tuple(orbit()[:2]))
+    _refuse_degenerate(degenerate[3 * V + 1], lambda: (y, apply_q(y)))
+    _refuse_degenerate(u_degenerate[1:], lambda: (orbit()[1:3], orbit()[2:]))
+    first, second = (_tensor_first(read(a), 1) for a in (S[:3], S[1:]))
+    fourth = second.copy()
+    fourth[:, -1] = index_first(S[2, V + 2], 1)  # R(x, qx, x, q^2 x)
+    r = _contract(R, first, second, first, fourth)
+    with np.errstate(all="ignore"):  # a quotient that overflows is refused below
+        mu = np.ldexp(r[:-1] / den, -2 * M.e)
+    require_finite(M, "sectional curvatures", index_first(mu, len(batch)))
+    mu_u, (mu_x, mu_y) = mu[:3 * V].reshape((3, V) + batch), mu[3 * V:]
     pick = 0 if U.ndim == 1 else slice(None, V)  # one vector gives results of the batch shape
-    mu_u, (mu_x, mu_y), cphi = mu[:, pick], mu[0, V:V + 2], cphi[pick]
+    mu_u, cphi = mu_u[:, pick], cphi[pick]
     return SectionalRelations(
-        difference=RelationCheck(mu_u[0] - mu_x, (2.0 * cphi / (1.0 - cphi)) * r[0, V + 2]),
+        difference=RelationCheck(mu_u[0] - mu_x, (2.0 * cphi / (1.0 - cphi)) * r[-1]),
         combination=RelationCheck(mu_u[0], ((1.0 + 2.0 * cphi) * mu_x - 3.0 * cphi * mu_y) / (1.0 - cphi)),
         equal=EqualSectionalCheck(mu_u[0], mu_u[1], mu_u[2]),
     )

@@ -10,18 +10,25 @@ operation works element by element, so the jets of a batch equal, bit for
 bit, those of its points evaluated one at a time. No finite differencing
 is involved anywhere.
 
-Storage. A jet keeps its 13 numbers per point packed in one array ``data
-(..., 13)``: the value, then the gradient, then the Hessian row by row.
-``value``, ``grad`` and ``hess`` are views of it (``hess`` is formed where
-it is read, as few operations read it). So a sum, a difference, a
-negation, a product or quotient with a number, ``concatenate`` and
-``__getitem__`` are each one array operation, and a finiteness check is
-one call. The product of two jets scales all 13 channels in one pass and
-``_lift`` (the chain rule of the scalar functions) the 12 derivative
-channels. Every jet is built by ``Jet2.__init__``, from the packed array
-or from the three parts, and every operation gives the bits the
-three-array layout gave, signed zeros included (tests/jets_reference.py
-keeps that layout).
+Storage. A jet keeps its 13 numbers per point in one array ``data (13,
+...)``, channel first and the batch last: ``data[0, ...]`` is the value,
+``data[1:4]`` the gradient rows and ``data[4:]`` the Hessian rows, row by
+row (``VALUE``, ``GRAD`` and ``HESS`` name these parts). Every product,
+quotient and chain-rule step therefore scales whole rows by a per-point
+scalar of the batch shape, which broadcasts over the leading channel axis,
+so numpy's inner loop runs over the batch, not over the 3 or 13 channels of
+one point. A sum, a difference, a negation, a product or quotient with a
+number, ``concatenate`` and ``__getitem__`` are each one array operation,
+and a finiteness check is one call. The product of two jets scales all 13
+rows in one pass and ``_lift`` (the chain rule of the scalar functions) the
+12 derivative rows. ``value`` is a view of row 0, a 0-d array for one point
+(never a NumPy scalar, whose pow would not raise as float pow does), and
+``grad_rows (3, ...)`` and ``hess_rows (3, 3, ...)`` are views of the
+rows. The batch-first ``grad (..., 3)`` and ``hess (..., 3, 3)`` are views
+formed where they are read, and ``Jet2(value, grad, hess)`` takes the three
+batch-first parts, so callers need not know the packing; this module is the
+only one that does. Every operation gives the bits the three-array layout
+gave, signed zeros included (tests/jets_reference.py keeps that layout).
 
 The value channel performs the *same* floating-point primitives as a
 plain-number evaluation: IEEE arithmetic, and for sqrt, exp, log, sin, cos
@@ -43,8 +50,8 @@ is one array operation where k is 0 or 1, and exact: float pow gives
 ``v ** 0 = 1.0`` and ``v ** 1 = v``, so the channel is the constant c or
 ``c v``, with the ``v == 0`` limit of ``_int_pow_taylor``. A zero c (the
 channels of ``v ** 0`` and the second of ``v ** 1``) is a signed zero,
-with no pow that could overflow at a tiny v. Any other k takes a flat
-list of ``c * v ** k``, a float pow and a product per element.
+with no pow that could overflow at a tiny v. Any other k takes
+``c * v ** k``, a float pow and a product, element by element.
 Where a channel raises, the elements run again one at a time through
 ``_int_pow_taylor``, so the first failing element raises, its value before
 its derivatives.
@@ -59,18 +66,22 @@ The constructor takes the Hessian as given.
 
 from __future__ import annotations
 
+import functools
 import math
+from itertools import repeat
 
 import numpy as np
 
 Scalar = (int, float)
+# where the packed data (13, ...) keeps the value, the gradient rows and the Hessian rows (row by row)
+VALUE, GRAD, HESS = 0, slice(1, 4), slice(4, 13)
 
 
 def elementwise(fn, x):
-    """fn on a float, or on each element of an array as a Python float."""
+    """fn on a float, or on each element of an array as a Python float, up to the first that raises."""
     if not isinstance(x, np.ndarray):
         return fn(x)
-    return np.array([fn(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 def _div(a, b):
@@ -95,18 +106,24 @@ def _first(values: np.ndarray, bad: np.ndarray) -> float:
     return values[bad].flat[0].item()
 
 
-def _g(v):
-    """A batch of scalars shaped to scale gradients (..., 3)."""
-    return v[..., None]
-
-
-def _h(v):
-    """A batch of scalars shaped to scale Hessians (..., 3, 3)."""
-    return v[..., None, None]
-
-
 def _outer(a, b):
-    return a[..., :, None] * b[..., None, :]
+    """The outer products a_i b_j of two gradients stored as rows (3, ...), as (3, 3, ...)."""
+    return a[:, None] * b[None, :]
+
+
+def _hessian(d: np.ndarray) -> np.ndarray:
+    """The Hessian rows of packed data (13, ...) as a (3, 3, ...) view."""
+    return d[HESS].reshape((3, 3) + d.shape[1:])
+
+
+@functools.cache
+def _batch_first_axes(ndim: int, rank: int) -> tuple[int, ...]:
+    return (*range(rank, ndim), *range(rank))
+
+
+def batch_first(a: np.ndarray, rank: int) -> np.ndarray:
+    """A view of a with its leading rank (channel or tensor index) axes moved behind its batch axes."""
+    return a.transpose(_batch_first_axes(a.ndim, rank))
 
 
 def _int_power(x, n: int):
@@ -118,7 +135,7 @@ def _int_power(x, n: int):
     """
     if not isinstance(x, np.ndarray):
         return x ** n
-    return np.array([v ** n for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
+    return np.fromiter(map(pow, x.ravel().tolist(), repeat(n)), float, x.size).reshape(x.shape)
 
 
 def _int_pow_taylor(v: float, n: int) -> tuple[float, float, float]:
@@ -153,23 +170,23 @@ def _int_pow_derivative(v: np.ndarray, c: int, k: int) -> np.ndarray:
         return np.full(v.shape, float(c))
     if k == 1:
         return c * v + 0.0  # -0.0 + 0.0 is 0.0: the limit at v == -0.0
-    return np.array([c * x ** k if x else 0.0 for x in v.ravel().tolist()], dtype=float).reshape(v.shape)
+    return np.fromiter((c * x ** k if x else 0.0 for x in v.ravel().tolist()), float, v.size).reshape(v.shape)
 
 
 class Jet2:
     """Value, gradient and symmetric Hessian of a scalar field over a batch of points.
 
-    data (..., 13) holds them packed; value, grad and hess are views of it.
+    data (13, ...) holds them channel first; value, grad and hess are views of it.
     """
 
-    __slots__ = ("data", "value", "grad")
+    __slots__ = ("data", "value")
 
     def __init__(self, value, grad=None, hess=None):
-        """Jet2(value, grad, hess) packs the three parts; Jet2(data) takes a packed (..., 13) array."""
+        """Jet2(value, grad, hess) packs the three batch-first parts; Jet2(data) takes a packed (13, ...) array."""
         if grad is None and hess is None:
             d = np.asarray(value, dtype=float)
-            if d.shape[-1:] != (13,):
-                raise ValueError(f"Jet2 needs packed data (..., 13); got {d.shape}")
+            if d.shape[:1] != (13,):
+                raise ValueError(f"Jet2 needs packed data (13, ...); got {d.shape}")
         else:
             v = np.asarray(value, dtype=float)
             g = np.asarray(grad, dtype=float)
@@ -179,22 +196,36 @@ class Jet2:
                     "Jet2 needs value (...), grad (..., 3) and hess (..., 3, 3); "
                     f"got {v.shape}, {g.shape} and {h.shape}"
                 )
-            d = np.empty(v.shape + (13,))
-            d[..., 0] = v
-            d[..., 1:4] = g
-            d[..., 4:] = h.reshape(v.shape + (9,))
+            d = np.empty((13,) + v.shape)
+            d[VALUE] = v
+            d[GRAD] = np.moveaxis(g, -1, 0)
+            d[HESS] = np.moveaxis(h.reshape(v.shape + (9,)), -1, 0)
         self.data = d
-        self.value = d[..., 0]
-        self.grad = d[..., 1:4]
+        self.value = d[VALUE, ...]  # a 0-d array for one point, never a NumPy scalar
+
+    @property
+    def grad_rows(self):
+        """The gradient rows (3, ...), grad_rows[i] = d_i f, a view of data."""
+        return self.data[GRAD]
+
+    @property
+    def hess_rows(self):
+        """The Hessian rows (3, 3, ...), hess_rows[i, j] = d_i d_j f, a view of data."""
+        return _hessian(self.data)
+
+    @property
+    def grad(self):
+        """The gradient (..., 3), a batch-first view of the rows."""
+        return batch_first(self.data[GRAD], 1)
 
     @property
     def hess(self):
-        """The Hessian (..., 3, 3), a view of data formed where it is read: few operations read it."""
-        return self.data[..., 4:].reshape(self.data.shape[:-1] + (3, 3))
+        """The Hessian (..., 3, 3), a batch-first view of the rows."""
+        return batch_first(_hessian(self.data), 2)
 
     def __getitem__(self, index):
         """The jets at part of the batch."""
-        return Jet2(self.data[index])
+        return Jet2(self.data[(slice(None), *index) if isinstance(index, tuple) else (slice(None), index)])
 
     # -- ring operations ---------------------------------------------------
 
@@ -203,7 +234,7 @@ class Jet2:
             return Jet2(self.data + other.data)
         if isinstance(other, Scalar):
             d = self.data.copy()
-            d[..., 0] += other
+            d[VALUE] += other
             return Jet2(d)
         return NotImplemented
 
@@ -214,14 +245,14 @@ class Jet2:
             return Jet2(self.data - other.data)
         if isinstance(other, Scalar):
             d = self.data.copy()
-            d[..., 0] -= other
+            d[VALUE] -= other
             return Jet2(d)
         return NotImplemented
 
     def __rsub__(self, other):
         if isinstance(other, Scalar):
             d = -self.data
-            d[..., 0] += other  # -v + other is other - v, signed zeros included
+            d[VALUE] += other  # -v + other is other - v, signed zeros included
             return Jet2(d)
         return NotImplemented
 
@@ -231,13 +262,13 @@ class Jet2:
     def __mul__(self, other):
         if isinstance(other, Jet2):
             a, b = self.data, other.data
-            # the value, the gradient and the Hessian's first two terms over all 13 channels at once
-            d = _g(a[..., 0]) * b
-            d[..., 1:] += _g(b[..., 0]) * a[..., 1:]
-            hess = d[..., 4:].reshape(d.shape[:-1] + (3, 3))
-            h = hess + _outer(self.grad, other.grad) + _outer(other.grad, self.grad)
+            # the value, the gradient and the Hessian's first two terms over all 13 rows at once
+            d = a[VALUE] * b
+            d[1:] += b[VALUE] * a[1:]
+            hess = _hessian(d)
+            h = hess + _outer(a[GRAD], b[GRAD]) + _outer(b[GRAD], a[GRAD])
             # h[j, i] adds the two outer products in the other order from h[i, j], which rounds differently
-            hess[...] = (h + h.swapaxes(-1, -2)) / 2.0
+            np.divide(h + h.swapaxes(0, 1), 2.0, out=hess)
             return Jet2(d)
         if isinstance(other, Scalar):
             return Jet2(self.data * other)
@@ -247,17 +278,19 @@ class Jet2:
 
     def __truediv__(self, other):
         if isinstance(other, Jet2):
-            v = other.value
-            val = _div(self.value, v)
+            u, v = self.value, other.value
+            ga, gb = self.data[GRAD], other.data[GRAD]
+            d = np.empty(self.data.shape)
+            d[VALUE] = _div(u, v)
             v2 = v * v
-            grad = (self.grad * _g(v) - _g(self.value) * other.grad) / _g(v2)
-            hess = (
-                self.hess / _h(v)
-                - _h(self.value) * other.hess / _h(v2)
-                - (_outer(self.grad, other.grad) + _outer(other.grad, self.grad)) / _h(v2)
-                + _h(2.0 * self.value) * _outer(other.grad, other.grad) / _h(v2 * v)
+            d[GRAD] = (ga * v - u * gb) / v2
+            _hessian(d)[...] = (
+                _hessian(self.data) / v
+                - u * _hessian(other.data) / v2
+                - (_outer(ga, gb) + _outer(gb, ga)) / v2
+                + (2.0 * u) * _outer(gb, gb) / (v2 * v)
             )
-            return Jet2(val, grad, hess)
+            return Jet2(d)
         if isinstance(other, Scalar):
             return Jet2(_div(self.data, other))
         return NotImplemented
@@ -293,8 +326,8 @@ class Jet2:
 
 def constant(c: float, shape: tuple[int, ...] = ()) -> Jet2:
     """Jet of a constant field over a batch of the given shape."""
-    d = np.zeros(shape + (13,))
-    d[..., 0] = float(c)
+    d = np.zeros((13,) + shape)
+    d[VALUE] = float(c)
     return Jet2(d)
 
 
@@ -303,23 +336,24 @@ def variable(i: int, p) -> Jet2:
     if i not in (1, 2, 3):
         raise ValueError(f"coordinate index {i} out of range 1..3")
     p = np.asarray(p, dtype=float)
-    d = np.zeros(p.shape[:-1] + (13,))
-    d[..., 0] = p[..., i - 1]
-    d[..., i] = 1.0  # the gradient's entry i - 1
+    d = np.zeros((13,) + p.shape[:-1])
+    d[VALUE] = p[..., i - 1]
+    d[i] = 1.0  # the gradient's entry i - 1
     return Jet2(d)
 
 
 def concatenate(parts) -> Jet2:
     """One jet over the joined 1-d batches of parts."""
-    return Jet2(np.concatenate([j.data for j in parts]))
+    return Jet2(np.concatenate([j.data for j in parts], axis=1))
 
 
 def _lift(j: Jet2, f0, f1, f2) -> Jet2:
     """Compose a scalar function (value f0, derivatives f1, f2 at j.value) with j."""
     d = np.empty(j.data.shape)
-    d[..., 0] = f0
-    np.multiply(j.data[..., 1:], _g(f1), out=d[..., 1:])  # f1 times the gradient and the Hessian
-    d[..., 4:] += (_h(f2) * _outer(j.grad, j.grad)).reshape(d.shape[:-1] + (9,))
+    d[VALUE] = f0
+    np.multiply(j.data[1:], f1, out=d[1:])  # f1 times the gradient and the Hessian
+    g, h = j.data[GRAD], _hessian(d)
+    h += f2 * _outer(g, g)
     return Jet2(d)
 
 

@@ -44,19 +44,19 @@ def first_point(mask) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class MetricAtPoint:
-    """Metric data over a batch of points: jets of A and B, g, its inverse, D, and e.
+    """The metric over a batch of points: the jets of A and B, and the exponent e.
 
-    The batch shape is that of the jets' values: ``()`` for one point,
-    ``(N,)`` for N points; g and g_inv append ``(3, 3)``. e is the exponent
-    with max(|A|, |B|) / 2^e = max |g_ij| / 2^e in [0.5, 1) over which g_inv
-    is formed; the kernels that scale g or the jets by a power of two read it.
+    The batch shape is that of A (the jets' values): ``()`` for one point,
+    ``(N,)`` for N points. e is the exponent with max(|A|, |B|) / 2^e =
+    max |g_ij| / 2^e in [0.5, 1); the kernels that scale g or the jets by a
+    power of two read it. g, its inverse g_inv (both appending ``(3, 3)`` to
+    the batch shape) and D = (A - B)(A + 2B) are formed from A, B and e where
+    they are read, each time, so a caller that reads only the jets (the
+    curvature kernel) never forms them.
     """
 
     A_jet: Jet2
     B_jet: Jet2
-    g: np.ndarray
-    g_inv: np.ndarray
-    D: np.ndarray
     e: np.ndarray
 
     @property
@@ -70,15 +70,45 @@ class MetricAtPoint:
         return self.B_jet.value
 
     @property
+    def g(self) -> np.ndarray:
+        """The metric matrices (..., 3, 3): A on the diagonal, B off it."""
+        return np.where(_EYE, self.A[..., None, None], self.B[..., None, None])
+
+    @property
+    @np.errstate(all="ignore")
+    def g_inv_entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """The entries of g's closed-form inverse on its diagonal and off it, each with the batch shape.
+
+        They are formed over g / 2^e and scaled back by 2^-e. The scaling is exact,
+        so where D is a normal float they keep the bits of the plain closed form
+        ((A + B)/D and -B/D), and a metric whose D underflows or overflows still
+        gets its inverse.
+        """
+        a, b = np.ldexp(self.A, -self.e), np.ldexp(self.B, -self.e)
+        d = (a - b) * (a + 2 * b)
+        return np.ldexp((a + b) / d, -self.e), np.ldexp(-b / d, -self.e)
+
+    @property
+    def g_inv(self) -> np.ndarray:
+        """The closed-form inverse of g (..., 3, 3), from g_inv_entries."""
+        diagonal, off = self.g_inv_entries
+        return np.where(_EYE, diagonal[..., None, None], off[..., None, None])
+
+    @property
+    @np.errstate(all="ignore")
+    def D(self) -> np.ndarray:
+        """D = (A - B)(A + 2B), the unscaled product, with the batch shape."""
+        A, B = self.A, self.B
+        return (A - B) * (A + 2 * B)
+
+    @property
     def g_scaled(self) -> np.ndarray:
         """g / 2^e, exact; inner products of vectors of moderate size over it do not overflow."""
         return np.ldexp(self.g, -self.e[..., None, None])
 
     def __getitem__(self, index) -> "MetricAtPoint":
         """The metric at part of the batch, e.g. one point."""
-        return MetricAtPoint(
-            self.A_jet[index], self.B_jet[index], self.g[index], self.g_inv[index], self.D[index], self.e[index]
-        )
+        return MetricAtPoint(self.A_jet[index], self.B_jet[index], self.e[index])
 
 
 class PositivityReport(NamedTuple):
@@ -152,7 +182,7 @@ def admissibility(m: MetricFunctions, p):
             ok = ok & inside_chart(value)
     except EvalDomainError:
         if pt.size == 3:  # one point, or a batch of one
-            nan = Jet2(np.full(pt.shape[:-1] + (13,), np.nan))
+            nan = Jet2(np.full((13,) + pt.shape[:-1], np.nan))
             return np.zeros(pt.shape[:-1], dtype=bool), nan, nan, (nan.value,) * len(m.domain_constraints)
         ok, A_jets, B_jets, values = zip(*(admissibility(m, half) for half in np.array_split(pt, 2)))
         return (np.concatenate(ok), jets.concatenate(A_jets), jets.concatenate(B_jets),
@@ -184,24 +214,13 @@ def _point_rule(m: MetricFunctions, p: np.ndarray, allow_weak: bool) -> None:
             raise PositivityViolation(A, B, p)
 
 
-@np.errstate(all="ignore")
 def metric_from_jets(A_jet: Jet2, B_jet: Jet2) -> MetricAtPoint:
-    """Assemble g, its closed-form inverse and D from the jets of A and B.
+    """The metric of the jets of A and B: the jets and the exponent e of max(|A|, |B|).
 
-    The inverse is that of g / 2^e, with max(|A|, |B|) / 2^e in [0.5, 1),
-    scaled back by 2^-e. The scaling is exact, so where D is a normal float
-    g_inv keeps the bits of the plain closed form, and a metric whose D
-    underflows or overflows still gets its inverse. D is the unscaled product;
-    the metric keeps e.
+    Nothing else is formed here: g, g_inv and D are properties of the
+    MetricAtPoint, formed where they are read (see there).
     """
-    A, B = A_jet.value, B_jet.value
-    D = (A - B) * (A + 2 * B)
-    g = np.where(_EYE, A[..., None, None], B[..., None, None])
-    e = np.frexp(np.maximum(abs(A), abs(B)))[1]
-    a, b = np.ldexp(A, -e), np.ldexp(B, -e)
-    d = (a - b) * (a + 2 * b)
-    g_inv = np.where(_EYE, np.ldexp((a + b) / d, -e)[..., None, None], np.ldexp(-b / d, -e)[..., None, None])
-    return MetricAtPoint(A_jet, B_jet, g, g_inv, D, e)
+    return MetricAtPoint(A_jet, B_jet, np.frexp(np.maximum(abs(A_jet.value), abs(B_jet.value)))[1])
 
 
 def metric_at(m: MetricFunctions, p, allow_weak: bool = False) -> MetricAtPoint:
@@ -222,7 +241,7 @@ def metric_at(m: MetricFunctions, p, allow_weak: bool = False) -> MetricAtPoint:
 def require_finite(M: MetricAtPoint, what: str, *arrays) -> None:
     """Raise EvalDomainError, naming A and B at the first point of M's batch where an array is not finite."""
     if not all(np.isfinite(a).all() for a in arrays):
-        finite = [np.isfinite(a).reshape(M.D.shape + (-1,)).all(axis=-1) for a in arrays]
+        finite = [np.isfinite(a).reshape(M.A.shape + (-1,)).all(axis=-1) for a in arrays]
         i = first_point(~np.all(finite, axis=0))
         raise EvalDomainError(f"{what} are not finite where A={float(M.A[i])!r}, B={float(M.B[i])!r}")
 

@@ -62,7 +62,8 @@ def nabla_q_from_table(ct: ChristoffelTable) -> NablaQTensor:
 
 def parallel_residual_from_metric(M: MetricAtPoint) -> np.ndarray:
     """grad A - grad B . MIRROR at M's points (zero iff q is parallel there)."""
-    return M.A_jet.grad - M.B_jet.grad @ MIRROR_MATRIX
+    # a C-contiguous operand: grad is a view of the jet's rows, and a matrix product's bits can follow strides
+    return M.A_jet.grad - np.ascontiguousarray(M.B_jet.grad) @ MIRROR_MATRIX
 
 
 def christoffel_equalities_from_table(ct: ChristoffelTable) -> np.ndarray:

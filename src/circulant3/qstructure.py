@@ -175,7 +175,7 @@ def q_basis_angles(M: MetricAtPoint, x) -> AngleReport:
     first vector that does not generate a basis.
     """
     x = require_q_basis(x)
-    batch = np.broadcast_to(x, np.broadcast_shapes(x.shape, M.D.shape + (3,)))
+    batch = np.broadcast_to(x, np.broadcast_shapes(x.shape, M.A.shape + (3,)))
     return AngleReport(*vector_invariants(x), *q_orbit_cosines(M, batch))
 
 

@@ -15,7 +15,9 @@ transcendental functions have no rational jets and are refused.
 ``fraction_jet`` takes the Fractions of a float jet as it is: the exact
 curvature of the float jets measures the kernel alone, apart from the
 rounding of the jets themselves. ``exact_sectional`` is the sectional
-curvature of rational vectors from those exact components.
+curvature of rational vectors from those exact components. ``exact_christoffel``
+is Gamma and its first derivatives of the same exact jets, with g^-1 in
+Fractions.
 
 ``closed_form_error`` measures ``curvature.closed_form_from_metric``, whose
 scaling is under test, against the formula text it evaluates,
@@ -150,6 +152,34 @@ def exact_components(A: ExactJet, B: ExactJet) -> dict:
 def exact_curvature(m, p) -> dict:
     """The exact components of the metric functions m at the point p (three doubles)."""
     return exact_components(exact_jet(m.A, p), exact_jet(m.B, p))
+
+
+def exact_christoffel(A: ExactJet, B: ExactJet) -> tuple[list, list]:
+    """Gamma[i][j][h] = Gamma_ij^h and dGamma[k][i][j][h] = d_k Gamma_ij^h of g = circ(A, B, B), exactly.
+
+    2 Gamma_ij^h = g^th C_ijt with C_ijt = d_i g_tj + d_j g_ti - d_t g_ij, and
+    2 d_k Gamma_ij^h = d_k g^th C_ijt + g^th d_k C_ijt with d_k g^-1 = -g^-1 (d_k g) g^-1;
+    g^-1 has (A + B) / D on its diagonal and -B / D off it, D = (A - B)(A + 2B).
+    """
+    r = range(3)
+    D = (A.value - B.value) * (A.value + 2 * B.value)
+    inv = [[(A.value + B.value) / D if a == b else -B.value / D for b in r] for a in r]
+
+    def dg(k, i, j):
+        return (A if i == j else B).grad[k]
+
+    def ddg(k, l, i, j):
+        return (A if i == j else B).hess[k][l]
+
+    C = [[[dg(i, t, j) + dg(j, t, i) - dg(t, i, j) for t in r] for j in r] for i in r]
+    dinv = [[[-sum(inv[a][b] * dg(k, b, c) * inv[c][d] for b in r for c in r) for d in r] for a in r] for k in r]
+    gamma = [[[sum(C[i][j][t] * inv[t][h] for t in r) / 2 for h in r] for j in r] for i in r]
+    dgamma = [
+        [[[sum(dinv[k][t][h] * C[i][j][t] + inv[t][h] * (ddg(k, i, t, j) + ddg(k, j, t, i) - ddg(k, t, i, j))
+               for t in r) / 2 for h in r] for j in r] for i in r]
+        for k in r
+    ]
+    return gamma, dgamma
 
 
 _PAIRS = ((0, 1), (0, 2), (1, 2))

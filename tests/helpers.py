@@ -16,6 +16,7 @@ from circulant3 import (
 )
 from circulant3.curvature import _metric_derivatives
 from circulant3.errors import CirculantError
+from circulant3.jets import batch_first
 from circulant3.metric import inners
 from circulant3.parallelism import MIRROR_MATRIX
 from circulant3.qstructure import vector_invariants
@@ -75,10 +76,30 @@ def orthogonality_defect(M, x):
 def metric_compatibility_residual(M):
     """Max component of nabla g at M's points (must vanish for the Levi-Civita connection)."""
     ct = christoffel_from_metric(M)
-    dg, _ = _metric_derivatives(M)
+    dg = batch_first(_metric_derivatives(M)[0], 3)
     contraction = np.einsum("...kit,...tj->...kij", ct.gamma, M.g)
     nabla_g = dg - contraction - np.einsum("...kij->...kji", contraction)
     return np.abs(nabla_g).max(axis=(-3, -2, -1))
+
+
+_EYE = np.eye(3, dtype=bool)
+
+
+@np.errstate(all="ignore")
+def eager_metric(A, B) -> tuple:
+    """g, g_inv, D and e from the values of A and B, all formed at once in one place.
+
+    The reference for MetricAtPoint, which forms each of them where it is read: g has A on its
+    diagonal and B off it; g_inv is the closed form over g / 2^e, max(|A|, |B|) / 2^e in [0.5, 1),
+    scaled back by 2^-e; D = (A - B)(A + 2B) unscaled.
+    """
+    D = (A - B) * (A + 2 * B)
+    g = np.where(_EYE, A[..., None, None], B[..., None, None])
+    e = np.frexp(np.maximum(abs(A), abs(B)))[1]
+    a, b = np.ldexp(A, -e), np.ldexp(B, -e)
+    d = (a - b) * (a + 2 * b)
+    g_inv = np.where(_EYE, np.ldexp((a + b) / d, -e)[..., None, None], np.ldexp(-b / d, -e)[..., None, None])
+    return g, g_inv, D, e
 
 
 # -- random expressions --------------------------------------------------------

@@ -1,5 +1,6 @@
 """The three-array Jet2 of circulant3.jets before it packed value, gradient and
-Hessian into one (..., 13) array, kept verbatim as a reference, except that
+Hessian into one array (now ``(13, ...)``, channel first), kept verbatim as a
+reference, except that
 an integer power's zero-coefficient derivative channels (of ``v ** 0``, and
 the second of ``v ** 1``) are signed zeros formed without a pow that could
 overflow at a tiny v.

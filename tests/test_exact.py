@@ -21,6 +21,13 @@ y, so its error scales with |x|^2 |y|^2, not with |x ^ y|^2, which is smaller on
 a thin plane (a plane with |x|^2 |y|^2 = 198 |x ^ y|^2 gave 777 eps in units of
 the latter). Near degeneracy the determinant itself loses accuracy like
 lam / nu (ROADMAP item 11), so that family is not bounded here.
+
+The Christoffel symbols have the exact reference of exact_christoffel on the
+same Fraction jets, with g^-1 in Fractions. Gamma is bounded by
+C_CHRISTOFFEL * eps * max|Gamma| on every family here, near degeneracy
+included; dGamma by C_CHRISTOFFEL * eps * max|dGamma| only on well-conditioned
+metrics. Its route, d g^-1 = -g^-1 (d g) g^-1, loses accuracy like lam / nu (about
+340 eps at G = 1e-4 and 2.7e8 eps at G = 1e-10), an open item of the ROADMAP.
 """
 
 from __future__ import annotations
@@ -32,26 +39,32 @@ import numpy as np
 import pytest
 
 from circulant3 import (
-    MetricFunctions, apply_q, metric_at, parse, riemann_from_metric, sectional_curvature, sectional_relations,
+    MetricFunctions, apply_q, christoffel_from_metric, metric_at, parse, riemann_from_metric, sectional_curvature, sectional_relations,
 )
 from circulant3.cli import main
 from circulant3.curvature import COMPONENT_INDEX, components
 from circulant3.expressions import eval_jet
+from circulant3.metric import admissibility
 from circulant3.specfile import builtin_example
 
-from exact import exact_components, exact_curvature, exact_jet, exact_plane, exact_sectional, fraction_jet
+from exact import (
+    exact_christoffel, exact_components, exact_curvature, exact_jet, exact_plane, exact_sectional, fraction_jet,
+)
 from helpers import random_q_basis_vector, random_q_invariant_manifold, random_warped_manifold
 
 EPS = np.finfo(float).eps
 C_EPS = 8.0  # the largest error seen over these tests is about 2.4 eps; 8 leaves a margin
 C_SECTIONAL = 64.0  # the largest error seen on these specs (16 seeds) is about 37 eps
+# the largest error of Gamma seen here is about 22 eps (near degeneracy); of dGamma, where it is bounded,
+# about 4.5 eps (the example)
+C_CHRISTOFFEL = 64.0
 
 
 def worst_error(R, M):
     """max over points and components of |R - exact(float jets)| / max |exact|, in units of eps."""
     numeric = components(R)
     worst = 0.0
-    for i in np.ndindex(M.D.shape):
+    for i in np.ndindex(M.A.shape):
         want = exact_components(fraction_jet(M.A_jet[i]), fraction_jet(M.B_jet[i]))
         scale = max(abs(v) for v in want.values())
         for name, value in want.items():
@@ -60,12 +73,41 @@ def worst_error(R, M):
     return worst
 
 
+def christoffel_errors(M) -> tuple[float, float]:
+    """max over points of |Gamma - exact| / max |exact Gamma|, and the same of dGamma, in units of eps.
+
+    The exact values are exact_christoffel of the Fractions of the float jets."""
+    ct = christoffel_from_metric(M)
+    worst = [0.0, 0.0]
+    for i in np.ndindex(M.A.shape):
+        exact = exact_christoffel(fraction_jet(M.A_jet[i]), fraction_jet(M.B_jet[i]))
+        for k, (got, want) in enumerate(zip((ct.gamma[i], ct.dgamma[i]), exact)):
+            want = np.array(want, dtype=object).ravel()
+            error = max(abs(Fraction(float(a)) - b) for a, b in zip(got.ravel(), want))
+            scale = max(abs(b) for b in want)
+            worst[k] = max(worst[k], float(error / scale) / EPS if scale else float(error))
+    return worst[0], worst[1]
+
+
+def near_degenerate_metric(G: str):
+    """A valid metric, A > B > 0 on [0,1]^3, whose eigenvalue nu = A - B is G (1 + x3) against lam about 3,
+    at 100 points of [0,1]^3."""
+    m = MetricFunctions.from_sources(f"1 + {G}*(1 + x3) + x1^2/100 + x2*x3/50", "1 + x1^2/100 + x2*x3/50")
+    return metric_at(m, np.random.default_rng(11).uniform(0.0, 1.0, (100, 3)))
+
+
 @pytest.mark.parametrize("G", ["1e-2", "1e-4", "1e-6", "1e-8", "1e-10"])
 def test_curvature_near_degeneracy_is_within_a_few_eps_of_the_exact_value(G):
-    # a valid metric, A > B > 0 on [0,1]^3, whose eigenvalue nu = A - B is G (1 + x3) against lam about 3
-    m = MetricFunctions.from_sources(f"1 + {G}*(1 + x3) + x1^2/100 + x2*x3/50", "1 + x1^2/100 + x2*x3/50")
-    M = metric_at(m, np.random.default_rng(11).uniform(0.0, 1.0, (100, 3)))
+    M = near_degenerate_metric(G)
     assert worst_error(riemann_from_metric(M), M) <= C_EPS
+
+
+@pytest.mark.parametrize("G", ["1e-2", "1e-4", "1e-6", "1e-8", "1e-10"])
+def test_christoffel_symbols_near_degeneracy_are_within_c_eps_of_the_exact_value(G):
+    gamma, dgamma = christoffel_errors(near_degenerate_metric(G))
+    assert gamma <= C_CHRISTOFFEL
+    if G == "1e-2":  # dGamma loses accuracy like lam / nu: bounded only where the metric is well-conditioned
+        assert dgamma <= C_CHRISTOFFEL
 
 
 def test_example_curvature_is_exact():
@@ -165,3 +207,16 @@ def test_sectional_curvatures_are_within_c_eps_of_the_exact_value(spec):
             for v in range(len(U)):
                 worst = max(worst, sectional_error(mu[v, i], want, A, B, orbit[k][v], orbit[k + 1][v]))
     assert worst <= C_SECTIONAL
+
+
+@pytest.mark.parametrize("spec", [*SECTIONAL_SPECS, "example"])
+def test_christoffel_symbols_and_their_derivatives_are_within_c_eps_of_the_exact_value(spec):
+    rng = np.random.default_rng(31)
+    if spec == "example":
+        m, box = builtin_example().metric, builtin_example().sample_box
+        points = np.array([rng.uniform(lo, hi, 12) for lo, hi in box]).T
+        points = points[[bool(admissibility(m, p)[0]) for p in points]]
+    else:
+        m, points = SECTIONAL_SPECS[spec](rng), rng.uniform(-1.0, 1.0, (12, 3))
+    gamma, dgamma = christoffel_errors(metric_at(m, points))
+    assert gamma <= C_CHRISTOFFEL and dgamma <= C_CHRISTOFFEL

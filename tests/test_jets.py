@@ -9,6 +9,8 @@ import pytest
 
 from circulant3 import Jet2, constant, variable
 from circulant3 import jets
+from circulant3.errors import EvalDomainError
+from circulant3.expressions import eval_jet, parse
 
 import jets_reference
 from helpers import JET_OPS, jet_outcome
@@ -273,9 +275,50 @@ def test_integer_power_of_a_mixed_batch_raises_what_the_reference_raises(values,
 @pytest.mark.parametrize("shape", SHAPES, ids=str)
 def test_value_gradient_and_hessian_are_views_of_one_array(shape):
     rng = np.random.default_rng(20)
-    j = jets.sin(Jet2(*_parts(rng, shape, np.asarray(rng.normal(size=shape)))))
-    assert j.data.shape == shape + (13,)
+    parts = _parts(rng, shape, np.asarray(rng.normal(size=shape)))
+    j = jets.sin(Jet2(*parts))
+    # channel first, the batch last: the value, the gradient rows, then the Hessian rows row by row
+    assert j.data.shape == (13,) + shape and j.data.flags.c_contiguous
     assert (j.value.shape, j.grad.shape, j.hess.shape) == (shape, shape + (3,), shape + (3, 3))
-    for part in (j.value, j.grad, j.hess):
+    assert (j.grad_rows.shape, j.hess_rows.shape) == ((3,) + shape, (3, 3) + shape)
+    for part in (j.value, j.grad, j.hess, j.grad_rows, j.hess_rows):
         assert part.base is not None and np.shares_memory(part, j.data)
-    assert np.array_equal(j.data[..., 4:], j.hess.reshape(shape + (9,)))
+    assert np.array_equal(j.data[0], j.value)
+    assert np.array_equal(j.data[1:4], np.moveaxis(j.grad, -1, 0))
+    assert np.array_equal(j.data[4:], np.moveaxis(j.hess.reshape(shape + (9,)), -1, 0))
+    assert np.array_equal(j.grad_rows, np.moveaxis(j.grad, -1, 0))
+    assert np.array_equal(j.hess_rows, np.moveaxis(j.hess, (-2, -1), (0, 1)))
+    # the three batch-first parts and the packed array build the same jet
+    k = Jet2(*parts)
+    assert Jet2(k.data.copy()).data.tobytes() == k.data.tobytes()
+    assert all(np.asarray(a).tobytes() == np.asarray(b).tobytes() for a, b in zip((k.value, k.grad, k.hess), parts))
+
+
+def test_the_jets_of_part_of_a_batch_are_those_of_its_points():
+    rng = np.random.default_rng(22)
+    j = Jet2(*_parts(rng, (7,), rng.normal(size=7)))
+    for index in (3, (3,), np.array([4, 0, 4]), slice(2, 5)):
+        part = j[index]
+        for got, whole in ((part.value, j.value), (part.grad, j.grad), (part.hess, j.hess)):
+            assert np.asarray(got).tobytes() == np.asarray(whole[index]).tobytes()
+    both = jets.concatenate([j[:3], j[3:]])
+    assert both.data.tobytes() == j.data.tobytes()
+
+
+def test_the_value_of_one_point_is_a_zero_dimensional_array():
+    # never a NumPy scalar: that would take the plain-number branch of elementwise and _int_power,
+    # where NumPy's pow gives inf for 0.0 ** -1 instead of raising as float pow does
+    x = variable(1, (0.5, 1.0, 2.0))
+    one_of_a_batch = variable(1, np.ones((2, 3)))[0]
+    for j in (x, constant(2.0), x + 1, x * x, x / x, 1 / x, x ** 3, jets.exp(x), jets.sqrt(x), one_of_a_batch,
+              Jet2(1.0, np.zeros(3), np.zeros((3, 3))), Jet2(np.zeros(13))):
+        assert type(j.value) is np.ndarray and j.value.shape == ()
+
+
+def test_a_negative_power_of_zero_at_one_point_raises_what_float_pow_raises():
+    with pytest.raises(ZeroDivisionError) as plain:
+        0.0 ** -1
+    for p in ((0.0, 1.0, 2.0), np.array([[1.0, 1.0, 2.0], [0.0, 1.0, 2.0]])):
+        with pytest.raises(EvalDomainError) as jet:
+            eval_jet(parse("3 + x1^-1"), p)
+        assert str(jet.value) == f"{plain.value} in subexpression 'x1^-1'"

@@ -13,7 +13,9 @@ what the strides could change is the order in which a later einsum sums. So
 every reader that contracts them (riemann_apply, nabla_q_from_table, the
 CLI's symmetry verdicts) must give the bits of the same batch-first einsum
 over a batch-first copy: of the reference's Gamma, and of R.t.
-tests/test_properties.py runs the same check at random batch sizes.
+tests/test_properties.py runs the same check at random batch sizes. The
+metric's derivatives, which the kernel forms tensor-first from the jets'
+rows, are C-contiguous, with the bits of the reference's batch-first ones.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import pytest
 
 from circulant3 import Q_MATRIX, sample_admissible_points
 from circulant3.cli import _symmetry_verdicts
+from circulant3.curvature import _metric_derivatives as kernel_metric_derivatives
 from circulant3.curvature import christoffel_from_metric, index_first, riemann_apply, riemann_from_metric
 from circulant3.parallelism import nabla_q_from_table
 from circulant3.specfile import builtin_example
@@ -85,6 +88,11 @@ def _bits(a):
 
 
 def assert_kernel_is_the_reference(M):
+    # the metric's derivatives, formed tensor-first from the jets' rows: C-contiguous operands for the
+    # einsums, each entry with the bits of the batch-first sum of products
+    for got, want, rank in zip(kernel_metric_derivatives(M), _metric_derivatives(M), (3, 4)):
+        assert got.flags.c_contiguous
+        assert _bits(got) == _bits(index_first(want, rank))
     ct = christoffel_from_metric(M)
     gamma, dgamma = reference_christoffel(M)
     for name, got, want in zip(("gamma", "dgamma"), (ct.gamma, ct.dgamma), (gamma, dgamma)):

@@ -17,11 +17,12 @@ from circulant3 import (
 )
 from circulant3.errors import CirculantError, DomainViolation, PositivityViolation, SamplingExhausted
 from circulant3.expressions import eval_value
-from circulant3.metric import admissibility
+from circulant3.jets import Jet2
+from circulant3.metric import admissibility, metric_from_jets
 from circulant3.sampling import MAX_DRAW_FACTOR, is_admissible
 from circulant3.specfile import builtin_example
 
-from helpers import random_admissible_AB, random_manifold, random_point
+from helpers import eager_metric, random_admissible_AB, random_manifold, random_point
 
 
 def test_example_metric_at_canonical_point():
@@ -252,3 +253,34 @@ def test_sampler_exhaustion_matches_serial_reference():
         sample_admissible_points(m, box, 5, 0)
     assert str(batched.value) == str(reference.value)
     assert "accepted only 1 of 5" in str(batched.value)
+
+
+# The values of A and B over a batch: ordinary; tiny, where D underflows; huge, where D overflows; and
+# beyond the double range, where A + 2B overflows (7e307 + 1e300 x1 and 6e307)
+METRIC_VALUES = {
+    "normal": lambda u: (3.0 + u, 1.0 + u * u / 4),
+    "tiny": lambda u: (np.full(u.shape, 3e-200), np.full(u.shape, 1e-200)),
+    "huge": lambda u: (np.full(u.shape, 3e200), np.full(u.shape, 1e200)),
+    "beyond-range": lambda u: (7e307 + 1e300 * u, np.full(u.shape, 6e307)),
+}
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.shape, a.dtype, a.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (40,), (2, 3)], ids=str)
+@pytest.mark.parametrize("case", METRIC_VALUES)
+def test_g_its_inverse_and_D_are_formed_where_read_with_the_bits_of_the_eager_formulas(case, shape):
+    rng = np.random.default_rng(37)
+    A, B = METRIC_VALUES[case](rng.uniform(-1.0, 1.0, shape))
+    M = metric_from_jets(*(Jet2(v, rng.normal(size=shape + (3,)), np.zeros(shape + (3, 3))) for v in (A, B)))
+    want = eager_metric(np.asarray(A), np.asarray(B))
+    assert M.A.shape == shape
+    for name, got, want_bits in zip(("g", "g_inv", "D", "e"), (M.g, M.g_inv, M.D, M.e), map(_bits, want)):
+        assert _bits(got) == want_bits, name
+    for i in np.ndindex(shape):  # each point of the batch, alone
+        Mi = M[i]
+        for name, got, w in zip(("g", "g_inv", "D", "e"), (Mi.g, Mi.g_inv, Mi.D, Mi.e), want):
+            assert _bits(got) == _bits(w[i]), (name, i)

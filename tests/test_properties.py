@@ -10,7 +10,8 @@ operation returns a Hessian equal to its transpose bit for bit, and the bits
 and errors of the three-array reference (jets_reference.py). Beyond bits:
 the curvature of generated fields has the tensor symmetries and the first
 Bianchi identity, its components over random rational fields are within
-C_EPS eps of the exact oracle (test_exact.py), q is an isometry of every
+C_EPS eps of the exact oracle (test_exact.py), and their Christoffel symbols
+and derivatives within C_CHRISTOFFEL eps, q is an isometry of every
 circulant metric, and the command line, fuzzed over commands, specs, points and samples, exits 0-3
 without raising or letting a RuntimeWarning through. hypothesis is needed
 here only (the test extra); the budgets are small and derandomized so that
@@ -74,7 +75,9 @@ from helpers import (  # noqa: E402
     random_q_invariant_manifold,
 )
 from test_curvature import _ref_relations, _ricci, nonflat_parallel  # noqa: E402
-from test_exact import C_EPS, assert_float_jet_is_exact_jet, worst_error  # noqa: E402
+from test_exact import (  # noqa: E402
+    C_CHRISTOFFEL, C_EPS, assert_float_jet_is_exact_jet, christoffel_errors, worst_error,
+)
 from test_kernel_layout import MANIFOLDS, assert_kernel_is_the_reference, metric_batch  # noqa: E402
 
 SMALL = settings(max_examples=150, deadline=None, database=None, derandomize=True)
@@ -518,10 +521,12 @@ _points = st.tuples(*[st.floats(-1.0, 1.0, allow_subnormal=False)] * 3)
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
 @given(fA=_field, fB=_field, points=st.lists(_points, min_size=1, max_size=4))
 def test_curvature_of_random_rational_fields_is_within_a_few_eps_of_the_exact_value(fA, fB, points):
+    # the curvature, and the Christoffel symbols and their derivatives, of the same float jets
     B = f"2 + {fB}"
     m = MetricFunctions.from_sources(f"{B} + 1 + {fA}", B)
     M = metric_at(m, np.array(points))
     assert worst_error(riemann_from_metric(M), M) <= C_EPS
+    assert max(christoffel_errors(M)) <= C_CHRISTOFFEL
     for i, p in enumerate(points):
         assert_float_jet_is_exact_jet(m.A, p, M.A_jet[i])
         assert_float_jet_is_exact_jet(m.B, p, M.B_jet[i])
