@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -340,3 +343,45 @@ def test_batch_evaluation_emits_no_numpy_warnings():
             eval_jet(parse("x1 * x1"), pts)
         with pytest.raises(EvalDomainError):
             eval_jet(parse("x1 / x3"), pts)
+
+
+# -- corpus: every source's printed text, bits and errors, recorded from the tree evaluator ---------------
+
+CORPUS = Path(__file__).parent / "data" / "expressions_corpus.json"
+CORPUS_POINTS = np.array([[0.5, -0.25, 0.75], [-0.9, 0.3, 1.1], [1.0, 0.0, -0.5]])
+
+
+def _outcome(evaluate, expr, p) -> bytes:
+    """The bits evaluate gives at p, or the text and cause of the EvalDomainError it raises."""
+    try:
+        out = evaluate(expr, p)
+    except EvalDomainError as exc:
+        return f"error {exc} ({type(exc.__cause__).__name__})".encode()
+    if evaluate is eval_value:
+        return np.asarray(out, dtype=float).tobytes()
+    return out.value.tobytes() + out.grad.tobytes() + out.hess.tobytes()
+
+
+def corpus_record(source: str) -> dict:
+    """The syntax error parse raises on source, or to_source of the parsed field, a sha256 of the
+    eval_value and eval_jet bits (or domain errors) at each CORPUS_POINTS point and at the batch of them,
+    and the texts of the domain errors among them."""
+    try:
+        expr = parse(source)
+    except ExprSyntaxError as exc:
+        return {"source": source, "syntax_error": str(exc)}
+    digest, errors = hashlib.sha256(), []
+    for evaluate in (eval_value, eval_jet):
+        for p in (*CORPUS_POINTS, CORPUS_POINTS):
+            outcome = _outcome(evaluate, expr, p)
+            digest.update(outcome + b"|")
+            if outcome.startswith(b"error ") and outcome.decode() not in errors:
+                errors.append(outcome.decode())
+    return {"source": source, "to_source": to_source(expr), "sha256": digest.hexdigest(), "errors": errors}
+
+
+def test_the_expression_corpus_prints_evaluates_and_fails_as_recorded():
+    corpus = json.loads(CORPUS.read_text(encoding="utf-8"))
+    assert len(corpus) > 300
+    for case in corpus:
+        assert corpus_record(case["source"]) == case, case["source"][:80]
