@@ -243,12 +243,13 @@ def _cmd_validate(spec, p, M, args):
             violations.append(f"constraint '{c.source}' is {val!r} <= 0")
     pd = check_positive_definite(A, B)
     usable = ok | (constraints_ok & args.allow_weak_metric & pd.positive_definite)
-    inv_residual = np.where(usable, np.abs(M.g @ M.g_inv - np.eye(3)).max(axis=(-2, -1)), 1.0)
+    g = M.g
+    inv_residual = np.where(usable, np.abs(g @ M.g_inv - np.eye(3)).max(axis=(-2, -1)), 1.0)
     results = {
         "A": A,
         "B": B,
         "D": M.D,
-        "g": M.g if np.any(usable) else None,
+        "g": g if np.any(usable) else None,
         "minors": list(pd.minors),
         "violations": violations,
     }

@@ -622,8 +622,8 @@ class SectionalRelations:
     equal: EqualSectionalCheck
 
 
-def _unit(M: MetricAtPoint, x):
-    """x / sqrt(g(x, x)), formed from x and g over powers of two and scaled back.
+def _unit(M: MetricAtPoint, g, x):
+    """x / sqrt(g(x, x)) for g = M.g, formed from x and g over powers of two and scaled back.
 
     g's exponent is M.e rounded up to even, so the square root scales exactly:
     where g(x, x) is a normal float the result keeps the bits of the plain
@@ -631,7 +631,7 @@ def _unit(M: MetricAtPoint, x):
     """
     xs = _rescaled(x)[0]
     e = M.e + M.e % 2
-    gs = np.ldexp(M.g, -e[..., None, None])
+    gs = np.ldexp(g, -e[..., None, None])
     return np.ldexp(xs / np.sqrt(inners(gs, xs, (xs,))[0])[..., None], -(e // 2)[..., None])
 
 
@@ -680,12 +680,13 @@ def sectional_relations(R: CurvatureTensor, U, tol=1e-9) -> SectionalRelations:
     batch = M.A.shape
     u = U.reshape((-1,) + (1,) * len(batch) + (3,))  # vectors before points
     V = len(u)
+    g = M.g
     x, y = construct_basis_vectors(M.A, M.B)
-    x = _unit(M, x)
+    x = _unit(M, g, x)
     rows = np.empty((V + 3,) + batch + (3,))  # u, x and y over powers of two, then x itself
     rows[:V], rows[V], rows[V + 1], rows[V + 2] = u, x, y, x
     rows[:V + 2] = _rescaled(rows[:V + 2])[0]
-    S, gss, gst, g02 = q_orbit_gram(M.g_scaled, rows)
+    S, gss, gst, g02 = q_orbit_gram(np.ldexp(g, -M.e[..., None, None]), rows)  # over M.g_scaled
 
     def read(a):  # the planes the relations read, flat: the three of each u, then plane 0 of x, y and x
         return np.concatenate((a[:, :V].reshape((3 * V,) + a.shape[2:]), a[0, V:]))
@@ -695,7 +696,7 @@ def sectional_relations(R: CurvatureTensor, U, tol=1e-9) -> SectionalRelations:
     u_degenerate = degenerate[:3 * V].reshape((3, V) + batch)
 
     def orbit():  # u's q-orbit as given, to name a degenerate plane
-        return q_orbit_gram(M.g, u)[0]
+        return q_orbit_gram(g, u)[0]
 
     _refuse_degenerate(degenerate[3 * V], lambda: (x, apply_q(x)))
     cphi = q_orbit_cosines(M, rows[:V], (gss[:, :V], gst[:, :V], g02[:V]))[0]

@@ -12,9 +12,11 @@ Exponents are numeric literals only. Unary minus binds tighter than '*'
 but looser than '^', so ``-x1^2`` means ``-(x1^2)``. There is no implicit
 multiplication: ``2x1`` is a syntax error.
 
-Parsed expressions are immutable trees; evaluation over plain floats
-(:func:`eval_value`) and over jets (:func:`eval_jet`) walks the same tree
-with the same scalar primitives, so the value channels agree exactly.
+A parsed expression is one postfix program, the evaluation trace of
+Griewank & Walther: a tuple of ``(op, arg)`` entries run on one stack.
+Evaluation over plain floats (:func:`eval_value`) and over jets
+(:func:`eval_jet`) runs the same program with the same scalar primitives, so
+the value channels agree exactly.
 
 Both evaluators take one point of shape ``(3,)`` or a batch of shape
 ``(N, 3)`` and return results with the matching batch shape: a float or
@@ -28,6 +30,7 @@ that fails.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -42,86 +45,26 @@ FUNCTIONS = ("sqrt", "exp", "log", "sin", "cos")
 COORDS = ("x1", "x2", "x3")
 
 
-# -- syntax tree --------------------------------------------------------------
-
-
-class Node:
-    """Base class of expression tree nodes."""
-
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class Const(Node):
-    value: float
-    span: tuple[int, int] = field(default=(0, 0), compare=False)
-
-
-@dataclass(frozen=True)
-class Coord(Node):
-    index: int  # 1..3
-    span: tuple[int, int] = field(default=(0, 0), compare=False)
-
-
-@dataclass(frozen=True)
-class Unary(Node):
-    op: str  # 'neg' or a FUNCTIONS name
-    arg: Node
-    span: tuple[int, int] = field(default=(0, 0), compare=False)
-
-
-@dataclass(frozen=True)
-class Binary(Node):
-    op: str  # '+', '-', '*', '/'
-    left: Node
-    right: Node
-    span: tuple[int, int] = field(default=(0, 0), compare=False)
-
-    def __eq__(self, other):
-        """Field by field, as the dataclass compares, walking down a chain of left operands in a loop."""
-        if type(other) is not Binary:
-            return NotImplemented
-        a, b = self, other
-        while type(a) is Binary and type(b) is Binary:
-            if a.op != b.op or a.right != b.right:
-                return False
-            a, b = a.left, b.left
-        return a == b
-
-    def __hash__(self):
-        """The hash of the fields __eq__ compares, walking down a chain of left operands in a loop."""
-        node, links = self, []
-        while type(node) is Binary:
-            links.append((node.op, node.right))
-            node = node.left
-        return hash((tuple(links), node))
-
-    def __repr__(self):
-        """The dataclass's text, walking down a chain of left operands in a loop."""
-        node, heads, tails = self, [], []
-        while type(node) is Binary:
-            heads.append(f"Binary(op={node.op!r}, left=")
-            tails.append(f", right={node.right!r}, span={node.span!r})")
-            node = node.left
-        return "".join(heads) + repr(node) + "".join(reversed(tails))
-
-
-@dataclass(frozen=True)
-class Power(Node):
-    base: Node
-    exponent: float
-    span: tuple[int, int] = field(default=(0, 0), compare=False)
+# -- program ------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class ScalarFieldExpr:
-    """A parsed, immutable scalar field over (x1, x2, x3)."""
+    """A parsed, immutable scalar field over (x1, x2, x3).
 
-    root: Node
-    source: str = field(default="", compare=False)
+    program is its postfix program: ("num", value) and ("x", index 0..2) push, ("neg", None) and
+    (name, None) of a FUNCTIONS name apply to the top of the stack, ("+", None), ("-", None),
+    ("*", None) and ("/", None) fold the top two, and ("^", exponent) raises the top to a number.
+    spans[i] is the (lo, hi) of source that program[i]'s subexpression was parsed from. Fields are
+    equal, and hash alike, where their programs are.
+    """
+
+    program: tuple[tuple[str, object], ...]
+    spans: tuple[tuple[int, int], ...] = field(compare=False)
+    source: str = field(compare=False)
 
     def __str__(self):
-        return to_source(self.root)
+        return to_source(self)
 
 
 # -- tokenizer ----------------------------------------------------------------
@@ -151,10 +94,9 @@ def _tokenize(source: str):
     return tokens
 
 
-# The deepest tree parse accepts. A chain of one operator level (a + b - c, or a * b / c) is one level
-# above its deepest operand, and parentheses, a function, a unary minus and a power each add a level.
-# The parser recurses four calls per pair of parentheses, the evaluators and to_source one per level,
-# walking a chain in a loop: within half of Python's default limit.
+# The deepest expression parse accepts. A chain of one operator level (a + b - c, or a * b / c) is one
+# level above its deepest operand, and parentheses, a function, a unary minus and a power each add a level.
+# Only the parser recurses, four calls per pair of parentheses: within half of Python's default limit.
 MAX_DEPTH = 100
 
 
@@ -167,64 +109,63 @@ def _unexpected(text: str, off: int, expected: tuple[str, ...]) -> ExprSyntaxErr
 
 
 class _Parser:
-    """Recursive descent over the tokens, read by index; each rule returns its tree and the tree's depth.
-    A tree deeper than MAX_DEPTH is refused at the token that deepens it, a nested one before the parser
-    descends."""
+    """Recursive descent over the tokens, read by index, appending each subexpression's program.
+    Each rule returns the depth of what it parsed. An expression deeper than MAX_DEPTH is refused at
+    the token that deepens it, a nested one before the parser descends. An entry's span runs from the
+    first token of its subexpression to the end of the last token read, parentheses included."""
 
     _ATOM_EXPECTED = ("number", "x1", "x2", "x3", "function", "'('", "'-'")
 
     def __init__(self, source: str):
         self.tokens = _tokenize(source)
         self.pos = 0
-        self.open = 1  # the least depth of the tree around the current token
+        self.open = 1  # the least depth of the expression around the current token
+        self.program = []
+        self.spans = []
 
-    def parse(self) -> Node:
+    def emit(self, op: str, arg, lo: int):
+        """Append (op, arg) for the subexpression from offset lo to the end of the last token read."""
+        _, text, off = self.tokens[self.pos - 1]
+        self.program.append((op, arg))
+        self.spans.append((lo, off + len(text)))
+
+    def parse(self):
         kind, _, off = self.tokens[0]
         if kind == "end":
             raise ExprSyntaxError("empty input", off, self._ATOM_EXPECTED)
-        node = self.expr()[0]
+        self.expr()
         kind, text, off = self.tokens[self.pos]
         if kind != "end":
             raise ExprSyntaxError(f"unexpected trailing {text!r}", off, ("operator", "end of input"))
-        return node
+        return tuple(self.program), tuple(self.spans)
 
     def expr(self):
-        """Terms joined by '+' and '-': a left-leaning chain, one level above its deepest term."""
-        node, depth = self.term()
-        tokens = self.tokens
-        kind, op, off = tokens[self.pos]
-        if kind != "op" or op not in "+-":
-            return node, depth
-        while kind == "op" and op in "+-":
-            self.pos += 1
-            rhs, rhs_depth = self.term()
-            if rhs_depth > depth:
-                depth = rhs_depth
-            if depth >= MAX_DEPTH:  # the chain would be deeper than MAX_DEPTH
-                raise _too_deep(off)
-            node = Binary(op, node, rhs, (node.span[0], rhs.span[1]))
-            kind, op, off = tokens[self.pos]
-        return node, depth + 1
+        """Terms joined by '+' and '-': a chain folded from the left, one level above its deepest term."""
+        return self.chain(self.term, "+-")
 
     def term(self):
-        """Factors joined by '*' and '/': a left-leaning chain, one level above its deepest factor."""
-        node, depth = self.factor()
+        """Factors joined by '*' and '/': a chain folded from the left, one level above its deepest factor."""
+        return self.chain(self.factor, "*/")
+
+    def chain(self, operand, ops: str) -> int:
         tokens = self.tokens
+        lo = tokens[self.pos][2]
+        depth = operand()
         kind, op, off = tokens[self.pos]
-        if kind != "op" or op not in "*/":
-            return node, depth
-        while kind == "op" and op in "*/":
+        if kind != "op" or op not in ops:
+            return depth
+        while kind == "op" and op in ops:
             self.pos += 1
-            rhs, rhs_depth = self.factor()
+            rhs_depth = operand()
             if rhs_depth > depth:
                 depth = rhs_depth
             if depth >= MAX_DEPTH:  # the chain would be deeper than MAX_DEPTH
                 raise _too_deep(off)
-            node = Binary(op, node, rhs, (node.span[0], rhs.span[1]))
+            self.emit(op, None, lo)
             kind, op, off = tokens[self.pos]
-        return node, depth + 1
+        return depth + 1
 
-    def factor(self):
+    def factor(self) -> int:
         """'-' factor, or an atom with an optional power."""
         kind, text, off = self.tokens[self.pos]
         if kind == "op" and text == "-":
@@ -232,15 +173,17 @@ class _Parser:
             self.open += 1
             if self.open > MAX_DEPTH:
                 raise _too_deep(off)
-            inner, depth = self.factor()
+            depth = self.factor()
             self.open -= 1
             if depth >= MAX_DEPTH:
                 raise _too_deep(off)
-            return Unary("neg", inner, (off, inner.span[1])), depth + 1
-        node, depth = self.atom()
+            self.emit("neg", None, off)
+            return depth + 1
+        lo = off
+        depth = self.atom()
         kind, text, caret = self.tokens[self.pos]
         if kind != "op" or text != "^":
-            return node, depth
+            return depth
         sign = 1.0
         kind, text, off = self.tokens[self.pos + 1]
         if kind == "op" and text == "-":
@@ -252,17 +195,20 @@ class _Parser:
         self.pos += 2
         if depth >= MAX_DEPTH:
             raise _too_deep(caret)
-        return Power(node, sign * float(text), (node.span[0], off + len(text))), depth + 1
+        self.emit("^", sign * float(text), lo)
+        return depth + 1
 
-    def atom(self):
+    def atom(self) -> int:
         """A number, a coordinate, or an expression in parentheses, a function's argument or not."""
         kind, text, off = self.tokens[self.pos]
         self.pos += 1
         if kind == "number":
-            return Const(float(text), (off, off + len(text))), 1
+            self.emit("num", float(text), off)
+            return 1
         if kind == "ident":
             if text in COORDS:
-                return Coord(int(text[1]), (off, off + len(text))), 1
+                self.emit("x", int(text[1]) - 1, off)
+                return 1
             if text not in FUNCTIONS:
                 raise ExprSyntaxError(f"unknown identifier {text!r}", off, self._ATOM_EXPECTED)
             _, paren, paren_off = self.tokens[self.pos]
@@ -274,7 +220,7 @@ class _Parser:
         self.open += 1
         if self.open > MAX_DEPTH:
             raise _too_deep(off)
-        node, depth = self.expr()
+        depth = self.expr()
         self.open -= 1
         if depth >= MAX_DEPTH:
             raise _too_deep(off)
@@ -282,15 +228,11 @@ class _Parser:
         if close != ")":
             raise _unexpected(close, close_off, ("')'",))
         self.pos += 1
-        span = (off, close_off + 1)
-        return (Unary(text, node, span) if kind == "ident" else _respan(node, span)), depth + 1
-
-
-def _respan(node: Node, span: tuple[int, int]) -> Node:
-    cls = type(node)
-    kwargs = {f: getattr(node, f) for f in node.__dataclass_fields__}
-    kwargs["span"] = span
-    return cls(**kwargs)
+        if kind == "ident":
+            self.emit(text, None, off)
+        else:  # the parentheses widen the span of the subexpression's last entry
+            self.spans[-1] = (off, close_off + 1)
+        return depth + 1
 
 
 def parse(source: str) -> ScalarFieldExpr:
@@ -302,77 +244,46 @@ def parse(source: str) -> ScalarFieldExpr:
     """
     if not isinstance(source, str):
         raise TypeError("expression source must be a string")
-    return ScalarFieldExpr(_Parser(source).parse(), source)
+    return ScalarFieldExpr(*_Parser(source).parse(), source)
 
 
 # -- printing -----------------------------------------------------------------
 
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "pow": 4, "atom": 5}
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
+_NEG, _POW, _ATOM = 3, 4, 5
 
 
-def _prec(node: Node) -> int:
-    if isinstance(node, Binary):
-        return _PREC[node.op]
-    if isinstance(node, Unary) and node.op == "neg":
-        return _PREC["neg"]
-    if isinstance(node, Power):
-        return _PREC["pow"]
-    return _PREC["atom"]
+def to_source(f: ScalarFieldExpr) -> str:
+    """Render f back to grammar-valid text that parses to the same program.
 
-
-def _chain(node: Binary) -> list[Binary]:
-    """The Binary nodes of node's operator level down its left operands, innermost first.
-
-    a - b + c is Binary('+', Binary('-', a, b), c): its chain is [a - b, (a - b) + c].
+    Runs the program on a stack of (text, precedence) pairs, parenthesising an operand that binds
+    looser than its operator, and the right operand of a chain that binds no tighter (the grammar
+    folds from the left).
     """
-    prec = _PREC[node.op]
-    chain = []
-    while isinstance(node, Binary) and _PREC[node.op] == prec:
-        chain.append(node)
-        node = node.left
-    chain.reverse()
-    return chain
-
-
-def _fmt_number(v: float) -> str:
-    return repr(float(v))
-
-
-def to_source(node) -> str:
-    """Render a tree (or ScalarFieldExpr) back to grammar-valid text."""
-    if isinstance(node, ScalarFieldExpr):
-        node = node.root
-    if isinstance(node, Const):
-        return _fmt_number(node.value)
-    if isinstance(node, Coord):
-        return f"x{node.index}"
-    if isinstance(node, Unary):
-        if node.op == "neg":
-            inner = to_source(node.arg)
-            if _prec(node.arg) < _PREC["neg"]:
-                inner = f"({inner})"
-            return f"-{inner}"
-        return f"{node.op}({to_source(node.arg)})"
-    if isinstance(node, Power):
-        base = to_source(node.base)
-        if _prec(node.base) < _PREC["atom"]:
-            base = f"({base})"
-        return f"{base}^{_fmt_number(node.exponent)}"
-    if isinstance(node, Binary):
-        prec = _PREC[node.op]
-        chain = _chain(node)
-        left = to_source(chain[0].left)
-        if _prec(chain[0].left) < prec:
-            left = f"({left})"
-        parts = [left]
-        for link in chain:
-            right = to_source(link.right)
-            # left-associative grammar: parenthesize a right child of equal precedence
-            if _prec(link.right) <= prec:
+    stack = []
+    for op, arg in f.program:
+        if op == "num":
+            stack.append((repr(arg), _ATOM))
+        elif op == "x":
+            stack.append((f"x{arg + 1}", _ATOM))
+        elif op == "neg":
+            text, prec = stack[-1]
+            stack[-1] = (f"-({text})" if prec < _NEG else f"-{text}", _NEG)
+        elif op == "^":
+            text, prec = stack[-1]
+            stack[-1] = (f"({text})^{arg!r}" if prec < _ATOM else f"{text}^{arg!r}", _POW)
+        elif op in _PREC:
+            level = _PREC[op]
+            right, right_prec = stack.pop()
+            left, left_prec = stack[-1]
+            if left_prec < level:
+                left = f"({left})"
+            if right_prec <= level:
                 right = f"({right})"
-            parts.append(f" {link.op} {right}")
-        return "".join(parts)
-    raise TypeError(f"not an expression node: {node!r}")
+            stack[-1] = (f"{left} {op} {right}", level)
+        else:
+            stack[-1] = (f"{op}({stack[-1][0]})", _ATOM)
+    return stack[0][0]
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -388,70 +299,46 @@ def as_point(p) -> np.ndarray:
     return arr
 
 
-def _node_source(expr: ScalarFieldExpr, node: Node) -> str:
-    lo, hi = node.span
-    if expr.source and 0 <= lo < hi <= len(expr.source):
-        return expr.source[lo:hi]
-    return to_source(node)
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": jets.divide}
+_UNARY = {"neg": operator.neg, "sqrt": jets.sqrt, "exp": jets.exp, "log": jets.log, "sin": jets.sin, "cos": jets.cos}
 
 
-def _domain_error(expr: ScalarFieldExpr, node: Node, exc: Exception) -> EvalDomainError:
-    # float pow raises OverflowError(errno, text): report the text, not the pair
-    detail = exc.args[1] if isinstance(exc, OverflowError) and len(exc.args) == 2 else str(exc)
-    return EvalDomainError(detail, _node_source(expr, node))
+def _subexpression(f: ScalarFieldExpr, i: int) -> str:
+    lo, hi = f.spans[i]
+    return f.source[lo:hi]
 
 
-def _eval(expr: ScalarFieldExpr, node: Node, coords):
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Coord):
-        return coords[node.index - 1]
-    if isinstance(node, Binary):  # a chain of one operator level, folded from the left in a loop
-        chain = _chain(node)
-        acc = _eval(expr, chain[0].left, coords)
-        for link in chain:
-            right = _eval(expr, link.right, coords)
-            op = link.op
-            try:
-                if op == "+":
-                    acc = acc + right
-                elif op == "-":
-                    acc = acc - right
-                elif op == "*":
-                    acc = acc * right
-                else:
-                    acc = jets.divide(acc, right)
-            except (ValueError, ZeroDivisionError, OverflowError) as exc:
-                raise _domain_error(expr, link, exc) from exc
-        return acc
+def _eval(f: ScalarFieldExpr, coords):
+    """Run f's program on coords, floats or jets, one stack entry per operand."""
+    stack = []
+    push, pop = stack.append, stack.pop
     try:
-        if isinstance(node, Unary):
-            arg = _eval(expr, node.arg, coords)
-            if node.op == "neg":
-                return -arg
-            if node.op == "sqrt":
-                return jets.sqrt(arg)
-            if node.op == "exp":
-                return jets.exp(arg)
-            if node.op == "log":
-                return jets.log(arg)
-            if node.op == "sin":
-                return jets.sin(arg)
-            return jets.cos(arg)
-        if isinstance(node, Power):
-            return jets.power(_eval(expr, node.base, coords), node.exponent)
-        raise TypeError(f"not an expression node: {node!r}")
+        for i, (op, arg) in enumerate(f.program):
+            if op == "num":
+                push(arg)
+            elif op == "x":
+                push(coords[arg])
+            elif op == "^":
+                stack[-1] = jets.power(stack[-1], arg)
+            elif op in _BINARY:
+                right = pop()
+                stack[-1] = _BINARY[op](stack[-1], right)
+            else:
+                stack[-1] = _UNARY[op](stack[-1])
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise _domain_error(expr, node, exc) from exc
+        # float pow raises OverflowError(errno, text): report the text, not the pair
+        detail = exc.args[1] if isinstance(exc, OverflowError) and len(exc.args) == 2 else str(exc)
+        raise EvalDomainError(detail, _subexpression(f, i)) from exc
+    return stack[0]
 
 
 def eval_value(f: ScalarFieldExpr, p):
     """Evaluate f at p with IEEE double semantics: a float, or an (N,) array for (N, 3) points."""
     pt = as_point(p)
     if pt.ndim == 1:
-        return float(_eval(f, f.root, tuple(pt.tolist())))
+        return float(_eval(f, tuple(pt.tolist())))
     with np.errstate(all="ignore"):
-        out = _eval(f, f.root, tuple(pt.T))
+        out = _eval(f, tuple(pt.T))
     return np.full(len(pt), out)
 
 
@@ -479,9 +366,9 @@ def eval_jet(f: ScalarFieldExpr, p) -> Jet2:
     """
     coords = p if isinstance(p, CoordinateJets) else coordinate_jets(as_point(p))
     with np.errstate(all="ignore"):
-        out = _eval(f, f.root, coords)
+        out = _eval(f, coords)
     if not isinstance(out, Jet2):  # constant expression
         out = jets.constant(out, coords.x1.value.shape)
     if not np.isfinite(out.data).all():
-        raise EvalDomainError("jet evaluation produced non-finite entries", _node_source(f, f.root))
+        raise EvalDomainError("jet evaluation produced non-finite entries", _subexpression(f, -1))
     return out

@@ -200,7 +200,7 @@ def _point_rule(m: MetricFunctions, p: np.ndarray, allow_weak: bool) -> None:
     for c in m.domain_constraints:
         val = eval_value(c, p)
         if not inside_chart(val):
-            raise DomainViolation(c.source or str(c), val, p)
+            raise DomainViolation(c.source, val, p)
     xs = coordinate_jets(p)
     A, B = (float(eval_jet(f, xs).value) for f in (m.A, m.B))
     if not positive(A, B):

@@ -2,13 +2,13 @@
 
 An oracle for the whole numeric route (jets, kernel) that shares no code with
 ``circulant3.jets`` or the kernels of ``circulant3.curvature``: a 2-jet of
-``fractions.Fraction`` values is evaluated over a parsed expression tree, and
+``fractions.Fraction`` values is evaluated over a parsed expression's program, and
 ``oracle.generic_components`` turns the jets of A and B into the six
 curvature components in exact arithmetic.
 
-A ``Const`` becomes ``Fraction(value)``, exact for the parsed double, and a
+A number becomes ``Fraction(value)``, exact for the parsed double, and a
 point is taken as the Fractions of its coordinates, so the result is the
-exact curvature of the same double inputs the float route reads. The tree
+exact curvature of the same double inputs the float route reads. The program
 may use the coordinates, ``+ - * /``, unary minus and integer powers; the
 transcendental functions have no rational jets and are refused.
 
@@ -30,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from circulant3.curvature import COMPONENT_INDEX, closed_form
-from circulant3.expressions import Binary, Const, Coord, Power, ScalarFieldExpr, Unary, _chain
+from circulant3.expressions import ScalarFieldExpr
 
 from oracle import generic_components
 
@@ -109,30 +109,28 @@ def _variable(i: int, x: Fraction) -> ExactJet:
     return ExactJet(x, (Fraction(int(i == k)) for k in range(3)), ((0, 0, 0),) * 3)
 
 
+_BINARY = {"+": ExactJet.__add__, "-": ExactJet.__sub__, "*": ExactJet.__mul__, "/": ExactJet.__truediv__}
+
+
 def exact_jet(f: ScalarFieldExpr, p) -> ExactJet:
     """The exact jet of f at the point p (three doubles)."""
     coords = [_variable(i, x) for i, x in enumerate(_point(p))]
-
-    def walk(node):
-        if isinstance(node, Const):
-            return ExactJet.constant(node.value)
-        if isinstance(node, Coord):
-            return coords[node.index - 1]
-        if isinstance(node, Binary):
-            chain = _chain(node)
-            acc = walk(chain[0].left)
-            for link in chain:
-                right = walk(link.right)
-                acc = {"+": ExactJet.__add__, "-": ExactJet.__sub__, "*": ExactJet.__mul__,
-                       "/": ExactJet.__truediv__}[link.op](acc, right)
-            return acc
-        if isinstance(node, Unary) and node.op == "neg":
-            return -walk(node.arg)
-        if isinstance(node, Power) and node.exponent == int(node.exponent):
-            return walk(node.base) ** int(node.exponent)
-        raise ValueError(f"no exact jet for {node!r}: only + - * /, negation and integer powers are rational")
-
-    return walk(f.root)
+    stack = []
+    for op, arg in f.program:
+        if op == "num":
+            stack.append(ExactJet.constant(arg))
+        elif op == "x":
+            stack.append(coords[arg])
+        elif op in _BINARY:
+            right = stack.pop()
+            stack[-1] = _BINARY[op](stack[-1], right)
+        elif op == "neg":
+            stack[-1] = -stack[-1]
+        elif op == "^" and arg == int(arg):
+            stack[-1] = stack[-1] ** int(arg)
+        else:
+            raise ValueError(f"no exact jet for {(op, arg)!r}: only + - * /, negation and integer powers are rational")
+    return stack[0]
 
 
 def fraction_jet(jet) -> ExactJet:

@@ -12,21 +12,34 @@ import pytest
 
 from circulant3 import eval_jet, eval_value, parse, to_source
 from circulant3.errors import EvalDomainError, ExprSyntaxError
-from circulant3.expressions import MAX_DEPTH, Binary, Const, Coord, Power, Unary
+from circulant3.expressions import MAX_DEPTH
 
 from helpers import fd_gradient, fd_hessian, random_expression
 
 
 def test_parse_simple_product():
     expr = parse("2*x1")
-    assert expr.root == Binary("*", Const(2.0), Coord(1))
+    assert expr.program == (("num", 2.0), ("x", 0), ("*", None))
+    assert expr.spans == ((0, 1), (2, 4), (0, 4))
 
 
 def test_parse_example_field():
     expr = parse("2*x1 + x2 + x3")
-    assert expr.root == Binary(
-        "+", Binary("+", Binary("*", Const(2.0), Coord(1)), Coord(2)), Coord(3)
-    )
+    assert expr.program == (("num", 2.0), ("x", 0), ("*", None), ("x", 1), ("+", None), ("x", 2), ("+", None))
+    assert expr.spans == ((0, 1), (2, 4), (0, 4), (7, 9), (0, 9), (12, 14), (0, 14))
+
+
+def test_parse_every_entry_and_its_span():
+    # a chain's entry spans from its first operand to its right operand; parentheses widen the span
+    # of their subexpression's last entry
+    source = "-(x1 + 2) * sqrt(x3)^-2.5"
+    expr = parse(source)
+    assert expr.program == (("x", 0), ("num", 2.0), ("+", None), ("neg", None), ("x", 2), ("sqrt", None),
+                            ("^", -2.5), ("*", None))
+    assert [source[lo:hi] for lo, hi in expr.spans] == [
+        "x1", "2", "(x1 + 2)", "-(x1 + 2)", "x3", "sqrt(x3)", "sqrt(x3)^-2.5", source]
+    assert expr.source == source
+    assert parse(" ( ( x1 ) ) ").spans == ((1, 11),)
 
 
 def test_syntax_error_offset():
@@ -68,8 +81,7 @@ def test_exponent_must_be_literal():
 
 def test_unary_minus_binds_looser_than_power():
     expr = parse("-x1^2")
-    assert isinstance(expr.root, Unary) and expr.root.op == "neg"
-    assert isinstance(expr.root.arg, Power)
+    assert expr.program == (("x", 0), ("^", 2.0), ("neg", None))
     assert eval_value(expr, (2.0, 0.0, 0.0)) == -4.0
 
 
@@ -84,7 +96,7 @@ def test_negative_exponent_literal():
 
 
 def test_parse_refuses_an_expression_deeper_than_max_depth():
-    # the parser recurses through parentheses, the evaluators and to_source through the tree
+    # the parser recurses through parentheses, functions, minuses and powers
     for source, offset in (
         ("(" * 3000 + "x1" + ")" * 3000, MAX_DEPTH - 1),  # the parenthesis that opens level MAX_DEPTH
         ("-" * 3000 + "x1", MAX_DEPTH - 1),
@@ -129,26 +141,23 @@ def test_a_flat_chain_is_one_level_at_any_length():
     sum_3000 = eval_jet(parse("3" + " + x1" * 3000), p)
     assert np.array_equal(sum_3000.grad, [3000.0, 0.0, 0.0]) and not sum_3000.hess.any()
     assert to_source(parse("3" + " + x1" * 3000)) == "3.0" + " + x1" * 3000
-    # trees compare down a chain without recursion, and every operator, operand and length counts
+    # programs compare without recursion, and every operator, operand and length counts
     long_sum = parse("3" + " + x1" * 3000)
     for other in ("3" + " + x1" * 2999, "3" + " + x1" * 2999 + " - x1", "3" + " + x1" * 2999 + " + x2",
                   "2" + " + x1" * 3000, "3" + " + x1" * 2999 + " + x1 * 1"):
         assert parse(other) != long_sum and long_sum != parse(other)
-    assert long_sum.root != Coord(1) and Coord(1) != long_sum.root
+    assert long_sum != parse("x1") and parse("x1") != long_sum
 
 
 def test_a_long_chain_hashes_and_prints_without_recursion():
-    long_sum = parse("3" + " + x1" * 3000).root
-    assert hash(long_sum) == hash(parse("3" + " + x1" * 3000).root)
-    assert len({long_sum, parse("3" + " + x1" * 3000).root, parse("3" + " + x1" * 2999 + " + x2").root}) == 2
+    long_sum = parse("3" + " + x1" * 3000)
+    assert hash(long_sum) == hash(parse("3" + " + x1" * 3000))
+    assert len({long_sum, parse("3" + " + x1" * 3000), parse("3" + " + x1" * 2999 + " + x2")}) == 2
+    # the source and spans do not count
+    assert parse("(3)" + " +x1" * 3000) == long_sum and hash(parse("(3)" + " +x1" * 3000)) == hash(long_sum)
     text = repr(long_sum)
-    assert text.count("Binary(op='+', left=") == 3000 and text.startswith("Binary(op='+', left=" * 3000 + "Const")
-    # as the dataclass prints it, spans included
-    assert repr(parse("3 + x1 - 2*x2").root) == (
-        "Binary(op='-', left=Binary(op='+', left=Const(value=3.0, span=(0, 1)), right=Coord(index=1, span=(4, 6)), "
-        "span=(0, 6)), right=Binary(op='*', left=Const(value=2.0, span=(9, 10)), right=Coord(index=2, "
-        "span=(11, 13)), span=(9, 13)), span=(0, 13))"
-    )
+    assert text.count("('x', 0), ('+', None)") == 3000 and text.startswith("ScalarFieldExpr(program=(('num', 3.0), ")
+    assert str(long_sum) == to_source(long_sum) == "3.0" + " + x1" * 3000
 
 
 def test_a_chain_folds_from_the_left_as_the_nested_tree_does():

@@ -5,7 +5,7 @@ before these functions took batches: Python floats, float pow and
 np.linalg.norm. The curvature kernel is checked against its batch-first
 reference (test_kernel_layout.py) at random batch sizes, and the jets of
 generated expressions over a batch against those of each point; printing a
-generated expression and parsing it back gives the same tree; every jet
+generated expression and parsing it back gives the same program; every jet
 operation returns a Hessian equal to its transpose bit for bit, and the bits
 and errors of the three-array reference (jets_reference.py). Beyond bits:
 the curvature of generated fields has the tensor symmetries and the first
@@ -51,12 +51,6 @@ from circulant3.cli import _CORES, NO_WEAK, NOT_SAMPLED, main  # noqa: E402
 from circulant3.errors import CirculantError, EvalDomainError, NotAQBasis  # noqa: E402
 from circulant3.expressions import (  # noqa: E402
     FUNCTIONS,
-    Binary,
-    Const,
-    Coord,
-    Power,
-    ScalarFieldExpr,
-    Unary,
     eval_jet,
     parse,
     to_source,
@@ -214,18 +208,20 @@ def test_curvature_kernel_is_the_batch_first_reference_at_any_batch_size(name, n
     assert_kernel_is_the_reference(metric_batch(name, seed, (n,)))
 
 
-# Expression trees over every node kind. Constants are non-negative, as the
-# grammar's numbers are: a negative one is a unary minus of its magnitude.
+# Expression source over every kind of entry: a coordinate, a number, a unary minus, a function, the
+# four operators and a power, each operand in parentheses. Numbers are non-negative, as the grammar's
+# numbers are: a negative one is a unary minus of its magnitude.
 leaves = st.one_of(
-    st.builds(Coord, st.integers(1, 3)),
-    st.builds(Const, st.one_of(st.floats(0.0, 10.0), st.sampled_from([0.5, 1e-300, 1e300]))),
+    st.builds("x{}".format, st.integers(1, 3)),
+    st.builds(repr, st.one_of(st.floats(0.0, 10.0), st.sampled_from([0.5, 1e-300, 1e300]))),
 )
 trees = st.recursive(
     leaves,
     lambda children: st.one_of(
-        st.builds(Unary, st.sampled_from(("neg", *FUNCTIONS)), children),
-        st.builds(Binary, st.sampled_from("+-*/"), children, children),
-        st.builds(Power, children, st.sampled_from([2.0, 3.0, -1.0, -2.0, 0.5, -2.5])),
+        st.builds("-({})".format, children),
+        st.builds("{}({})".format, st.sampled_from(FUNCTIONS), children),
+        st.builds("({}) {} ({})".format, children, st.sampled_from("+-*/"), children),
+        st.builds("({})^{!r}".format, children, st.sampled_from([2.0, 3.0, -1.0, -2.0, 0.5, -2.5])),
     ),
     max_leaves=8,
 )
@@ -235,7 +231,8 @@ TREES = settings(max_examples=60, deadline=None, database=None, derandomize=True
 @TREES
 @given(trees)
 def test_printing_a_tree_and_parsing_it_back_gives_the_same_tree(tree):
-    assert parse(to_source(tree)).root == tree
+    f = parse(tree)
+    assert parse(to_source(f)) == f
 
 
 def _bits(jet):
@@ -253,7 +250,7 @@ def _bits_or_error(expr, p):
 @given(trees, st.floats(0.0, 3.0), st.lists(st.tuples(*[st.floats(-3.0, 3.0)] * 3), min_size=1, max_size=5))
 def test_batch_jets_of_a_tree_equal_each_points_bit_for_bit(tree, c, points):
     # -tree - c: the jets' negation and their difference with a number, on every example
-    expr = ScalarFieldExpr(Binary("-", Unary("neg", tree), Const(c)))
+    expr = parse(f"-({tree}) - {c!r}")
     pts = np.array(points)
     singles = [_bits_or_error(expr, p) for p in pts]
     errors = [s for s in singles if isinstance(s, str)]
@@ -308,13 +305,12 @@ def test_every_jet_operation_is_the_three_array_reference_bit_for_bit(a, b, c):
 
 
 # -- the curvature tensor over generated fields ---------------------------------
-# A = 2 + a^2 + b^2 and B = 1 + b^2 for generated trees a and b: A > B > 0
-# wherever both evaluate, with Hessians of every node kind.
+# A = 2 + a^2 + b^2 and B = 1 + b^2 for generated sources a and b: A > B > 0
+# wherever both evaluate, with Hessians of every kind of entry.
 
 
 def _generated_metric(a, b, p):
-    """The metric of the fields built from trees a and b at p; None where they do not evaluate."""
-    a, b = to_source(a), to_source(b)
+    """The metric of the fields built from sources a and b at p; None where they do not evaluate."""
     m = MetricFunctions.from_sources(f"2 + ({a})^2 + ({b})^2", f"1 + ({b})^2")
     try:
         return metric_at(m, p)
