@@ -139,24 +139,18 @@ class _Parser:
             raise ExprSyntaxError(f"unexpected trailing {text!r}", off, ("operator", "end of input"))
         return tuple(self.program), tuple(self.spans)
 
-    def expr(self):
-        """Terms joined by '+' and '-': a chain folded from the left, one level above its deepest term."""
-        return self.chain(self.term, "+-")
-
-    def term(self):
-        """Factors joined by '*' and '/': a chain folded from the left, one level above its deepest factor."""
-        return self.chain(self.factor, "*/")
-
-    def chain(self, operand, ops: str) -> int:
+    def expr(self, ops: str = "+-") -> int:
+        """Terms joined by '+' and '-', or with ops '*/' the factors of a term joined by '*' and '/':
+        a chain folded from the left, one level above its deepest operand."""
         tokens = self.tokens
         lo = tokens[self.pos][2]
-        depth = operand()
+        depth = self.factor() if ops == "*/" else self.expr("*/")
         kind, op, off = tokens[self.pos]
         if kind != "op" or op not in ops:
             return depth
         while kind == "op" and op in ops:
             self.pos += 1
-            rhs_depth = operand()
+            rhs_depth = self.factor() if ops == "*/" else self.expr("*/")
             if rhs_depth > depth:
                 depth = rhs_depth
             if depth >= MAX_DEPTH:  # the chain would be deeper than MAX_DEPTH

@@ -354,7 +354,7 @@ def test_batch_evaluation_emits_no_numpy_warnings():
             eval_jet(parse("x1 / x3"), pts)
 
 
-# -- corpus: every source's printed text, bits and errors, recorded from the tree evaluator ---------------
+# -- corpus: every source's printed text, bits and errors, as recorded in tests/data ---------------------
 
 CORPUS = Path(__file__).parent / "data" / "expressions_corpus.json"
 CORPUS_POINTS = np.array([[0.5, -0.25, 0.75], [-0.9, 0.3, 1.1], [1.0, 0.0, -0.5]])
