@@ -228,7 +228,7 @@ def _max(values):
 def _cmd_validate(spec, p, M, args):
     if M is None:  # --at
         ok, A_jet, B_jet, values = admissibility(spec.metric, p)
-        if np.isnan(A_jet.value).any():  # A, B or a constraint does not evaluate: refuse as riemann does
+        if np.isnan((A_jet.value, *values)).any():  # A, B or a constraint does not evaluate: refuse as riemann
             metric_at(spec.metric, p, allow_weak=args.allow_weak_metric)
         M = metric_from_jets(A_jet, B_jet)
     else:  # --sample: the sampler admitted every point, so each is inside every chart constraint

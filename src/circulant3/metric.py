@@ -150,7 +150,8 @@ def check_positive_definite(A, B) -> PositivityReport:
 # constraint is > 0 and A > B > 0; NaN fails the tests. admissibility alone
 # classifies points, one or a batch. metric_at raises (or warns) at the points
 # it rejects through _point_rule, the sampler drops them, and validate reports
-# them from admissibility's values, refusing through metric_at where they do not evaluate.
+# them from admissibility's values, refusing through metric_at where A, B or a
+# constraint does not evaluate (a constraint that is NaN does not evaluate).
 
 
 def inside_chart(value):
@@ -193,12 +194,15 @@ def admissibility(m: MetricFunctions, p):
 def _point_rule(m: MetricFunctions, p: np.ndarray, allow_weak: bool) -> None:
     """The definition of a refusal: raise what the one point p (3,) violates first.
 
-    Tests the chart constraints in order, evaluates A and B, then tests
+    Tests the chart constraints in order (a NaN value does not evaluate, and
+    is refused as an evaluation error), evaluates A and B, then tests
     A > B > 0; with allow_weak, a point where only A > B > 0 fails but g is
     still positive definite warns instead. Returns at an admissible point.
     """
     for c in m.domain_constraints:
         val = eval_value(c, p)
+        if math.isnan(val):
+            raise EvalDomainError(f"domain constraint evaluates to nan at point {tuple(p.tolist())}", c.source)
         if not inside_chart(val):
             raise DomainViolation(c.source, val, p)
     xs = coordinate_jets(p)

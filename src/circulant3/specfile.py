@@ -21,10 +21,16 @@ Only `key = "value"` lines, section headers and comments are allowed.
 [metric] with keys A and B is mandatory; [domain] keys are arbitrary
 names for positivity constraints; [sample] needs all of x1, x2, x3 as
 "low, high" intervals.
+
+A parsed spec is a pure function of its text and is frozen all the way
+down, so each distinct text is parsed once per process (the
+SPEC_CACHE_SIZE most recently used are kept). load_spec reads the file on
+every call, so an edited file takes effect on the next call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -39,6 +45,8 @@ _SECTION_RE = re.compile(r"^\[([A-Za-z0-9_-]+)\]\s*(?:#.*)?$")
 _KEYVAL_RE = re.compile(r'^([A-Za-z0-9_-]+)\s*=\s*"([^"]*)"\s*(?:#.*)?$')
 
 _KNOWN_SECTIONS = ("metric", "domain", "sample")
+
+SPEC_CACHE_SIZE = 16  # distinct (text, default_name) pairs whose parsed spec is kept
 
 
 def interval_fault(lo: float, hi: float, text: str) -> str | None:
@@ -65,8 +73,14 @@ class ManifoldSpec:
     sample_box: Box | None = None
 
 
+@functools.lru_cache(maxsize=SPEC_CACHE_SIZE)
 def parse_spec_text(text: str, default_name: str = "manifold") -> ManifoldSpec:
-    """Parse spec-file text; raises SpecFileError with line/column info."""
+    """Parse spec-file text; raises SpecFileError with line/column info.
+
+    Each distinct (text, default_name) is parsed once per process and every
+    later call returns that frozen spec. A text that fails to parse is not
+    kept, so it raises again on every call.
+    """
     sections: dict[str, dict[str, tuple[str, int, int]]] = {}
     top: dict[str, tuple[str, int, int]] = {}
     current: str | None = None
@@ -153,12 +167,17 @@ def parse_spec_text(text: str, default_name: str = "manifold") -> ManifoldSpec:
 
 
 def load_spec(path) -> ManifoldSpec:
-    """Load and validate a manifold spec file."""
+    """Load and validate a manifold spec file.
+
+    The file is read on every call; its text is parsed once per process
+    (parse_spec_text), so a spec text seen before costs only the read.
+    """
     from pathlib import Path
 
     p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8-sig")  # a leading byte-order mark is dropped
+        # a leading byte-order mark is dropped; "\r\n" and "\r" stay, and splitlines ends a line at each
+        text = p.read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:  # exc.object is the whole file after any mark, decoded in one call
         line = exc.object.count(b"\n", 0, exc.start) + 1
         raise SpecFileError(f"spec file {str(p)!r} is not UTF-8 text: {exc.reason}", line) from None

@@ -350,6 +350,35 @@ def test_exit_code_domain_errors(capsys, m5_spec, tmp_path):
     capsys.readouterr()
 
 
+NAN_CONSTRAINT = "x1*1e300*1e300 - x1*1e300*1e300 + 1"  # inf - inf at x1 > 0
+
+
+@pytest.mark.parametrize("command", ["riemann", "validate"])
+def test_chart_constraint_that_is_nan_is_an_evaluation_error(capsys, tmp_path, command):
+    spec = tmp_path / "nan.toml"
+    spec.write_text(f'[metric]\nA = "3"\nB = "1"\n[domain]\nc1 = "{NAN_CONSTRAINT}"\n', encoding="utf-8")
+    assert main([command, "--spec", str(spec), "--at", "1,0,0"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"error ({command}): domain constraint evaluates to nan at point (1.0, 0.0, 0.0) "
+        f"in subexpression '{NAN_CONSTRAINT}'\n"
+    )
+    assert "nan <= 0" not in err
+
+
+def test_chart_constraints_are_refused_in_order_and_infinities_by_comparison(capsys, tmp_path):
+    spec = tmp_path / "order.toml"
+    # the constraint before the NaN one fails first; inf is inside the chart and -inf outside it
+    for domain, message in (
+        (f'c0 = "x1 - 2"\nc1 = "{NAN_CONSTRAINT}"', "domain constraint 'x1 - 2' is -1.0 <= 0"),
+        ('c0 = "x1*1e300*1e300"\nc1 = "-x1*1e300*1e300"', "domain constraint '-x1*1e300*1e300' is -inf <= 0"),
+    ):
+        spec.write_text(f'[metric]\nA = "3"\nB = "1"\n[domain]\n{domain}\n', encoding="utf-8")
+        assert main(["riemann", "--spec", str(spec), "--at", "1,0,0"]) == 3
+        assert capsys.readouterr().err == f"error (riemann): {message} at point (1.0, 0.0, 0.0)\n"
+
+
 # One instance of each error class the package raises, and of an OSError, with the exit
 # code and the one line main prints for it
 REFUSALS = (
