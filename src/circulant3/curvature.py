@@ -2,7 +2,8 @@
 q-invariance property of the curvature.
 
 All derivatives of the metric come from jets of A and B; nothing here is
-finite-differenced. The curvature is formed in the eigenframe of g. The
+finite-differenced. The Christoffel symbols, their derivatives and the
+curvature are all formed in one frame, the eigenframe of g. The
 columns (1,1,1), (1,-1,0) and (1,1,-2) of the integer matrix U are
 eigenvectors of every circulant g: U^T g U = diag(3 lam, 2 nu, 6 nu), with
 lam = A + 2B and nu = A - B. In the coordinates y = U^-1 x the metric is
@@ -45,12 +46,15 @@ exact components of the Levi-Civita curvature (tests/oracle.py, derived
 symbolically in tests/test_oracle.py), in exact rational arithmetic of the
 same jets (tests/exact.py).
 
-The Christoffel symbols, read by christoffel, check-parallel and nabla-q,
-are formed in the coordinate frame:
-
-    2 Gamma_ij^h = g^{th} (d_i g_tj + d_j g_ti - d_t g_ij)
-
-with d_k Gamma_ij^h from d g^-1 = -g^-1 (d g) g^-1.
+The Christoffel symbols (christoffel, check-parallel, nabla-q, example-m5)
+come from the same first-kind symbols, Gamma~^c_ab = [ab,c] / f_c with
+d_d Gamma~^c_ab = d_d [ab,c] / f_c - Gamma~^c_ab d_d f_c / f_c, and U is constant,
+so Gamma_ij^h = U_hc Gamma~^c_ab U^-1_ai U^-1_bj with one more U^-1_dk for d_k.
+_GAMMA_KERNEL maps each point's quotients (lam's and nu's gradients over lam
+or nu) to 36 Gamma, and _DGAMMA_KERNEL its Hessians over lam or nu and products
+of two quotients to 216 dGamma, for i <= j only: t and dt gather them, so
+Gamma_ij^h and Gamma_ji^h are one number. Gamma has degree 0 in g, so its jets
+are taken over 2^M.e and nothing is scaled back.
 
 Every function takes a metric (or tensor) batch and returns results with
 its leading batch shape, () for one point or (N,) for N points; the
@@ -66,17 +70,12 @@ batch axes last (ChristoffelTable.t[i,j,h,*batch] and .dt[k,i,j,h,*batch],
 CurvatureTensor.t[k,i,j,h,*batch]), C-contiguous, so that the contractions
 that read them run their inner loop over the batch rather than over an
 index of length 3. The API's batch-first gamma, dgamma and low are views of
-them. The metric's derivatives dg[k,i,j,*batch] and ddg[k,l,i,j,*batch] and
-g^-1[t,h,*batch] are formed tensor-first from the rows of the jets (which are
-stored channel first, the batch last) and from g_inv_entries, with no
-copy between layouts. A pure permutation of indices (C and dC from dg and
-ddg) is a transposed view (_permuted). Every operand of an einsum or a
-matrix product here is C-contiguous (the kernel's features and gradients are
-one C-contiguous row per point): the order in which numpy sums can follow
-the strides, so a transposed operand could move the last bit.
-tests/test_kernel_layout.py pins every element of Gamma and dGamma, and the
-bits of each contraction that reads these arrays, against the same einsums
-run batch-first.
+them. Every operand of an einsum or a matrix product here is C-contiguous
+(the kernels' features and gradients are one C-contiguous row per point):
+the order in which numpy sums can follow the strides, so a transposed
+operand could move the last bit. tests/test_kernel_layout.py pins the bits
+of each contraction that reads these arrays against the same einsums run
+batch-first.
 
 Overflow. The kernels silence numpy's float warnings and raise
 EvalDomainError where Gamma, its derivatives, a curvature component, a
@@ -133,8 +132,6 @@ from .qstructure import (
     q_orbit_gram,
     require_q_basis,
 )
-
-_DIAGONAL = [0, 1, 2]
 
 COMPONENT_INDEX = {
     "R1212": (0, 1, 0, 1),
@@ -205,55 +202,6 @@ def _tensor_first(a: np.ndarray, rank: int) -> np.ndarray:
     return np.ascontiguousarray(index_first(a, rank))
 
 
-def _circulant(diagonal, off, lead: int) -> np.ndarray:
-    """Matrices with the entries diagonal on their diagonal and off elsewhere, C-contiguous, tensor-first.
-
-    diagonal and off share a shape; its first lead axes come before the matrix indices and the rest
-    (the batch) after them."""
-    index = (slice(None),) * lead
-    m = np.empty(off.shape[:lead] + (3, 3) + off.shape[lead:])
-    m[...] = off[index + (None, None)]
-    m[index + (_DIAGONAL, _DIAGONAL)] = diagonal[index + (None,)]
-    return m
-
-
-def _metric_derivatives(M: MetricAtPoint):
-    """dg[k,i,j,*batch] = d_k g_ij and ddg[k,l,i,j,*batch] = d_k d_l g_ij, C-contiguous, from the jets' rows.
-
-    Each entry is the sum of products the batch-first kernel formed, d A I_ij + d B (1 - I_ij), so it
-    has the same bits, formed once on the diagonal and once off it.
-    """
-    dA, dB = M.A_jet.grad_rows, M.B_jet.grad_rows
-    HA, HB = M.A_jet.hess_rows, M.B_jet.hess_rows
-    return _circulant(dA + dB * 0.0, dA * 0.0 + dB, 1), _circulant(HA + HB * 0.0, HA * 0.0 + HB, 2)
-
-
-def _permuted(a: np.ndarray, *axes: int) -> np.ndarray:
-    """A view of a tensor-first a with its leading len(axes) tensor axes in the order axes, batch axes kept.
-
-    _permuted(dg, 0, 2, 1)[i, j, t] = dg[i, t, j], the view the einsum "itj...->ijt..." returns.
-    """
-    return a.transpose(axes + tuple(range(len(axes), a.ndim)))
-
-
-@np.errstate(all="ignore")
-def christoffel_from_metric(M: MetricAtPoint) -> ChristoffelTable:
-    """Christoffel symbols and their first derivatives from metric jets."""
-    dg, ddg = _metric_derivatives(M)
-    ginv = _circulant(*M.g_inv_entries, 0)
-    # C[i,j,t] = d_i g_tj + d_j g_ti - d_t g_ij
-    C = _permuted(dg, 0, 2, 1) + _permuted(dg, 2, 0, 1) - _permuted(dg, 1, 2, 0)
-    gamma = 0.5 * np.einsum("ijt...,th...->ijh...", C, ginv)
-    dginv = -np.einsum("ab...,kbc...,cd...->kad...", ginv, dg, ginv)
-    dC = _permuted(ddg, 0, 1, 3, 2) + _permuted(ddg, 0, 3, 1, 2) - _permuted(ddg, 0, 2, 3, 1)
-    dgamma = 0.5 * (
-        np.einsum("kth...,ijt...->kijh...", dginv, C) + np.einsum("th...,kijt...->kijh...", ginv, dC)
-    )
-    ct = ChristoffelTable(np.ascontiguousarray(gamma), np.ascontiguousarray(dgamma))
-    require_finite(M, "Christoffel symbols or their derivatives", ct.gamma, ct.dgamma)
-    return ct
-
-
 # -- the eigenframe kernel (see the module docstring) ------------------------------
 # U's columns (1,1,1), (1,-1,0), (1,1,-2) are eigenvectors of every circulant g; det U = 6.
 _U = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 1.0], [1.0, 0.0, -2.0]])
@@ -315,6 +263,20 @@ _GATHER = _SYM[_PAIR[None, :, :, None], _PAIR[:, None, None, :]].ravel()
 _SIGN = (_ORIENT[None, :, :, None] * _ORIENT[:, None, None, :]).ravel()
 
 
+def _eigenframe_jets(M: MetricAtPoint, e: np.ndarray):
+    """The jets of lam = A + 2B and nu = A - B over 2^e, batch first (..., 2, 13), their eigenframe
+    gradients grad[..., w, c] and the quotients grad[..., w, c] / value[..., v] at 6w + 3v + c."""
+    a, b = np.ldexp(M.A_jet.data, -e), np.ldexp(M.B_jet.data, -e)  # packed channel first, (13, *batch)
+    jets = np.empty((2,) + a.shape)
+    np.add(a, 2.0 * b, out=jets[0])
+    np.subtract(a, b, out=jets[1])
+    # batch first, so that each point's features are one C-contiguous row for its matrix product
+    jets = np.ascontiguousarray(batch_first(jets, 2))
+    grad = jets[..., GRAD] @ _U
+    quotients = grad[..., :, None, :] / jets[..., None, :, VALUE, None]
+    return jets, grad, quotients.reshape(quotients.shape[:-3] + (12,))
+
+
 @np.errstate(all="ignore")
 def riemann_from_metric(M: MetricAtPoint) -> CurvatureTensor:
     """The curvature tensor at M's points; low[...,i,j,k,h] = g(R(e_i,e_j)e_k, e_h).
@@ -324,29 +286,66 @@ def riemann_from_metric(M: MetricAtPoint) -> CurvatureTensor:
     go through _KERNEL in a matrix product of its own, a stack over the
     batch, so the point has the bits it has alone.
     """
-    a, b = M.A_jet.data, M.B_jet.data  # packed channel first, (13, *batch)
-    batch = a.shape[1:]
-    e = np.frexp(np.maximum(np.abs(a), np.abs(b)).max(axis=0))[1]
-    a, b = np.ldexp(a, -e), np.ldexp(b, -e)
-    jets = np.empty((2, 13) + batch)  # the jets of lam and nu, packed as Jet2.data
-    np.add(a, 2.0 * b, out=jets[0])
-    np.subtract(a, b, out=jets[1])
-    # batch first, so that each point's features are one C-contiguous row for its matrix product
-    jets = np.ascontiguousarray(batch_first(jets, 2))
+    batch = M.e.shape
+    # the exponent of the jets' largest entry: R has degree one in g and is scaled back by it
+    e = np.frexp(np.maximum(np.abs(M.A_jet.data), np.abs(M.B_jet.data)).max(axis=0))[1]
+    jets, grad, quotients = _eigenframe_jets(M, e)
     features = np.empty(batch + (1, 34))
     features[..., 0, :18] = jets[..., HESS].reshape(batch + (18,))
-    grad = jets[..., GRAD] @ _U  # grad[..., w, c], in the eigenframe
-    quotients = grad[..., :, None, :] / jets[..., None, :, VALUE, None]
-    np.multiply(
-        grad.reshape(batch + (6,))[..., _FACTOR],
-        quotients.reshape(batch + (12,))[..., _QUOTIENT],
-        out=features[..., 0, 18:],
-    )
+    np.multiply(grad.reshape(batch + (6,))[..., _FACTOR], quotients[..., _QUOTIENT], out=features[..., 0, 18:])
     s = np.ldexp((features @ _KERNEL)[..., 0, :] / -144.0, e[..., None])  # -S in the coordinate frame
     require_finite(M, "curvature components", s)
     t = np.empty((81,) + batch)
     np.multiply(index_first(s, 1)[_GATHER], _SIGN.reshape((81,) + (1,) * len(batch)), out=t)
     return CurvatureTensor(t.reshape((3, 3, 3, 3) + batch), M)
+
+
+# -- the Christoffel kernel (see the module docstring) ------------------------------
+_V = np.diag([2.0, 3.0, 1.0]) @ _U.T  # 6 U^-1, as U^-1 = diag(1/3, 1/2, 1/6) U^T
+_F, _OF = (3, 2, 6), (0, 1, 1)  # f_c is _F[c] times lam (_OF[c] = 0) or nu (_OF[c] = 1)
+# 12 [ab,c] / f_c = 6 (delta_bc d_a f_c + delta_ac d_b f_c - delta_ab d_c f_a) / f_c is _BRACKET[c, a, b] times
+# T[6w + 3v + x], d_x of lam or nu (w = 0, 1) over lam or nu (v = 0, 1): the quotients, or a row of the Hessians.
+# _OWN[c, r] is the row d of 6 U^-1 where r = 9 _OF[c] + d is the quotient d_d f_c / f_c.
+_BRACKET, _OWN = np.zeros((3, 3, 3, 12)), np.zeros((3, 12, 3))
+for _c, _a in np.ndindex(3, 3):
+    _BRACKET[_c, _a, _c, 9 * _OF[_c] + _a] += 6.0
+    _BRACKET[_c, _c, _a, 9 * _OF[_c] + _a] += 6.0
+    _BRACKET[_c, _a, _a, 6 * _OF[_a] + 3 * _OF[_c] + _c] -= _F[_a] * (6 // _F[_c])
+    _OWN[_c, 9 * _OF[_c] + _a] = _V[_a]
+# The kernels hold 36 Gamma_ij^h and 216 d_k Gamma_ij^h for i <= j, at 3 _UPPER[i, j] + h and 18k + that, over
+# 2^6 and 2^8: exact, and no entry exceeds 1, so a sum does not overflow where the result is finite.
+# _ROTATED[c, q, _UPPER[i, j], h] = U_hc 6 U^-1_ai 6 U^-1_bj _BRACKET[c, a, b, q] sums over c to 12 * 36 Gamma_ij^h.
+_I, _J = np.triu_indices(3)
+_UPPER = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
+_ROTATED = np.einsum("hc,ai,bj,cabq->cqijh", _U, _V, _V, _BRACKET)[:, :, _I, _J]
+_GAMMA_KERNEL = _ROTATED.sum(axis=0).reshape(12, 18) / (12.0 * 64.0)
+# dGamma = 6 U^-1_dk (d_d [ab,c] / f_c - Gamma~^c_ab d_d f_c / f_c), rotated. The first term reads the eigenframe
+# Hessian U^T H U, and sum_d 6 U^-1_dk U_md = 6 delta_km, so its features are H_mn / value at 18w + 9v + 3m + n;
+# the second reads the products of the quotients q of Gamma~^c_ab and r of d_d f_c / f_c, each pair once
+_HESSIANS = np.einsum("km,nx,wvxph->wvmnkph", 6.0 * np.eye(3), _U, _ROTATED.sum(axis=0).reshape(2, 2, 3, 6, 3))
+_QQ = -np.einsum("crk,cqph->qrkph", _OWN, _ROTATED).reshape(12, 12, 54)
+_LEFT, _RIGHT = np.nonzero(np.triu(_QQ.any(axis=-1) | _QQ.any(axis=-1).T))  # the pairs q <= r that occur
+_QQ = _QQ[_LEFT, _RIGHT] + (_LEFT != _RIGHT)[:, None] * _QQ[_RIGHT, _LEFT]
+_DGAMMA_KERNEL = np.concatenate((_HESSIANS.reshape(36, 54), _QQ)) / (12.0 * 256.0)
+_GATHER_GAMMA = (3 * _UPPER[:, :, None] + np.arange(3)).ravel()
+_GATHER_DGAMMA = (18 * np.arange(3)[:, None] + _GATHER_GAMMA).ravel()
+
+
+@np.errstate(all="ignore")
+def christoffel_from_metric(M: MetricAtPoint) -> ChristoffelTable:
+    """Christoffel symbols and their first derivatives at M's points, in g's eigenframe (module docstring).
+
+    Each point's features go through the kernels in a matrix product of its own: it has the bits it has alone."""
+    batch = M.e.shape
+    jets, _, quotients = _eigenframe_jets(M, M.e)
+    gamma = (quotients[..., None, :] @ _GAMMA_KERNEL)[..., 0, :] / (36.0 / 64.0)
+    features = np.empty(batch + (1, len(_DGAMMA_KERNEL)))
+    features[..., 0, :36] = (jets[..., :, None, HESS] / jets[..., None, :, VALUE, None]).reshape(batch + (36,))
+    np.multiply(quotients[..., _LEFT], quotients[..., _RIGHT], out=features[..., 0, 36:])
+    dgamma = (features @ _DGAMMA_KERNEL)[..., 0, :] / (216.0 / 256.0)
+    require_finite(M, "Christoffel symbols or their derivatives", gamma, dgamma)
+    t = index_first(gamma, 1)[_GATHER_GAMMA].reshape((3, 3, 3) + batch)
+    return ChristoffelTable(t, index_first(dgamma, 1)[_GATHER_DGAMMA].reshape((3, 3, 3, 3) + batch))
 
 
 @np.errstate(all="ignore")

@@ -52,7 +52,7 @@ class MetricAtPoint:
     power of two read it. g, its inverse g_inv (both appending ``(3, 3)`` to
     the batch shape) and D = (A - B)(A + 2B) are formed from A, B and e where
     they are read, each time, so a caller that reads only the jets (the
-    curvature kernel) never forms them.
+    Christoffel and curvature kernels) never forms them.
     """
 
     A_jet: Jet2
@@ -76,22 +76,17 @@ class MetricAtPoint:
 
     @property
     @np.errstate(all="ignore")
-    def g_inv_entries(self) -> tuple[np.ndarray, np.ndarray]:
-        """The entries of g's closed-form inverse on its diagonal and off it, each with the batch shape.
+    def g_inv(self) -> np.ndarray:
+        """The closed-form inverse of g (..., 3, 3): (A + B)/D on its diagonal and -B/D off it.
 
-        They are formed over g / 2^e and scaled back by 2^-e. The scaling is exact,
-        so where D is a normal float they keep the bits of the plain closed form
-        ((A + B)/D and -B/D), and a metric whose D underflows or overflows still
-        gets its inverse.
+        Its entries are formed over g / 2^e and scaled back by 2^-e. The scaling
+        is exact, so where D is a normal float they keep the bits of the plain
+        closed form, and a metric whose D underflows or overflows still gets its
+        inverse. validate reads it; the kernels of curvature.py do not.
         """
         a, b = np.ldexp(self.A, -self.e), np.ldexp(self.B, -self.e)
         d = (a - b) * (a + 2 * b)
-        return np.ldexp((a + b) / d, -self.e), np.ldexp(-b / d, -self.e)
-
-    @property
-    def g_inv(self) -> np.ndarray:
-        """The closed-form inverse of g (..., 3, 3), from g_inv_entries."""
-        diagonal, off = self.g_inv_entries
+        diagonal, off = np.ldexp((a + b) / d, -self.e), np.ldexp(-b / d, -self.e)
         return np.where(_EYE, diagonal[..., None, None], off[..., None, None])
 
     @property

@@ -14,9 +14,7 @@ from circulant3 import (
     inner,
     parse,
 )
-from circulant3.curvature import _metric_derivatives
 from circulant3.errors import CirculantError
-from circulant3.jets import batch_first
 from circulant3.metric import inners
 from circulant3.parallelism import MIRROR_MATRIX
 from circulant3.qstructure import vector_invariants
@@ -73,10 +71,20 @@ def orthogonality_defect(M, x):
     return M.B * a + (M.A + M.B) * b
 
 
+def metric_derivatives(M):
+    """dg[..., k, i, j] = d_k g_ij and ddg[..., k, l, i, j] = d_k d_l g_ij, batch first, from the jets of A and B."""
+    dA, dB = M.A_jet.grad, M.B_jet.grad
+    HA, HB = M.A_jet.hess, M.B_jet.hess
+    off = np.ones((3, 3)) - np.eye(3)
+    dg = dA[..., None, None] * np.eye(3) + dB[..., None, None] * off
+    ddg = HA[..., None, None] * np.eye(3) + HB[..., None, None] * off
+    return dg, ddg
+
+
 def metric_compatibility_residual(M):
     """Max component of nabla g at M's points (must vanish for the Levi-Civita connection)."""
     ct = christoffel_from_metric(M)
-    dg = batch_first(_metric_derivatives(M)[0], 3)
+    dg = metric_derivatives(M)[0]
     contraction = np.einsum("...kit,...tj->...kij", ct.gamma, M.g)
     nabla_g = dg - contraction - np.einsum("...kij->...kji", contraction)
     return np.abs(nabla_g).max(axis=(-3, -2, -1))

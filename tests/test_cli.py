@@ -6,6 +6,9 @@ import itertools
 import json
 import re
 import math
+import os
+import subprocess
+import sys
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -14,12 +17,13 @@ import numpy as np
 import pytest
 
 from circulant3 import (
-    builtin_example, cli, errors, load_spec, metric_at, riemann_from_metric, sample_admissible_points,
+    builtin_example, christoffel_from_metric, cli, errors, load_spec, metric_at, riemann_from_metric,
+    sample_admissible_points,
 )
 from circulant3.cli import main
 
 from exact import closed_form_error
-from test_exact import C_EPS
+from test_exact import C_CHRISTOFFEL, C_EPS, christoffel_errors
 
 DATA = Path(__file__).parent / "data"
 
@@ -244,6 +248,13 @@ def test_main_prints_what_the_parser_prints_where_it_refuses_an_argv(capsys, mon
     monkeypatch.setenv("COLUMNS", "80")
     for case in json.loads((DATA / "main_argv_texts.json").read_text(encoding="utf-8")):
         assert _call(capsys, case["argv"]) == (case["exit_code"], case["stdout"], case["stderr"]), case["argv"]
+
+
+def test_python_m_circulant3_runs_the_command_line():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-m", "circulant3", "--version"], capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stdout) == (0, "circulant3 0.1.0\n")
 
 
 @pytest.mark.parametrize(
@@ -1396,12 +1407,13 @@ def test_verify_theorems_refuses_where_check_identity_fails_at_the_same_tol(caps
 
 
 # Specs at the edge of the double range, and what each command does there, from the exact values
-# (tests/exact.py). huge-gradient: A_1 = 1.5e308, so the sums of d_i g_tj in Gamma overflow, and so
-# does every curvature component (about A_1^2 / A). huge-hessian: A_11 = 1e308, so the Hessian sums in
-# d Gamma overflow, while R1212 = 5e307 is finite. tiny-metric: g^-1 is about 1e200, so d Gamma
-# overflows, while R1212 is about -2e199; its sectional curvatures (about 1e599) are not finite, and
-# its closed-form components (0, 0, -1e199, -2.5e198, 2.5e198, -2.5e198) are. Finite closed-form
-# components are checked against the reference formulas in 50-digit arithmetic (exact.closed_form_error).
+# (tests/exact.py). huge-gradient: A_1 = 1.5e308, so d Gamma (about (A_1 / A)^2) overflows, and so
+# does every curvature component (about A_1^2 / A). huge-hessian: A_11 = 1e308, yet R1212 = 5e307,
+# max |Gamma| = 2e107 and max |d Gamma| = 2e307 are finite, and reported. tiny-metric: Gamma is about
+# A_1 / A = 3e199, so d Gamma overflows, while R1212 is about -2e199; its sectional curvatures (about
+# 1e599) are not finite, and its closed-form components (0, 0, -1e199, -2.5e198, 2.5e198, -2.5e198) are.
+# Finite closed-form components are checked against the reference formulas in 50-digit arithmetic
+# (exact.closed_form_error), and finite Christoffel symbols against exact_christoffel.
 OVERFLOW_CASES = {
     "huge-gradient": ('A = "1.5e308*x1 + 3"\nB = "1"', "1e-300,0,0", "A=150000003.0, B=1.0"),
     "huge-hessian": ('A = "5e307*x1^2 + 3"\nB = "1"', "1e-200,0,0", "A=3.0, B=1.0"),
@@ -1420,7 +1432,8 @@ OVERFLOW_OUTCOMES = {
                       "compare-curvature": (3, CURVATURE), "sectional": (3, CURVATURE),
                       "check-identity": (3, CURVATURE), "verify-theorems": (3, CURVATURE)},
     "huge-hessian": {"closed-form": (0, None), "riemann": (0, None), "compare-curvature": (1, None),
-                     "sectional": (0, None), "check-identity": (1, None), "verify-theorems": (1, "q-invariance")},
+                     "sectional": (0, None), "check-identity": (1, None), "verify-theorems": (1, "q-invariance"),
+                     "christoffel": (0, None), "check-parallel": (1, None), "nabla-q": (0, None)},
     "tiny-metric": {"closed-form": (0, None), "riemann": (0, None), "compare-curvature": (1, None),
                     "sectional": (3, "sectional curvatures"), "check-identity": (1, None),
                     "verify-theorems": (1, "q-invariance")},
@@ -1434,7 +1447,7 @@ def test_curvature_that_is_not_finite_is_a_domain_error(capsys, tmp_path, case, 
     spec = tmp_path / "spec.toml"
     spec.write_text(f"[metric]\n{fields}\n", encoding="utf-8")
     argv = [command, "--spec", str(spec), f"--at={point}", *CURVATURE_COMMANDS[command]]
-    want, what = OVERFLOW_OUTCOMES[case].get(command, (3, GAMMA))  # Gamma overflows in all three
+    want, what = OVERFLOW_OUTCOMES[case].get(command, (3, GAMMA))  # where d Gamma overflows
     for flags in ([], ["--json"]):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -1449,6 +1462,12 @@ def test_curvature_that_is_not_finite_is_a_domain_error(capsys, tmp_path, case, 
                 M = metric_at(load_spec(str(spec)).metric, np.array(point.split(","), dtype=float))
                 pytest.importorskip("mpmath")
                 assert closed_form_error(cf, M.A_jet, M.B_jet) <= C_EPS
+            if command == "christoffel" and flags:  # the table's values, within the bound of the exact ones
+                results = json.loads(out)["results"]
+                M = metric_at(load_spec(str(spec)).metric, np.array(point.split(","), dtype=float))
+                ct = christoffel_from_metric(M)
+                assert results == {"gamma": ct.gamma.tolist(), "dgamma_max_abs": float(np.abs(ct.dgamma).max())}
+                assert max(christoffel_errors(M)) <= C_CHRISTOFFEL
         elif what == "q-invariance":
             assert out == "" and err.startswith(f"error ({command}): curvature q-invariance fails at this point")
         else:

@@ -2,8 +2,9 @@
 
 The references are the computations of one vector or one point as they ran
 before these functions took batches: Python floats, float pow and
-np.linalg.norm. The curvature kernel is checked against its batch-first
-reference (test_kernel_layout.py) at random batch sizes, and the jets of
+np.linalg.norm. The Christoffel kernel is checked against its coordinate-frame
+reference, and the readers of the stored tensors against batch-first einsums
+(test_kernel_layout.py), at random batch sizes, and the jets of
 generated expressions over a batch against those of each point; printing a
 generated expression and parsing it back gives the same program; every jet
 operation returns a Hessian equal to its transpose bit for bit, and the bits
