@@ -28,7 +28,6 @@ from .curvature import (
     closed_form_from_metric,
     components,
     gram_determinant,
-    index_first,
     is_flat,
     max_abs,
     riemann_from_metric,
@@ -297,21 +296,28 @@ def _fd_stencil(spec, p, allow_weak):
 
 
 def _symmetry_verdicts(low, tol):
-    """The tensor symmetries of low, from its tensor-first view t[i, j, k, h, *batch] and views of that."""
-    t = index_first(low, 4)
+    """The tensor symmetries of low[..., i, j, k, h], read in R.t's stored order t[k, i, j, h, *batch].
+
+    The four residuals, each element from the operands of its definition in
+    their order, and a copy of t for the bound share one buffer, which takes
+    one abs and one max.
+    """
+    n = low.ndim - 4
+    t = low.transpose(n + 2, n, n + 1, n + 3, *range(n))  # the layout of R.t where low is R.low
     batch = tuple(range(4, t.ndim))
 
-    def view(*axes):  # view(1, 0, 2, 3)[i, j, k, h] = t[j, i, k, h]: the einsum "ijkh->jikh"
+    def view(*axes):  # view(0, 2, 1, 3)[k, i, j, h] = t[k, j, i, h]: low[..., j, i, k, h]
         return t.transpose(axes + batch)
 
-    def worst(a):
-        return np.abs(a).max(axis=(0, 1, 2, 3))
-
-    scale = tol * (1.0 + worst(t))
-    anti_ij = worst(t + view(1, 0, 2, 3))
-    anti_kh = worst(t + view(0, 1, 3, 2))
-    pair = worst(t - view(2, 3, 0, 1))
-    bianchi = worst(t + view(1, 2, 0, 3) + view(2, 0, 1, 3))
+    r = np.empty((5,) + t.shape)
+    np.add(t, view(0, 2, 1, 3), out=r[0])  # R_ijkh + R_jikh
+    np.add(t, view(3, 1, 2, 0), out=r[1])  # R_ijkh + R_ijhk
+    np.subtract(t, view(1, 0, 3, 2), out=r[2])  # R_ijkh - R_khij
+    np.add(t, view(1, 2, 0, 3), out=r[3])  # (R_ijkh + R_kijh) + R_jkih
+    r[3] += view(2, 0, 1, 3)
+    r[4] = t
+    anti_ij, anti_kh, pair, bianchi, largest = np.abs(r, out=r).max(axis=(1, 2, 3, 4))
+    scale = tol * (1.0 + largest)
     return {
         "antisymmetry_first_pair": _verdict(anti_ij <= scale, anti_ij, scale),
         "antisymmetry_second_pair": _verdict(anti_kh <= scale, anti_kh, scale),

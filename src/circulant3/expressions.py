@@ -350,7 +350,7 @@ def coordinate_jets(pt: np.ndarray) -> CoordinateJets:
     Fields evaluated at the same points share them, so the points are checked and the
     jets built once.
     """
-    return CoordinateJets(*(jets.variable(i, pt) for i in (1, 2, 3)))
+    return CoordinateJets(*jets.coordinates(pt))
 
 
 def eval_jet(f: ScalarFieldExpr, p) -> Jet2:

@@ -29,6 +29,8 @@ formed where they are read, and ``Jet2(value, grad, hess)`` takes the three
 batch-first parts, so callers need not know the packing; this module is the
 only one that does. Every operation gives the bits the three-array layout
 gave, signed zeros included (tests/jets_reference.py keeps that layout).
+The three coordinate jets (``coordinates``) are views of one array ``(3,
+13, ...)``, so no operation writes into an operand's data.
 
 The value channel performs the *same* floating-point primitives as a
 plain-number evaluation: IEEE arithmetic, and for sqrt, exp, log, sin, cos
@@ -331,15 +333,24 @@ def constant(c: float, shape: tuple[int, ...] = ()) -> Jet2:
     return Jet2(d)
 
 
+def coordinates(p) -> tuple[Jet2, Jet2, Jet2]:
+    """The jets of the three coordinate functions at p, shape (3,) or (N, 3).
+
+    They are views of one array (3, 13, ...), so no operation may write into
+    an operand's data: a write through one of them would change the others.
+    """
+    p = np.asarray(p, dtype=float)
+    d = np.zeros((3, 13) + p.shape[:-1])
+    d[:, VALUE] = batch_first(p, p.ndim - 1)  # the coordinates first, the batch last
+    d[0, 1] = d[1, 2] = d[2, 3] = 1.0  # jet i - 1 has the gradient's entry i - 1
+    return Jet2(d[0]), Jet2(d[1]), Jet2(d[2])
+
+
 def variable(i: int, p) -> Jet2:
     """Jet of the i-th coordinate function (i in 1..3) at p, shape (3,) or (N, 3)."""
     if i not in (1, 2, 3):
         raise ValueError(f"coordinate index {i} out of range 1..3")
-    p = np.asarray(p, dtype=float)
-    d = np.zeros((13,) + p.shape[:-1])
-    d[VALUE] = p[..., i - 1]
-    d[i] = 1.0  # the gradient's entry i - 1
-    return Jet2(d)
+    return coordinates(p)[i - 1]
 
 
 def concatenate(parts) -> Jet2:

@@ -30,16 +30,21 @@ def sample_admissible_points(
 
     Returns the points (n, 3) and the metric batch at them. Deterministic
     for a given seed: the draws are one PRNG stream, taken in chunks, and
-    the points are its first n admissible draws. Each chunk is classified
-    as one batch by admissibility, which also rejects a draw where the
-    fields do not evaluate. Raises SamplingExhausted when fewer than n
+    the points are its first n admissible draws. Each coordinate draws
+    lo + (hi - lo) u for u uniform in [0, 1), with the bits
+    Generator.uniform(lo, hi) gives. Each chunk is classified as one batch
+    by admissibility, which also rejects a draw where the fields do not
+    evaluate; a run whose first chunk gives all n points returns that
+    chunk's rows as they are. Raises SamplingExhausted when fewer than n
     points are accepted within 100*n draws (acceptance rate below 1 percent).
     """
     if n < 1:
         raise ValueError("need n >= 1 sample points")
     rng = np.random.default_rng(seed)
-    lows = np.array([lo for lo, _ in box])
-    highs = np.array([hi for _, hi in box])
+    bounds = np.array(box, dtype=float)
+    lows, widths = bounds[:, 0], bounds[:, 1] - bounds[:, 0]
+    if not np.isfinite(widths).all():
+        raise OverflowError("Range exceeds valid bounds")  # what Generator.uniform raises for such a box
     budget = MAX_DRAW_FACTOR * n
     parts = []  # (points, A jets, B jets) accepted from each chunk
     drawn = accepted = 0
@@ -48,7 +53,9 @@ def sample_admissible_points(
         # twice what is still needed, and no fewer than drawn so far, so that
         # a low acceptance rate costs few chunks; size=(k, 3) continues the
         # stream exactly as k draws of 3 would
-        chunk = rng.uniform(lows, highs, size=(min(budget - drawn, max(2 * need, drawn)), 3))
+        chunk = rng.random((min(budget - drawn, max(2 * need, drawn)), 3))
+        chunk *= widths  # in place: a large sample allocates no temporaries
+        chunk += lows
         drawn += len(chunk)
         ok, A_jet, B_jet, _ = admissibility(m, chunk)
         take = np.flatnonzero(ok)[:need]
@@ -59,5 +66,9 @@ def sample_admissible_points(
             f"accepted only {accepted} of {n} requested points after "
             f"{budget} draws from box {box}"
         )
-    points, A_jets, B_jets = zip(*parts)
-    return np.concatenate(points), metric_from_jets(jets.concatenate(A_jets), jets.concatenate(B_jets))
+    if len(parts) == 1:
+        points, A_jet, B_jet = parts[0]
+    else:
+        points, A_jets, B_jets = zip(*parts)
+        points, A_jet, B_jet = np.concatenate(points), jets.concatenate(A_jets), jets.concatenate(B_jets)
+    return points, metric_from_jets(A_jet, B_jet)

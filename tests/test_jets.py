@@ -10,7 +10,7 @@ import pytest
 from circulant3 import Jet2, constant, variable
 from circulant3 import jets
 from circulant3.errors import EvalDomainError
-from circulant3.expressions import eval_jet, parse
+from circulant3.expressions import coordinate_jets, eval_jet, parse
 
 import jets_reference
 from helpers import JET_OPS, jet_outcome
@@ -292,6 +292,37 @@ def test_value_gradient_and_hessian_are_views_of_one_array(shape):
     k = Jet2(*parts)
     assert Jet2(k.data.copy()).data.tobytes() == k.data.tobytes()
     assert all(np.asarray(a).tobytes() == np.asarray(b).tobytes() for a, b in zip((k.value, k.grad, k.hess), parts))
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+def test_the_coordinate_jets_are_the_reference_variables_bit_for_bit(shape):
+    p = np.random.default_rng(23).normal(size=shape + (3,))
+    p[(0,) * len(shape)] = (0.0, -0.0, 1e-300)
+    for i, x in enumerate(coordinate_jets(p), 1):
+        want = jets_reference.variable(i, p)
+        for j in (x, variable(i, p)):
+            assert [np.asarray(a).tobytes() for a in (j.value, j.grad, j.hess)] == [
+                np.asarray(a).tobytes() for a in (want.value, want.grad, want.hess)
+            ], i
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+def test_no_jet_operation_writes_into_an_operand(shape):
+    # the coordinate jets are views of one array, so a write through one would change the other two
+    rng = np.random.default_rng(24)
+    values = _value_cases(rng, shape)
+    a, b = Jet2(*_parts(rng, shape, values["generic"])), Jet2(*_parts(rng, shape, values["positive"]))
+    shared = np.stack([a.data, b.data])
+    coords = np.stack([values["generic"], values["positive"], values["tiny"]], axis=-1)
+    xs = coordinate_jets(coords)
+    coordinate_data = xs[0].data.base
+    assert coordinate_data.shape == (3, 13) + shape and all(x.data.base is coordinate_data for x in xs)
+    for operands, buffer in (((Jet2(shared[0]), Jet2(shared[1])), shared), (xs[:2], coordinate_data)):
+        before = buffer.copy()
+        for c in (2.5, 0.0):
+            for name, op in JET_OPS.items():
+                jet_outcome(op, jets, *operands, c)
+                assert buffer.tobytes() == before.tobytes(), name
 
 
 def test_the_jets_of_part_of_a_batch_are_those_of_its_points():

@@ -15,6 +15,7 @@ from circulant3 import (
     metric_at,
     sample_admissible_points,
 )
+from circulant3 import sampling
 from circulant3.errors import CirculantError, DomainViolation, PositivityViolation, SamplingExhausted
 from circulant3.expressions import eval_value
 from circulant3.jets import Jet2
@@ -203,25 +204,41 @@ def serial_reference(m, box, n, seed):
 
 GENERIC = MetricFunctions.from_sources("3 + x1^2/5 + exp(x3)/7", "1 + sin(x2)/4 + x1*x3/9")
 LOG_X1 = MetricFunctions.from_sources("4 + log(x1)", "1 + x2/4")
+PERIODIC = MetricFunctions.from_sources("3 + sin(x1)*cos(x2)", "1 + sin(x3)/2")  # A > B > 0 everywhere
+HALF_PLANE = MetricFunctions.from_sources("3 + sin(x1)", "x2")  # admissible where x2 > 0
 
 
 @pytest.mark.parametrize(
-    "m, box, n",
+    "m, box, n, chunks",
     [
-        (GENERIC, ((-6.0, 6.0), (-1.0, 1.0), (-6.0, 6.0)), 40),
-        (LOG_X1, ((-1.0, 3.0), (-1.0, 1.0), (-1.0, 1.0)), 30),  # evaluation errors for x1 <= 0
-        (builtin_example().metric, builtin_example().sample_box, 25),  # [domain] constraints
+        (GENERIC, ((-6.0, 6.0), (-1.0, 1.0), (-6.0, 6.0)), 40, 1),
+        (LOG_X1, ((-1.0, 3.0), (-1.0, 1.0), (-1.0, 1.0)), 30, 1),  # evaluation errors for x1 <= 0
+        (builtin_example().metric, builtin_example().sample_box, 25, 1),  # [domain] constraints
+        (PERIODIC, ((0.0, 1e-320),) * 3, 20, 1),  # subnormal bounds and widths
+        (PERIODIC, ((1e-300, 1e300),) * 3, 20, 1),
+        (PERIODIC, ((-1e307, 1e307), (-5e306, 5e306), (0.0, 1.5e307)), 20, 1),  # widths near 1e307
+        (HALF_PLANE, ((-6.0, 6.0), (-5.0, 1.0), (-6.0, 6.0)), 40, 3),  # a sixth of the draws accepted
     ],
-    ids=["generic", "log-x1", "domain"],
+    ids=["generic", "log-x1", "domain", "subnormal", "1e-300-to-1e300", "width-near-1e307", "low-acceptance"],
 )
-def test_sampler_matches_serial_reference(m, box, n):
+def test_sampler_matches_serial_reference(m, box, n, chunks, monkeypatch):
+    # one chunk is returned as it is, several are joined: both give the bits of the serial draws
+    drawn = []
+
+    def classify(m, p):  # one call per chunk of draws
+        drawn.append(len(p))
+        return admissibility(m, p)
+
+    monkeypatch.setattr(sampling, "admissibility", classify)
     for seed in range(4):
+        drawn.clear()
         points, M = sample_admissible_points(m, box, n, seed)
+        assert len(drawn) == chunks, seed
         assert points.tobytes() == serial_reference(m, box, n, seed).tobytes()
         reference = metric_at(m, points)
-        for got, want in [(M.g, reference.g), (M.g_inv, reference.g_inv), (M.D, reference.D),
-                          (M.A_jet.grad, reference.A_jet.grad), (M.B_jet.hess, reference.B_jet.hess)]:
-            assert got.tobytes() == want.tobytes()
+        for got, want in [(M.A_jet.data, reference.A_jet.data), (M.B_jet.data, reference.B_jet.data),
+                          (M.e, reference.e), (M.g, reference.g), (M.g_inv, reference.g_inv), (M.D, reference.D)]:
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_admissibility_marks_a_point_that_fails_to_evaluate_and_never_raises():
@@ -253,6 +270,19 @@ def test_sampler_exhaustion_matches_serial_reference():
         sample_admissible_points(m, box, 5, 0)
     assert str(batched.value) == str(reference.value)
     assert "accepted only 1 of 5" in str(batched.value)
+
+
+@pytest.mark.parametrize(
+    "box", [((-1e308, 1e308), (0.0, 1.0), (0.0, 1.0)), ((0.0, math.inf),) * 3, ((math.nan, 1.0),) * 3],
+    ids=["width-overflows", "infinite-bound", "nan-bound"],
+)
+def test_sampler_refuses_a_box_as_generator_uniform_does(box):
+    lows, highs = np.array(box).T
+    with np.errstate(all="ignore"), pytest.raises(OverflowError) as reference:
+        np.random.default_rng(0).uniform(lows, highs)
+    with np.errstate(all="ignore"), pytest.raises(OverflowError) as sampled:
+        sample_admissible_points(GENERIC, box, 5, 0)
+    assert str(sampled.value) == str(reference.value)
 
 
 # The values of A and B over a batch: ordinary; tiny, where D underflows; huge, where D overflows; and
