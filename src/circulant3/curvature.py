@@ -52,8 +52,8 @@ d_d Gamma~^c_ab = d_d [ab,c] / f_c - Gamma~^c_ab d_d f_c / f_c, and U is constan
 so Gamma_ij^h = U_hc Gamma~^c_ab U^-1_ai U^-1_bj with one more U^-1_dk for d_k.
 _GAMMA_KERNEL maps each point's quotients (lam's and nu's gradients over lam
 or nu) to 36 Gamma, and _DGAMMA_KERNEL its Hessians over lam or nu and products
-of two quotients to 216 dGamma, for i <= j only: t and dt gather them, so
-Gamma_ij^h and Gamma_ji^h are one number. Gamma has degree 0 in g, so its jets
+of two quotients to 216 dGamma, for i <= j only: gamma and dgamma gather them,
+so Gamma_ij^h and Gamma_ji^h are one number. Gamma has degree 0 in g, so its jets
 are taken over 2^M.e and nothing is scaled back.
 
 Every function takes a metric (or tensor) batch and returns results with
@@ -65,17 +65,19 @@ product over the batch, whose summation order could depend on N). Vectors
 are one vector (3,) shared by all points or one per point (..., 3). A
 check that refuses a batch names its first failing point.
 
-Layout. Gamma, dGamma and R are each stored once, tensor indices first and
-batch axes last (ChristoffelTable.t[i,j,h,*batch] and .dt[k,i,j,h,*batch],
-CurvatureTensor.t[k,i,j,h,*batch]), C-contiguous, so that the contractions
-that read them run their inner loop over the batch rather than over an
-index of length 3. The API's batch-first gamma, dgamma and low are views of
-them. Every operand of an einsum or a matrix product here is C-contiguous
-(the kernels' features and gradients are one C-contiguous row per point):
-the order in which numpy sums can follow the strides, so a transposed
-operand could move the last bit. tests/test_kernel_layout.py pins the bits
-of each contraction that reads these arrays against the same einsums run
-batch-first.
+Layout. Each array is stored once, C-contiguous. R is stored tensor indices
+first and batch axes last (CurvatureTensor.t[k,i,j,h,*batch]), so that its
+contractions (riemann_apply, the q-invariance gather, the CLI's symmetry
+verdicts) run their inner loop over the batch rather than over an index of
+length 3; the API's batch-first low is a view of it. Gamma and dGamma are
+stored batch first, as their kernels form them, one row per point
+(ChristoffelTable.gamma[...,i,j,h] and .dgamma[...,k,i,j,h]), which is how
+every reader reads them. Every operand of an einsum or a matrix product here
+is C-contiguous (the kernels' features and gradients are one C-contiguous
+row per point): the order in which numpy sums can follow the strides, so a
+transposed operand could move the last bit. tests/test_kernel_layout.py
+pins the stored layouts, and the bits of each contraction that reads them
+against the same einsums run over batch-first copies.
 
 Overflow. The kernels silence numpy's float warnings and raise
 EvalDomainError where Gamma, its derivatives, a curvature component, a
@@ -117,7 +119,6 @@ reported, never patched.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,20 +146,10 @@ COMPONENT_INDEX = {
 
 @dataclass(frozen=True)
 class ChristoffelTable:
-    """Gamma_ij^h and d_k Gamma_ij^h as t[i,j,h,*batch] and dt[k,i,j,h,*batch], C-contiguous."""
+    """gamma[...,i,j,h] = Gamma_ij^h and dgamma[...,k,i,j,h] = d_k Gamma_ij^h, batch first and C-contiguous."""
 
-    t: np.ndarray
-    dt: np.ndarray
-
-    @property
-    def gamma(self) -> np.ndarray:
-        """gamma[...,i,j,h] = Gamma_ij^h, a view of t."""
-        return index_first(self.t, self.t.ndim - 3)
-
-    @property
-    def dgamma(self) -> np.ndarray:
-        """dgamma[...,k,i,j,h] = d_k Gamma_ij^h, a view of dt."""
-        return index_first(self.dt, self.dt.ndim - 4)
+    gamma: np.ndarray
+    dgamma: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -178,28 +169,9 @@ class CurvatureTensor:
         return self.t[k - 1, i - 1, j - 1, h - 1]
 
 
-@functools.cache
-def _index_first_axes(ndim: int, rank: int) -> tuple[int, ...]:
-    return (*range(ndim - rank, ndim), *range(ndim - rank))
-
-
-def index_first(a: np.ndarray, rank: int) -> np.ndarray:
-    """a with its last rank (tensor index) axes moved in front of its batch axes.
-
-    Indexing the result by all rank indices gives a number for one point
-    and an (N,) array for a batch.
-    """
-    return a.transpose(_index_first_axes(a.ndim, rank))
-
-
 def components(R: "CurvatureTensor") -> dict[str, np.ndarray]:
     """The lowered components named in COMPONENT_INDEX, with R's batch shape."""
     return {name: R.t[k, i, j, h] for name, (i, j, k, h) in COMPONENT_INDEX.items()}
-
-
-def _tensor_first(a: np.ndarray, rank: int) -> np.ndarray:
-    """index_first(a, rank) as a C-contiguous array: tensor indices first, batch axes last."""
-    return np.ascontiguousarray(index_first(a, rank))
 
 
 # -- the eigenframe kernel (see the module docstring) ------------------------------
@@ -296,7 +268,7 @@ def riemann_from_metric(M: MetricAtPoint) -> CurvatureTensor:
     s = np.ldexp((features @ _KERNEL)[..., 0, :] / -144.0, e[..., None])  # -S in the coordinate frame
     require_finite(M, "curvature components", s)
     t = np.empty((81,) + batch)
-    np.multiply(index_first(s, 1)[_GATHER], _SIGN.reshape((81,) + (1,) * len(batch)), out=t)
+    np.multiply(batch_first(s, len(batch))[_GATHER], _SIGN.reshape((81,) + (1,) * len(batch)), out=t)
     return CurvatureTensor(t.reshape((3, 3, 3, 3) + batch), M)
 
 
@@ -344,8 +316,9 @@ def christoffel_from_metric(M: MetricAtPoint) -> ChristoffelTable:
     np.multiply(quotients[..., _LEFT], quotients[..., _RIGHT], out=features[..., 0, 36:])
     dgamma = (features @ _DGAMMA_KERNEL)[..., 0, :] / (216.0 / 256.0)
     require_finite(M, "Christoffel symbols or their derivatives", gamma, dgamma)
-    t = index_first(gamma, 1)[_GATHER_GAMMA].reshape((3, 3, 3) + batch)
-    return ChristoffelTable(t, index_first(dgamma, 1)[_GATHER_DGAMMA].reshape((3, 3, 3, 3) + batch))
+    # take keeps each point's row C-contiguous, where an index on the last axis (gamma[..., _GATHER_GAMMA]) would not
+    gamma, dgamma = gamma.take(_GATHER_GAMMA, axis=-1), dgamma.take(_GATHER_DGAMMA, axis=-1)
+    return ChristoffelTable(gamma.reshape(batch + (3, 3, 3)), dgamma.reshape(batch + (3, 3, 3, 3)))
 
 
 @np.errstate(all="ignore")
@@ -446,14 +419,11 @@ def closed_form(A, B, dA, dB, HA, HB) -> tuple:
 def riemann_apply(R: CurvatureTensor, x, y, z, u):
     """Full contraction R(x, y, z, u) of the lowered tensor, over t in its memory order.
 
-    The vectors are made C-contiguous tensor-first too, so that the inner loop
-    runs over the batch in every operand.
+    The vectors, each (3,) or (..., 3), are copied C-contiguous tensor-first too,
+    so that the inner loop runs over the batch in every operand.
     """
-    return _contract(R, *(_tensor_first(np.asarray(v, dtype=float), 1) for v in (x, y, z, u)))
-
-
-def _contract(R: CurvatureTensor, x, y, z, u):
-    """riemann_apply over vectors that are tensor-first already, (3, ...) and C-contiguous."""
+    vectors = (np.asarray(v, dtype=float) for v in (x, y, z, u))
+    x, y, z, u = (np.ascontiguousarray(batch_first(v, v.ndim - 1)) for v in vectors)
     return np.einsum("kijh...,i...,j...,k...,h...->...", R.t, x, y, z, u)
 
 
@@ -702,13 +672,13 @@ def sectional_relations(R: CurvatureTensor, U, tol=1e-9) -> SectionalRelations:
     _refuse_degenerate(u_degenerate[0], lambda: tuple(orbit()[:2]))
     _refuse_degenerate(degenerate[3 * V + 1], lambda: (y, apply_q(y)))
     _refuse_degenerate(u_degenerate[1:], lambda: (orbit()[1:3], orbit()[2:]))
-    first, second = (_tensor_first(read(a), 1) for a in (S[:3], S[1:]))
+    first, second = read(S[:3]), read(S[1:])
     fourth = second.copy()
-    fourth[:, -1] = index_first(S[2, V + 2], 1)  # R(x, qx, x, q^2 x)
-    r = _contract(R, first, second, first, fourth)
+    fourth[-1] = S[2, V + 2]  # R(x, qx, x, q^2 x)
+    r = riemann_apply(R, first, second, first, fourth)
     with np.errstate(all="ignore"):  # a quotient that overflows is refused below
         mu = np.ldexp(r[:-1] / den, -2 * M.e)
-    require_finite(M, "sectional curvatures", index_first(mu, len(batch)))
+    require_finite(M, "sectional curvatures", batch_first(mu, 1))
     mu_u, (mu_x, mu_y) = mu[:3 * V].reshape((3, V) + batch), mu[3 * V:]
     pick = 0 if U.ndim == 1 else slice(None, V)  # one vector gives results of the batch shape
     mu_u, cphi = mu_u[:, pick], cphi[pick]

@@ -36,8 +36,8 @@ CHRISTOFFEL_EQUALITY_PAIRS = (
     ((2, 2, 2), (1, 3, 2)),
     ((2, 2, 3), (1, 3, 3)),
 )
-# (i, j, h), each (2, 9) and 0-based: one index of Gamma gathers both sides of every pair
-_EQUALITY_SIDES = tuple(np.array(CHRISTOFFEL_EQUALITY_PAIRS).T - 1)
+# (..., i, j, h), each of i, j, h (2, 9) and 0-based: one index of gamma gathers both sides of every pair
+_EQUALITY_SIDES = (Ellipsis, *(np.array(CHRISTOFFEL_EQUALITY_PAIRS).T - 1))
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ def parallel_residual_from_metric(M: MetricAtPoint) -> np.ndarray:
 
 def christoffel_equalities_from_table(ct: ChristoffelTable) -> np.ndarray:
     """Max deviation over the nine Christoffel equalities implied by nabla q = 0."""
-    lhs, rhs = ct.t[_EQUALITY_SIDES]
+    sides = ct.gamma[_EQUALITY_SIDES]  # (..., 2, 9)
     # fmax from 0.0, like a running max(worst, .), keeps worst where a deviation is NaN
-    return np.fmax.reduce(abs(lhs - rhs), axis=0, initial=0.0)
+    return np.fmax.reduce(abs(sides[..., 0, :] - sides[..., 1, :]), axis=-1, initial=0.0)
 

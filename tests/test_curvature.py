@@ -34,7 +34,7 @@ from circulant3.curvature import COMPONENT_INDEX, _rescaled, sampled_q_invarianc
 from circulant3.errors import DegeneratePlane, EvalDomainError, IdentityRNotSatisfied, NotAQBasis
 from circulant3.jets import concatenate
 from circulant3.metric import inners, metric_from_jets
-from circulant3.parallelism import nabla_q_from_table, parallel_residual_from_metric
+from circulant3.parallelism import christoffel_equalities_from_table, nabla_q_from_table, parallel_residual_from_metric
 from circulant3.qstructure import q_basis_angles, q_orbit_cosines
 from circulant3.specfile import builtin_example, example_diagonal_value
 
@@ -512,6 +512,7 @@ def test_batch_curvature_equals_point_by_point_bit_for_bit():
         grad_res = parallel_residual_from_metric(M)
         ct = christoffel_from_metric(M)
         nq = nabla_q_from_table(ct).nq
+        equalities = christoffel_equalities_from_table(ct)
         for i, p in enumerate(pts):
             Mi = metric_at(m, p)
             Ri = riemann_from_metric(Mi)
@@ -523,6 +524,7 @@ def test_batch_curvature_equals_point_by_point_bit_for_bit():
                 (R.low, Ri.low),
                 (grad_res, parallel_residual_from_metric(Mi)),
                 (nq, nabla_q_from_table(cti).nq),
+                (equalities, christoffel_equalities_from_table(cti)),
             ]:
                 assert batch[i].tobytes() == np.asarray(single).tobytes()
             chk_i = check_q_invariance(Ri)

@@ -1,19 +1,27 @@
 """The stored tensors' layout, and the readers of Gamma and R against batch-first einsums.
 
-christoffel_from_metric forms Gamma and dGamma in g's eigenframe and
-stores them tensor-first (t and dt, C-contiguous), handing out batch-first
-views; riemann_from_metric stores R the same way. Their values have their
+christoffel_from_metric forms Gamma and dGamma in g's eigenframe, one
+row per point, and stores them as formed: batch first and C-contiguous
+(gamma and dgamma). riemann_from_metric stores R tensor-first (t,
+C-contiguous), handing out the batch-first view low. Their values have their
 own references: the exact oracle (tests/exact.py, test_exact.py) for both,
 and here, for Gamma and dGamma, reference_christoffel, the coordinate-frame
 route through g^-1 and d g^-1 = -g^-1 (d g) g^-1, within C_CHRISTOFFEL eps of
 the largest entry on four well-conditioned manifolds. test_curvature.py
-checks that each point has the bits it has alone. The strides of the views
-differ from those of a batch-first array, and what the strides could change
-is the order in which a later einsum sums. So every reader that contracts
-them (riemann_apply, nabla_q_from_table, the CLI's symmetry verdicts) must
-give the bits of the same batch-first einsum over a batch-first copy: of
-Gamma, and of R.t. tests/test_properties.py runs the same check at random
-batch sizes.
+checks that each point has the bits it has alone. The strides of an array
+can change the order in which a later einsum sums. So every reader that
+contracts R or Gamma (riemann_apply, nabla_q_from_table, the CLI's symmetry
+verdicts) must give the bits of the same batch-first einsum over
+batch-first arrays: Gamma as stored, and a copy of R.t in its own index
+order, (...,k,i,j,h), read through the view (...,i,j,k,h). A C-contiguous
+low, (...,i,j,k,h) in memory, is not that reference: einsum sums it in
+another order, and at N = 40 its results differ from the reference's in
+the last bits (by up to 5e-13 of an element on these manifolds).
+riemann_apply is pinned on the vector shapes the library hands it: one
+vector (3,), one per point, the stack (18, *batch, 3) of
+sectional_relations (5 vectors), the stack (40, 1, 3) of
+sampled_q_invariance_residual (20 samples), and one more broadcast stack.
+tests/test_properties.py runs the same check at random batch sizes.
 """
 
 from __future__ import annotations
@@ -23,7 +31,8 @@ import pytest
 
 from circulant3 import Q_MATRIX, sample_admissible_points
 from circulant3.cli import _symmetry_verdicts
-from circulant3.curvature import christoffel_from_metric, index_first, riemann_apply, riemann_from_metric
+from circulant3.curvature import christoffel_from_metric, riemann_apply, riemann_from_metric
+from circulant3.jets import batch_first
 from circulant3.parallelism import nabla_q_from_table
 from circulant3.specfile import builtin_example
 
@@ -81,23 +90,23 @@ def assert_kernel_is_the_reference(M):
         assert got.shape == want.shape, name
         assert np.abs(got - want).max() <= C_CHRISTOFFEL * EPS * np.abs(want).max(), name
     R = riemann_from_metric(M)
-    # a batch-first copy of R.t[k,i,j,h,*batch], and low[...,i,j,k,h] a view of it
-    low = np.moveaxis(np.ascontiguousarray(index_first(R.t, R.t.ndim - 4)), -4, -2)
-    # stored once, tensor first; the batch-first arrays are views
+    # a batch-first copy of R.t[k,i,j,h,*batch] in its index order, and low[...,i,j,k,h] a view of it
+    low = np.moveaxis(np.ascontiguousarray(batch_first(R.t, 4)), -4, -2)
+    # each stored once and C-contiguous: R tensor first, with the batch-first low a view of it; Gamma and dGamma
+    # batch first, as formed
     batch = M.D.shape
-    stores = (("R", R.t, 4, R.low), ("Gamma", ct.t, 3, ct.gamma), ("dGamma", ct.dt, 4, ct.dgamma))
-    for name, stored, rank, view in stores:
-        assert stored.flags.c_contiguous and stored.shape == (3,) * rank + batch, name
-        assert np.shares_memory(stored, view), name
+    assert R.t.flags.c_contiguous and R.t.shape == (3, 3, 3, 3) + batch
+    assert np.shares_memory(R.t, R.low) and R.low.shape == batch + (3, 3, 3, 3)
+    for name, stored, rank in (("Gamma", ct.gamma, 3), ("dGamma", ct.dgamma, 4)):
+        assert stored.flags.c_contiguous and stored.shape == batch + (3,) * rank, name
     # the readers give the bits of the batch-first einsums over batch-first arrays
     rng = np.random.default_rng(5)
-    for shape in ((3,), batch + (3,), (5, 1, 3)):
+    for shape in ((3,), batch + (3,), (18,) + batch + (3,), (40, 1, 3), (5, 1, 3)):
         x, y, z, u = rng.standard_normal((4,) + shape)
         want = np.einsum("...ijkh,...i,...j,...k,...h->...", low, x, y, z, u)
         assert _bits(riemann_apply(R, x, y, z, u)) == _bits(want), shape
     Q = Q_MATRIX.astype(float)
-    gamma = np.ascontiguousarray(ct.gamma)  # a batch-first copy
-    want = np.einsum("...ith,tj->...ijh", gamma, Q) - np.einsum("...ijt,ht->...ijh", gamma, Q)
+    want = np.einsum("...ith,tj->...ijh", ct.gamma, Q) - np.einsum("...ijt,ht->...ijh", ct.gamma, Q)
     assert _bits(nabla_q_from_table(ct).nq) == _bits(want)
     got, want = _symmetry_verdicts(R.low, 1e-9), _symmetry_verdicts(low, 1e-9)
     assert [_bits(v[key]) for v in got.values() for key in sorted(v)] == [
