@@ -27,12 +27,11 @@ from .curvature import (
     christoffel_from_metric,
     closed_form_from_metric,
     components,
-    gram_determinant,
     is_flat,
     max_abs,
     riemann_from_metric,
     sampled_q_invariance_residual,
-    sectional_curvature,
+    sectional_plane,
     sectional_relations,
 )
 from .errors import CirculantError, DomainViolation, EvalDomainError, PositivityViolation, SpecFileError
@@ -351,8 +350,8 @@ def _cmd_compare_curvature(spec, p, M, args):
 
 
 def _cmd_sectional(spec, p, M, args):
-    mu = sectional_curvature(riemann_from_metric(M), args.x, args.y)
-    return {"mu": mu, "gram_determinant": gram_determinant(M, args.x, args.y)}, {}
+    mu, determinant = sectional_plane(riemann_from_metric(M), args.x, args.y)
+    return {"mu": mu, "gram_determinant": determinant}, {}
 
 
 def _cmd_angles(spec, p, M, args):
@@ -381,9 +380,9 @@ def _cmd_qbasis(spec, p, M, args):
 
 def _cmd_orthobasis(spec, p, M, args):
     x = construct_orthogonal_vector(M.A, M.B)
-    _, gss, gst, g_x_q2x = q_orbit_gram(M.g, x)
-    gxx = gss[0]
-    pairs = {"g_x_qx": gst[0], "g_x_q2x": g_x_q2x, "g_qx_q2x": gst[1]}
+    G = q_orbit_gram(M.g, x)[1]
+    gxx = G[0, 0]
+    pairs = {"g_x_qx": G[0, 1], "g_x_q2x": G[0, 2], "g_qx_q2x": G[1, 2]}
     worst = _max(abs(v) for v in pairs.values())
     results = {"vector": x, "norm_sq": gxx, **pairs}
     cubic, bound = q_basis_test(x)
@@ -455,11 +454,10 @@ def _relation_residuals(R, vectors, tol):
     whose curvature fails q-invariance at tol."""
     rel = sectional_relations(R, vectors, tol=tol)
     d, c, e = rel.difference, rel.combination, rel.equal
-    scaled = np.stack((
-        d.residual / (1.0 + abs(d.lhs)),
-        c.residual / (1.0 + abs(c.lhs)),
-        _max(e.residuals) / (1.0 + abs(e.mu_u_qu)),
-    ))
+    scaled = np.empty((3,) + d.lhs.shape)
+    scaled[0], scaled[1], scaled[2] = d.residual, c.residual, _max(e.residuals)
+    scaled[0] /= 1.0 + abs(d.lhs)
+    scaled[1:] /= 1.0 + abs(e.mu_u_qu)  # mu(u, qu), the combination's left side too
     return dict(zip(_RELATIONS, np.fmax.reduce(scaled, axis=1, initial=0.0)))
 
 

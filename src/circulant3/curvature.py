@@ -93,19 +93,24 @@ its vector and point alone. The single-relation checks are views of it.
 sectional_curvature divides its vectors and the metric by powers of two
 before it tests the plane and forms the quotient, which is exact, so the
 result does not depend on the vectors' lengths or the metric's magnitude,
-and no Gram term overflows or underflows. sectional_relations normalizes
-the orthogonal-basis generator in the same way.
+and no Gram term overflows or underflows; sectional_plane gives it with the
+plane's Gram determinant, from the same Gram. sectional_relations
+normalizes the orthogonal-basis generator in the same way.
 
 sectional_relations gives each of its five sectional curvatures the bits
-sectional_curvature gives, in one pass over one stack of rows: the V
-vectors u, the unit orthogonal-basis generator x and the special-angle
-vector y, each over a power of two, and x itself. qstructure.q_orbit_gram
-forms the q-orbit S of every row and its Gram entries once, one mask marks
-the degenerate planes, and one contraction covers only the planes a
-relation reads, as one flat stack of 3V + 3: the three planes
-{S[k], S[k+1]} of each u, then the first plane of x, y and the row x, whose
-fourth slot takes q^2 x for R(x, qx, x, q^2 x). cos phi comes from the
-same Gram entries through qstructure.q_orbit_cosines.
+sectional_curvature gives, in one pass over V + 3 rows: the V vectors u,
+the unit orthogonal-basis generator x and the special-angle vector y, each
+over a power of two, and x itself. qstructure.q_orbit_gram forms the
+q-orbit S = (v, qv, q^2 v) of every row and its Gram matrix
+G[k, l] = g(S[k], S[l]), one product each; plane k of a row is
+{S[k], S[k+1 mod 3]}. The relations read 3V + 3 planes: the three of each
+u, then plane 0 of x, y and the row x, whose fourth slot takes q^2 x for
+R(x, qx, x, q^2 x). Index rows that depend on V alone (_plane_rows, derived
+once per process) read them: the planes' Gram entries in one take, from
+which one mask marks the degenerate planes, and their vectors tensor first
+and C-contiguous, so that the one contraction, riemann_apply, copies none of
+them. cos phi comes from the same Gram matrix through
+qstructure.q_orbit_cosines.
 
 closed_form holds a set of six reference component formulas verbatim,
 and closed_form_from_metric evaluates them over powers of two: one for the
@@ -119,6 +124,7 @@ reported, never patched.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -419,8 +425,9 @@ def closed_form(A, B, dA, dB, HA, HB) -> tuple:
 def riemann_apply(R: CurvatureTensor, x, y, z, u):
     """Full contraction R(x, y, z, u) of the lowered tensor, over t in its memory order.
 
-    The vectors, each (3,) or (..., 3), are copied C-contiguous tensor-first too,
-    so that the inner loop runs over the batch in every operand.
+    The vectors, each (3,) or (..., 3), are made C-contiguous tensor-first too,
+    so that the inner loop runs over the batch in every operand: a copy, unless a
+    vector is a batch-first view of such an array (as sectional_relations passes).
     """
     vectors = (np.asarray(v, dtype=float) for v in (x, y, z, u))
     x, y, z, u = (np.ascontiguousarray(batch_first(v, v.ndim - 1)) for v in vectors)
@@ -445,9 +452,10 @@ def _gram(g, x, y):
 
 def _plane_determinant(gxx, gyy, gxy):
     """The Gram determinant gxx gyy - gxy^2 of a batch of planes, their sectional curvature's denominator,
-    and where it is degenerate: not above 1e-12 gxx gyy."""
-    den = gxx * gyy - gxy * gxy
-    return den, ~(den > 1e-12 * gxx * gyy)
+    and where it is degenerate: not above 1e-12 gxx gyy (gxx gyy formed once)."""
+    product = gxx * gyy
+    den = product - gxy * gxy
+    return den, ~(den > 1e-12 * product)
 
 
 def _refuse_degenerate(degenerate, planes) -> None:
@@ -467,10 +475,19 @@ def sectional_curvature(R: CurvatureTensor, x, y):
     R.metric.g_scaled), so neither the degeneracy test nor the quotient
     depends on their magnitudes.
     """
-    xs, ys = _rescaled(x)[0], _rescaled(y)[0]
-    den, degenerate = _plane_determinant(*_gram(R.metric.g_scaled, xs, ys))
+    return sectional_plane(R, x, y)[0]
+
+
+def sectional_plane(R: CurvatureTensor, x, y):
+    """sectional_curvature(R, x, y) and the Gram determinant g(x,x) g(y,y) - g(x,y)^2, from one Gram of the
+    rescaled vectors; the determinant is inf where it overflows and 0 where it underflows."""
+    (xs, ex), (ys, ey) = _rescaled(x), _rescaled(y)
+    M = R.metric
+    den, degenerate = _plane_determinant(*_gram(M.g_scaled, xs, ys))
     _refuse_degenerate(degenerate, lambda: (x, y))
-    return _scaled_back(R.metric, riemann_apply(R, xs, ys, xs, ys) / den)
+    mu = _scaled_back(M, riemann_apply(R, xs, ys, xs, ys) / den)
+    with np.errstate(over="ignore", under="ignore"):
+        return mu, np.ldexp(den, 2 * (ex + ey + M.e))
 
 
 @np.errstate(over="ignore")
@@ -484,17 +501,9 @@ def _scaled_back(M: MetricAtPoint, mu):
     return mu
 
 
-@np.errstate(over="ignore", under="ignore")
-def gram_determinant(M: MetricAtPoint, x, y):
-    """g(x,x) g(y,y) - g(x,y)^2; inf where it overflows and 0 where it underflows."""
-    (xs, ex), (ys, ey) = _rescaled(x), _rescaled(y)
-    gxx, gyy, gxy = _gram(M.g_scaled, xs, ys)
-    return np.ldexp(gxx * gyy - gxy * gxy, 2 * (ex + ey + M.e))
-
-
 def max_abs(R: CurvatureTensor) -> np.ndarray:
     """max |R_ijkh| over the tensor indices, with R's batch shape."""
-    return np.abs(R.t).max(axis=(0, 1, 2, 3))
+    return np.abs(R.t.reshape((81,) + R.t.shape[4:])).max(axis=0)  # one axis reduces faster than four
 
 
 def is_flat(R: CurvatureTensor, tol: float):
@@ -535,7 +544,7 @@ def check_q_invariance(R: CurvatureTensor, tol: float = 1e-9) -> QInvarianceChec
     scale = max_abs(R)
     threshold = tol * (1.0 + scale)
     diag_res, cross_res = chains.max(axis=1) - chains.min(axis=1)
-    passed = (diag_res <= threshold) & (cross_res <= threshold)
+    passed = np.maximum(diag_res, cross_res) <= threshold  # False where either is NaN
     return QInvarianceCheck(passed, diag_res, cross_res, scale, threshold)
 
 
@@ -599,9 +608,30 @@ def _unit(M: MetricAtPoint, g, x):
     quotient, and where it under- or overflows the result is still the unit vector.
     """
     xs = _rescaled(x)[0]
-    e = M.e + M.e % 2
-    gs = np.ldexp(g, -e[..., None, None])
-    return np.ldexp(xs / np.sqrt(inners(gs, xs, (xs,))[0])[..., None], -(e // 2)[..., None])
+    half = (M.e + 1) // 2  # half of M.e rounded up to even
+    gs = np.ldexp(g, -2 * half[..., None, None])
+    gxx = xs[..., None, :] @ gs @ xs[..., :, None]  # (x g) x, the bits of metric.inners
+    return np.ldexp(xs / np.sqrt(gxx[..., 0]), -half[..., None])
+
+
+@functools.lru_cache(maxsize=16)
+def _plane_rows(V: int):
+    """Index rows of the 3V + 3 planes sectional_relations contracts, a pure function of V.
+
+    The planes are the three {S[k], S[k+1 mod 3]} of each u (k major), then plane 0 of x, y and the
+    row x, whose fourth slot takes q^2 x: R(x, qx, x, q^2 x). The first three rows index the q-orbit
+    of the V + 3 rows flattened slot first, (3 (V + 3), ...): each plane's first and second vector and
+    its fourth slot. The last, (3, 3V + 2), indexes the Gram matrix flattened (9 (V + 3), ...): g of
+    first and first, of second and second, and of first and second, for every plane but the row x's,
+    which is only contracted.
+    """
+    n = V + 3
+    row = np.r_[np.tile(np.arange(V), 3), V, V + 1, V + 2]
+    first = np.r_[np.repeat(np.arange(3), V), 0, 0, 0]
+    second = (first + 1) % 3
+    fourth = np.r_[second[:-1], 2]
+    gram = (np.stack((4 * first, 4 * second, 3 * first + second)) * n + row)[:, :-1]
+    return first * n + row, second * n + row, fourth * n + row, gram
 
 
 def sectional_relations(R: CurvatureTensor, U, tol=1e-9) -> SectionalRelations:
@@ -618,15 +648,15 @@ def sectional_relations(R: CurvatureTensor, U, tol=1e-9) -> SectionalRelations:
     The relations hold where the curvature is q-invariant (check_q_invariance
     at tol) and refuse elsewhere; tol=math.inf computes them anyway.
 
-    Each quantity is computed once, in one pass over one stack of rows: the V
-    vectors u, x and y, each over a power of two (_rescaled), then x itself.
-    qstructure.q_orbit_gram forms every row's q-orbit S and its Gram entries
-    over g / 2^e at once, one mask marks the degenerate planes, and one
-    contraction covers the planes that are read, one flat stack: the three
-    planes {S[k], S[k+1]} of each u, then the first plane of x, y and the row
-    x, whose fourth slot takes q^2 x: R(x, qx, x, q^2 x). The quotients are
-    exact scalings of the plain ones (see sectional_curvature) and are scaled
-    back together.
+    Each quantity is computed once, in one pass over V + 3 rows: the V vectors
+    u, x and y, each over a power of two (_rescaled), then x itself.
+    qstructure.q_orbit_gram forms every row's q-orbit S and its Gram matrix
+    over g / 2^e in one product each. The planes the relations read are taken
+    from them by index (_plane_rows): their Gram entries in one take, from
+    which one mask marks the degenerate planes, and the vectors of the one
+    contraction tensor first, so that riemann_apply copies none of them. The
+    quotients are exact scalings of the plain ones (see sectional_curvature)
+    and are scaled back together.
     The refusals come in the order one point and one vector meet them:
     q-invariance, the q-basis test of the vectors (the first failing one is
     named), the orthogonal-basis generator and its plane, the angle routes,
@@ -654,37 +684,39 @@ def sectional_relations(R: CurvatureTensor, U, tol=1e-9) -> SectionalRelations:
     x = _unit(M, g, x)
     rows = np.empty((V + 3,) + batch + (3,))  # u, x and y over powers of two, then x itself
     rows[:V], rows[V], rows[V + 1], rows[V + 2] = u, x, y, x
-    rows[:V + 2] = _rescaled(rows[:V + 2])[0]
-    S, gss, gst, g02 = q_orbit_gram(np.ldexp(g, -M.e[..., None, None]), rows)  # over M.g_scaled
-
-    def read(a):  # the planes the relations read, flat: the three of each u, then plane 0 of x, y and x
-        return np.concatenate((a[:, :V].reshape((3 * V,) + a.shape[2:]), a[0, V:]))
-
+    scaled = rows[:V + 2]
+    np.ldexp(scaled, -np.frexp(abs(scaled).max(axis=-1))[1][..., None], out=scaled)  # as _rescaled
+    S, G = q_orbit_gram(np.ldexp(g, -M.e[..., None, None]), rows)  # over M.g_scaled
+    *slots, gram = _plane_rows(V)
     # the planes of the rows over powers of two; the row x itself is only contracted
-    den, degenerate = _plane_determinant(read(gss[:3])[:-1], read(gss[1:])[:-1], read(gst)[:-1])
-    u_degenerate = degenerate[:3 * V].reshape((3, V) + batch)
+    den, degenerate = _plane_determinant(*G.reshape((-1,) + batch).take(gram, axis=0))
+    refuse = degenerate.any()  # the four refusals are walked only then, the angle routes between the first two
+    if refuse:
+        _refuse_degenerate(degenerate[3 * V], lambda: (x, apply_q(x)))
+    cphi = q_orbit_cosines(M, rows[:V], G[:, :, :V])[0]
+    if refuse:
+        u_degenerate = degenerate[:3 * V].reshape((3, V) + batch)
 
-    def orbit():  # u's q-orbit as given, to name a degenerate plane
-        return q_orbit_gram(g, u)[0]
+        def orbit():  # u's q-orbit as given, to name a degenerate plane
+            return q_orbit_gram(g, u)[0]
 
-    _refuse_degenerate(degenerate[3 * V], lambda: (x, apply_q(x)))
-    cphi = q_orbit_cosines(M, rows[:V], (gss[:, :V], gst[:, :V], g02[:V]))[0]
-    _refuse_degenerate(u_degenerate[0], lambda: tuple(orbit()[:2]))
-    _refuse_degenerate(degenerate[3 * V + 1], lambda: (y, apply_q(y)))
-    _refuse_degenerate(u_degenerate[1:], lambda: (orbit()[1:3], orbit()[2:]))
-    first, second = read(S[:3]), read(S[1:])
-    fourth = second.copy()
-    fourth[-1] = S[2, V + 2]  # R(x, qx, x, q^2 x)
-    r = riemann_apply(R, first, second, first, fourth)
+        _refuse_degenerate(u_degenerate[0], lambda: tuple(orbit()[:2]))
+        _refuse_degenerate(degenerate[3 * V + 1], lambda: (y, apply_q(y)))
+        _refuse_degenerate(u_degenerate[1:], lambda: (orbit()[1:], orbit()[[2, 0]]))
+    S = S.reshape((-1,) + batch + (3,))
+    # each plane's vectors tensor first and C-contiguous, (3, 3V + 3, *batch), passed as batch-first views
+    first, second, fourth = (batch_first(S, S.ndim - 1).take(i, axis=1) for i in slots)
+    r = riemann_apply(R, *(batch_first(v, 1) for v in (first, second, first, fourth)))
     with np.errstate(all="ignore"):  # a quotient that overflows is refused below
         mu = np.ldexp(r[:-1] / den, -2 * M.e)
     require_finite(M, "sectional curvatures", batch_first(mu, 1))
     mu_u, (mu_x, mu_y) = mu[:3 * V].reshape((3, V) + batch), mu[3 * V:]
     pick = 0 if U.ndim == 1 else slice(None, V)  # one vector gives results of the batch shape
     mu_u, cphi = mu_u[:, pick], cphi[pick]
+    two_cphi, one_minus_cphi = 2.0 * cphi, 1.0 - cphi
     return SectionalRelations(
-        difference=RelationCheck(mu_u[0] - mu_x, (2.0 * cphi / (1.0 - cphi)) * r[-1]),
-        combination=RelationCheck(mu_u[0], ((1.0 + 2.0 * cphi) * mu_x - 3.0 * cphi * mu_y) / (1.0 - cphi)),
+        difference=RelationCheck(mu_u[0] - mu_x, (two_cphi / one_minus_cphi) * r[-1]),
+        combination=RelationCheck(mu_u[0], ((1.0 + two_cphi) * mu_x - 3.0 * cphi * mu_y) / one_minus_cphi),
         equal=EqualSectionalCheck(mu_u[0], mu_u[1], mu_u[2]),
     )
 

@@ -20,6 +20,7 @@ from .metric import MetricAtPoint
 from .qstructure import Q_MATRIX
 
 MIRROR_MATRIX = np.array([[-1, 1, 1], [1, -1, 1], [1, 1, -1]], dtype=int)
+_Q = Q_MATRIX.astype(float)  # the operand nabla_q_from_table contracts, cast once
 
 # (i, j, h) index pairs, 1-based: Gamma_ij^h must match between the two
 # entries of each pair when q is parallel. Reference listings write the
@@ -54,9 +55,8 @@ class NablaQTensor:
 def nabla_q_from_table(ct: ChristoffelTable) -> NablaQTensor:
     """nabla_i q_j^h from the table; q is constant so only Christoffel terms remain."""
     gamma = ct.gamma
-    Q = Q_MATRIX.astype(float)
     # q components: (qx)^h = Q[h,t] x^t, so q_j^t = Q[t,j]
-    nq = np.einsum("...ith,tj->...ijh", gamma, Q) - np.einsum("...ijt,ht->...ijh", gamma, Q)
+    nq = np.einsum("...ith,tj->...ijh", gamma, _Q) - np.einsum("...ijt,ht->...ijh", gamma, _Q)
     return NablaQTensor(nq)
 
 

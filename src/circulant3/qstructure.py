@@ -28,6 +28,8 @@ _Q = Q_MATRIX.astype(float)  # the product apply_q forms, without a cast per cal
 Q_BASIS_EPS = 1e-10
 ANGLE_ROUTE_TOL = 1e-10
 _ROUTE_SIGNS = np.array([1.0, -1.0, 1.0])  # cos(x, qx), cos(x, q^2 x), cos(qx, q^2 x) against the closed form
+_COSINES = np.array([1, 2, 5])  # their numerators, G[0, 1], G[0, 2] and G[1, 2] of the q-orbit's Gram matrix flattened
+_NEXT = np.array([1, 2, 0])  # x[..., _NEXT] is (x2, x3, x1)
 
 
 def apply_q(x) -> np.ndarray:
@@ -47,22 +49,22 @@ def q_basis_test(x):
     bit. Raises NotAQBasis for the first vector where a cube overflows.
     """
     x = np.asarray(x, dtype=float)
-    out = []
-    for v in x.reshape(-1, 3):
-        x1, x2, x3 = v.tolist()
+    flat = x.reshape(-1, 3)
+    out = []  # cubic, bound, cubic, bound, ...
+    for v, (x1, x2, x3) in zip(flat, flat.tolist()):
         try:
-            out.append((
+            out += (
                 3.0 * x1 * x2 * x3 - (x1**3 + x2**3 + x3**3),
                 Q_BASIS_EPS * max(1.0, math.sqrt(v.dot(v)) ** 3),  # the bits of np.linalg.norm(v)
-            ))
+            )
         except OverflowError:
             raise NotAQBasis(
-                f"vector {tuple(v.tolist())} is too large for the q-basis test: its cubes overflow"
+                f"vector {(x1, x2, x3)} is too large for the q-basis test: its cubes overflow"
             ) from None
     if x.ndim == 1:
-        return out[0]
-    cubic, bound = np.array(out).reshape(-1, 2).T
-    return cubic.reshape(x.shape[:-1]), bound.reshape(x.shape[:-1])
+        return tuple(out)
+    values = np.array(out).reshape(x.shape[:-1] + (2,))
+    return values[..., 0], values[..., 1]
 
 
 def induces_q_basis(x):
@@ -84,9 +86,9 @@ def require_q_basis(x) -> np.ndarray:
 def vector_invariants(x):
     """The quadratic invariants (a, b) of one vector (3,) or of each vector of a batch (..., 3)."""
     x = np.asarray(x, dtype=float)
-    x1, x2, x3 = x[..., 0], x[..., 1], x[..., 2]
-    a = x1 * x1 + x2 * x2 + x3 * x3
-    b = x1 * x2 + x1 * x3 + x2 * x3
+    squares, cross = x * x, x * x[..., _NEXT]  # x_i x_i, and x1 x2, x2 x3, x3 x1
+    a = squares[..., 0] + squares[..., 1] + squares[..., 2]
+    b = cross[..., 0] + cross[..., 2] + cross[..., 1]  # x1 x2 + x1 x3 + x2 x3
     return a, b
 
 
@@ -121,43 +123,42 @@ class AngleReport:
 
 @np.errstate(all="ignore")  # inf or NaN where a product over a large unscaled g overflows, as metric.inners
 def q_orbit_gram(g, x) -> tuple:
-    """S = (x, qx, q^2 x, x) stacked (4, ...), plane k being {S[k], S[k+1]}, and its Gram entries over g:
-    g(S[k], S[k]) for k < 4, g(S[k], S[k+1]) for k < 3 and g(x, q^2 x), formed as (x g) q^2 x to keep
-    the bits of metric.inners.
+    """S = (x, qx, q^2 x) stacked (3, ...), plane k being {S[k], S[k+1 mod 3]}, and its Gram matrix over g,
+    G[k, l] = g(S[k], S[l]) (3, 3, ...), in one product: each entry formed as (S[k] g) S[l], the bits of
+    metric.inners.
 
     x's batch must broadcast against g's behind S's leading axis (a single vector
     meeting a batch of metrics is broadcast to it first).
     """
-    S = np.empty((4,) + x.shape)
-    S[0] = S[3] = x
-    S[1] = apply_q(x)
-    S[2] = apply_q(S[1])
+    S = np.empty((3,) + x.shape)
+    S[0] = x
+    for k in (0, 1):  # apply_q's product, written in place
+        np.matmul(_Q, S[k, ..., None], out=S[k + 1, ..., None])
     Sg = S[..., None, :] @ g
-    gss = (Sg @ S[..., :, None])[..., 0, 0]
-    gst = (Sg[:3] @ S[1:, ..., :, None])[..., 0, 0]
-    return S, gss, gst, (Sg[0] @ S[2, ..., :, None])[..., 0, 0]
+    return S, (Sg[:, None] @ S[None, ..., :, None])[..., 0, 0]
 
 
-def q_orbit_cosines(M: MetricAtPoint, x, gram=None) -> tuple:
-    """cos(x, qx), cos(x, q^2 x), cos(qx, q^2 x) from the q_orbit_gram of x over g / 2^e.
+def q_orbit_cosines(M: MetricAtPoint, x, G=None) -> np.ndarray:
+    """cos(x, qx), cos(x, q^2 x), cos(qx, q^2 x), stacked (3, ...), from the q_orbit_gram of x over g / 2^e.
 
-    gram holds that Gram's entries gss, gst and g(x, q^2 x), where the caller has
-    formed them already. The cosines, of degree 0 in g and in x, keep their bits
-    over g / 2^e and over x divided by any power of two, and are checked against
-    the closed form.
+    G is that Gram matrix, where the caller has formed it already. The cosines, of
+    degree 0 in g and in x, keep their bits over g / 2^e and over x divided by any
+    power of two, and are checked against the closed form.
     """
-    gss, gst, g02 = q_orbit_gram(M.g_scaled, x)[1:] if gram is None else gram
-    cosines = (gst[0] / gss[0], g02 / gss[0], gst[1] / gss[0])
-    require_angle_routes_agree(cosines, np.ldexp(M.A, -M.e), np.ldexp(M.B, -M.e), x)
+    G = q_orbit_gram(M.g_scaled, x)[1] if G is None else G
+    cosines = G.reshape((9,) + G.shape[2:]).take(_COSINES, axis=0) / G[0, 0]
+    e = -M.e
+    require_angle_routes_agree(cosines, np.ldexp(M.A, e), np.ldexp(M.B, e), x)
     return cosines
 
 
 def require_angle_routes_agree(cosines, A, B, x) -> None:
     """Raise AngleRoutesDisagree for the first element where the inner-product cosines
-    (x, qx), (x, q^2 x), (qx, q^2 x) part from the closed form in A, B and x beyond ANGLE_ROUTE_TOL.
+    (x, qx), (x, q^2 x), (qx, q^2 x), stacked (3, ...), part from the closed form in A, B and x
+    beyond ANGLE_ROUTE_TOL.
     """
     closed = cos_angle_closed_form(A, B, x)
-    routes = np.array(cosines)
+    routes = np.asarray(cosines)
     signed = _ROUTE_SIGNS.reshape((3,) + (1,) * (routes.ndim - 1)) * closed  # closed, -closed, closed
     off = abs(routes - signed) > ANGLE_ROUTE_TOL
     if off.any():
@@ -186,12 +187,12 @@ def _require_positive(A, B):
     constructions see only A and B, so the error's point is NaN.
     """
     A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
-    bad = ~positive(A, B)
-    if bad.any():
-        i = first_point(bad)
+    ok = positive(A, B)
+    if not ok.all():
+        i = first_point(~ok)
         raise PositivityViolation(A[i], B[i], (float("nan"),) * 3)
-    e = np.frexp(A)[1]
-    return np.ldexp(A, -e), np.ldexp(B, -e), e
+    As, e = np.frexp(A)  # As = A / 2^e exactly
+    return As, np.ldexp(B, -e), e
 
 
 def construct_orthogonal_vector(A, B) -> np.ndarray:
@@ -201,12 +202,14 @@ def construct_orthogonal_vector(A, B) -> np.ndarray:
     middle entry is formed from A and B over a power of two that brings A
     into [0.5, 1) (_require_positive), then scaled back: exact, and no product overflows.
     """
-    return _orthogonal_vector(B, *_require_positive(A, B))
+    As, Bs, e = _require_positive(A, B)
+    return _orthogonal_vector(B, As, Bs, As - Bs, e)
 
 
-def _orthogonal_vector(B, As, Bs, e):
+def _orthogonal_vector(B, As, Bs, nu, e):
+    """construct_orthogonal_vector from As, Bs, e of _require_positive and nu = As - Bs."""
     x = np.zeros(As.shape + (3,))
-    x[..., 1] = np.ldexp(-(As + Bs) + np.sqrt((As - Bs) * (As + 3 * Bs)), e)
+    x[..., 1] = np.ldexp(-(As + Bs) + np.sqrt(nu * (As + 3 * Bs)), e)
     x[..., 2] = 2.0 * np.asarray(B, dtype=float)
     return x
 
@@ -226,12 +229,14 @@ def construct_basis_vectors(A, B) -> tuple[np.ndarray, np.ndarray]:
     |1 + t^3| stays far above the bound.
     The root and the test of A = 2B are formed from A and B over the power of
     two of construct_orthogonal_vector: the root keeps its bits, no product
-    underflows, and the test is relative to the magnitude of A.
+    underflows, and the test is relative to the magnitude of A. A - B and
+    A - 2B are each formed once.
     """
     As, Bs, e = _require_positive(A, B)
+    nu, skew = As - Bs, As - 2 * Bs
     with np.errstate(all="ignore"):  # points with A = 2B take no root
-        t = (As + 2.0 * np.sqrt(Bs * (As - Bs))) / (As - 2 * Bs)
+        t = (As + 2.0 * np.sqrt(Bs * nu)) / skew
     y = np.zeros(t.shape + (3,))
     y[..., 0] = 1.0
-    y[..., 2] = np.where(abs(As - 2 * Bs) < 1e-12, 0.0, t)  # (1, 0, 0) where A = 2B
-    return _orthogonal_vector(B, As, Bs, e), y
+    y[..., 2] = np.where(abs(skew) < 1e-12, 0.0, t)  # (1, 0, 0) where A = 2B
+    return _orthogonal_vector(B, As, Bs, nu, e), y

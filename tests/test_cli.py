@@ -1318,6 +1318,15 @@ def test_verify_theorems_refuses_a_drawn_vector_that_induces_no_q_basis(capsys, 
     assert err == "error (verify-theorems): vector (1.0, 1.0, 1.0) does not induce a q-basis\n"
 
 
+def test_verify_theorems_refuses_a_vector_whose_plane_is_degenerate(capsys, tmp_path):
+    # A - B = 1e-14: the plane {u, qu} of u = (1, 0.5, 0) is degenerate at the origin
+    spec = tmp_path / "spec.toml"
+    spec.write_text('[metric]\nA = "1.00000000000001"\nB = "1"\n', encoding="utf-8")
+    code, out, err = _call(capsys, ["verify-theorems", "--spec", str(spec), "--at=0,0,0", "--vector=1,0.5,0"])
+    assert (code, out) == (2, "")
+    assert err == "error (verify-theorems): vectors (1.0, 0.5, 0.0) and (-0.5, 0.0, -1.0) span no plane\n"
+
+
 @pytest.mark.parametrize("where", [["--at=0.2,-0.4,0.6"], ["--sample", "5", CUBE_ARG]], ids=["at", "sample"])
 def test_check_identity_contracts_its_sampled_tuples_once_per_run(capsys, monkeypatch, tmp_path, where):
     import circulant3.curvature as curvature

@@ -698,6 +698,21 @@ def test_batch_refusals_name_their_first_failing_point():
         sectional_curvature(riemann_from_metric(example), x, [[0.0, 1.0, 0.0], [2.0, 4.0, 6.0]])
 
 
+def test_sectional_relations_refuse_a_degenerate_plane_of_a_vector_naming_its_first_vector():
+    # A - B = 1e-14 at the origin: g is all but singular, and the plane {u, qu} of u = (1, 0.5, 0) is
+    # degenerate in it; the refusal names u and qu as given, and over a stack the first vector whose
+    # plane is degenerate
+    R = riemann_from_metric(metric_at(MetricFunctions.from_sources("1.00000000000001", "1"), [0.0, 0.0, 0.0]))
+    for U, named in (
+        ([1.0, 0.5, 0.0], "(1.0, 0.5, 0.0) and (-0.5, 0.0, -1.0)"),
+        ([[1.0, 0.5, 0.0], [0.4, -1.1, 0.2]], "(1.0, 0.5, 0.0) and (-0.5, 0.0, -1.0)"),
+        ([[0.4, -1.1, 0.2], [1.0, 0.5, 0.0]], "(0.4, -1.1, 0.2) and (1.1, -0.2, -0.4)"),
+    ):
+        with pytest.raises(DegeneratePlane) as info:
+            sectional_relations(R, U)
+        assert str(info.value) == f"vectors {named} span no plane"
+
+
 def test_curvature_that_is_not_finite_is_refused_at_the_first_such_point_of_a_batch():
     # A = 3e-200 + x1, B = 1e-200: at x1 = 0.5 an ordinary metric; at x1 = 1e-200 and 1e-300
     # g^-1 is about 1e200 and the derivatives are ordinary, so d Gamma overflows. R, formed
