@@ -452,10 +452,9 @@ def _gram(g, x, y):
 
 def _plane_determinant(gxx, gyy, gxy):
     """The Gram determinant gxx gyy - gxy^2 of a batch of planes, their sectional curvature's denominator,
-    and where it is degenerate: not above 1e-12 gxx gyy (gxx gyy formed once)."""
-    product = gxx * gyy
-    den = product - gxy * gxy
-    return den, ~(den > 1e-12 * product)
+    and where it is degenerate: not above 1e-12 gxx gyy."""
+    den = gxx * gyy - gxy * gxy
+    return den, ~(den > 1e-12 * gxx * gyy)
 
 
 def _refuse_degenerate(degenerate, planes) -> None:
@@ -540,7 +539,7 @@ def check_q_invariance(R: CurvatureTensor, tol: float = 1e-9) -> QInvarianceChec
     the q-invariant family A = a(s), B = b(s), s = x1 + x2 + x3, on which
     R_1223 does not vanish.)
     """
-    chains = R.t.reshape((81,) + R.t.shape[4:])[_Q_CHAINS]
+    chains = R.t.reshape((81,) + R.t.shape[4:]).take(_Q_CHAINS, axis=0)
     scale = max_abs(R)
     threshold = tol * (1.0 + scale)
     diag_res, cross_res = chains.max(axis=1) - chains.min(axis=1)
@@ -607,11 +606,11 @@ def _unit(M: MetricAtPoint, g, x):
     where g(x, x) is a normal float the result keeps the bits of the plain
     quotient, and where it under- or overflows the result is still the unit vector.
     """
-    xs = _rescaled(x)[0]
-    half = (M.e + 1) // 2  # half of M.e rounded up to even
-    gs = np.ldexp(g, -2 * half[..., None, None])
-    gxx = xs[..., None, :] @ gs @ xs[..., :, None]  # (x g) x, the bits of metric.inners
-    return np.ldexp(xs / np.sqrt(gxx[..., 0]), -half[..., None])
+    xs = _rescaled(x)[0][..., None, :]  # a row
+    half = (M.e + 1)[..., None, None] // 2  # half of M.e rounded up to even
+    gxx = xs @ np.ldexp(g, -2 * half) @ xs.swapaxes(-1, -2)  # (x g) x, the bits of metric.inners
+    xs /= np.sqrt(gxx)
+    return np.ldexp(xs, -half)[..., 0, :]
 
 
 @functools.lru_cache(maxsize=16)
@@ -631,7 +630,10 @@ def _plane_rows(V: int):
     second = (first + 1) % 3
     fourth = np.r_[second[:-1], 2]
     gram = (np.stack((4 * first, 4 * second, 3 * first + second)) * n + row)[:, :-1]
-    return first * n + row, second * n + row, fourth * n + row, gram
+    rows = first * n + row, second * n + row, fourth * n + row, gram
+    for r in rows:  # shared by every call with this V
+        r.flags.writeable = False
+    return rows
 
 
 def sectional_relations(R: CurvatureTensor, U, tol=1e-9) -> SectionalRelations:

@@ -29,7 +29,8 @@ Q_BASIS_EPS = 1e-10
 ANGLE_ROUTE_TOL = 1e-10
 _ROUTE_SIGNS = np.array([1.0, -1.0, 1.0])  # cos(x, qx), cos(x, q^2 x), cos(qx, q^2 x) against the closed form
 _COSINES = np.array([1, 2, 5])  # their numerators, G[0, 1], G[0, 2] and G[1, 2] of the q-orbit's Gram matrix flattened
-_NEXT = np.array([1, 2, 0])  # x[..., _NEXT] is (x2, x3, x1)
+# the factors of the terms of a and b: x_i x_i for each i, then x1 x2, x1 x3, x2 x3
+_LEFT, _RIGHT = np.array([0, 1, 2, 0, 0, 1]), np.array([0, 1, 2, 1, 2, 2])
 
 
 def apply_q(x) -> np.ndarray:
@@ -86,10 +87,11 @@ def require_q_basis(x) -> np.ndarray:
 def vector_invariants(x):
     """The quadratic invariants (a, b) of one vector (3,) or of each vector of a batch (..., 3)."""
     x = np.asarray(x, dtype=float)
-    squares, cross = x * x, x * x[..., _NEXT]  # x_i x_i, and x1 x2, x2 x3, x3 x1
-    a = squares[..., 0] + squares[..., 1] + squares[..., 2]
-    b = cross[..., 0] + cross[..., 2] + cross[..., 1]  # x1 x2 + x1 x3 + x2 x3
-    return a, b
+    terms = x.take(_LEFT, axis=-1)
+    terms *= x.take(_RIGHT, axis=-1)
+    # each sum in one reduction over three terms, which numpy adds left to right
+    sums = np.add.reduce(terms.reshape(x.shape[:-1] + (2, 3)), axis=-1)
+    return sums[..., 0][()], sums[..., 1][()]  # floats for one vector
 
 
 def cos_angle_closed_form(A, B, x):
@@ -209,8 +211,8 @@ def construct_orthogonal_vector(A, B) -> np.ndarray:
 def _orthogonal_vector(B, As, Bs, nu, e):
     """construct_orthogonal_vector from As, Bs, e of _require_positive and nu = As - Bs."""
     x = np.zeros(As.shape + (3,))
-    x[..., 1] = np.ldexp(-(As + Bs) + np.sqrt(nu * (As + 3 * Bs)), e)
-    x[..., 2] = 2.0 * np.asarray(B, dtype=float)
+    np.ldexp(np.sqrt(nu * (As + 3 * Bs)) - (As + Bs), e, out=x[..., 1])
+    np.multiply(2.0, B, out=x[..., 2])
     return x
 
 
@@ -230,13 +232,13 @@ def construct_basis_vectors(A, B) -> tuple[np.ndarray, np.ndarray]:
     The root and the test of A = 2B are formed from A and B over the power of
     two of construct_orthogonal_vector: the root keeps its bits, no product
     underflows, and the test is relative to the magnitude of A. A - B and
-    A - 2B are each formed once.
+    A - 2B are each formed once, and the root is divided only where A is not
+    2B, so no division by 0 is met.
     """
     As, Bs, e = _require_positive(A, B)
     nu, skew = As - Bs, As - 2 * Bs
-    with np.errstate(all="ignore"):  # points with A = 2B take no root
-        t = (As + 2.0 * np.sqrt(Bs * nu)) / skew
-    y = np.zeros(t.shape + (3,))
+    y = np.zeros(skew.shape + (3,))
     y[..., 0] = 1.0
-    y[..., 2] = np.where(abs(skew) < 1e-12, 0.0, t)  # (1, 0, 0) where A = 2B
+    # the root t, where A is not 2B; (1, 0, 0) where it is
+    np.divide(As + 2.0 * np.sqrt(Bs * nu), skew, out=y[..., 2], where=abs(skew) >= 1e-12)
     return _orthogonal_vector(B, As, Bs, nu, e), y

@@ -20,7 +20,7 @@ from circulant3 import (
     q_basis_angles,
 )
 from circulant3.errors import AngleRoutesDisagree, NotAQBasis, PositivityViolation
-from circulant3.qstructure import require_angle_routes_agree
+from circulant3.qstructure import require_angle_routes_agree, vector_invariants
 
 from helpers import isometry_residual, orthogonality_defect, random_admissible_AB, random_q_basis_vector
 
@@ -142,6 +142,19 @@ def test_orthogonality_defect_values():
     assert orthogonality_defect(M, [1.0, 1.0, 1.0]) == 3 * 4.0 + 6 * 2.0  # 3A + 6B
 
 
+def test_vector_invariants_are_the_sums_left_to_right_bit_for_bit():
+    # a = x1 x1 + x2 x2 + x3 x3 and b = x1 x2 + x1 x3 + x2 x3, each added left to right in float arithmetic,
+    # for one vector and over a batch, zeros of either sign among the entries
+    rng = np.random.default_rng(36)
+    x = rng.standard_normal((200, 3)) * 10.0 ** rng.uniform(-100, 100, (200, 3))
+    x[:50] *= rng.random((50, 3)) < 0.5
+    x[50:60, 1] = -0.0
+    expected = [(x1 * x1 + x2 * x2 + x3 * x3, x1 * x2 + x1 * x3 + x2 * x3) for x1, x2, x3 in x.tolist()]
+    a, b = vector_invariants(x.reshape(20, 10, 3))
+    assert list(zip(a.ravel().tolist(), b.ravel().tolist())) == expected
+    assert vector_invariants(x[7]) == expected[7] and isinstance(vector_invariants(x[7])[0], float)
+
+
 def test_construct_orthogonal_vector():
     assert np.allclose(construct_orthogonal_vector(2.0, 1.0), [0.0, -3.0 + math.sqrt(5.0), 2.0])
     with pytest.raises(PositivityViolation):
@@ -163,6 +176,10 @@ def test_construct_special_angle_vector():
     assert np.array_equal(construct_basis_vectors(4.0, 2.0)[1], [1.0, 0.0, 0.0])
     y = construct_basis_vectors(6.0, 4.0)[1]
     assert np.allclose(y, [1.0, 0.0, -3.0 - 2.0 * math.sqrt(2.0)])
+    # over a batch that has a point with A = 2B, each point's vectors are its own, bit for bit
+    batch = construct_basis_vectors(np.array([6.0, 4.0, 3.0]), np.array([4.0, 2.0, 1.0]))
+    for i, (A, B) in enumerate(((6.0, 4.0), (4.0, 2.0), (3.0, 1.0))):
+        assert [v[i].tobytes() for v in batch] == [v.tobytes() for v in construct_basis_vectors(A, B)]
     with pytest.raises(PositivityViolation):
         construct_basis_vectors(1.0, 2.0)
     rng = np.random.default_rng(35)
