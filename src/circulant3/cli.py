@@ -47,6 +47,7 @@ from .metric import (
 from .parallelism import (
     christoffel_equalities_from_table,
     nabla_q_from_table,
+    parallel_quotients_from_metric,
     parallel_residual_from_metric,
 )
 from .qstructure import (
@@ -143,6 +144,8 @@ _JSON_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _json_scalar(obj) -> str:
+    if isinstance(obj, str):
+        return _json_str(obj)
     if isinstance(obj, (bool, np.bool_)):  # before int: bool is an int
         return "true" if obj else "false"
     if isinstance(obj, (float, np.floating)):
@@ -156,34 +159,64 @@ def _json_scalar(obj) -> str:
 
 
 def _write_json(obj, indent: str, out: list) -> None:
-    """Append to out the text of json.dumps(obj, indent=2), numpy values as builtins, nested at indent."""
-    if isinstance(obj, np.ndarray):
+    """Append to out the text of json.dumps(obj, indent=2), numpy values as builtins, nested at indent.
+
+    Dispatches on type(obj); an array is written as its tolist(). A dict and a
+    list or tuple each write their builtin leaves (float, str, bool, int, None)
+    behind their separator in their own loop, with no call per leaf, and
+    recurse only into containers and numpy values; _json_scalar writes any
+    other value, a top-level leaf included.
+    """
+    if type(obj) is np.ndarray:
         obj = obj.tolist()
-    if isinstance(obj, float):  # most leaves
-        text = float.__repr__(obj)
-        out.append(_JSON_SPECIAL.get(text, text))
-    elif isinstance(obj, str):
-        out.append(_json_str(obj))
-    elif isinstance(obj, dict):
+    kind = type(obj)
+    if kind is dict:
         if not obj:
             out.append("{}")
             return
         inner = indent + "  "
         sep = "{" + inner
         for key, value in obj.items():
-            out.append(sep + _json_str(key) + ": ")
-            _write_json(value, inner, out)
+            head = sep + _json_str(key) + ": "
+            kind = type(value)
+            if kind is float:  # most leaves
+                text = float.__repr__(value)
+                out.append(head + _JSON_SPECIAL.get(text, text))
+            elif kind is str:
+                out.append(head + _json_str(value))
+            elif kind is bool:
+                out.append(head + ("true" if value else "false"))
+            elif kind is int:
+                out.append(head + int.__repr__(value))
+            elif value is None:
+                out.append(head + "null")
+            else:
+                out.append(head)
+                _write_json(value, inner, out)
             sep = "," + inner
         out.append(indent + "}")
-    elif isinstance(obj, (list, tuple)):
+    elif kind is list or kind is tuple:
         if not obj:
             out.append("[]")
             return
         inner = indent + "  "
         sep = "[" + inner
         for value in obj:
-            out.append(sep)
-            _write_json(value, inner, out)
+            kind = type(value)
+            if kind is float:
+                text = float.__repr__(value)
+                out.append(sep + _JSON_SPECIAL.get(text, text))
+            elif kind is str:
+                out.append(sep + _json_str(value))
+            elif kind is bool:
+                out.append(sep + ("true" if value else "false"))
+            elif kind is int:
+                out.append(sep + int.__repr__(value))
+            elif value is None:
+                out.append(sep + "null")
+            else:
+                out.append(sep)
+                _write_json(value, inner, out)
             sep = "," + inner
         out.append(indent + "]")
     else:
@@ -294,28 +327,55 @@ def _fd_stencil(spec, p, allow_weak):
     raise refusal
 
 
+def _symmetry_rows():
+    """The rows of t[k, i, j, h] = low[..., i, j, k, h], flattened, that _symmetry_verdicts reads.
+
+    Only entries whose residual is distinct: R_ijkh + R_jikh for i <= j, R_ijkh + R_ijhk for k <= h and
+    R_ijkh - R_khij for (i, j) <= (k, h), as the others only swap or negate these, then the first Bianchi
+    sum and t at all 81. Returns each residual's first, second and third operands, and the blocks' starts.
+    """
+    t = np.arange(81).reshape(3, 3, 3, 3)
+    k, i, j, h = np.indices(t.shape).reshape(4, 81)
+    first_pair, second_pair, pairs = i <= j, k <= h, 3 * i + j <= 3 * k + h
+
+    def view(*axes):  # view(0, 2, 1, 3)[k, i, j, h] = t[k, j, i, h]: low[..., j, i, k, h]
+        return t.transpose(axes).ravel()
+
+    rows = view(0, 1, 2, 3)
+    first = np.concatenate((rows[first_pair], rows[second_pair], rows[pairs], rows, rows))
+    second = np.concatenate((
+        view(0, 2, 1, 3)[first_pair],  # R_jikh
+        view(3, 1, 2, 0)[second_pair],  # R_ijhk
+        view(1, 0, 3, 2)[pairs],  # R_khij
+        view(1, 2, 0, 3),  # R_kijh
+    ))
+    starts = np.cumsum([0, first_pair.sum(), second_pair.sum(), pairs.sum(), 81])
+    return first, second, view(2, 0, 1, 3), starts  # the third: R_jkih
+
+
+_SYM_FIRST, _SYM_SECOND, _SYM_THIRD, _SYM_BLOCKS = _symmetry_rows()
+
+
 def _symmetry_verdicts(low, tol):
     """The tensor symmetries of low[..., i, j, k, h], read in R.t's stored order t[k, i, j, h, *batch].
 
-    The four residuals, each element from the operands of its definition in
-    their order, and a copy of t for the bound share one buffer, which takes
-    one abs and one max.
+    The residuals are formed at their distinct entries only (_symmetry_rows:
+    315 rows where five views of the tensor hold 405), each from the operands
+    of its definition in their order, R_ijkh - R_khij as R_ijkh + (-R_khij),
+    which is exact, with a copy of t for the bound behind them: one take per
+    operand, one abs, and one maximum per block. A residual left out only
+    swaps the operands of one read or negates it, so the maxima have the
+    bits of the residuals over all 81 entries.
     """
     n = low.ndim - 4
-    t = low.transpose(n + 2, n, n + 1, n + 3, *range(n))  # the layout of R.t where low is R.low
-    batch = tuple(range(4, t.ndim))
-
-    def view(*axes):  # view(0, 2, 1, 3)[k, i, j, h] = t[k, j, i, h]: low[..., j, i, k, h]
-        return t.transpose(axes + batch)
-
-    r = np.empty((5,) + t.shape)
-    np.add(t, view(0, 2, 1, 3), out=r[0])  # R_ijkh + R_jikh
-    np.add(t, view(3, 1, 2, 0), out=r[1])  # R_ijkh + R_ijhk
-    np.subtract(t, view(1, 0, 3, 2), out=r[2])  # R_ijkh - R_khij
-    np.add(t, view(1, 2, 0, 3), out=r[3])  # (R_ijkh + R_kijh) + R_jkih
-    r[3] += view(2, 0, 1, 3)
-    r[4] = t
-    anti_ij, anti_kh, pair, bianchi, largest = np.abs(r, out=r).max(axis=(1, 2, 3, 4))
+    t = low.transpose(n + 2, n, n + 1, n + 3, *range(n)).reshape((81,) + low.shape[:n])  # R.t where low is R.low
+    r = t.take(_SYM_FIRST, axis=0)
+    second = t.take(_SYM_SECOND, axis=0)
+    pair = second[_SYM_BLOCKS[2]:_SYM_BLOCKS[3]]
+    np.negative(pair, out=pair)
+    r[:_SYM_BLOCKS[4]] += second
+    r[_SYM_BLOCKS[3]:_SYM_BLOCKS[4]] += t.take(_SYM_THIRD, axis=0)  # (R_ijkh + R_kijh) + R_jkih
+    anti_ij, anti_kh, pair, bianchi, largest = np.maximum.reduceat(np.abs(r, out=r), _SYM_BLOCKS, axis=0)
     scale = tol * (1.0 + largest)
     return {
         "antisymmetry_first_pair": _verdict(anti_ij <= scale, anti_ij, scale),
@@ -429,8 +489,11 @@ def _cmd_check_parallel(spec, p, M, args):
         "christoffel_equalities_residual": gamma_res,
         "nabla_q_max": nq_max,
     }
-    worst = _max((grad_norm, nq_max, gamma_res))
-    agree = (grad_norm <= args.tol) == (nq_max <= args.tol)
+    # the verdicts read the criterion of degree 0 in g, as nabla q and the equalities are, so that
+    # scaling g changes none of them; grad_res scales with g
+    criterion = np.abs(parallel_quotients_from_metric(M)).max(axis=-1)
+    worst = _max((criterion, nq_max, gamma_res))
+    agree = (criterion <= args.tol) == (nq_max <= args.tol)
     verdicts = {
         "parallel": _verdict(worst <= args.tol, worst, args.tol),
         "routes_agree": _verdict(agree, np.where(agree, 0.0, 1.0), 0.5),

@@ -273,8 +273,8 @@ def riemann_from_metric(M: MetricAtPoint) -> CurvatureTensor:
     np.multiply(grad.reshape(batch + (6,))[..., _FACTOR], quotients[..., _QUOTIENT], out=features[..., 0, 18:])
     s = np.ldexp((features @ _KERNEL)[..., 0, :] / -144.0, e[..., None])  # -S in the coordinate frame
     require_finite(M, "curvature components", s)
-    t = np.empty((81,) + batch)
-    np.multiply(batch_first(s, len(batch))[_GATHER], _SIGN.reshape((81,) + (1,) * len(batch)), out=t)
+    t = batch_first(s, len(batch)).take(_GATHER, axis=0)
+    t *= _SIGN.reshape((81,) + (1,) * len(batch))
     return CurvatureTensor(t.reshape((3, 3, 3, 3) + batch), M)
 
 

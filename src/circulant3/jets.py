@@ -60,7 +60,9 @@ its derivatives.
 
 Every operation's Hessian is symmetric by construction, bit for bit: each
 entry is built from symmetric Hessians and outer products ``g h^T + h g^T``
-whose entries add the same two products in either order. The product of two
+whose entries add the same two products in either order (the product and
+quotient of two jets form ``g h^T`` once and read ``h g^T`` as its
+transpose, which has the same bits). The product of two
 jets is the exception: its entry ``(i, j)`` sums ``(s + p) + q`` and ``(j, i)``
 sums ``(s + q) + p``, which round differently, so it symmetrises its own sum.
 The constructor takes the Hessian as given.
@@ -268,7 +270,8 @@ class Jet2:
             d = a[VALUE] * b
             d[1:] += b[VALUE] * a[1:]
             hess = _hessian(d)
-            h = hess + _outer(a[GRAD], b[GRAD]) + _outer(b[GRAD], a[GRAD])
+            p = _outer(a[GRAD], b[GRAD])  # its transpose is the other outer product: gb_i ga_j is ga_j gb_i
+            h = hess + p + p.swapaxes(0, 1)
             # h[j, i] adds the two outer products in the other order from h[i, j], which rounds differently
             np.divide(h + h.swapaxes(0, 1), 2.0, out=hess)
             return Jet2(d)
@@ -284,12 +287,12 @@ class Jet2:
             ga, gb = self.data[GRAD], other.data[GRAD]
             d = np.empty(self.data.shape)
             d[VALUE] = _div(u, v)
-            v2 = v * v
+            v2, p = v * v, _outer(ga, gb)
             d[GRAD] = (ga * v - u * gb) / v2
             _hessian(d)[...] = (
                 _hessian(self.data) / v
                 - u * _hessian(other.data) / v2
-                - (_outer(ga, gb) + _outer(gb, ga)) / v2
+                - (p + p.swapaxes(0, 1)) / v2
                 + (2.0 * u) * _outer(gb, gb) / (v2 * v)
             )
             return Jet2(d)
@@ -406,16 +409,23 @@ def log(x):
     return elementwise(math.log, x)
 
 
+def _sin_cos(v: np.ndarray):
+    """math.sin and math.cos of each element of v, both mapped over one list of its elements."""
+    values = v.ravel().tolist()
+    s = np.fromiter(map(math.sin, values), float, v.size).reshape(v.shape)
+    return s, np.fromiter(map(math.cos, values), float, v.size).reshape(v.shape)
+
+
 def sin(x):
     if isinstance(x, Jet2):
-        s, c = elementwise(math.sin, x.value), elementwise(math.cos, x.value)
+        s, c = _sin_cos(x.value)
         return _lift(x, s, c, -s)
     return elementwise(math.sin, x)
 
 
 def cos(x):
     if isinstance(x, Jet2):
-        s, c = elementwise(math.sin, x.value), elementwise(math.cos, x.value)
+        s, c = _sin_cos(x.value)
         return _lift(x, c, -s, -c)
     return elementwise(math.cos, x)
 

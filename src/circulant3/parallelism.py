@@ -6,7 +6,12 @@ q is parallel under the Levi-Civita connection iff
 
 where MIRROR flips the sign of the matching component:
 componentwise A_1 = -B_1 + B_2 + B_3 and cyclic. Equivalently the nine
-Christoffel equalities listed in CHRISTOFFEL_EQUALITY_PAIRS hold.
+Christoffel equalities listed in CHRISTOFFEL_EQUALITY_PAIRS hold, and
+equivalently lam = A + 2B varies only along (1, 1, 1) and nu = A - B not
+along it: the criterion's differences and sum are the derivatives of lam
+along (1, -1, 0) and (1, 1, -2) and of nu along (1, 1, 1).
+parallel_quotients_from_metric divides these by lam and nu, which makes the
+criterion of degree 0 in g, as nabla q is.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import ChristoffelTable
+from .curvature import ChristoffelTable, _eigenframe_jets
 from .metric import MetricAtPoint
 from .qstructure import Q_MATRIX
 
@@ -64,6 +69,21 @@ def parallel_residual_from_metric(M: MetricAtPoint) -> np.ndarray:
     """grad A - grad B . MIRROR at M's points (zero iff q is parallel there)."""
     # a C-contiguous operand: grad is a view of the jet's rows, and a matrix product's bits can follow strides
     return M.A_jet.grad - np.ascontiguousarray(M.B_jet.grad) @ MIRROR_MATRIX
+
+
+# lam~_2 / lam, lam~_3 / lam and nu~_1 / nu among the quotients of _eigenframe_jets, at 6w + 3v + c
+_PARALLEL_QUOTIENTS = np.array([1, 2, 9])
+
+
+@np.errstate(all="ignore")  # finite wherever christoffel_from_metric, which divides by the same values, is
+def parallel_quotients_from_metric(M: MetricAtPoint) -> np.ndarray:
+    """The gradient criterion of degree 0 in g (..., 3): zero iff q is parallel at M's points.
+
+    The derivatives of lam along (1, -1, 0) and (1, 1, -2) over lam, and of nu
+    along (1, 1, 1) over nu, formed over g / 2^e: scaling g by a power of two
+    keeps their bits.
+    """
+    return _eigenframe_jets(M, M.e)[2][..., _PARALLEL_QUOTIENTS]
 
 
 def christoffel_equalities_from_table(ct: ChristoffelTable) -> np.ndarray:

@@ -23,7 +23,9 @@ from .errors import AngleRoutesDisagree, NotAQBasis, PositivityViolation
 from .metric import MetricAtPoint, first_point, positive
 
 Q_MATRIX = np.array([[0, -1, 0], [0, 0, -1], [-1, 0, 0]], dtype=int)
-_Q = Q_MATRIX.astype(float)  # the product apply_q forms, without a cast per call
+# q x = 0.0 - x[_CYCLE], a signed gather: exact, 0.0 - v maps a zero of either sign to +0.0 as the product
+# by Q_MATRIX does, and an infinite entry stays in its own slot, where the product spreads NaN
+_CYCLE = np.array([1, 2, 0])
 
 Q_BASIS_EPS = 1e-10
 ANGLE_ROUTE_TOL = 1e-10
@@ -35,8 +37,7 @@ _LEFT, _RIGHT = np.array([0, 1, 2, 0, 0, 1]), np.array([0, 1, 2, 1, 2, 2])
 
 def apply_q(x) -> np.ndarray:
     """Apply q: (x1, x2, x3) -> (-x2, -x3, -x1), to one vector (3,) or a batch (..., 3)."""
-    x = np.asarray(x, dtype=float)
-    return (_Q @ x[..., None])[..., 0]
+    return np.subtract(0.0, np.asarray(x, dtype=float).take(_CYCLE, axis=-1))
 
 
 def q_basis_test(x):
@@ -134,8 +135,8 @@ def q_orbit_gram(g, x) -> tuple:
     """
     S = np.empty((3,) + x.shape)
     S[0] = x
-    for k in (0, 1):  # apply_q's product, written in place
-        np.matmul(_Q, S[k, ..., None], out=S[k + 1, ..., None])
+    for k in (0, 1):  # apply_q's gather, written in place
+        np.subtract(0.0, S[k].take(_CYCLE, axis=-1), out=S[k + 1])
     Sg = S[..., None, :] @ g
     return S, (Sg[:, None] @ S[None, ..., :, None])[..., 0, 0]
 

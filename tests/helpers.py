@@ -90,6 +90,36 @@ def metric_compatibility_residual(M):
     return np.abs(nabla_g).max(axis=(-3, -2, -1))
 
 
+def symmetry_verdicts_reference(low, tol):
+    """The symmetry verdicts of the riemann command over five whole views of the tensor: the reference of
+    cli._symmetry_verdicts, which reads only the distinct entries.
+
+    Every residual at all 81 entries of t[k, i, j, h, *batch] = low[..., i, j, k, h], each element from the
+    operands of its definition in their order, and a copy of t for the bound, in one buffer.
+    """
+    n = low.ndim - 4
+    t = low.transpose(n + 2, n, n + 1, n + 3, *range(n))
+    batch = tuple(range(4, t.ndim))
+
+    def view(*axes):  # view(0, 2, 1, 3)[k, i, j, h] = t[k, j, i, h]: low[..., j, i, k, h]
+        return t.transpose(axes + batch)
+
+    r = np.empty((5,) + t.shape)
+    np.add(t, view(0, 2, 1, 3), out=r[0])  # R_ijkh + R_jikh
+    np.add(t, view(3, 1, 2, 0), out=r[1])  # R_ijkh + R_ijhk
+    np.subtract(t, view(1, 0, 3, 2), out=r[2])  # R_ijkh - R_khij
+    np.add(t, view(1, 2, 0, 3), out=r[3])  # (R_ijkh + R_kijh) + R_jkih
+    r[3] += view(2, 0, 1, 3)
+    r[4] = t
+    anti_ij, anti_kh, pair, bianchi, largest = np.abs(r, out=r).max(axis=(1, 2, 3, 4))
+    scale = tol * (1.0 + largest)
+    names = ("antisymmetry_first_pair", "antisymmetry_second_pair", "pair_symmetry", "first_bianchi")
+    return {
+        name: {"pass": residual <= scale, "residual": residual, "tol": scale}
+        for name, residual in zip(names, (anti_ij, anti_kh, pair, bianchi))
+    }
+
+
 _EYE = np.eye(3, dtype=bool)
 
 

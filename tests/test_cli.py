@@ -23,6 +23,7 @@ from circulant3 import (
 from circulant3.cli import main
 
 from exact import closed_form_error
+from helpers import symmetry_verdicts_reference
 from test_exact import C_CHRISTOFFEL, C_EPS, christoffel_errors
 
 DATA = Path(__file__).parent / "data"
@@ -610,6 +611,27 @@ def test_check_parallel_verdicts(capsys, tmp_path, m5_spec, parallel_spec):
     assert report["results"]["gradient_residual"] == [2.0, -2.0, -2.0]
 
 
+# q-parallel but for a term 1e-4 x3 in A, at two scales of g: grad A - grad B . MIRROR is 1e-4 and 1e-12, while
+# the criterion over lam and nu is 6.9e-12 and 6.9e-8, as nabla q is 2.8e-12 and 2.8e-8: the verdicts follow the
+# criterion of degree 0, not the gradients, which scale with g
+NEARLY_PARALLEL_SPECS = {
+    "large": ('A = "4e6*x1 + 2e6*x2 + 2e7 + 1e-4*x3"\nB = "1e6*x1 + 2e6*x2 + 3e6*x3 + 5e6"', 0, True),
+    "small": ('A = "4e-6*x1 + 2e-6*x2 + 2e-5 + 1e-12*x3"\nB = "1e-6*x1 + 2e-6*x2 + 3e-6*x3 + 5e-6"', 1, False),
+}
+
+
+@pytest.mark.parametrize("scale", NEARLY_PARALLEL_SPECS)
+def test_check_parallel_verdicts_do_not_depend_on_the_scale_of_g(capsys, tmp_path, scale):
+    fields, want_code, parallel = NEARLY_PARALLEL_SPECS[scale]
+    spec = tmp_path / "spec.toml"
+    spec.write_text(f"[metric]\n{fields}\n", encoding="utf-8")
+    code, report = run_json(capsys, ["check-parallel", "--spec", str(spec), "--at=0.1,0.2,0.3"])
+    assert code == want_code
+    assert report["verdicts"]["parallel"]["pass"] is parallel
+    assert report["verdicts"]["routes_agree"]["pass"]
+    assert report["results"]["gradient_residual_max"] == (1e-4 if scale == "large" else 1e-12)
+
+
 def test_angles_command(capsys, m5_spec):
     code, report = run_json(
         capsys, ["angles", "--spec", m5_spec, "--at", "2,-1,-1", "--vector", "1,0,0"]
@@ -695,6 +717,25 @@ def test_symmetry_verdicts_are_the_per_point_reference_bit_for_bit(n):
         got = [v["residual"] for v in verdicts.values()] + [verdicts["first_bianchi"]["tol"]]
         want = [_ref_symmetry_residuals(point, 1e-9) for point in low.reshape((-1,) + (3,) * 4)]
         assert np.stack(got, axis=-1).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("batch", [(), (1,), (40,), (500,)], ids=str)
+def test_symmetry_verdicts_over_distinct_entries_are_the_five_view_reference_bit_for_bit(batch):
+    # non-symmetric tensors, some entries NaN or +-inf: a residual that is NaN, inf - inf, must be the maximum
+    rng = np.random.default_rng(36)
+    for special in ([], [math.nan], [math.inf, -math.inf], [math.nan, math.inf, -math.inf]):
+        low = rng.standard_normal(batch + (3,) * 4) * 10.0 ** rng.integers(-3, 4, batch + (3,) * 4)
+        if special:
+            flat = low.reshape(-1)
+            flat[rng.integers(0, flat.size, max(1, flat.size // 100))] = rng.choice(special, max(1, flat.size // 100))
+        for tol in (1e-9, 0.0):
+            with np.errstate(invalid="ignore"):  # inf - inf, and 0 * inf in the bound
+                got, want = cli._symmetry_verdicts(low, tol), symmetry_verdicts_reference(low, tol)
+            assert list(got) == list(want)
+            for name in want:
+                for key in ("pass", "residual", "tol"):
+                    g, w = np.asarray(got[name][key]), np.asarray(want[name][key])
+                    assert (g.shape, g.dtype, g.tobytes()) == (w.shape, w.dtype, w.tobytes()), (special, name, key)
 
 
 def test_christoffel_fd_check(capsys, m5_spec):
@@ -865,6 +906,9 @@ def test_json_writer_is_json_dumps_of_the_builtin_tree():
     tree = {
         "floats": [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308, 0.1],
         "numpy": [np.float64(0.1), np.float32(0.1), np.int64(-7), np.bool_(True), np.bool_(False), True, 3],
+        "numpy floats": {"nan": np.float64(math.nan), "inf": np.float64(math.inf), "-inf": np.float64(-math.inf),
+                         "-0.0": np.float64(-0.0), "in a tuple": (np.float64(-0.0), np.bool_(False), np.int64(0))},
+        "nested arrays": [np.array([[True], [False]]), (np.array(-0.0), np.array([[np.int64(2)]])), [[], ()]],
         "arrays": {"0-d": np.array(2.5), "2-d": np.array([[1.0, -0.0], [math.nan, math.inf]]),
                    "bool": np.array([True, False]), "tuple": (1, (2.0, None))},
         "empty": {"dict": {}, "list": [], "tuple": (), "array": np.zeros(0), "none": None},
@@ -872,7 +916,8 @@ def test_json_writer_is_json_dumps_of_the_builtin_tree():
         'key "é"\n': "",
     }
     assert cli._json(tree) == reference_json(tree)
-    for leaf in (None, math.nan, np.array(1.0), "é", [], {}):
+    # a top-level leaf goes through _json_scalar, as a numpy value inside a container does
+    for leaf in (None, math.nan, -0.0, 2.5, True, 7, np.float64(-math.inf), np.array(1.0), "é", 'a "b"', [], {}, ()):
         assert cli._json(leaf) == reference_json(leaf)
 
 

@@ -12,7 +12,8 @@ and errors of the three-array reference (jets_reference.py). Beyond bits:
 the curvature of generated fields has the tensor symmetries and the first
 Bianchi identity, its components over random rational fields are within
 C_EPS eps of the exact oracle (test_exact.py), and their Christoffel symbols
-and derivatives within C_CHRISTOFFEL eps, q is an isometry of every
+and derivatives within C_CHRISTOFFEL eps, check-parallel's verdicts keep
+their bits where g is scaled by a power of two, q is an isometry of every
 circulant metric, and the command line, fuzzed over commands, specs, points and samples, exits 0-3
 without raising or letting a RuntimeWarning through. hypothesis is needed
 here only (the test extra); the budgets are small and derandomized so that
@@ -26,6 +27,7 @@ import io
 import math
 import re
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -46,6 +48,7 @@ from circulant3 import (  # noqa: E402
     jets,
     metric_at,
     riemann_from_metric,
+    sample_admissible_points,
     sectional_relations,
 )
 from circulant3.cli import _CORES, NO_WEAK, NOT_SAMPLED, main  # noqa: E402
@@ -207,6 +210,25 @@ def test_positive_definite_check_over_a_batch_equals_each_point_bit_for_bit(pair
 @given(name=st.sampled_from(sorted(MANIFOLDS)), n=st.integers(1, 64), seed=st.integers(0, 2**16))
 def test_curvature_kernel_is_the_batch_first_reference_at_any_batch_size(name, n, seed):
     assert_kernel_is_the_reference(metric_batch(name, seed, (n,)))
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(
+    name=st.sampled_from(sorted(MANIFOLDS)), n=st.integers(1, 8), seed=st.integers(0, 2**16), k=st.integers(-200, 200)
+)
+def test_check_parallel_verdicts_are_unchanged_where_g_is_scaled_by_a_power_of_two(name, n, seed, k):
+    # parallelism is a property of the connection, which g and 2^k g share; so is each verdict's residual
+    make, box = MANIFOLDS[name]
+    m = make(np.random.default_rng(seed))
+    points, M = sample_admissible_points(m, box, n, seed)
+    scaled = MetricFunctions.from_sources(*(f"{2.0**k!r}*({f.source})" for f in (m.A, m.B)))
+    args = SimpleNamespace(tol=1e-9)
+    want = _CORES["check-parallel"](None, points, M, args)[1]
+    got = _CORES["check-parallel"](None, points, metric_at(scaled, points), args)[1]
+    assert list(got) == list(want)
+    for verdict in want:
+        for key in ("pass", "residual", "tol"):
+            assert np.asarray(got[verdict][key]).tobytes() == np.asarray(want[verdict][key]).tobytes(), (verdict, key)
 
 
 # Expression source over every kind of entry: a coordinate, a number, a unary minus, a function, the

@@ -42,6 +42,16 @@ def test_apply_q_examples():
     assert np.array_equal(apply_q([0, 0, 0]), [0, 0, 0])
 
 
+def test_apply_q_is_a_signed_gather_exact_at_any_entry():
+    # the bits of the product by Q_MATRIX on finite vectors, a batch included; an infinite entry moves to its
+    # own slot alone, with no NaN and no RuntimeWarning where the product gives [nan, nan, -inf]
+    x = np.random.default_rng(36).standard_normal((4, 5, 3)) * 10.0 ** np.arange(-150, 150, 20)[:, None, None, None]
+    for v in (x[0, 0, 0], x):
+        assert apply_q(v).tobytes() == (Q_MATRIX @ v[..., None])[..., 0].tobytes()
+    assert apply_q([math.inf, 1.0, 1.0]).tolist() == [-1.0, -1.0, -math.inf]
+    assert np.signbit(apply_q([-0.0, 0.0, -0.0])).tolist() == [False, False, False]
+
+
 def test_isometry_residual():
     M = _metric(4.0, 2.0)
     assert isometry_residual(M, [1, 0, 0], [0, 1, 0]) == 0.0
