@@ -4,9 +4,14 @@ Every subcommand loads a manifold spec (or the built-in example), runs a
 computation or verification at a point (--at) or over a seeded sample of
 admissible points (--sample/--seed), and emits a human-readable or JSON
 report. Only build_parser knows which options a subcommand takes and
-which values they accept. Exit codes: 0 all verdicts pass, 1 a verification
-verdict failed, 2 usage, parse or out-of-memory error; a refusal exits with
-the code its error class declares (errors.py).
+which values they accept. main parses an argv that starts with a command
+name in one walk over that command's option table, which _option_tables
+derives from build_parser's actions; every other argv (help, --version,
+an abbreviation, a value that starts with '-', every refusal) goes to
+build_parser().parse_args, which prints every help text and message.
+Exit codes: 0 all verdicts pass, 1 a verification verdict failed, 2 usage,
+parse or out-of-memory error; a refusal exits with the code its error
+class declares (errors.py).
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import warnings
 from json.encoder import encode_basestring_ascii as _json_str
@@ -47,7 +53,7 @@ from .metric import (
 from .parallelism import (
     christoffel_equalities_from_table,
     nabla_q_from_table,
-    parallel_quotients_from_metric,
+    parallel_quotients_from_table,
     parallel_residual_from_metric,
 )
 from .qstructure import (
@@ -86,12 +92,12 @@ def _triple(what: str):
         if len(parts) != 3:
             raise argparse.ArgumentTypeError(f"{what} must be three comma-separated numbers, got {text!r}")
         try:
-            values = np.array([float(v) for v in parts])
+            values = [float(v) for v in parts]
         except ValueError as exc:
             raise argparse.ArgumentTypeError(f"bad number in {what} {text!r}: {exc}") from exc
-        if not np.isfinite(values).all():
+        if not all(map(math.isfinite, values)):
             raise argparse.ArgumentTypeError(f"{what} must be finite, got {text!r}")
-        return values
+        return np.array(values)
 
     return triple
 
@@ -114,7 +120,7 @@ def _tol(text: str) -> float:
         value = float(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad number in --tol {text!r}: {exc}") from exc
-    if not (np.isfinite(value) and value >= 0.0):
+    if not (math.isfinite(value) and value >= 0.0):
         raise argparse.ArgumentTypeError(f"--tol must be a finite number >= 0, got {value!r}")
     return value
 
@@ -491,7 +497,7 @@ def _cmd_check_parallel(spec, p, M, args):
     }
     # the verdicts read the criterion of degree 0 in g, as nabla q and the equalities are, so that
     # scaling g changes none of them; grad_res scales with g
-    criterion = np.abs(parallel_quotients_from_metric(M)).max(axis=-1)
+    criterion = np.abs(parallel_quotients_from_table(ct)).max(axis=-1)
     worst = _max((criterion, nq_max, gamma_res))
     agree = (criterion <= args.tol) == (nq_max <= args.tol)
     verdicts = {
@@ -733,24 +739,98 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# A store action of one value with no choices, or a store_true action: the two kinds _walk parses. Where a
+# command has another kind, or a string default (argparse passes one through the action's type), only
+# build_parser parses its argv.
+def _walkable(action) -> bool:
+    kind = type(action)
+    simple = kind is argparse._StoreTrueAction or (
+        kind is argparse._StoreAction and action.nargs is None and action.choices is None
+    )
+    return simple and not isinstance(action.default, str)
+
+
 @functools.cache
-def _command_parsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
-    """Each command's own parser, by name: the choices of parser's subparsers action."""
-    (commands,) = (a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return commands
+def _option_tables() -> dict[str, tuple]:
+    """Each command's option table, derived from build_parser's own subparser actions on first use.
+
+    A table holds the command's actions by their option strings, its defaults
+    in action order, the dests of its required actions and its mutually
+    exclusive groups as (required, dests); the help action is left out.
+    """
+    (commands,) = (a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    tables = {}
+    for name, parser in commands.items():
+        actions = [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+        if all(map(_walkable, actions)):
+            tables[name] = (
+                {s: a for a in actions for s in a.option_strings},
+                {a.dest: a.default for a in actions},
+                [a.dest for a in actions if a.required],
+                [(g.required, [a.dest for a in g._group_actions]) for g in parser._mutually_exclusive_groups],
+            )
+    return tables
+
+
+def _walk(argv, table):
+    """The Namespace that build_parser().parse_args(argv) returns, by one walk over argv's command's table.
+
+    Returns None wherever argparse alone may decide: a token that is not one
+    of the command's options exactly, an option given twice, a store_true
+    option given a value, a value that is missing, starts with '-' or is
+    '--', or that its action's type refuses, a required option missing, and
+    a mutually exclusive group with two options given or none where one is
+    required.
+    """
+    options, defaults, required, groups = table
+    values = {}
+    i, n = 1, len(argv)
+    while i < n:
+        name, eq, value = argv[i].partition("=")
+        i += 1
+        action = options.get(name)
+        if action is None or action.dest in values:
+            return None
+        if action.nargs == 0:  # store_true
+            if eq:
+                return None
+            values[action.dest] = action.const
+            continue
+        if not eq:
+            if i == n or argv[i].startswith("-"):
+                return None
+            value = argv[i]
+            i += 1
+        elif value == "--":  # argparse drops a value '--'
+            return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        values[action.dest] = value
+    if not all(dest in values for dest in required):
+        return None
+    for group_required, dests in groups:
+        given = sum(dest in values for dest in dests)
+        if given > 1 or (group_required and not given):
+            return None
+    args = argparse.Namespace(command=argv[0], **defaults)  # the order of parse_args' vars()
+    vars(args).update(values)
+    return args
+
+
+def _parse(argv) -> argparse.Namespace:
+    """build_parser().parse_args(argv): by _walk where argv starts with a command name and _walk can."""
+    table = _option_tables().get(argv[0]) if argv else None
+    args = None if table is None else _walk(argv, table)
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
-    command_parser = _command_parsers(parser).get(argv[0]) if argv else None
     try:
-        if command_parser is None:  # no command first: help, --version, an unknown command, an option before it
-            args = parser.parse_args(argv)
-        else:  # what parse_args does after the command, without classifying each argument twice
-            args, extras = command_parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-            if extras:
-                parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        args = _parse(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

@@ -152,10 +152,13 @@ COMPONENT_INDEX = {
 
 @dataclass(frozen=True)
 class ChristoffelTable:
-    """gamma[...,i,j,h] = Gamma_ij^h and dgamma[...,k,i,j,h] = d_k Gamma_ij^h, batch first and C-contiguous."""
+    """gamma[...,i,j,h] = Gamma_ij^h and dgamma[...,k,i,j,h] = d_k Gamma_ij^h, batch first and C-contiguous.
+
+    quotients[..., 12] are the eigenframe quotients the kernel formed them from (_eigenframe_jets)."""
 
     gamma: np.ndarray
     dgamma: np.ndarray
+    quotients: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -324,7 +327,7 @@ def christoffel_from_metric(M: MetricAtPoint) -> ChristoffelTable:
     require_finite(M, "Christoffel symbols or their derivatives", gamma, dgamma)
     # take keeps each point's row C-contiguous, where an index on the last axis (gamma[..., _GATHER_GAMMA]) would not
     gamma, dgamma = gamma.take(_GATHER_GAMMA, axis=-1), dgamma.take(_GATHER_DGAMMA, axis=-1)
-    return ChristoffelTable(gamma.reshape(batch + (3, 3, 3)), dgamma.reshape(batch + (3, 3, 3, 3)))
+    return ChristoffelTable(gamma.reshape(batch + (3, 3, 3)), dgamma.reshape(batch + (3, 3, 3, 3)), quotients)
 
 
 @np.errstate(all="ignore")

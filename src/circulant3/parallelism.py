@@ -10,7 +10,7 @@ Christoffel equalities listed in CHRISTOFFEL_EQUALITY_PAIRS hold, and
 equivalently lam = A + 2B varies only along (1, 1, 1) and nu = A - B not
 along it: the criterion's differences and sum are the derivatives of lam
 along (1, -1, 0) and (1, 1, -2) and of nu along (1, 1, 1).
-parallel_quotients_from_metric divides these by lam and nu, which makes the
+parallel_quotients_from_table divides these by lam and nu, which makes the
 criterion of degree 0 in g, as nabla q is.
 """
 
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import ChristoffelTable, _eigenframe_jets
+from .curvature import ChristoffelTable
 from .metric import MetricAtPoint
 from .qstructure import Q_MATRIX
 
@@ -71,19 +71,18 @@ def parallel_residual_from_metric(M: MetricAtPoint) -> np.ndarray:
     return M.A_jet.grad - np.ascontiguousarray(M.B_jet.grad) @ MIRROR_MATRIX
 
 
-# lam~_2 / lam, lam~_3 / lam and nu~_1 / nu among the quotients of _eigenframe_jets, at 6w + 3v + c
+# lam~_2 / lam, lam~_3 / lam and nu~_1 / nu among the table's quotients, at 6w + 3v + c
 _PARALLEL_QUOTIENTS = np.array([1, 2, 9])
 
 
-@np.errstate(all="ignore")  # finite wherever christoffel_from_metric, which divides by the same values, is
-def parallel_quotients_from_metric(M: MetricAtPoint) -> np.ndarray:
-    """The gradient criterion of degree 0 in g (..., 3): zero iff q is parallel at M's points.
+def parallel_quotients_from_table(ct: ChristoffelTable) -> np.ndarray:
+    """The gradient criterion of degree 0 in g (..., 3): zero iff q is parallel at the table's points.
 
     The derivatives of lam along (1, -1, 0) and (1, 1, -2) over lam, and of nu
-    along (1, 1, 1) over nu, formed over g / 2^e: scaling g by a power of two
-    keeps their bits.
+    along (1, 1, 1) over nu, as the Christoffel kernel formed them over
+    g / 2^e: scaling g by a power of two keeps their bits.
     """
-    return _eigenframe_jets(M, M.e)[2][..., _PARALLEL_QUOTIENTS]
+    return ct.quotients[..., _PARALLEL_QUOTIENTS]
 
 
 def christoffel_equalities_from_table(ct: ChristoffelTable) -> np.ndarray:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import argparse
+import importlib.util
 import itertools
 import json
 import re
@@ -17,8 +19,8 @@ import numpy as np
 import pytest
 
 from circulant3 import (
-    builtin_example, christoffel_from_metric, cli, errors, load_spec, metric_at, riemann_from_metric,
-    sample_admissible_points,
+    builtin_example, christoffel_from_metric, cli, curvature, errors, load_spec, metric_at, parallelism,
+    riemann_from_metric, sample_admissible_points,
 )
 from circulant3.cli import main
 
@@ -26,7 +28,8 @@ from exact import closed_form_error
 from helpers import symmetry_verdicts_reference
 from test_exact import C_CHRISTOFFEL, C_EPS, christoffel_errors
 
-DATA = Path(__file__).parent / "data"
+ROOT = Path(__file__).resolve().parents[1]
+DATA = ROOT / "tests" / "data"
 
 M5_SPEC = '''
 name = "m5-file"
@@ -163,7 +166,8 @@ def test_exit_code_usage_errors(capsys, m5_spec):
 
 def _subparsers():
     """The parser of each subcommand, by name, from the shared command-line parser."""
-    return cli._command_parsers(cli.build_parser())
+    (commands,) = (a.choices for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return commands
 
 
 POINT_OPTIONS = ("-h", "--help", "--at", "--json")
@@ -243,6 +247,84 @@ def test_main_parses_every_argv_as_the_parser_does(capsys, monkeypatch):
     capsys.readouterr()
 
 
+_EMPTY_REPORT = {"command": "-", "spec_name": "-", "inputs": {}, "results": {}, "verdicts": {}, "meta": {}}
+
+
+def _perfbench_pool_argvs(entries):
+    """The argv of the first entries of each perfbench pool, as perfbench/workloads.py writes them."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # for its dataclass
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    paths = {"generic": "generic.toml", "parallel": "parallel.toml"}
+    return [
+        workloads.concrete_argv(op, paths)
+        for name in workloads.WORKLOADS
+        for index in range(entries)
+        for op in workloads.pool_ops(name, index)
+    ]
+
+
+def test_main_parses_the_perfbench_pools_argv_with_no_argparse_parse(capsys, monkeypatch):
+    parsed, parses = [], []
+    monkeypatch.setattr(cli, "_run", lambda args: parsed.append(args) or _EMPTY_REPORT)
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        parses.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    argvs = _perfbench_pool_argvs(4)
+    assert {argv[0] for argv in argvs} == set(OPTIONS)  # the point-queries pool runs every command
+    for argv in argvs:
+        assert main(argv) == 0, argv
+    assert parses == []
+    for argv, args in zip(argvs, parsed):
+        assert _plain(args) == _plain(cli.build_parser().parse_args(argv)), argv
+    capsys.readouterr()
+
+
+# argvs that the walk over a command's option table hands to build_parser().parse_args, beside those of
+# main_argv_texts.json: argparse accepts them as written, abbreviated or repeated, refuses them or prints help
+HANDED_OVER = [
+    ["riemann", "--spec", "m.toml", "--at=1,2,3", "--at=1,2,4"],  # a repeated option: argparse keeps the last
+    ["riemann", "--spec", "m.toml", "--at=1,2,3", "--json", "--json"],
+    ["riemann", "--spec", "m.toml", "--at=1,2,3", "--json=1"],
+    ["riemann", "--spec", "m.toml", "--at=1,2,3", "--json="],
+    ["riemann", "--spec", "m.toml", "--sample", "3", "--seed", "-1"],
+    ["riemann", "--spec", "m.toml", "--sample", "3", "--seed=-1"],
+    ["riemann", "--spec", "m.toml", "--at"],
+    ["riemann", "--spec", "m.toml", "--at", "--json"],
+    ["riemann", "--spec", "m.toml", "--", "--at=1,2,3"],
+    ["riemann", "--spec", "m.toml", "--at=1,2,3", "--"],
+    ["riemann", "--spec=--", "--at=1,2,3"],  # argparse drops a value '--'
+    ["riemann", "--spec", "m.toml", "--at=1,2,3", "-h"],
+    ["riemann", "--spec", "m.toml", "--at=1,2,3", "--sample", "3"],
+    ["riemann", "--spec", "m.toml", "--at=1,2,x"],
+    ["riemann", "--at=1,2,3"],
+    ["riemann", "--spec", "m.toml"],
+    ["qbasis", "--vec=1,2,3", "--json"],  # an abbreviation
+]
+
+
+@pytest.mark.parametrize("argv", HANDED_OVER, ids=" ".join)
+def test_main_hands_what_the_walk_cannot_parse_to_the_parser(capsys, monkeypatch, argv):
+    assert cli._walk(argv, cli._option_tables()[argv[0]]) is None
+    parsed = []
+    monkeypatch.setattr(cli, "_run", lambda args: parsed.append(args) or _EMPTY_REPORT)
+    code = main(argv)
+    got = (code, *capsys.readouterr()) if not parsed else _plain(parsed.pop())
+    try:
+        want = _plain(cli.build_parser().parse_args(argv))
+    except SystemExit as exc:
+        want = (exc.code, *capsys.readouterr())
+    assert got == want
+
+
 def test_main_prints_what_the_parser_prints_where_it_refuses_an_argv(capsys, monkeypatch):
     # recorded from main when it handed every argv to build_parser().parse_args, at 80 columns:
     # help, --version, an unknown command, an option before the command, arguments left over, '--'
@@ -252,7 +334,7 @@ def test_main_prints_what_the_parser_prints_where_it_refuses_an_argv(capsys, mon
 
 
 def test_python_m_circulant3_runs_the_command_line():
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    src = str(ROOT / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     done = subprocess.run([sys.executable, "-m", "circulant3", "--version"], capture_output=True, text=True, env=env)
     assert (done.returncode, done.stdout) == (0, "circulant3 0.1.0\n")
@@ -630,6 +712,25 @@ def test_check_parallel_verdicts_do_not_depend_on_the_scale_of_g(capsys, tmp_pat
     assert report["verdicts"]["parallel"]["pass"] is parallel
     assert report["verdicts"]["routes_agree"]["pass"]
     assert report["results"]["gradient_residual_max"] == (1e-4 if scale == "large" else 1e-12)
+
+
+def test_check_parallel_forms_the_eigenframe_jets_once_per_call(capsys, monkeypatch, m5_spec, parallel_spec):
+    # the Christoffel kernel's quotients are the verdicts' criterion too
+    calls = []
+    eigenframe_jets = curvature._eigenframe_jets
+
+    def counted(*args):
+        calls.append(1)
+        return eigenframe_jets(*args)
+
+    for module in (curvature, parallelism, cli):  # every module that binds it by name
+        if getattr(module, "_eigenframe_jets", None) is eigenframe_jets:
+            monkeypatch.setattr(module, "_eigenframe_jets", counted)
+    for argv in (["--spec", m5_spec, "--at", "2,-1,-1"], ["--spec", parallel_spec, "--sample", "5"]):
+        calls.clear()
+        assert main(["check-parallel", *argv]) in (0, 1)
+        assert len(calls) == 1, argv
+    capsys.readouterr()
 
 
 def test_angles_command(capsys, m5_spec):
@@ -1407,11 +1508,8 @@ def test_verify_theorems_passes_on_the_cyclic_family_where_q_is_not_parallel(cap
 
 
 def test_main_builds_the_parser_once(capsys, monkeypatch):
-    import argparse
-
-    import circulant3.cli as cli
-
     cli.build_parser.cache_clear()
+    cli._option_tables.cache_clear()  # derived from the parser on the first main call
     built = []
     original = argparse.ArgumentParser.__init__
 

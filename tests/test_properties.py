@@ -14,8 +14,9 @@ Bianchi identity, its components over random rational fields are within
 C_EPS eps of the exact oracle (test_exact.py), and their Christoffel symbols
 and derivatives within C_CHRISTOFFEL eps, check-parallel's verdicts keep
 their bits where g is scaled by a power of two, q is an isometry of every
-circulant metric, and the command line, fuzzed over commands, specs, points and samples, exits 0-3
-without raising or letting a RuntimeWarning through. hypothesis is needed
+circulant metric, the command line, fuzzed over commands, specs, points and samples, exits 0-3
+without raising or letting a RuntimeWarning through, and main parses an argv of a command's options
+and stray tokens as build_parser().parse_args does. hypothesis is needed
 here only (the test extra); the budgets are small and derandomized so that
 every run checks the same examples.
 """
@@ -28,6 +29,7 @@ import math
 import re
 import warnings
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -51,6 +53,7 @@ from circulant3 import (  # noqa: E402
     sample_admissible_points,
     sectional_relations,
 )
+from circulant3 import cli  # noqa: E402
 from circulant3.cli import _CORES, NO_WEAK, NOT_SAMPLED, main  # noqa: E402
 from circulant3.errors import CirculantError, EvalDomainError, NotAQBasis  # noqa: E402
 from circulant3.expressions import (  # noqa: E402
@@ -523,6 +526,59 @@ def test_the_command_line_exits_0_to_3_and_lets_no_runtime_warning_through(fuzz_
             code = main(argv)
     assert code in (0, 1, 2, 3)
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], argv
+
+
+# An argv is a command, some of the options it takes with a value each type accepts, spaced or joined by '=',
+# in any order, and up to two more tokens anywhere: options as written, abbreviated or not taken by the
+# command, with or without a value or '=value' that their type accepts or refuses, bare values, '--' and '-h'.
+_VALUES = {"--spec": "m.toml", "--at": "1,2,3", "--sample": "3", "--box": "0:1,0:1,0:1", "--seed": "4",
+           "--tol": "1e-6", "--vector": "1,1,0", "--x": "1,0,0", "--y": "0,1,0", "--n-vectors": "2"}
+_OPTION_TOKENS = (*_VALUES, "--json", "--allow-weak-metric", "--fd-check", "--sp", "--vec", "--allow", "--version")
+_VALUE_TOKENS = (*_VALUES.values(), "-1,2,3", "nan,0,0", "0", "-1", "x", "", "--", "-h")
+_noise = st.one_of(
+    st.sampled_from(_OPTION_TOKENS),
+    st.sampled_from(_VALUE_TOKENS),
+    st.builds("{}={}".format, st.sampled_from(_OPTION_TOKENS), st.sampled_from(_VALUE_TOKENS)),
+)
+
+
+@st.composite
+def _command_argvs(draw):
+    command = draw(st.sampled_from(tuple(_CORES)))
+    parser = next(a for a in cli.build_parser()._actions if a.dest == "command").choices[command]
+    options = [s for a in parser._actions for s in a.option_strings if s.startswith("--") and s != "--help"]
+    words = []
+    for option in draw(st.permutations(options)):
+        if draw(st.integers(0, 2)):  # now and then left out
+            value = _VALUES.get(option)
+            words.append([option] if value is None else draw(st.sampled_from([[option, value], [f"{option}={value}"]])))
+    for noise in draw(st.lists(_noise, max_size=2)):
+        words.insert(draw(st.integers(0, len(words))), [noise])
+    return [command, *(token for word in words for token in word)]
+
+
+def _plain(namespace):
+    return [(k, v.tolist() if isinstance(v, np.ndarray) else v) for k, v in vars(namespace).items()]
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(argv=_command_argvs())
+def test_main_parses_any_argv_as_the_parser_does(argv):
+    # the Namespace that parse_args returns, or its exit code, stdout and stderr
+    parsed = []
+    empty = {"command": argv[0], "spec_name": "-", "inputs": {}, "results": {}, "verdicts": {}, "meta": {}}
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(cli, "_run", lambda args: parsed.append(args) or empty):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    got = _plain(parsed.pop()) if parsed else (code, out.getvalue(), err.getvalue())
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            want = _plain(cli.build_parser().parse_args(argv))
+    except SystemExit as exc:
+        want = (exc.code, out.getvalue(), err.getvalue())
+    assert got == want, argv
 
 
 # The exact oracle of test_exact.py over random rational fields: a field is a constant plus up to
