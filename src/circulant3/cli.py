@@ -739,36 +739,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# A store action of one value with no choices, or a store_true action: the two kinds _walk parses. Where a
-# command has another kind, or a string default (argparse passes one through the action's type), only
-# build_parser parses its argv.
-def _walkable(action) -> bool:
-    kind = type(action)
-    simple = kind is argparse._StoreTrueAction or (
-        kind is argparse._StoreAction and action.nargs is None and action.choices is None
-    )
-    return simple and not isinstance(action.default, str)
-
-
 @functools.cache
 def _option_tables() -> dict[str, tuple]:
     """Each command's option table, derived from build_parser's own subparser actions on first use.
 
     A table holds the command's actions by their option strings, its defaults
     in action order, the dests of its required actions and its mutually
-    exclusive groups as (required, dests); the help action is left out.
+    exclusive groups as (required, dests); the help action is left out. Every
+    other action is a store action of one value with no choices and no string
+    default, or a store_true action: the two kinds _walk parses (the tests
+    hold every command to this).
     """
     (commands,) = (a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     tables = {}
     for name, parser in commands.items():
         actions = [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
-        if all(map(_walkable, actions)):
-            tables[name] = (
-                {s: a for a in actions for s in a.option_strings},
-                {a.dest: a.default for a in actions},
-                [a.dest for a in actions if a.required],
-                [(g.required, [a.dest for a in g._group_actions]) for g in parser._mutually_exclusive_groups],
-            )
+        tables[name] = (
+            {s: a for a in actions for s in a.option_strings},
+            {a.dest: a.default for a in actions},
+            [a.dest for a in actions if a.required],
+            [(g.required, [a.dest for a in g._group_actions]) for g in parser._mutually_exclusive_groups],
+        )
     return tables
 
 

@@ -447,12 +447,6 @@ def _rescaled(v):
     return np.ldexp(v, -e[..., None]), e
 
 
-def _gram(g, x, y):
-    """g(x,x), g(y,y) and g(x,y), x @ g formed once."""
-    gxx, gxy = inners(g, x, (x, y))
-    return gxx, inners(g, y, (y,))[0], gxy
-
-
 def _plane_determinant(gxx, gyy, gxy):
     """The Gram determinant gxx gyy - gxy^2 of a batch of planes, their sectional curvature's denominator,
     and where it is degenerate: not above 1e-12 gxx gyy."""
@@ -485,22 +479,15 @@ def sectional_plane(R: CurvatureTensor, x, y):
     rescaled vectors; the determinant is inf where it overflows and 0 where it underflows."""
     (xs, ex), (ys, ey) = _rescaled(x), _rescaled(y)
     M = R.metric
-    den, degenerate = _plane_determinant(*_gram(M.g_scaled, xs, ys))
+    gxx, gxy = inners(M.g_scaled, xs, (xs, ys))
+    den, degenerate = _plane_determinant(gxx, inners(M.g_scaled, ys, (ys,))[0], gxy)
     _refuse_degenerate(degenerate, lambda: (x, y))
-    mu = _scaled_back(M, riemann_apply(R, xs, ys, xs, ys) / den)
-    with np.errstate(over="ignore", under="ignore"):
-        return mu, np.ldexp(den, 2 * (ex + ey + M.e))
-
-
-@np.errstate(over="ignore")
-def _scaled_back(M: MetricAtPoint, mu):
-    """Sectional curvatures formed over g / 2^e, scaled back: mu 2^-2e, refused where that overflows.
-
-    mu's last axes are M's batch axes."""
-    mu = np.ldexp(mu, -2 * M.e)
-    batch = range(mu.ndim - M.A.ndim, mu.ndim)
+    with np.errstate(all="ignore"):  # a quotient that overflows is refused below
+        mu = np.ldexp(riemann_apply(R, xs, ys, xs, ys) / den, -2 * M.e)  # formed over g / 2^e, scaled back
+        det = np.ldexp(den, 2 * (ex + ey + M.e))
+    batch = range(mu.ndim - M.A.ndim, mu.ndim)  # mu's last axes are M's batch axes
     require_finite(M, "sectional curvatures", np.moveaxis(mu, batch, range(M.A.ndim)))
-    return mu
+    return mu, det
 
 
 def max_abs(R: CurvatureTensor) -> np.ndarray:

@@ -48,15 +48,13 @@ An integer power ``v ** n`` forms its three channels one after another,
 none with a Python call per element. The value is a float pow per element,
 by ``_int_power``, which also serves plain numbers. A derivative channel
 ``c v^k`` (``c = n``, ``k = n - 1``, and ``c = n (n - 1)``, ``k = n - 2``)
-is one array operation where k is 0 or 1, and exact: float pow gives
-``v ** 0 = 1.0`` and ``v ** 1 = v``, so the channel is the constant c or
-``c v``, with the ``v == 0`` limit of ``_int_pow_taylor``. A zero c (the
-channels of ``v ** 0`` and the second of ``v ** 1``) is a signed zero,
-with no pow that could overflow at a tiny v. Any other k takes
-``c * v ** k``, a float pow and a product, element by element.
-Where a channel raises, the elements run again one at a time through
-``_int_pow_taylor``, so the first failing element raises, its value before
-its derivatives.
+is one exact array operation where k is 0 or 1 (float pow gives
+``v ** 0 = 1.0`` and ``v ** 1 = v``), has its limit c or 0.0 at ``v == 0``,
+and is a signed zero where c is 0 (the channels of ``v ** 0`` and the
+second of ``v ** 1``), with no pow that could overflow at a tiny v. Any
+other k takes ``c * v ** k``, a float pow and a product, element by element.
+Where a channel raises, the three run again on each element as a batch of
+one, so the first failing element raises, its value before its derivatives.
 
 Every operation's Hessian is symmetric by construction, bit for bit: each
 entry is built from symmetric Hessians and outer products ``g h^T + h g^T``
@@ -142,27 +140,8 @@ def _int_power(x, n: int):
     return np.fromiter(map(pow, x.ravel().tolist(), repeat(n)), float, x.size).reshape(x.shape)
 
 
-def _int_pow_taylor(v: float, n: int) -> tuple[float, float, float]:
-    """v**n and its first two derivatives in v, with float pow semantics: the definition of an integer power.
-
-    Jet2.__pow__ forms the same numbers channel by channel; it calls this one element at a time
-    only to raise what the first failing element raises.
-    """
-    val = v ** n  # ZeroDivisionError for v == 0, n < 0
-    if v == 0.0:
-        return val, (1.0 if n == 1 else 0.0), (2.0 if n == 2 else 0.0)
-    return val, _pow_channel(v, n, n - 1), _pow_channel(v, n * (n - 1), n - 2)
-
-
-def _pow_channel(v: float, c: int, k: int) -> float:
-    """c * v ** k for a nonzero v; for c == 0 the zero that product has, without the pow, which may overflow."""
-    if c == 0:
-        return -0.0 if k % 2 and v < 0 else 0.0
-    return c * v ** k
-
-
 def _int_pow_derivative(v: np.ndarray, c: int, k: int) -> np.ndarray:
-    """c * v ** k at each element of v, a derivative channel of v ** n, as _int_pow_taylor forms it.
+    """c * v ** k at each element of v, a derivative channel of v ** n (c = n, k = n - 1 or c = n (n - 1), k = n - 2).
 
     Where v == 0 (either sign) the channel is its limit: c if k == 0, else 0.0. For k of 0 or 1
     it is one exact array operation; c * v is nonzero where v is. A zero c (n of 0 or 1, so k < 0)
@@ -322,9 +301,11 @@ class Jet2:
             f1 = _int_pow_derivative(v, n, n - 1)
             f2 = _int_pow_derivative(v, n * (n - 1), n - 2)
         except (ZeroDivisionError, OverflowError):
-            # the channels run one after another; raise what the first failing element raises
-            for x in v.ravel().tolist():
-                _int_pow_taylor(x, n)
+            # rerun the channels on each element as a batch of one; raise what the first failing element raises
+            for x in v.reshape(-1, 1):
+                _int_power(x, n)
+                _int_pow_derivative(x, n, n - 1)
+                _int_pow_derivative(x, n * (n - 1), n - 2)
             raise
         return _lift(self, f0, f1, f2)
 

@@ -199,6 +199,19 @@ def test_each_command_accepts_exactly_its_options():
     assert accepted == {command: sorted(POINT_OPTIONS + options) for command, options in OPTIONS.items()}
 
 
+def test_every_option_is_of_a_kind_the_walk_parses():
+    # cli._walk parses a store action of one value with no choices and no string default (argparse would
+    # pass a string default through the action's type) and a store_true action; every command is tabled
+    for command, parser in _subparsers().items():
+        for action in parser._actions:
+            kind = type(action)
+            store = kind is argparse._StoreAction and action.nargs is None and action.choices is None
+            assert (store and not isinstance(action.default, str)) or kind in (
+                argparse._StoreTrueAction, argparse._HelpAction
+            ), (command, action.option_strings)
+    assert list(cli._option_tables()) == list(cli._CORES)
+
+
 OPTION_VALUES = {  # an argument of each option that takes one; the spec file is never opened
     "--spec": "m.toml",
     "--at": "1,2,3",
@@ -333,11 +346,28 @@ def test_main_prints_what_the_parser_prints_where_it_refuses_an_argv(capsys, mon
         assert _call(capsys, case["argv"]) == (case["exit_code"], case["stdout"], case["stderr"]), case["argv"]
 
 
-def test_python_m_circulant3_runs_the_command_line():
+def _python(*args):
+    """python *args in a fresh interpreter that imports this checkout's package."""
     src = str(ROOT / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    done = subprocess.run([sys.executable, "-m", "circulant3", "--version"], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def test_python_m_circulant3_runs_the_command_line():
+    done = _python("-m", "circulant3", "--version")
     assert (done.returncode, done.stdout) == (0, "circulant3 0.1.0\n")
+
+
+def test_sectional_refuses_a_curvature_that_overflows_with_one_stderr_line(tmp_path):
+    # the quotient overflows before it is scaled back; the refusal is the only line on stderr, with
+    # Python's default warning filter in force, as the console script runs
+    spec = tmp_path / "hessian.toml"
+    spec.write_text('[metric]\nA = "8.9e307*x1^2 + 3"\nB = "1"\n', encoding="utf-8")
+    argv = ["sectional", "--spec", str(spec), "--at=1e-200,0,0", "--x=1,-1,0", "--y=1,1,-2"]
+    done = _python("-W", "default", "-m", "circulant3", *argv)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        3, "", "error (sectional): sectional curvatures are not finite where A=3.0, B=1.0\n"
+    )
 
 
 @pytest.mark.parametrize(

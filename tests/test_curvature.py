@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -778,6 +779,17 @@ def test_sectional_curvature_that_is_not_finite_is_refused():
     R0 = riemann_from_metric(M[0])
     assert np.isfinite(sectional_curvature(R0, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]))
     assert np.isfinite(sectional_relations(R0, u).equal.mu_u_qu).all()
+
+
+def test_sectional_curvature_whose_quotient_overflows_is_refused_with_no_warning():
+    # A Hessian of 1.78e308 at x1 = 1e-200 gives a curvature whose quotient by the plane's Gram
+    # determinant overflows before it is scaled back: refused as not finite, with no float warning
+    m = MetricFunctions.from_sources("8.9e307*x1^2 + 3", "1")
+    R = riemann_from_metric(metric_at(m, (1e-200, 0.0, 0.0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvalDomainError, match=r"^sectional curvatures are not finite where A=3\.0, B=1\.0$"):
+            sectional_curvature(R, [1.0, -1.0, 0.0], [1.0, 1.0, -2.0])
 
 
 # -- the q-orbit Gram entries against plain inner products -------------------------
