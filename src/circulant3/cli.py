@@ -33,8 +33,6 @@ from .curvature import (
     christoffel_from_metric,
     closed_form_from_metric,
     components,
-    is_flat,
-    max_abs,
     riemann_from_metric,
     sampled_q_invariance_residual,
     sectional_plane,
@@ -167,66 +165,48 @@ def _json_scalar(obj) -> str:
 def _write_json(obj, indent: str, out: list) -> None:
     """Append to out the text of json.dumps(obj, indent=2), numpy values as builtins, nested at indent.
 
-    Dispatches on type(obj); an array is written as its tolist(). A dict and a
-    list or tuple each write their builtin leaves (float, str, bool, int, None)
-    behind their separator in their own loop, with no call per leaf, and
-    recurse only into containers and numpy values; _json_scalar writes any
-    other value, a top-level leaf included.
+    Dispatches on type(obj); an array is written as its tolist(). A dict, list
+    or tuple is walked in one loop over its entries: each entry's head is its
+    separator, followed for a dict by the key and ": ". A builtin leaf (float,
+    str, bool, int, None) is written behind its head in the loop, with no call
+    per leaf; the loop recurses only into containers and numpy values, and
+    _json_scalar writes any other value, a top-level leaf included.
     """
     if type(obj) is np.ndarray:
         obj = obj.tolist()
     kind = type(obj)
-    if kind is dict:
-        if not obj:
-            out.append("{}")
-            return
-        inner = indent + "  "
-        sep = "{" + inner
-        for key, value in obj.items():
-            head = sep + _json_str(key) + ": "
-            kind = type(value)
-            if kind is float:  # most leaves
-                text = float.__repr__(value)
-                out.append(head + _JSON_SPECIAL.get(text, text))
-            elif kind is str:
-                out.append(head + _json_str(value))
-            elif kind is bool:
-                out.append(head + ("true" if value else "false"))
-            elif kind is int:
-                out.append(head + int.__repr__(value))
-            elif value is None:
-                out.append(head + "null")
-            else:
-                out.append(head)
-                _write_json(value, inner, out)
-            sep = "," + inner
-        out.append(indent + "}")
-    elif kind is list or kind is tuple:
-        if not obj:
-            out.append("[]")
-            return
-        inner = indent + "  "
-        sep = "[" + inner
-        for value in obj:
-            kind = type(value)
-            if kind is float:
-                text = float.__repr__(value)
-                out.append(sep + _JSON_SPECIAL.get(text, text))
-            elif kind is str:
-                out.append(sep + _json_str(value))
-            elif kind is bool:
-                out.append(sep + ("true" if value else "false"))
-            elif kind is int:
-                out.append(sep + int.__repr__(value))
-            elif value is None:
-                out.append(sep + "null")
-            else:
-                out.append(sep)
-                _write_json(value, inner, out)
-            sep = "," + inner
-        out.append(indent + "]")
-    else:
+    keyed = kind is dict
+    if not (keyed or kind is list or kind is tuple):
         out.append(_json_scalar(obj))
+        return
+    if not obj:
+        out.append("{}" if keyed else "[]")
+        return
+    inner = indent + "  "
+    sep = ("{" if keyed else "[") + inner
+    for value in obj.items() if keyed else obj:
+        if keyed:
+            key, value = value
+            head = sep + _json_str(key) + ": "
+        else:
+            head = sep
+        kind = type(value)
+        if kind is float:  # most leaves
+            text = float.__repr__(value)
+            out.append(head + _JSON_SPECIAL.get(text, text))
+        elif kind is str:
+            out.append(head + _json_str(value))
+        elif kind is bool:
+            out.append(head + ("true" if value else "false"))
+        elif kind is int:
+            out.append(head + int.__repr__(value))
+        elif value is None:
+            out.append(head + "null")
+        else:
+            out.append(head)
+            _write_json(value, inner, out)
+        sep = "," + inner
+    out.append(indent + ("}" if keyed else "]"))
 
 
 def _json(obj) -> str:
@@ -579,7 +559,7 @@ def _cmd_example_m5(spec, p, M, args):
             chk.passed, _max((chk.diagonal_residual, chk.cross_residual)), chk.threshold
         ),
         "not_parallel": _verdict(nq_max > 1e-6, nq_max, 1e-6),
-        "not_flat": _verdict(np.logical_not(is_flat(R, 1e-9)), max_abs(R), 1e-9),
+        "not_flat": _verdict(np.logical_not(chk.scale <= 1e-9), chk.scale, 1e-9),  # chk.scale is max |R|
     }
     return results, verdicts
 

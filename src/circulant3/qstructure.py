@@ -141,14 +141,13 @@ def q_orbit_gram(g, x) -> tuple:
     return S, (Sg[:, None] @ S[None, ..., :, None])[..., 0, 0]
 
 
-def q_orbit_cosines(M: MetricAtPoint, x, G=None) -> np.ndarray:
-    """cos(x, qx), cos(x, q^2 x), cos(qx, q^2 x), stacked (3, ...), from the q_orbit_gram of x over g / 2^e.
+def q_orbit_cosines(M: MetricAtPoint, x, G) -> np.ndarray:
+    """cos(x, qx), cos(x, q^2 x), cos(qx, q^2 x), stacked (3, ...), from G, the caller's q_orbit_gram of x
+    over g / 2^e, in one take and one division.
 
-    G is that Gram matrix, where the caller has formed it already. The cosines, of
-    degree 0 in g and in x, keep their bits over g / 2^e and over x divided by any
-    power of two, and are checked against the closed form.
+    The cosines, of degree 0 in g and in x, keep their bits over g / 2^e and
+    over x divided by any power of two, and are checked against the closed form.
     """
-    G = q_orbit_gram(M.g_scaled, x)[1] if G is None else G
     cosines = G.reshape((9,) + G.shape[2:]).take(_COSINES, axis=0) / G[0, 0]
     e = -M.e
     require_angle_routes_agree(cosines, np.ldexp(M.A, e), np.ldexp(M.B, e), x)
@@ -180,7 +179,7 @@ def q_basis_angles(M: MetricAtPoint, x) -> AngleReport:
     """
     x = require_q_basis(x)
     batch = np.broadcast_to(x, np.broadcast_shapes(x.shape, M.A.shape + (3,)))
-    return AngleReport(*vector_invariants(x), *q_orbit_cosines(M, batch))
+    return AngleReport(*vector_invariants(x), *q_orbit_cosines(M, batch, q_orbit_gram(M.g_scaled, batch)[1]))
 
 
 def _require_positive(A, B):
@@ -199,27 +198,18 @@ def _require_positive(A, B):
 
 
 def construct_orthogonal_vector(A, B) -> np.ndarray:
-    """A vector whose q-basis is g-orthogonal: (0, -(A+B)+sqrt((A-B)(A+3B)), 2B).
-
-    A and B are numbers or arrays over a batch; the result is (..., 3). The
-    middle entry is formed from A and B over a power of two that brings A
-    into [0.5, 1) (_require_positive), then scaled back: exact, and no product overflows.
-    """
-    As, Bs, e = _require_positive(A, B)
-    return _orthogonal_vector(B, As, Bs, As - Bs, e)
-
-
-def _orthogonal_vector(B, As, Bs, nu, e):
-    """construct_orthogonal_vector from As, Bs, e of _require_positive and nu = As - Bs."""
-    x = np.zeros(As.shape + (3,))
-    np.ldexp(np.sqrt(nu * (As + 3 * Bs)) - (As + Bs), e, out=x[..., 1])
-    np.multiply(2.0, B, out=x[..., 2])
-    return x
+    """A vector whose q-basis is g-orthogonal: construct_basis_vectors(A, B)[0]."""
+    return construct_basis_vectors(A, B)[0]
 
 
 def construct_basis_vectors(A, B) -> tuple[np.ndarray, np.ndarray]:
-    """construct_orthogonal_vector(A, B), and a vector y with angle(y, qy) = 2*pi/3, i.e. cos = -1/2,
-    at each point of a batch: both from one _require_positive.
+    """A vector x whose q-basis is g-orthogonal, and a vector y with angle(y, qy) = 2*pi/3, i.e.
+    cos = -1/2, at each point of a batch: both from one _require_positive.
+
+    A and B are numbers or arrays over a batch; each vector is (..., 3).
+    x = (0, -(A+B)+sqrt((A-B)(A+3B)), 2B); its middle entry is formed from A
+    and B over a power of two that brings A into [0.5, 1) (_require_positive),
+    then scaled back: exact, and no product overflows.
 
     Seeks y = (1, 0, t); the cosine condition reduces to
     (A - 2B) t^2 - 2A t + (A - 2B) = 0 with discriminant 16 B (A - B) > 0.
@@ -230,16 +220,19 @@ def construct_basis_vectors(A, B) -> tuple[np.ndarray, np.ndarray]:
     t + 1 = 2 sqrt(A - B) (sqrt(A - B) + sqrt(B)) / (A - 2B) < 0, and
     |t + 1| stays above 2e-8 even where A is the double next above B, so
     |1 + t^3| stays far above the bound.
-    The root and the test of A = 2B are formed from A and B over the power of
-    two of construct_orthogonal_vector: the root keeps its bits, no product
-    underflows, and the test is relative to the magnitude of A. A - B and
-    A - 2B are each formed once, and the root is divided only where A is not
-    2B, so no division by 0 is met.
+    The root and the test of A = 2B are formed from A and B over the same
+    power of two as x: the root keeps its bits, no product underflows, and
+    the test is relative to the magnitude of A. A - B and A - 2B are each
+    formed once, and the root is divided only where A is not 2B, so no
+    division by 0 is met.
     """
     As, Bs, e = _require_positive(A, B)
     nu, skew = As - Bs, As - 2 * Bs
+    x = np.zeros(As.shape + (3,))
+    np.ldexp(np.sqrt(nu * (As + 3 * Bs)) - (As + Bs), e, out=x[..., 1])
+    np.multiply(2.0, B, out=x[..., 2])
     y = np.zeros(skew.shape + (3,))
     y[..., 0] = 1.0
     # the root t, where A is not 2B; (1, 0, 0) where it is
     np.divide(As + 2.0 * np.sqrt(Bs * nu), skew, out=y[..., 2], where=abs(skew) >= 1e-12)
-    return _orthogonal_vector(B, As, Bs, nu, e), y
+    return x, y

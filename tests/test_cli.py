@@ -1043,6 +1043,10 @@ def test_json_writer_is_json_dumps_of_the_builtin_tree():
         "arrays": {"0-d": np.array(2.5), "2-d": np.array([[1.0, -0.0], [math.nan, math.inf]]),
                    "bool": np.array([True, False]), "tuple": (1, (2.0, None))},
         "empty": {"dict": {}, "list": [], "tuple": (), "array": np.zeros(0), "none": None},
+        # a list of dicts, a dict inside a tuple inside a list, an empty dict inside a list, and numpy
+        # scalars behind an escaped key three levels down: the one loop turns from list heads to dict heads
+        "list of dicts": [{"a": 1.5, "b": [np.float64(-0.0)]}, {}, {"c": None, "d": "é"}],
+        "nested": [(7, {'k "é"\t': {"x": np.float32(0.1), "y": np.int64(-3), "z": np.bool_(False)}}), [{}]],
         "spec_name": 'a "name"\nwith é',
         'key "é"\n': "",
     }

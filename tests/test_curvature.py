@@ -36,7 +36,7 @@ from circulant3.errors import DegeneratePlane, EvalDomainError, IdentityRNotSati
 from circulant3.jets import concatenate
 from circulant3.metric import inners, metric_from_jets
 from circulant3.parallelism import christoffel_equalities_from_table, nabla_q_from_table, parallel_residual_from_metric
-from circulant3.qstructure import q_basis_angles, q_orbit_cosines
+from circulant3.qstructure import q_basis_angles, q_orbit_cosines, q_orbit_gram
 from circulant3.specfile import builtin_example, example_diagonal_value
 
 from exact import closed_form_error
@@ -817,7 +817,8 @@ def test_shared_gram_cosines_are_q_basis_cosines_bit_for_bit(make):
                 want = _all_bits(q_basis_cosines_reference(metric, u))
                 rep = q_basis_angles(metric, u)
                 assert _all_bits((rep.cos_phi_x_qx, rep.cos_phi_x_q2x, rep.cos_theta_qx_q2x)) == want, exponent
-                assert _all_bits(q_orbit_cosines(metric, _rescaled(u)[0])) == want, exponent
+                x = _rescaled(u)[0]
+                assert _all_bits(q_orbit_cosines(metric, x, q_orbit_gram(metric.g_scaled, x)[1])) == want, exponent
         # orthobasis's four products of the unscaled generator over the unscaled g
         x = construct_orthogonal_vector(M.A, M.B)
         qx = apply_q(x)
