@@ -36,9 +36,10 @@ power of two that brings their largest entry into [0.5, 1), so that no
 entry of lam's jet exceeds 3 even where A + 2B exceeds the double range. R
 is homogeneous of degree one in the metric, so the result is scaled back
 exactly, and a Hessian or a metric near either end of the double range
-does not overflow the sums on the way. R.t is
-gathered from S with the signs of the Levi-Civita symbol, so every symmetry
-of the tensor holds bit for bit. The (0,4) tensor is
+does not overflow the sums on the way. The six entries of -S in the
+coordinate frame are kept (CurvatureTensor.s), and R.t is gathered from them
+with the signs of the Levi-Civita symbol, so every symmetry of the tensor
+holds bit for bit. The (0,4) tensor is
 low[i,j,k,h] = g(R(e_i, e_j) e_k, e_h), the negative of R_ijkh above; its
 index order and sign are pinned by the built-in example manifold (its
 R_1212 at (2,-1,-1) equals -1/8). The test suite checks the kernel against
@@ -65,19 +66,24 @@ product over the batch, whose summation order could depend on N). Vectors
 are one vector (3,) shared by all points or one per point (..., 3). A
 check that refuses a batch names its first failing point.
 
-Layout. Each array is stored once, C-contiguous. R is stored tensor indices
-first and batch axes last (CurvatureTensor.t[k,i,j,h,*batch]), so that its
-contractions (riemann_apply, the q-invariance gather, the CLI's symmetry
-verdicts) run their inner loop over the batch rather than over an index of
-length 3; the API's batch-first low is a view of it. Gamma and dGamma are
+Layout. Each array is stored once, C-contiguous. R's bivector form and R are
+stored tensor indices first and batch axes last (CurvatureTensor.s[P,*batch]
+and .t[k,i,j,h,*batch]), so that their readers (the bivector form, the
+q-invariance gather, the CLI's symmetry verdicts) run their inner loop over
+the batch rather than over an index of length 3; the API's batch-first low
+is a view of t. Every R(x, y, z, u) (riemann_apply, sectional_curvature, the
+relations) is the bivector form (x × y)^T s (z × u) of the six entries of s
+(_bivector_form), formed by elementwise products and sums, so its bits
+depend on no stride and no batch size. Gamma and dGamma are
 stored batch first, as their kernels form them, one row per point
 (ChristoffelTable.gamma[...,i,j,h] and .dgamma[...,k,i,j,h]), which is how
 every reader reads them. Every operand of an einsum or a matrix product here
 is C-contiguous (the kernels' features and gradients are one C-contiguous
 row per point): the order in which numpy sums can follow the strides, so a
 transposed operand could move the last bit. tests/test_kernel_layout.py
-pins the stored layouts, and the bits of each contraction that reads them
-against the same einsums run over batch-first copies.
+pins the stored layouts, the bits of each einsum that reads them against the
+same einsums run over batch-first copies, and riemann_apply against the
+einsum over all 81 entries of t, within 32 eps max|s| |x||y||z||u|.
 
 Overflow. The kernels silence numpy's float warnings and raise
 EvalDomainError where Gamma, its derivatives, a curvature component, a
@@ -100,17 +106,22 @@ normalizes the orthogonal-basis generator in the same way.
 sectional_relations gives each of its five sectional curvatures the bits
 sectional_curvature gives, in one pass over V + 3 rows: the V vectors u,
 the unit orthogonal-basis generator x and the special-angle vector y, each
-over a power of two, and x itself. qstructure.q_orbit_gram forms the
-q-orbit S = (v, qv, q^2 v) of every row and its Gram matrix
-G[k, l] = g(S[k], S[l]), one product each; plane k of a row is
-{S[k], S[k+1 mod 3]}. The relations read 3V + 3 planes: the three of each
-u, then plane 0 of x, y and the row x, whose fourth slot takes q^2 x for
-R(x, qx, x, q^2 x). Index rows that depend on V alone (_plane_rows, derived
-once per process) read them: the planes' Gram entries in one take, from
-which one mask marks the degenerate planes, and their vectors tensor first
-and C-contiguous, so that the one contraction, riemann_apply, copies none of
-them. cos phi comes from the same Gram matrix through
-qstructure.q_orbit_cosines.
+over a power of two, and x itself. Plane k of a row v is {S[k], S[k+1 mod 3]}
+of its q-orbit S = (v, qv, q^2 v). qstructure.q_orbit_gram forms the Gram
+matrix G[k, l] = g(S[k], S[l]) of the first V + 2 rows in one product; the
+row x is only contracted. One cross product w = v × qv per row gives the
+bivectors of all three planes: q is orthogonal with det q = -1, so
+(qa) × (qb) = -q(a × b), and {qv, q^2 v} is w rolled by one place, {q^2 v, v}
+is 0.0 - w rolled by two places (the signed negation of apply_q: -w would
+turn a zero into -0.0 where the cross product of q^2 v and v gives +0.0), and
+v × q^2 v is w rolled by two places, each bit for bit the cross product of
+its vectors. The relations read 3V + 3 planes: the three of each u, then
+plane 0 of x, y and the row x, whose second bivector is that of {x, q^2 x}
+for R(x, qx, x, q^2 x). Index rows that depend on V alone (_plane_rows,
+derived once per process) read them: the planes' Gram entries in one take,
+from which one mask marks the degenerate planes, and their bivectors in
+another, for the one contraction, _bivector_form. cos phi comes from the same
+Gram matrix through qstructure.q_orbit_cosines.
 
 closed_form holds a set of six reference component formulas verbatim,
 and closed_form_from_metric evaluates them over powers of two: one for the
@@ -163,9 +174,14 @@ class ChristoffelTable:
 
 @dataclass(frozen=True)
 class CurvatureTensor:
-    """g(R(e_i, e_j) e_k, e_h), the (0,4) tensor, as t[k,i,j,h,*batch], C-contiguous."""
+    """g(R(e_i, e_j) e_k, e_h), the (0,4) tensor, as t[k,i,j,h,*batch], C-contiguous, and its bivector form s.
+
+    s[:, *batch], C-contiguous, holds the six entries s_PQ = low[a, b, c, d] for e_a ^ e_b = e_P and
+    e_c ^ e_d = e_Q (e_P: e2^e3, e3^e1, e1^e2), in the order 00, 11, 22, 01, 02, 12, so that
+    R(x, y, z, u) = (x × y)^T s (z × u); t is gathered from it."""
 
     t: np.ndarray
+    s: np.ndarray
     metric: MetricAtPoint  # the metric t was built from
 
     @property
@@ -276,9 +292,10 @@ def riemann_from_metric(M: MetricAtPoint) -> CurvatureTensor:
     np.multiply(grad.reshape(batch + (6,))[..., _FACTOR], quotients[..., _QUOTIENT], out=features[..., 0, 18:])
     s = np.ldexp((features @ _KERNEL)[..., 0, :] / -144.0, e[..., None])  # -S in the coordinate frame
     require_finite(M, "curvature components", s)
-    t = batch_first(s, len(batch)).take(_GATHER, axis=0)
+    s = np.ascontiguousarray(batch_first(s, len(batch)))  # tensor first
+    t = s.take(_GATHER, axis=0)
     t *= _SIGN.reshape((81,) + (1,) * len(batch))
-    return CurvatureTensor(t.reshape((3, 3, 3, 3) + batch), M)
+    return CurvatureTensor(t.reshape((3, 3, 3, 3) + batch), s, M)
 
 
 # -- the Christoffel kernel (see the module docstring) ------------------------------
@@ -425,16 +442,53 @@ def closed_form(A, B, dA, dB, HA, HB) -> tuple:
     return R1212, R1313, R2323, R1213, R1223, R1323
 
 
-def riemann_apply(R: CurvatureTensor, x, y, z, u):
-    """Full contraction R(x, y, z, u) of the lowered tensor, over t in its memory order.
+# The bivector form. _FULL spreads s's six entries over the nine of the symmetric 3x3 matrix, row by row;
+# _NEXT and _LAST roll a vector's components by one and by two places.
+_FULL = _SYM.ravel()
+_NEXT, _LAST = np.array([1, 2, 0]), np.array([2, 0, 1])
 
-    The vectors, each (3,) or (..., 3), are made C-contiguous tensor-first too,
-    so that the inner loop runs over the batch in every operand: a copy, unless a
-    vector is a batch-first view of such an array (as sectional_relations passes).
+
+def _components_first(R: CurvatureTensor, v) -> np.ndarray:
+    """A view of the vectors v (3,) or (..., 3) with the component axis first and at least R's batch rank behind it."""
+    v = np.asarray(v, dtype=float)
+    v = v.reshape((1,) * (R.s.ndim - v.ndim) + v.shape)
+    return batch_first(v, v.ndim - 1)
+
+
+def _cross(x, y):
+    """x × y of vectors (3, ...) stacked component first, as 0.0 - (x[P+2] y[P+1] - x[P+1] y[P+2]).
+
+    The subtraction from 0.0 makes every zero component +0.0, so the cross product of any two vectors of a
+    q-orbit is a signed gather of one of them bit for bit (sectional_relations)."""
+    d = x.take(_LAST, axis=0) * y.take(_NEXT, axis=0)
+    d -= x.take(_NEXT, axis=0) * y.take(_LAST, axis=0)
+    return np.subtract(0.0, d, out=d)
+
+
+def _bivector_form(s, w, z):
+    """w^T s z for bivectors w and z, (3, ...) stacked component first and broadcasting against s's batch.
+
+    s is CurvatureTensor.s (6, *batch). The form is sum_P w_P (s_P0 z_0 + s_P1 z_1 + s_P2 z_2), in that order,
+    from elementwise products and sums only, so each element has the bits it has alone. Callers silence
+    numpy's float warnings: a product can overflow where s is near the double range.
     """
-    vectors = (np.asarray(v, dtype=float) for v in (x, y, z, u))
-    x, y, z, u = (np.ascontiguousarray(batch_first(v, v.ndim - 1)) for v in vectors)
-    return np.einsum("kijh...,i...,j...,k...,h...->...", R.t, x, y, z, u)
+    full = s.take(_FULL, axis=0).reshape((3, 3) + (1,) * (z.ndim - s.ndim) + s.shape[1:])
+    sz = full * z  # sz[P, Q] = s_PQ z_Q
+    v = w * (sz[:, 0] + sz[:, 1] + sz[:, 2])
+    return v[0] + v[1] + v[2]
+
+
+def riemann_apply(R: CurvatureTensor, x, y, z, u):
+    """Full contraction R(x, y, z, u) of the lowered tensor, as the bivector form (x × y)^T s (z × u).
+
+    The vectors are each (3,) or (..., 3), broadcasting against R's batch; the
+    result has their broadcast shape. No entry of t is read: each element is
+    formed from the six entries of s at its point by elementwise products and
+    sums (_bivector_form), so it has the bits it has alone.
+    """
+    x, y, z, u = (_components_first(R, v) for v in (x, y, z, u))
+    with np.errstate(all="ignore"):
+        return _bivector_form(R.s, _cross(x, y), _cross(z, u))
 
 
 def _rescaled(v):
@@ -482,17 +536,18 @@ def sectional_plane(R: CurvatureTensor, x, y):
     gxx, gxy = inners(M.g_scaled, xs, (xs, ys))
     den, degenerate = _plane_determinant(gxx, inners(M.g_scaled, ys, (ys,))[0], gxy)
     _refuse_degenerate(degenerate, lambda: (x, y))
-    with np.errstate(all="ignore"):  # a quotient that overflows is refused below
-        mu = np.ldexp(riemann_apply(R, xs, ys, xs, ys) / den, -2 * M.e)  # formed over g / 2^e, scaled back
+    with np.errstate(all="ignore"):  # a form or quotient that overflows is refused below
+        w = _cross(_components_first(R, xs), _components_first(R, ys))  # formed once for R(x, y, x, y)
+        mu = np.ldexp(_bivector_form(R.s, w, w) / den, -2 * M.e)  # formed over g / 2^e, scaled back
         det = np.ldexp(den, 2 * (ex + ey + M.e))
-    batch = range(mu.ndim - M.A.ndim, mu.ndim)  # mu's last axes are M's batch axes
-    require_finite(M, "sectional curvatures", np.moveaxis(mu, batch, range(M.A.ndim)))
+    require_finite(M, "sectional curvatures", batch_first(mu, mu.ndim - M.A.ndim))  # mu's last axes are M's batch axes
     return mu, det
 
 
 def max_abs(R: CurvatureTensor) -> np.ndarray:
-    """max |R_ijkh| over the tensor indices, with R's batch shape."""
-    return np.abs(R.t.reshape((81,) + R.t.shape[4:])).max(axis=0)  # one axis reduces faster than four
+    """max |R_ijkh| over the tensor indices, with R's batch shape: over the six entries of s, as every
+    entry of t is one of them or a zero."""
+    return np.abs(R.s).max(axis=0)
 
 
 def is_flat(R: CurvatureTensor, tol: float):
@@ -511,12 +566,9 @@ class QInvarianceCheck:
     threshold: np.ndarray  # tol * (1 + scale), the bound both spreads must meet
 
 
-# The entries of R.t that check_q_invariance compares, in one gather: the chains R1212, R1313, R2323
-# and R1213, R1323, -R1223, the last read as low[1, 0, 1, 2], its exact negative.
-_Q_CHAINS = np.array([
-    [np.ravel_multi_index((k, i, j, h), (3, 3, 3, 3)) for i, j, k, h in chain]
-    for chain in (((0, 1, 0, 1), (0, 2, 0, 2), (1, 2, 1, 2)), ((0, 1, 0, 2), (0, 2, 1, 2), (1, 0, 1, 2)))
-])
+# The entries of R.s that check_q_invariance compares, in one gather: the chains R1212, R1313, R2323, which are
+# s_22, s_11, s_00, and R1213, R1323, -R1223, which are -s_12, -s_01, -s_02 (R.t holds the same negatives).
+_Q_CHAINS = np.array([[2, 1, 0], [5, 3, 4]])
 
 
 def check_q_invariance(R: CurvatureTensor, tol: float = 1e-9) -> QInvarianceCheck:
@@ -529,7 +581,8 @@ def check_q_invariance(R: CurvatureTensor, tol: float = 1e-9) -> QInvarianceChec
     the q-invariant family A = a(s), B = b(s), s = x1 + x2 + x3, on which
     R_1223 does not vanish.)
     """
-    chains = R.t.reshape((81,) + R.t.shape[4:]).take(_Q_CHAINS, axis=0)
+    chains = R.s.take(_Q_CHAINS, axis=0)
+    np.negative(chains[1], out=chains[1])
     scale = max_abs(R)
     threshold = tol * (1.0 + scale)
     diag_res, cross_res = chains.max(axis=1) - chains.min(axis=1)
@@ -540,12 +593,14 @@ def check_q_invariance(R: CurvatureTensor, tol: float = 1e-9) -> QInvarianceChec
 def sampled_q_invariance_residual(R: CurvatureTensor, seed: int, samples: int):
     """max |R(qx,qy,qz,qu) - R(x,y,z,u)| over random unit vector 4-tuples.
 
-    An oracle for check_q_invariance that shares none of its index algebra.
+    An oracle for check_q_invariance that shares none of its index algebra:
+    it reads the bivector form of all six entries of s, not two chains of it.
     The tuples depend on the seed only: all of them are drawn at once (the
     stream of one (4, 3) draw per tuple), normalized and q-mapped at once,
     and the q-images and the originals are contracted against the whole
     batch in one riemann_apply over a stacked leading axis (2 samples,
-    *batch). Each element has the bits of its tuple and point alone. The
+    *batch), two cross products and one bivector form. Each element has the
+    bits of its tuple and point alone, as the form is elementwise. The
     residuals are >= +0, so fmax from 0.0 keeps each point's first largest,
     NaN never the maximum, as a loop over the tuples would.
     """
@@ -605,25 +660,27 @@ def _unit(M: MetricAtPoint, g, x):
 
 @functools.lru_cache(maxsize=16)
 def _plane_rows(V: int):
-    """Index rows of the 3V + 3 planes sectional_relations contracts, a pure function of V.
+    """Index rows of the 3V + 3 planes sectional_relations forms, a pure function of V.
 
-    The planes are the three {S[k], S[k+1 mod 3]} of each u (k major), then plane 0 of x, y and the
-    row x, whose fourth slot takes q^2 x: R(x, qx, x, q^2 x). The first three rows index the q-orbit
-    of the V + 3 rows flattened slot first, (3 (V + 3), ...): each plane's first and second vector and
-    its fourth slot. The last, (3, 3V + 2), indexes the Gram matrix flattened (9 (V + 3), ...): g of
-    first and first, of second and second, and of first and second, for every plane but the row x's,
-    which is only contracted.
+    The planes are the three {S[k], S[k+1 mod 3]} of the q-orbit S of each u (k major), then plane 0 of x, y
+    and the row x, whose second bivector is that of {x, q^2 x}: R(x, qx, x, q^2 x). The first row, (2, 3,
+    3V + 3), indexes the bivectors w = v × qv of the V + 3 rows flattened component first, (3 (V + 3), ...):
+    each plane's first and second bivector, component by component. As (qa) × (qb) = -q(a × b), the plane
+    {S[k], S[k+1]} has w rolled by k places, w[(P + k) mod 3], negated for k = 2 (the caller negates
+    those), and {x, q^2 x} has w rolled by two. The second, (3, 3V + 2), indexes the Gram matrix of the
+    first V + 2 rows flattened (9 (V + 2), ...): g of first and first, of second and second, and of first
+    and second, for every plane but the row x's, which is only formed.
     """
     n = V + 3
     row = np.r_[np.tile(np.arange(V), 3), V, V + 1, V + 2]
     first = np.r_[np.repeat(np.arange(3), V), 0, 0, 0]
     second = (first + 1) % 3
-    fourth = np.r_[second[:-1], 2]
-    gram = (np.stack((4 * first, 4 * second, 3 * first + second)) * n + row)[:, :-1]
-    rows = first * n + row, second * n + row, fourth * n + row, gram
-    for r in rows:  # shared by every call with this V
+    components = np.arange(3)[:, None]
+    bivectors = np.stack([(components + k) % 3 * n + row for k in (first, np.r_[first[:-1], 2])])
+    gram = (np.stack((4 * first, 4 * second, 3 * first + second)) * (n - 1) + row)[:, :-1]
+    for r in (bivectors, gram):  # shared by every call with this V
         r.flags.writeable = False
-    return rows
+    return bivectors, gram
 
 
 def sectional_relations(R: CurvatureTensor, U, tol=1e-9) -> SectionalRelations:
@@ -642,13 +699,14 @@ def sectional_relations(R: CurvatureTensor, U, tol=1e-9) -> SectionalRelations:
 
     Each quantity is computed once, in one pass over V + 3 rows: the V vectors
     u, x and y, each over a power of two (_rescaled), then x itself.
-    qstructure.q_orbit_gram forms every row's q-orbit S and its Gram matrix
-    over g / 2^e in one product each. The planes the relations read are taken
-    from them by index (_plane_rows): their Gram entries in one take, from
-    which one mask marks the degenerate planes, and the vectors of the one
-    contraction tensor first, so that riemann_apply copies none of them. The
-    quotients are exact scalings of the plain ones (see sectional_curvature)
-    and are scaled back together.
+    qstructure.q_orbit_gram forms the Gram matrix of the q-orbit of each of the
+    first V + 2 rows over g / 2^e in one product, and one cross product
+    w = v × qv per row gives the bivectors of its orbit's planes (module
+    docstring). The planes the relations read are taken from them by index
+    (_plane_rows): their Gram entries in one take, from which one mask marks
+    the degenerate planes, and their bivectors in another, for the one
+    contraction, _bivector_form. The quotients are exact scalings of the plain
+    ones (see sectional_curvature) and are scaled back together.
     The refusals come in the order one point and one vector meet them:
     q-invariance, the q-basis test of the vectors (the first failing one is
     named), the orthogonal-basis generator and its plane, the angle routes,
@@ -678,8 +736,8 @@ def sectional_relations(R: CurvatureTensor, U, tol=1e-9) -> SectionalRelations:
     rows[:V], rows[V], rows[V + 1], rows[V + 2] = u, x, y, x
     scaled = rows[:V + 2]
     np.ldexp(scaled, -np.frexp(abs(scaled).max(axis=-1))[1][..., None], out=scaled)  # as _rescaled
-    S, G = q_orbit_gram(np.ldexp(g, -M.e[..., None, None]), rows)  # over M.g_scaled
-    *slots, gram = _plane_rows(V)
+    G = q_orbit_gram(np.ldexp(g, -M.e[..., None, None]), scaled)[1]  # over M.g_scaled
+    bivectors, gram = _plane_rows(V)
     # the planes of the rows over powers of two; the row x itself is only contracted
     den, degenerate = _plane_determinant(*G.reshape((-1,) + batch).take(gram, axis=0))
     refuse = degenerate.any()  # the four refusals are walked only then, the angle routes between the first two
@@ -695,11 +753,16 @@ def sectional_relations(R: CurvatureTensor, U, tol=1e-9) -> SectionalRelations:
         _refuse_degenerate(u_degenerate[0], lambda: tuple(orbit()[:2]))
         _refuse_degenerate(degenerate[3 * V + 1], lambda: (y, apply_q(y)))
         _refuse_degenerate(u_degenerate[1:], lambda: (orbit()[1:], orbit()[[2, 0]]))
-    S = S.reshape((-1,) + batch + (3,))
-    # each plane's vectors tensor first and C-contiguous, (3, 3V + 3, *batch), passed as batch-first views
-    first, second, fourth = (batch_first(S, S.ndim - 1).take(i, axis=1) for i in slots)
-    r = riemann_apply(R, *(batch_first(v, 1) for v in (first, second, first, fourth)))
-    with np.errstate(all="ignore"):  # a quotient that overflows is refused below
+    with np.errstate(all="ignore"):  # a form or quotient that overflows is refused below
+        # w = v × qv of each row, (3, V + 3, *batch): q's cycle makes w_P = v_{P+2}^2 - v_P v_{P+1}, formed as
+        # 0.0 - (v_P v_{P+1} - v_{P+2}^2), which has the bits of _cross(v, apply_q(v))
+        v = batch_first(rows, rows.ndim - 1)
+        w = v * v.take(_NEXT, axis=0)
+        w -= np.square(v.take(_LAST, axis=0))
+        np.subtract(0.0, w, out=w)
+        planes = w.reshape((-1,) + batch).take(bivectors, axis=0)  # (2, 3, 3V + 3, *batch)
+        np.subtract(0.0, planes[:, :, 2 * V:3 * V], out=planes[:, :, 2 * V:3 * V])  # {q^2 u, u}: 0.0 - w, as apply_q
+        r = _bivector_form(R.s, *planes)
         mu = np.ldexp(r[:-1] / den, -2 * M.e)
     require_finite(M, "sectional curvatures", batch_first(mu, 1))
     mu_u, (mu_x, mu_y) = mu[:3 * V].reshape((3, V) + batch), mu[3 * V:]

@@ -90,6 +90,19 @@ def metric_compatibility_residual(M):
     return np.abs(nabla_g).max(axis=(-3, -2, -1))
 
 
+BIVECTOR_PAIRS = ((1, 2), (2, 0), (0, 1))  # e_P = e_a ^ e_b for P = 0, 1, 2: e2^e3, e3^e1, e1^e2
+
+
+def riemann_apply_reference(R, x, y, z, u):
+    """R(x, y, z, u) as the five-operand einsum over all 81 entries of R.t: the reference of
+    curvature.riemann_apply, which forms the bivector form (x × y)^T s (z × u) from the six entries of R.s.
+
+    The vectors are (3,) or (..., 3), broadcasting against R's batch; each is read component first.
+    """
+    x, y, z, u = (np.moveaxis(np.asarray(v, dtype=float), -1, 0) for v in (x, y, z, u))
+    return np.einsum("kijh...,i...,j...,k...,h...->...", R.t, x, y, z, u)
+
+
 def symmetry_verdicts_reference(low, tol):
     """The symmetry verdicts of the riemann command over five whole views of the tensor: the reference of
     cli._symmetry_verdicts, which reads only the distinct entries.

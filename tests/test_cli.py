@@ -1460,14 +1460,14 @@ def test_verify_theorems_sampled_computes_each_relation_quantity_once_per_run(ca
 
         def counting(*args, **kwargs):
             calls[name] += 1
-            if name == "riemann_apply":
-                contracted.append([np.shape(v) for v in args[1:]])
+            if name == "_bivector_form":
+                contracted.append([np.shape(v) for v in args])
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counting)
 
     once = ("check_q_invariance", "construct_basis_vectors")
-    for name in ("sectional_curvature", "riemann_apply", "christoffel_from_metric", *once):
+    for name in ("sectional_curvature", "riemann_apply", "_bivector_form", "christoffel_from_metric", *once):
         count(curvature, name)
     count(qstructure, "induces_q_basis")  # through require_q_basis
     count(qstructure, "_require_positive")  # the positivity test of both basis constructions
@@ -1475,12 +1475,12 @@ def test_verify_theorems_sampled_computes_each_relation_quantity_once_per_run(ca
     spec.write_text(PARALLEL_BENCH_SPEC, encoding="utf-8")
     argv = ["verify-theorems", "--spec", str(spec), "--sample", "4", "--seed", "3", CUBE_ARG]
     assert main(argv) == 0
-    # 4 points, 5 vectors: one riemann_apply of the 18 planes that the relations read, one flat stack of
-    # batch-first vectors at every point: the three planes {S[k], S[k+1]} of the q-orbit S of each of the
-    # 5 vectors u, then plane 0 of x and y over powers of two and of the unit x; no call of
+    # 4 points, 5 vectors: one contraction, the bivector form of the 18 planes that the relations read, each
+    # bivector component first at every point: the three planes {S[k], S[k+1]} of the q-orbit S of each of the
+    # 5 vectors u, then plane 0 of x and y over powers of two and of the unit x; no call of riemann_apply or
     # sectional_curvature and no Christoffel table; the vectors' q-basis test and the rest once
-    assert calls == {"riemann_apply": 1, "induces_q_basis": 1, "_require_positive": 1, **dict.fromkeys(once, 1)}
-    assert contracted == [[(18, 4, 3)] * 4]
+    assert calls == {"_bivector_form": 1, "induces_q_basis": 1, "_require_positive": 1, **dict.fromkeys(once, 1)}
+    assert contracted == [[(6, 4), (3, 18, 4), (3, 18, 4)]]
     capsys.readouterr()
 
 

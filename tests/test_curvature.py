@@ -41,6 +41,7 @@ from circulant3.specfile import builtin_example, example_diagonal_value
 
 from exact import closed_form_error
 from helpers import (
+    BIVECTOR_PAIRS,
     BOX,
     metric_compatibility_residual,
     q_basis_cosines_reference,
@@ -537,18 +538,29 @@ def test_batch_curvature_equals_point_by_point_bit_for_bit():
 
 
 # -- the relations over a batch against the point-by-point computation ----------
-# A serial reference: the relation checks as they were computed one point at a
-# time, with scalar inner products float(x @ g @ y), q as Q_MATRIX @ x and
-# the contraction np.einsum("ijkh,i,j,k,h->", ...). The batch must give the
-# same bits at every point.
+# A serial reference: the relation checks computed one point at a time, with
+# scalar inner products float(x @ g @ y), q as Q_MATRIX @ x and the contraction
+# as the bivector form (x × y)^T S (z × u) in Python floats, S read from the
+# tensor at one point. The batch must give the same bits at every point.
 
 
 def _ref_inner(g, x, y):
     return float(x @ g @ y)
 
 
+def _ref_cross(x, y):
+    """x × y in Python floats, each component 0.0 - (x[P+2] y[P+1] - x[P+1] y[P+2])."""
+    x, y = [float(v) for v in x], [float(v) for v in y]
+    return [0.0 - (x[(p + 2) % 3] * y[(p + 1) % 3] - x[(p + 1) % 3] * y[(p + 2) % 3]) for p in range(3)]
+
+
 def _ref_apply(low, x, y, z, u):
-    return float(np.einsum("ijkh,i,j,k,h->", low, x, y, z, u))
+    """R(x, y, z, u) = sum_P w_P (S_P0 v_0 + S_P1 v_1 + S_P2 v_2), w = x × y, v = z × u, summed left to right,
+    with S[P][Q] = low[a, b, c, d] for e_P = e_a ^ e_b and e_Q = e_c ^ e_d."""
+    S = [[float(low[a, b, c, d]) for c, d in BIVECTOR_PAIRS] for a, b in BIVECTOR_PAIRS]
+    w, v = _ref_cross(x, y), _ref_cross(z, u)
+    sv = [S[p][0] * v[0] + S[p][1] * v[1] + S[p][2] * v[2] for p in range(3)]
+    return w[0] * sv[0] + w[1] * sv[1] + w[2] * sv[2]
 
 
 def _ref_mu(g, low, x, y):
@@ -633,6 +645,20 @@ def test_sectional_curvature_rescaling_keeps_the_bits_of_the_plain_quotient():
         xs = x * 10.0 ** rng.uniform(-5.0, 5.0, size=(6, 1))  # one vector per point
         want = [_ref_mu(M.g[i], R.low[i], xs[i], y) for i in range(6)]
         assert _bits(sectional_curvature(R, xs, y)) == _bits(want)
+
+
+@pytest.mark.parametrize("u", [(1.0, 0.0, 0.0), (0.0, -0.0, 2.0), (0.0, 1.0, -0.0)], ids=str)
+def test_the_plane_q2u_u_keeps_the_sign_of_a_zero_curvature(u):
+    # the relations take the bivector of {q^2 u, u} as 0.0 - w[[2, 0, 1]] from w = u × qu, as apply_q negates:
+    # on a flat metric (every entry of s is -0.0) the form is a zero whose sign follows the bivector's zeros,
+    # and -w[[2, 0, 1]] would give -0.0 where the cross product of q^2 u and u gives +0.0
+    R = riemann_from_metric(metric_at(MetricFunctions.from_sources("3", "1"), (0.0, 0.0, 0.0)))
+    assert np.signbit(R.s).all()
+    u = np.array(u)
+    mu = sectional_relations(R, u).equal.mu_q2u_u
+    want = sectional_curvature(R, apply_q(apply_q(u)), u)
+    assert _bits(mu) == _bits(want) == _bits(0.0)
+    assert _bits(riemann_apply(R, apply_q(apply_q(u)), u, apply_q(apply_q(u)), u)) == _bits(0.0)
 
 
 def _ref_sampled_residual(low, seed, samples):

@@ -4,14 +4,16 @@ The references are the computations of one vector or one point as they ran
 before these functions took batches: Python floats, float pow and
 np.linalg.norm. The Christoffel kernel is checked against its coordinate-frame
 reference, and the readers of the stored tensors against batch-first einsums
-(test_kernel_layout.py), at random batch sizes, and the jets of
+(test_kernel_layout.py), at random batch sizes; every bivector form (riemann_apply,
+sectional curvatures, the relations) at each point of batches up to 500; the jets of
 generated expressions over a batch against those of each point; printing a
 generated expression and parsing it back gives the same program; every jet
 operation returns a Hessian equal to its transpose bit for bit, and the bits
 and errors of the three-array reference (jets_reference.py). Beyond bits:
 the curvature of generated fields has the tensor symmetries and the first
 Bianchi identity, its components over random rational fields are within
-C_EPS eps of the exact oracle (test_exact.py), and their Christoffel symbols
+C_EPS eps of the exact oracle (test_exact.py), their sectional curvatures
+within C_SECTIONAL eps, and their Christoffel symbols
 and derivatives within C_CHRISTOFFEL eps, check-parallel's verdicts keep
 their bits where g is scaled by a power of two, q is an isometry of every
 circulant metric, the command line, fuzzed over commands, specs, points and samples, exits 0-3
@@ -35,7 +37,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from circulant3 import (  # noqa: E402
     Q_MATRIX,
@@ -49,8 +51,10 @@ from circulant3 import (  # noqa: E402
     induces_q_basis,
     jets,
     metric_at,
+    riemann_apply,
     riemann_from_metric,
     sample_admissible_points,
+    sectional_curvature,
     sectional_relations,
 )
 from circulant3 import cli  # noqa: E402
@@ -66,6 +70,7 @@ from circulant3.metric import metric_from_jets  # noqa: E402
 from circulant3.qstructure import Q_BASIS_EPS, q_basis_test  # noqa: E402
 
 import jets_reference  # noqa: E402
+from exact import exact_components, fraction_jet  # noqa: E402
 from helpers import (  # noqa: E402
     JET_OPS,
     isometry_residual,
@@ -77,7 +82,7 @@ from helpers import (  # noqa: E402
 )
 from test_curvature import _ref_relations, _ricci, nonflat_parallel  # noqa: E402
 from test_exact import (  # noqa: E402
-    C_CHRISTOFFEL, C_EPS, assert_float_jet_is_exact_jet, christoffel_errors, worst_error,
+    C_CHRISTOFFEL, C_EPS, C_SECTIONAL, assert_float_jet_is_exact_jet, christoffel_errors, sectional_error, worst_error,
 )
 from test_kernel_layout import MANIFOLDS, assert_kernel_is_the_reference, metric_batch  # noqa: E402
 
@@ -213,6 +218,27 @@ def test_positive_definite_check_over_a_batch_equals_each_point_bit_for_bit(pair
 @given(name=st.sampled_from(sorted(MANIFOLDS)), n=st.integers(1, 64), seed=st.integers(0, 2**16))
 def test_curvature_kernel_is_the_batch_first_reference_at_any_batch_size(name, n, seed):
     assert_kernel_is_the_reference(metric_batch(name, seed, (n,)))
+
+
+# riemann_apply, sectional_curvature and the relations form every R(x, y, z, u) as a bivector form of the six
+# entries of s at its point, by elementwise products and sums: each point of a batch has the bits it has alone.
+@pytest.mark.parametrize("shape", [(), (1,), (4,), (40,), (500,)], ids=str)
+@settings(max_examples=2, deadline=None, database=None, derandomize=True)
+@given(name=st.sampled_from(sorted(MANIFOLDS)), seed=st.integers(0, 2**16))
+def test_bivector_forms_over_a_batch_are_each_point_alone_bit_for_bit(shape, name, seed):
+    M = metric_batch(name, seed, shape)
+    R = riemann_from_metric(M)
+    rng = np.random.default_rng(seed)
+    x, y, z, u = rng.standard_normal((4,) + shape + (3,))
+    U = np.array([random_q_basis_vector(rng) for _ in range(3)])
+    forms, mu = riemann_apply(R, x, y, z, u), sectional_curvature(R, x, y)
+    relations = _relation_values(sectional_relations(R, U, tol=math.inf))  # (V, *batch, 7)
+    for i in np.ndindex(shape):
+        Ri = riemann_from_metric(M[i])
+        assert np.asarray(forms[i]).tobytes() == np.asarray(riemann_apply(Ri, x[i], y[i], z[i], u[i])).tobytes()
+        assert np.asarray(mu[i]).tobytes() == np.asarray(sectional_curvature(Ri, x[i], y[i])).tobytes()
+        alone = _relation_values(sectional_relations(Ri, U, tol=math.inf))
+        assert relations[(slice(None), *i)].tobytes() == alone.tobytes()
 
 
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
@@ -605,3 +631,25 @@ def test_curvature_of_random_rational_fields_is_within_a_few_eps_of_the_exact_va
     for i, p in enumerate(points):
         assert_float_jet_is_exact_jet(m.A, p, M.A_jet[i])
         assert_float_jet_is_exact_jet(m.B, p, M.B_jet[i])
+
+
+_vector = st.tuples(*[st.floats(-4.0, 4.0, allow_subnormal=False)] * 3).filter(lambda v: max(map(abs, v)) > 1e-3)
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(fA=_field, fB=_field, points=st.lists(_points, min_size=1, max_size=3), x=_vector, y=_vector)
+def test_sectional_curvature_of_random_rational_fields_is_within_c_sectional_eps_of_the_exact_value(
+    fA, fB, points, x, y
+):
+    # the bivector form of the float curvature over the plane's Gram determinant, against R(x, y, x, y) / det in
+    # exact arithmetic of the same jets and vectors, in units of eps * max|R| * |x|^2 |y|^2 / det (test_exact.py)
+    B = f"2 + {fB}"
+    M = metric_at(MetricFunctions.from_sources(f"{B} + 1 + {fA}", B), np.array(points))
+    x, y = np.array(x), np.array(y)
+    c = np.cross(x, y)
+    assume(np.dot(c, c) > 1e-6 * np.dot(x, x) * np.dot(y, y))  # the degeneracy test refuses thinner planes
+    mu = sectional_curvature(riemann_from_metric(M), x, y)
+    for i in range(len(points)):
+        want = exact_components(fraction_jet(M.A_jet[i]), fraction_jet(M.B_jet[i]))
+        if any(want.values()):
+            assert sectional_error(mu[i], want, M.A[i], M.B[i], x, y) <= C_SECTIONAL
