@@ -38,7 +38,7 @@ from .curvature import (
     sectional_plane,
     sectional_relations,
 )
-from .errors import CirculantError, DomainViolation, EvalDomainError, PositivityViolation, SpecFileError
+from .errors import CirculantError, DomainViolation, EvalDomainError, NotAQBasis, PositivityViolation, SpecFileError
 from .metric import (
     admissibility,
     check_positive_definite,
@@ -58,7 +58,7 @@ from .qstructure import (
     construct_orthogonal_vector,
     q_basis_angles,
     q_basis_test,
-    q_orbit_gram,
+    q_orbit_products,
 )
 from .sampling import sample_admissible_points
 from .specfile import builtin_example, example_diagonal_value, interval_fault, load_spec
@@ -418,26 +418,25 @@ def _cmd_angles(spec, p, M, args):
 
 
 def _cmd_qbasis(spec, p, M, args):
-    cubic, bound = q_basis_test(args.vector)
+    cubic, bound, induces = q_basis_test(args.vector)  # the test of induces_q_basis
+    if not (math.isfinite(cubic) and math.isfinite(bound)):
+        vector = tuple(np.asarray(args.vector, dtype=float).tolist())
+        raise NotAQBasis(f"vector {vector} is too large for the q-basis test: its cubic overflows")
     results = {"cubic": cubic, "threshold": bound}
-    # the test of induces_q_basis, from the two values reported
-    return results, {"induces_q_basis": _verdict(abs(cubic) > bound, abs(cubic), bound)}
+    return results, {"induces_q_basis": _verdict(induces, abs(cubic), bound)}
 
 
 def _cmd_orthobasis(spec, p, M, args):
     x = construct_orthogonal_vector(M.A, M.B)
-    G = q_orbit_gram(M.g, x)[1]
-    gxx = G[0, 0]
-    pairs = {"g_x_qx": G[0, 1], "g_x_q2x": G[0, 2], "g_qx_q2x": G[1, 2]}
-    worst = _max(abs(v) for v in pairs.values())
-    results = {"vector": x, "norm_sq": gxx, **pairs}
-    cubic, bound = q_basis_test(x)
+    gxx, g_x_qx = q_orbit_products(M, x)
+    worst = abs(g_x_qx)  # g(x, q^2 x) = -g(x, qx) and g(qx, q^2 x) = g(x, qx)
+    results = {"vector": x, "norm_sq": gxx, "g_x_qx": g_x_qx, "g_x_q2x": -g_x_qx, "g_qx_q2x": g_x_qx}
+    cubic, bound, induces = q_basis_test(x)
     verdicts = {
         "orthogonal": _verdict(worst <= args.tol * gxx, worst, args.tol * gxx),
-        "induces_q_basis": _verdict(abs(cubic) > bound, abs(cubic), bound),
+        "induces_q_basis": _verdict(induces, abs(cubic), bound),
     }
-    # after the q-basis test, which refuses an x whose cubes overflow first
-    require_finite(M, "orthogonal-basis inner products", gxx, *pairs.values())
+    require_finite(M, "orthogonal-basis inner products", gxx, g_x_qx)
     return results, verdicts
 
 

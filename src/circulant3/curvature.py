@@ -98,30 +98,35 @@ once, with results of shape (V, *batch), each element bit for bit that of
 its vector and point alone. The single-relation checks are views of it.
 sectional_curvature divides its vectors and the metric by powers of two
 before it tests the plane and forms the quotient, which is exact, so the
-result does not depend on the vectors' lengths or the metric's magnitude,
-and no Gram term overflows or underflows; sectional_plane gives it with the
-plane's Gram determinant, from the same Gram. sectional_relations
-normalizes the orthogonal-basis generator in the same way.
+result does not depend on the vectors' lengths or the metric's magnitude.
+Its denominator, the plane's Gram determinant, and the g(x, x) and g(y, y)
+of the degeneracy test are formed from the invariants sigma and delta of x,
+y and w = x × y and the eigenvalues lam and nu of g (qstructure), as sums of
+non-negative terms: they keep a few eps of relative accuracy as nu / lam
+nears 0, and no term under- or overflows. sectional_plane gives the
+curvature with the determinant.
 
 sectional_relations gives each of its five sectional curvatures the bits
-sectional_curvature gives, in one pass over V + 3 rows: the V vectors u,
-the unit orthogonal-basis generator x and the special-angle vector y, each
-over a power of two, and x itself. Plane k of a row v is {S[k], S[k+1 mod 3]}
-of its q-orbit S = (v, qv, q^2 v). qstructure.q_orbit_gram forms the Gram
-matrix G[k, l] = g(S[k], S[l]) of the first V + 2 rows in one product; the
-row x is only contracted. One cross product w = v × qv per row gives the
-bivectors of all three planes: q is orthogonal with det q = -1, so
+sectional_curvature gives, in one pass over V + 2 rows: the V vectors u, the
+orthogonal-basis generator x and the special-angle vector y, each over a
+power of two. Plane k of a row v is {S[k], S[k+1 mod 3]} of its q-orbit
+S = (v, qv, q^2 v). One cross product w = v × qv per row gives the bivectors
+of all three planes: q is orthogonal with det q = -1, so
 (qa) × (qb) = -q(a × b), and {qv, q^2 v} is w rolled by one place, {q^2 v, v}
 is 0.0 - w rolled by two places (the signed negation of apply_q: -w would
 turn a zero into -0.0 where the cross product of q^2 v and v gives +0.0), and
 v × q^2 v is w rolled by two places, each bit for bit the cross product of
-its vectors. The relations read 3V + 3 planes: the three of each u, then
-plane 0 of x, y and the row x, whose second bivector is that of {x, q^2 x}
-for R(x, qx, x, q^2 x). Index rows that depend on V alone (_plane_rows,
-derived once per process) read them: the planes' Gram entries in one take,
-from which one mask marks the degenerate planes, and their bivectors in
-another, for the one contraction, _bivector_form. cos phi comes from the same
-Gram matrix through qstructure.q_orbit_cosines.
+its vectors. One call of qstructure.invariants gives sigma and delta of the
+rows and of their w; those of a signed permutation of a vector are the same
+numbers, so the three planes of an orbit share one determinant, and each
+row's g(v, v), bit for bit what sectional_curvature forms for any one of
+them, and cos phi = g(u, qu) / g(u, u), the cosine q_basis_angles reports.
+The relations read 3V + 3 forms: R(a, b, a, b) of the three planes of each
+u, then of plane 0 of x and of y, and R(x, qx, x, q^2 x), whose second
+bivector is that of {x, q^2 x}; it is divided by g(x, x)^2, which makes x a
+unit vector. Index rows that depend on V alone (_plane_rows, derived once
+per process) take the forms' bivectors in one take, for the one
+contraction, _bivector_form, and their denominators in another.
 
 closed_form holds a set of six reference component formulas verbatim,
 and closed_form_from_metric evaluates them over powers of two: one for the
@@ -142,13 +147,15 @@ import numpy as np
 
 from .errors import DegeneratePlane, IdentityRNotSatisfied
 from .jets import GRAD, HESS, VALUE, batch_first
-from .metric import MetricAtPoint, first_point, inners, require_finite
+from .metric import MetricAtPoint, first_point, require_finite
 from .qstructure import (
     apply_q,
     construct_basis_vectors,
-    q_orbit_cosines,
-    q_orbit_gram,
+    invariants,
+    orbit_gram,
+    plane_determinant,
     require_q_basis,
+    rescaled,
 )
 
 COMPONENT_INDEX = {
@@ -491,21 +498,9 @@ def riemann_apply(R: CurvatureTensor, x, y, z, u):
         return _bivector_form(R.s, _cross(x, y), _cross(z, u))
 
 
-def _rescaled(v):
-    """v over a power of two, with max |v_i| in [0.5, 1) (a zero vector stays), and that exponent.
-
-    The division is exact, so a quotient of forms of equal degree in v keeps its bits.
-    """
-    v = np.asarray(v, dtype=float)
-    e = np.frexp(np.abs(v).max(axis=-1))[1]
-    return np.ldexp(v, -e[..., None]), e
-
-
-def _plane_determinant(gxx, gyy, gxy):
-    """The Gram determinant gxx gyy - gxy^2 of a batch of planes, their sectional curvature's denominator,
-    and where it is degenerate: not above 1e-12 gxx gyy."""
-    den = gxx * gyy - gxy * gxy
-    return den, ~(den > 1e-12 * gxx * gyy)
+def _degenerate(den, gxx, gyy):
+    """Where a plane with Gram determinant den and g(x, x), g(y, y) is degenerate: den not above 1e-12 gxx gyy."""
+    return ~(den > 1e-12 * gxx * gyy)
 
 
 def _refuse_degenerate(degenerate, planes) -> None:
@@ -521,23 +516,29 @@ def sectional_curvature(R: CurvatureTensor, x, y):
     """R(x,y,x,y) / (g(x,x) g(y,y) - g(x,y)^2) for a non-degenerate plane, g = R.metric.g.
 
     x and y are one vector (3,) or a batch (..., 3) broadcasting against R's
-    batch. Both, and g, are rescaled by powers of two first (_rescaled,
-    R.metric.g_scaled), so neither the degeneracy test nor the quotient
-    depends on their magnitudes.
+    batch. Both, and g, are rescaled by powers of two first
+    (qstructure.rescaled, R.metric.eigenvalues_scaled), so neither the
+    degeneracy test nor the quotient depends on their magnitudes.
     """
     return sectional_plane(R, x, y)[0]
 
 
 def sectional_plane(R: CurvatureTensor, x, y):
-    """sectional_curvature(R, x, y) and the Gram determinant g(x,x) g(y,y) - g(x,y)^2, from one Gram of the
-    rescaled vectors; the determinant is inf where it overflows and 0 where it underflows."""
-    (xs, ex), (ys, ey) = _rescaled(x), _rescaled(y)
+    """sectional_curvature(R, x, y) and the Gram determinant g(x,x) g(y,y) - g(x,y)^2, from the invariants of the
+    rescaled vectors and of w = x × y (qstructure); the determinant is inf where it overflows and 0 where it
+    underflows."""
+    (xs, ex), (ys, ey) = rescaled(x), rescaled(y)
     M = R.metric
-    gxx, gxy = inners(M.g_scaled, xs, (xs, ys))
-    den, degenerate = _plane_determinant(gxx, inners(M.g_scaled, ys, (ys,))[0], gxy)
-    _refuse_degenerate(degenerate, lambda: (x, y))
+    lam, nu = M.eigenvalues_scaled
+    xs, ys = _components_first(R, xs), _components_first(R, ys)
+    w = _cross(xs, ys)  # formed once for R(x, y, x, y) and the determinant
+    v = np.empty((3, 3) + w.shape[1:])  # x, y and w, component first
+    v[:, 0], v[:, 1], v[:, 2] = xs, ys, w
+    sigma, delta = invariants(v)
+    gxx, gyy = orbit_gram(lam, nu, sigma[:2], delta[:2])[0]
+    den = plane_determinant(lam, nu, sigma[2], delta[2])
+    _refuse_degenerate(_degenerate(den, gxx, gyy), lambda: (x, y))
     with np.errstate(all="ignore"):  # a form or quotient that overflows is refused below
-        w = _cross(_components_first(R, xs), _components_first(R, ys))  # formed once for R(x, y, x, y)
         mu = np.ldexp(_bivector_form(R.s, w, w) / den, -2 * M.e)  # formed over g / 2^e, scaled back
         det = np.ldexp(den, 2 * (ex + ey + M.e))
     require_finite(M, "sectional curvatures", batch_first(mu, mu.ndim - M.A.ndim))  # mu's last axes are M's batch axes
@@ -644,43 +645,27 @@ class SectionalRelations:
     equal: EqualSectionalCheck
 
 
-def _unit(M: MetricAtPoint, g, x):
-    """x / sqrt(g(x, x)) for g = M.g, formed from x and g over powers of two and scaled back.
-
-    g's exponent is M.e rounded up to even, so the square root scales exactly:
-    where g(x, x) is a normal float the result keeps the bits of the plain
-    quotient, and where it under- or overflows the result is still the unit vector.
-    """
-    xs = _rescaled(x)[0][..., None, :]  # a row
-    half = (M.e + 1)[..., None, None] // 2  # half of M.e rounded up to even
-    gxx = xs @ np.ldexp(g, -2 * half) @ xs.swapaxes(-1, -2)  # (x g) x, the bits of metric.inners
-    xs /= np.sqrt(gxx)
-    return np.ldexp(xs, -half)[..., 0, :]
-
-
 @functools.lru_cache(maxsize=16)
 def _plane_rows(V: int):
-    """Index rows of the 3V + 3 planes sectional_relations forms, a pure function of V.
+    """Index rows of the 3V + 3 forms sectional_relations takes, a pure function of V.
 
-    The planes are the three {S[k], S[k+1 mod 3]} of the q-orbit S of each u (k major), then plane 0 of x, y
-    and the row x, whose second bivector is that of {x, q^2 x}: R(x, qx, x, q^2 x). The first row, (2, 3,
-    3V + 3), indexes the bivectors w = v × qv of the V + 3 rows flattened component first, (3 (V + 3), ...):
-    each plane's first and second bivector, component by component. As (qa) × (qb) = -q(a × b), the plane
-    {S[k], S[k+1]} has w rolled by k places, w[(P + k) mod 3], negated for k = 2 (the caller negates
-    those), and {x, q^2 x} has w rolled by two. The second, (3, 3V + 2), indexes the Gram matrix of the
-    first V + 2 rows flattened (9 (V + 2), ...): g of first and first, of second and second, and of first
-    and second, for every plane but the row x's, which is only formed.
+    The forms are R(a, b, a, b) of the planes {S[k], S[k+1 mod 3]} of the q-orbit S of each u (k major), then
+    of plane 0 of x and of y, and R(x, qx, x, q^2 x). The first row, (2, 3, 3V + 3), indexes the bivectors
+    w = v × qv of the V + 2 rows flattened component first, (3 (V + 2), ...): each form's first and second
+    bivector, component by component. As (qa) × (qb) = -q(a × b), the plane {S[k], S[k+1]} has w rolled by k
+    places, w[(P + k) mod 3], negated for k = 2 (the caller negates those), and {x, q^2 x} has w rolled by two.
+    The second, (3V + 3,), indexes each form's denominator among the V + 2 rows' plane determinants, then
+    g(x, x)^2: the three planes of an orbit share their row's determinant, as q is an isometry.
     """
-    n = V + 3
-    row = np.r_[np.tile(np.arange(V), 3), V, V + 1, V + 2]
+    n = V + 2
+    row = np.r_[np.tile(np.arange(V), 3), V, V + 1, V]
     first = np.r_[np.repeat(np.arange(3), V), 0, 0, 0]
-    second = (first + 1) % 3
     components = np.arange(3)[:, None]
     bivectors = np.stack([(components + k) % 3 * n + row for k in (first, np.r_[first[:-1], 2])])
-    gram = (np.stack((4 * first, 4 * second, 3 * first + second)) * (n - 1) + row)[:, :-1]
-    for r in (bivectors, gram):  # shared by every call with this V
+    denominators = np.r_[row[:-1], n]
+    for r in (bivectors, denominators):  # shared by every call with this V
         r.flags.writeable = False
-    return bivectors, gram
+    return bivectors, denominators
 
 
 def sectional_relations(R: CurvatureTensor, U, tol=1e-9) -> SectionalRelations:
@@ -697,22 +682,22 @@ def sectional_relations(R: CurvatureTensor, U, tol=1e-9) -> SectionalRelations:
     The relations hold where the curvature is q-invariant (check_q_invariance
     at tol) and refuse elsewhere; tol=math.inf computes them anyway.
 
-    Each quantity is computed once, in one pass over V + 3 rows: the V vectors
-    u, x and y, each over a power of two (_rescaled), then x itself.
-    qstructure.q_orbit_gram forms the Gram matrix of the q-orbit of each of the
-    first V + 2 rows over g / 2^e in one product, and one cross product
-    w = v × qv per row gives the bivectors of its orbit's planes (module
-    docstring). The planes the relations read are taken from them by index
-    (_plane_rows): their Gram entries in one take, from which one mask marks
-    the degenerate planes, and their bivectors in another, for the one
-    contraction, _bivector_form. The quotients are exact scalings of the plain
-    ones (see sectional_curvature) and are scaled back together.
-    The refusals come in the order one point and one vector meet them:
-    q-invariance, the q-basis test of the vectors (the first failing one is
-    named), the orthogonal-basis generator and its plane, the angle routes,
-    the plane {u, qu}, the special-angle vector and its plane, the planes
-    {qu, q^2u} and {q^2u, u}, then a sectional curvature that is not finite
-    (at the first point where one is not).
+    Each quantity is computed once, in one pass over V + 2 rows: the V vectors
+    u, x and y, each over a power of two (as qstructure.rescaled). One cross
+    product w = v × qv per row gives the bivectors of its orbit's planes (module
+    docstring), and one call of qstructure.invariants gives sigma and delta of
+    the rows and of their bivectors: from them g(v, v) and g(v, qv) of each row,
+    so cos phi, and the determinant of each row's planes, one for all three as
+    q is an isometry. The forms the relations read are taken from w by index
+    (_plane_rows) for the one contraction, _bivector_form, and divided by their
+    determinants, or by g(x, x)^2 for R(x, qx, x, q^2 x) of the unit x. The
+    quotients are exact scalings of the plain ones (see sectional_curvature) and
+    are scaled back together. The refusals come in the order one point and one
+    vector meet them: q-invariance, the q-basis test of the vectors (the first
+    failing one is named), the planes of a vector's orbit (named by {u, qu}),
+    then a sectional curvature that is not finite (at the first point where one
+    is not). The planes of x and y are never degenerate: their cosines are 0
+    and -1/2.
     """
     M = R.metric
     identity = check_q_invariance(R, tol=tol)
@@ -729,48 +714,35 @@ def sectional_relations(R: CurvatureTensor, U, tol=1e-9) -> SectionalRelations:
     batch = M.A.shape
     u = U.reshape((-1,) + (1,) * len(batch) + (3,))  # vectors before points
     V = len(u)
-    g = M.g
-    x, y = construct_basis_vectors(M.A, M.B)
-    x = _unit(M, g, x)
-    rows = np.empty((V + 3,) + batch + (3,))  # u, x and y over powers of two, then x itself
-    rows[:V], rows[V], rows[V + 1], rows[V + 2] = u, x, y, x
-    scaled = rows[:V + 2]
-    np.ldexp(scaled, -np.frexp(abs(scaled).max(axis=-1))[1][..., None], out=scaled)  # as _rescaled
-    G = q_orbit_gram(np.ldexp(g, -M.e[..., None, None]), scaled)[1]  # over M.g_scaled
-    bivectors, gram = _plane_rows(V)
-    # the planes of the rows over powers of two; the row x itself is only contracted
-    den, degenerate = _plane_determinant(*G.reshape((-1,) + batch).take(gram, axis=0))
-    refuse = degenerate.any()  # the four refusals are walked only then, the angle routes between the first two
-    if refuse:
-        _refuse_degenerate(degenerate[3 * V], lambda: (x, apply_q(x)))
-    cphi = q_orbit_cosines(M, rows[:V], G[:, :, :V])[0]
-    if refuse:
-        u_degenerate = degenerate[:3 * V].reshape((3, V) + batch)
-
-        def orbit():  # u's q-orbit as given, to name a degenerate plane
-            return q_orbit_gram(g, u)[0]
-
-        _refuse_degenerate(u_degenerate[0], lambda: tuple(orbit()[:2]))
-        _refuse_degenerate(degenerate[3 * V + 1], lambda: (y, apply_q(y)))
-        _refuse_degenerate(u_degenerate[1:], lambda: (orbit()[1:], orbit()[[2, 0]]))
+    rows = np.empty((V + 2,) + batch + (3,))  # u, x and y over powers of two
+    rows[:V] = u
+    rows[V], rows[V + 1] = construct_basis_vectors(M.A, M.B)
+    np.ldexp(rows, -np.frexp(abs(rows).max(axis=-1))[1][..., None], out=rows)  # as rescaled
+    lam, nu = M.eigenvalues_scaled
+    bivectors, denominators = _plane_rows(V)
     with np.errstate(all="ignore"):  # a form or quotient that overflows is refused below
-        # w = v × qv of each row, (3, V + 3, *batch): q's cycle makes w_P = v_{P+2}^2 - v_P v_{P+1}, formed as
+        # w = v × qv of each row, (3, V + 2, *batch): q's cycle makes w_P = v_{P+2}^2 - v_P v_{P+1}, formed as
         # 0.0 - (v_P v_{P+1} - v_{P+2}^2), which has the bits of _cross(v, apply_q(v))
         v = batch_first(rows, rows.ndim - 1)
         w = v * v.take(_NEXT, axis=0)
         w -= np.square(v.take(_LAST, axis=0))
         np.subtract(0.0, w, out=w)
+        sigma, delta = invariants(np.concatenate((v, w), axis=1))  # of the rows, then of their bivectors
+        gvv, gvqv = orbit_gram(lam, nu, sigma[:V + 2], delta[:V + 2])
+        den = plane_determinant(lam, nu, sigma[V + 2:], delta[V + 2:])
+        _refuse_degenerate(_degenerate(den[:V], gvv[:V], gvv[:V]), lambda: (u, apply_q(u)))
         planes = w.reshape((-1,) + batch).take(bivectors, axis=0)  # (2, 3, 3V + 3, *batch)
         np.subtract(0.0, planes[:, :, 2 * V:3 * V], out=planes[:, :, 2 * V:3 * V])  # {q^2 u, u}: 0.0 - w, as apply_q
-        r = _bivector_form(R.s, *planes)
-        mu = np.ldexp(r[:-1] / den, -2 * M.e)
+        den = np.concatenate((den, np.square(gvv[V:V + 1]))).take(denominators, axis=0)
+        mu = np.ldexp(_bivector_form(R.s, *planes) / den, -2 * M.e)
     require_finite(M, "sectional curvatures", batch_first(mu, 1))
-    mu_u, (mu_x, mu_y) = mu[:3 * V].reshape((3, V) + batch), mu[3 * V:]
+    mu_u, (mu_x, mu_y, r_x) = mu[:3 * V].reshape((3, V) + batch), mu[3 * V:]
+    cphi = gvqv[:V] / gvv[:V]
     pick = 0 if U.ndim == 1 else slice(None, V)  # one vector gives results of the batch shape
     mu_u, cphi = mu_u[:, pick], cphi[pick]
     two_cphi, one_minus_cphi = 2.0 * cphi, 1.0 - cphi
     return SectionalRelations(
-        difference=RelationCheck(mu_u[0] - mu_x, (two_cphi / one_minus_cphi) * r[-1]),
+        difference=RelationCheck(mu_u[0] - mu_x, (two_cphi / one_minus_cphi) * r_x),
         combination=RelationCheck(mu_u[0], ((1.0 + two_cphi) * mu_x - 3.0 * cphi * mu_y) / one_minus_cphi),
         equal=EqualSectionalCheck(mu_u[0], mu_u[1], mu_u[2]),
     )

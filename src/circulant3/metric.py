@@ -97,9 +97,11 @@ class MetricAtPoint:
         return (A - B) * (A + 2 * B)
 
     @property
-    def g_scaled(self) -> np.ndarray:
-        """g / 2^e, exact; inner products of vectors of moderate size over it do not overflow."""
-        return np.ldexp(self.g, -self.e[..., None, None])
+    def eigenvalues_scaled(self) -> tuple:
+        """(lam, nu) = (A + 2B, A - B) of g / 2^e, with the batch shape: g's eigenvalues on (1, 1, 1) and on the
+        plane orthogonal to it. The scaling is exact, and no product of them with moderate numbers overflows."""
+        a, b = np.ldexp(self.A, -self.e), np.ldexp(self.B, -self.e)
+        return a + 2.0 * b, a - b
 
     def __getitem__(self, index) -> "MetricAtPoint":
         """The metric at part of the batch, e.g. one point."""
@@ -245,17 +247,12 @@ def require_finite(M: MetricAtPoint, what: str, *arrays) -> None:
         raise EvalDomainError(f"{what} are not finite where A={float(M.A[i])!r}, B={float(M.B[i])!r}")
 
 
+@np.errstate(all="ignore")  # inf or NaN where a product over a large g overflows
 def inner(M: MetricAtPoint, x, y):
     """g(x, y) at each point of M's batch, with M's batch shape.
 
     x and y are one vector (3,) or one per point (..., 3). Each point's
-    value is the matrix product x @ g @ y, bit for bit as at that point alone.
+    value is the matrix product (x @ g) @ y, bit for bit as at that point alone.
     """
-    return inners(M.g, x, (y,))[0]
-
-
-@np.errstate(all="ignore")
-def inners(g: np.ndarray, x, ys) -> list:
-    """[x @ g @ y for y in ys] over a batch of matrices g (..., 3, 3), computing x @ g once."""
-    xg = np.asarray(x, dtype=float)[..., None, :] @ g
-    return [(xg @ np.asarray(y, dtype=float)[..., :, None])[..., 0, 0] for y in ys]
+    xg = np.asarray(x, dtype=float)[..., None, :] @ M.g
+    return (xg @ np.asarray(y, dtype=float)[..., :, None])[..., 0, 0]

@@ -1,14 +1,29 @@
-"""The circulant structure q with q^3 = -id and its basis geometry.
+"""The circulant structure q with q^3 = -id and the geometry of its orbits.
 
 q acts on tangent vectors by (x1, x2, x3) -> (-x2, -x3, -x1); it is an
-isometry of every circulant metric. A vector x generates the basis
-{x, qx, q^2 x} ("q-basis") iff 3 x1 x2 x3 != x1^3 + x2^3 + x3^3. The
-angles in such a basis depend on the invariants
+isometry of every circulant metric g = circ(A, B, B), whose eigenvalues are
+lam = A + 2B on (1, 1, 1) and nu = A - B on the plane orthogonal to it. A
+vector x has the part sigma / 3 (1, 1, 1) along (1, 1, 1), of squared length
+sigma^2 / 3, and a rest of squared length 2 delta / 3, with the invariants
 
-    a = x1^2 + x2^2 + x3^2,   b = x1 x2 + x1 x3 + x2 x3
+    sigma = x1 + x2 + x3,   delta = ((x1 - x2)^2 + (x2 - x3)^2 + (x3 - x1)^2) / 2,
 
-through cos(angle(x, qx)) = -(B a + (A+B) b) / (A a + 2 B b), with
-cos(angle(qx, q^2 x)) equal to it and cos(angle(x, q^2 x)) its negative.
+which q maps to -sigma and delta. So every g-quantity of a q-orbit or a plane
+is a ratio of sums of non-negative terms in lam, nu, sigma and delta:
+
+    g(x, x)  = (lam sigma^2 + 2 nu delta) / 3,
+    g(x, qx) = (nu delta - lam sigma^2) / 3 = -g(x, q^2 x) = g(qx, q^2 x),
+    x1^3 + x2^3 + x3^3 - 3 x1 x2 x3 = sigma delta,
+    g(x, x) g(y, y) - g(x, y)^2 = nu (nu sigma_w^2 + 2 lam delta_w) / 3,  w = x × y.
+
+x generates the basis {x, qx, q^2 x} ("q-basis") iff sigma delta != 0.
+invariants forms sigma and delta each correctly rounded, so both are the same
+numbers for v, -v and v with its components permuted: a vector and its q-images
+get one g(x, x), and the three planes of a q-orbit, whose bivectors are signed
+permutations of one another, one determinant, bit for bit. Every quantity is
+formed over g / 2^e (MetricAtPoint.eigenvalues_scaled) and vectors over powers
+of two (rescaled), so no term under- or overflows; a caller that reports an
+unscaled value scales it back.
 """
 
 from __future__ import annotations
@@ -19,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
-from .errors import AngleRoutesDisagree, NotAQBasis, PositivityViolation
+from .jets import batch_first
+from .errors import NotAQBasis, PositivityViolation
 from .metric import MetricAtPoint, first_point, positive
 
 Q_MATRIX = np.array([[0, -1, 0], [0, 0, -1], [-1, 0, 0]], dtype=int)
@@ -28,11 +44,9 @@ Q_MATRIX = np.array([[0, -1, 0], [0, 0, -1], [-1, 0, 0]], dtype=int)
 _CYCLE = np.array([1, 2, 0])
 
 Q_BASIS_EPS = 1e-10
-ANGLE_ROUTE_TOL = 1e-10
-_ROUTE_SIGNS = np.array([1.0, -1.0, 1.0])  # cos(x, qx), cos(x, q^2 x), cos(qx, q^2 x) against the closed form
-_COSINES = np.array([1, 2, 5])  # their numerators, G[0, 1], G[0, 2] and G[1, 2] of the q-orbit's Gram matrix flattened
 # the factors of the terms of a and b: x_i x_i for each i, then x1 x2, x1 x3, x2 x3
 _LEFT, _RIGHT = np.array([0, 1, 2, 0, 0, 1]), np.array([0, 1, 2, 1, 2, 2])
+_SPECIAL = np.array([1.0, -1.0, 0.0])  # the special-angle vector less its part along (1, 1, 1)
 
 
 def apply_q(x) -> np.ndarray:
@@ -40,39 +54,106 @@ def apply_q(x) -> np.ndarray:
     return np.subtract(0.0, np.asarray(x, dtype=float).take(_CYCLE, axis=-1))
 
 
-def q_basis_test(x):
-    """(cubic, bound): x induces a q-basis iff |cubic| > bound.
+def rescaled(v):
+    """v over a power of two, with max |v_i| in [0.5, 1) (a zero vector stays), and that exponent.
 
-    cubic is 3 x1 x2 x3 - (x1^3 + x2^3 + x3^3), whose vanishing kills the
-    q-basis, and bound is Q_BASIS_EPS * max(1, |x|^3). x is one vector (3,),
-    giving two floats, or a batch (..., 3), giving two arrays of its batch
-    shape. The test walks the vectors one at a time in float arithmetic, as
-    jets.elementwise does: numpy's power differs from float pow in the last
-    bit. Raises NotAQBasis for the first vector where a cube overflows.
+    The division is exact, so a quotient of forms of equal degree in v keeps its bits.
     """
-    x = np.asarray(x, dtype=float)
-    flat = x.reshape(-1, 3)
-    out = []  # cubic, bound, cubic, bound, ...
-    for v, (x1, x2, x3) in zip(flat, flat.tolist()):
-        try:
-            out += (
-                3.0 * x1 * x2 * x3 - (x1**3 + x2**3 + x3**3),
-                Q_BASIS_EPS * max(1.0, math.sqrt(v.dot(v)) ** 3),  # the bits of np.linalg.norm(v)
-            )
-        except OverflowError:
-            raise NotAQBasis(
-                f"vector {(x1, x2, x3)} is too large for the q-basis test: its cubes overflow"
-            ) from None
-    if x.ndim == 1:
-        return tuple(out)
-    values = np.array(out).reshape(x.shape[:-1] + (2,))
-    return values[..., 0], values[..., 1]
+    v = np.asarray(v, dtype=float)
+    e = np.frexp(np.abs(v).max(axis=-1))[1]
+    return np.ldexp(v, -e[..., None]), e
+
+
+def _two_sum(a, b):
+    """a + b rounded, and its rounding error, exactly (Knuth's TwoSum)."""
+    s = a + b
+    t = s - a
+    return s, (a - (s - t)) + (b - t)
+
+
+def _sum3(v):
+    """v[0] + v[1] + v[2] correctly rounded, element by element, for finite terms; v is an array (3, n, ...).
+
+    Boldo and Melquiond's sum of three: two TwoSums leave the exact sum as
+    hi + mid + lo, mid + lo is rounded to odd, then added to hi. Being
+    correctly rounded, the result does not depend on the order of the terms.
+    """
+    hi, lo = _two_sum(v[1], v[2])
+    hi, mid = _two_sum(v[0], hi)
+    r, e = _two_sum(mid, lo)
+    # round to odd: where r is inexact and its last bit even, take its neighbour toward the exact sum
+    odd = (e != 0.0) & ((r.view(np.int64) & 1) == 0)
+    if odd.any():
+        with np.errstate(under="ignore"):  # the neighbour of a tiny r can be subnormal
+            np.nextafter(r, np.copysign(np.inf, e), out=r, where=odd)
+    return hi + r
+
+
+def invariants(v):
+    """(sigma, delta) of vectors stacked component first, v (3, ...), finite.
+
+    sigma = v0 + v1 + v2 and delta = (d0^2 + d1^2 + d2^2) / 2 with
+    d_P = v_P - v_{P+1}, each sum correctly rounded (_sum3). Permuting v's
+    components permutes the d_P and negating v negates them, so sigma and
+    delta are the same numbers for every signed permutation of v, sigma
+    changing its sign with v's.
+    """
+    terms = np.empty((3, 2) + v.shape[1:])
+    terms[:, 0] = v
+    d = terms[:, 1]
+    np.subtract(v, v.take(_CYCLE, axis=0), out=d)
+    d *= d
+    sigma, twice_delta = _sum3(terms)
+    return sigma, 0.5 * twice_delta
+
+
+def orbit_gram(lam, nu, sigma, delta):
+    """g(x, x) = (lam sigma^2 + 2 nu delta) / 3 and g(x, qx) = (nu delta - lam sigma^2) / 3 from the
+    invariants of x; g(x, q^2 x) is -g(x, qx) and g(qx, q^2 x) is g(x, qx)."""
+    ls, nd = lam * (sigma * sigma), nu * delta
+    return (ls + 2.0 * nd) / 3.0, (nd - ls) / 3.0
+
+
+def plane_determinant(lam, nu, sigma, delta):
+    """g(x, x) g(y, y) - g(x, y)^2 = nu (nu sigma^2 + 2 lam delta) / 3 from the invariants of w = x × y."""
+    return nu * (nu * (sigma * sigma) + 2.0 * lam * delta) / 3.0
+
+
+def _orbit_gram_scaled(M: MetricAtPoint, x):
+    """orbit_gram of x over a power of two, 2^k, at each point of M's batch over g / 2^e, and k."""
+    xs, k = rescaled(x)
+    return (*orbit_gram(*M.eigenvalues_scaled, *invariants(batch_first(xs, xs.ndim - 1))), k)
+
+
+@np.errstate(all="ignore")  # inf where a product over a large g overflows, 0 where a small one underflows
+def q_orbit_products(M: MetricAtPoint, x):
+    """g(x, x) and g(x, qx) of x (3,) or (..., 3) at each point of M's batch: _orbit_gram_scaled's, scaled
+    back by 2^(2k + e)."""
+    gxx, gxqx, k = _orbit_gram_scaled(M, x)
+    return np.ldexp(gxx, 2 * k + M.e), np.ldexp(gxqx, 2 * k + M.e)
+
+
+@np.errstate(all="ignore")  # cubic and bound are inf where they overflow at x itself, 0 where they underflow
+def q_basis_test(x):
+    """(cubic, bound, induces) of one vector (3,) or of each vector of a batch (..., 3).
+
+    cubic = 3 x1 x2 x3 - (x1^3 + x2^3 + x3^3) = -sigma delta vanishes where x
+    induces no q-basis, and bound = Q_BASIS_EPS |x|^3 with
+    |x|^2 = (sigma^2 + 2 delta) / 3. Both have degree 3 in x: induces is
+    |cubic| > bound over x / 2^k, so the test does not depend on the magnitude
+    of x, and cubic and bound are scaled back by 2^3k.
+    """
+    xs, k = rescaled(x)
+    sigma, delta = invariants(batch_first(xs, xs.ndim - 1))
+    cubic = -(sigma * delta)
+    norm_sq = (sigma * sigma + 2.0 * delta) / 3.0
+    bound = Q_BASIS_EPS * (norm_sq * np.sqrt(norm_sq))
+    return np.ldexp(cubic, 3 * k)[()], np.ldexp(bound, 3 * k)[()], (abs(cubic) > bound)[()]
 
 
 def induces_q_basis(x):
-    """Where {x, qx, q^2 x} spans the tangent space (cubic criterion); one vector or a batch."""
-    cubic, bound = q_basis_test(x)
-    return abs(cubic) > bound
+    """Where {x, qx, q^2 x} spans the tangent space (q_basis_test); one vector or a batch."""
+    return q_basis_test(x)[2]
 
 
 def require_q_basis(x) -> np.ndarray:
@@ -85,20 +166,16 @@ def require_q_basis(x) -> np.ndarray:
     return x
 
 
+@np.errstate(all="ignore")  # a and b are inf where they overflow
 def vector_invariants(x):
-    """The quadratic invariants (a, b) of one vector (3,) or of each vector of a batch (..., 3)."""
+    """The quadratic invariants (a, b) of one vector (3,) or of each vector of a batch (..., 3):
+    a = |x|^2 and b = x1 x2 + x1 x3 + x2 x3, which angles reports."""
     x = np.asarray(x, dtype=float)
     terms = x.take(_LEFT, axis=-1)
     terms *= x.take(_RIGHT, axis=-1)
     # each sum in one reduction over three terms, which numpy adds left to right
     sums = np.add.reduce(terms.reshape(x.shape[:-1] + (2, 3)), axis=-1)
     return sums[..., 0][()], sums[..., 1][()]  # floats for one vector
-
-
-def cos_angle_closed_form(A, B, x):
-    """cos(angle(x, qx)) from the invariants a, b: -(Ba + (A+B)b)/(Aa + 2Bb)."""
-    a, b = vector_invariants(x)
-    return -(B * a + (A + B) * b) / (A * a + 2 * B * b)
 
 
 def _clamped_acos(c):
@@ -124,62 +201,18 @@ class AngleReport:
         )
 
 
-@np.errstate(all="ignore")  # inf or NaN where a product over a large unscaled g overflows, as metric.inners
-def q_orbit_gram(g, x) -> tuple:
-    """S = (x, qx, q^2 x) stacked (3, ...), plane k being {S[k], S[k+1 mod 3]}, and its Gram matrix over g,
-    G[k, l] = g(S[k], S[l]) (3, 3, ...), in one product: each entry formed as (S[k] g) S[l], the bits of
-    metric.inners.
-
-    x's batch must broadcast against g's behind S's leading axis (a single vector
-    meeting a batch of metrics is broadcast to it first).
-    """
-    S = np.empty((3,) + x.shape)
-    S[0] = x
-    for k in (0, 1):  # apply_q's gather, written in place
-        np.subtract(0.0, S[k].take(_CYCLE, axis=-1), out=S[k + 1])
-    Sg = S[..., None, :] @ g
-    return S, (Sg[:, None] @ S[None, ..., :, None])[..., 0, 0]
-
-
-def q_orbit_cosines(M: MetricAtPoint, x, G) -> np.ndarray:
-    """cos(x, qx), cos(x, q^2 x), cos(qx, q^2 x), stacked (3, ...), from G, the caller's q_orbit_gram of x
-    over g / 2^e, in one take and one division.
-
-    The cosines, of degree 0 in g and in x, keep their bits over g / 2^e and
-    over x divided by any power of two, and are checked against the closed form.
-    """
-    cosines = G.reshape((9,) + G.shape[2:]).take(_COSINES, axis=0) / G[0, 0]
-    e = -M.e
-    require_angle_routes_agree(cosines, np.ldexp(M.A, e), np.ldexp(M.B, e), x)
-    return cosines
-
-
-def require_angle_routes_agree(cosines, A, B, x) -> None:
-    """Raise AngleRoutesDisagree for the first element where the inner-product cosines
-    (x, qx), (x, q^2 x), (qx, q^2 x), stacked (3, ...), part from the closed form in A, B and x
-    beyond ANGLE_ROUTE_TOL.
-    """
-    closed = cos_angle_closed_form(A, B, x)
-    routes = np.asarray(cosines)
-    signed = _ROUTE_SIGNS.reshape((3,) + (1,) * (routes.ndim - 1)) * closed  # closed, -closed, closed
-    off = abs(routes - signed) > ANGLE_ROUTE_TOL
-    if off.any():
-        i = first_point(off)  # the first cosine that disagrees, at its first element
-        raise AngleRoutesDisagree(
-            f"angle routes disagree beyond {ANGLE_ROUTE_TOL}: inner-product "
-            f"{float(routes[i])!r} vs closed form {float(signed[i])!r}"
-        )
-
-
 def q_basis_angles(M: MetricAtPoint, x) -> AngleReport:
-    """The invariants of x and its q_orbit_cosines at each point of M's batch.
+    """The invariants a, b of x and the cosines of its q-basis at each point of M's batch.
 
-    x is one vector (3,) or one per point (..., 3). Raises NotAQBasis for the
-    first vector that does not generate a basis.
+    x is one vector (3,) or one per point (..., 3). cos(x, qx) = g(x, qx) / g(x, x)
+    from orbit_gram over g / 2^e and x over a power of two, which is of degree 0
+    in both; cos(x, q^2 x) is its negative and cos(qx, q^2 x) the same number.
+    Raises NotAQBasis for the first vector that does not generate a basis.
     """
     x = require_q_basis(x)
-    batch = np.broadcast_to(x, np.broadcast_shapes(x.shape, M.A.shape + (3,)))
-    return AngleReport(*vector_invariants(x), *q_orbit_cosines(M, batch, q_orbit_gram(M.g_scaled, batch)[1]))
+    gxx, gxqx, _ = _orbit_gram_scaled(M, x)
+    c = gxqx / gxx
+    return AngleReport(*vector_invariants(x), c, -c, c)
 
 
 def _require_positive(A, B):
@@ -210,29 +243,13 @@ def construct_basis_vectors(A, B) -> tuple[np.ndarray, np.ndarray]:
     x = (0, -(A+B)+sqrt((A-B)(A+3B)), 2B); its middle entry is formed from A
     and B over a power of two that brings A into [0.5, 1) (_require_positive),
     then scaled back: exact, and no product overflows.
-
-    Seeks y = (1, 0, t); the cosine condition reduces to
-    (A - 2B) t^2 - 2A t + (A - 2B) = 0 with discriminant 16 B (A - B) > 0.
-    For A = 2B the equation degenerates and (1, 0, 0) already works; else y
-    takes the root t = (A + 2 sqrt(B (A - B))) / (A - 2B). That root always
-    induces a q-basis, whose cubic criterion for y is |1 + t^3| > bound: for
-    A > 2B, t > 0; for B < A < 2B,
-    t + 1 = 2 sqrt(A - B) (sqrt(A - B) + sqrt(B)) / (A - 2B) < 0, and
-    |t + 1| stays above 2e-8 even where A is the double next above B, so
-    |1 + t^3| stays far above the bound.
-    The root and the test of A = 2B are formed from A and B over the same
-    power of two as x: the root keeps its bits, no product underflows, and
-    the test is relative to the magnitude of A. A - B and A - 2B are each
-    formed once, and the root is divided only where A is not 2B, so no
-    division by 0 is met.
+    y = (1, -1, 0) + t (1, 1, 1) with t = sqrt(4 nu / (3 lam)): its invariants
+    are sigma = 3t and delta = 3, so lam sigma^2 = 12 nu, g(y, qy) / g(y, y) =
+    -9 nu / 18 nu, and its cubic sigma delta is not 0. t is of degree 0 in g.
     """
     As, Bs, e = _require_positive(A, B)
-    nu, skew = As - Bs, As - 2 * Bs
+    nu, lam = As - Bs, As + 2.0 * Bs
     x = np.zeros(As.shape + (3,))
     np.ldexp(np.sqrt(nu * (As + 3 * Bs)) - (As + Bs), e, out=x[..., 1])
     np.multiply(2.0, B, out=x[..., 2])
-    y = np.zeros(skew.shape + (3,))
-    y[..., 0] = 1.0
-    # the root t, where A is not 2B; (1, 0, 0) where it is
-    np.divide(As + 2.0 * np.sqrt(Bs * nu), skew, out=y[..., 2], where=abs(skew) >= 1e-12)
-    return x, y
+    return x, np.sqrt(4.0 * nu / (3.0 * lam))[..., None] + _SPECIAL

@@ -15,7 +15,9 @@ transcendental functions have no rational jets and are refused.
 ``fraction_jet`` takes the Fractions of a float jet as it is: the exact
 curvature of the float jets measures the kernel alone, apart from the
 rounding of the jets themselves. ``exact_sectional`` is the sectional
-curvature of rational vectors from those exact components. ``exact_christoffel``
+curvature of rational vectors from those exact components, and
+``exact_plane``, ``exact_orbit_cosine`` and ``exact_cubic`` the plane's Gram
+determinant, cos(x, qx) and the q-basis cubic, in the coordinate frame. ``exact_christoffel``
 is Gamma and its first derivatives of the same exact jets, with g^-1 in
 Fractions.
 
@@ -183,16 +185,31 @@ def exact_christoffel(A: ExactJet, B: ExactJet) -> tuple[list, list]:
 _PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
+def _gram(A, B):
+    """g(u, v) = u^T circ(A, B, B) v for A and B as Fractions and vectors of Fractions."""
+    return lambda u, v: sum((A if i == j else B) * u[i] * v[j] for i in range(3) for j in range(3))
+
+
 def exact_plane(A, B, x, y) -> tuple[list, Fraction]:
     """The pairs w_ij = x_i y_j - x_j y_i (i < j) of the plane {x, y} and its Gram determinant
     g(x, x) g(y, y) - g(x, y)^2 for g = circ(A, B, B), exactly; A, B and the entries are doubles."""
-    A, B = Fraction(float(A)), Fraction(float(B))
+    g = _gram(Fraction(float(A)), Fraction(float(B)))
     x, y = [Fraction(float(v)) for v in x], [Fraction(float(v)) for v in y]
-
-    def g(u, v):
-        return sum((A if i == j else B) * u[i] * v[j] for i in range(3) for j in range(3))
-
     return [x[i] * y[j] - x[j] * y[i] for i, j in _PAIRS], g(x, x) * g(y, y) - g(x, y) ** 2
+
+
+def exact_orbit_cosine(A, B, x) -> Fraction:
+    """cos(x, qx) = g(x, qx) / g(x, x) for g = circ(A, B, B) and qx = (-x2, -x3, -x1), exactly; A, B and the
+    entries are doubles."""
+    g = _gram(Fraction(float(A)), Fraction(float(B)))
+    x = [Fraction(float(v)) for v in x]
+    return g(x, [-x[1], -x[2], -x[0]]) / g(x, x)
+
+
+def exact_cubic(x) -> Fraction:
+    """3 x1 x2 x3 - (x1^3 + x2^3 + x3^3), the q-basis cubic, exactly; the entries are doubles."""
+    x1, x2, x3 = (Fraction(float(v)) for v in x)
+    return 3 * x1 * x2 * x3 - (x1**3 + x2**3 + x3**3)
 
 
 def exact_sectional(components: dict, A, B, x, y) -> Fraction:

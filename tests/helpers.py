@@ -15,7 +15,6 @@ from circulant3 import (
     parse,
 )
 from circulant3.errors import CirculantError
-from circulant3.metric import inners
 from circulant3.parallelism import MIRROR_MATRIX
 from circulant3.qstructure import vector_invariants
 
@@ -59,10 +58,18 @@ def fd_hessian(f, p, h=1e-5):
 # -- identities the library's routes must satisfy -------------------------------
 
 
-@np.errstate(all="ignore")  # NaN where the inner products overflow, as inners computes them
+@np.errstate(all="ignore")  # NaN where the inner products overflow, as metric.inner computes them
 def isometry_residual(M, x, y):
     """|g(qx, qy) - g(x, y)|; zero up to rounding for every circulant g."""
     return abs(inner(M, apply_q(x), apply_q(y)) - inner(M, x, y))
+
+
+def cos_angle_closed_form(A, B, x):
+    """cos(angle(x, qx)) from the paper's invariants a = |x|^2 and b = x1 x2 + x1 x3 + x2 x3:
+    -(Ba + (A+B)b)/(Aa + 2Bb). A reference for qstructure.q_basis_angles, which forms the cosine from
+    sigma and delta: a = (sigma^2 + 2 delta) / 3 and b = (sigma^2 - delta) / 3."""
+    a, b = vector_invariants(x)
+    return -(B * a + (A + B) * b) / (A * a + 2 * B * b)
 
 
 def orthogonality_defect(M, x):
@@ -324,18 +331,29 @@ def random_admissible_AB(rng) -> tuple[float, float]:
     return A, B
 
 
-def q_basis_cosines_reference(M, x) -> tuple:
-    """cos(x, qx), cos(x, q^2 x), cos(qx, q^2 x) from plain inner products of x itself over g / 2^e.
+@np.errstate(all="ignore")  # inf or NaN where a product over a large unscaled g overflows, as metric.inner
+def q_orbit_gram(g, x) -> tuple:
+    """S = (x, qx, q^2 x) stacked (3, ...), plane k being {S[k], S[k+1 mod 3]}, and its Gram matrix over g,
+    G[k, l] = g(S[k], S[l]) (3, 3, ...), each entry formed as (S[k] g) S[l], the bits of metric.inner.
 
-    The reference for the cosines qstructure.q_orbit_cosines forms from the Gram
-    entries of x's q-orbit; x broadcasts against M's batch.
+    The coordinate-frame reference of qstructure's orbit quantities, which are formed from the invariants
+    sigma and delta. x's batch must broadcast against g's behind S's leading axis.
     """
     x = np.asarray(x, dtype=float)
-    qx = apply_q(x)
-    q2x = apply_q(qx)
-    g = M.g_scaled
-    gxx, g_x_qx, g_x_q2x = inners(g, x, (x, qx, q2x))
-    return g_x_qx / gxx, g_x_q2x / gxx, inners(g, qx, (q2x,))[0] / gxx
+    S = np.stack((x, apply_q(x), apply_q(apply_q(x))))
+    Sg = S[..., None, :] @ g
+    return S, (Sg[:, None] @ S[None, ..., :, None])[..., 0, 0]
+
+
+def q_basis_cosines_reference(M, x) -> tuple:
+    """cos(x, qx), cos(x, q^2 x), cos(qx, q^2 x) from the Gram matrix of x's q-orbit over g / 2^e
+    (q_orbit_gram), and the orbit's Gram-reference scale max_kl sum_ij |S[k]_i g_ij S[l]_j| / g(x, x), the
+    size of a cosine's rounding error there in units of eps; x broadcasts against M's batch."""
+    x = np.broadcast_to(np.asarray(x, dtype=float), np.broadcast_shapes(np.shape(x), M.A.shape + (3,)))
+    g = np.ldexp(M.g, -M.e[..., None, None])  # exact
+    S, G = q_orbit_gram(g, x)
+    scale = (abs(S[:, None, ..., :, None]) * abs(g) * abs(S[None, ..., None, :])).sum(axis=(-2, -1))
+    return G[0, 1] / G[0, 0], G[0, 2] / G[0, 0], G[1, 2] / G[0, 0], scale.max(axis=(0, 1)) / G[0, 0]
 
 
 # -- jet operations over either jet module --------------------------------------

@@ -30,7 +30,6 @@ from circulant3 import (
     check_sectional_difference_formula,
     christoffel_from_metric,
     construct_orthogonal_vector,
-    cos_angle_closed_form,
     eval_jet,
     induces_q_basis,
     inner,
@@ -49,6 +48,7 @@ from circulant3.errors import IdentityRNotSatisfied
 from circulant3.specfile import builtin_example, example_diagonal_value
 
 from helpers import (
+    cos_angle_closed_form,
     fd_gradient,
     fd_hessian,
     random_admissible_AB,

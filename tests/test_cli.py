@@ -13,20 +13,21 @@ import subprocess
 import sys
 import warnings
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from circulant3 import (
-    builtin_example, christoffel_from_metric, cli, curvature, errors, load_spec, metric_at, parallelism,
-    riemann_from_metric, sample_admissible_points,
+    MetricFunctions, builtin_example, christoffel_from_metric, cli, curvature, errors, load_spec, metric_at,
+    parallelism, riemann_from_metric, sample_admissible_points,
 )
 from circulant3.cli import main
 
-from exact import closed_form_error
+from exact import closed_form_error, exact_orbit_cosine
 from helpers import symmetry_verdicts_reference
-from test_exact import C_CHRISTOFFEL, C_EPS, christoffel_errors
+from test_exact import C_CHRISTOFFEL, C_EPS, EPS, christoffel_errors
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "tests" / "data"
@@ -516,7 +517,6 @@ REFUSALS = (
      "domain constraint 'x1' is -1.0 <= 0 at point (-1.0, 0.0, 0.0)"),
     (errors.NotAQBasis("vector (1.0, 1.0, 1.0) does not induce a q-basis"), 2,
      "vector (1.0, 1.0, 1.0) does not induce a q-basis"),
-    (errors.AngleRoutesDisagree("angle routes disagree"), 3, "angle routes disagree"),
     (errors.DegeneratePlane("span no plane"), 2, "span no plane"),
     (errors.IdentityRNotSatisfied("q-invariance fails\nso the verification is refused"), 1,
      "q-invariance fails\nso the verification is refused"),
@@ -1095,42 +1095,75 @@ def test_json_writer_is_json_dumps_on_every_report_of_a_point_query_cycle(tmp_pa
 
 
 @pytest.mark.parametrize(
-    "argv, vector",
+    "argv, code, err",
     [
-        (["qbasis", "--vector=1e200,0,1"], "(1e+200, 0.0, 1.0)"),
-        (["angles", "--spec", "{generic}", "--at=0.1,0.2,0.3", "--vector=1e200,0,1"], "(1e+200, 0.0, 1.0)"),
-        # x @ g @ x overflows in the orthogonality test before the q-basis test refuses x
-        (["orthobasis", "--spec", "{huge}", "--at=0,0,0"], "(0.0, -5.358983848622453e+199, 2e+200)"),
+        # qbasis reports the cubic and its bound at the vector itself, and refuses where either is not finite
+        (["qbasis", "--vector=1e200,0,1"], 2,
+         "error (qbasis): vector (1e+200, 0.0, 1.0) is too large for the q-basis test: its cubic overflows\n"),
+        # angles tests the vector over a power of two and reports its cosines, and a = |x|^2 as inf
+        (["angles", "--spec", "{generic}", "--at=0.1,0.2,0.3", "--vector=1e200,0,1"], 0, ""),
+        # the generator on huge fields induces a q-basis; its inner products, near 1e601, are not finite
+        (["orthobasis", "--spec", "{huge}", "--at=0,0,0"], 3,
+         "error (orthobasis): orthogonal-basis inner products are not finite where A=3e+200, B=1e+200\n"),
     ],
     ids=["qbasis", "angles", "orthobasis"],
 )
-def test_overflowing_vector_is_usage_error(capsys, tmp_path, argv, vector):
+def test_overflowing_vector_is_usage_error(capsys, tmp_path, argv, code, err):
     specs = {"generic": tmp_path / "generic.toml", "huge": tmp_path / "huge.toml"}
     specs["generic"].write_text(GENERIC_SPEC, encoding="utf-8")
     specs["huge"].write_text('[metric]\nA = "3e200"\nB = "1e200"\n', encoding="utf-8")
-    assert main([a.format(**specs) for a in argv]) == 2  # a numpy RuntimeWarning fails the call
-    err = capsys.readouterr().err
-    assert err.startswith(f"error ({argv[0]}): vector {vector} is too large for the q-basis test")
+    assert main([a.format(**specs) for a in argv] + ["--json"]) == code  # a numpy RuntimeWarning fails the call
+    out, got = capsys.readouterr()
+    assert got == err
+    if code == 0:
+        results = json.loads(out)["results"]
+        assert results["a"] == math.inf and results["b"] == 1e200
+        assert -1.0 < results["cos_phi_x_qx"] < 0.5
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["angles", "--at=0,0,0", "--vector=1,-1,0.001"],
-        ["verify-theorems", "--at=0,0,0", "--vector=1,-1,0.001"],
-    ],
-    ids=["angles", "verify-theorems"],
-)
-def test_angle_routes_that_disagree_are_a_metric_error(capsys, tmp_path, argv):
-    # A - B = 1e-10 and (x1 + x2 + x3)^2 = 1e-6, so g(x, x) is tiny against |x|^2
-    # and the two cosine routes part beyond ANGLE_ROUTE_TOL
+def _main(capsys, argv):
+    """main's exit code, stdout and stderr; a numpy RuntimeWarning fails the call."""
+    code = main(argv)
+    return (code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", [["angles"], ["verify-theorems"]], ids=["angles", "verify-theorems"])
+def test_the_orbit_cosine_is_exact_where_the_metric_nears_degeneracy(capsys, tmp_path, argv):
+    # A - B = 1e-10 and (x1 + x2 + x3)^2 = 1e-6, so g(x, x) is tiny against |x|^2: cos(x, qx) is within a few
+    # eps of the exact value, and the relations run (the metric is flat, so every sectional curvature is 0)
     spec = tmp_path / "near.toml"
     spec.write_text('[metric]\nA = "1.0000000001"\nB = "1"\n', encoding="utf-8")
-    assert main([argv[0], "--spec", str(spec), *argv[1:]]) == 3
-    assert capsys.readouterr().err == (
-        f"error ({argv[0]}): angle routes disagree beyond 1e-10: "
-        "inner-product 0.999700059863156 vs closed form 0.9997000599632321\n"
-    )
+    code, out, err = _main(capsys, [argv[0], "--spec", str(spec), "--at=0,0,0", "--vector=1,-1,0.001", "--json"])
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    if argv[0] == "angles":
+        cos = report["results"]["cos_phi_x_qx"]
+        assert abs(Fraction(cos) - exact_orbit_cosine(1.0000000001, 1.0, (1.0, -1.0, 0.001))) <= 4 * EPS
+    else:
+        assert all(v["pass"] for v in report["verdicts"].values())
+
+
+def test_inputs_near_degeneracy_and_at_small_scales_are_answered(capsys, tmp_path):
+    # inputs that the Gram and closed-form cosine routes refused, or that the cubic test with an absolute floor
+    # failed: a metric with nu = A - B about 1.5e-10 against lam about 3, a vector of entries near 1e-120,
+    # and the orthogonal generator of a metric of size 1e-5
+    near, small = tmp_path / "near.toml", tmp_path / "small.toml"
+    near.write_text('[metric]\nA = "1.0000000001 + x3*1e-10"\nB = "1"\n', encoding="utf-8")
+    small.write_text('[metric]\nA = "3e-5"\nB = "1e-5"\n', encoding="utf-8")
+    code, out, err = _main(capsys, ["angles", "--spec", str(near), "--at=0,0,0.5", "--vector=1,-0.5,-0.49999",
+                                    "--json"])
+    assert (code, err) == (0, "")
+    cos = json.loads(out)["results"]["cos_phi_x_qx"]
+    A = float(metric_at(MetricFunctions.from_sources("1.0000000001 + x3*1e-10", "1"), (0.0, 0.0, 0.5)).A)
+    exact = exact_orbit_cosine(A, 1.0, (1.0, -0.5, -0.49999))
+    assert abs(float(exact) - 0.0384594347095958) <= 1e-16
+    assert abs(Fraction(cos) - exact) <= 4 * EPS
+    code, out, err = _main(capsys, ["angles", "--spec", str(near), "--at=0,0,0.5", "--vector=1e-120,0,1e-120"])
+    assert (code, err) == (0, "")
+    code, out, err = _main(capsys, ["orthobasis", "--spec", str(small), "--at=0.1,0.2,0.3", "--json"])
+    assert (code, err) == (0, "")
+    verdict = json.loads(out)["verdicts"]["induces_q_basis"]
+    assert verdict["pass"] and verdict["residual"] > verdict["tol"] > 0.0
 
 
 @pytest.mark.parametrize(
@@ -1466,20 +1499,23 @@ def test_verify_theorems_sampled_computes_each_relation_quantity_once_per_run(ca
 
         monkeypatch.setattr(module, name, counting)
 
-    once = ("check_q_invariance", "construct_basis_vectors")
+    once = ("check_q_invariance", "construct_basis_vectors", "invariants")
     for name in ("sectional_curvature", "riemann_apply", "_bivector_form", "christoffel_from_metric", *once):
         count(curvature, name)
     count(qstructure, "induces_q_basis")  # through require_q_basis
+    count(qstructure, "q_basis_test")  # through induces_q_basis, with its own invariants of the vectors
     count(qstructure, "_require_positive")  # the positivity test of both basis constructions
     spec = tmp_path / "spec.toml"
     spec.write_text(PARALLEL_BENCH_SPEC, encoding="utf-8")
     argv = ["verify-theorems", "--spec", str(spec), "--sample", "4", "--seed", "3", CUBE_ARG]
     assert main(argv) == 0
-    # 4 points, 5 vectors: one contraction, the bivector form of the 18 planes that the relations read, each
+    # 4 points, 5 vectors: one contraction, the bivector form of the 18 forms that the relations read, each
     # bivector component first at every point: the three planes {S[k], S[k+1]} of the q-orbit S of each of the
-    # 5 vectors u, then plane 0 of x and y over powers of two and of the unit x; no call of riemann_apply or
-    # sectional_curvature and no Christoffel table; the vectors' q-basis test and the rest once
-    assert calls == {"_bivector_form": 1, "induces_q_basis": 1, "_require_positive": 1, **dict.fromkeys(once, 1)}
+    # 5 vectors u, then plane 0 of x and y over powers of two and R(x, qx, x, q^2 x); one call of invariants for
+    # the 7 rows and their bivectors; no call of riemann_apply or sectional_curvature and no Christoffel table;
+    # the vectors' q-basis test and the rest once
+    assert calls == {"_bivector_form": 1, "induces_q_basis": 1, "q_basis_test": 1, "_require_positive": 1,
+                     **dict.fromkeys(once, 1)}
     assert contracted == [[(6, 4), (3, 18, 4), (3, 18, 4)]]
     capsys.readouterr()
 

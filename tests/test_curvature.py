@@ -31,12 +31,12 @@ from circulant3 import (
     sectional_relations,
 )
 from circulant3.cli import _cmd_orthobasis
-from circulant3.curvature import COMPONENT_INDEX, _rescaled, sampled_q_invariance_residual
+from circulant3.curvature import COMPONENT_INDEX, sampled_q_invariance_residual
 from circulant3.errors import DegeneratePlane, EvalDomainError, IdentityRNotSatisfied, NotAQBasis
 from circulant3.jets import concatenate
-from circulant3.metric import inners, metric_from_jets
+from circulant3.metric import metric_from_jets
 from circulant3.parallelism import christoffel_equalities_from_table, nabla_q_from_table, parallel_residual_from_metric
-from circulant3.qstructure import q_basis_angles, q_orbit_cosines, q_orbit_gram
+from circulant3.qstructure import q_basis_angles
 from circulant3.specfile import builtin_example, example_diagonal_value
 
 from exact import closed_form_error
@@ -45,6 +45,7 @@ from helpers import (
     BOX,
     metric_compatibility_residual,
     q_basis_cosines_reference,
+    q_orbit_gram,
     random_manifold,
     random_parallel_manifold,
     random_point,
@@ -538,14 +539,25 @@ def test_batch_curvature_equals_point_by_point_bit_for_bit():
 
 
 # -- the relations over a batch against the point-by-point computation ----------
-# A serial reference: the relation checks computed one point at a time, with
-# scalar inner products float(x @ g @ y), q as Q_MATRIX @ x and the contraction
-# as the bivector form (x × y)^T S (z × u) in Python floats, S read from the
-# tensor at one point. The batch must give the same bits at every point.
+# A serial reference: the relation checks computed one point at a time in Python floats, with q as
+# Q_MATRIX @ x, the invariants sigma and delta of a vector by math.fsum (correctly rounded, as
+# qstructure.invariants), the Gram entries and plane determinants from them, and the contraction as the
+# bivector form (x × y)^T S (z × u), S read from the tensor at one point. The batch must give the same bits
+# at every point.
 
 
-def _ref_inner(g, x, y):
-    return float(x @ g @ y)
+def _ref_invariants(v):
+    """sigma = v0 + v1 + v2 and delta = half the sum of the squared differences v_P - v_{P+1}, each by math.fsum."""
+    v = [float(c) for c in v]
+    d = [v[p] - v[(p + 1) % 3] for p in range(3)]
+    return math.fsum(v), 0.5 * math.fsum(t * t for t in d)
+
+
+def _ref_gram(A, B, v):
+    """g(v, v) and g(v, qv) from the invariants of v and the eigenvalues A + 2B and A - B."""
+    sigma, delta = _ref_invariants(v)
+    ls, nd = (A + 2.0 * B) * (sigma * sigma), (A - B) * delta
+    return (ls + 2.0 * nd) / 3.0, (nd - ls) / 3.0
 
 
 def _ref_cross(x, y):
@@ -563,36 +575,36 @@ def _ref_apply(low, x, y, z, u):
     return w[0] * sv[0] + w[1] * sv[1] + w[2] * sv[2]
 
 
-def _ref_mu(g, low, x, y):
-    gxx, gyy, gxy = _ref_inner(g, x, x), _ref_inner(g, y, y), _ref_inner(g, x, y)
-    den = gxx * gyy - gxy * gxy
-    assert den > 1e-12 * gxx * gyy
+def _ref_mu(A, B, low, x, y):
+    lam, nu = A + 2.0 * B, A - B
+    sigma, delta = _ref_invariants(_ref_cross(x, y))
+    den = nu * (nu * (sigma * sigma) + 2.0 * lam * delta) / 3.0
+    assert den > 1e-12 * _ref_gram(A, B, x)[0] * _ref_gram(A, B, y)[0]
     return _ref_apply(low, x, y, x, y) / den
 
 
 def _ref_relations(m, p, u):
     """(difference lhs, rhs), (combination lhs, rhs), (mu_u_qu, mu_qu_q2u, mu_q2u_u) at p."""
     M = metric_at(m, p)
-    g, low = M.g, riemann_from_metric(M).low
-    A, B = M.A, M.B
+    low = riemann_from_metric(M).low
+    A, B = float(M.A), float(M.B)
     x = np.array([0.0, -(A + B) + math.sqrt((A - B) * (A + 3 * B)), 2.0 * B])
-    x = x / np.sqrt(_ref_inner(g, x, x))
+    gxx = _ref_gram(A, B, x)[0]
     qx = Q_MATRIX @ x
     q2x = Q_MATRIX @ qx
     qu = Q_MATRIX @ u
     q2u = Q_MATRIX @ qu
-    cphi = _ref_inner(g, u, qu) / _ref_inner(g, u, u)
-    mu_u = _ref_mu(g, low, u, qu)
-    mu_x = _ref_mu(g, low, x, qx)
-    difference = (mu_u - mu_x, (2.0 * cphi / (1.0 - cphi)) * _ref_apply(low, x, qx, x, q2x))
-    y = np.array([1.0, 0.0, 0.0])
-    if abs(A - 2 * B) >= 1e-12:
-        root = 2.0 * math.sqrt(B * (A - B))
-        roots = ((A + root) / (A - 2 * B), (A - root) / (A - 2 * B))
-        y[2] = next(t for t in roots if induces_q_basis([1.0, 0.0, t]))
-    mu_y = _ref_mu(g, low, y, Q_MATRIX @ y)
+    g_u_u, g_u_qu = _ref_gram(A, B, u)
+    cphi = g_u_qu / g_u_u
+    mu_u = _ref_mu(A, B, low, u, qu)
+    mu_x = _ref_mu(A, B, low, x, qx)
+    # R(x, qx, x, q^2 x) of the g-unit x
+    difference = (mu_u - mu_x, (2.0 * cphi / (1.0 - cphi)) * (_ref_apply(low, x, qx, x, q2x) / (gxx * gxx)))
+    t = math.sqrt(4.0 * (A - B) / (3.0 * (A + 2.0 * B)))
+    y = np.array([t + 1.0, t - 1.0, t])
+    mu_y = _ref_mu(A, B, low, y, Q_MATRIX @ y)
     combination = (mu_u, ((1.0 + 2.0 * cphi) * mu_x - 3.0 * cphi * mu_y) / (1.0 - cphi))
-    equal = (mu_u, _ref_mu(g, low, qu, q2u), _ref_mu(g, low, q2u, u))
+    equal = (mu_u, _ref_mu(A, B, low, qu, q2u), _ref_mu(A, B, low, q2u, u))
     return difference, combination, equal
 
 
@@ -640,10 +652,10 @@ def test_sectional_curvature_rescaling_keeps_the_bits_of_the_plain_quotient():
     R = riemann_from_metric(M)
     for _ in range(100):
         x, y = rng.standard_normal((2, 3)) * 10.0 ** rng.uniform(-5.0, 5.0, size=(2, 1))
-        want = [_ref_mu(M.g[i], R.low[i], x, y) for i in range(6)]
+        want = [_ref_mu(float(M.A[i]), float(M.B[i]), R.low[i], x, y) for i in range(6)]
         assert _bits(sectional_curvature(R, x, y)) == _bits(want)
         xs = x * 10.0 ** rng.uniform(-5.0, 5.0, size=(6, 1))  # one vector per point
-        want = [_ref_mu(M.g[i], R.low[i], xs[i], y) for i in range(6)]
+        want = [_ref_mu(float(M.A[i]), float(M.B[i]), R.low[i], xs[i], y) for i in range(6)]
         assert _bits(sectional_curvature(R, xs, y)) == _bits(want)
 
 
@@ -818,11 +830,11 @@ def test_sectional_curvature_whose_quotient_overflows_is_refused_with_no_warning
             sectional_curvature(R, [1.0, -1.0, 0.0], [1.0, 1.0, -2.0])
 
 
-# -- the q-orbit Gram entries against plain inner products -------------------------
-
-
-def _all_bits(arrays):
-    return [np.asarray(a).shape for a in arrays], b"".join(np.asarray(a).tobytes() for a in arrays)
+# -- the q-orbit quantities against the coordinate-frame Gram matrix ----------------
+# angles and orthobasis read g(x, x) and g(x, qx) from the invariants sigma and delta; the reference is the
+# Gram matrix of x's q-orbit in the coordinate frame (helpers.q_orbit_gram), whose own rounding error is
+# about eps sum_ij |x_i g_ij y_j| for an entry g(x, y). Each route is within C_ORBIT eps of it in those units.
+C_ORBIT = 8.0  # the largest errors seen here are 2.5 eps for a cosine and 0.77 eps for a product
 
 
 @pytest.mark.parametrize(
@@ -830,25 +842,25 @@ def _all_bits(arrays):
     [random_manifold, random_q_invariant_manifold, random_parallel_manifold, random_warped_manifold],
     ids=["generic", "cyclic", "parallel", "warped"],
 )
-def test_shared_gram_cosines_are_q_basis_cosines_bit_for_bit(make):
-    # angles reads the cosines from the Gram entries of u's q-orbit, and sectional_relations
-    # from those of u over a power of two; the reference forms plain inner products of u itself
+def test_orbit_cosines_and_products_are_the_gram_reference_within_c_eps(make):
     rng = np.random.default_rng(19)
+    eps = np.finfo(float).eps
     for seed in range(3):
         _, M = sample_admissible_points(make(rng), BOX, 12, seed)
         for exponent in range(-3, 101, 3):
             U = rng.standard_normal((6, 3)) * 10.0**exponent
             U = U[induces_q_basis(U)]
             for metric, u in ((M, U.reshape(len(U), 1, 3)), (M[0], U)):  # vectors by points, and one point
-                want = _all_bits(q_basis_cosines_reference(metric, u))
+                *want, scale = q_basis_cosines_reference(metric, u)
                 rep = q_basis_angles(metric, u)
-                assert _all_bits((rep.cos_phi_x_qx, rep.cos_phi_x_q2x, rep.cos_theta_qx_q2x)) == want, exponent
-                x = _rescaled(u)[0]
-                assert _all_bits(q_orbit_cosines(metric, x, q_orbit_gram(metric.g_scaled, x)[1])) == want, exponent
+                got = (rep.cos_phi_x_qx, rep.cos_phi_x_q2x, rep.cos_theta_qx_q2x)
+                assert [np.shape(c) for c in got] == [np.shape(c) for c in want]
+                for c, w in zip(got, want):
+                    assert (abs(c - w) <= C_ORBIT * eps * scale).all(), exponent
         # orthobasis's four products of the unscaled generator over the unscaled g
         x = construct_orthogonal_vector(M.A, M.B)
-        qx = apply_q(x)
-        q2x = apply_q(qx)
+        S, G = q_orbit_gram(M.g, x)
+        scale = (abs(S[:, None, ..., :, None]) * abs(M.g) * abs(S[None, ..., None, :])).sum(axis=(-2, -1))
         results = _cmd_orthobasis(None, None, M, argparse.Namespace(tol=1e-9))[0]
-        reported = [results[k] for k in ("norm_sq", "g_x_qx", "g_x_q2x", "g_qx_q2x")]
-        assert _all_bits(reported) == _all_bits([*inners(M.g, x, (x, qx, q2x)), *inners(M.g, qx, (q2x,))])
+        for key, (k, l) in (("norm_sq", (0, 0)), ("g_x_qx", (0, 1)), ("g_x_q2x", (0, 2)), ("g_qx_q2x", (1, 2))):
+            assert (abs(results[key] - G[k, l]) <= C_ORBIT * eps * scale[k, l]).all(), key

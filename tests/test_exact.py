@@ -19,8 +19,17 @@ C_SECTIONAL * eps * max|R| * |x|^2 |y|^2 / det, with det the exact Gram
 determinant, on well-conditioned specs: R(x, y, x, y) is contracted from x and
 y, so its error scales with |x|^2 |y|^2, not with |x ^ y|^2, which is smaller on
 a thin plane (a plane with |x|^2 |y|^2 = 198 |x ^ y|^2 gave 777 eps in units of
-the latter). Near degeneracy the determinant itself loses accuracy like
-lam / nu (ROADMAP item 12), so that family is not bounded here.
+the latter). The bound holds near degeneracy too: the determinant is formed
+from the invariants of x ^ y as a sum of non-negative terms in lam and nu
+(qstructure), so it keeps a few eps of relative accuracy as nu / lam nears 0.
+
+The q-structure routes have exact references in the coordinate frame
+(exact_orbit_cosine, exact_plane, exact_cubic): cos(x, qx) within
+C_QSTRUCTURE eps, the plane determinant and the q-basis cubic within
+C_QSTRUCTURE eps of their magnitude, on the generic, cyclic and
+near-degenerate families (G = 1e-2, 1e-6, 1e-10). Through the Gram matrix the
+determinant was off by up to 3e10 eps at G = 1e-10, and cos(x, qx) by 2.4e-7
+through the paper's closed form in a and b.
 
 The Christoffel symbols have the exact reference of exact_christoffel on the
 same Fraction jets, formed in the coordinate frame with g^-1 in Fractions.
@@ -39,18 +48,23 @@ import numpy as np
 import pytest
 
 from circulant3 import (
-    MetricFunctions, apply_q, christoffel_from_metric, metric_at, parse, riemann_from_metric, sectional_curvature, sectional_relations,
+    MetricFunctions, apply_q, christoffel_from_metric, construct_basis_vectors, induces_q_basis, metric_at, parse,
+    q_basis_angles, riemann_from_metric, sample_admissible_points, sectional_curvature, sectional_relations,
 )
 from circulant3.cli import main
-from circulant3.curvature import COMPONENT_INDEX, components
+from circulant3.curvature import COMPONENT_INDEX, components, sectional_plane
 from circulant3.expressions import eval_jet
 from circulant3.metric import admissibility
+from circulant3.qstructure import q_basis_test
 from circulant3.specfile import builtin_example
 
 from exact import (
-    exact_christoffel, exact_components, exact_curvature, exact_jet, exact_plane, exact_sectional, fraction_jet,
+    exact_christoffel, exact_components, exact_cubic, exact_curvature, exact_jet, exact_orbit_cosine, exact_plane,
+    exact_sectional, fraction_jet,
 )
-from helpers import random_q_basis_vector, random_q_invariant_manifold, random_warped_manifold
+from helpers import (
+    BOX, random_manifold, random_q_basis_vector, random_q_invariant_manifold, random_warped_manifold,
+)
 
 EPS = np.finfo(float).eps
 C_EPS = 8.0  # the largest error seen over these tests is about 2.4 eps; 8 leaves a margin
@@ -58,6 +72,7 @@ C_SECTIONAL = 64.0  # the largest error seen on these specs (16 seeds) is about 
 # the largest error of Gamma seen over these tests is about 9.3 eps (near degeneracy, G = 1e-10); of dGamma
 # about 3.2 eps (the same)
 C_CHRISTOFFEL = 64.0
+C_QSTRUCTURE = 8.0  # the largest error of cos(x, qx), a plane determinant or a cubic seen here is about 3 eps
 
 
 def worst_error(R, M):
@@ -218,3 +233,63 @@ def test_christoffel_symbols_and_their_derivatives_are_within_c_eps_of_the_exact
         m, points = SECTIONAL_SPECS[spec](rng), rng.uniform(-1.0, 1.0, (12, 3))
     gamma, dgamma = christoffel_errors(metric_at(m, points))
     assert gamma <= C_CHRISTOFFEL and dgamma <= C_CHRISTOFFEL
+
+
+# The q-structure rows of the ledger: a few points of each family, random vectors and planes, and the
+# constructed vectors x and y of each point for the cubic.
+Q_FAMILIES = ["generic", "cyclic", "1e-2", "1e-6", "1e-10"]
+
+
+def q_family(name, rng):
+    """Four points of the generic or cyclic family, or of the near-degenerate one with nu = G (1 + x3)."""
+    if name in ("generic", "cyclic"):
+        make = random_manifold if name == "generic" else random_q_invariant_manifold
+        return sample_admissible_points(make(rng), BOX, 4, 1)[1]
+    return near_degenerate_metric(name)[:4]
+
+
+@pytest.mark.parametrize("family", Q_FAMILIES)
+def test_q_structure_routes_are_within_c_eps_of_the_exact_value(family):
+    # at each point, random vectors and vectors whose part along (1, 1, 1) is about sqrt(nu / lam) of the rest,
+    # where lam sigma^2 and nu delta are alike and cos(u, qu) is most sensitive to sigma: a sigma summed in
+    # plain floats is off by about eps |u|, which is sqrt(lam / nu) eps of sigma there
+    rng = np.random.default_rng(41)
+    M = q_family(family, rng)
+    x, y = construct_basis_vectors(M.A, M.B)
+    R = riemann_from_metric(M)
+    pairs = rng.standard_normal((12, 2, 3))
+    dets = [sectional_plane(R, p, q)[1] for p, q in pairs]
+    worst = [0.0, 0.0, 0.0]  # cos, determinant, cubic
+    for i in range(len(M.A)):
+        A, B = float(M.A[i]), float(M.B[i])
+        rest = rng.standard_normal((6, 3))
+        rest -= rest.mean(axis=1, keepdims=True)
+        along = rng.uniform(0.2, 2.0, (6, 1)) * np.sqrt((A - B) / (A + 2 * B)) * np.linalg.norm(rest, axis=1)[:, None]
+        U = np.concatenate((rng.standard_normal((6, 3)), rest + along))
+        U = U[induces_q_basis(U)]
+        cos = q_basis_angles(M[i], U).cos_phi_x_qx
+        for u, c in zip(U, cos):
+            worst[0] = max(worst[0], float(abs(Fraction(float(c)) - exact_orbit_cosine(A, B, u))) / EPS)
+        for (p, q), det in zip(pairs, dets):
+            want = exact_plane(A, B, p, q)[1]
+            worst[1] = max(worst[1], float(abs(Fraction(float(det[i])) - want) / want) / EPS)
+        for u in (*U, x[i], y[i]):
+            want = exact_cubic(u)
+            worst[2] = max(worst[2], float(abs(Fraction(float(q_basis_test(u)[0])) - want) / abs(want)) / EPS)
+    assert max(worst) <= C_QSTRUCTURE, worst
+
+
+@pytest.mark.parametrize("G", ["1e-2", "1e-6", "1e-10"])
+def test_sectional_curvatures_near_degeneracy_are_within_c_eps_of_the_exact_value(G):
+    rng = np.random.default_rng(43)
+    M = near_degenerate_metric(G)[:4]
+    R = riemann_from_metric(M)
+    pairs = rng.standard_normal((8, 2, 3))
+    mus = [sectional_curvature(R, x, y) for x, y in pairs]
+    worst = 0.0
+    for i in range(len(M.A)):
+        want = exact_components(fraction_jet(M.A_jet[i]), fraction_jet(M.B_jet[i]))
+        A, B = float(M.A[i]), float(M.B[i])
+        for (x, y), mu in zip(pairs, mus):
+            worst = max(worst, sectional_error(mu[i], want, A, B, x, y))
+    assert worst <= C_SECTIONAL

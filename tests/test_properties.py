@@ -1,8 +1,8 @@
 """Property tests: a batch gives, bit for bit, what its elements give one at a time.
 
-The references are the computations of one vector or one point as they ran
-before these functions took batches: Python floats, float pow and
-np.linalg.norm. The Christoffel kernel is checked against its coordinate-frame
+The references are the computations of one vector or one point in Python
+floats (float pow, math.fsum for the q-basis test's sigma and delta), and the
+exact cubic in Fractions. The Christoffel kernel is checked against its coordinate-frame
 reference, and the readers of the stored tensors against batch-first einsums
 (test_kernel_layout.py), at random batch sizes; every bivector form (riemann_apply,
 sectional curvatures, the relations) at each point of batches up to 500; the jets of
@@ -30,6 +30,7 @@ import io
 import math
 import re
 import warnings
+from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
 
@@ -82,7 +83,8 @@ from helpers import (  # noqa: E402
 )
 from test_curvature import _ref_relations, _ricci, nonflat_parallel  # noqa: E402
 from test_exact import (  # noqa: E402
-    C_CHRISTOFFEL, C_EPS, C_SECTIONAL, assert_float_jet_is_exact_jet, christoffel_errors, sectional_error, worst_error,
+    C_CHRISTOFFEL, C_EPS, C_SECTIONAL, EPS, assert_float_jet_is_exact_jet, christoffel_errors, sectional_error,
+    worst_error,
 )
 from test_kernel_layout import MANIFOLDS, assert_kernel_is_the_reference, metric_batch  # noqa: E402
 
@@ -95,77 +97,47 @@ coordinate = st.one_of(
 )
 vectors = st.lists(st.tuples(coordinate, coordinate, coordinate), min_size=1, max_size=6).map(np.array)
 
-OVERFLOW = "overflow"
+TINY = Fraction(2) ** -1074  # the spacing of the subnormal doubles
 
 
-def _reference(x):
-    """(defect, threshold) of one vector as the scalar test computes them; OVERFLOW where it refuses."""
-    x1, x2, x3 = x.tolist()
-    try:
-        defect = 3.0 * x1 * x2 * x3 - (x1**3 + x2**3 + x3**3)
-    except OverflowError:
-        defect = OVERFLOW
-    try:
-        with np.errstate(over="ignore"):
-            threshold = Q_BASIS_EPS * max(1.0, float(np.linalg.norm(x)) ** 3)
-    except OverflowError:
-        threshold = OVERFLOW
-    return defect, threshold
+@np.errstate(all="ignore")  # np.ldexp gives inf and 0 where math.ldexp raises or rounds
+def _q_basis_reference(x):
+    """(cubic, bound, induces) of one vector in Python floats: sigma and delta by math.fsum over x / 2^k."""
+    k = math.frexp(max(abs(v) for v in x))[1]
+    xs = [math.ldexp(v, -k) for v in x]
+    d = [xs[0] - xs[1], xs[1] - xs[2], xs[2] - xs[0]]
+    sigma, delta = math.fsum(xs), 0.5 * math.fsum(t * t for t in d)
+    cubic = -(sigma * delta)
+    norm_sq = (sigma * sigma + 2.0 * delta) / 3.0
+    bound = Q_BASIS_EPS * (norm_sq * math.sqrt(norm_sq))
+    return float(np.ldexp(cubic, 3 * k)), float(np.ldexp(bound, 3 * k)), abs(cubic) > bound
 
 
-def _outcome(fn, x):
-    try:
-        return fn(x)
-    except NotAQBasis as exc:
-        return str(exc)
-
-
-def _too_large(x):
-    return f"vector {tuple(x.tolist())} is too large for the q-basis test: its cubes overflow"
-
-
-def _expected(rows, values):
-    """The batch result a per-vector computation gives: the first refusal, else the values."""
-    for x, value in zip(rows, values):
-        if value is OVERFLOW:
-            return _too_large(x)
-    return values
-
-
-def _same(got, want):
-    if isinstance(want, str):
-        return got == want
-    got = np.asarray(got)
-    return got.shape == (len(want),) and got.tobytes() == np.array(want, dtype=got.dtype).tobytes()
-
-
-@pytest.mark.filterwarnings("ignore:overflow encountered in dot")  # x @ x of a huge x, as in np.linalg.norm
 @SMALL
 @given(vectors)
-def test_q_basis_criterion_over_a_batch_equals_each_vector_bit_for_bit(xs):
-    # one refusal for a vector where either value overflows, as induces_q_basis refuses
-    tests = [OVERFLOW if OVERFLOW in ref else ref for ref in map(_reference, xs)]
-    passes = [OVERFLOW if t is OVERFLOW else abs(t[0]) > t[1] for t in tests]
-    want = _expected(xs, tests)
-    got = _outcome(q_basis_test, xs)
-    if isinstance(want, str):
-        assert got == want
-    else:
-        assert _same(got[0], [c for c, _ in want]) and _same(got[1], [b for _, b in want])
-    assert _same(_outcome(induces_q_basis, xs), _expected(xs, passes))
-    for x, test, passed in zip(xs, tests, passes):
-        if test is OVERFLOW:
-            assert _outcome(q_basis_test, x) == _outcome(induces_q_basis, x) == _too_large(x)
+def test_q_basis_test_over_a_batch_is_each_vector_alone_and_the_exact_cubic(xs):
+    # no refusal and no warning at any magnitude: each vector's cubic, bound and verdict are those of the
+    # serial reference bit for bit, inf where the cubic or bound overflows at x itself; the cubic is within
+    # 8 eps of the exact 3 x1 x2 x3 - (x1^3 + x2^3 + x3^3), up to what the subnormal doubles can hold
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cubic, bound, induces = q_basis_test(xs)
+        singles = [q_basis_test(x) for x in xs]
+    assert [type(v) for v in singles[0]] == [np.float64, np.float64, np.bool_]
+    assert [tuple(map(float, v)) for v in singles] == list(zip(cubic.tolist(), bound.tolist(), induces.tolist()))
+    assert np.array_equal(induces_q_basis(xs), induces)
+    for x, single in zip(xs, singles):
+        want = _q_basis_reference(x.tolist())
+        assert np.array(single[:2]).tobytes() == np.array(want[:2]).tobytes() and single[2] == want[2]
+        x1, x2, x3 = map(Fraction, x.tolist())
+        exact = 3 * x1 * x2 * x3 - (x1**3 + x2**3 + x3**3)
+        if math.isinf(single[0]):
+            assert abs(exact) > Fraction(np.finfo(float).max)
         else:
-            single = q_basis_test(x)
-            assert [type(v) for v in single] == [float, float]
-            assert np.array(single).tobytes() == np.array(test).tobytes()
-            verdict = induces_q_basis(x)
-            assert type(verdict) is bool and verdict == passed
+            floor = Fraction(2) ** -1000 * max(abs(x1), abs(x2), abs(x3)) ** 3 + TINY
+            assert abs(Fraction(single[0]) - exact) <= Fraction(8 * EPS) * abs(exact) + floor
 
 
-# A > B > 0 as B and A / B, some at or near A = 2B, where the special-angle
-# equation degenerates, and some just above A = B, where its root is nearest -1
 ratio = st.one_of(
     st.floats(1.001, 1e6),
     st.sampled_from([2.0, 2.0 + 1e-12, 2.0 - 4e-16, 1.0 + 2**-52, 1.0 + 1e-9]),
@@ -176,15 +148,12 @@ admissible_batches = st.lists(st.tuples(st.floats(1e-6, 1e6), ratio), min_size=1
 
 
 def _special_angle_reference(A, B):
-    """The special-angle vector of one point, as the loop over points chose it, from A and B over 2^e."""
+    """The special-angle vector of one point in Python floats, (1, -1, 0) + t (1, 1, 1) with
+    t = sqrt(4 nu / (3 lam)), from A and B over 2^e."""
     e = math.frexp(A)[1]
     A, B = math.ldexp(A, -e), math.ldexp(B, -e)
-    y = np.array([1.0, 0.0, 0.0])
-    if abs(A - 2 * B) >= 1e-12:
-        root = 2.0 * math.sqrt(B * (A - B))
-        roots = ((A + root) / (A - 2 * B), (A - root) / (A - 2 * B))
-        y[2] = next(t for t in roots if induces_q_basis([1.0, 0.0, t]))
-    return y
+    t = math.sqrt(4.0 * (A - B) / (3.0 * (A + 2.0 * B)))
+    return np.array([t + 1.0, t - 1.0, t + 0.0])
 
 
 EDGE_B = np.array([1e-300, 1.0, 1e300])
@@ -196,6 +165,7 @@ EDGE_B = np.array([1e-300, 1.0, 1e300])
 def test_special_angle_vector_over_a_batch_equals_each_point_bit_for_bit(AB):
     A, B = AB
     y = construct_basis_vectors(A, B)[1]
+    assert induces_q_basis(y).all()
     for i in range(len(A)):
         want = _special_angle_reference(float(A[i]), float(B[i])).tobytes()
         assert y[i].tobytes() == want

@@ -13,16 +13,17 @@ from circulant3 import (
     apply_q,
     construct_basis_vectors,
     construct_orthogonal_vector,
-    cos_angle_closed_form,
     induces_q_basis,
     inner,
     metric_at,
     q_basis_angles,
 )
-from circulant3.errors import AngleRoutesDisagree, NotAQBasis, PositivityViolation
-from circulant3.qstructure import require_angle_routes_agree, vector_invariants
+from circulant3.errors import NotAQBasis, PositivityViolation
+from circulant3.qstructure import invariants, q_basis_test, vector_invariants
 
-from helpers import isometry_residual, orthogonality_defect, random_admissible_AB, random_q_basis_vector
+from helpers import (
+    cos_angle_closed_form, isometry_residual, orthogonality_defect, random_admissible_AB, random_q_basis_vector,
+)
 
 
 def _metric(A: float, B: float):
@@ -183,10 +184,10 @@ def test_construct_orthogonal_vector():
 
 
 def test_construct_special_angle_vector():
-    assert np.array_equal(construct_basis_vectors(4.0, 2.0)[1], [1.0, 0.0, 0.0])
-    y = construct_basis_vectors(6.0, 4.0)[1]
-    assert np.allclose(y, [1.0, 0.0, -3.0 - 2.0 * math.sqrt(2.0)])
-    # over a batch that has a point with A = 2B, each point's vectors are its own, bit for bit
+    # y = (1, -1, 0) + sqrt(4 nu / (3 lam)) (1, 1, 1): at A = 4, B = 2, nu = 2 and lam = 8
+    t = math.sqrt(1.0 / 3.0)
+    assert np.allclose(construct_basis_vectors(4.0, 2.0)[1], [1.0 + t, -1.0 + t, t], rtol=0.0, atol=1e-15)
+    # over a batch, each point's vectors are its own, bit for bit
     batch = construct_basis_vectors(np.array([6.0, 4.0, 3.0]), np.array([4.0, 2.0, 1.0]))
     for i, (A, B) in enumerate(((6.0, 4.0), (4.0, 2.0), (3.0, 1.0))):
         assert [v[i].tobytes() for v in batch] == [v.tobytes() for v in construct_basis_vectors(A, B)]
@@ -202,20 +203,56 @@ def test_construct_special_angle_vector():
         rep = q_basis_angles(M, y)
         assert abs(rep.cos_phi_x_qx + 0.5) <= 1e-10
         assert abs(rep.angles[0] - 2 * math.pi / 3) <= 1e-9
+    # at A the double next above B, nu / lam is about 7e-17 and t about 9e-9: the entries 1 + t and -1 + t
+    # round sigma = 3t by up to 3 eps / 4, so cos(y, qy) is -1/2 to about eps / (6t) there, as for any vector of
+    # doubles whose sum is that small against its entries
+    for B in (1e-300, 1.0, 1e300):
+        A = float(np.nextafter(B, np.inf))
+        y = construct_basis_vectors(A, B)[1]
+        assert abs(q_basis_angles(_metric(A, B), y).cos_phi_x_qx + 0.5) <= np.finfo(float).eps / y[2]
 
 
-def test_the_angle_routes_refuse_the_first_cosine_that_disagrees_at_its_first_element():
-    # cos(x, qx) agrees everywhere; cos(x, q^2 x) disagrees at element 2, and cos(qx, q^2 x) at 0 and 1
-    A, B = np.array([3.0, 3.0, 3.0]), np.array([1.0, 1.0, 1.0])
-    x = np.array([[1.0, 0.5, -0.25]] * 3)
-    closed = cos_angle_closed_form(A, B, x)
-    cosines = (closed.copy(), -closed, closed.copy())
-    cosines[1][2] += 1e-6
-    cosines[2][:2] -= 1e-3
-    require_angle_routes_agree((closed, -closed, closed), A, B, x)
-    with pytest.raises(AngleRoutesDisagree) as info:
-        require_angle_routes_agree(cosines, A, B, x)
-    assert str(info.value) == (
-        f"angle routes disagree beyond 1e-10: inner-product {float(cosines[1][2])!r} "
-        f"vs closed form {float(-closed[2])!r}"
-    )
+def _signed_permutations(v):
+    """v (3, N) with its components in every order, each with either sign."""
+    for order in ((0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1), (2, 1, 0), (1, 0, 2)):
+        for sign in (1.0, -1.0):
+            yield sign, sign * v[list(order)]
+
+
+def test_invariants_are_correctly_rounded_for_every_signed_permutation():
+    # sigma is math.fsum of the entries and delta half math.fsum of the rounded squares of their differences,
+    # bit for bit, over random magnitudes, near-total cancellation and ties next to 2^53 and to 1 + 2^-52
+    rng = np.random.default_rng(37)
+    n = 20000
+    a, b = rng.standard_normal((2, n))
+    cases = [
+        rng.standard_normal((3, n)) * 2.0 ** rng.integers(-60, 60, (3, n)),
+        np.stack([a, b, -(a + b) + rng.standard_normal(n) * 2.0 ** rng.integers(-110, -40, n)]),
+        np.stack([np.full(n, 2.0**53), rng.integers(-4, 5, n).astype(float), rng.choice([0.5, -0.5, 1.5, 2**-60], n)]),
+        np.stack([np.ones(n), rng.choice([2**-53, -2**-53, 3 * 2**-54, 2**-106], n),
+                  rng.choice([2**-53, -2**-105, 2**-160, 0.0, -0.0], n)]),
+    ]
+    for v in cases:
+        d = v - v[[1, 2, 0]]
+        sigma = np.array([math.fsum(c) for c in v.T.tolist()])
+        delta = np.array([math.fsum(c) for c in (d * d).T.tolist()]) / 2
+        for sign, w in _signed_permutations(v):
+            got = invariants(w)
+            # an exact zero sum is +0.0 for either sign of the terms, as fsum gives it
+            assert (got[0] + 0.0).tobytes() == (sign * sigma + 0.0).tobytes() and got[1].tobytes() == delta.tobytes()
+
+
+def test_the_q_basis_test_is_the_cubic_sigma_delta_at_any_magnitude():
+    # 3 x1 x2 x3 - (x1^3 + x2^3 + x3^3) = -sigma delta, within a few eps of its terms; the verdict of x is that
+    # of x scaled by any power of two, and the cubic and bound scale with it
+    rng = np.random.default_rng(38)
+    x = rng.standard_normal((500, 3))
+    cubic, bound, induces = q_basis_test(x)
+    x1, x2, x3 = x.T
+    terms = 3 * abs(x1 * x2 * x3) + abs(x1) ** 3 + abs(x2) ** 3 + abs(x3) ** 3
+    assert (abs(cubic - (3 * x1 * x2 * x3 - (x1**3 + x2**3 + x3**3))) <= 8 * np.finfo(float).eps * terms).all()
+    assert np.allclose(bound, 1e-10 * np.linalg.norm(x, axis=-1) ** 3, rtol=1e-15, atol=0.0)
+    for k in (-1000, -400, 400, 1000):
+        assert np.array_equal(q_basis_test(np.ldexp(x, k))[2], induces)
+    assert q_basis_test([1e-120, 0.0, 1e-120])[2] and not q_basis_test([1e-120, 1e-120, 1e-120])[2]
+    assert q_basis_test([1e200, 0.0, 1.0])[:2] == (-math.inf, math.inf)
