@@ -42,6 +42,7 @@ from .errors import CirculantError, DomainViolation, EvalDomainError, NotAQBasis
 from .metric import (
     admissibility,
     check_positive_definite,
+    first_point,
     inside_chart,
     metric_at,
     metric_from_jets,
@@ -417,26 +418,35 @@ def _cmd_angles(spec, p, M, args):
     return results, {"cosine_chain": _verdict(chain <= 1e-12, chain, 1e-12)}
 
 
-def _cmd_qbasis(spec, p, M, args):
-    cubic, bound, induces = q_basis_test(args.vector)  # the test of induces_q_basis
-    if not (math.isfinite(cubic) and math.isfinite(bound)):
-        vector = tuple(np.asarray(args.vector, dtype=float).tolist())
+def _q_basis_verdict(x):
+    """q_basis_test of x, one vector or a batch: (cubic, bound, verdict), the test of induces_q_basis.
+
+    Refuses the first vector whose cubic or bound is not finite, which the
+    verdict would report.
+    """
+    cubic, bound, induces = q_basis_test(x)
+    finite = np.isfinite(cubic) & np.isfinite(bound)
+    if not finite.all():
+        vector = tuple(np.asarray(x, dtype=float)[first_point(~finite)].tolist())
         raise NotAQBasis(f"vector {vector} is too large for the q-basis test: its cubic overflows")
-    results = {"cubic": cubic, "threshold": bound}
-    return results, {"induces_q_basis": _verdict(induces, abs(cubic), bound)}
+    return cubic, bound, _verdict(induces, abs(cubic), bound)
+
+
+def _cmd_qbasis(spec, p, M, args):
+    cubic, bound, verdict = _q_basis_verdict(args.vector)
+    return {"cubic": cubic, "threshold": bound}, {"induces_q_basis": verdict}
 
 
 def _cmd_orthobasis(spec, p, M, args):
     x = construct_orthogonal_vector(M.A, M.B)
     gxx, g_x_qx = q_orbit_products(M, x)
+    require_finite(M, "orthogonal-basis inner products", gxx, g_x_qx)
     worst = abs(g_x_qx)  # g(x, q^2 x) = -g(x, qx) and g(qx, q^2 x) = g(x, qx)
     results = {"vector": x, "norm_sq": gxx, "g_x_qx": g_x_qx, "g_x_q2x": -g_x_qx, "g_qx_q2x": g_x_qx}
-    cubic, bound, induces = q_basis_test(x)
     verdicts = {
         "orthogonal": _verdict(worst <= args.tol * gxx, worst, args.tol * gxx),
-        "induces_q_basis": _verdict(induces, abs(cubic), bound),
+        "induces_q_basis": _q_basis_verdict(x)[2],
     }
-    require_finite(M, "orthogonal-basis inner products", gxx, g_x_qx)
     return results, verdicts
 
 

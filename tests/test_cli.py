@@ -1105,13 +1105,18 @@ def test_json_writer_is_json_dumps_on_every_report_of_a_point_query_cycle(tmp_pa
         # the generator on huge fields induces a q-basis; its inner products, near 1e601, are not finite
         (["orthobasis", "--spec", "{huge}", "--at=0,0,0"], 3,
          "error (orthobasis): orthogonal-basis inner products are not finite where A=3e+200, B=1e+200\n"),
+        # near A = B its inner products, near 1e304, are finite, but its cubic -sigma delta, near 2e309, is not
+        (["orthobasis", "--spec", "{near}", "--at=0,0,0"], 2,
+         "error (orthobasis): vector (0.0, -3.9999600001988394e+104, 4e+104) is too large for the q-basis test: "
+         "its cubic overflows\n"),
     ],
-    ids=["qbasis", "angles", "orthobasis"],
+    ids=["qbasis", "angles", "orthobasis", "orthobasis-cubic"],
 )
 def test_overflowing_vector_is_usage_error(capsys, tmp_path, argv, code, err):
-    specs = {"generic": tmp_path / "generic.toml", "huge": tmp_path / "huge.toml"}
+    specs = {name: tmp_path / f"{name}.toml" for name in ("generic", "huge", "near")}
     specs["generic"].write_text(GENERIC_SPEC, encoding="utf-8")
     specs["huge"].write_text('[metric]\nA = "3e200"\nB = "1e200"\n', encoding="utf-8")
+    specs["near"].write_text('[metric]\nA = "2.0000000002e104"\nB = "2e104"\n', encoding="utf-8")
     assert main([a.format(**specs) for a in argv] + ["--json"]) == code  # a numpy RuntimeWarning fails the call
     out, got = capsys.readouterr()
     assert got == err
