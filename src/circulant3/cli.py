@@ -47,6 +47,7 @@ from .metric import (
     metric_at,
     metric_from_jets,
     positive,
+    refuse_where,
     require_finite,
 )
 from .parallelism import (
@@ -421,14 +422,18 @@ def _cmd_angles(spec, p, M, args):
 def _q_basis_verdict(x):
     """q_basis_test of x, one vector or a batch: (cubic, bound, verdict), the test of induces_q_basis.
 
-    Refuses the first vector whose cubic or bound is not finite, which the
-    verdict would report.
+    Refuses the first vector whose cubic or bound is not finite, or whose cubic
+    underflows to 0 where the test over x / 2^k finds a q-basis: the verdict
+    would report either.
     """
     cubic, bound, induces = q_basis_test(x)
-    finite = np.isfinite(cubic) & np.isfinite(bound)
-    if not finite.all():
-        vector = tuple(np.asarray(x, dtype=float)[first_point(~finite)].tolist())
-        raise NotAQBasis(f"vector {vector} is too large for the q-basis test: its cubic overflows")
+    large = ~(np.isfinite(cubic) & np.isfinite(bound))
+    bad = large | (induces & (cubic == 0.0))
+    if bad.any():
+        i = first_point(bad)
+        size, flow = ("large", "overflows") if large[i] else ("small", "underflows")
+        vector = tuple(np.asarray(x, dtype=float)[i].tolist())
+        raise NotAQBasis(f"vector {vector} is too {size} for the q-basis test: its cubic {flow}")
     return cubic, bound, _verdict(induces, abs(cubic), bound)
 
 
@@ -441,6 +446,7 @@ def _cmd_orthobasis(spec, p, M, args):
     x = construct_orthogonal_vector(M.A, M.B)
     gxx, g_x_qx = q_orbit_products(M, x)
     require_finite(M, "orthogonal-basis inner products", gxx, g_x_qx)
+    refuse_where(M, gxx == 0.0, "orthogonal-basis norm_sq underflows to 0")
     worst = abs(g_x_qx)  # g(x, q^2 x) = -g(x, qx) and g(qx, q^2 x) = g(x, qx)
     results = {"vector": x, "norm_sq": gxx, "g_x_qx": g_x_qx, "g_x_q2x": -g_x_qx, "g_qx_q2x": g_x_qx}
     verdicts = {
@@ -524,16 +530,7 @@ def _cmd_verify_theorems(spec, p, M, args):
         vectors = [args.vector]
     else:  # sectional_relations refuses a drawn vector that induces no q-basis, as it does --vector
         vectors = np.random.default_rng([args.seed or 0, 7]).standard_normal((args.n_vectors, 3))
-    R = riemann_from_metric(M)
-    try:
-        worst = _relation_residuals(R, vectors, args.tol)
-    except CirculantError:
-        # raise what a run point by point, and vector by vector, raises first
-        for i in np.ndindex(M.A.shape):
-            Ri = riemann_from_metric(M[i])  # each point has the bits it has in the batch
-            for u in vectors:
-                _relation_residuals(Ri, [u], args.tol)
-        raise
+    worst = _relation_residuals(riemann_from_metric(M), vectors, args.tol)
     results = {"n_vectors": len(vectors), "max_scaled_residuals": worst}
     verdicts = {name: _verdict(val <= args.tol, val, args.tol) for name, val in worst.items()}
     return results, verdicts
@@ -627,7 +624,16 @@ def _run(args):
         seed = args.seed if args.seed is not None else 0
         points, M = sample_admissible_points(spec.metric, box, args.sample, seed)
         n = len(points)
-        pass_counts, max_residuals, tols = _summarize(core(spec, points, M, args)[1], n)
+        try:
+            verdicts = core(spec, points, M, args)[1]
+        except CirculantError:
+            # every sampled command refuses as its first failing point does alone with --at: run the core at
+            # each point in turn, on its part of the batch (which has the bits it has there), and raise what
+            # the first failing point raises; the batch's own error only where no point raises
+            for i in range(n):
+                core(spec, points[i], M[i], args)
+            raise
+        pass_counts, max_residuals, tols = _summarize(verdicts, n)
         results = {"points_accepted": n, "pass_counts": pass_counts, "max_residuals": max_residuals}
         verdicts = {
             name: _verdict(pass_counts[name] == n, max_residuals[name], tols[name])

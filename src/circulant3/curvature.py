@@ -108,25 +108,25 @@ curvature with the determinant.
 
 sectional_relations gives each of its five sectional curvatures the bits
 sectional_curvature gives, in one pass over V + 2 rows: the V vectors u, the
-orthogonal-basis generator x and the special-angle vector y, each over a
-power of two. Plane k of a row v is {S[k], S[k+1 mod 3]} of its q-orbit
-S = (v, qv, q^2 v). One cross product w = v × qv per row gives the bivectors
-of all three planes: q is orthogonal with det q = -1, so
-(qa) × (qb) = -q(a × b), and {qv, q^2 v} is w rolled by one place, {q^2 v, v}
-is 0.0 - w rolled by two places (the signed negation of apply_q: -w would
-turn a zero into -0.0 where the cross product of q^2 v and v gives +0.0), and
-v × q^2 v is w rolled by two places, each bit for bit the cross product of
-its vectors. One call of qstructure.invariants gives sigma and delta of the
-rows and of their w; those of a signed permutation of a vector are the same
-numbers, so the three planes of an orbit share one determinant, and each
-row's g(v, v), bit for bit what sectional_curvature forms for any one of
-them, and cos phi = g(u, qu) / g(u, u), the cosine q_basis_angles reports.
-The relations read 3V + 3 forms: R(a, b, a, b) of the three planes of each
-u, then of plane 0 of x and of y, and R(x, qx, x, q^2 x), whose second
-bivector is that of {x, q^2 x}; it is divided by g(x, x)^2, which makes x a
-unit vector. Index rows that depend on V alone (_plane_rows, derived once
-per process) take the forms' bivectors in one take, for the one
-contraction, _bivector_form, and their denominators in another.
+orthogonal-basis generator x and the special-angle vector y, each over a power
+of two (qstructure.rescaled). Plane k of a row v is {S[k], S[k+1 mod 3]} of
+its q-orbit S = (v, qv, q^2 v). One cross product w = v × qv per row gives the
+bivectors of all three planes as rolls of w: q is orthogonal with det q = -1,
+so (qa) × (qb) = -q(a × b), and {qv, q^2 v} is w rolled by one place,
+{q^2 v, v} is 0.0 - w rolled by two places (the signed negation of apply_q: -w
+would turn a zero into -0.0 where the cross product of q^2 v and v gives
++0.0), and v × q^2 v is w rolled by two places, each bit for bit the cross
+product of its vectors. One call of qstructure.invariants gives sigma and
+delta of the rows and of their w; those of a signed permutation of a vector
+are the same numbers, so the three planes of an orbit share one determinant,
+and each row's g(v, v), bit for bit what sectional_curvature forms for any one
+of them, and cos phi = g(u, qu) / g(u, u), the cosine q_basis_angles reports.
+The relations read 3V + 3 forms: R(a, b, a, b) of the three planes of each u,
+then of plane 0 of x and of y, and R(x, qx, x, q^2 x), whose second bivector
+is that of {x, q^2 x}; it is divided by g(x, x)^2, which makes x a unit
+vector. The forms' bivectors are these rolls of w, concatenated for the one
+contraction, _bivector_form, and their denominators are the rows'
+determinants, repeated for the three planes of each orbit.
 
 closed_form holds a set of six reference component formulas verbatim,
 and closed_form_from_metric evaluates them over powers of two: one for the
@@ -140,7 +140,6 @@ reported, never patched.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -645,29 +644,6 @@ class SectionalRelations:
     equal: EqualSectionalCheck
 
 
-@functools.lru_cache(maxsize=16)
-def _plane_rows(V: int):
-    """Index rows of the 3V + 3 forms sectional_relations takes, a pure function of V.
-
-    The forms are R(a, b, a, b) of the planes {S[k], S[k+1 mod 3]} of the q-orbit S of each u (k major), then
-    of plane 0 of x and of y, and R(x, qx, x, q^2 x). The first row, (2, 3, 3V + 3), indexes the bivectors
-    w = v × qv of the V + 2 rows flattened component first, (3 (V + 2), ...): each form's first and second
-    bivector, component by component. As (qa) × (qb) = -q(a × b), the plane {S[k], S[k+1]} has w rolled by k
-    places, w[(P + k) mod 3], negated for k = 2 (the caller negates those), and {x, q^2 x} has w rolled by two.
-    The second, (3V + 3,), indexes each form's denominator among the V + 2 rows' plane determinants, then
-    g(x, x)^2: the three planes of an orbit share their row's determinant, as q is an isometry.
-    """
-    n = V + 2
-    row = np.r_[np.tile(np.arange(V), 3), V, V + 1, V]
-    first = np.r_[np.repeat(np.arange(3), V), 0, 0, 0]
-    components = np.arange(3)[:, None]
-    bivectors = np.stack([(components + k) % 3 * n + row for k in (first, np.r_[first[:-1], 2])])
-    denominators = np.r_[row[:-1], n]
-    for r in (bivectors, denominators):  # shared by every call with this V
-        r.flags.writeable = False
-    return bivectors, denominators
-
-
 def sectional_relations(R: CurvatureTensor, U, tol=1e-9) -> SectionalRelations:
     """The sectional-curvature relations for each vector of U at each point of R's batch.
 
@@ -683,21 +659,23 @@ def sectional_relations(R: CurvatureTensor, U, tol=1e-9) -> SectionalRelations:
     at tol) and refuse elsewhere; tol=math.inf computes them anyway.
 
     Each quantity is computed once, in one pass over V + 2 rows: the V vectors
-    u, x and y, each over a power of two (as qstructure.rescaled). One cross
-    product w = v × qv per row gives the bivectors of its orbit's planes (module
-    docstring), and one call of qstructure.invariants gives sigma and delta of
-    the rows and of their bivectors: from them g(v, v) and g(v, qv) of each row,
-    so cos phi, and the determinant of each row's planes, one for all three as
-    q is an isometry. The forms the relations read are taken from w by index
-    (_plane_rows) for the one contraction, _bivector_form, and divided by their
-    determinants, or by g(x, x)^2 for R(x, qx, x, q^2 x) of the unit x. The
+    u, x and y, each over a power of two (qstructure.rescaled). One cross
+    product w = v × qv per row gives the bivectors of its orbit's planes as
+    rolls of w (module docstring): {u, qu} is w, {qu, q^2 u} is w rolled by one
+    place, {q^2 u, u} is 0.0 - w rolled by two, the planes of x and y are their
+    own w, and {x, q^2 x} is x's w rolled by two. One call of
+    qstructure.invariants gives sigma and delta of the rows and of their w: from
+    them g(v, v) and g(v, qv) of each row, so cos phi, and the determinant of
+    each row's planes, one for all three as q is an isometry. The forms go
+    through the one contraction, _bivector_form, and are divided by their
+    rows' determinants, or by g(x, x)^2 for R(x, qx, x, q^2 x) of the unit x. The
     quotients are exact scalings of the plain ones (see sectional_curvature) and
-    are scaled back together. The refusals come in the order one point and one
-    vector meet them: q-invariance, the q-basis test of the vectors (the first
-    failing one is named), the planes of a vector's orbit (named by {u, qu}),
-    then a sectional curvature that is not finite (at the first point where one
-    is not). The planes of x and y are never degenerate: their cosines are 0
-    and -1/2.
+    are scaled back together. The refusals come in the order one point meets
+    them: q-invariance, the q-basis test of every vector (the first failing one
+    is named), the planes of each vector's orbit (the first degenerate one,
+    named by {u, qu}), then a sectional curvature that is not finite (at the
+    first point where one is not). The planes of x and y are never degenerate:
+    their cosines are 0 and -1/2.
     """
     M = R.metric
     identity = check_q_invariance(R, tol=tol)
@@ -714,16 +692,14 @@ def sectional_relations(R: CurvatureTensor, U, tol=1e-9) -> SectionalRelations:
     batch = M.A.shape
     u = U.reshape((-1,) + (1,) * len(batch) + (3,))  # vectors before points
     V = len(u)
-    rows = np.empty((V + 2,) + batch + (3,))  # u, x and y over powers of two
+    rows = np.empty((V + 2,) + batch + (3,))  # u, x and y
     rows[:V] = u
     rows[V], rows[V + 1] = construct_basis_vectors(M.A, M.B)
-    np.ldexp(rows, -np.frexp(abs(rows).max(axis=-1))[1][..., None], out=rows)  # as rescaled
     lam, nu = M.eigenvalues_scaled
-    bivectors, denominators = _plane_rows(V)
     with np.errstate(all="ignore"):  # a form or quotient that overflows is refused below
-        # w = v × qv of each row, (3, V + 2, *batch): q's cycle makes w_P = v_{P+2}^2 - v_P v_{P+1}, formed as
-        # 0.0 - (v_P v_{P+1} - v_{P+2}^2), which has the bits of _cross(v, apply_q(v))
-        v = batch_first(rows, rows.ndim - 1)
+        # w = v × qv of each row over a power of two, (3, V + 2, *batch): q's cycle makes
+        # w_P = v_{P+2}^2 - v_P v_{P+1}, formed as 0.0 - (v_P v_{P+1} - v_{P+2}^2), the bits of _cross(v, apply_q(v))
+        v = batch_first(rescaled(rows)[0], rows.ndim - 1)
         w = v * v.take(_NEXT, axis=0)
         w -= np.square(v.take(_LAST, axis=0))
         np.subtract(0.0, w, out=w)
@@ -731,10 +707,13 @@ def sectional_relations(R: CurvatureTensor, U, tol=1e-9) -> SectionalRelations:
         gvv, gvqv = orbit_gram(lam, nu, sigma[:V + 2], delta[:V + 2])
         den = plane_determinant(lam, nu, sigma[V + 2:], delta[V + 2:])
         _refuse_degenerate(_degenerate(den[:V], gvv[:V], gvv[:V]), lambda: (u, apply_q(u)))
-        planes = w.reshape((-1,) + batch).take(bivectors, axis=0)  # (2, 3, 3V + 3, *batch)
-        np.subtract(0.0, planes[:, :, 2 * V:3 * V], out=planes[:, :, 2 * V:3 * V])  # {q^2 u, u}: 0.0 - w, as apply_q
-        den = np.concatenate((den, np.square(gvv[V:V + 1]))).take(denominators, axis=0)
-        mu = np.ldexp(_bivector_form(R.s, *planes) / den, -2 * M.e)
+        # the forms' bivectors as rolls of w: {u, qu}, {qu, q^2 u}, {q^2 u, u}, {x, qx}, {y, qy}, each with itself,
+        # then {x, qx} with {x, q^2 x}; the denominators are the rows' determinants, then g(x, x)^2
+        wu, wx = w[:, :V], w[:, V:V + 1]
+        first = np.concatenate((wu, wu.take(_NEXT, axis=0), 0.0 - wu.take(_LAST, axis=0), w[:, V:], wx), axis=1)
+        second = np.concatenate((first[:, :-1], wx.take(_LAST, axis=0)), axis=1)
+        den = np.concatenate((den[:V], den[:V], den[:V], den[V:], np.square(gvv[V:V + 1])))
+        mu = np.ldexp(_bivector_form(R.s, first, second) / den, -2 * M.e)
     require_finite(M, "sectional curvatures", batch_first(mu, 1))
     mu_u, (mu_x, mu_y, r_x) = mu[:3 * V].reshape((3, V) + batch), mu[3 * V:]
     cphi = gvqv[:V] / gvv[:V]

@@ -243,8 +243,14 @@ def require_finite(M: MetricAtPoint, what: str, *arrays) -> None:
     """Raise EvalDomainError, naming A and B at the first point of M's batch where an array is not finite."""
     if not all(np.isfinite(a).all() for a in arrays):
         finite = [np.isfinite(a).reshape(M.A.shape + (-1,)).all(axis=-1) for a in arrays]
-        i = first_point(~np.all(finite, axis=0))
-        raise EvalDomainError(f"{what} are not finite where A={float(M.A[i])!r}, B={float(M.B[i])!r}")
+        refuse_where(M, ~np.all(finite, axis=0), f"{what} are not finite")
+
+
+def refuse_where(M: MetricAtPoint, bad, what: str) -> None:
+    """Raise EvalDomainError "{what} where A=..., B=..." at the first point of M's batch where bad holds."""
+    if np.any(bad):
+        i = first_point(bad)
+        raise EvalDomainError(f"{what} where A={float(M.A[i])!r}, B={float(M.B[i])!r}")
 
 
 @np.errstate(all="ignore")  # inf or NaN where a product over a large g overflows

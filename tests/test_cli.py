@@ -1109,14 +1109,21 @@ def test_json_writer_is_json_dumps_on_every_report_of_a_point_query_cycle(tmp_pa
         (["orthobasis", "--spec", "{near}", "--at=0,0,0"], 2,
          "error (orthobasis): vector (0.0, -3.9999600001988394e+104, 4e+104) is too large for the q-basis test: "
          "its cubic overflows\n"),
+        # the vector induces a q-basis over a power of two, but its cubic and bound at itself underflow to 0
+        (["qbasis", "--vector=1e-120,0,1e-120"], 2,
+         "error (qbasis): vector (1e-120, 0.0, 1e-120) is too small for the q-basis test: its cubic underflows\n"),
+        # on a tiny metric at a tiny x1 the generator's norm_sq, near 1e-600, underflows before its cubic does
+        (["orthobasis", "--spec", "{tiny}", "--at=1e-300,0,0"], 3,
+         "error (orthobasis): orthogonal-basis norm_sq underflows to 0 where A=3e-200, B=1e-200\n"),
     ],
-    ids=["qbasis", "angles", "orthobasis", "orthobasis-cubic"],
+    ids=["qbasis", "angles", "orthobasis", "orthobasis-cubic", "qbasis-underflow", "orthobasis-underflow"],
 )
 def test_overflowing_vector_is_usage_error(capsys, tmp_path, argv, code, err):
-    specs = {name: tmp_path / f"{name}.toml" for name in ("generic", "huge", "near")}
+    specs = {name: tmp_path / f"{name}.toml" for name in ("generic", "huge", "near", "tiny")}
     specs["generic"].write_text(GENERIC_SPEC, encoding="utf-8")
     specs["huge"].write_text('[metric]\nA = "3e200"\nB = "1e200"\n', encoding="utf-8")
     specs["near"].write_text('[metric]\nA = "2.0000000002e104"\nB = "2e104"\n', encoding="utf-8")
+    specs["tiny"].write_text('[metric]\nA = "3e-200 + x1"\nB = "1e-200"\n', encoding="utf-8")
     assert main([a.format(**specs) for a in argv] + ["--json"]) == code  # a numpy RuntimeWarning fails the call
     out, got = capsys.readouterr()
     assert got == err
@@ -1419,25 +1426,30 @@ def _sampled(capsys, spec_path, head, box, n, seed):
 
 
 @pytest.mark.parametrize(
-    "spec_text, box, n, seed, extra, exit_code, first_failing",
+    "command, spec_text, box, n, seed, extra, exit_code, first_failing",
     [
         # IdentityRNotSatisfied at a later point; the first point passes the identity
-        (PARTLY_INVARIANT_SPEC, CUBE, 5, 3, [], 1, 1),
-        (PARTLY_INVARIANT_SPEC, CUBE, 5, 11, [], 1, 3),
-        (M5_SPEC, M5_BOX, 3, 0, [], 1, 0),
+        ("verify-theorems", PARTLY_INVARIANT_SPEC, CUBE, 5, 3, [], 1, 1),
+        ("verify-theorems", PARTLY_INVARIANT_SPEC, CUBE, 5, 11, [], 1, 3),
+        ("verify-theorems", M5_SPEC, M5_BOX, 3, 0, [], 1, 0),
         # NotAQBasis: the first point passes the identity, so the vector is tested there
-        (PARTLY_INVARIANT_SPEC, CUBE, 5, 3, ["--vector=1,1,1"], 2, 0),
-        (PARALLEL_BENCH_SPEC, CUBE, 3, 0, ["--vector=1,1,1"], 2, 0),
+        ("verify-theorems", PARTLY_INVARIANT_SPEC, CUBE, 5, 3, ["--vector=1,1,1"], 2, 0),
+        ("verify-theorems", PARALLEL_BENCH_SPEC, CUBE, 3, 0, ["--vector=1,1,1"], 2, 0),
+        # near A = B the generator's cubic overflows at the first point (exit 2), while the batch first meets
+        # the inner products that overflow at the second (exit 3)
+        ("orthobasis", '[metric]\nA = "2e104 + 1e99*x1"\nB = "2e104"\n', ((0.01, 0.5), (0.0, 1.0), (0.0, 1.0)),
+         3, 1, [], 2, 0),
     ],
     ids=["identity-later-point", "identity-fourth-point", "identity-first-point",
-         "not-a-basis-before-identity", "not-a-basis"],
+         "not-a-basis-before-identity", "not-a-basis", "orthobasis-cubic-before-products"],
 )
 def test_verify_theorems_sampled_refusal_is_the_first_failing_points(
-    capsys, tmp_path, spec_text, box, n, seed, extra, exit_code, first_failing
+    capsys, tmp_path, command, spec_text, box, n, seed, extra, exit_code, first_failing
 ):
+    # every sampled command refuses as its first failing point does alone (cli._run)
     spec = tmp_path / "spec.toml"
     spec.write_text(spec_text, encoding="utf-8")
-    head = ["verify-theorems", "--spec", str(spec), *extra]
+    head = [command, "--spec", str(spec), *extra]
     sampled, per_point = _sampled(capsys, str(spec), head, box, n, seed)
     failing = [i for i, (code, _, _) in enumerate(per_point) if code != 0]
     assert failing[0] == first_failing

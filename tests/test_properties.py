@@ -424,7 +424,7 @@ def _relation_values(rel):
     case=st.sampled_from(range(len(RELATION_CASES))),
     seed=st.integers(0, 2**16),
     n=st.integers(1, 3),
-    exponents=st.lists(st.integers(-60, 60), min_size=1, max_size=3),
+    exponents=st.lists(st.integers(-60, 60), min_size=1, max_size=8),
 )
 def test_relations_of_vectors_scaled_by_powers_of_two_are_the_serial_reference_bit_for_bit(
     case, seed, n, exponents
