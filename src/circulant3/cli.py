@@ -404,6 +404,8 @@ def _cmd_sectional(spec, p, M, args):
 
 def _cmd_angles(spec, p, M, args):
     rep = q_basis_angles(M, args.vector)
+    if rep.a == 0.0:  # a vector that passes the q-basis test is not 0
+        raise NotAQBasis(f"vector {tuple(args.vector.tolist())} is too small for angles: its squared norm underflows")
     chain = max(
         abs(rep.cos_phi_x_qx - rep.cos_theta_qx_q2x),
         abs(rep.cos_phi_x_qx + rep.cos_phi_x_q2x),
@@ -419,39 +421,37 @@ def _cmd_angles(spec, p, M, args):
     return results, {"cosine_chain": _verdict(chain <= 1e-12, chain, 1e-12)}
 
 
-def _q_basis_verdict(x):
-    """q_basis_test of x, one vector or a batch: (cubic, bound, verdict), the test of induces_q_basis.
+def _q_basis_verdict(x, cubic, bound, induces):
+    """q_basis_test of x, one vector or a batch, as (cubic, bound, verdict), the test of induces_q_basis.
 
     Refuses the first vector whose cubic or bound is not finite, or whose cubic
     underflows to 0 where the test over x / 2^k finds a q-basis: the verdict
     would report either.
     """
-    cubic, bound, induces = q_basis_test(x)
     large = ~(np.isfinite(cubic) & np.isfinite(bound))
     bad = large | (induces & (cubic == 0.0))
     if bad.any():
         i = first_point(bad)
         size, flow = ("large", "overflows") if large[i] else ("small", "underflows")
-        vector = tuple(np.asarray(x, dtype=float)[i].tolist())
-        raise NotAQBasis(f"vector {vector} is too {size} for the q-basis test: its cubic {flow}")
+        raise NotAQBasis(f"vector {tuple(x[i].tolist())} is too {size} for the q-basis test: its cubic {flow}")
     return cubic, bound, _verdict(induces, abs(cubic), bound)
 
 
 def _cmd_qbasis(spec, p, M, args):
-    cubic, bound, verdict = _q_basis_verdict(args.vector)
+    cubic, bound, verdict = _q_basis_verdict(args.vector, *q_basis_test(args.vector))
     return {"cubic": cubic, "threshold": bound}, {"induces_q_basis": verdict}
 
 
 def _cmd_orthobasis(spec, p, M, args):
     x = construct_orthogonal_vector(M.A, M.B)
-    gxx, g_x_qx = q_orbit_products(M, x)
+    gxx, g_x_qx, test = q_orbit_products(M, x)
     require_finite(M, "orthogonal-basis inner products", gxx, g_x_qx)
     refuse_where(M, gxx == 0.0, "orthogonal-basis norm_sq underflows to 0")
     worst = abs(g_x_qx)  # g(x, q^2 x) = -g(x, qx) and g(qx, q^2 x) = g(x, qx)
     results = {"vector": x, "norm_sq": gxx, "g_x_qx": g_x_qx, "g_x_q2x": -g_x_qx, "g_qx_q2x": g_x_qx}
     verdicts = {
         "orthogonal": _verdict(worst <= args.tol * gxx, worst, args.tol * gxx),
-        "induces_q_basis": _q_basis_verdict(x)[2],
+        "induces_q_basis": _q_basis_verdict(x, *test)[2],
     }
     return results, verdicts
 

@@ -117,16 +117,16 @@ so (qa) × (qb) = -q(a × b), and {qv, q^2 v} is w rolled by one place,
 would turn a zero into -0.0 where the cross product of q^2 v and v gives
 +0.0), and v × q^2 v is w rolled by two places, each bit for bit the cross
 product of its vectors. One call of qstructure.invariants gives sigma and
-delta of the rows and of their w; those of a signed permutation of a vector
-are the same numbers, so the three planes of an orbit share one determinant,
-and each row's g(v, v), bit for bit what sectional_curvature forms for any one
-of them, and cos phi = g(u, qu) / g(u, u), the cosine q_basis_angles reports.
-The relations read 3V + 3 forms: R(a, b, a, b) of the three planes of each u,
-then of plane 0 of x and of y, and R(x, qx, x, q^2 x), whose second bivector
-is that of {x, q^2 x}; it is divided by g(x, x)^2, which makes x a unit
-vector. The forms' bivectors are these rolls of w, concatenated for the one
-contraction, _bivector_form, and their denominators are the rows'
-determinants, repeated for the three planes of each orbit.
+delta of the rows, which give each u's q-basis test too, and of their w; those
+of a signed permutation of a vector are the same numbers, so the three planes
+of an orbit share one determinant, and each row's g(v, v), bit for bit what
+sectional_curvature forms for any one of them, and cos phi = g(u, qu) / g(u, u),
+the cosine q_basis_angles reports. The relations read 3V + 3 forms:
+R(a, b, a, b) of the three planes of each u, then of plane 0 of x and of y, and
+R(x, qx, x, q^2 x), whose second bivector is that of {x, q^2 x}; it is divided
+by g(x, x)^2, which makes x a unit vector. The forms' bivectors are these rolls
+of w, concatenated for the one contraction, _bivector_form, and their
+denominators the rows' determinants, repeated for each orbit's three planes.
 
 closed_form holds a set of six reference component formulas verbatim,
 and closed_form_from_metric evaluates them over powers of two: one for the
@@ -153,6 +153,7 @@ from .qstructure import (
     invariants,
     orbit_gram,
     plane_determinant,
+    q_basis_from_invariants,
     require_q_basis,
     rescaled,
 )
@@ -665,17 +666,17 @@ def sectional_relations(R: CurvatureTensor, U, tol=1e-9) -> SectionalRelations:
     place, {q^2 u, u} is 0.0 - w rolled by two, the planes of x and y are their
     own w, and {x, q^2 x} is x's w rolled by two. One call of
     qstructure.invariants gives sigma and delta of the rows and of their w: from
-    them g(v, v) and g(v, qv) of each row, so cos phi, and the determinant of
-    each row's planes, one for all three as q is an isometry. The forms go
-    through the one contraction, _bivector_form, and are divided by their
-    rows' determinants, or by g(x, x)^2 for R(x, qx, x, q^2 x) of the unit x. The
-    quotients are exact scalings of the plain ones (see sectional_curvature) and
-    are scaled back together. The refusals come in the order one point meets
-    them: q-invariance, the q-basis test of every vector (the first failing one
-    is named), the planes of each vector's orbit (the first degenerate one,
-    named by {u, qu}), then a sectional curvature that is not finite (at the
-    first point where one is not). The planes of x and y are never degenerate:
-    their cosines are 0 and -1/2.
+    them each u's q-basis test, g(v, v) and g(v, qv) of each row, so cos phi,
+    and the determinant of each row's planes, one for all three as q is an
+    isometry. The forms go through the one contraction, _bivector_form, and are
+    divided by their rows' determinants, or by g(x, x)^2 for R(x, qx, x, q^2 x)
+    of the unit x. The quotients are exact scalings of the plain ones (see
+    sectional_curvature) and are scaled back together. The refusals come in the
+    order one point meets them: q-invariance, A > B > 0
+    (construct_basis_vectors), the q-basis test of every vector (the first
+    failing one is named), its orbit's planes (the first degenerate one, named
+    by {u, qu}), then a sectional curvature that is not finite (at its first
+    point). The planes of x and y, of cosines 0 and -1/2, are never degenerate.
     """
     M = R.metric
     identity = check_q_invariance(R, tol=tol)
@@ -688,7 +689,7 @@ def sectional_relations(R: CurvatureTensor, U, tol=1e-9) -> SectionalRelations:
             "the requested check assumes the curvature q-invariance identity; "
             "it does not hold at this point, so the verification is refused"
         )
-    U = require_q_basis(U)
+    U = np.asarray(U, dtype=float)
     batch = M.A.shape
     u = U.reshape((-1,) + (1,) * len(batch) + (3,))  # vectors before points
     V = len(u)
@@ -704,6 +705,7 @@ def sectional_relations(R: CurvatureTensor, U, tol=1e-9) -> SectionalRelations:
         w -= np.square(v.take(_LAST, axis=0))
         np.subtract(0.0, w, out=w)
         sigma, delta = invariants(np.concatenate((v, w), axis=1))  # of the rows, then of their bivectors
+        require_q_basis(U.reshape(V, 3), q_basis_from_invariants(sigma[:V], delta[:V])[2].reshape(V, -1).all(axis=1))
         gvv, gvqv = orbit_gram(lam, nu, sigma[:V + 2], delta[:V + 2])
         den = plane_determinant(lam, nu, sigma[V + 2:], delta[V + 2:])
         _refuse_degenerate(_degenerate(den[:V], gvv[:V], gvv[:V]), lambda: (u, apply_q(u)))

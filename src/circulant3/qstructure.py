@@ -16,14 +16,15 @@ is a ratio of sums of non-negative terms in lam, nu, sigma and delta:
     x1^3 + x2^3 + x3^3 - 3 x1 x2 x3 = sigma delta,
     g(x, x) g(y, y) - g(x, y)^2 = nu (nu sigma_w^2 + 2 lam delta_w) / 3,  w = x × y.
 
-x generates the basis {x, qx, q^2 x} ("q-basis") iff sigma delta != 0.
-invariants forms sigma and delta each correctly rounded, so both are the same
-numbers for v, -v and v with its components permuted: a vector and its q-images
-get one g(x, x), and the three planes of a q-orbit, whose bivectors are signed
-permutations of one another, one determinant, bit for bit. Every quantity is
-formed over g / 2^e (MetricAtPoint.eigenvalues_scaled) and vectors over powers
-of two (rescaled), so no term under- or overflows; a caller that reports an
-unscaled value scales it back.
+x generates the basis {x, qx, q^2 x} ("q-basis") iff sigma delta != 0; a caller
+forms sigma and delta once per vector, for the test and the g-quantities alike.
+invariants forms each correctly rounded, so both are the same numbers for v, -v
+and v with its components permuted: a vector and its q-images get one g(x, x),
+and the three planes of a q-orbit, whose bivectors are signed permutations of
+one another, one determinant, bit for bit. Every quantity is formed over
+g / 2^e (MetricAtPoint.eigenvalues_scaled) and vectors over powers of two
+(rescaled), so no term under- or overflows; a caller that reports an unscaled
+value scales it back.
 """
 
 from __future__ import annotations
@@ -119,36 +120,40 @@ def plane_determinant(lam, nu, sigma, delta):
     return nu * (nu * (sigma * sigma) + 2.0 * lam * delta) / 3.0
 
 
-def _orbit_gram_scaled(M: MetricAtPoint, x):
-    """orbit_gram of x over a power of two, 2^k, at each point of M's batch over g / 2^e, and k."""
+def _scaled_invariants(x):
+    """sigma and delta of x (3,) or (..., 3) over a power of two, 2^k (rescaled), and k."""
     xs, k = rescaled(x)
-    return (*orbit_gram(*M.eigenvalues_scaled, *invariants(batch_first(xs, xs.ndim - 1))), k)
+    return (*invariants(batch_first(xs, xs.ndim - 1)), k)
+
+
+def q_basis_from_invariants(sigma, delta):
+    """(cubic, bound, induces) of x from its invariants: cubic = 3 x1 x2 x3 - sum x_i^3 = -sigma delta, bound =
+    Q_BASIS_EPS |x|^3 with |x|^2 = (sigma^2 + 2 delta) / 3 (both of degree 3 in x), induces = |cubic| > bound."""
+    cubic = -(sigma * delta)
+    norm_sq = (sigma * sigma + 2.0 * delta) / 3.0
+    bound = Q_BASIS_EPS * (norm_sq * np.sqrt(norm_sq))
+    return cubic, bound, abs(cubic) > bound
+
+
+def _q_basis_scaled_back(sigma, delta, k):
+    """q_basis_from_invariants of x / 2^k, with cubic and bound scaled back by 2^3k."""
+    cubic, bound, induces = q_basis_from_invariants(sigma, delta)
+    return np.ldexp(cubic, 3 * k)[()], np.ldexp(bound, 3 * k)[()], induces[()]
 
 
 @np.errstate(all="ignore")  # inf where a product over a large g overflows, 0 where a small one underflows
 def q_orbit_products(M: MetricAtPoint, x):
-    """g(x, x) and g(x, qx) of x (3,) or (..., 3) at each point of M's batch: _orbit_gram_scaled's, scaled
-    back by 2^(2k + e)."""
-    gxx, gxqx, k = _orbit_gram_scaled(M, x)
-    return np.ldexp(gxx, 2 * k + M.e), np.ldexp(gxqx, 2 * k + M.e)
+    """g(x, x), g(x, qx) of x (3,) or (..., 3) at each point of M's batch, scaled back by 2^(2k + e), and
+    q_basis_test(x), all from one invariants call of x / 2^k."""
+    sigma, delta, k = _scaled_invariants(x)
+    gxx, gxqx = orbit_gram(*M.eigenvalues_scaled, sigma, delta)
+    return np.ldexp(gxx, 2 * k + M.e), np.ldexp(gxqx, 2 * k + M.e), _q_basis_scaled_back(sigma, delta, k)
 
 
 @np.errstate(all="ignore")  # cubic and bound are inf where they overflow at x itself, 0 where they underflow
 def q_basis_test(x):
-    """(cubic, bound, induces) of one vector (3,) or of each vector of a batch (..., 3).
-
-    cubic = 3 x1 x2 x3 - (x1^3 + x2^3 + x3^3) = -sigma delta vanishes where x
-    induces no q-basis, and bound = Q_BASIS_EPS |x|^3 with
-    |x|^2 = (sigma^2 + 2 delta) / 3. Both have degree 3 in x: induces is
-    |cubic| > bound over x / 2^k, so the test does not depend on the magnitude
-    of x, and cubic and bound are scaled back by 2^3k.
-    """
-    xs, k = rescaled(x)
-    sigma, delta = invariants(batch_first(xs, xs.ndim - 1))
-    cubic = -(sigma * delta)
-    norm_sq = (sigma * sigma + 2.0 * delta) / 3.0
-    bound = Q_BASIS_EPS * (norm_sq * np.sqrt(norm_sq))
-    return np.ldexp(cubic, 3 * k)[()], np.ldexp(bound, 3 * k)[()], (abs(cubic) > bound)[()]
+    """(cubic, bound, induces) of x (3,) or each x of a batch (..., 3): _q_basis_scaled_back over x / 2^k."""
+    return _q_basis_scaled_back(*_scaled_invariants(x))
 
 
 def induces_q_basis(x):
@@ -156,14 +161,10 @@ def induces_q_basis(x):
     return q_basis_test(x)[2]
 
 
-def require_q_basis(x) -> np.ndarray:
-    """x as a float array, one vector (3,) or a batch (..., 3); raises NotAQBasis for the first
-    vector that does not induce a q-basis."""
-    x = np.asarray(x, dtype=float)
-    ok = np.asarray(induces_q_basis(x))
-    if not ok.all():
-        raise NotAQBasis(f"vector {tuple(x[first_point(~ok)].tolist())} does not induce a q-basis")
-    return x
+def require_q_basis(x, induces) -> None:
+    """Raise NotAQBasis for the first vector of x, an array (3,) or (..., 3), where induces is False."""
+    if not np.all(induces):
+        raise NotAQBasis(f"vector {tuple(x[first_point(~induces)].tolist())} does not induce a q-basis")
 
 
 @np.errstate(all="ignore")  # a and b are inf where they overflow
@@ -204,13 +205,16 @@ class AngleReport:
 def q_basis_angles(M: MetricAtPoint, x) -> AngleReport:
     """The invariants a, b of x and the cosines of its q-basis at each point of M's batch.
 
-    x is one vector (3,) or one per point (..., 3). cos(x, qx) = g(x, qx) / g(x, x)
-    from orbit_gram over g / 2^e and x over a power of two, which is of degree 0
-    in both; cos(x, q^2 x) is its negative and cos(qx, q^2 x) the same number.
-    Raises NotAQBasis for the first vector that does not generate a basis.
+    x is one vector (3,) or one per point (..., 3). One invariants call of x over
+    a power of two gives the q-basis test (NotAQBasis names the first vector that
+    generates no basis) and cos(x, qx) = g(x, qx) / g(x, x) from orbit_gram over
+    g / 2^e, of degree 0 in both; cos(x, q^2 x) is -cos(x, qx), cos(qx, q^2 x) the same.
     """
-    x = require_q_basis(x)
-    gxx, gxqx, _ = _orbit_gram_scaled(M, x)
+    x = np.asarray(x, dtype=float)
+    with np.errstate(all="ignore"):  # a vector that is not finite induces no q-basis
+        sigma, delta, _ = _scaled_invariants(x)
+        require_q_basis(x, q_basis_from_invariants(sigma, delta)[2])
+    gxx, gxqx = orbit_gram(*M.eigenvalues_scaled, sigma, delta)
     c = gxqx / gxx
     return AngleReport(*vector_invariants(x), c, -c, c)
 

@@ -198,12 +198,18 @@ def exact_plane(A, B, x, y) -> tuple[list, Fraction]:
     return [x[i] * y[j] - x[j] * y[i] for i, j in _PAIRS], g(x, x) * g(y, y) - g(x, y) ** 2
 
 
-def exact_orbit_cosine(A, B, x) -> Fraction:
-    """cos(x, qx) = g(x, qx) / g(x, x) for g = circ(A, B, B) and qx = (-x2, -x3, -x1), exactly; A, B and the
-    entries are doubles."""
+def exact_orbit_products(A, B, x) -> tuple[Fraction, Fraction]:
+    """g(x, x) and g(x, qx) for g = circ(A, B, B) and qx = (-x2, -x3, -x1), exactly; A, B and the entries are
+    doubles."""
     g = _gram(Fraction(float(A)), Fraction(float(B)))
     x = [Fraction(float(v)) for v in x]
-    return g(x, [-x[1], -x[2], -x[0]]) / g(x, x)
+    return g(x, x), g(x, [-x[1], -x[2], -x[0]])
+
+
+def exact_orbit_cosine(A, B, x) -> Fraction:
+    """cos(x, qx) = g(x, qx) / g(x, x), exactly (exact_orbit_products)."""
+    gxx, gxqx = exact_orbit_products(A, B, x)
+    return gxqx / gxx
 
 
 def exact_cubic(x) -> Fraction:

@@ -1115,8 +1115,12 @@ def test_json_writer_is_json_dumps_on_every_report_of_a_point_query_cycle(tmp_pa
         # on a tiny metric at a tiny x1 the generator's norm_sq, near 1e-600, underflows before its cubic does
         (["orthobasis", "--spec", "{tiny}", "--at=1e-300,0,0"], 3,
          "error (orthobasis): orthogonal-basis norm_sq underflows to 0 where A=3e-200, B=1e-200\n"),
+        # the vector induces a q-basis over a power of two, but its squared norm a, near 2e-600, underflows to 0
+        (["angles", "--spec", "{generic}", "--at=0.1,0.2,0.3", "--vector=1e-300,0,1e-300"], 2,
+         "error (angles): vector (1e-300, 0.0, 1e-300) is too small for angles: its squared norm underflows\n"),
     ],
-    ids=["qbasis", "angles", "orthobasis", "orthobasis-cubic", "qbasis-underflow", "orthobasis-underflow"],
+    ids=["qbasis", "angles", "orthobasis", "orthobasis-cubic", "qbasis-underflow", "orthobasis-underflow",
+         "angles-underflow"],
 )
 def test_overflowing_vector_is_usage_error(capsys, tmp_path, argv, code, err):
     specs = {name: tmp_path / f"{name}.toml" for name in ("generic", "huge", "near", "tiny")}
@@ -1126,7 +1130,7 @@ def test_overflowing_vector_is_usage_error(capsys, tmp_path, argv, code, err):
     specs["tiny"].write_text('[metric]\nA = "3e-200 + x1"\nB = "1e-200"\n', encoding="utf-8")
     assert main([a.format(**specs) for a in argv] + ["--json"]) == code  # a numpy RuntimeWarning fails the call
     out, got = capsys.readouterr()
-    assert got == err
+    assert got == err and (code == 0 or out == "")
     if code == 0:
         results = json.loads(out)["results"]
         assert results["a"] == math.inf and results["b"] == 1e200
@@ -1498,30 +1502,33 @@ def test_sampled_report_summarizes_its_points_bit_for_bit(capsys, tmp_path, comm
     assert code == (0 if all(v["pass"] for v in report["verdicts"].values()) else 1)
 
 
+def _counting(monkeypatch, calls, module, name, contracted=None):
+    """Count the calls of module.name in calls[name]; record the argument shapes of each in contracted."""
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls[name] += 1
+        if contracted is not None:
+            contracted.append([np.shape(v) for v in args])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+
+
 def test_verify_theorems_sampled_computes_each_relation_quantity_once_per_run(capsys, monkeypatch, tmp_path):
     import circulant3.curvature as curvature
     import circulant3.qstructure as qstructure
 
     calls = Counter()
     contracted = []
-
-    def count(module, name):
-        original = getattr(module, name)
-
-        def counting(*args, **kwargs):
-            calls[name] += 1
-            if name == "_bivector_form":
-                contracted.append([np.shape(v) for v in args])
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, counting)
-
-    once = ("check_q_invariance", "construct_basis_vectors", "invariants")
-    for name in ("sectional_curvature", "riemann_apply", "_bivector_form", "christoffel_from_metric", *once):
-        count(curvature, name)
-    count(qstructure, "induces_q_basis")  # through require_q_basis
-    count(qstructure, "q_basis_test")  # through induces_q_basis, with its own invariants of the vectors
-    count(qstructure, "_require_positive")  # the positivity test of both basis constructions
+    once = ("check_q_invariance", "construct_basis_vectors")
+    for name in ("sectional_curvature", "riemann_apply", "christoffel_from_metric", *once):
+        _counting(monkeypatch, calls, curvature, name)
+    _counting(monkeypatch, calls, curvature, "_bivector_form", contracted)
+    for module in (curvature, qstructure):  # invariants by either module's name
+        _counting(monkeypatch, calls, module, "invariants")
+    for name in ("induces_q_basis", "q_basis_test", "_require_positive"):  # _require_positive: both constructions
+        _counting(monkeypatch, calls, qstructure, name)
     spec = tmp_path / "spec.toml"
     spec.write_text(PARALLEL_BENCH_SPEC, encoding="utf-8")
     argv = ["verify-theorems", "--spec", str(spec), "--sample", "4", "--seed", "3", CUBE_ARG]
@@ -1529,11 +1536,31 @@ def test_verify_theorems_sampled_computes_each_relation_quantity_once_per_run(ca
     # 4 points, 5 vectors: one contraction, the bivector form of the 18 forms that the relations read, each
     # bivector component first at every point: the three planes {S[k], S[k+1]} of the q-orbit S of each of the
     # 5 vectors u, then plane 0 of x and y over powers of two and R(x, qx, x, q^2 x); one call of invariants for
-    # the 7 rows and their bivectors; no call of riemann_apply or sectional_curvature and no Christoffel table;
-    # the vectors' q-basis test and the rest once
-    assert calls == {"_bivector_form": 1, "induces_q_basis": 1, "q_basis_test": 1, "_require_positive": 1,
-                     **dict.fromkeys(once, 1)}
+    # the 7 rows and their bivectors, from which the vectors' q-basis test is read too (no q_basis_test or
+    # induces_q_basis); no call of riemann_apply or sectional_curvature and no Christoffel table
+    assert calls == {"_bivector_form": 1, "invariants": 1, "_require_positive": 1, **dict.fromkeys(once, 1)}
     assert contracted == [[(6, 4), (3, 18, 4), (3, 18, 4)]]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify-theorems", "--at=0.2,-0.4,0.6"], ["angles", "--at=0.2,-0.4,0.6", "--vector=1,2,-0.5"],
+     ["orthobasis", "--at=0.2,-0.4,0.6"]],
+    ids=["verify-theorems", "angles", "orthobasis"],
+)
+def test_a_command_forms_the_invariants_of_its_vectors_once(capsys, monkeypatch, tmp_path, argv):
+    # the q-basis test of the vectors reads sigma and delta of the call that also gives the command's products
+    import circulant3.curvature as curvature
+    import circulant3.qstructure as qstructure
+
+    calls = Counter()
+    for module in (curvature, qstructure):
+        _counting(monkeypatch, calls, module, "invariants")
+    spec = tmp_path / "spec.toml"
+    spec.write_text(PARALLEL_BENCH_SPEC, encoding="utf-8")
+    assert main([argv[0], "--spec", str(spec), *argv[1:]]) == 0
+    assert calls == {"invariants": 1}
     capsys.readouterr()
 
 

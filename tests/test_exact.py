@@ -24,12 +24,13 @@ from the invariants of x ^ y as a sum of non-negative terms in lam and nu
 (qstructure), so it keeps a few eps of relative accuracy as nu / lam nears 0.
 
 The q-structure routes have exact references in the coordinate frame
-(exact_orbit_cosine, exact_plane, exact_cubic): cos(x, qx) within
-C_QSTRUCTURE eps, the plane determinant and the q-basis cubic within
-C_QSTRUCTURE eps of their magnitude, on the generic, cyclic and
-near-degenerate families (G = 1e-2, 1e-6, 1e-10). Through the Gram matrix the
-determinant was off by up to 3e10 eps at G = 1e-10, and cos(x, qx) by 2.4e-7
-through the paper's closed form in a and b.
+(exact_orbit_cosine, exact_orbit_products, exact_plane, exact_cubic):
+cos(x, qx) within C_QSTRUCTURE eps, the plane determinant and the q-basis
+cubic within C_QSTRUCTURE eps of their magnitude, and orthobasis's norm_sq
+and g_x_qx of the constructed generator within C_QSTRUCTURE eps g(x, x), on
+the generic, cyclic and near-degenerate families (G = 1e-2, 1e-6, 1e-10).
+Through the Gram matrix the determinant was off by up to 3e10 eps at
+G = 1e-10, and cos(x, qx) by 2.4e-7 through the paper's closed form in a and b.
 
 The Christoffel symbols have the exact reference of exact_christoffel on the
 same Fraction jets, formed in the coordinate frame with g^-1 in Fractions.
@@ -41,6 +42,7 @@ is by an eigenvalue.
 
 from __future__ import annotations
 
+import argparse
 import json
 from fractions import Fraction
 
@@ -51,7 +53,7 @@ from circulant3 import (
     MetricFunctions, apply_q, christoffel_from_metric, construct_basis_vectors, induces_q_basis, metric_at, parse,
     q_basis_angles, riemann_from_metric, sample_admissible_points, sectional_curvature, sectional_relations,
 )
-from circulant3.cli import main
+from circulant3.cli import _cmd_orthobasis, main
 from circulant3.curvature import COMPONENT_INDEX, components, sectional_plane
 from circulant3.expressions import eval_jet
 from circulant3.metric import admissibility
@@ -59,8 +61,8 @@ from circulant3.qstructure import q_basis_test
 from circulant3.specfile import builtin_example
 
 from exact import (
-    exact_christoffel, exact_components, exact_cubic, exact_curvature, exact_jet, exact_orbit_cosine, exact_plane,
-    exact_sectional, fraction_jet,
+    exact_christoffel, exact_components, exact_cubic, exact_curvature, exact_jet, exact_orbit_cosine,
+    exact_orbit_products, exact_plane, exact_sectional, fraction_jet,
 )
 from helpers import (
     BOX, random_manifold, random_q_basis_vector, random_q_invariant_manifold, random_warped_manifold,
@@ -72,7 +74,9 @@ C_SECTIONAL = 64.0  # the largest error seen on these specs (16 seeds) is about 
 # the largest error of Gamma seen over these tests is about 9.3 eps (near degeneracy, G = 1e-10); of dGamma
 # about 3.2 eps (the same)
 C_CHRISTOFFEL = 64.0
-C_QSTRUCTURE = 8.0  # the largest error of cos(x, qx), a plane determinant or a cubic seen here is about 3 eps
+# the largest error of cos(x, qx), a plane determinant or a cubic seen here is about 3 eps; of orthobasis's
+# products about 0.9 eps g(x, x)
+C_QSTRUCTURE = 8.0
 
 
 def worst_error(R, M):
@@ -277,6 +281,20 @@ def test_q_structure_routes_are_within_c_eps_of_the_exact_value(family):
             want = exact_cubic(u)
             worst[2] = max(worst[2], float(abs(Fraction(float(q_basis_test(u)[0])) - want) / abs(want)) / EPS)
     assert max(worst) <= C_QSTRUCTURE, worst
+
+
+@pytest.mark.parametrize("family", Q_FAMILIES)
+def test_orthobasis_products_are_within_c_eps_of_the_exact_value(family):
+    # norm_sq = g(x, x) and g_x_qx of the constructed generator x at each point, against the exact products of
+    # the same double vector, in units of eps g(x, x): g(x, qx) of the orthogonal generator is 0 up to rounding
+    M = q_family(family, np.random.default_rng(47))
+    results = _cmd_orthobasis(None, None, M, argparse.Namespace(tol=1e-9))[0]
+    worst = 0.0
+    for i in range(len(M.A)):
+        want = exact_orbit_products(M.A[i], M.B[i], results["vector"][i])
+        for key, value in zip(("norm_sq", "g_x_qx"), want):
+            worst = max(worst, float(abs(Fraction(float(results[key][i])) - value) / want[0]) / EPS)
+    assert worst <= C_QSTRUCTURE, worst
 
 
 @pytest.mark.parametrize("G", ["1e-2", "1e-6", "1e-10"])

@@ -6,7 +6,8 @@ exact cubic in Fractions. The Christoffel kernel is checked against its coordina
 reference, and the readers of the stored tensors against batch-first einsums
 (test_kernel_layout.py), at random batch sizes; every bivector form (riemann_apply,
 sectional curvatures, the relations) at each point of batches up to 500; the jets of
-generated expressions over a batch against those of each point; printing a
+generated expressions over a batch against those of each point; the relations
+and the angles refuse exactly the vectors the q-basis test refuses; printing a
 generated expression and parsing it back gives the same program; every jet
 operation returns a Hessian equal to its transpose bit for bit, and the bits
 and errors of the three-array reference (jets_reference.py). Beyond bits:
@@ -52,6 +53,7 @@ from circulant3 import (  # noqa: E402
     induces_q_basis,
     jets,
     metric_at,
+    q_basis_angles,
     riemann_apply,
     riemann_from_metric,
     sample_admissible_points,
@@ -60,7 +62,7 @@ from circulant3 import (  # noqa: E402
 )
 from circulant3 import cli  # noqa: E402
 from circulant3.cli import _CORES, NO_WEAK, NOT_SAMPLED, main  # noqa: E402
-from circulant3.errors import CirculantError, EvalDomainError, NotAQBasis  # noqa: E402
+from circulant3.errors import CirculantError, EvalDomainError, NotAQBasis, PositivityViolation  # noqa: E402
 from circulant3.expressions import (  # noqa: E402
     FUNCTIONS,
     eval_jet,
@@ -81,7 +83,7 @@ from helpers import (  # noqa: E402
     random_q_basis_vector,
     random_q_invariant_manifold,
 )
-from test_curvature import _ref_relations, _ricci, nonflat_parallel  # noqa: E402
+from test_curvature import _ref_gram, _ref_relations, _ricci, nonflat_parallel  # noqa: E402
 from test_exact import (  # noqa: E402
     C_CHRISTOFFEL, C_EPS, C_SECTIONAL, EPS, assert_float_jet_is_exact_jet, christoffel_errors, sectional_error,
     worst_error,
@@ -419,26 +421,43 @@ def _relation_values(rel):
     return np.stack([d.lhs, d.rhs, c.lhs, c.rhs, e.mu_u_qu, e.mu_qu_q2u, e.mu_q2u_u], axis=-1)
 
 
+# the kinds of drawn vector: a standard normal one, t (1, 1, 1) with delta = 0, and one whose sigma is 0 up to
+# rounding; the last two induce no q-basis
+_KINDS = (
+    lambda rng: rng.standard_normal(3),
+    lambda rng: np.full(3, rng.standard_normal()),
+    lambda rng: (lambda v: v - v.mean())(rng.standard_normal(3)),
+)
+
+
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
 @given(
     case=st.sampled_from(range(len(RELATION_CASES))),
     seed=st.integers(0, 2**16),
     n=st.integers(1, 3),
-    exponents=st.lists(st.integers(-60, 60), min_size=1, max_size=8),
+    draws=st.lists(st.tuples(st.sampled_from(range(len(_KINDS))), st.integers(-200, 200)), min_size=1, max_size=8),
 )
-def test_relations_of_vectors_scaled_by_powers_of_two_are_the_serial_reference_bit_for_bit(
-    case, seed, n, exponents
+def test_relations_and_angles_of_scaled_vectors_refuse_as_the_q_basis_test_and_are_the_serial_reference(
+    case, seed, n, draws
 ):
+    # both read the q-basis test from the invariants of their own pass: they refuse exactly the vectors that
+    # induces_q_basis refuses, naming the first, and give the others the bits of the serial reference
     m, box, tol = RELATION_CASES[case]
     rng = np.random.default_rng(seed)
     pts = np.array([random_point(rng, box) for _ in range(n)])
-    U = np.array([np.ldexp(random_q_basis_vector(rng), k) for k in exponents])
-    R = riemann_from_metric(metric_at(m, pts))
+    U = np.array([np.ldexp(_KINDS[kind](rng), k) for kind, k in draws])
+    M = metric_at(m, pts)
+    R = riemann_from_metric(M)
     ok = np.asarray(induces_q_basis(U))
     if not ok.all():
-        with pytest.raises(NotAQBasis, match=re.escape(f"vector {tuple(U[np.argmin(ok)].tolist())} ")):
+        named = re.escape(f"vector {tuple(U[np.argmin(ok)].tolist())} does not induce a q-basis")
+        with pytest.raises(NotAQBasis, match=named):
             sectional_relations(R, U, tol=tol)
+        for i in range(n):
+            with pytest.raises(NotAQBasis, match=named):
+                q_basis_angles(M[i], U)
         U = U[ok]
+        assume(len(U))
     # want[v, i]: vector v at point i, one point and one vector at a time
     want = np.array([[[v for pair in _ref_relations(m, p, u) for v in pair] for p in pts] for u in U])
     assert _relation_values(sectional_relations(R, U, tol=tol)).tobytes() == want.reshape(len(U), n, 7).tobytes()
@@ -448,6 +467,18 @@ def test_relations_of_vectors_scaled_by_powers_of_two_are_the_serial_reference_b
         e = check_equal_sectional_curvatures(R, u, tol)
         got += [e.mu_u_qu, e.mu_qu_q2u, e.mu_q2u_u]
         assert np.stack(got, axis=-1).tobytes() == want_u.tobytes()
+    for i in range(n):
+        gram = np.array([_ref_gram(float(M.A[i]), float(M.B[i]), u) for u in U])
+        assert q_basis_angles(M[i], U).cos_phi_x_qx.tobytes() == (gram[:, 1] / gram[:, 0]).tobytes()
+
+
+def test_relations_on_a_weak_metric_refuse_its_positivity_before_the_q_basis_test():
+    # construct_basis_vectors tests A > B > 0 before the one invariants call that gives the vectors' q-basis test
+    with pytest.warns(UserWarning, match="still positive definite"):
+        M = metric_at(MetricFunctions.from_sources("2", "-0.5"), np.array([0.1, 0.2, 0.3]), allow_weak=True)
+    for U in ([1.0, 1.0, 1.0], [1.0, 0.0, 0.0]):
+        with pytest.raises(PositivityViolation, match="A=2.0, B=-0.5"):
+            sectional_relations(riemann_from_metric(M), U, tol=math.inf)
 
 
 # -- the command line never raises ------------------------------------------------
