@@ -150,6 +150,7 @@ from .metric import MetricAtPoint, first_point, require_finite
 from .qstructure import (
     apply_q,
     construct_basis_vectors,
+    induces_q_basis,
     invariants,
     orbit_gram,
     plane_determinant,
@@ -705,7 +706,8 @@ def sectional_relations(R: CurvatureTensor, U, tol=1e-9) -> SectionalRelations:
         w -= np.square(v.take(_LAST, axis=0))
         np.subtract(0.0, w, out=w)
         sigma, delta = invariants(np.concatenate((v, w), axis=1))  # of the rows, then of their bivectors
-        require_q_basis(U.reshape(V, 3), q_basis_from_invariants(sigma[:V], delta[:V])[2].reshape(V, -1).all(axis=1))
+        ok = q_basis_from_invariants(sigma[:V], delta[:V])[2].reshape(V, -1)  # at each point's copy of u, if any
+        require_q_basis(U.reshape(V, 3), ok.all(axis=1) if ok.size else induces_q_basis(U.reshape(V, 3)))  # else U
         gvv, gvqv = orbit_gram(lam, nu, sigma[:V + 2], delta[:V + 2])
         den = plane_determinant(lam, nu, sigma[V + 2:], delta[V + 2:])
         _refuse_degenerate(_degenerate(den[:V], gvv[:V], gvv[:V]), lambda: (u, apply_q(u)))

@@ -126,19 +126,13 @@ def _scaled_invariants(x):
     return (*invariants(batch_first(xs, xs.ndim - 1)), k)
 
 
-def q_basis_from_invariants(sigma, delta):
-    """(cubic, bound, induces) of x from its invariants: cubic = 3 x1 x2 x3 - sum x_i^3 = -sigma delta, bound =
-    Q_BASIS_EPS |x|^3 with |x|^2 = (sigma^2 + 2 delta) / 3 (both of degree 3 in x), induces = |cubic| > bound."""
+def q_basis_from_invariants(sigma, delta, k=0):
+    """(cubic, bound, induces) from the invariants of x / 2^k: cubic = 3 x1 x2 x3 - sum x_i^3 = -sigma delta and
+    bound = Q_BASIS_EPS |x|^3, |x|^2 = (sigma^2 + 2 delta) / 3, scaled back by 2^3k; induces = |cubic| > bound."""
     cubic = -(sigma * delta)
     norm_sq = (sigma * sigma + 2.0 * delta) / 3.0
     bound = Q_BASIS_EPS * (norm_sq * np.sqrt(norm_sq))
-    return cubic, bound, abs(cubic) > bound
-
-
-def _q_basis_scaled_back(sigma, delta, k):
-    """q_basis_from_invariants of x / 2^k, with cubic and bound scaled back by 2^3k."""
-    cubic, bound, induces = q_basis_from_invariants(sigma, delta)
-    return np.ldexp(cubic, 3 * k)[()], np.ldexp(bound, 3 * k)[()], induces[()]
+    return np.ldexp(cubic, 3 * k)[()], np.ldexp(bound, 3 * k)[()], (abs(cubic) > bound)[()]
 
 
 @np.errstate(all="ignore")  # inf where a product over a large g overflows, 0 where a small one underflows
@@ -147,13 +141,13 @@ def q_orbit_products(M: MetricAtPoint, x):
     q_basis_test(x), all from one invariants call of x / 2^k."""
     sigma, delta, k = _scaled_invariants(x)
     gxx, gxqx = orbit_gram(*M.eigenvalues_scaled, sigma, delta)
-    return np.ldexp(gxx, 2 * k + M.e), np.ldexp(gxqx, 2 * k + M.e), _q_basis_scaled_back(sigma, delta, k)
+    return np.ldexp(gxx, 2 * k + M.e), np.ldexp(gxqx, 2 * k + M.e), q_basis_from_invariants(sigma, delta, k)
 
 
 @np.errstate(all="ignore")  # cubic and bound are inf where they overflow at x itself, 0 where they underflow
 def q_basis_test(x):
-    """(cubic, bound, induces) of x (3,) or each x of a batch (..., 3): _q_basis_scaled_back over x / 2^k."""
-    return _q_basis_scaled_back(*_scaled_invariants(x))
+    """(cubic, bound, induces) of x (3,) or each x of a batch (..., 3): q_basis_from_invariants over x / 2^k."""
+    return q_basis_from_invariants(*_scaled_invariants(x))
 
 
 def induces_q_basis(x):

@@ -421,6 +421,37 @@ def _relation_values(rel):
     return np.stack([d.lhs, d.rhs, c.lhs, c.rhs, e.mu_u_qu, e.mu_qu_q2u, e.mu_q2u_u], axis=-1)
 
 
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(
+    case=st.sampled_from(range(len(RELATION_CASES))),
+    seed=st.integers(0, 2**16),
+    n=st.integers(1, 3),
+    exponents=st.lists(st.integers(-60, 60), min_size=1, max_size=8),
+)
+def test_relations_of_vectors_scaled_by_powers_of_two_are_the_serial_reference_bit_for_bit(
+    case, seed, n, exponents
+):
+    m, box, tol = RELATION_CASES[case]
+    rng = np.random.default_rng(seed)
+    pts = np.array([random_point(rng, box) for _ in range(n)])
+    U = np.array([np.ldexp(random_q_basis_vector(rng), k) for k in exponents])
+    R = riemann_from_metric(metric_at(m, pts))
+    ok = np.asarray(induces_q_basis(U))
+    if not ok.all():
+        with pytest.raises(NotAQBasis, match=re.escape(f"vector {tuple(U[np.argmin(ok)].tolist())} ")):
+            sectional_relations(R, U, tol=tol)
+        U = U[ok]
+    # want[v, i]: vector v at point i, one point and one vector at a time
+    want = np.array([[[v for pair in _ref_relations(m, p, u) for v in pair] for p in pts] for u in U])
+    assert _relation_values(sectional_relations(R, U, tol=tol)).tobytes() == want.reshape(len(U), n, 7).tobytes()
+    for u, want_u in zip(U, want):
+        views = (check_sectional_difference_formula(R, u, tol), check_sectional_combination_formula(R, u, tol))
+        got = [views[0].lhs, views[0].rhs, views[1].lhs, views[1].rhs]
+        e = check_equal_sectional_curvatures(R, u, tol)
+        got += [e.mu_u_qu, e.mu_qu_q2u, e.mu_q2u_u]
+        assert np.stack(got, axis=-1).tobytes() == want_u.tobytes()
+
+
 # the kinds of drawn vector: a standard normal one, t (1, 1, 1) with delta = 0, and one whose sigma is 0 up to
 # rounding; the last two induce no q-basis
 _KINDS = (
@@ -458,18 +489,19 @@ def test_relations_and_angles_of_scaled_vectors_refuse_as_the_q_basis_test_and_a
                 q_basis_angles(M[i], U)
         U = U[ok]
         assume(len(U))
-    # want[v, i]: vector v at point i, one point and one vector at a time
     want = np.array([[[v for pair in _ref_relations(m, p, u) for v in pair] for p in pts] for u in U])
     assert _relation_values(sectional_relations(R, U, tol=tol)).tobytes() == want.reshape(len(U), n, 7).tobytes()
-    for u, want_u in zip(U, want):
-        views = (check_sectional_difference_formula(R, u, tol), check_sectional_combination_formula(R, u, tol))
-        got = [views[0].lhs, views[0].rhs, views[1].lhs, views[1].rhs]
-        e = check_equal_sectional_curvatures(R, u, tol)
-        got += [e.mu_u_qu, e.mu_qu_q2u, e.mu_q2u_u]
-        assert np.stack(got, axis=-1).tobytes() == want_u.tobytes()
     for i in range(n):
         gram = np.array([_ref_gram(float(M.A[i]), float(M.B[i]), u) for u in U])
         assert q_basis_angles(M[i], U).cos_phi_x_qx.tobytes() == (gram[:, 1] / gram[:, 0]).tobytes()
+
+
+def test_relations_on_an_empty_batch_still_refuse_a_vector_that_induces_no_q_basis():
+    # no point holds a copy of u to read its verdict from, so the pass tests U alone
+    R = riemann_from_metric(metric_at(MetricFunctions.from_sources("3 + x1*x1", "1"), np.empty((0, 3))))
+    with pytest.raises(NotAQBasis, match=re.escape("vector (1.0, 1.0, 1.0) does not induce a q-basis")):
+        sectional_relations(R, [[1.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+    assert sectional_relations(R, [1.0, 0.0, 0.0]).difference.lhs.shape == (0,)
 
 
 def test_relations_on_a_weak_metric_refuse_its_positivity_before_the_q_basis_test():
